@@ -62,7 +62,7 @@ func graph(b *testing.B, name string) *core.Graph {
 	if g, ok := graphCache[key]; ok {
 		return g
 	}
-	g, st, err := datasets.Acquire(name, benchScale(), os.Getenv("GDB_DATASET_CACHE"))
+	g, st, err := datasets.AcquireWith(name, benchScale(), datasets.AcquireOptions{CacheDir: os.Getenv("GDB_DATASET_CACHE")})
 	if err != nil {
 		b.Fatal(err)
 	}

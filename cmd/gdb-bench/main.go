@@ -1,42 +1,8 @@
 // Command gdb-bench runs the micro-benchmark evaluation and prints the
 // paper's tables and figures.
 //
-// Usage:
-//
-//	gdb-bench [flags]
-//
-//	-engines      comma-separated engine names (default: all nine)
-//	-datasets     comma-separated dataset names (default: frb-s,frb-o,frb-m,frb-l)
-//	-scale        dataset scale factor, 1.0 = paper sizes (default 0.002)
-//	-timeout      per-query timeout (default 2s; the paper used 2h at full scale)
-//	-batch        batch size (default 10, as in the paper)
-//	-seed         random seed for parameter selection
-//	-workers      parallel grid workers (default: all CPUs; results are
-//	              identical for any worker count)
-//	-cell-workers parallel batch iterations inside one cell (non-mutating
-//	              queries only; results are identical for any value)
-//	-gen-workers  parallel dataset-generation workers (default: all CPUs;
-//	              generated graphs are identical for any value)
-//	-remote       comma-separated gdb-worker addresses (host:port) whose
-//	              slots join the local workers in executing grid cells
-//	-dataset-cache reuse dataset snapshot artifacts from this directory
-//	              (content-addressed; cold runs populate it, warm runs
-//	              skip generation — graphs are byte-identical either way)
-//	-lsm-dir      durable mode: open durable-capable engines (titan) over
-//	              a write-ahead log rooted in unique subdirectories of
-//	              this path; other engines still run volatile
-//	-serve-artifacts stream dataset artifacts to remote workers that
-//	              request them (default true) — a cold worker fleet
-//	              seeds itself from this scheduler instead of
-//	              regenerating every dataset locally
-//	-checkpoint   stream each completed grid cell to this JSONL file
-//	-resume       replay a compatible checkpoint from -checkpoint and run
-//	              only the missing cells
-//	-status       print a -checkpoint file's progress (cells done,
-//	              remaining, DNF per engine) and exit without executing
-//	-report       which report to print: all, table1..4, fig1..fig7cd (default all)
-//	-list         list engines, datasets and reports, then exit
-//	-v            print progress to stderr
+// Run gdb-bench -h for the flags. README.md describes every one of
+// them, and the docsync test fails when a flag is missing there.
 //
 // Examples:
 //
@@ -65,32 +31,28 @@ import (
 // defineFlags so the doc-sync test can enumerate them and verify each
 // one is documented in README/docs.
 type options struct {
-	engines      string
-	datasets     string
-	scale        float64
-	timeout      time.Duration
-	batch        int
-	seed         int64
-	workers      int
-	cellWorkers  int
-	genWorkers   int
-	remote       string
-	datasetCache string
-	mmap         bool
-	lsmDir       string
-	serveArts    bool
-	checkpoint   string
-	resume       bool
-	status       bool
-	crashAfter   int
-	frozenClock  bool
-	optimize     bool
-	report       string
-	exportJSON   string
-	exportCSV    string
-	importJSON   string
-	list         bool
-	verbose      bool
+	engines     string
+	datasets    string
+	scale       float64
+	timeout     time.Duration
+	batch       int
+	seed        int64
+	workers     int
+	genWorkers  int
+	remote      string
+	exec        func() harness.Exec
+	lsmDir      string
+	serveArts   bool
+	checkpoint  string
+	resume      bool
+	status      bool
+	crashAfter  int
+	frozenClock bool
+	report      string
+	exportJSON  string
+	exportCSV   string
+	importJSON  string
+	list        bool
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
@@ -102,11 +64,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.batch, "batch", 10, "batch mode size")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for parameter selection")
 	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel evaluation workers")
-	fs.IntVar(&o.cellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
 	fs.IntVar(&o.genWorkers, "gen-workers", runtime.NumCPU(), "parallel dataset generation workers")
 	fs.StringVar(&o.remote, "remote", "", "comma-separated gdb-worker addresses (host:port) adding remote grid slots")
-	fs.StringVar(&o.datasetCache, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&o.mmap, "mmap", false, "memory-map warm -dataset-cache artifacts instead of decoding them onto the heap (identical results)")
+	o.exec = harness.ExecFlags(fs)
 	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root each durable-capable engine's LSM store (WAL + recovery) in a unique subdirectory of this path")
 	fs.BoolVar(&o.serveArts, "serve-artifacts", true, "stream dataset artifacts to remote workers that request them")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "stream completed grid cells to this JSONL file")
@@ -114,13 +74,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.status, "status", false, "print the -checkpoint file's progress and exit without executing")
 	fs.IntVar(&o.crashAfter, "crash-after", 0, "fault injection: exit(1) after N cells are checkpointed (testing)")
 	fs.BoolVar(&o.frozenClock, "frozen-clock", false, "record all durations as zero for byte-deterministic exports (testing/CI)")
-	fs.BoolVar(&o.optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
 	fs.StringVar(&o.report, "report", "all", "report to print ("+strings.Join(harness.ReportNames(), ", ")+")")
 	fs.StringVar(&o.exportJSON, "export-json", "", "also write raw results as JSON to this file")
 	fs.StringVar(&o.exportCSV, "export-csv", "", "also write raw results as CSV to this file")
 	fs.StringVar(&o.importJSON, "import-json", "", "render reports from a previous -export-json run instead of executing")
 	fs.BoolVar(&o.list, "list", false, "list engines, datasets and reports")
-	fs.BoolVar(&o.verbose, "v", false, "print progress to stderr")
 	return o
 }
 
@@ -173,24 +131,18 @@ func main() {
 		BatchSize:       o.batch,
 		Seed:            o.seed,
 		Workers:         o.workers,
-		CellWorkers:     o.cellWorkers,
 		Remote:          splitList(o.remote),
-		DatasetCacheDir: o.datasetCache,
-		Mmap:            o.mmap,
+		Exec:            o.exec(),
 		LSMDir:          o.lsmDir,
 		ServeArtifacts:  o.serveArts,
 		CheckpointPath:  o.checkpoint,
 		Resume:          o.resume,
 		CrashAfterCells: o.crashAfter,
 		FrozenClock:     o.frozenClock,
-		NoOptimize:      !o.optimize,
 		Isolation:       true,
 	}
 	if o.engines != "" {
 		cfg.Engines = splitList(o.engines)
-	}
-	if o.verbose {
-		cfg.Progress = os.Stderr
 	}
 
 	// Static reports need no run.

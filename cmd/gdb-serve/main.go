@@ -4,30 +4,9 @@
 // contended regime the paper's quiesced per-query measurements cannot
 // express (see METHODOLOGY.md, "Sustained-traffic serving").
 //
-// Usage:
-//
-//	gdb-serve -engine NAME [flags]
-//
-//	-engine        engine configuration to serve (required; see gdb-bench -list)
-//	-dataset       dataset name (default mico)
-//	-scale         dataset scale factor, 1.0 = paper sizes (default 0.002)
-//	-clients       concurrent client count (default 8)
-//	-duration      closed-loop run length when -ops is 0 (default 5s)
-//	-ops           operations per client; required with -frozen-clock
-//	-rate          total target arrival rate in ops/sec; 0 = closed loop
-//	-mix           workload mix, e.g. read=60,traverse=20,insert=10,update=10
-//	               (default read=70,traverse=30; mutating mixes need a
-//	               ConcurrentWriter-granting engine)
-//	-seed          random seed driving op streams and arrival times
-//	-frozen-clock  deterministic discrete-event mode: virtual time, byte-
-//	               identical op log and report for a fixed seed/mix/rate
-//	-oplog         write the intended-operation log (JSON lines) to this file
-//	-dataset-cache reuse dataset snapshot artifacts from this directory
-//	-lsm-dir       durable mode: root the engine's LSM store (WAL + crash
-//	               recovery) at this directory — titan engines only
-//	-lsm-audit     recover the store at -lsm-dir, print recovery counters
-//	               and an integrity audit as JSON, then exit
-//	-v             print load/run progress to stderr
+// Run gdb-serve -h for the flags (-engine is required). README.md
+// describes every one of them, and the docsync test fails when a flag
+// is missing there.
 //
 // Examples:
 //
@@ -133,7 +112,7 @@ func run(o *options) error {
 	}
 
 	progress("acquiring dataset %s at scale %g", o.dataset, o.scale)
-	g, _, err := datasets.Acquire(o.dataset, o.scale, o.datasetCache)
+	g, _, err := datasets.AcquireWith(o.dataset, o.scale, datasets.AcquireOptions{CacheDir: o.datasetCache})
 	if err != nil {
 		return err
 	}

@@ -3,24 +3,8 @@
 // on each spare machine, point the scheduler at them with
 // -remote host:port, and the workers' slots join the local ones.
 //
-// Usage:
-//
-//	gdb-worker [flags]
-//
-//	-listen       address to serve on (default :9777)
-//	-capacity     concurrent cells this worker accepts (default: all CPUs)
-//	-cell-workers parallel batch iterations inside one cell (non-mutating
-//	              queries only; results are identical for any value)
-//	-gen-workers  parallel dataset-generation workers (default: all CPUs)
-//	-dataset-cache reuse dataset snapshot artifacts from this directory;
-//	              a fleet of workers pointed at warm caches skips the
-//	              per-process V+E dataset generation entirely
-//	-artifact-fetch fetch missing dataset artifacts from the scheduler
-//	              over the session connection before generating locally
-//	              (default true) — a cold worker seeds its cache off the
-//	              scheduler's warm one instead of regenerating graphs
-//	-heartbeat    liveness interval announced to schedulers (default 2s)
-//	-v            print per-cell progress to stderr
+// Run gdb-worker -h for the flags. README.md describes every one of
+// them, and the docsync test fails when a flag is missing there.
 //
 // The handshake requires the worker and scheduler builds to have
 // identical engine and dataset catalogs (the catalog fingerprint), so
@@ -50,28 +34,20 @@ import (
 type options struct {
 	listen        string
 	capacity      int
-	cellWorkers   int
 	genWorkers    int
-	datasetCache  string
-	mmap          bool
+	exec          func() harness.Exec
 	artifactFetch bool
-	optimize      bool
 	heartbeat     time.Duration
-	verbose       bool
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", ":9777", "address to serve grid cells on")
 	fs.IntVar(&o.capacity, "capacity", runtime.NumCPU(), "concurrent cells this worker accepts")
-	fs.IntVar(&o.cellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
 	fs.IntVar(&o.genWorkers, "gen-workers", runtime.NumCPU(), "parallel dataset generation workers")
-	fs.StringVar(&o.datasetCache, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&o.mmap, "mmap", false, "memory-map warm -dataset-cache artifacts instead of decoding them onto the heap (identical results)")
+	o.exec = harness.ExecFlags(fs)
 	fs.BoolVar(&o.artifactFetch, "artifact-fetch", true, "fetch missing dataset artifacts from the scheduler before generating locally")
-	fs.BoolVar(&o.optimize, "optimize", true, "enable the gremlin plan optimizer for accepted runs; -optimize=false executes plans exactly as written (identical results)")
 	fs.DurationVar(&o.heartbeat, "heartbeat", remote.DefaultHeartbeat, "liveness interval announced to schedulers")
-	fs.BoolVar(&o.verbose, "v", false, "print per-cell progress to stderr")
 	return o
 }
 
@@ -80,10 +56,7 @@ func main() {
 	flag.Parse()
 
 	datasets.SetGenWorkers(o.genWorkers)
-	h := &harness.WorkerHandler{CellWorkers: o.cellWorkers, DatasetCacheDir: o.datasetCache, Mmap: o.mmap, FetchArtifacts: o.artifactFetch, NoOptimize: !o.optimize}
-	if o.verbose {
-		h.Progress = os.Stderr
-	}
+	h := &harness.WorkerHandler{Exec: o.exec(), FetchArtifacts: o.artifactFetch}
 	srv := &remote.Server{
 		Handler:   h,
 		Capacity:  o.capacity,

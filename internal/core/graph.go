@@ -121,6 +121,14 @@ type LoadResult struct {
 	EdgeIDs   []ID // EdgeIDs[i] is the engine ID of dataset edge i
 }
 
+// NewLoadResult returns a result sized for g, for BulkLoad to fill in.
+func NewLoadResult(g *Graph) *LoadResult {
+	return &LoadResult{
+		VertexIDs: make([]ID, g.NumVertices()),
+		EdgeIDs:   make([]ID, g.NumEdges()),
+	}
+}
+
 // SpaceReport is an engine's structural space accounting, the measure
 // behind the paper's Figure 1(a,b).
 type SpaceReport struct {

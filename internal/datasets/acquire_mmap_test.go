@@ -36,7 +36,7 @@ func TestAcquireHealsV1Artifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, st, err := Acquire("yeast", snapTestScale, dir)
+	g, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAcquireHealsV1Artifact(t *testing.T) {
 	if len(raw) <= snapshotHeaderLen || raw[4] != snapshotVersion {
 		t.Fatalf("healed artifact is not format v%d", snapshotVersion)
 	}
-	g2, st2, err := Acquire("yeast", snapTestScale, dir)
+	g2, st2, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func csrEqual(t *testing.T, got, want *core.CSR) {
 // decode produces, and concurrent mapped opens share one mapping.
 func TestAcquireMmapMatchesHeap(t *testing.T) {
 	dir := t.TempDir()
-	gen, _, err := Acquire("frb-s", snapTestScale, dir) // cold: generates+stores
+	gen, _, err := AcquireWith("frb-s", snapTestScale, AcquireOptions{CacheDir: dir}) // cold: generates+stores
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, stH, err := Acquire("frb-s", snapTestScale, dir)
+	heap, stH, err := AcquireWith("frb-s", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAcquireMmapMatchesHeap(t *testing.T) {
 // maps the healed bytes, not the old ones.
 func TestAcquireMmapHealsCorruptArtifact(t *testing.T) {
 	dir := t.TempDir()
-	gen, st1, err := Acquire("yeast", snapTestScale, dir)
+	gen, st1, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

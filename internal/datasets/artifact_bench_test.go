@@ -33,7 +33,7 @@ func benchAcquireCold(b *testing.B) {
 		if err := os.RemoveAll(dir); err != nil {
 			b.Fatal(err)
 		}
-		if _, st, err := datasets.Acquire(benchDataset, benchScale, dir); err != nil || st.Hit || !st.Stored {
+		if _, st, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil || st.Hit || !st.Stored {
 			b.Fatalf("cold acquire: %v %+v", err, st)
 		}
 	}
@@ -41,12 +41,12 @@ func benchAcquireCold(b *testing.B) {
 
 func benchAcquireWarm(b *testing.B) {
 	dir := b.TempDir()
-	if _, _, err := datasets.Acquire(benchDataset, benchScale, dir); err != nil {
+	if _, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := datasets.Acquire(benchDataset, benchScale, dir); err != nil || !st.Hit {
+		if _, st, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil || !st.Hit {
 			b.Fatalf("warm acquire: %v %+v", err, st)
 		}
 	}
@@ -59,7 +59,7 @@ func benchAcquireWarm(b *testing.B) {
 // pays per acquisition.
 func benchAcquireWarmMmap(b *testing.B) {
 	dir := b.TempDir()
-	if _, _, err := datasets.Acquire(benchDataset, benchScale, dir); err != nil {
+	if _, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil {
 		b.Fatal(err)
 	}
 	opts := datasets.AcquireOptions{CacheDir: dir, Mmap: true}
@@ -78,7 +78,7 @@ func benchAcquireWarmMmap(b *testing.B) {
 const statsBenchWorkers = 4
 
 func benchStatsN(b *testing.B, workers int) {
-	g, _, err := datasets.Acquire(benchDataset, benchScale, "")
+	g, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: ""})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func benchStatsParallel(b *testing.B) { benchStatsN(b, statsBenchWorkers) }
 // O(matches) label-filtered traversal the LabelOff/LabelAdj sections
 // buy, replacing the old scan-and-compare over all |E| labels.
 func benchLabelSlice(b *testing.B) {
-	g, _, err := datasets.Acquire(benchDataset, benchScale, "")
+	g, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: ""})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func benchLabelSlice(b *testing.B) {
 }
 
 func benchBulkLoad(b *testing.B) {
-	g, _, err := datasets.Acquire(benchDataset, benchScale, "")
+	g, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: ""})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestAcquireViaFetched(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	got, st, err := AcquireVia("yeast", snapTestScale, dir, fetch)
+	got, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir, Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAcquireViaFetched(t *testing.T) {
 	}
 
 	// Warm now: neither fetch nor generation.
-	_, st2, err := AcquireVia("yeast", snapTestScale, dir, fetch)
+	_, st2, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir, Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAcquireViaFetched(t *testing.T) {
 
 	// Without a cache dir the fetched artifact is verified and decoded
 	// straight off the stream.
-	got3, st3, err := AcquireVia("yeast", snapTestScale, "", fetch)
+	got3, st3, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: "", Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAcquireViaBadFetchFallsBack(t *testing.T) {
 	for name, fetch := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			got, st, err := AcquireVia("yeast", snapTestScale, dir, fetch)
+			got, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir, Fetch: fetch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestAcquireViaFetchSurvivesStoreFailure(t *testing.T) {
 	if err := os.WriteFile(badDir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := AcquireVia("yeast", snapTestScale, badDir, fetch)
+	got, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: badDir, Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSweepStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := Acquire("yeast", snapTestScale, dir); err != nil {
+	if _, _, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {

@@ -38,7 +38,7 @@ import (
 //
 // The magic/version/fingerprint prefix matches v1 byte for byte, so
 // either version's reader rejects the other's artifacts with a clear
-// version error — which is what lets Acquire heal a v1 artifact in
+// version error — which is what lets AcquireWith heal a v1 artifact in
 // place (the fingerprint, and so the path, no longer encodes the
 // format version).
 //

@@ -28,7 +28,7 @@ import (
 // exports, checkpoints and catalog fingerprints cannot tell a cache
 // hit from a cache miss, and a mapped open from a heap one. Truncation,
 // bit rot and identity drift are all detected (size + per-section CRCs
-// + embedded fingerprint) and reported as errors; Acquire falls back to
+// + embedded fingerprint) and reported as errors; AcquireWith falls back to
 // regeneration on any of them — including a valid artifact in the v1
 // format, which is healed in place by the same overwrite path.
 
@@ -47,7 +47,7 @@ const GeneratorVersion = 2
 //
 // The snapshot *format* version is deliberately not part of the
 // fingerprint: the artifact path must stay stable across format bumps
-// so that Acquire finds an old-format artifact at the address it
+// so that AcquireWith finds an old-format artifact at the address it
 // looks at, rejects it by its header version byte, and heals it in
 // place through the regenerate-and-overwrite path.
 func SnapshotFingerprint(name string, scale float64, seed int64) [32]byte {
@@ -66,13 +66,13 @@ func SnapshotPath(dir, name string, fp [32]byte) string {
 
 // FetchFunc obtains a reader over the raw bytes of one .gsnp artifact
 // from somewhere else — in the distributed harness, from the scheduler
-// over the wire. The fetched bytes are never trusted: AcquireVia
+// over the wire. The fetched bytes are never trusted: AcquireWith
 // re-verifies them through the snapshot format's own fingerprint and
 // CRCs before serving the graph, and any error (including verification
 // failure) falls back to local generation.
 type FetchFunc func(name string, fp [32]byte) (io.ReadCloser, error)
 
-// AcquireOptions selects how Acquire obtains and opens artifacts.
+// AcquireOptions selects how AcquireWith obtains and opens artifacts.
 type AcquireOptions struct {
 	// CacheDir is the artifact cache directory; empty disables caching.
 	CacheDir string
@@ -87,9 +87,9 @@ type AcquireOptions struct {
 	Mmap bool
 }
 
-// CacheStatus reports how Acquire obtained a graph. Err is non-fatal:
-// it records a cache problem (unreadable or invalid artifact, failed
-// fetch or store) that Acquire already recovered from.
+// CacheStatus reports how AcquireWith obtained a graph. Err is
+// non-fatal: it records a cache problem (unreadable or invalid
+// artifact, failed fetch or store) already recovered from.
 type CacheStatus struct {
 	Hit     bool   // served from a valid local snapshot artifact
 	Fetched bool   // served from an artifact fetched via FetchFunc
@@ -123,32 +123,14 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Acquire returns the named dataset graph at the given scale. With a
-// non-empty cacheDir it first tries the content-addressed snapshot
-// artifact, falling back to generation — and refreshing the artifact —
-// when the artifact is missing, truncated, corrupt, in an old format,
-// or carries a different fingerprint. The returned graph is identical
-// to a freshly generated one either way; only the acquisition speed
-// differs.
-//
-// Concurrent callers are safe: artifacts are written to a private temp
-// file and published with an atomic rename, so a reader either sees a
-// complete valid artifact or none at all.
-func Acquire(name string, scale float64, cacheDir string) (*core.Graph, CacheStatus, error) {
-	return AcquireWith(name, scale, AcquireOptions{CacheDir: cacheDir})
-}
-
-// AcquireVia is Acquire with a remote artifact source layered between
-// the local cache and generation.
-func AcquireVia(name string, scale float64, cacheDir string, fetch FetchFunc) (*core.Graph, CacheStatus, error) {
-	return AcquireWith(name, scale, AcquireOptions{CacheDir: cacheDir, Fetch: fetch})
-}
-
-// AcquireWith is the full-option acquire. The fallback order is:
+// AcquireWith returns the named dataset graph at the given scale. The
+// fallback order is:
 //
 //  1. local cache (when CacheDir is non-empty) — a valid artifact at
 //     the content address is decoded and served, through a shared
-//     memory mapping when Mmap is set;
+//     memory mapping when Mmap is set; one that is missing, truncated,
+//     corrupt, in an old format or carrying a different fingerprint
+//     falls through and is refreshed;
 //  2. fetch (when non-nil) — the artifact is pulled from the source,
 //     re-verified by fingerprint and CRCs on arrival, written into the
 //     cache via the same temp-file+fsync+rename path a generated
@@ -158,6 +140,10 @@ func AcquireVia(name string, scale float64, cacheDir string, fetch FetchFunc) (*
 // Every layer produces the exact same graph bytes, so a fetched graph
 // is indistinguishable from a generated one to exports, checkpoints
 // and catalog fingerprints.
+//
+// Concurrent callers are safe: artifacts are written to a private temp
+// file and published with an atomic rename, so a reader either sees a
+// complete valid artifact or none at all.
 func AcquireWith(name string, scale float64, opts AcquireOptions) (*core.Graph, CacheStatus, error) {
 	spec := ByName(name)
 	if spec == nil {

@@ -127,14 +127,14 @@ func TestSnapshotFingerprintCoversIdentity(t *testing.T) {
 
 func TestAcquireColdThenWarm(t *testing.T) {
 	dir := t.TempDir()
-	g1, st1, err := Acquire("yeast", snapTestScale, dir)
+	g1, st1, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.Hit || !st1.Stored || st1.Err != nil {
 		t.Fatalf("cold acquire: %+v", st1)
 	}
-	g2, st2, err := Acquire("yeast", snapTestScale, dir)
+	g2, st2, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAcquireColdThenWarm(t *testing.T) {
 	}
 	// The cache is content-addressed per (name, scale): another scale
 	// must produce a second artifact, not overwrite the first.
-	_, st3, err := Acquire("yeast", 2*snapTestScale, dir)
+	_, st3, err := AcquireWith("yeast", 2*snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestAcquireColdThenWarm(t *testing.T) {
 		t.Fatal("different scale mapped to the same artifact path")
 	}
 	// No cache dir: plain generation, no artifact.
-	_, st4, err := Acquire("yeast", snapTestScale, "")
+	_, st4, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st4.Hit || st4.Stored || st4.Path != "" {
 		t.Fatalf("uncached acquire touched the cache: %+v", st4)
 	}
-	if _, _, err := Acquire("no-such-dataset", 1, dir); err == nil {
+	if _, _, err := AcquireWith("no-such-dataset", 1, AcquireOptions{CacheDir: dir}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestAcquireColdThenWarm(t *testing.T) {
 // fall back to regeneration and heal the artifact.
 func TestAcquireTruncatedSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	g1, st1, err := Acquire("yeast", snapTestScale, dir)
+	g1, st1, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestAcquireTruncatedSnapshot(t *testing.T) {
 		if err := os.WriteFile(st1.Path, raw[:keep], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		g, st, err := Acquire("yeast", snapTestScale, dir)
+		g, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestAcquireTruncatedSnapshot(t *testing.T) {
 			t.Fatal("regenerated graph differs")
 		}
 		// The artifact must be healed: next acquire hits.
-		if _, st, _ := Acquire("yeast", snapTestScale, dir); !st.Hit {
+		if _, st, _ := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); !st.Hit {
 			t.Fatalf("artifact not healed after truncation to %d bytes", keep)
 		}
 	}
@@ -212,7 +212,7 @@ func TestAcquireTruncatedSnapshot(t *testing.T) {
 // must never be served.
 func TestAcquireFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	_, st1, err := Acquire("yeast", snapTestScale, dir)
+	_, st1, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAcquireFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(st1.Path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Acquire("yeast", snapTestScale, dir)
+	_, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestAcquireFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(st1.Path, raw2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, st, _ := Acquire("yeast", snapTestScale, dir); st.Hit || st.Err == nil {
+	if _, st, _ := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); st.Hit || st.Err == nil {
 		t.Fatalf("corrupt payload served: %+v", st)
 	}
 }
@@ -262,7 +262,7 @@ func TestAcquireConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			graphs[i], _, errs[i] = Acquire("yeast", snapTestScale, dir)
+			graphs[i], _, errs[i] = AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
 		}(i)
 	}
 	wg.Wait()
@@ -286,7 +286,7 @@ func TestAcquireConcurrentReaders(t *testing.T) {
 	if len(files) != 1 || !strings.HasSuffix(files[0], ".gsnp") {
 		t.Fatalf("cache dir contents after concurrent acquire: %v", files)
 	}
-	if _, st, _ := Acquire("yeast", snapTestScale, dir); !st.Hit {
+	if _, st, _ := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); !st.Hit {
 		t.Fatal("artifact invalid after concurrent acquire")
 	}
 }

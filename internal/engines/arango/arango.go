@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
 
 // Engine is an ArangoDB-style document graph store.
@@ -50,8 +51,7 @@ type Engine struct {
 	outIdx  map[core.ID][]core.ID
 	inIdx   map[core.ID][]core.ID
 
-	labels  []string
-	labelID map[string]uint32
+	labels kit.Tokens
 
 	declaredIndexes map[string]bool
 	// restBytes is atomic: every read operation crosses the simulated
@@ -72,7 +72,6 @@ func New() *Engine {
 		edgeIdx:         make(map[core.ID]edgeEntry),
 		outIdx:          make(map[core.ID][]core.ID),
 		inIdx:           make(map[core.ID][]core.ID),
-		labelID:         make(map[string]uint32),
 		declaredIndexes: make(map[string]bool),
 	}
 }
@@ -126,16 +125,6 @@ func (e *Engine) call(op string, id core.ID, args ...string) {
 }
 
 // --- document encoding (JSON, as stored) ---
-
-func (e *Engine) labelTok(l string) uint32 {
-	if t, ok := e.labelID[l]; ok {
-		return t
-	}
-	t := uint32(len(e.labels))
-	e.labelID[l] = t
-	e.labels = append(e.labels, l)
-	return t
-}
 
 func propsToJSONMap(p core.Props) map[string]any {
 	m := make(map[string]any, len(p)+2)

@@ -109,7 +109,7 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	id := core.ID(e.nextID)
 	e.nextID++
 	e.edocs[id] = e.encodeEdgeDoc(id, src, dst, label, props)
-	e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labelTok(label)}
+	e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labels.Intern(label)}
 	e.outIdx[src] = append(e.outIdx[src], id)
 	e.inIdx[dst] = append(e.inIdx[dst], id)
 	e.call("insert-edge-resp", id)
@@ -135,7 +135,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if !ok {
 		return "", core.ErrNotFound
 	}
-	return e.labels[ent.label], nil
+	return e.labels.Name(ent.label), nil
 }
 
 // EdgeEnds implements core.Engine: served by the hash index.
@@ -183,7 +183,7 @@ func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
 	}
 	p[name] = v
 	ent := e.edgeIdx[id]
-	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels[ent.label], p)
+	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p)
 	return nil
 }
 
@@ -200,7 +200,7 @@ func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
 	}
 	delete(p, name)
 	ent := e.edgeIdx[id]
-	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels[ent.label], p)
+	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p)
 	return nil
 }
 
@@ -299,7 +299,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 // EdgesByLabel implements core.Engine: scan with materialization.
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 	e.call("filter-edges-label", core.NoID, label)
-	tok, ok := e.labelID[label]
+	tok, ok := e.labels.Lookup(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -325,7 +325,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	if len(labels) > 0 {
 		want = make(map[uint32]bool, len(labels))
 		for _, l := range labels {
-			if tok, ok := e.labelID[l]; ok {
+			if tok, ok := e.labels.Lookup(l); ok {
 				want[tok] = true
 			}
 		}
@@ -424,10 +424,7 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes
 // the *fastest* loader of the study despite its slow per-item path.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	// Pre-size the document and index maps from the CSR snapshot: on a
 	// fresh engine the final cardinalities are known exactly, so the
 	// load pays no incremental map growth. Only vertices with edges get
@@ -442,10 +439,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		e.inIdx = make(map[core.ID][]core.ID, g.NumVertices())
 		// The snapshot's label table is exactly the token set this load
 		// interns; tokens still assign in first-encounter order.
-		if len(e.labels) == 0 {
-			e.labelID = make(map[string]uint32, len(snap.Labels))
-			e.labels = make([]string, 0, len(snap.Labels))
-		}
+		e.labels.Reserve(len(snap.Labels))
 	}
 	for i := range g.VProps {
 		id := core.ID(e.nextID)
@@ -465,7 +459,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		e.nextID++
 		src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
 		e.edocs[id] = e.encodeEdgeDoc(id, src, dst, er.Label, er.Props)
-		e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labelTok(er.Label)}
+		e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labels.Intern(er.Label)}
 		e.outIdx[src] = append(e.outIdx[src], id)
 		e.inIdx[dst] = append(e.inIdx[dst], id)
 		res.EdgeIDs[i] = id

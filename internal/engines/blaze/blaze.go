@@ -31,6 +31,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/enc"
+	"repro/internal/engines/kit"
 )
 
 // Term tags (top byte of a term ID).
@@ -70,12 +71,11 @@ type Engine struct {
 	spo, pos, osp *btree.Tree
 
 	// Term dictionary.
-	preds     map[string]int64
-	predNames []string // seq - predFirstUser -> name
-	lits      map[core.Value]int64
-	litVals   []core.Value
-	nextV     int64
-	nextE     int64
+	preds   kit.Tokens // user predicates: term seq = token + predFirstUser
+	lits    map[core.Value]int64
+	litVals []core.Value
+	nextV   int64
+	nextE   int64
 
 	journalUsed int64 // bytes written
 	journalCap  int64 // bytes pre-allocated (fixed segments)
@@ -87,7 +87,6 @@ func New() *Engine {
 		spo:        btree.New(),
 		pos:        btree.New(),
 		osp:        btree.New(),
-		preds:      make(map[string]int64),
 		lits:       make(map[core.Value]int64),
 		journalCap: journalSegment,
 	}
@@ -111,13 +110,13 @@ func (e *Engine) Meta() core.EngineMeta {
 }
 
 func (e *Engine) pred(name string) int64 {
-	if t, ok := e.preds[name]; ok {
-		return t
-	}
-	t := mkTerm(tagPred, int64(len(e.predNames))+predFirstUser)
-	e.preds[name] = t
-	e.predNames = append(e.predNames, name)
-	return t
+	return mkTerm(tagPred, int64(e.preds.Intern(name))+predFirstUser)
+}
+
+// predOf is pred for reads: it never adds a term to the dictionary.
+func (e *Engine) predOf(name string) (int64, bool) {
+	tok, ok := e.preds.Lookup(name)
+	return mkTerm(tagPred, int64(tok)+predFirstUser), ok
 }
 
 func (e *Engine) predName(t int64) string {
@@ -125,7 +124,7 @@ func (e *Engine) predName(t int64) string {
 	if seq < predFirstUser {
 		return [...]string{"rdf:type", "rdf:subject", "rdf:predicate", "rdf:object"}[seq]
 	}
-	return e.predNames[seq-predFirstUser]
+	return e.preds.Name(uint32(seq - predFirstUser))
 }
 
 func (e *Engine) literal(v core.Value) int64 {

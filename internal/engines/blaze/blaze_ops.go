@@ -62,7 +62,7 @@ func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
 	if !e.HasVertex(id) {
 		return core.Nil, false
 	}
-	pr, ok := e.preds[name]
+	pr, ok := e.predOf(name)
 	if !ok {
 		return core.Nil, false
 	}
@@ -91,7 +91,7 @@ func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
 	if !e.HasVertex(id) {
 		return core.ErrNotFound
 	}
-	if pr, ok := e.preds[name]; ok {
+	if pr, ok := e.predOf(name); ok {
 		if old, ok := e.firstSP(int64(id), pr); ok {
 			e.removeStatement(statement{int64(id), pr, old})
 		}
@@ -208,7 +208,7 @@ func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
 	if !e.HasEdge(id) {
 		return core.Nil, false
 	}
-	pr, ok := e.preds[name]
+	pr, ok := e.predOf(name)
 	if !ok {
 		return core.Nil, false
 	}
@@ -237,7 +237,7 @@ func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
 	if !e.HasEdge(id) {
 		return core.ErrNotFound
 	}
-	if pr, ok := e.preds[name]; ok {
+	if pr, ok := e.predOf(name); ok {
 		if old, ok := e.firstSP(int64(id), pr); ok {
 			e.removeStatement(statement{int64(id), pr, old})
 		}
@@ -304,7 +304,7 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 // each one's statement (the step-at-a-time Gremlin execution that never
 // reaches the SPARQL optimizer).
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	pr, okP := e.preds[name]
+	pr, okP := e.predOf(name)
 	lit, okL := e.lits[v]
 	if !okP || !okL {
 		return core.EmptyIter[core.ID]()
@@ -316,7 +316,7 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 
 // EdgesByProp implements core.Engine.
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	pr, okP := e.preds[name]
+	pr, okP := e.predOf(name)
 	lit, okL := e.lits[v]
 	if !okP || !okL {
 		return core.EmptyIter[core.ID]()
@@ -328,7 +328,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 
 // EdgesByLabel implements core.Engine.
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	pr, ok := e.preds["label:"+label]
+	pr, ok := e.predOf("label:" + label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -349,7 +349,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	if len(labels) > 0 {
 		want = make(map[int64]bool, len(labels))
 		for _, l := range labels {
-			if pr, ok := e.preds["label:"+l]; ok {
+			if pr, ok := e.predOf("label:" + l); ok {
 				want[pr] = true
 			}
 		}
@@ -428,19 +428,14 @@ func (e *Engine) HasVertexPropIndex(string) bool { return false }
 // three B+Trees are bulk-built without per-insert rebalancing.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	// Exact statement count from the CSR snapshot: one rdf:type per
 	// vertex, three reification triples per edge, one per property.
 	snap := g.Snapshot()
 	sts := make([]statement, 0, g.NumVertices()+3*g.NumEdges()+snap.VPropTotal+snap.EPropTotal)
 	// The label predicates alone put len(snap.Labels) terms in the
 	// dictionary; pre-size an untouched one to at least that.
-	if len(e.preds) == 0 {
-		e.preds = make(map[string]int64, len(snap.Labels))
-	}
+	e.preds.Reserve(len(snap.Labels))
 	for i := range g.VProps {
 		v := mkTerm(tagVertex, e.nextV)
 		e.nextV++
@@ -514,10 +509,7 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	for v := range e.lits {
 		dict += v.Bytes() + 24
 	}
-	for _, p := range e.predNames {
-		dict += int64(len(p)) + 24
-	}
-	r.Add("term-dictionary", dict)
+	r.Add("term-dictionary", dict+e.preds.Bytes())
 	return r
 }
 

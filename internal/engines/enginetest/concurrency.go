@@ -68,7 +68,7 @@ func testConcurrentReadersDuringMutation(t *testing.T, newEngine func() core.Eng
 	e := newEngine()
 	defer e.Close()
 	g := core.Guard(e)
-	res, err := g.BulkLoad(sampleGraph())
+	res, err := g.BulkLoad(SampleGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func testRandomizedScheduleInvariants(t *testing.T, newEngine func() core.Engine
 	e := newEngine()
 	defer e.Close()
 	g := core.Guard(e)
-	res, err := g.BulkLoad(sampleGraph())
+	res, err := g.BulkLoad(SampleGraph())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -465,7 +465,10 @@ func testMissingIDs(t *testing.T, newEngine func() core.Engine) {
 	}
 }
 
-func sampleGraph() *core.Graph {
+// SampleGraph is the small fixed graph the battery bulk-loads: 6
+// vertices with an int and a string property, 8 edges over 4 labels
+// with parallel edges, a 2-cycle and a self-loop.
+func SampleGraph() *core.Graph {
 	g := core.NewGraph(6, 8)
 	for i := 0; i < 6; i++ {
 		g.AddVertex(core.Props{"idx": core.I(int64(i)), "name": core.S(fmt.Sprint("v", i))})
@@ -484,7 +487,7 @@ func sampleGraph() *core.Graph {
 func testBulkLoad(t *testing.T, newEngine func() core.Engine) {
 	e := newEngine()
 	defer e.Close()
-	g := sampleGraph()
+	g := SampleGraph()
 	res, err := e.BulkLoad(g)
 	if err != nil {
 		t.Fatal(err)
@@ -528,9 +531,17 @@ func testBulkLoad(t *testing.T, newEngine func() core.Engine) {
 func testPropertyIndex(t *testing.T, newEngine func() core.Engine) {
 	e := newEngine()
 	defer e.Close()
+	// scan is the same history on an engine that never builds the index:
+	// the reference sequence for every indexed lookup below.
+	scan := newEngine()
+	defer scan.Close()
+	both := []core.Engine{scan, e}
 	var want []core.ID
 	for i := 0; i < 30; i++ {
-		v, _ := e.AddVertex(core.Props{"mod": core.I(int64(i % 3))})
+		var v core.ID
+		for _, x := range both {
+			v, _ = x.AddVertex(core.Props{"mod": core.I(int64(i % 3))})
+		}
 		if i%3 == 1 {
 			want = append(want, v)
 		}
@@ -545,26 +556,48 @@ func testPropertyIndex(t *testing.T, newEngine func() core.Engine) {
 	if !e.HasVertexPropIndex("mod") {
 		t.Fatal("index not reported")
 	}
+	sameAsScan := func(when string) {
+		t.Helper()
+		for m := int64(0); m < 3; m++ {
+			got := core.Collect(e.VerticesByProp("mod", core.I(m)))
+			ref := core.Collect(scan.VerticesByProp("mod", core.I(m)))
+			if !sameIDs(got, ref) {
+				t.Fatalf("%s: indexed mod=%d yields %v, scan path yields %v", when, m, got, ref)
+			}
+		}
+	}
 	got := ids(e.VerticesByProp("mod", core.I(1)))
 	if !sameIDs(got, ids(core.SliceIter(want))) {
 		t.Fatalf("indexed search = %v, want %v", got, want)
 	}
+	sameAsScan("after build")
 	// Index must track subsequent mutations.
-	v, _ := e.AddVertex(core.Props{"mod": core.I(1)})
-	e.SetVertexProp(want[0], "mod", core.I(2))
-	e.RemoveVertex(want[1])
+	var v core.ID
+	for _, x := range both {
+		v, _ = x.AddVertex(core.Props{"mod": core.I(1)})
+		x.SetVertexProp(want[0], "mod", core.I(2))
+		x.RemoveVertex(want[1])
+		x.RemoveVertexProp(want[2], "mod")
+	}
 	got = ids(e.VerticesByProp("mod", core.I(1)))
-	want2 := append([]core.ID{v}, want[2:]...)
+	want2 := append([]core.ID{v}, want[3:]...)
 	if !sameIDs(got, ids(core.SliceIter(want2))) {
 		t.Fatalf("indexed search after mutations = %v, want %v", got, want2)
 	}
+	sameAsScan("after mutations")
+	// Building an index that exists is a no-op: it must not forget the
+	// mutations applied since the first build.
+	if err := e.BuildVertexPropIndex("mod"); err != nil {
+		t.Fatal(err)
+	}
+	sameAsScan("after second build")
 }
 
 func testSpaceUsage(t *testing.T, newEngine func() core.Engine) {
 	e := newEngine()
 	defer e.Close()
 	empty := e.SpaceUsage().Total
-	g := sampleGraph()
+	g := SampleGraph()
 	if _, err := e.BulkLoad(g); err != nil {
 		t.Fatal(err)
 	}

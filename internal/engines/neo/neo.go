@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/pagefile"
 )
 
@@ -71,70 +72,24 @@ type Engine struct {
 	groups *pagefile.Store // V30 only
 	strs   *pagefile.Heap  // dynamic string store
 
-	labels   *tokens // relationship type tokens
-	propKeys *tokens // property key tokens
+	labels   kit.Tokens // relationship type tokens
+	propKeys kit.Tokens // property key tokens
 
 	// User-controlled attribute indexes on vertex properties
 	// (Section 6.4 "Effect of Indexing").
-	vindexes map[string]map[core.Value]map[core.ID]struct{}
+	vindex kit.PropIndex
 
 	closed bool
-}
-
-// tokens interns strings to small IDs, as the label/type token stores do.
-type tokens struct {
-	byName map[string]uint32
-	names  []string
-}
-
-func newTokens() *tokens { return &tokens{byName: make(map[string]uint32)} }
-
-// reserve pre-sizes an empty token store for n names; a store that has
-// already interned anything is left alone (IDs are first-encounter).
-func (t *tokens) reserve(n int) {
-	if n <= 0 || len(t.names) > 0 {
-		return
-	}
-	t.byName = make(map[string]uint32, n)
-	t.names = make([]string, 0, n)
-}
-
-func (t *tokens) get(name string) uint32 {
-	if id, ok := t.byName[name]; ok {
-		return id
-	}
-	id := uint32(len(t.names))
-	t.byName[name] = id
-	t.names = append(t.names, name)
-	return id
-}
-
-func (t *tokens) lookup(name string) (uint32, bool) {
-	id, ok := t.byName[name]
-	return id, ok
-}
-
-func (t *tokens) name(id uint32) string { return t.names[id] }
-
-func (t *tokens) bytes() int64 {
-	var n int64
-	for _, s := range t.names {
-		n += int64(len(s)) + 24
-	}
-	return n
 }
 
 // New returns an empty engine of the given version.
 func New(v Version) *Engine {
 	e := &Engine{
-		version:  v,
-		nodes:    pagefile.NewStore(nodeRecSize),
-		rels:     pagefile.NewStore(relRecSize),
-		props:    pagefile.NewStore(propRecSize),
-		strs:     pagefile.NewHeap(),
-		labels:   newTokens(),
-		propKeys: newTokens(),
-		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
+		version: v,
+		nodes:   pagefile.NewStore(nodeRecSize),
+		rels:    pagefile.NewStore(relRecSize),
+		props:   pagefile.NewStore(propRecSize),
+		strs:    pagefile.NewHeap(),
 	}
 	if v == V30 {
 		e.groups = pagefile.NewStore(groupRecSize)
@@ -261,7 +216,7 @@ func (t *tx) commit() {
 // --- property chains ---
 
 func (e *Engine) propChainGet(first int64, key string) (core.Value, bool) {
-	tok, ok := e.propKeys.lookup(key)
+	tok, ok := e.propKeys.Lookup(key)
 	if !ok {
 		return core.Nil, false
 	}
@@ -285,7 +240,7 @@ func (e *Engine) propChainAll(first int64) core.Props {
 		if !ok {
 			break
 		}
-		p[e.propKeys.name(getU32(rec, pKey))] = e.decodeValue(rec)
+		p[e.propKeys.Name(getU32(rec, pKey))] = e.decodeValue(rec)
 		id = getI64(rec, pNext)
 	}
 	if len(p) == 0 {
@@ -297,7 +252,7 @@ func (e *Engine) propChainAll(first int64) core.Props {
 // propChainSet updates or prepends; it returns the (possibly new) chain
 // head.
 func (e *Engine) propChainSet(first int64, key string, v core.Value, t *tx) int64 {
-	tok := e.propKeys.get(key)
+	tok := e.propKeys.Intern(key)
 	for id := first; id != nilRef; {
 		rec, _ := e.props.Record(id)
 		if getU32(rec, pKey) == tok {
@@ -320,7 +275,7 @@ func (e *Engine) propChainSet(first int64, key string, v core.Value, t *tx) int6
 // propChainRemove unlinks key; it returns the new head and whether the
 // key existed.
 func (e *Engine) propChainRemove(first int64, key string, t *tx) (int64, bool) {
-	tok, ok := e.propKeys.lookup(key)
+	tok, ok := e.propKeys.Lookup(key)
 	if !ok {
 		return first, false
 	}

@@ -1,8 +1,6 @@
 package neo
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/pagefile"
 )
@@ -28,7 +26,7 @@ func (e *Engine) addVertexDirect(props core.Props) core.ID {
 	first := nilRef
 	for k, v := range props {
 		first = e.propChainSet(first, k, v, nil)
-		e.indexAdd(k, v, core.ID(id))
+		e.vindex.Add(k, v, core.ID(id))
 	}
 	setNodeFirstProp(rec, first)
 	return core.ID(id)
@@ -63,11 +61,11 @@ func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
 	}
 	t := e.begin()
 	t.record(0, int64(id), rec)
-	if _, indexed := e.vindexes[name]; indexed {
+	if e.vindex.Has(name) {
 		if old, had := e.propChainGet(nodeFirstProp(rec), name); had {
-			e.indexRemove(name, old, id)
+			e.vindex.Remove(name, old, id)
 		}
-		e.indexAdd(name, v, id)
+		e.vindex.Add(name, v, id)
 	}
 	setNodeFirstProp(rec, e.propChainSet(nodeFirstProp(rec), name, v, t))
 	t.commit()
@@ -82,9 +80,9 @@ func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
 	}
 	t := e.begin()
 	t.record(0, int64(id), rec)
-	if _, indexed := e.vindexes[name]; indexed {
+	if e.vindex.Has(name) {
 		if old, had := e.propChainGet(nodeFirstProp(rec), name); had {
-			e.indexRemove(name, old, id)
+			e.vindex.Remove(name, old, id)
 		}
 	}
 	head, _ := e.propChainRemove(nodeFirstProp(rec), name, t)
@@ -110,9 +108,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 		}
 	}
 	// Drop index entries for this vertex.
-	for name := range e.vindexes {
+	for _, name := range e.vindex.Names() {
 		if v, had := e.propChainGet(nodeFirstProp(rec), name); had {
-			e.indexRemove(name, v, id)
+			e.vindex.Remove(name, v, id)
 		}
 	}
 	e.propChainFree(nodeFirstProp(rec))
@@ -138,7 +136,7 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 }
 
 func (e *Engine) addEdgeDirect(src, dst core.ID, label string, props core.Props, t *tx) core.ID {
-	tok := e.labels.get(label)
+	tok := e.labels.Intern(label)
 	id := e.rels.Alloc()
 	rec, _ := e.rels.Record(id)
 	putI64(rec, rSrc, int64(src))
@@ -252,7 +250,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if !ok {
 		return "", core.ErrNotFound
 	}
-	return e.labels.name(getU32(rec, rType)), nil
+	return e.labels.Name(getU32(rec, rType)), nil
 }
 
 // EdgeEnds implements core.Engine.
@@ -451,16 +449,8 @@ func (e *Engine) Edges() core.Iter[core.ID] { return storeIter(e.rels) }
 // VerticesByProp implements core.Engine: an index lookup when the user
 // built one, a full node-store scan with property-chain walks otherwise.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if idx, ok := e.vindexes[name]; ok {
-		set := idx[v]
-		out := make([]core.ID, 0, len(set))
-		for id := range set {
-			out = append(out, id)
-		}
-		// Ascending id order: the same sequence the scan path yields, so
-		// indexed and unindexed lookups are interchangeable downstream.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return core.SliceIter(out)
+	if ids, ok := e.vindex.Lookup(name, v); ok {
+		return core.SliceIter(ids)
 	}
 	inner := e.Vertices()
 	return core.FilterIter(inner, func(id core.ID) bool {
@@ -482,7 +472,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 // comparing type tokens (the paper notes native engines did not
 // specially optimize label equality search).
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	tok, ok := e.labels.lookup(label)
+	tok, ok := e.labels.Lookup(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -515,7 +505,7 @@ func (e *Engine) labelToks(labels []string) (map[uint32]bool, bool, bool) {
 	}
 	toks := make(map[uint32]bool, len(labels))
 	for _, l := range labels {
-		if tok, ok := e.labels.lookup(l); ok {
+		if tok, ok := e.labels.Lookup(l); ok {
 			toks[tok] = true
 		}
 	}
@@ -645,50 +635,14 @@ func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 
 // --- attribute index ---
 
-func (e *Engine) indexAdd(name string, v core.Value, id core.ID) {
-	idx, ok := e.vindexes[name]
-	if !ok {
-		return
-	}
-	set := idx[v]
-	if set == nil {
-		set = make(map[core.ID]struct{})
-		idx[v] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (e *Engine) indexRemove(name string, v core.Value, id core.ID) {
-	if idx, ok := e.vindexes[name]; ok {
-		if set := idx[v]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
-		}
-	}
-}
-
 // BuildVertexPropIndex implements core.Engine.
 func (e *Engine) BuildVertexPropIndex(name string) error {
-	if _, dup := e.vindexes[name]; dup {
-		return nil
-	}
-	e.vindexes[name] = make(map[core.Value]map[core.ID]struct{})
-	it := e.Vertices()
-	for id, ok := it(); ok; id, ok = it() {
-		if v, has := e.VertexProp(id, name); has {
-			e.indexAdd(name, v, id)
-		}
-	}
+	e.vindex.Build(name, e.Vertices, e.VertexProp)
 	return nil
 }
 
 // HasVertexPropIndex implements core.Engine.
-func (e *Engine) HasVertexPropIndex(name string) bool {
-	_, ok := e.vindexes[name]
-	return ok
-}
+func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name) }
 
 // --- bulk load, space, lifecycle ---
 
@@ -697,10 +651,7 @@ func (e *Engine) HasVertexPropIndex(name string) bool {
 // penalty applies).
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	// Reserve the store files up front — the record counts are known
 	// exactly from the CSR snapshot (one node record per vertex, one
 	// relationship record per edge, one property record per property),
@@ -711,7 +662,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.props.Reserve(int64(snap.VPropTotal + snap.EPropTotal))
 	// The snapshot's label table is exactly the relationship-type token
 	// set this load will intern.
-	e.labels.reserve(len(snap.Labels))
+	e.labels.Reserve(len(snap.Labels))
 	for i := range g.VProps {
 		res.VertexIDs[i] = e.addVertexDirect(g.VProps[i])
 	}
@@ -729,18 +680,11 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	r.Add("relationship-store", e.rels.Bytes())
 	r.Add("property-store", e.props.Bytes())
 	r.Add("string-store", e.strs.Bytes())
-	r.Add("token-stores", e.labels.bytes()+e.propKeys.bytes())
+	r.Add("token-stores", e.labels.Bytes()+e.propKeys.Bytes())
 	if e.groups != nil {
 		r.Add("group-store", e.groups.Bytes())
 	}
-	var idx int64
-	for _, m := range e.vindexes {
-		idx += 48
-		for v, set := range m {
-			idx += v.Bytes() + int64(len(set))*16
-		}
-	}
-	r.Add("attribute-indexes", idx)
+	r.Add("attribute-indexes", e.vindex.Bytes())
 	return r
 }
 

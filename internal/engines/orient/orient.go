@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/pagefile"
 )
 
@@ -84,25 +85,16 @@ type Engine struct {
 
 	vcluster  *cluster
 	eclusters []*cluster // index = cluster id - 1
-	labels    []string   // cluster id - 1 -> label
-	labelOf   map[string]int
-	propKeys  map[string]uint32
-	keyNames  []string
+	labels    kit.Tokens // token = cluster id - 1
+	propKeys  kit.Tokens
 
 	// SB-Tree style attribute indexes on vertex properties:
 	// name -> value -> set of vertex RIDs.
-	vindexes map[string]map[core.Value]map[core.ID]struct{}
+	vindex kit.PropIndex
 }
 
 // New returns an empty engine.
-func New() *Engine {
-	return &Engine{
-		vcluster: newCluster(),
-		labelOf:  make(map[string]int),
-		propKeys: make(map[string]uint32),
-		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
-	}
-}
+func New() *Engine { return &Engine{vcluster: newCluster()} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {
@@ -117,25 +109,18 @@ func (e *Engine) Meta() core.EngineMeta {
 	}
 }
 
-func (e *Engine) keyTok(name string) uint32 {
-	if t, ok := e.propKeys[name]; ok {
-		return t
-	}
-	t := uint32(len(e.keyNames))
-	e.propKeys[name] = t
-	e.keyNames = append(e.keyNames, name)
-	return t
+// clusterOf returns the cluster id of an existing label's cluster.
+func (e *Engine) clusterOf(label string) (int, bool) {
+	tok, ok := e.labels.Lookup(label)
+	return int(tok) + 1, ok // cluster ids start at 1
 }
 
 func (e *Engine) clusterFor(label string) int {
-	if c, ok := e.labelOf[label]; ok {
-		return c
+	tok := e.labels.Intern(label)
+	if int(tok) == len(e.eclusters) {
+		e.eclusters = append(e.eclusters, newCluster())
 	}
-	e.eclusters = append(e.eclusters, newCluster())
-	e.labels = append(e.labels, label)
-	c := len(e.eclusters) // cluster ids start at 1
-	e.labelOf[label] = c
-	return c
+	return int(tok) + 1
 }
 
 // --- document encoding ---
@@ -143,7 +128,7 @@ func (e *Engine) clusterFor(label string) int {
 func appendProps(doc []byte, e *Engine, p core.Props) []byte {
 	doc = binary.LittleEndian.AppendUint32(doc, uint32(len(p)))
 	for k, v := range p {
-		doc = binary.LittleEndian.AppendUint32(doc, e.keyTok(k))
+		doc = binary.LittleEndian.AppendUint32(doc, e.propKeys.Intern(k))
 		doc = append(doc, byte(v.Kind()))
 		switch v.Kind() {
 		case core.KindString:
@@ -191,7 +176,7 @@ func readProps(doc []byte, e *Engine) (core.Props, []byte) {
 			v = core.B(doc[0] == 1)
 			doc = doc[1:]
 		}
-		p[e.keyNames[tok]] = v
+		p[e.propKeys.Name(tok)] = v
 	}
 	return p, doc
 }
@@ -292,32 +277,6 @@ func (e *Engine) readEdge(id core.ID) (*edgeDoc, bool) {
 		return nil, false
 	}
 	return e.decodeEdge(doc), true
-}
-
-// --- index helpers (SB-Tree style) ---
-
-func (e *Engine) indexAdd(name string, v core.Value, id core.ID) {
-	idx, ok := e.vindexes[name]
-	if !ok {
-		return
-	}
-	set := idx[v]
-	if set == nil {
-		set = make(map[core.ID]struct{})
-		idx[v] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (e *Engine) indexRemove(name string, v core.Value, id core.ID) {
-	if idx, ok := e.vindexes[name]; ok {
-		if set := idx[v]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
-		}
-	}
 }
 
 // ConcurrentWrites implements core.ConcurrentWriter: RID chains and

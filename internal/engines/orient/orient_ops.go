@@ -1,8 +1,6 @@
 package orient
 
 import (
-	"sort"
-
 	"repro/internal/core"
 )
 
@@ -15,7 +13,7 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 	pos := e.vcluster.add(e.encodeVertex(d))
 	id := makeRID(vertexCluster, pos)
 	for k, v := range props {
-		e.indexAdd(k, v, id)
+		e.vindex.Add(k, v, id)
 	}
 	return id, nil
 }
@@ -62,13 +60,13 @@ func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
 		return core.ErrNotFound
 	}
 	if old, had := d.props[name]; had {
-		e.indexRemove(name, old, id)
+		e.vindex.Remove(name, old, id)
 	}
 	if d.props == nil {
 		d.props = core.Props{}
 	}
 	d.props[name] = v
-	e.indexAdd(name, v, id)
+	e.vindex.Add(name, v, id)
 	e.rewriteVertex(id, d)
 	return nil
 }
@@ -80,7 +78,7 @@ func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
 		return core.ErrNotFound
 	}
 	if old, had := d.props[name]; had {
-		e.indexRemove(name, old, id)
+		e.vindex.Remove(name, old, id)
 		delete(d.props, name)
 		e.rewriteVertex(id, d)
 	}
@@ -103,9 +101,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 		}
 	}
 	// Re-read: RemoveEdge rewrote this vertex's lists.
-	for name := range e.vindexes {
+	for _, name := range e.vindex.Names() {
 		if v, had := d.props[name]; had {
-			e.indexRemove(name, v, id)
+			e.vindex.Remove(name, v, id)
 		}
 	}
 	_, pos := splitRID(id)
@@ -158,7 +156,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 		return "", core.ErrNotFound
 	}
 	c, _ := splitRID(id)
-	return e.labels[c-1], nil
+	return e.labels.Name(uint32(c - 1)), nil
 }
 
 // EdgeEnds implements core.Engine.
@@ -313,16 +311,8 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 
 // VerticesByProp implements core.Engine.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if idx, ok := e.vindexes[name]; ok {
-		set := idx[v]
-		out := make([]core.ID, 0, len(set))
-		for id := range set {
-			out = append(out, id)
-		}
-		// Ascending RID order: the same sequence the cluster scan yields,
-		// so indexed and unindexed lookups are interchangeable downstream.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return core.SliceIter(out)
+	if ids, ok := e.vindex.Lookup(name, v); ok {
+		return core.SliceIter(ids)
 	}
 	return core.FilterIter(e.Vertices(), func(id core.ID) bool {
 		got, ok := e.VertexProp(id, name)
@@ -342,7 +332,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 // serve this in O(result), but — as the paper observes — the Gremlin
 // adapter iterates all edges and filters, so that is what is modelled.
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	want, ok := e.labelOf[label]
+	want, ok := e.clusterOf(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -364,7 +354,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	}
 	want := map[int]bool{}
 	for _, l := range labels {
-		if c, ok := e.labelOf[l]; ok {
+		if c, ok := e.clusterOf(l); ok {
 			want[c] = true
 		}
 	}
@@ -459,24 +449,12 @@ func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 
 // BuildVertexPropIndex implements core.Engine.
 func (e *Engine) BuildVertexPropIndex(name string) error {
-	if _, dup := e.vindexes[name]; dup {
-		return nil
-	}
-	e.vindexes[name] = make(map[core.Value]map[core.ID]struct{})
-	it := e.Vertices()
-	for id, ok := it(); ok; id, ok = it() {
-		if v, has := e.VertexProp(id, name); has {
-			e.indexAdd(name, v, id)
-		}
-	}
+	e.vindex.Build(name, e.Vertices, e.VertexProp)
 	return nil
 }
 
 // HasVertexPropIndex implements core.Engine.
-func (e *Engine) HasVertexPropIndex(name string) bool {
-	_, ok := e.vindexes[name]
-	return ok
-}
+func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name) }
 
 // BulkLoad implements core.Engine through the implementation-specific
 // script path the paper had to use (the Gremlin path performed per-edge
@@ -484,10 +462,7 @@ func (e *Engine) HasVertexPropIndex(name string) bool {
 // vertex document exactly once with its full RID lists.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	// Vertex RIDs are dense positions assigned in order.
 	base := e.vcluster.pmap.Len()
 	for i := range res.VertexIDs {
@@ -518,8 +493,8 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	for i := range g.EdgeL {
 		e.clusterFor(g.EdgeL[i].Label)
 	}
-	for ci, label := range e.labels {
-		if li, ok := snap.LabelIndex(label); ok {
+	for ci := range e.eclusters {
+		if li, ok := snap.LabelIndex(e.labels.Name(uint32(ci))); ok {
 			e.eclusters[ci].pmap.Reserve(int64(snap.LabelEdgeCount(li)))
 		}
 	}
@@ -564,22 +539,8 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 		eb += c.bytes() + 96 // per-cluster file overhead
 	}
 	r.Add("edge-clusters", eb)
-	var idx int64
-	for _, m := range e.vindexes {
-		idx += 48
-		for v, set := range m {
-			idx += v.Bytes() + int64(len(set))*16
-		}
-	}
-	r.Add("sbtree-indexes", idx)
-	var tok int64
-	for _, k := range e.keyNames {
-		tok += int64(len(k)) + 24
-	}
-	for _, l := range e.labels {
-		tok += int64(len(l)) + 24
-	}
-	r.Add("schema", tok)
+	r.Add("sbtree-indexes", e.vindex.Bytes())
+	r.Add("schema", e.propKeys.Bytes()+e.labels.Bytes())
 	return r
 }
 

@@ -27,6 +27,7 @@ package sparksee
 import (
 	"repro/internal/bitmap"
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"sync/atomic"
 )
 
@@ -47,8 +48,7 @@ type Engine struct {
 	dstOf   map[uint64]uint64
 	labelOf map[uint64]uint32
 	byLabel map[uint32]*bitmap.Bitmap
-	labels  []string
-	labelID map[string]uint32
+	labels  kit.Tokens
 
 	out map[uint64]*bitmap.Bitmap // node -> outgoing edge set
 	in  map[uint64]*bitmap.Bitmap // node -> incoming edge set
@@ -138,7 +138,6 @@ func New(opts ...Option) *Engine {
 		dstOf:           make(map[uint64]uint64),
 		labelOf:         make(map[uint64]uint32),
 		byLabel:         make(map[uint32]*bitmap.Bitmap),
-		labelID:         make(map[string]uint32),
 		out:             make(map[uint64]*bitmap.Bitmap),
 		in:              make(map[uint64]*bitmap.Bitmap),
 		vattrs:          make(map[string]*attrStore),
@@ -165,14 +164,14 @@ func (e *Engine) Meta() core.EngineMeta {
 	}
 }
 
+// labelTok interns the label, creating its edge bitmap on first
+// encounter.
 func (e *Engine) labelTok(l string) uint32 {
-	if t, ok := e.labelID[l]; ok {
-		return t
+	n := e.labels.Len()
+	t := e.labels.Intern(l)
+	if int(t) == n {
+		e.byLabel[t] = bitmap.New()
 	}
-	t := uint32(len(e.labels))
-	e.labelID[l] = t
-	e.labels = append(e.labels, l)
-	e.byLabel[t] = bitmap.New()
 	return t
 }
 
@@ -332,7 +331,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if !e.HasEdge(id) {
 		return "", core.ErrNotFound
 	}
-	return e.labels[e.labelOf[uint64(id)]], nil
+	return e.labels.Name(e.labelOf[uint64(id)]), nil
 }
 
 // EdgeEnds implements core.Engine.

@@ -3,6 +3,7 @@ package sparksee
 import (
 	"repro/internal/bitmap"
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
 
 // --- scans ---
@@ -70,7 +71,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 // EdgesByLabel implements core.Engine (scan + token compare; see
 // VerticesByProp for why the label bitmap is not consulted).
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	tok, ok := e.labelID[label]
+	tok, ok := e.labels.Lookup(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -98,7 +99,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 		}
 		acc := bitmap.New()
 		for _, l := range labels {
-			if tok, ok := e.labelID[l]; ok {
+			if tok, ok := e.labels.Lookup(l); ok {
 				acc = acc.Or(b.And(e.byLabel[tok]))
 			}
 		}
@@ -196,10 +197,6 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes
 // unproblematic in the paper, so this is a plain loop).
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
 	// On a fresh engine the per-edge link maps reach exactly |E|
 	// entries and the adjacency-bitmap maps one entry per vertex with
 	// that direction — pre-size them from the CSR snapshot so the
@@ -212,10 +209,9 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		e.labelOf = make(map[uint64]uint32, g.NumEdges())
 		// The snapshot's label table is exactly the label-bitmap set this
 		// load creates; tokens still assign in first-encounter order.
-		if len(e.labels) == 0 {
-			e.labelID = make(map[string]uint32, len(snap.Labels))
+		if e.labels.Len() == 0 {
+			e.labels.Reserve(len(snap.Labels))
 			e.byLabel = make(map[uint32]*bitmap.Bitmap, len(snap.Labels))
-			e.labels = make([]string, 0, len(snap.Labels))
 		}
 		var nOut, nIn int
 		for v, n := 0, g.NumVertices(); v < n; v++ {
@@ -229,22 +225,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		e.out = make(map[uint64]*bitmap.Bitmap, nOut)
 		e.in = make(map[uint64]*bitmap.Bitmap, nIn)
 	}
-	for i := range g.VProps {
-		id, err := e.AddVertex(g.VProps[i])
-		if err != nil {
-			return nil, err
-		}
-		res.VertexIDs[i] = id
-	}
-	for i := range g.EdgeL {
-		er := &g.EdgeL[i]
-		id, err := e.AddEdge(res.VertexIDs[er.Src], res.VertexIDs[er.Dst], er.Label, er.Props)
-		if err != nil {
-			return nil, err
-		}
-		res.EdgeIDs[i] = id
-	}
-	return res, nil
+	return kit.LoadPerItem(e, g)
 }
 
 // SpaceUsage implements core.Engine.
@@ -255,10 +236,7 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	for _, b := range e.byLabel {
 		lb += b.Bytes()
 	}
-	for _, l := range e.labels {
-		lb += int64(len(l)) + 24
-	}
-	r.Add("label-bitmaps", lb+int64(len(e.labelOf))*12)
+	r.Add("label-bitmaps", lb+e.labels.Bytes()+int64(len(e.labelOf))*12)
 	var adj int64
 	for _, b := range e.out {
 		adj += b.Bytes() + 16

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/rel"
 )
 
@@ -49,8 +50,7 @@ type Engine struct {
 	db         *rel.DB
 	vtab       *rel.Table
 	etabs      []*rel.Table // per label
-	labelOf    map[string]int
-	labels     []string
+	labels     kit.Tokens   // token = index into etabs
 	nextVertex int64
 	nextEdge   int64
 	vindexed   map[string]bool
@@ -66,7 +66,6 @@ func New() *Engine {
 	return &Engine{
 		db:       db,
 		vtab:     vt,
-		labelOf:  make(map[string]int),
 		vindexed: make(map[string]bool),
 	}
 }
@@ -85,8 +84,8 @@ func (e *Engine) Meta() core.EngineMeta {
 }
 
 func (e *Engine) edgeTable(label string) (*rel.Table, int) {
-	if i, ok := e.labelOf[label]; ok {
-		return e.etabs[i], i
+	if i, ok := e.labels.Lookup(label); ok {
+		return e.etabs[i], int(i)
 	}
 	name := "E_" + label
 	t, err := e.db.CreateTable(name, "id", "src", "dst")
@@ -105,11 +104,8 @@ func (e *Engine) edgeTable(label string) (*rel.Table, int) {
 	if err := t.CreateIndex("dst"); err != nil {
 		panic("sqlg: " + err.Error())
 	}
-	i := len(e.etabs)
 	e.etabs = append(e.etabs, t)
-	e.labels = append(e.labels, label)
-	e.labelOf[label] = i
-	return t, i
+	return t, int(e.labels.Intern(label))
 }
 
 // ensureColumn adds a property column, paying the ALTER TABLE row

@@ -167,7 +167,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if _, ok := e.etabs[ti].Get(int64(id)); !ok {
 		return "", core.ErrNotFound
 	}
-	return e.labels[ti], nil
+	return e.labels.Name(uint32(ti)), nil
 }
 
 // EdgeEnds implements core.Engine.
@@ -306,7 +306,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 // relational layout's home game (an order of magnitude faster than the
 // native engines in the paper).
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	i, ok := e.labelOf[label]
+	i, ok := e.labels.Lookup(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -329,7 +329,7 @@ func (e *Engine) tablesFor(labels []string) []*rel.Table {
 	}
 	var out []*rel.Table
 	for _, l := range labels {
-		if i, ok := e.labelOf[l]; ok {
+		if i, ok := e.labels.Lookup(l); ok {
 			out = append(out, e.etabs[i])
 		}
 	}
@@ -418,10 +418,7 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindexed[name] 
 // row inserts.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	// Collect the vertex schema.
 	for i := range g.VProps {
 		for k := range g.VProps[i] {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/lsm"
 )
 
@@ -42,25 +43,18 @@ func metaIndexKey(name string) []byte {
 
 // ensureLabel interns the label and, on first allocation in durable
 // mode, persists the token mapping.
-func (e *Engine) ensureLabel(l string) uint32 {
-	if t, ok := e.labelID[l]; ok {
-		return t
-	}
-	t := e.labelTok(l)
-	if e.kv.Durable() {
-		e.kv.Put(metaTokKey(subLabel, t), []byte(l))
-	}
-	return t
-}
+func (e *Engine) ensureLabel(l string) uint32 { return e.ensureTok(&e.labels, subLabel, l) }
 
 // ensureProp is ensureLabel for property keys.
-func (e *Engine) ensureProp(p string) uint32 {
-	if t, ok := e.propID[p]; ok {
+func (e *Engine) ensureProp(p string) uint32 { return e.ensureTok(&e.propKeys, subProp, p) }
+
+func (e *Engine) ensureTok(dict *kit.Tokens, sub byte, name string) uint32 {
+	if t, ok := dict.Lookup(name); ok {
 		return t
 	}
-	t := e.propTok(p)
+	t := dict.Intern(name)
 	if e.kv.Durable() {
-		e.kv.Put(metaTokKey(subProp, t), []byte(p))
+		e.kv.Put(metaTokKey(sub, t), []byte(name))
 	}
 	return t
 }
@@ -98,13 +92,7 @@ func OpenOptions(v Version, dir string, o lsm.OpenOptions) (*Engine, *lsm.Recove
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &Engine{
-		version:  v,
-		kv:       kv,
-		labelID:  make(map[string]uint32),
-		propID:   make(map[string]uint32),
-		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
-	}
+	e := &Engine{version: v, kv: kv}
 	if err := e.loadMeta(); err != nil {
 		kv.Close()
 		return nil, nil, err
@@ -112,36 +100,30 @@ func OpenOptions(v Version, dir string, o lsm.OpenOptions) (*Engine, *lsm.Recove
 	return e, rst, nil
 }
 
-// loadMeta rebuilds the volatile bookkeeping from meta rows. Token
-// scans arrive in big-endian token order, so append reconstructs the
-// dictionaries exactly.
-func (e *Engine) loadMeta() error {
+// replayTokens re-interns one dictionary from its meta rows. The scan
+// arrives in big-endian token order, so interning in scan order
+// reconstructs the dictionary exactly.
+func (e *Engine) replayTokens(sub byte, kind string, dict *kit.Tokens) error {
 	var bad error
-	e.kv.ScanPrefix([]byte{tagMeta, subLabel}, func(k, v []byte) bool {
+	e.kv.ScanPrefix([]byte{tagMeta, sub}, func(k, v []byte) bool {
 		tok := binary.BigEndian.Uint32(k[2:])
-		if int(tok) != len(e.labels) {
-			bad = fmt.Errorf("titan: label token %d out of order (have %d)", tok, len(e.labels))
+		if int(tok) != dict.Len() {
+			bad = fmt.Errorf("titan: %s token %d out of order (have %d)", kind, tok, dict.Len())
 			return false
 		}
-		e.labelID[string(v)] = tok
-		e.labels = append(e.labels, string(v))
+		dict.Intern(string(v))
 		return true
 	})
-	if bad != nil {
-		return bad
+	return bad
+}
+
+// loadMeta rebuilds the volatile bookkeeping from meta rows.
+func (e *Engine) loadMeta() error {
+	if err := e.replayTokens(subLabel, "label", &e.labels); err != nil {
+		return err
 	}
-	e.kv.ScanPrefix([]byte{tagMeta, subProp}, func(k, v []byte) bool {
-		tok := binary.BigEndian.Uint32(k[2:])
-		if int(tok) != len(e.propKeys) {
-			bad = fmt.Errorf("titan: prop token %d out of order (have %d)", tok, len(e.propKeys))
-			return false
-		}
-		e.propID[string(v)] = tok
-		e.propKeys = append(e.propKeys, string(v))
-		return true
-	})
-	if bad != nil {
-		return bad
+	if err := e.replayTokens(subProp, "prop", &e.propKeys); err != nil {
+		return err
 	}
 	if b, ok := e.kv.Get(metaNextKey()); ok && len(b) == 8 {
 		e.nextID = int64(binary.BigEndian.Uint64(b))
@@ -151,38 +133,27 @@ func (e *Engine) loadMeta() error {
 		indexNames = append(indexNames, string(k[2:]))
 		return true
 	})
+	// Index contents are rebuilt from the stored rows; nothing is logged.
 	for _, name := range indexNames {
-		e.rebuildIndex(name)
+		e.vindex.Build(name, e.Vertices, e.VertexProp)
 	}
 	return nil
-}
-
-// rebuildIndex populates a graph-centric index from the stored rows
-// without logging anything.
-func (e *Engine) rebuildIndex(name string) {
-	e.vindexes[name] = make(map[core.Value]map[core.ID]struct{})
-	it := e.Vertices()
-	for id, ok := it(); ok; id, ok = it() {
-		if v, has := e.VertexProp(id, name); has {
-			e.indexAdd(name, v, id)
-		}
-	}
 }
 
 // metaPairs renders the full bookkeeping snapshot as sorted-ready kv
 // pairs for BulkLoad, which replaces the store's entire contents.
 func (e *Engine) metaPairs() (keys, vals [][]byte) {
-	for tok, l := range e.labels {
+	for tok := 0; tok < e.labels.Len(); tok++ {
 		keys = append(keys, metaTokKey(subLabel, uint32(tok)))
-		vals = append(vals, []byte(l))
+		vals = append(vals, []byte(e.labels.Name(uint32(tok))))
 	}
-	for tok, p := range e.propKeys {
+	for tok := 0; tok < e.propKeys.Len(); tok++ {
 		keys = append(keys, metaTokKey(subProp, uint32(tok)))
-		vals = append(vals, []byte(p))
+		vals = append(vals, []byte(e.propKeys.Name(uint32(tok))))
 	}
 	keys = append(keys, metaNextKey())
 	vals = append(vals, binary.BigEndian.AppendUint64(nil, uint64(e.nextID)))
-	for name := range e.vindexes {
+	for _, name := range e.vindex.Names() {
 		keys = append(keys, metaIndexKey(name))
 		vals = append(vals, []byte{})
 	}
@@ -235,8 +206,8 @@ func (e *Engine) Audit() AuditReport {
 			problem("edge %d: exists row unreadable", id)
 			continue
 		}
-		if int(tok) >= len(e.labels) {
-			problem("edge %d: label token %d outside dictionary (%d labels)", id, tok, len(e.labels))
+		if int(tok) >= e.labels.Len() {
+			problem("edge %d: label token %d outside dictionary (%d labels)", id, tok, e.labels.Len())
 		}
 		if _, ok := vset[src]; !ok {
 			problem("edge %d: src vertex %d missing", id, src)

@@ -2,6 +2,7 @@ package titan
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -119,6 +120,14 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	}
 	if !r.HasVertexPropIndex("name") {
 		t.Fatal("index definition lost")
+	}
+	// The replayed bookkeeping is the closed engine's, exactly: the same
+	// tokens in the same order, the same index membership.
+	if !reflect.DeepEqual(r.labels, e.labels) || !reflect.DeepEqual(r.propKeys, e.propKeys) {
+		t.Fatalf("dictionaries after reopen = %+v %+v, want %+v %+v", r.labels, r.propKeys, e.labels, e.propKeys)
+	}
+	if !reflect.DeepEqual(r.vindex, e.vindex) {
+		t.Fatalf("index after reopen = %+v, want %+v", r.vindex, e.vindex)
 	}
 	ids := core.Collect(r.VerticesByProp("name", core.S("d")))
 	if len(ids) != 1 || ids[0] != extra {

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enc"
+	"repro/internal/engines/kit"
 	"repro/internal/lsm"
 )
 
@@ -64,14 +65,12 @@ type Engine struct {
 	version Version
 	kv      *lsm.Store
 
-	labels   []string
-	labelID  map[string]uint32
-	propKeys []string
-	propID   map[string]uint32
+	labels   kit.Tokens
+	propKeys kit.Tokens
 
 	nextID int64
 
-	vindexes map[string]map[core.Value]map[core.ID]struct{}
+	vindex kit.PropIndex // graph-centric indexes
 }
 
 // New returns an empty engine of the given version.
@@ -80,13 +79,7 @@ func New(v Version) *Engine {
 	if v == V10 {
 		opts.CachePrefixLen = rowPrefixLen
 	}
-	return &Engine{
-		version:  v,
-		kv:       lsm.New(opts),
-		labelID:  make(map[string]uint32),
-		propID:   make(map[string]uint32),
-		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
-	}
+	return &Engine{version: v, kv: lsm.New(opts)}
 }
 
 // Meta implements core.Engine.
@@ -105,26 +98,6 @@ func (e *Engine) Meta() core.EngineMeta {
 		Execution:     "Programming API, optimized",
 		Optimized:     true,
 	}
-}
-
-func (e *Engine) labelTok(l string) uint32 {
-	if t, ok := e.labelID[l]; ok {
-		return t
-	}
-	t := uint32(len(e.labels))
-	e.labelID[l] = t
-	e.labels = append(e.labels, l)
-	return t
-}
-
-func (e *Engine) propTok(p string) uint32 {
-	if t, ok := e.propID[p]; ok {
-		return t
-	}
-	t := uint32(len(e.propKeys))
-	e.propID[p] = t
-	e.propKeys = append(e.propKeys, p)
-	return t
 }
 
 // --- key construction ---
@@ -216,32 +189,6 @@ func decodeEdgeRow(b []byte) (src, dst core.ID, tok uint32) {
 	return core.ID(binary.BigEndian.Uint64(b)),
 		core.ID(binary.BigEndian.Uint64(b[8:])),
 		binary.BigEndian.Uint32(b[16:])
-}
-
-// --- index helpers ---
-
-func (e *Engine) indexAdd(name string, v core.Value, id core.ID) {
-	idx, ok := e.vindexes[name]
-	if !ok {
-		return
-	}
-	set := idx[v]
-	if set == nil {
-		set = make(map[core.ID]struct{})
-		idx[v] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (e *Engine) indexRemove(name string, v core.Value, id core.ID) {
-	if idx, ok := e.vindexes[name]; ok {
-		if set := idx[v]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
-		}
-	}
 }
 
 // ConcurrentWrites implements core.ConcurrentWriter: the LSM store's

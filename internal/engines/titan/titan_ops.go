@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enc"
+	"repro/internal/engines/kit"
 )
 
 // checkedWrite models the v0.5 consistency machinery: reads verifying
@@ -29,7 +30,7 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 		e.kv.Put(rowKey(tagVertexRow, id, colExists), nil)
 		for k, v := range props {
 			e.kv.Put(propKey(tagVertexRow, id, e.ensureProp(k)), encodeValue(v))
-			e.indexAdd(k, v, id)
+			e.vindex.Add(k, v, id)
 		}
 	})
 	return id, nil
@@ -56,7 +57,7 @@ func (e *Engine) rowProps(tag byte, id core.ID) core.Props {
 	p := core.Props{}
 	e.kv.ScanPrefix(rowKey(tag, id, colProp), func(k, v []byte) bool {
 		tok := bigEndianU32(k[rowPrefixLen:])
-		p[e.propKeys[tok]] = decodeValue(v)
+		p[e.propKeys.Name(tok)] = decodeValue(v)
 		return true
 	})
 	if len(p) == 0 {
@@ -74,7 +75,7 @@ func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
 	if !e.HasVertex(id) {
 		return core.Nil, false
 	}
-	tok, ok := e.propID[name]
+	tok, ok := e.propKeys.Lookup(name)
 	if !ok {
 		return core.Nil, false
 	}
@@ -92,11 +93,11 @@ func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
 	}
 	e.kv.Tx(func() {
 		e.checkedWrite(tagVertexRow, id)
-		if _, indexed := e.vindexes[name]; indexed {
+		if e.vindex.Has(name) {
 			if old, had := e.VertexProp(id, name); had {
-				e.indexRemove(name, old, id)
+				e.vindex.Remove(name, old, id)
 			}
-			e.indexAdd(name, v, id)
+			e.vindex.Add(name, v, id)
 		}
 		e.kv.Put(propKey(tagVertexRow, id, e.ensureProp(name)), encodeValue(v))
 	})
@@ -108,10 +109,10 @@ func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
 	if !e.HasVertex(id) {
 		return core.ErrNotFound
 	}
-	if tok, ok := e.propID[name]; ok {
-		if _, indexed := e.vindexes[name]; indexed {
+	if tok, ok := e.propKeys.Lookup(name); ok {
+		if e.vindex.Has(name) {
 			if old, had := e.VertexProp(id, name); had {
-				e.indexRemove(name, old, id)
+				e.vindex.Remove(name, old, id)
 			}
 		}
 		e.kv.Delete(propKey(tagVertexRow, id, tok))
@@ -125,9 +126,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 	if !e.HasVertex(id) {
 		return core.ErrNotFound
 	}
-	for name := range e.vindexes {
+	for _, name := range e.vindex.Names() {
 		if v, had := e.VertexProp(id, name); had {
-			e.indexRemove(name, v, id)
+			e.vindex.Remove(name, v, id)
 		}
 	}
 	var eids []core.ID
@@ -208,7 +209,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if !ok {
 		return "", core.ErrNotFound
 	}
-	return e.labels[tok], nil
+	return e.labels.Name(tok), nil
 }
 
 // EdgeEnds implements core.Engine.
@@ -233,7 +234,7 @@ func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
 	if !e.HasEdge(id) {
 		return core.Nil, false
 	}
-	tok, ok := e.propID[name]
+	tok, ok := e.propKeys.Lookup(name)
 	if !ok {
 		return core.Nil, false
 	}
@@ -261,7 +262,7 @@ func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
 	if !e.HasEdge(id) {
 		return core.ErrNotFound
 	}
-	if tok, ok := e.propID[name]; ok {
+	if tok, ok := e.propKeys.Lookup(name); ok {
 		e.kv.Delete(propKey(tagEdgeRow, id, tok))
 	}
 	return nil
@@ -344,16 +345,10 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 // graph-centric index exists (the 2–5 orders-of-magnitude effect of
 // Figure 4(c)), a full scan with per-row probes otherwise.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if idx, ok := e.vindexes[name]; ok {
-		set := idx[v]
-		out := make([]core.ID, 0, len(set))
-		for id := range set {
-			out = append(out, id)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return core.SliceIter(out)
+	if ids, ok := e.vindex.Lookup(name, v); ok {
+		return core.SliceIter(ids)
 	}
-	tok, ok := e.propID[name]
+	tok, ok := e.propKeys.Lookup(name)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -366,7 +361,7 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 
 // EdgesByProp implements core.Engine.
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	tok, ok := e.propID[name]
+	tok, ok := e.propKeys.Lookup(name)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -379,7 +374,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 
 // EdgesByLabel implements core.Engine: scan + per-edge row decode.
 func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
-	tok, ok := e.labelID[label]
+	tok, ok := e.labels.Lookup(label)
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
@@ -391,9 +386,21 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 
 // --- traversal ---
 
-// IncidentEdges implements core.Engine: a row-prefix scan per direction;
-// label filters narrow the scanned column range (vertex-centric access).
+// IncidentEdges implements core.Engine.
 func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
+	return e.adjacency(id, d, labels, false)
+}
+
+// Neighbors implements core.Engine: the neighbour is decoded from the
+// adjacency column itself, no edge-row access needed.
+func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
+	return e.adjacency(id, d, labels, true)
+}
+
+// adjacency is a row-prefix scan per direction; label filters narrow
+// the scanned column range (vertex-centric access). Each adjacency
+// column yields its edge id or, with neighbours set, its neighbour.
+func (e *Engine) adjacency(id core.ID, d core.Direction, labels []string, neighbours bool) core.Iter[core.ID] {
 	if !e.HasVertex(id) {
 		return core.EmptyIter[core.ID]()
 	}
@@ -403,7 +410,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 			prefixes = [][]byte{rowKey(tagVertexRow, id, kind)}
 		} else {
 			for _, l := range labels {
-				if tok, ok := e.labelID[l]; ok {
+				if tok, ok := e.labels.Lookup(l); ok {
 					prefixes = append(prefixes, edgeColPrefix(id, kind, tok))
 				}
 			}
@@ -415,49 +422,10 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 				if skipLoops && other == id {
 					return true
 				}
+				if neighbours {
+					eid = other
+				}
 				out = append(out, eid)
-				return true
-			})
-		}
-		return out
-	}
-	switch d {
-	case core.DirOut:
-		return core.SliceIter(collect(colOutEdge, false))
-	case core.DirIn:
-		return core.SliceIter(collect(colInEdge, false))
-	default:
-		both := collect(colOutEdge, false)
-		both = append(both, collect(colInEdge, true)...)
-		return core.SliceIter(both)
-	}
-}
-
-// Neighbors implements core.Engine: the neighbour is decoded from the
-// adjacency column itself, no edge-row access needed.
-func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	if !e.HasVertex(id) {
-		return core.EmptyIter[core.ID]()
-	}
-	collect := func(kind byte, skipLoops bool) []core.ID {
-		var prefixes [][]byte
-		if len(labels) == 0 {
-			prefixes = [][]byte{rowKey(tagVertexRow, id, kind)}
-		} else {
-			for _, l := range labels {
-				if tok, ok := e.labelID[l]; ok {
-					prefixes = append(prefixes, edgeColPrefix(id, kind, tok))
-				}
-			}
-		}
-		var out []core.ID
-		for _, p := range prefixes {
-			e.kv.ScanPrefix(p, func(k, _ []byte) bool {
-				_, other, _ := parseEdgeCol(id, k)
-				if skipLoops && other == id {
-					return true
-				}
-				out = append(out, other)
 				return true
 			})
 		}
@@ -487,21 +455,14 @@ func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 
 // BuildVertexPropIndex implements core.Engine (graph-centric index).
 func (e *Engine) BuildVertexPropIndex(name string) error {
-	if _, dup := e.vindexes[name]; dup {
-		return nil
-	}
-	e.rebuildIndex(name)
-	if e.kv.Durable() {
+	if e.vindex.Build(name, e.Vertices, e.VertexProp) && e.kv.Durable() {
 		e.kv.Put(metaIndexKey(name), nil)
 	}
 	return nil
 }
 
 // HasVertexPropIndex implements core.Engine.
-func (e *Engine) HasVertexPropIndex(name string) bool {
-	_, ok := e.vindexes[name]
-	return ok
-}
+func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name) }
 
 // BulkLoad implements core.Engine through the schema-first path the
 // paper had to configure (consistency checks and schema inference
@@ -510,12 +471,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool {
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	e.CapturePlanStats(g)
 	if e.nextID != 0 {
-		return e.bulkIncremental(g)
+		return kit.LoadPerItem(e, g)
 	}
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
+	res := core.NewLoadResult(g)
 	type kvPair struct{ k, v []byte }
 	// The CSR snapshot knows the exact pair count up front: one exists
 	// row per object, three rows per edge (edge row + out/in columns),
@@ -525,17 +483,14 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	// Fresh engine (nextID == 0 above): the snapshot's label table is
 	// exactly the token set this load interns, so pre-size the
 	// dictionary. Tokens still assign in first-encounter order.
-	if len(e.labels) == 0 {
-		e.labelID = make(map[string]uint32, len(snap.Labels))
-		e.labels = make([]string, 0, len(snap.Labels))
-	}
+	e.labels.Reserve(len(snap.Labels))
 	for i := range g.VProps {
 		id := core.ID(e.nextID)
 		e.nextID++
 		res.VertexIDs[i] = id
 		pairs = append(pairs, kvPair{rowKey(tagVertexRow, id, colExists), []byte{}})
 		for k, v := range g.VProps[i] {
-			pairs = append(pairs, kvPair{propKey(tagVertexRow, id, e.propTok(k)), encodeValue(v)})
+			pairs = append(pairs, kvPair{propKey(tagVertexRow, id, e.propKeys.Intern(k)), encodeValue(v)})
 		}
 	}
 	for i := range g.EdgeL {
@@ -544,13 +499,13 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		e.nextID++
 		res.EdgeIDs[i] = eid
 		src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
-		tok := e.labelTok(er.Label)
+		tok := e.labels.Intern(er.Label)
 		pairs = append(pairs,
 			kvPair{rowKey(tagEdgeRow, eid, colExists), encodeEdgeRow(src, dst, tok)},
 			kvPair{edgeColKey(src, colOutEdge, tok, dst, eid), []byte{}},
 			kvPair{edgeColKey(dst, colInEdge, tok, src, eid), []byte{}})
 		for k, v := range er.Props {
-			pairs = append(pairs, kvPair{propKey(tagEdgeRow, eid, e.propTok(k)), encodeValue(v)})
+			pairs = append(pairs, kvPair{propKey(tagEdgeRow, eid, e.propKeys.Intern(k)), encodeValue(v)})
 		}
 	}
 	if e.kv.Durable() {
@@ -575,49 +530,12 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	return res, nil
 }
 
-func (e *Engine) bulkIncremental(g *core.Graph) (*core.LoadResult, error) {
-	res := &core.LoadResult{
-		VertexIDs: make([]core.ID, g.NumVertices()),
-		EdgeIDs:   make([]core.ID, g.NumEdges()),
-	}
-	for i := range g.VProps {
-		id, err := e.AddVertex(g.VProps[i])
-		if err != nil {
-			return nil, err
-		}
-		res.VertexIDs[i] = id
-	}
-	for i := range g.EdgeL {
-		er := &g.EdgeL[i]
-		id, err := e.AddEdge(res.VertexIDs[er.Src], res.VertexIDs[er.Dst], er.Label, er.Props)
-		if err != nil {
-			return nil, err
-		}
-		res.EdgeIDs[i] = id
-	}
-	return res, nil
-}
-
 // SpaceUsage implements core.Engine.
 func (e *Engine) SpaceUsage() core.SpaceReport {
 	var r core.SpaceReport
 	r.Add("lsm-store", e.kv.Bytes())
-	var dict int64
-	for _, l := range e.labels {
-		dict += int64(len(l)) + 24
-	}
-	for _, p := range e.propKeys {
-		dict += int64(len(p)) + 24
-	}
-	r.Add("schema", dict)
-	var idx int64
-	for _, m := range e.vindexes {
-		idx += 48
-		for v, set := range m {
-			idx += v.Bytes() + int64(len(set))*16
-		}
-	}
-	r.Add("graph-indexes", idx)
+	r.Add("schema", e.labels.Bytes()+e.propKeys.Bytes())
+	r.Add("graph-indexes", e.vindex.Bytes())
 	return r
 }
 

@@ -50,9 +50,8 @@ func TestRemoteColdWorkerFetchesArtifacts(t *testing.T) {
 	schedCache, workerCache := t.TempDir(), t.TempDir()
 	workerProgress := &syncBuffer{}
 	h := &WorkerHandler{
-		DatasetCacheDir: workerCache,
-		FetchArtifacts:  true,
-		Progress:        workerProgress,
+		Exec:           Exec{DatasetCacheDir: workerCache, Progress: workerProgress},
+		FetchArtifacts: true,
 	}
 	cfg.Remote = []string{startWorker(t, h, 4)}
 	cfg.ServeArtifacts = true
@@ -105,9 +104,8 @@ func TestRemoteColdWorkerFetchesWithoutSchedulerCache(t *testing.T) {
 
 	workerProgress := &syncBuffer{}
 	h := &WorkerHandler{
-		DatasetCacheDir: t.TempDir(),
-		FetchArtifacts:  true,
-		Progress:        workerProgress,
+		Exec:           Exec{DatasetCacheDir: t.TempDir(), Progress: workerProgress},
+		FetchArtifacts: true,
 	}
 	cfg.Remote = []string{startWorker(t, h, 4)}
 	cfg.ServeArtifacts = true
@@ -210,9 +208,8 @@ func TestWorkerFetchFallsBackToGeneration(t *testing.T) {
 
 	workerProgress := &syncBuffer{}
 	h := &WorkerHandler{
-		DatasetCacheDir: t.TempDir(),
-		FetchArtifacts:  true,
-		Progress:        workerProgress,
+		Exec:           Exec{DatasetCacheDir: t.TempDir(), Progress: workerProgress},
+		FetchArtifacts: true,
 	}
 	cfg.Remote = []string{startWorker(t, h, 4)}
 	cfg.ServeArtifacts = false // scheduler refuses every request
@@ -258,7 +255,7 @@ func TestFetchedArtifactFeedsExports(t *testing.T) {
 	fetch := func(name string, want [32]byte) (io.ReadCloser, error) {
 		return os.Open(filepath.Join(dir, filepath.Base(path)))
 	}
-	_, st, err := datasets.AcquireVia("frb-s", 0.001, t.TempDir(), fetch)
+	_, st, err := datasets.AcquireWith("frb-s", 0.001, datasets.AcquireOptions{CacheDir: t.TempDir(), Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestWorkerHandlerDatasetCache(t *testing.T) {
 
 	dir := t.TempDir()
 	var workerLog bytes.Buffer
-	h := &WorkerHandler{DatasetCacheDir: dir, Progress: &workerLog}
+	h := &WorkerHandler{Exec: Exec{DatasetCacheDir: dir, Progress: &workerLog}}
 	cfg.Remote = []string{startWorker(t, h, 2)}
 	distributed, dispatched := remoteCells(t, cfg)
 	if dispatched == 0 {
@@ -110,7 +110,7 @@ func TestWorkerHandlerDatasetCache(t *testing.T) {
 	// Runner by using a new handler over the same cache dir — its
 	// first dataset acquisition must be a warm hit.
 	var workerLog2 bytes.Buffer
-	h2 := &WorkerHandler{DatasetCacheDir: dir, Progress: &workerLog2}
+	h2 := &WorkerHandler{Exec: Exec{DatasetCacheDir: dir, Progress: &workerLog2}}
 	cfg.Remote = []string{startWorker(t, h2, 2)}
 	distributed2, _ := remoteCells(t, cfg)
 	if !bytes.Equal(local, distributed2) {

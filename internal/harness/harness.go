@@ -10,6 +10,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -51,14 +52,6 @@ type Config struct {
 	// Zero or negative means runtime.NumCPU(). Results are assembled in
 	// the same order regardless of the worker count.
 	Workers int
-	// CellWorkers bounds the number of batch iterations executed
-	// concurrently inside one cell. Only non-mutating queries fan out
-	// (engines are single-writer; their read surfaces are required to be
-	// race-free, see core.Engine), engines with result-affecting read
-	// state veto fan-out via core.ConcurrentReader, and the iterations
-	// fold in index order — so results are identical for any value.
-	// Zero, one or negative means sequential.
-	CellWorkers int
 	// Remote lists gdb-worker addresses (host:port) whose slots join
 	// the local workers in executing grid cells. The handshake ships
 	// this run's fingerprint and requires both builds to have identical
@@ -78,22 +71,6 @@ type Config struct {
 	// uninterrupted run. A checkpoint written under a different
 	// Fingerprint is rejected; a missing file starts a fresh run.
 	Resume bool
-	// DatasetCacheDir, when non-empty, reuses binary dataset snapshots
-	// from this directory instead of regenerating each graph, and
-	// populates it on misses (see internal/datasets, Acquire). Cached
-	// graphs are byte-identical to generated ones, so the cache is —
-	// like the worker counts — deliberately absent from the checkpoint
-	// fingerprint: where a graph came from never changes what a run
-	// measures.
-	DatasetCacheDir string
-	// Mmap memory-maps warm snapshot artifacts instead of reading and
-	// decoding them onto the heap: the CSR's columnar arrays alias the
-	// mapped file (see internal/mmapfile), so a warm open touches only
-	// the pages it needs. Graphs served either way are byte-identical —
-	// like DatasetCacheDir, Mmap is deliberately absent from the
-	// checkpoint fingerprint. No-op without a cache hit, and on
-	// platforms without mmap it degrades to the heap path.
-	Mmap bool
 	// LSMDir, when non-empty, opens every durable-capable engine (the
 	// titan configurations) over a write-ahead-logged store rooted in a
 	// unique subdirectory of this path, one per cell. Engines without a
@@ -119,18 +96,68 @@ type Config struct {
 	// FrozenClock records every duration as zero, making exports fully
 	// deterministic — the knob behind byte-identical CI comparisons.
 	FrozenClock bool
-	// NoOptimize disables the gremlin traversal optimizer (filter
-	// reordering and implicit index fusion) for every query in the run —
-	// the -optimize=false escape hatch for A/B comparisons. Optimized
-	// and unoptimized plans are guaranteed element-identical, so the
-	// flag — like Workers — never changes results and is absent from
-	// the checkpoint fingerprint.
-	NoOptimize bool
 	// ErrorsFatal aborts the run on the first engine construction or
 	// load error instead of recording the cell as DNF and continuing.
 	ErrorsFatal bool
+	// Exec is this process's own business (see Exec).
+	Exec
+}
+
+// Exec holds the knobs that belong to the process executing cells:
+// they change its wall-clock time and where its bytes come from, never
+// what a run measures. Each is therefore absent from the checkpoint
+// Fingerprint, and a gdb-worker applies its own Exec — not the
+// scheduler's — to every run it accepts (WorkerHandler).
+type Exec struct {
+	// CellWorkers bounds the number of batch iterations executed
+	// concurrently inside one cell. Only non-mutating queries fan out
+	// (engines are single-writer; their read surfaces are required to be
+	// race-free, see core.Engine), engines with result-affecting read
+	// state veto fan-out via core.ConcurrentReader, and the iterations
+	// fold in index order — so results are identical for any value.
+	// Zero, one or negative means sequential.
+	CellWorkers int
+	// DatasetCacheDir, when non-empty, reuses binary dataset snapshots
+	// from this directory instead of regenerating each graph, and
+	// populates it on misses (see internal/datasets, AcquireWith): a
+	// fleet of workers pointed at warm caches skips the V+E dataset
+	// generation entirely, per process. Cached graphs are byte-identical
+	// to generated ones.
+	DatasetCacheDir string
+	// Mmap memory-maps warm snapshot artifacts instead of reading and
+	// decoding them onto the heap: the CSR's columnar arrays alias the
+	// mapped file (see internal/mmapfile), so a warm open touches only
+	// the pages it needs. Graphs served either way are byte-identical.
+	// No-op without a cache hit, and on platforms without mmap it
+	// degrades to the heap path.
+	Mmap bool
+	// NoOptimize disables the gremlin traversal optimizer (filter
+	// reordering and implicit index fusion) for every query — the
+	// -optimize=false escape hatch for A/B comparisons. Optimized and
+	// unoptimized plans are guaranteed element-identical.
+	NoOptimize bool
 	// Progress, when non-nil, receives one line per completed step.
 	Progress io.Writer
+}
+
+// ExecFlags registers the flags behind Exec on fs — the one declaration
+// gdb-bench and gdb-worker share — and returns a function that yields
+// the parsed value; call it after fs.Parse.
+func ExecFlags(fs *flag.FlagSet) func() Exec {
+	var x Exec
+	var optimize, verbose bool
+	fs.IntVar(&x.CellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
+	fs.StringVar(&x.DatasetCacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
+	fs.BoolVar(&x.Mmap, "mmap", false, "memory-map warm -dataset-cache artifacts instead of decoding them onto the heap (identical results)")
+	fs.BoolVar(&optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
+	fs.BoolVar(&verbose, "v", false, "print per-cell progress to stderr")
+	return func() Exec {
+		x.NoOptimize = !optimize
+		if verbose {
+			x.Progress = os.Stderr
+		}
+		return x
+	}
 }
 
 // DefaultConfig returns a laptop-scale configuration.
@@ -359,7 +386,7 @@ func (r *Runner) dataset(name string) *datasetCache {
 		if st.RawJSON >= 0 {
 			c.rawJSON = st.RawJSON
 		} else {
-			c.rawJSON = rawJSONSize(g)
+			c.rawJSON = datasets.RawJSONSize(g)
 		}
 	})
 	return c

@@ -60,20 +60,8 @@ func configFromFingerprint(fp Fingerprint) Config {
 // already accepted keep their own Runner reference, so replacing the
 // cache never disturbs a run in progress.
 type WorkerHandler struct {
-	// CellWorkers is applied to every accepted run's configuration
-	// (it never changes results, only this worker's wall-clock time).
-	CellWorkers int
-	// DatasetCacheDir is applied to every accepted run's configuration:
-	// a fleet of workers pointed at warm caches skips the V+E dataset
-	// generation entirely, per process. Like CellWorkers it never
-	// changes results — cached graphs are byte-identical to generated
-	// ones — so it stays the worker's own business.
-	DatasetCacheDir string
-	// Mmap memory-maps warm artifacts in DatasetCacheDir instead of
-	// decoding them onto this worker's heap (Config.Mmap). Like the
-	// cache directory itself, it is the worker's own business: mapped
-	// and heap-decoded graphs are byte-identical.
-	Mmap bool
+	// Exec is applied whole to every accepted run's configuration.
+	Exec
 	// FetchArtifacts lets accepted runs pull missing dataset artifacts
 	// from their scheduler over the session connection before falling
 	// back to local generation — the cold-fleet seeding path (gdb-worker
@@ -82,15 +70,6 @@ type WorkerHandler struct {
 	// DatasetCacheDir via the same atomic write path generated ones
 	// use, so — like the cache itself — fetching never changes results.
 	FetchArtifacts bool
-	// NoOptimize disables the gremlin traversal optimizer for every
-	// accepted run (the worker-side -optimize=false escape hatch).
-	// Optimized and unoptimized plans are element-identical, so — like
-	// CellWorkers — the knob changes this worker's wall-clock time,
-	// never the results it reports.
-	NoOptimize bool
-	// Progress, when non-nil, receives the per-cell progress lines of
-	// accepted runs.
-	Progress io.Writer
 	// Catalog overrides the catalog fingerprint; tests use it to
 	// exercise the rejection path. Empty means CatalogFingerprint().
 	Catalog string
@@ -123,11 +102,7 @@ func (h *WorkerHandler) Accept(hello remote.Hello, artifacts remote.ArtifactFetc
 	r := h.runner
 	if r == nil || h.key != key {
 		cfg := configFromFingerprint(fp)
-		cfg.CellWorkers = h.CellWorkers
-		cfg.DatasetCacheDir = h.DatasetCacheDir
-		cfg.Mmap = h.Mmap
-		cfg.NoOptimize = h.NoOptimize
-		cfg.Progress = h.Progress
+		cfg.Exec = h.Exec
 		var err error
 		r, err = NewRunner(cfg)
 		if err != nil {

@@ -304,16 +304,6 @@ func (r *Runner) runCell(j gridJob) cellResult {
 	return c
 }
 
-// rawJSONSize measures the GraphSON size of a dataset (the "Raw Data"
-// bar of Figure 1) by streaming the document through a counting
-// writer: the size is exactly what materializing the document would
-// report, without holding an O(dataset) buffer per run. Cached dataset
-// artifacts carry the same number, computed by the same code, so warm
-// runs skip even this pass.
-func rawJSONSize(g *core.Graph) int64 {
-	return datasets.RawJSONSize(g)
-}
-
 // queryOrder returns the micro queries with reads and traversals first
 // and destructive operations last, so shared-instance runs are not
 // perturbed; within a group, Table 2 order.
