@@ -38,7 +38,6 @@ type options struct {
 	batch       int
 	seed        int64
 	workers     int
-	genWorkers  int
 	remote      string
 	exec        func() harness.Exec
 	lsmDir      string
@@ -64,7 +63,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.batch, "batch", 10, "batch mode size")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for parameter selection")
 	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel evaluation workers")
-	fs.IntVar(&o.genWorkers, "gen-workers", runtime.NumCPU(), "parallel dataset generation workers")
 	fs.StringVar(&o.remote, "remote", "", "comma-separated gdb-worker addresses (host:port) adding remote grid slots")
 	o.exec = harness.ExecFlags(fs)
 	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root each durable-capable engine's LSM store (WAL + recovery) in a unique subdirectory of this path")
@@ -123,8 +121,8 @@ func main() {
 		}
 	}
 
-	datasets.SetGenWorkers(o.genWorkers)
 	cfg := harness.Config{
+		Engines:         splitList(o.engines),
 		Datasets:        splitList(o.datasets),
 		Scale:           o.scale,
 		Timeout:         o.timeout,
@@ -139,10 +137,6 @@ func main() {
 		Resume:          o.resume,
 		CrashAfterCells: o.crashAfter,
 		FrozenClock:     o.frozenClock,
-		Isolation:       true,
-	}
-	if o.engines != "" {
-		cfg.Engines = splitList(o.engines)
 	}
 
 	// Static reports need no run.

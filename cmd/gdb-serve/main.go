@@ -112,7 +112,7 @@ func run(o *options) error {
 	}
 
 	progress("acquiring dataset %s at scale %g", o.dataset, o.scale)
-	g, _, err := datasets.AcquireWith(o.dataset, o.scale, datasets.AcquireOptions{CacheDir: o.datasetCache})
+	g, _, err := datasets.AcquireWith(o.dataset, o.scale, datasets.AcquireOptions{CacheDir: o.datasetCache, Mmap: true})
 	if err != nil {
 		return err
 	}

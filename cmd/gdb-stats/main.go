@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gdb-stats [-datasets yeast,mico,...] [-scale 0.01] [-dataset-cache DIR] [-mmap] [-workers N]
+//	gdb-stats [-datasets yeast,mico,...] [-scale 0.01] [-dataset-cache DIR] [-workers N]
 package main
 
 import (
@@ -24,7 +24,6 @@ type options struct {
 	list         string
 	scale        float64
 	datasetCache string
-	mmap         bool
 	workers      int
 }
 
@@ -33,7 +32,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.list, "datasets", strings.Join(datasets.Names(), ","), "datasets to measure")
 	fs.Float64Var(&o.scale, "scale", 0.002, "scale factor (1.0 = paper sizes)")
 	fs.StringVar(&o.datasetCache, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&o.mmap, "mmap", false, "memory-map warm -dataset-cache artifacts instead of decoding them onto the heap (identical results)")
 	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel analytics workers (never changes the computed statistics)")
 	return o
 }
@@ -42,7 +40,6 @@ func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	datasets.SetGenWorkers(o.workers)
 	res := &harness.Results{
 		Config: harness.Config{Scale: o.scale},
 		Stats:  map[string]datasets.Table3Row{},
@@ -54,11 +51,11 @@ func main() {
 			os.Exit(1)
 		}
 		// The analytics need only the CSR snapshot: a warm cache hit
-		// decodes (or maps) just the columnar sections, skipping graph
-		// materialization entirely.
+		// maps just the columnar sections, skipping graph materialization
+		// entirely.
 		c, _, err := datasets.AcquireCSR(name, o.scale, datasets.AcquireOptions{
 			CacheDir: o.datasetCache,
-			Mmap:     o.mmap,
+			Mmap:     true,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gdb-stats: %v\n", err)

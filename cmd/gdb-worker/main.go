@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/harness"
 	"repro/internal/remote"
 )
@@ -34,7 +33,6 @@ import (
 type options struct {
 	listen        string
 	capacity      int
-	genWorkers    int
 	exec          func() harness.Exec
 	artifactFetch bool
 	heartbeat     time.Duration
@@ -44,7 +42,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", ":9777", "address to serve grid cells on")
 	fs.IntVar(&o.capacity, "capacity", runtime.NumCPU(), "concurrent cells this worker accepts")
-	fs.IntVar(&o.genWorkers, "gen-workers", runtime.NumCPU(), "parallel dataset generation workers")
 	o.exec = harness.ExecFlags(fs)
 	fs.BoolVar(&o.artifactFetch, "artifact-fetch", true, "fetch missing dataset artifacts from the scheduler before generating locally")
 	fs.DurationVar(&o.heartbeat, "heartbeat", remote.DefaultHeartbeat, "liveness interval announced to schedulers")
@@ -55,7 +52,6 @@ func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	datasets.SetGenWorkers(o.genWorkers)
 	h := &harness.WorkerHandler{Exec: o.exec(), FetchArtifacts: o.artifactFetch}
 	srv := &remote.Server{
 		Handler:   h,

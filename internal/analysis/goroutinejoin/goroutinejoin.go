@@ -1,14 +1,14 @@
 // Package goroutinejoin flags `go func(){...}()` launches in the
-// concurrency-heavy layers (internal/remote, internal/harness) whose
-// goroutine is neither tracked by a sync.WaitGroup nor select-guarded
-// by a channel receive. An untracked, unguarded goroutine is exactly
-// the shape behind the PR 5 shutdown races: it outlives Close, touches
-// freed connections, or leaks per-request. A goroutine passes if its
-// body calls (*sync.WaitGroup).Done (the launcher joins it) or
-// contains a select with a receive arm (a done/stop channel can end
-// it); launches that are structurally joined some other way — e.g. a
-// result always drained from a channel — take a //lint:gdb-allow
-// directive with the explanation.
+// concurrency-heavy layers (internal/remote, internal/harness,
+// internal/par) whose goroutine is neither tracked by a sync.WaitGroup
+// nor select-guarded by a channel receive. An untracked, unguarded
+// goroutine is exactly the shape behind the PR 5 shutdown races: it
+// outlives Close, touches freed connections, or leaks per-request. A
+// goroutine passes if its body calls (*sync.WaitGroup).Done (the
+// launcher joins it) or contains a select with a receive arm (a
+// done/stop channel can end it); launches that are structurally joined
+// some other way — e.g. a result always drained from a channel — take a
+// //lint:gdb-allow directive with the explanation.
 package goroutinejoin
 
 import (
@@ -22,6 +22,7 @@ import (
 var Default = analysis.Scope{
 	"internal/remote",
 	"internal/harness",
+	"internal/par",
 }
 
 // Analyzer applies the rule over the Default scope.

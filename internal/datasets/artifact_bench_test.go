@@ -2,12 +2,12 @@ package datasets_test
 
 // Dataset-acquisition benchmarks: the perf trajectory of the artifact
 // cache (cold = generate + GraphSON sizing + encode + store, i.e.
-// everything a cold cached acquire pays; warm = decode the artifact,
-// which already carries the GraphSON size), Stats over the CSR
-// snapshot, and an engine BulkLoad — the paths the snapshot layer
-// accelerates. TestRecordDatasetBenchmarks renders them into
-// BENCH_datasets.json for CI (set BENCH_JSON to the output path), and
-// enforces the warm-path speedup floor.
+// everything a cold cached acquire pays; warm = open the artifact,
+// which already carries the GraphSON size, heap-read or mapped), Stats
+// over the CSR snapshot, and an engine BulkLoad — the paths the
+// snapshot layer accelerates. TestRecordDatasetBenchmarks renders them
+// into BENCH_datasets.json for CI (set BENCH_JSON to the output path),
+// and enforces the speedup floors.
 
 import (
 	"encoding/json"
@@ -39,37 +39,38 @@ func benchAcquireCold(b *testing.B) {
 	}
 }
 
-func benchAcquireWarm(b *testing.B) {
-	dir := b.TempDir()
-	if _, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, st, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil || !st.Hit {
-			b.Fatalf("warm acquire: %v %+v", err, st)
+// The warm benchmarks come in like-for-like pairs: the same call on the
+// same cached artifact, heap-read against memory-mapped, so each
+// recorded ratio isolates the open mode. (Repeated mapped opens hit the
+// process-shared mapping registry — exactly what a multi-cell run pays
+// per acquisition.) AcquireWith materializes the property graph either
+// way, so mapping saves it only the file read and the CSR copy;
+// AcquireCSR maps the columnar sections and decodes nothing else.
+
+func benchWarm(mmap bool, open func(datasets.AcquireOptions) (datasets.CacheStatus, error)) func(*testing.B) {
+	return func(b *testing.B) {
+		opts := datasets.AcquireOptions{CacheDir: b.TempDir()}
+		if _, _, err := datasets.AcquireWith(benchDataset, benchScale, opts); err != nil {
+			b.Fatal(err)
+		}
+		opts.Mmap = mmap
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st, err := open(opts); err != nil || !st.Hit {
+				b.Fatalf("warm acquire (mmap=%v): %v %+v", mmap, err, st)
+			}
 		}
 	}
 }
 
-// benchAcquireWarmMmap is the zero-copy warm path: the artifact is
-// memory-mapped and the CSR arrays alias its columnar sections, so a
-// warm open skips the heap decode entirely. Repeated opens hit the
-// process-shared mapping registry — exactly what a multi-cell run
-// pays per acquisition.
-func benchAcquireWarmMmap(b *testing.B) {
-	dir := b.TempDir()
-	if _, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: dir}); err != nil {
-		b.Fatal(err)
-	}
-	opts := datasets.AcquireOptions{CacheDir: dir, Mmap: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, st, err := datasets.AcquireCSR(benchDataset, benchScale, opts)
-		if err != nil || !st.Hit || c.NumEdges() == 0 {
-			b.Fatalf("warm mmap acquire: %v %+v", err, st)
-		}
-	}
+func openGraph(opts datasets.AcquireOptions) (datasets.CacheStatus, error) {
+	_, st, err := datasets.AcquireWith(benchDataset, benchScale, opts)
+	return st, err
+}
+
+func openCSR(opts datasets.AcquireOptions) (datasets.CacheStatus, error) {
+	_, st, err := datasets.AcquireCSR(benchDataset, benchScale, opts)
+	return st, err
 }
 
 // statsBenchWorkers is the parallel-stats worker count the trajectory
@@ -136,13 +137,15 @@ func benchBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkDatasetAcquireCold(b *testing.B)     { benchAcquireCold(b) }
-func BenchmarkDatasetAcquireWarm(b *testing.B)     { benchAcquireWarm(b) }
-func BenchmarkDatasetAcquireWarmMmap(b *testing.B) { benchAcquireWarmMmap(b) }
-func BenchmarkDatasetStatsSeq(b *testing.B)        { benchStatsSeq(b) }
-func BenchmarkDatasetStatsParallel(b *testing.B)   { benchStatsParallel(b) }
-func BenchmarkDatasetLabelSlice(b *testing.B)      { benchLabelSlice(b) }
-func BenchmarkDatasetBulkLoad(b *testing.B)        { benchBulkLoad(b) }
+func BenchmarkDatasetAcquireCold(b *testing.B)          { benchAcquireCold(b) }
+func BenchmarkDatasetAcquireWarmGraphHeap(b *testing.B) { benchWarm(false, openGraph)(b) }
+func BenchmarkDatasetAcquireWarmGraphMmap(b *testing.B) { benchWarm(true, openGraph)(b) }
+func BenchmarkDatasetAcquireWarmCSRHeap(b *testing.B)   { benchWarm(false, openCSR)(b) }
+func BenchmarkDatasetAcquireWarmCSRMmap(b *testing.B)   { benchWarm(true, openCSR)(b) }
+func BenchmarkDatasetStatsSeq(b *testing.B)             { benchStatsSeq(b) }
+func BenchmarkDatasetStatsParallel(b *testing.B)        { benchStatsParallel(b) }
+func BenchmarkDatasetLabelSlice(b *testing.B)           { benchLabelSlice(b) }
+func BenchmarkDatasetBulkLoad(b *testing.B)             { benchBulkLoad(b) }
 
 // benchRecord is one benchmark's entry in BENCH_datasets.json.
 type benchRecord struct {
@@ -154,11 +157,13 @@ type benchRecord struct {
 }
 
 // TestRecordDatasetBenchmarks runs the dataset benchmarks through
-// testing.Benchmark and writes their results — plus the cold/warm
-// speedup — to the file named by BENCH_JSON (skipped when unset, so
-// ordinary test runs stay fast). The ≥5× warm-path floor is asserted
-// here: CI records the trajectory and enforces the contract in one
-// step.
+// testing.Benchmark and writes their results — plus the cold/warm and
+// heap/mapped speedups — to the file named by BENCH_JSON (skipped when
+// unset, so ordinary test runs stay fast). The floors are asserted
+// here — warm ≥5× over cold, the mapped graph open never slower than
+// the heap one (≥0.9×, the reason the harness always maps), the mapped
+// CSR open ≥2× — so CI records the trajectory and enforces the
+// contract in one step.
 func TestRecordDatasetBenchmarks(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
@@ -176,15 +181,18 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 		}
 	}
 	cold := run("acquire/cold", benchAcquireCold)
-	warm := run("acquire/warm", benchAcquireWarm)
-	warmMmap := run("acquire/warm-mmap", benchAcquireWarmMmap)
+	warm := run("acquire/warm-graph-heap", benchWarm(false, openGraph))
+	warmMmap := run("acquire/warm-graph-mmap", benchWarm(true, openGraph))
+	csrHeap := run("acquire/warm-csr-heap", benchWarm(false, openCSR))
+	csrMmap := run("acquire/warm-csr-mmap", benchWarm(true, openCSR))
 	statsSeq := run("stats/seq", benchStatsSeq)
 	statsPar := run("stats/parallel", benchStatsParallel)
 	labelSlice := run("csr/label-slice", benchLabelSlice)
 	load := run("bulkload/neo-1.9", benchBulkLoad)
 
 	speedup := cold.NsPerOp / warm.NsPerOp
-	mmapSpeedup := warm.NsPerOp / warmMmap.NsPerOp
+	graphMmapSpeedup := warm.NsPerOp / warmMmap.NsPerOp
+	csrMmapSpeedup := csrHeap.NsPerOp / csrMmap.NsPerOp
 	statsSpeedup := statsSeq.NsPerOp / statsPar.NsPerOp
 	doc := struct {
 		Dataset          string        `json:"dataset"`
@@ -193,16 +201,18 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 		CPUs             int           `json:"cpus"`
 		Benchmarks       []benchRecord `json:"benchmarks"`
 		WarmSpeedup      float64       `json:"warm_speedup"`
-		MmapSpeedup      float64       `json:"mmap_speedup"`
+		GraphMmapSpeedup float64       `json:"graph_mmap_speedup"`
+		CSRMmapSpeedup   float64       `json:"csr_mmap_speedup"`
 		StatsSpeedup     float64       `json:"stats_parallel_speedup"`
 	}{
 		Dataset:          benchDataset,
 		Scale:            benchScale,
 		GeneratorVersion: datasets.GeneratorVersion,
 		CPUs:             runtime.NumCPU(),
-		Benchmarks:       []benchRecord{cold, warm, warmMmap, statsSeq, statsPar, labelSlice, load},
+		Benchmarks:       []benchRecord{cold, warm, warmMmap, csrHeap, csrMmap, statsSeq, statsPar, labelSlice, load},
 		WarmSpeedup:      speedup,
-		MmapSpeedup:      mmapSpeedup,
+		GraphMmapSpeedup: graphMmapSpeedup,
+		CSRMmapSpeedup:   csrMmapSpeedup,
 		StatsSpeedup:     statsSpeedup,
 	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
@@ -212,13 +222,16 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (warm %.1fx, mmap %.1fx, stats parallel %.1fx on %d CPUs)",
-		out, speedup, mmapSpeedup, statsSpeedup, runtime.NumCPU())
+	t.Logf("wrote %s (warm %.1fx, mapped graph %.2fx, mapped CSR %.1fx, stats parallel %.1fx on %d CPUs)",
+		out, speedup, graphMmapSpeedup, csrMmapSpeedup, statsSpeedup, runtime.NumCPU())
 	if speedup < 5 {
 		t.Errorf("warm dataset acquisition is only %.1fx faster than cold, want >= 5x", speedup)
 	}
-	if mmapSpeedup < 5 {
-		t.Errorf("mapped warm open is only %.1fx faster than the heap decode, want >= 5x", mmapSpeedup)
+	if graphMmapSpeedup < 0.9 {
+		t.Errorf("mapped warm graph open runs at %.2fx of the heap open, want >= 0.9x: the harness always maps on the strength of it never being slower", graphMmapSpeedup)
+	}
+	if csrMmapSpeedup < 2 {
+		t.Errorf("mapped warm CSR open is only %.1fx faster than the heap decode, want >= 2x", csrMmapSpeedup)
 	}
 	// The parallel-stats floor presumes the workers have CPUs to run
 	// on: on a machine with fewer cores than statsBenchWorkers the
@@ -238,9 +251,6 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 	if ok && speedup < committed.Warm/2 {
 		t.Errorf("warm speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", speedup, committed.Warm)
 	}
-	if ok && committed.Mmap > 0 && mmapSpeedup < committed.Mmap/2 {
-		t.Errorf("mmap speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", mmapSpeedup, committed.Mmap)
-	}
 	if ok && committed.Stats > 0 && committed.CPUs >= statsBenchWorkers && runtime.NumCPU() >= statsBenchWorkers &&
 		statsSpeedup < committed.Stats/2 {
 		t.Errorf("parallel-stats speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", statsSpeedup, committed.Stats)
@@ -250,7 +260,6 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 // floors is the committed speedup trajectory relevant to ratcheting.
 type floors struct {
 	Warm  float64
-	Mmap  float64
 	Stats float64
 	CPUs  int
 }
@@ -272,7 +281,6 @@ func committedFloor(t *testing.T) (floors, bool) {
 		GeneratorVersion int     `json:"generator_version"`
 		CPUs             int     `json:"cpus"`
 		WarmSpeedup      float64 `json:"warm_speedup"`
-		MmapSpeedup      float64 `json:"mmap_speedup"`
 		StatsSpeedup     float64 `json:"stats_parallel_speedup"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -283,6 +291,6 @@ func committedFloor(t *testing.T) (floors, bool) {
 			doc.Dataset, doc.Scale, doc.GeneratorVersion, benchDataset, benchScale, datasets.GeneratorVersion)
 		return floors{}, false
 	}
-	f := floors{Warm: doc.WarmSpeedup, Mmap: doc.MmapSpeedup, Stats: doc.StatsSpeedup, CPUs: doc.CPUs}
+	f := floors{Warm: doc.WarmSpeedup, Stats: doc.StatsSpeedup, CPUs: doc.CPUs}
 	return f, f.Warm > 0
 }

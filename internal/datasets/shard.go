@@ -3,8 +3,8 @@ package datasets
 import (
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Dataset generation is sharded: every generator phase (a vertex range
@@ -13,30 +13,12 @@ import (
 // and shards fill disjoint slices of the pre-sized graph. Because the
 // shard boundaries and the per-shard seeds depend only on the phase
 // size — never on the worker count — the generated graph is
-// byte-identical for any number of generation workers, including one.
+// byte-identical for any GOMAXPROCS, including one.
 
 // shardSize is the number of objects (vertices or edges) per shard. It
 // is part of the determinism contract: changing it changes the
 // generated graphs, exactly like changing a generator seed would.
 const shardSize = 8192
-
-// genWorkers bounds the goroutines used per generation phase.
-var genWorkers atomic.Int64
-
-func init() { genWorkers.Store(int64(runtime.NumCPU())) }
-
-// SetGenWorkers bounds the number of parallel dataset-generation
-// workers; n <= 0 restores the default (all CPUs). The worker count
-// never affects the generated graphs, only how fast they appear.
-func SetGenWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	genWorkers.Store(int64(n))
-}
-
-// GenWorkers returns the current generation worker bound.
-func GenWorkers() int { return int(genWorkers.Load()) }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective mixer whose
 // outputs for sequential inputs are statistically independent — the
@@ -69,56 +51,23 @@ func shardCount(n int) int {
 }
 
 // forShards partitions [0, n) into shardSize-sized shards and runs
-// fn(shard, start, end) for each on at most GenWorkers goroutines.
+// fn(shard, start, end) for each on runtime.GOMAXPROCS(0) goroutines.
 // fn must write only into the [start, end) range of its outputs.
 func forShards(n int, fn func(shard, start, end int)) {
-	forShardsN(n, GenWorkers(), fn)
+	forShardsN(n, 0, fn)
 }
 
-// forShardsN is forShards with an explicit worker bound (n <= 0 means
-// GenWorkers). It returns only after every shard has run, so callers
-// may read the outputs without further synchronization.
+// forShardsN is forShards with an explicit worker bound (workers <= 0
+// means runtime.GOMAXPROCS(0)). It returns only after every shard has
+// run, so callers may read the outputs without further synchronization.
 func forShardsN(n, workers int, fn func(shard, start, end int)) {
-	if n <= 0 {
-		return
-	}
-	shards := shardCount(n)
 	if workers <= 0 {
-		workers = GenWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > shards {
-		workers = shards
-	}
-	run := func(s int) {
+	par.For(workers, shardCount(n), func(s int) {
 		start := s * shardSize
-		end := start + shardSize
-		if end > n {
-			end = n
-		}
-		fn(s, start, end)
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			run(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				run(s)
-			}
-		}()
-	}
-	wg.Wait()
+		fn(s, start, min(start+shardSize, n))
+	})
 }
 
 // Phase identifiers: every generator phase that consumes randomness has

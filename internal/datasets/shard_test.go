@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -9,12 +10,13 @@ import (
 
 // TestShardedGenerationDeterministic is the determinism contract of
 // sharded generation: every generator produces a byte-identical graph —
-// vertices, properties, edges, edge properties — for any worker count.
-// Run under -race it also proves the shards write disjoint ranges.
+// vertices, properties, edges, edge properties — for any GOMAXPROCS,
+// which is what bounds the shard fan-out. Run under -race it also
+// proves the shards write disjoint ranges.
 func TestShardedGenerationDeterministic(t *testing.T) {
-	defer SetGenWorkers(0)
-	generate := func(workers int, spec *Spec) *core.Graph {
-		SetGenWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	generate := func(procs int, spec *Spec) *core.Graph {
+		runtime.GOMAXPROCS(procs)
 		return spec.Generate(0.002)
 	}
 	for _, s := range Specs() {
@@ -28,12 +30,12 @@ func TestShardedGenerationDeterministic(t *testing.T) {
 			}
 			for i := range a.VProps {
 				if !reflect.DeepEqual(a.VProps[i], b.VProps[i]) {
-					t.Fatalf("vertex %d diverges:\nworkers=1: %v\nworkers=8: %v", i, a.VProps[i], b.VProps[i])
+					t.Fatalf("vertex %d diverges:\nprocs=1: %v\nprocs=8: %v", i, a.VProps[i], b.VProps[i])
 				}
 			}
 			for i := range a.EdgeL {
 				if !reflect.DeepEqual(a.EdgeL[i], b.EdgeL[i]) {
-					t.Fatalf("edge %d diverges:\nworkers=1: %v\nworkers=8: %v", i, a.EdgeL[i], b.EdgeL[i])
+					t.Fatalf("edge %d diverges:\nprocs=1: %v\nprocs=8: %v", i, a.EdgeL[i], b.EdgeL[i])
 				}
 			}
 		})
@@ -41,9 +43,9 @@ func TestShardedGenerationDeterministic(t *testing.T) {
 }
 
 func TestForShardsCoversEveryIndexOnce(t *testing.T) {
-	defer SetGenWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 3, 16} {
-		SetGenWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		const n = 3*shardSize + 17
 		seen := make([]int32, n)
 		forShards(n, func(shard, start, end int) {

@@ -13,14 +13,14 @@ import (
 // estimate of the largest component's diameter.
 //
 // It works off the graph's shared CSR snapshot (core.Graph.Snapshot)
-// and runs the sweeps on GenWorkers goroutines; see StatsCSR for the
-// determinism contract.
+// and runs the sweeps on runtime.GOMAXPROCS(0) goroutines; see StatsCSR
+// for the determinism contract.
 func Stats(g *core.Graph) Table3Row { return StatsCSR(g.Snapshot(), 0) }
 
 // StatsCSR computes the Table 3 row purely from a CSR snapshot — it
 // never touches the owning graph, so it also serves snapshots decoded
 // straight from a cache artifact (AcquireCSR). workers bounds the
-// goroutines; workers <= 0 means GenWorkers.
+// goroutines; workers <= 0 means runtime.GOMAXPROCS(0).
 //
 // The row is byte-identical for every worker count, including one:
 // integer reductions (component count, sizes, degree sums, maxima)

@@ -7,14 +7,16 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"reflect"
 )
 
 // checkpointVersion guards the on-disk checkpoint format; bump it when
-// cellRecord or Fingerprint change shape, or when planGrid changes the
+// cell or Fingerprint change shape, or when planGrid changes the
 // meaning of cell indexes. v2: the micro cell split into separately
 // resumable interactive (micro-i) and batch (micro-b) halves — a v1
-// checkpoint's indexes would misattribute every record.
-const checkpointVersion = 2
+// checkpoint's indexes would misattribute every record. v3: the
+// fingerprint lost its always-true isolation field.
+const checkpointVersion = 3
 
 // Fingerprint identifies the result-relevant part of a configuration:
 // two runs with equal fingerprints plan the same grid and measure the
@@ -29,7 +31,6 @@ type Fingerprint struct {
 	Seed      int64    `json:"seed"`
 	BatchSize int      `json:"batch_size"`
 	TimeoutNS int64    `json:"timeout_ns"`
-	Isolation bool     `json:"isolation"`
 	// Frozen is Config.FrozenClock: a zero-duration run must not replay
 	// real-clock measurements or vice versa.
 	Frozen bool `json:"frozen_clock"`
@@ -46,30 +47,14 @@ func (r *Runner) fingerprint(jobs int) Fingerprint {
 		Seed:      r.cfg.Seed,
 		BatchSize: r.cfg.BatchSize,
 		TimeoutNS: int64(r.cfg.Timeout),
-		Isolation: r.cfg.Isolation,
 		Frozen:    r.cfg.FrozenClock,
 		Jobs:      jobs,
 	}
 }
 
-func (f Fingerprint) equal(o Fingerprint) bool {
-	eq := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return f.Version == o.Version && eq(f.Engines, o.Engines) &&
-		eq(f.Datasets, o.Datasets) && f.Scale == o.Scale &&
-		f.Seed == o.Seed && f.BatchSize == o.BatchSize &&
-		f.TimeoutNS == o.TimeoutNS && f.Isolation == o.Isolation &&
-		f.Frozen == o.Frozen && f.Jobs == o.Jobs
-}
+// equal compares every field, so a field added to Fingerprint guards
+// checkpoints and handshakes without further wiring.
+func (f Fingerprint) equal(o Fingerprint) bool { return reflect.DeepEqual(f, o) }
 
 // errCheckpointEmpty marks a checkpoint file that exists but has no
 // header line yet — recoverable for resume (start fresh), reportable
@@ -79,10 +64,13 @@ var errCheckpointEmpty = errors.New("harness: checkpoint file is empty")
 // readCheckpoint parses a JSONL checkpoint file into its header
 // fingerprint and completed cells, without judging compatibility —
 // resume (loadCheckpoint) and the -status command (ReadStatus) share
-// it. A torn trailing line — the footprint of the crash the checkpoint
-// exists to survive — truncates recovery at the last complete record.
-// A missing file surfaces as fs.ErrNotExist.
-func readCheckpoint(path string) (Fingerprint, map[int]cellResult, error) {
+// it. The one judgement it does make is the record format version: a
+// file written under another version would be misread, not merely
+// mismatched, so it is refused here for both. A torn trailing line —
+// the footprint of the crash the checkpoint exists to survive —
+// truncates recovery at the last complete record. A missing file
+// surfaces as fs.ErrNotExist.
+func readCheckpoint(path string) (Fingerprint, map[int]cell, error) {
 	var got Fingerprint
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -101,17 +89,20 @@ func readCheckpoint(path string) (Fingerprint, map[int]cellResult, error) {
 	if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
 		return got, nil, fmt.Errorf("harness: checkpoint %s: bad header: %w", path, err)
 	}
+	if got.Version != checkpointVersion {
+		return got, nil, fmt.Errorf("harness: checkpoint %s was written with record format v%d; this build reads v%d", path, got.Version, checkpointVersion)
+	}
 
-	cells := make(map[int]cellResult)
+	cells := make(map[int]cell)
 	for sc.Scan() {
-		var rec cellRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		var c cell
+		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			break // torn or partial line: recover everything before it
 		}
-		if rec.Index < 0 || rec.Index >= got.Jobs {
+		if c.Index < 0 || c.Index >= got.Jobs {
 			break
 		}
-		cells[rec.Index] = rec.cell()
+		cells[c.Index] = c
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return got, nil, fmt.Errorf("harness: checkpoint %s: %w", path, err)
@@ -124,7 +115,7 @@ func readCheckpoint(path string) (Fingerprint, map[int]cellResult, error) {
 // (the run simply starts fresh); an existing file whose fingerprint
 // differs from want is (silently mixing measurements from two
 // configurations would corrupt the result set).
-func loadCheckpoint(path string, want Fingerprint) (map[int]cellResult, error) {
+func loadCheckpoint(path string, want Fingerprint) (map[int]cell, error) {
 	got, cells, err := readCheckpoint(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist) || errors.Is(err, errCheckpointEmpty):
@@ -133,7 +124,7 @@ func loadCheckpoint(path string, want Fingerprint) (map[int]cellResult, error) {
 		return nil, err
 	}
 	if !got.equal(want) {
-		return nil, fmt.Errorf("harness: checkpoint %s was written by an incompatible configuration (engines, datasets, scale, seed, batch, timeout, isolation or frozen-clock differ); remove it or rerun with the original flags", path)
+		return nil, fmt.Errorf("harness: checkpoint %s was written by an incompatible configuration (engines, datasets, scale, seed, batch, timeout or frozen-clock differ); remove it or rerun with the original flags", path)
 	}
 	return cells, nil
 }

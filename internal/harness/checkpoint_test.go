@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,21 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Fatalf("incompatible checkpoint accepted: %v", err)
+	}
+
+	// A checkpoint in the previous record format (v2 still carried the
+	// isolation field) is refused by version, before any field of it
+	// could be misread as this build's.
+	cfg.CheckpointPath = filepath.Join(dir, "v2.jsonl")
+	v2 := `{"version":2,"engines":["neo-1.9","sqlg"],"datasets":["frb-s"],"scale":0.001,"seed":8,"batch_size":2,"timeout_ns":3000000000,"isolation":true,"frozen_clock":true,"jobs":6}` + "\n"
+	if err := os.WriteFile(cfg.CheckpointPath, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = NewRunner(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "record format v2; this build reads v3") {
+		t.Fatalf("v2 checkpoint not refused by version: %v", err)
 	}
 
 	// A missing checkpoint with Resume set starts fresh instead.
@@ -260,5 +276,60 @@ func TestCellWorkersDeterministic(t *testing.T) {
 	par := run(8)
 	if !bytes.Equal(seq, par) {
 		t.Fatal("cell-parallel export diverges from sequential")
+	}
+}
+
+// schedulingOnly lists the Config fields that decide where and when
+// cells run, never what they measure: absent from the Fingerprint, and
+// not shipped to workers (which apply their own Exec).
+var schedulingOnly = map[string]bool{
+	"Workers": true, "Remote": true, "CheckpointPath": true, "Resume": true,
+	"LSMDir": true, "ServeArtifacts": true, "CrashAfterCells": true,
+}
+
+// TestConfigFieldsClassified makes the next Config field declare what
+// it is. A field outside Exec and schedulingOnly can change a result,
+// so the Fingerprint must carry it: perturbing it has to change the
+// fingerprint, and configFromFingerprint has to hand a worker the same
+// value back. A new field that does neither fails here until it is
+// added to Fingerprint, moved into Exec, or listed above.
+func TestConfigFieldsClassified(t *testing.T) {
+	base := (&Runner{}).fingerprint(0)
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "Exec" && f.Anonymous || schedulingOnly[f.Name] {
+			continue
+		}
+		var cfg Config
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Slice:
+			v.Set(reflect.ValueOf([]string{"x"}))
+		default:
+			t.Fatalf("Config.%s: kind %s has no perturbation here; add one", f.Name, v.Kind())
+		}
+		fp := (&Runner{cfg: cfg}).fingerprint(0)
+		if fp.equal(base) {
+			t.Errorf("Config.%s is not in Exec or schedulingOnly, yet changing it leaves the Fingerprint unchanged", f.Name)
+			continue
+		}
+		back := reflect.ValueOf(configFromFingerprint(fp)).Field(i)
+		if !reflect.DeepEqual(back.Interface(), v.Interface()) {
+			t.Errorf("Config.%s does not survive configFromFingerprint: sent %v, worker gets %v", f.Name, v.Interface(), back.Interface())
+		}
+	}
+	for name := range schedulingOnly {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("schedulingOnly names Config.%s, which does not exist", name)
+		}
 	}
 }

@@ -9,6 +9,17 @@ import (
 	"time"
 )
 
+// exportDoc is the document ExportJSON writes and ImportJSON reads.
+type exportDoc struct {
+	Scale     float64           `json:"scale"`
+	TimeoutMS int64             `json:"timeout_ms"`
+	BatchSize int               `json:"batch_size"`
+	Loads     []LoadMeasurement `json:"loads"`
+	Micro     []Measurement     `json:"micro"`
+	Indexed   []Measurement     `json:"indexed"`
+	Complex   []Measurement     `json:"complex"`
+}
+
 // ExportJSON writes the full result set as JSON, for archival or
 // external plotting of the figures. Every field round-trips exactly
 // (durations are nanosecond integers, space breakdowns re-encode with
@@ -17,15 +28,7 @@ import (
 func ExportJSON(res *Results, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Scale     float64           `json:"scale"`
-		TimeoutMS int64             `json:"timeout_ms"`
-		BatchSize int               `json:"batch_size"`
-		Loads     []LoadMeasurement `json:"loads"`
-		Micro     []Measurement     `json:"micro"`
-		Indexed   []Measurement     `json:"indexed"`
-		Complex   []Measurement     `json:"complex"`
-	}{
+	return enc.Encode(exportDoc{
 		Scale:     res.Config.Scale,
 		TimeoutMS: res.Config.Timeout.Milliseconds(),
 		BatchSize: res.Config.BatchSize,
@@ -74,15 +77,7 @@ func ExportCSV(res *Results, w io.Writer) error {
 // embedded config fields are restored; report rendering needs Engines
 // and Datasets, which are reconstructed from the measurements.
 func ImportJSON(r io.Reader) (*Results, error) {
-	var raw struct {
-		Scale     float64           `json:"scale"`
-		TimeoutMS int64             `json:"timeout_ms"`
-		BatchSize int               `json:"batch_size"`
-		Loads     []LoadMeasurement `json:"loads"`
-		Micro     []Measurement     `json:"micro"`
-		Indexed   []Measurement     `json:"indexed"`
-		Complex   []Measurement     `json:"complex"`
-	}
+	var raw exportDoc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("harness: import: %w", err)

@@ -43,10 +43,6 @@ type Config struct {
 	BatchSize int
 	// Seed fixes all random choices.
 	Seed int64
-	// Isolation reloads a fresh engine before every mutating query
-	// (read queries always share the loaded instance, which they do not
-	// modify).
-	Isolation bool
 	// Workers bounds the number of grid cells — (engine, dataset) micro
 	// cells plus indexed and complex cells — evaluated concurrently.
 	// Zero or negative means runtime.NumCPU(). Results are assembled in
@@ -96,9 +92,6 @@ type Config struct {
 	// FrozenClock records every duration as zero, making exports fully
 	// deterministic — the knob behind byte-identical CI comparisons.
 	FrozenClock bool
-	// ErrorsFatal aborts the run on the first engine construction or
-	// load error instead of recording the cell as DNF and continuing.
-	ErrorsFatal bool
 	// Exec is this process's own business (see Exec).
 	Exec
 }
@@ -121,16 +114,10 @@ type Exec struct {
 	// from this directory instead of regenerating each graph, and
 	// populates it on misses (see internal/datasets, AcquireWith): a
 	// fleet of workers pointed at warm caches skips the V+E dataset
-	// generation entirely, per process. Cached graphs are byte-identical
-	// to generated ones.
+	// generation entirely, per process. Warm artifacts are opened
+	// memory-mapped (heap-read where the platform cannot map). Cached
+	// graphs are byte-identical to generated ones.
 	DatasetCacheDir string
-	// Mmap memory-maps warm snapshot artifacts instead of reading and
-	// decoding them onto the heap: the CSR's columnar arrays alias the
-	// mapped file (see internal/mmapfile), so a warm open touches only
-	// the pages it needs. Graphs served either way are byte-identical.
-	// No-op without a cache hit, and on platforms without mmap it
-	// degrades to the heap path.
-	Mmap bool
 	// NoOptimize disables the gremlin traversal optimizer (filter
 	// reordering and implicit index fusion) for every query — the
 	// -optimize=false escape hatch for A/B comparisons. Optimized and
@@ -148,7 +135,6 @@ func ExecFlags(fs *flag.FlagSet) func() Exec {
 	var optimize, verbose bool
 	fs.IntVar(&x.CellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
 	fs.StringVar(&x.DatasetCacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&x.Mmap, "mmap", false, "memory-map warm -dataset-cache artifacts instead of decoding them onto the heap (identical results)")
 	fs.BoolVar(&optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
 	fs.BoolVar(&verbose, "v", false, "print per-cell progress to stderr")
 	return func() Exec {
@@ -169,7 +155,6 @@ func DefaultConfig() Config {
 		Timeout:   2 * time.Second,
 		BatchSize: 10,
 		Seed:      1,
-		Isolation: true,
 		Workers:   runtime.NumCPU(),
 	}
 }
@@ -285,9 +270,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	if cfg.CellWorkers <= 0 {
-		cfg.CellWorkers = 1
-	}
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("harness: Resume requires CheckpointPath")
 	}
@@ -341,7 +323,7 @@ func (r *Runner) datasetFetcher() datasets.FetchFunc {
 // dataset returns the cache entry for a dataset, acquiring the graph
 // and its GraphSON raw size on first use. Acquisition tries, in order:
 // the artifact cache when Config.DatasetCacheDir is set (a warm hit
-// decodes the content-addressed snapshot), the remote fetcher when one
+// maps the content-addressed snapshot), the remote fetcher when one
 // was installed via SetDatasetFetcher (a cold worker pulls the
 // artifact from its scheduler), and generation; the graph is identical
 // whichever layer served it. Concurrent callers block on the entry's
@@ -359,7 +341,7 @@ func (r *Runner) dataset(name string) *datasetCache {
 		g, st, err := datasets.AcquireWith(name, r.cfg.Scale, datasets.AcquireOptions{
 			CacheDir: r.cfg.DatasetCacheDir,
 			Fetch:    r.datasetFetcher(),
-			Mmap:     r.cfg.Mmap,
+			Mmap:     true,
 		})
 		if err != nil {
 			// NewRunner validated every dataset name up front.
@@ -370,7 +352,7 @@ func (r *Runner) dataset(name string) *datasetCache {
 		}
 		switch {
 		case st.Hit:
-			r.progressf("dataset %s: warm cache hit (%d vertices, %d edges)", name, g.NumVertices(), g.NumEdges())
+			r.progressf("dataset %s: warm cache hit (%d vertices, %d edges, mapped=%t)", name, g.NumVertices(), g.NumEdges(), st.Mapped)
 		case st.Fetched:
 			r.progressf("fetched %s from scheduler (%d vertices, %d edges)", name, g.NumVertices(), g.NumEdges())
 		default:

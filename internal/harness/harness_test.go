@@ -19,7 +19,6 @@ func tinyConfig() Config {
 		Timeout:   3 * time.Second,
 		BatchSize: 3,
 		Seed:      7,
-		Isolation: true,
 	}
 }
 

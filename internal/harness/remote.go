@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/datasets"
@@ -44,7 +43,6 @@ func configFromFingerprint(fp Fingerprint) Config {
 		Timeout:     time.Duration(fp.TimeoutNS),
 		BatchSize:   fp.BatchSize,
 		Seed:        fp.Seed,
-		Isolation:   fp.Isolation,
 		FrozenClock: fp.Frozen,
 	}
 }
@@ -70,9 +68,6 @@ type WorkerHandler struct {
 	// DatasetCacheDir via the same atomic write path generated ones
 	// use, so — like the cache itself — fetching never changes results.
 	FetchArtifacts bool
-	// Catalog overrides the catalog fingerprint; tests use it to
-	// exercise the rejection path. Empty means CatalogFingerprint().
-	Catalog string
 
 	mu     sync.Mutex
 	key    string // canonical fingerprint JSON of the cached runner
@@ -81,10 +76,7 @@ type WorkerHandler struct {
 
 // Accept implements remote.Handler.
 func (h *WorkerHandler) Accept(hello remote.Hello, artifacts remote.ArtifactFetcher) (remote.Session, error) {
-	catalog := h.Catalog
-	if catalog == "" {
-		catalog = CatalogFingerprint()
-	}
+	catalog := CatalogFingerprint()
 	if hello.Catalog != catalog {
 		return nil, fmt.Errorf("catalog fingerprint mismatch (scheduler %.12s…, worker %.12s…): engine/dataset catalogs or record versions differ between the two builds", hello.Catalog, catalog)
 	}
@@ -108,7 +100,7 @@ func (h *WorkerHandler) Accept(hello remote.Hello, artifacts remote.ArtifactFetc
 		if err != nil {
 			return nil, err
 		}
-		if jobs := r.planJobs(); len(jobs) != fp.Jobs {
+		if jobs := planGrid(r.cfg.Engines, r.cfg.Datasets); len(jobs) != fp.Jobs {
 			return nil, fmt.Errorf("grid plan drift: scheduler planned %d cells, worker plans %d", fp.Jobs, len(jobs))
 		}
 		h.key, h.runner = key, r
@@ -130,12 +122,11 @@ type workerSession struct {
 
 // Execute implements remote.Session: it re-derives the grid plan from
 // the shared fingerprint, verifies the scheduler's view of the cell
-// matches, runs it, and returns the cell's measurements as the same
-// cellRecord JSON the checkpoint file uses — which is exactly why
-// remote results can flow through the scheduler's stream/checkpoint
-// path unchanged.
+// matches, runs it, and returns the cell as the same JSON the
+// checkpoint file uses — which is exactly why remote results can flow
+// through the scheduler's stream/checkpoint path unchanged.
 func (s *workerSession) Execute(spec remote.CellSpec) ([]byte, error) {
-	jobs := s.r.planJobs()
+	jobs := planGrid(s.r.cfg.Engines, s.r.cfg.Datasets)
 	if spec.Index < 0 || spec.Index >= len(jobs) {
 		return nil, fmt.Errorf("cell index %d outside the %d-cell plan", spec.Index, len(jobs))
 	}
@@ -144,12 +135,8 @@ func (s *workerSession) Execute(spec remote.CellSpec) ([]byte, error) {
 		return nil, fmt.Errorf("cell %d plan mismatch: scheduler sent %s %s on %s, worker plans %s %s on %s",
 			spec.Index, spec.Kind, spec.Engine, spec.Dataset, j.kind, j.engine, j.dataset)
 	}
-	c := s.r.runCell(j)
-	if c.err != nil {
-		return nil, c.err
-	}
-	rec := asRecord(spec.Index, c)
-	return json.Marshal(&rec)
+	c := s.r.runCell(spec.Index, j)
+	return json.Marshal(&c)
 }
 
 // OpenArtifact implements remote.ArtifactProvider: it serves one
@@ -248,36 +235,23 @@ func dialRemotes(addrs []string, fp Fingerprint, artifacts remote.ArtifactProvid
 // seeing it again); only when no other live remote exists does it
 // fall back to the local-only queue. Either way the grid always
 // completes with at least the local workers.
-func (r *Runner) remoteSlot(id int, cl *remote.Client, sched *cellScheduler, jobs []gridJob, cells []cellResult, aborted *atomic.Bool, finish func(int)) {
+func (r *Runner) remoteSlot(id int, cl *remote.Client, sched *cellScheduler, jobs []gridJob, cells []cell, finish func(int)) {
 	for {
 		i, ok := sched.nextRemote(id)
 		if !ok {
-			return
-		}
-		if aborted.Load() {
-			sched.done()
 			return
 		}
 		j := jobs[i]
 		r.progressf("remote %s: cell %d (%s %s on %s)", cl.Addr(), i, j.kind, j.engine, j.dataset)
 		payload, err := cl.Execute(remote.CellSpec{Index: i, Kind: j.kind.String(), Engine: j.engine, Dataset: j.dataset})
 		if err == nil {
-			var rec cellRecord
-			if uerr := json.Unmarshal(payload, &rec); uerr != nil {
+			var c cell
+			if uerr := json.Unmarshal(payload, &c); uerr != nil {
 				err = fmt.Errorf("remote %s: bad cell payload: %w", cl.Addr(), uerr)
-			} else if rec.Index != i {
-				err = fmt.Errorf("remote %s: cell %d answered with index %d", cl.Addr(), i, rec.Index)
+			} else if c.Index != i {
+				err = fmt.Errorf("remote %s: cell %d answered with index %d", cl.Addr(), i, c.Index)
 			} else {
-				cells[i] = rec.cell()
-				// Workers always record failures as DNF and carry on;
-				// under ErrorsFatal the scheduler restores local
-				// semantics — a fatal cell aborts the grid no matter
-				// where it ran.
-				if r.cfg.ErrorsFatal {
-					if ferr := cellFatalError(cells[i]); ferr != nil {
-						cells[i].err = ferr
-					}
-				}
+				cells[i] = c
 				finish(i)
 				sched.done()
 				continue

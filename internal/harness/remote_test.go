@@ -11,9 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/engines"
-	"repro/internal/engines/sqlg"
 	"repro/internal/remote"
 )
 
@@ -304,50 +301,20 @@ func TestRemoteWorkerCrashWithSecondRemote(t *testing.T) {
 	}
 }
 
-// TestRemoteHandshakeRejectsMismatchedCatalog: a worker whose catalog
-// fingerprint differs (different engine/dataset catalogs or record
-// versions) must fail the run up front — silently mixing measurements
-// from diverged builds is the one thing the handshake exists to
-// prevent.
+// TestRemoteHandshakeRejectsMismatchedCatalog: a scheduler whose
+// catalog fingerprint differs from the worker's (different
+// engine/dataset catalogs or record versions) must be refused at the
+// handshake — silently mixing measurements from diverged builds is the
+// one thing the handshake exists to prevent.
 func TestRemoteHandshakeRejectsMismatchedCatalog(t *testing.T) {
-	addr := startWorker(t, &WorkerHandler{Catalog: "some-other-build"}, 1)
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"frb-s"}
-	cfg.Remote = []string{addr}
-	r, err := NewRunner(cfg)
+	addr := startWorker(t, &WorkerHandler{}, 1)
+	raw, err := json.Marshal(mustFingerprint(t, tinyConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
-		t.Fatalf("mismatched worker accepted: %v", err)
-	}
-}
-
-// TestRemoteErrorsFatalParity: under ErrorsFatal the grid must abort
-// on a failing engine no matter where its cell ran — workers always
-// record DNF and carry on, so the scheduler restores the abort when
-// the remote result comes back fatal.
-func TestRemoteErrorsFatalParity(t *testing.T) {
-	unregister := engines.Register("fail-load-remote", func() core.Engine {
-		return &failLoadEngine{sqlg.New()}
-	})
-	defer unregister()
-
-	cfg := tinyConfig()
-	cfg.Engines = []string{"fail-load-remote", "sqlg"}
-	cfg.Datasets = []string{"frb-s"}
-	cfg.BatchSize = 2
-	cfg.FrozenClock = true
-	cfg.ErrorsFatal = true
-	cfg.Workers = 1
-	cfg.Remote = []string{startWorker(t, &WorkerHandler{}, 4)}
-
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "synthetic load failure") {
-		t.Fatalf("ErrorsFatal grid with a failing engine did not abort: %v", err)
+	_, err = remote.Dial(addr, remote.Hello{Catalog: "some-other-build", Config: raw}, nil)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("foreign-catalog scheduler accepted: %v", err)
 	}
 }
 
@@ -381,5 +348,5 @@ func mustFingerprint(t *testing.T, cfg Config) Fingerprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.fingerprint(len(r.planJobs()))
+	return r.fingerprint(len(planGrid(r.cfg.Engines, r.cfg.Datasets)))
 }

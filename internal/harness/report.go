@@ -48,7 +48,7 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-func cell(m Measurement, ok bool) string {
+func cellText(m Measurement, ok bool) string {
 	switch {
 	case !ok:
 		return "-"
@@ -103,7 +103,7 @@ func (res *Results) queryMatrix(w io.Writer, title string, queries []string, mod
 	matrix(w, title, res.Config.Engines, cols, func(e, c string) string {
 		parts := strings.SplitN(c, "@", 2)
 		m, ok := ix[key{e, parts[1], parts[0], mode}]
-		return cell(m, ok)
+		return cellText(m, ok)
 	})
 }
 
@@ -224,7 +224,7 @@ func ReportFig2Complex(res *Results, w io.Writer) {
 	matrix(w, "Figure 2: complex query performance on ldbc",
 		res.Config.Engines, cols, func(e, c string) string {
 			m, ok := ix[key{e, "ldbc", c, ModeInteractive}]
-			return cell(m, ok)
+			return cellText(m, ok)
 		})
 }
 

@@ -3,11 +3,11 @@ package harness
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/par"
 	"repro/internal/remote"
 	"repro/internal/workload"
 )
@@ -50,15 +50,20 @@ type gridJob struct {
 	dataset string
 }
 
-// cellResult collects everything one grid job measured. Each worker
-// writes only into its own pre-sized slot, so the assembled Results
-// retain the exact sequential order regardless of completion order.
-type cellResult struct {
-	loads   []LoadMeasurement
-	micro   []Measurement
-	indexed []Measurement
-	complex []Measurement
-	err     error // set only under Config.ErrorsFatal
+// cell is everything one grid job measured, in the one shape it has
+// everywhere: a slot of Run's plan-indexed slice, a JSONL line of the
+// checkpoint file, and the payload a remote worker answers with. Each
+// executor writes only its own slot, so the assembled Results keep the
+// sequential order regardless of completion order; measurements
+// round-trip exactly (durations are nanosecond integers), which is what
+// makes a resumed or distributed run's export byte-identical to a
+// local uninterrupted one.
+type cell struct {
+	Index   int               `json:"i"` // position in the grid plan
+	Loads   []LoadMeasurement `json:"loads,omitempty"`
+	Micro   []Measurement     `json:"micro,omitempty"`
+	Indexed []Measurement     `json:"indexed,omitempty"`
+	Complex []Measurement     `json:"complex,omitempty"`
 }
 
 // Run executes the full evaluation: Table 3 statistics, loading and
@@ -71,8 +76,7 @@ type cellResult struct {
 // goroutines; results are assembled in plan order, so any worker count
 // produces output identical to a sequential run. An engine that fails
 // to construct or load is recorded as DNF (failed LoadMeasurement plus
-// failed cells) and the evaluation continues, unless Config.ErrorsFatal
-// requests the first such error to abort the run.
+// failed cells) and the evaluation continues.
 //
 // With Config.CheckpointPath set, every completed cell is streamed to
 // the checkpoint file as its worker finishes; with Config.Resume, a
@@ -87,8 +91,8 @@ type cellResult struct {
 // mid-cell has its cell reassigned to the local queue. Where a cell
 // ran never changes what it measured.
 func (r *Runner) Run() (*Results, error) {
-	jobs := r.planJobs()
-	cells := make([]cellResult, len(jobs))
+	jobs := planGrid(r.cfg.Engines, r.cfg.Datasets)
+	cells := make([]cell, len(jobs))
 	fp := r.fingerprint(len(jobs))
 
 	// Everything that can fail fast does so before dataset generation —
@@ -121,7 +125,7 @@ func (r *Runner) Run() (*Results, error) {
 		r.progressf("remote: %d workers providing %d extra slots", len(clients), slots)
 	}
 
-	var recovered map[int]cellResult
+	var recovered map[int]cell
 	var cp *checkpointWriter
 	if r.cfg.CheckpointPath != "" {
 		if r.cfg.Resume {
@@ -158,24 +162,17 @@ func (r *Runner) Run() (*Results, error) {
 		}
 	}
 
-	var aborted atomic.Bool
 	sched := newCellScheduler(pending)
 	// finish is the shared completion path: it streams the cell to the
 	// checkpoint (wherever it was executed) and stops the grid on a
-	// fatal cell or a checkpoint write failure — durability was
-	// requested and is gone, so failing fast beats burning hours on
-	// cells that cannot be checkpointed (everything already streamed
-	// stays resumable).
+	// checkpoint write failure — durability was requested and is gone,
+	// so failing fast beats burning hours on cells that cannot be
+	// checkpointed (everything already streamed stays resumable).
+	// Stopping drains: in-flight cells finish, queued ones are dropped.
 	finish := func(i int) {
-		if cells[i].err != nil {
-			aborted.Store(true)
-			sched.stop()
-			return
-		}
 		if cp != nil {
-			streamed, err := cp.write(i, cells[i])
+			streamed, err := cp.write(&cells[i])
 			if err != nil {
-				aborted.Store(true)
 				sched.stop()
 				return
 			}
@@ -192,20 +189,13 @@ func (r *Runner) Run() (*Results, error) {
 			if !ok {
 				return
 			}
-			// Under an abort the grid drains: in-flight cells
-			// finish, queued ones are skipped.
-			if !aborted.Load() {
-				cells[i] = r.runCell(jobs[i])
-				finish(i)
-			}
+			cells[i] = r.runCell(i, jobs[i])
+			finish(i)
 			sched.done()
 		}
 	}
 	var wg sync.WaitGroup
-	localWorkers := r.cfg.Workers
-	if localWorkers > len(pending) {
-		localWorkers = len(pending)
-	}
+	localWorkers := min(r.cfg.Workers, len(pending))
 	for w := 1; w < localWorkers; w++ {
 		wg.Add(1)
 		go func() {
@@ -220,14 +210,14 @@ func (r *Runner) Run() (*Results, error) {
 			go func(ci int, cl *remote.Client) {
 				defer wg.Done()
 				defer sched.retireRemoteSlot(ci)
-				r.remoteSlot(ci, cl, sched, jobs, cells, &aborted, finish)
+				r.remoteSlot(ci, cl, sched, jobs, cells, finish)
 			}(ci, cl)
 		}
 	}
 	// One local worker always runs on the calling goroutine — with
-	// -workers 1 the grid executes exactly where Run was called (the
-	// contract runPool had, which fault-injection tests rely on), and a
-	// requeued remote cell always has a local executor to land on.
+	// -workers 1 the grid executes exactly where Run was called (which
+	// fault-injection tests rely on), and a requeued remote cell always
+	// has a local executor to land on.
 	if localWorkers > 0 {
 		localWorker()
 	}
@@ -239,29 +229,20 @@ func (r *Runner) Run() (*Results, error) {
 	}
 
 	for i := range cells {
-		if cells[i].err != nil {
-			return nil, cells[i].err
-		}
-	}
-	for i := range cells {
-		out.Loads = append(out.Loads, cells[i].loads...)
-		out.Micro = append(out.Micro, cells[i].micro...)
-		out.Indexed = append(out.Indexed, cells[i].indexed...)
-		out.Complex = append(out.Complex, cells[i].complex...)
+		out.Loads = append(out.Loads, cells[i].Loads...)
+		out.Micro = append(out.Micro, cells[i].Micro...)
+		out.Indexed = append(out.Indexed, cells[i].Indexed...)
+		out.Complex = append(out.Complex, cells[i].Complex...)
 	}
 	return out, nil
 }
 
-// planJobs lays out the grid in the canonical sequential order; the
-// job list order is also the assembly order of the result slices.
-func (r *Runner) planJobs() []gridJob {
-	return planGrid(r.cfg.Engines, r.cfg.Datasets)
-}
-
-// planGrid is the deterministic grid plan shared by the runner, remote
-// workers (which re-derive it from the handshake fingerprint) and the
-// -status command (which re-derives it from a checkpoint header): the
-// same engine and dataset lists always produce the same indexed plan.
+// planGrid lays out the grid in the canonical sequential order; the
+// job list order is also the assembly order of the result slices. The
+// plan is shared by the runner, remote workers (which re-derive it from
+// the handshake fingerprint) and the -status command (which re-derives
+// it from a checkpoint header): the same engine and dataset lists
+// always produce the same indexed plan.
 func planGrid(engineNames, datasetNames []string) []gridJob {
 	var jobs []gridJob
 	for _, ds := range datasetNames {
@@ -279,34 +260,33 @@ func planGrid(engineNames, datasetNames []string) []gridJob {
 	return jobs
 }
 
-// runCell executes one grid job. Load errors inside the job are
-// recorded as DNF cells; they become fatal only under ErrorsFatal.
-func (r *Runner) runCell(j gridJob) cellResult {
-	var c cellResult
-	var err error
+// runCell executes grid job j, the plan's cell i. A load error inside
+// the job is recorded as DNF measurements, never returned: the paper's
+// protocol is that a failed load costs that engine its cells, not the
+// other engines their run.
+func (r *Runner) runCell(i int, j gridJob) cell {
+	c := cell{Index: i}
 	switch j.kind {
 	case jobMicroI:
 		r.progressf("micro-i %s on %s", j.engine, j.dataset)
-		err = r.runMicro(&c, j.engine, j.dataset, ModeInteractive)
+		r.runMicro(&c, j.engine, j.dataset, ModeInteractive)
 	case jobMicroB:
 		r.progressf("micro-b %s on %s", j.engine, j.dataset)
-		err = r.runMicro(&c, j.engine, j.dataset, ModeBatch)
+		r.runMicro(&c, j.engine, j.dataset, ModeBatch)
 	case jobIndexed:
 		r.progressf("indexed %s on %s", j.engine, j.dataset)
-		err = r.runIndexed(&c, j.engine, j.dataset)
+		r.runIndexed(&c, j.engine, j.dataset)
 	case jobComplex:
 		r.progressf("complex %s on ldbc", j.engine)
-		err = r.runComplex(&c, j.engine)
-	}
-	if err != nil && r.cfg.ErrorsFatal {
-		c.err = err
+		r.runComplex(&c, j.engine)
 	}
 	return c
 }
 
 // queryOrder returns the micro queries with reads and traversals first
-// and destructive operations last, so shared-instance runs are not
-// perturbed; within a group, Table 2 order.
+// (they share the cell's loaded instance) and destructive operations
+// last (each on its own fresh load); within a group, Table 2 order.
+// This is also the row order of every export.
 func queryOrder() []workload.Query {
 	all := workload.Queries()
 	var reads, writes []workload.Query
@@ -346,55 +326,50 @@ func dnf(query string, err error) Measurement {
 // what lets a resumed run restore one half and re-execute only the
 // other. The interactive half doubles as the load/space measurement;
 // the batch half's load is purely operational.
-func (r *Runner) runMicro(c *cellResult, engine, dataset string, mode Mode) error {
+func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 	ds := r.dataset(dataset)
 
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, dataset, mode
-		c.micro = append(c.micro, m)
+		c.Micro = append(c.Micro, m)
 	}
 
 	e, res, loadTime, err := r.loadInto(engine, dataset)
 	if err != nil {
 		if mode == ModeInteractive {
-			c.loads = append(c.loads, LoadMeasurement{
+			c.Loads = append(c.Loads, LoadMeasurement{
 				Engine: engine, Dataset: dataset, RawJSON: ds.rawJSON,
 				Failed: true, Error: err.Error(),
 			})
 		}
 		for _, q := range queryOrder() {
-			q := q
 			for _, name := range queryCells(&q) {
 				record(dnf(name, err))
 			}
 		}
-		return err
+		return
 	}
 	if mode == ModeInteractive {
-		c.loads = append(c.loads, LoadMeasurement{
+		c.Loads = append(c.Loads, LoadMeasurement{
 			Engine: engine, Dataset: dataset,
 			Elapsed: loadTime, Space: e.SpaceUsage(), RawJSON: ds.rawJSON,
 		})
 	}
 	pg := NewParamGen(ds.g, r.cfg.Seed)
 
-	var firstErr error
 	for _, q := range queryOrder() {
-		q := q
 		exec := e
 		execRes := res
-		// Isolation: mutating queries run against a fresh copy so the
-		// shared instance stays pristine.
-		if q.Mutates && r.cfg.Isolation {
+		// Isolation: every mutating query runs against a fresh load, so
+		// the shared instance stays pristine for the reads (which never
+		// modify it).
+		if q.Mutates {
 			fresh, freshRes, _, err := r.loadInto(engine, dataset)
 			if err != nil {
 				// The shared instance is intact; only this query's cells
 				// are DNF.
 				for _, name := range queryCells(&q) {
 					record(dnf(name, err))
-				}
-				if firstErr == nil {
-					firstErr = err
 				}
 				continue
 			}
@@ -426,7 +401,6 @@ func (r *Runner) runMicro(c *cellResult, engine, dataset string, mode Mode) erro
 		}
 	}
 	e.Close()
-	return firstErr
 }
 
 func depthSuffix(d int) string {
@@ -471,7 +445,7 @@ func (r *Runner) batch(e core.Engine, q *workload.Query, pg *ParamGen, res *core
 	if w := r.cfg.CellWorkers; w > 1 && !q.Mutates && concurrentReads(e) {
 		counts := make([]int64, r.cfg.BatchSize)
 		errs := make([]error, r.cfg.BatchSize)
-		runPool(w, r.cfg.BatchSize, func(i int) { counts[i], errs[i] = iterate(i) })
+		par.For(w, r.cfg.BatchSize, func(i int) { counts[i], errs[i] = iterate(i) })
 		for i := 0; i < r.cfg.BatchSize; i++ {
 			if errs[i] != nil {
 				classify(&total, errs[i])
@@ -506,13 +480,13 @@ func concurrentReads(e core.Engine) bool {
 // Q11 (Figure 4(c)). Engines without user indexes (BlazeGraph) are
 // skipped, engines that accept but ignore the index (Sparksee,
 // ArangoDB) run unchanged — both as the paper found.
-func (r *Runner) runIndexed(c *cellResult, engine, dataset string) error {
+func (r *Runner) runIndexed(c *cell, engine, dataset string) {
 	ds := r.dataset(dataset)
 	pg := NewParamGen(ds.g, r.cfg.Seed)
 
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, dataset, ModeInteractive
-		c.indexed = append(c.indexed, m)
+		c.Indexed = append(c.Indexed, m)
 	}
 	recordDNF := func(err error) {
 		record(dnf("Q11(idx)", err))
@@ -522,15 +496,14 @@ func (r *Runner) runIndexed(c *cellResult, engine, dataset string) error {
 	e, res, _, err := r.loadInto(engine, dataset)
 	if err != nil {
 		recordDNF(err)
-		return err
+		return
 	}
 	defer e.Close()
 	if err := e.BuildVertexPropIndex(pg.vPropName); err != nil {
-		if err == core.ErrUnsupported {
-			return nil
+		if err != core.ErrUnsupported {
+			recordDNF(err)
 		}
-		recordDNF(err)
-		return err
+		return
 	}
 	q := workload.ByName("Q11")
 	m := r.timeQuery(e, q, pg.For(q, 0, res))
@@ -546,16 +519,15 @@ func (r *Runner) runIndexed(c *cellResult, engine, dataset string) error {
 	m5 := r.timeQuery(e, q5, p5)
 	m5.Query = "Q5(idx)"
 	record(m5)
-	return nil
 }
 
 // runComplex executes the 13 LDBC-derived queries (Figure 2) on ldbc.
-func (r *Runner) runComplex(c *cellResult, engine string) error {
+func (r *Runner) runComplex(c *cell, engine string) {
 	ds := r.dataset("ldbc")
 
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, "ldbc", ModeInteractive
-		c.complex = append(c.complex, m)
+		c.Complex = append(c.Complex, m)
 	}
 
 	e, res, _, err := r.loadInto(engine, "ldbc")
@@ -563,7 +535,7 @@ func (r *Runner) runComplex(c *cellResult, engine string) error {
 		for _, cq := range workload.ComplexQueries() {
 			record(dnf(cq.Name, err))
 		}
-		return err
+		return
 	}
 	defer e.Close()
 	cp := ComplexFor(ds.g, r.cfg.Seed, res)
@@ -576,5 +548,4 @@ func (r *Runner) runComplex(c *cellResult, engine string) error {
 		cancel()
 		record(m)
 	}
-	return nil
 }

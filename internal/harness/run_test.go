@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,19 +19,6 @@ func TestDepthSuffix(t *testing.T) {
 	for d, want := range cases {
 		if got := depthSuffix(d); got != want {
 			t.Errorf("depthSuffix(%d) = %q, want %q", d, got, want)
-		}
-	}
-}
-
-func TestRunPoolExecutesEveryJobOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16, 64} {
-		const n = 37
-		var counts [n]atomic.Int64
-		runPool(workers, n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: job %d executed %d times", workers, i, c)
-			}
 		}
 	}
 }
@@ -160,7 +146,6 @@ func (f *failLoadEngine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 // TestLoadFailureRecordsDNF: an engine whose load fails must be
 // recorded as DNF — failed LoadMeasurement plus failed cells — while
 // every other engine's results are still collected, as in the paper.
-// Config.ErrorsFatal restores the abort-on-error behaviour.
 func TestLoadFailureRecordsDNF(t *testing.T) {
 	unregister := engines.Register("fail-load", func() core.Engine {
 		return &failLoadEngine{sqlg.New()}
@@ -243,15 +228,5 @@ func TestLoadFailureRecordsDNF(t *testing.T) {
 	}
 	if !strings.Contains(q1Row, ",true,") {
 		t.Fatalf("CSV Q1 row for failing engine not flagged failed: %q", q1Row)
-	}
-
-	// ErrorsFatal restores the old abort semantics.
-	cfg.ErrorsFatal = true
-	r2, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Run(); err == nil {
-		t.Fatal("ErrorsFatal run did not surface the load error")
 	}
 }

@@ -3,8 +3,8 @@ package harness
 import "sync"
 
 // cellScheduler coordinates one grid's pending cells between local
-// worker goroutines and remote worker slots. It replaces the plain
-// index counter of runPool with two queues:
+// worker goroutines and remote worker slots. Unlike a plain index
+// fan-out (par.For) it has two queues:
 //
 //   - shared: cells any executor may take — with one restriction: a
 //     remote that already failed a cell never gets that cell again;
@@ -153,7 +153,7 @@ func (s *cellScheduler) requeueRemote(i, executor int) (retriableRemotely bool) 
 
 // stop drains the scheduler early: queued cells are dropped and every
 // executor retires as soon as it finishes its current cell. Used when
-// the grid aborts (ErrorsFatal, checkpoint write failure).
+// the grid aborts on a checkpoint write failure.
 func (s *cellScheduler) stop() {
 	s.mu.Lock()
 	s.stopped = true

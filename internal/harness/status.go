@@ -50,12 +50,9 @@ func ReadStatus(path string) (*Status, error) {
 		return nil, err
 	}
 
-	// The same drift guards resume applies: a checkpoint from a build
-	// with a different record format, or whose plan no longer matches
-	// this build's planGrid, would silently misattribute every record.
-	if fp.Version != checkpointVersion {
-		return nil, fmt.Errorf("harness: checkpoint %s was written with record format v%d; this build reads v%d", path, fp.Version, checkpointVersion)
-	}
+	// The same drift guard resume applies: a checkpoint whose plan no
+	// longer matches this build's planGrid would silently misattribute
+	// every record (readCheckpoint already refused a foreign version).
 	jobs := planGrid(fp.Engines, fp.Datasets)
 	if fp.Jobs != len(jobs) {
 		return nil, fmt.Errorf("harness: checkpoint %s planned %d cells but this build plans %d for the same engines and datasets; the builds are incompatible", path, fp.Jobs, len(jobs))
@@ -84,29 +81,24 @@ func ReadStatus(path string) (*Status, error) {
 	return st, nil
 }
 
-// cellFatalError is the one scanner for the paper's DNF in a completed
-// cell — a failed load, or any dependent measurement marked "DNF: …" —
-// returning the underlying error. The -status DNF count (cellDNF) and
-// the remote ErrorsFatal reconstruction both build on it, so the DNF
-// encoding has a single reader to keep in sync with dnf().
-func cellFatalError(c cellResult) error {
-	for _, l := range c.loads {
+// cellDNF reports whether a completed cell recorded the paper's DNF —
+// a failed load, or any dependent measurement carrying the "DNF: …"
+// error dnf() writes.
+func cellDNF(c cell) bool {
+	for _, l := range c.Loads {
 		if l.Failed {
-			return errors.New(l.Error)
+			return true
 		}
 	}
-	for _, ms := range [][]Measurement{c.micro, c.indexed, c.complex} {
+	for _, ms := range [][]Measurement{c.Micro, c.Indexed, c.Complex} {
 		for _, m := range ms {
 			if m.Failed && strings.HasPrefix(m.Error, "DNF: ") {
-				return errors.New(strings.TrimPrefix(m.Error, "DNF: "))
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }
-
-// cellDNF reports whether a completed cell recorded the paper's DNF.
-func cellDNF(c cellResult) bool { return cellFatalError(c) != nil }
 
 // Render prints the summary: one headline, the identifying config, and
 // a per-engine table.

@@ -4,30 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
-
-// cellRecord is the streamed form of one completed grid cell: one JSONL
-// line in the checkpoint file, keyed by the deterministic plan index.
-// Measurements round-trip exactly (durations are nanosecond integers),
-// which is what makes a resumed run's export byte-identical to an
-// uninterrupted one.
-type cellRecord struct {
-	Index   int               `json:"i"`
-	Loads   []LoadMeasurement `json:"loads,omitempty"`
-	Micro   []Measurement     `json:"micro,omitempty"`
-	Indexed []Measurement     `json:"indexed,omitempty"`
-	Complex []Measurement     `json:"complex,omitempty"`
-}
-
-func (rec *cellRecord) cell() cellResult {
-	return cellResult{loads: rec.Loads, micro: rec.Micro, indexed: rec.Indexed, complex: rec.Complex}
-}
-
-func asRecord(i int, c cellResult) cellRecord {
-	return cellRecord{Index: i, Loads: c.loads, Micro: c.micro, Indexed: c.indexed, Complex: c.complex}
-}
 
 // checkpointWriter streams completed cells to the checkpoint file as
 // workers finish. Every record is flushed and fsynced before write
@@ -48,7 +26,7 @@ type checkpointWriter struct {
 // of records; the rewrite goes through a temp file renamed over the
 // original, so a crash *during* the rewrite still leaves the previous
 // checkpoint intact rather than a truncated one.
-func newCheckpointWriter(path string, fp Fingerprint, recovered map[int]cellResult) (*checkpointWriter, error) {
+func newCheckpointWriter(path string, fp Fingerprint, recovered map[int]cell) (*checkpointWriter, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -63,14 +41,11 @@ func newCheckpointWriter(path string, fp Fingerprint, recovered map[int]cellResu
 	if err := w.enc.Encode(fp); err != nil {
 		return fail(err)
 	}
-	idx := make([]int, 0, len(recovered))
-	for i := range recovered {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		if err := w.enc.Encode(asRecord(i, recovered[i])); err != nil {
-			return fail(err)
+	for i := 0; i < fp.Jobs; i++ {
+		if c, ok := recovered[i]; ok {
+			if err := w.enc.Encode(c); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if err := f.Sync(); err != nil {
@@ -90,11 +65,11 @@ func newCheckpointWriter(path string, fp Fingerprint, recovered map[int]cellResu
 // completing a multi-hour run whose results cannot be exported safely
 // is worse than failing fast (everything already streamed remains
 // resumable).
-func (w *checkpointWriter) write(i int, c cellResult) (int, error) {
+func (w *checkpointWriter) write(c *cell) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {
-		if err := w.enc.Encode(asRecord(i, c)); err != nil {
+		if err := w.enc.Encode(c); err != nil {
 			w.err = fmt.Errorf("harness: checkpoint: %w", err)
 		} else if err := w.f.Sync(); err != nil {
 			w.err = fmt.Errorf("harness: checkpoint: %w", err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -162,15 +161,4 @@ func genOp(rng *rand.Rand, m Mix, nBase int) op {
 func clientRNG(seed int64, client int) *rand.Rand {
 	const spread = int64(-0x61c8864680b583eb) // golden-ratio multiplier, as int64
 	return rand.New(rand.NewSource(seed ^ (int64(client)+1)*spread))
-}
-
-// sortOpNames returns the op kind names in schema order; kept here so
-// the report builder and tests agree on the per_op ordering.
-func opKinds() []opKind {
-	ks := make([]opKind, 0, nOpKinds)
-	for k := opKind(0); k < nOpKinds; k++ {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

@@ -484,7 +484,7 @@ func buildReport(cfg Config, clients []*client, durationNS int64) *Report {
 	if durationNS > 0 {
 		rep.Throughput = float64(rep.Ops) / (float64(durationNS) / 1e9)
 	}
-	for _, k := range opKinds() {
+	for k := opKind(0); k < nOpKinds; k++ {
 		h := perKind[k]
 		if h.Count() == 0 && kindErrs[k] == 0 {
 			continue
