@@ -28,16 +28,34 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
-	const n = 100_000
+func benchTree(n int) (*Tree, [][]byte) {
 	keys := benchKeys(n)
 	tr := New()
 	for _, k := range keys {
 		tr.Put(k, k)
 	}
+	return tr, keys
+}
+
+func BenchmarkGet(b *testing.B) {
+	const n = 100_000
+	tr, keys := benchTree(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(keys[i%n])
+	}
+}
+
+// BenchmarkSeek is the descent every prefix and range scan starts with;
+// like Get it must report 0 allocs/op.
+func BenchmarkSeek(b *testing.B) {
+	const n = 100_000
+	tr, keys := benchTree(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Seek(keys[i%n]).Next()
 	}
 }
 
@@ -61,7 +79,9 @@ func BenchmarkBulkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkPrefixScan(b *testing.B) {
+// BenchmarkAscendPrefix is the triple store's statement-pattern scan
+// (blaze's forSP/forPO/forS).
+func BenchmarkAscendPrefix(b *testing.B) {
 	const n = 100_000
 	tr := New()
 	for i := 0; i < n; i++ {
@@ -70,6 +90,7 @@ func BenchmarkPrefixScan(b *testing.B) {
 		tr.Put(k, nil)
 	}
 	prefix := []byte{0, 0, 0}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0

@@ -12,6 +12,11 @@
 // architecture: every insertion rebalances eagerly (node splits propagate
 // up immediately), which is why the triple store's per-statement loading
 // is slow unless its bulk path is used (see BulkBuild).
+//
+// What the paper does not price is heap churn, so reads never allocate:
+// Get, Has, Seek, AscendPrefix and AscendRange descend without recording
+// a path and iterate with a stack Cursor. Only Put and Delete record the
+// descent path their rebalancing walks back up, in a fixed stack array.
 package btree
 
 import (
@@ -70,7 +75,7 @@ func (t *Tree) payload(k, v []byte) int64 { return int64(len(k)+len(v)) + 48 }
 
 // Get returns the value stored under key, or nil and false.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
-	l, _ := t.findLeaf(key)
+	l := t.leafFor(key)
 	i, ok := l.search(key)
 	if !ok {
 		return nil, false
@@ -110,10 +115,23 @@ func (in *inner) childIndex(key []byte) int {
 	return lo
 }
 
-// findLeaf descends to the leaf that owns key, recording the path of
-// inner nodes and child indexes for rebalancing.
-func (t *Tree) findLeaf(key []byte) (*leaf, []pathElem) {
-	var path []pathElem
+// leafFor descends to the leaf that owns key: the read-only descent,
+// which records no path.
+func (t *Tree) leafFor(key []byte) *leaf {
+	n := t.root
+	for {
+		switch x := n.(type) {
+		case *leaf:
+			return x
+		case *inner:
+			n = x.children[x.childIndex(key)]
+		}
+	}
+}
+
+// findLeaf is leafFor for mutations: it appends the path of inner nodes
+// and child indexes to path, for rebalancing.
+func (t *Tree) findLeaf(key []byte, path []pathElem) (*leaf, []pathElem) {
 	n := t.root
 	for {
 		switch x := n.(type) {
@@ -132,10 +150,16 @@ type pathElem struct {
 	idx int
 }
 
+// pathDepth sizes the stack array a mutation records its path in: a
+// tree of degree 32 needs more levels only beyond 2^32 keys, and append
+// falls back to the heap if it ever does.
+const pathDepth = 8
+
 // Put inserts key→value, replacing any existing value. It returns true
 // if the key was new.
 func (t *Tree) Put(key, value []byte) bool {
-	l, path := t.findLeaf(key)
+	var buf [pathDepth]pathElem
+	l, path := t.findLeaf(key, buf[:0])
 	i, ok := l.search(key)
 	if ok {
 		t.bytes += int64(len(value) - len(l.vals[i]))
@@ -218,7 +242,8 @@ func (t *Tree) splitInner(in *inner, path []pathElem) {
 // allowed to become sparse (a common implementation simplification that
 // preserves ordering invariants and amortized performance).
 func (t *Tree) Delete(key []byte) bool {
-	l, path := t.findLeaf(key)
+	var buf [pathDepth]pathElem
+	l, path := t.findLeaf(key, buf[:0])
 	i, ok := l.search(key)
 	if !ok {
 		return false
@@ -263,7 +288,8 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 		}
 	}
 	// Merge with a sibling.
-	if idx+1 < len(p.children) {
+	switch {
+	case idx+1 < len(p.children):
 		r := p.children[idx+1].(*leaf)
 		l.keys = append(l.keys, r.keys...)
 		l.vals = append(l.vals, r.vals...)
@@ -273,7 +299,7 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 		}
 		p.keys = removeAt(p.keys, idx)
 		p.children = removeAt(p.children, idx+1)
-	} else if idx > 0 {
+	case idx > 0:
 		lft := p.children[idx-1].(*leaf)
 		lft.keys = append(lft.keys, l.keys...)
 		lft.vals = append(lft.vals, l.vals...)
@@ -283,18 +309,21 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 		}
 		p.keys = removeAt(p.keys, idx-1)
 		p.children = removeAt(p.children, idx)
+	default:
+		// The only child of a sparse parent: nothing to merge with, and
+		// no node freed.
+		return
 	}
-	t.bytes -= 96
-	t.collapseRoot(path)
+	t.bytes -= 96 // the merged-away leaf
+	t.collapseRoot()
 }
 
 // collapseRoot shrinks the tree height when the root lost all separators.
-func (t *Tree) collapseRoot(path []pathElem) {
+func (t *Tree) collapseRoot() {
 	if r, ok := t.root.(*inner); ok && len(r.children) == 1 {
 		t.root = r.children[0]
 		t.bytes -= 96
 	}
-	_ = path
 }
 
 // Cursor iterates key/value pairs in ascending key order.
@@ -319,9 +348,14 @@ func (c *Cursor) Next() (key, value []byte, ok bool) {
 
 // Seek positions a cursor at the first key >= start.
 func (t *Tree) Seek(start []byte) *Cursor {
-	l, _ := t.findLeaf(start)
+	c := t.seek(start)
+	return &c
+}
+
+func (t *Tree) seek(start []byte) Cursor {
+	l := t.leafFor(start)
 	i, _ := l.search(start)
-	return &Cursor{l: l, i: i}
+	return Cursor{l: l, i: i}
 }
 
 // Scan positions a cursor at the smallest key.
@@ -330,7 +364,7 @@ func (t *Tree) Scan() *Cursor { return &Cursor{l: t.first} }
 // AscendPrefix calls fn for every pair whose key begins with prefix,
 // in key order, until fn returns false.
 func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
-	c := t.Seek(prefix)
+	c := t.seek(prefix)
 	for {
 		k, v, ok := c.Next()
 		if !ok || !bytes.HasPrefix(k, prefix) {
@@ -344,7 +378,7 @@ func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
 
 // AscendRange calls fn for every pair with start <= key < end.
 func (t *Tree) AscendRange(start, end []byte, fn func(key, value []byte) bool) {
-	c := t.Seek(start)
+	c := t.seek(start)
 	for {
 		k, v, ok := c.Next()
 		if !ok || (end != nil && bytes.Compare(k, end) >= 0) {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 func key(i int) []byte {
@@ -227,51 +230,224 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestQuickAgainstMap drives random Put/Delete/Get sequences and checks
-// the tree against a reference map, plus scan ordering invariants.
+// TestQuickAgainstMap drives random Put/Delete/Get sequences over a key
+// space large enough for trees of depth 3 and more — so a rebalance that
+// walks its recorded path wrongly cannot hide at depth 2 — first growing
+// the tree, then shrinking it through merges and root collapses, then
+// draining it to a handful of keys. After each phase it checks the tree
+// against a reference map: scans, ranges, prefixes, the leaf chain and
+// the space accounting.
 func TestQuickAgainstMap(t *testing.T) {
-	f := func(ops []uint16, seed int64) bool {
+	const keySpace = 20_000
+	maxDepth := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		tr := New()
 		ref := make(map[string]string)
-		rng := rand.New(rand.NewSource(seed))
-		for _, op := range ops {
-			k := string(key(int(op % 512)))
-			switch rng.Intn(3) {
-			case 0:
-				v := fmt.Sprint(rng.Intn(1000))
-				tr.Put([]byte(k), []byte(v))
-				ref[k] = v
-			case 1:
-				delete(ref, k)
-				tr.Delete([]byte(k))
-			case 2:
-				v, ok := tr.Get([]byte(k))
-				rv, rok := ref[k]
-				if ok != rok || (ok && string(v) != rv) {
-					return false
+		for _, putShare := range []int{80, 20, 2} { // grow, shrink, drain
+			for n := 0; n < 2*keySpace; n++ {
+				k := key(rng.Intn(keySpace))
+				switch r := rng.Intn(100); {
+				case r < putShare:
+					v := fmt.Sprint(rng.Intn(1000))
+					tr.Put(k, []byte(v))
+					ref[string(k)] = v
+				case r < 95:
+					_, had := ref[string(k)]
+					delete(ref, string(k))
+					if tr.Delete(k) != had {
+						t.Logf("seed %d: Delete(%x) != %v", seed, k, had)
+						return false
+					}
+				default:
+					v, ok := tr.Get(k)
+					rv, rok := ref[string(k)]
+					if ok != rok || (ok && string(v) != rv) || tr.Has(k) != rok {
+						t.Logf("seed %d: Get(%x) = %q, %v; want %q, %v", seed, k, v, ok, rv, rok)
+						return false
+					}
 				}
 			}
-		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		// Full scan equals sorted reference.
-		var want []string
-		for k := range ref {
-			want = append(want, k)
-		}
-		sort.Strings(want)
-		c := tr.Scan()
-		for _, wk := range want {
-			k, v, ok := c.Next()
-			if !ok || string(k) != wk || string(v) != ref[wk] {
+			maxDepth = max(maxDepth, tr.depth())
+			if err := checkAgainst(tr, ref, rng, keySpace); err != nil {
+				t.Logf("seed %d, put share %d%%: %v", seed, putShare, err)
 				return false
 			}
 		}
-		_, _, ok := c.Next()
-		return !ok
+		// Drain to a handful of keys: inner nodes go sparse and leaves
+		// become only children, with nothing left to merge with.
+		doomed := slices.Sorted(maps.Keys(ref))
+		rng.Shuffle(len(doomed), func(i, j int) { doomed[i], doomed[j] = doomed[j], doomed[i] })
+		for _, k := range doomed[min(10, len(doomed)):] {
+			delete(ref, k)
+			tr.Delete([]byte(k))
+		}
+		if err := checkAgainst(tr, ref, rng, keySpace); err != nil {
+			t.Logf("seed %d, drained: %v", seed, err)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 		t.Error(err)
+	}
+	if maxDepth < 3 {
+		t.Errorf("deepest tree had %d levels, want >= 3", maxDepth)
+	}
+}
+
+// checkAgainst compares tr with the reference map ref.
+func checkAgainst(tr *Tree, ref map[string]string, rng *rand.Rand, keySpace int) error {
+	if tr.Len() != len(ref) {
+		return fmt.Errorf("Len = %d, want %d", tr.Len(), len(ref))
+	}
+	want := slices.Sorted(maps.Keys(ref))
+	// Full scan equals the sorted reference.
+	var got []string
+	c := tr.Scan()
+	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
+		if string(v) != ref[string(k)] {
+			return fmt.Errorf("scan: %x = %q, want %q", k, v, ref[string(k)])
+		}
+		got = append(got, string(k))
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("scan visited %d keys, want %d in order", len(got), len(want))
+	}
+	// The leaf chain links the tree's leaves left to right, both ways.
+	leaves := tr.leaves()
+	var prev *leaf
+	for i, l := range leaves {
+		if (i == 0) != (l == tr.first) || l.prev != prev || (prev != nil && prev.next != l) {
+			return fmt.Errorf("leaf chain broken at leaf %d of %d", i, len(leaves))
+		}
+		prev = l
+	}
+	if prev.next != nil {
+		return fmt.Errorf("last leaf has a next")
+	}
+	// Space accounting: every node but New's first leaf, plus payload.
+	nodes, payload := tr.recount()
+	if b := int64(96*(nodes-1)) + payload; tr.Bytes() != b {
+		return fmt.Errorf("Bytes = %d, tree walk counts %d (%d nodes)", tr.Bytes(), b, nodes)
+	}
+	collect := func(scan func(fn func(k, _ []byte) bool)) []string {
+		var out []string
+		scan(func(k, _ []byte) bool { out = append(out, string(k)); return true })
+		return out
+	}
+	for i := 0; i < 20; i++ {
+		lo, end := key(rng.Intn(keySpace)), key(rng.Intn(keySpace+1))
+		if i == 0 {
+			end = nil // unbounded
+		}
+		var exp []string
+		for _, k := range want {
+			if k >= string(lo) && (end == nil || k < string(end)) {
+				exp = append(exp, k)
+			}
+		}
+		if r := collect(func(fn func(k, _ []byte) bool) { tr.AscendRange(lo, end, fn) }); !slices.Equal(r, exp) {
+			return fmt.Errorf("AscendRange(%x, %x) = %d keys, want %d", lo, end, len(r), len(exp))
+		}
+		prefix := key(rng.Intn(keySpace))[:6+i%2] // the whole tree, or 256 keys
+		exp = exp[:0]
+		for _, k := range want {
+			if bytes.HasPrefix([]byte(k), prefix) {
+				exp = append(exp, k)
+			}
+		}
+		if r := collect(func(fn func(k, _ []byte) bool) { tr.AscendPrefix(prefix, fn) }); !slices.Equal(r, exp) {
+			return fmt.Errorf("AscendPrefix(%x) = %d keys, want %d", prefix, len(r), len(exp))
+		}
+	}
+	return nil
+}
+
+// depth is the number of levels, leaves included.
+func (t *Tree) depth() int {
+	d := 1
+	for n := t.root; ; d++ {
+		in, ok := n.(*inner)
+		if !ok {
+			return d
+		}
+		n = in.children[0]
+	}
+}
+
+// leaves returns the leaves in tree order.
+func (t *Tree) leaves() []*leaf {
+	var out []*leaf
+	var walk func(node)
+	walk = func(n node) {
+		switch x := n.(type) {
+		case *leaf:
+			out = append(out, x)
+		case *inner:
+			for _, c := range x.children {
+				walk(c)
+			}
+		}
+	}
+	walk(t.root)
+	return out
+}
+
+// recount walks the tree: its node count and key+value payload.
+func (t *Tree) recount() (nodes int, payload int64) {
+	var walk func(node)
+	walk = func(n node) {
+		nodes++
+		switch x := n.(type) {
+		case *leaf:
+			for i, k := range x.keys {
+				payload += t.payload(k, x.vals[i])
+			}
+		case *inner:
+			for _, c := range x.children {
+				walk(c)
+			}
+		}
+	}
+	walk(t.root)
+	return nodes, payload
+}
+
+// TestReadAllocs pins the allocation-free read path: reads descend
+// without recording a path and iterate with a stack cursor, and a Put
+// that replaces a value records its path in a stack array.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tr := New()
+	for i := 0; i < 5000; i++ {
+		tr.Put(key(i), key(i))
+	}
+	if tr.depth() < 3 {
+		t.Fatalf("tree has %d levels, want >= 3", tr.depth())
+	}
+	k, lo, hi, v := key(1234), key(1000), key(1100), []byte("v")
+	prefix := k[:7]
+	n := 0
+	visit := func(_, _ []byte) bool { n++; return true }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Get", func() { tr.Get(k) }},
+		{"Has", func() { tr.Has(k) }},
+		{"Seek", func() { tr.Seek(k).Next() }},
+		{"AscendPrefix", func() { tr.AscendPrefix(prefix, visit) }},
+		{"AscendRange", func() { tr.AscendRange(lo, hi, visit) }},
+		{"Put existing", func() { tr.Put(k, v) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.fn); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+	if n == 0 {
+		t.Fatal("scans visited nothing")
 	}
 }

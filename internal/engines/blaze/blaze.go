@@ -139,20 +139,17 @@ func (e *Engine) literal(v core.Value) int64 {
 
 func (e *Engine) literalValue(t int64) core.Value { return e.litVals[termSeq(t)] }
 
-func key3(a, b, c int64) []byte {
-	k := make([]byte, 0, 24)
-	k = enc.Int64(k, a)
-	k = enc.Int64(k, b)
-	return enc.Int64(k, c)
-}
+// Statement keys are order-preserving int64 terms. Writes allocate their
+// keys, which the trees retain; read probes and prefixes encode into a
+// caller's stack buffer (var buf [24]byte; appendKey(buf[:0], …)).
+func key3(a, b, c int64) []byte { return appendKey(make([]byte, 0, 24), a, b, c) }
 
-func key2(a, b int64) []byte {
-	k := make([]byte, 0, 16)
-	k = enc.Int64(k, a)
-	return enc.Int64(k, b)
+func appendKey(k []byte, terms ...int64) []byte {
+	for _, t := range terms {
+		k = enc.Int64(k, t)
+	}
+	return k
 }
-
-func key1(a int64) []byte { return enc.Int64(nil, a) }
 
 func decode3(k []byte) (a, b, c int64) {
 	a, k = enc.TakeInt64(k)
@@ -190,12 +187,14 @@ func (e *Engine) removeStatement(st statement) bool {
 }
 
 func (e *Engine) hasStatement(st statement) bool {
-	return e.spo.Has(key3(st.s, st.p, st.o))
+	var buf [24]byte
+	return e.spo.Has(appendKey(buf[:0], st.s, st.p, st.o))
 }
 
 // forSP iterates objects of (s, p, *).
 func (e *Engine) forSP(s, p int64, fn func(o int64) bool) {
-	e.spo.AscendPrefix(key2(s, p), func(k, _ []byte) bool {
+	var buf [24]byte
+	e.spo.AscendPrefix(appendKey(buf[:0], s, p), func(k, _ []byte) bool {
 		_, _, o := decode3(k)
 		return fn(o)
 	})
@@ -203,7 +202,8 @@ func (e *Engine) forSP(s, p int64, fn func(o int64) bool) {
 
 // forPO iterates subjects of (*, p, o).
 func (e *Engine) forPO(p, o int64, fn func(s int64) bool) {
-	e.pos.AscendPrefix(key2(p, o), func(k, _ []byte) bool {
+	var buf [24]byte
+	e.pos.AscendPrefix(appendKey(buf[:0], p, o), func(k, _ []byte) bool {
 		_, _, s := decode3(k)
 		return fn(s)
 	})
@@ -211,7 +211,8 @@ func (e *Engine) forPO(p, o int64, fn func(s int64) bool) {
 
 // forS iterates (p, o) pairs of (s, *, *).
 func (e *Engine) forS(s int64, fn func(p, o int64) bool) {
-	e.spo.AscendPrefix(key1(s), func(k, _ []byte) bool {
+	var buf [24]byte
+	e.spo.AscendPrefix(appendKey(buf[:0], s), func(k, _ []byte) bool {
 		_, p, o := decode3(k)
 		return fn(p, o)
 	})

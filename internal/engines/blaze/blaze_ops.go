@@ -2,6 +2,7 @@ package blaze
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -274,7 +275,8 @@ func (e *Engine) CountVertices() (int64, error) {
 // CountEdges implements core.Engine: enumerate reified subjects.
 func (e *Engine) CountEdges() (int64, error) {
 	var n int64
-	e.pos.AscendPrefix(key1(rdfSubject), func(_, _ []byte) bool { n++; return true })
+	var buf [24]byte
+	e.pos.AscendPrefix(appendKey(buf[:0], rdfSubject), func(_, _ []byte) bool { n++; return true })
 	return n, nil
 }
 
@@ -291,7 +293,8 @@ func (e *Engine) Vertices() core.Iter[core.ID] {
 // Edges implements core.Engine.
 func (e *Engine) Edges() core.Iter[core.ID] {
 	var out []core.ID
-	e.pos.AscendPrefix(key1(rdfSubject), func(k, _ []byte) bool {
+	var buf [24]byte
+	e.pos.AscendPrefix(appendKey(buf[:0], rdfSubject), func(k, _ []byte) bool {
 		_, _, s := decode3(k)
 		out = append(out, core.ID(s))
 		return true
@@ -345,23 +348,22 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	if !e.HasVertex(id) {
 		return core.EmptyIter[core.ID]()
 	}
-	var want map[int64]bool
-	if len(labels) > 0 {
-		want = make(map[int64]bool, len(labels))
-		for _, l := range labels {
-			if pr, ok := e.predOf("label:" + l); ok {
-				want[pr] = true
-			}
+	// The label predicates to keep; empty means unfiltered.
+	var wantBuf [4]int64
+	want := wantBuf[:0]
+	for _, l := range labels {
+		if pr, ok := e.predOf("label:" + l); ok {
+			want = append(want, pr)
 		}
-		if len(want) == 0 {
-			return core.EmptyIter[core.ID]()
-		}
+	}
+	if len(labels) > 0 && len(want) == 0 {
+		return core.EmptyIter[core.ID]()
 	}
 	var out []core.ID
 	add := func(s int64) bool {
-		if want != nil {
+		if len(want) > 0 {
 			p, _ := e.firstSP(s, rdfPredicate)
-			if !want[p] {
+			if !slices.Contains(want, p) {
 				return true
 			}
 		}

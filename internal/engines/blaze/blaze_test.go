@@ -1,10 +1,12 @@
 package blaze
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engines/enginetest"
+	"repro/internal/race"
 )
 
 func TestConformance(t *testing.T) {
@@ -147,5 +149,41 @@ func TestSpaceTriplication(t *testing.T) {
 	}
 	if pos < spo/2 || pos > spo*2 || osp < spo/2 || osp > spo*2 {
 		t.Fatalf("index sizes should be comparable: %d/%d/%d", spo, pos, osp)
+	}
+}
+
+// TestReadAllocs pins allocation-free probes: every read still pays its
+// B+Tree descents (the reification cost the paper measures), but the
+// probe keys live on the stack and the descents record no path.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := New()
+	defer e.Close()
+	var vs []core.ID
+	for i := 0; i < 500; i++ {
+		v, _ := e.AddVertex(core.Props{"name": core.S(fmt.Sprint("v", i)), "age": core.I(int64(i))})
+		vs = append(vs, v)
+	}
+	var eid core.ID
+	for i := 1; i < len(vs); i++ {
+		eid, _ = e.AddEdge(vs[i-1], vs[i], "knows", core.Props{"w": core.I(int64(i))})
+	}
+	v := vs[250]
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"HasVertex", func() { e.HasVertex(v) }},
+		{"EdgeEnds", func() { e.EdgeEnds(eid) }},
+		{"VertexProp", func() { e.VertexProp(v, "age") }},
+	} {
+		if a := testing.AllocsPerRun(100, c.fn); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+	if age, ok := e.VertexProp(v, "age"); !ok || age != core.I(250) {
+		t.Fatalf("VertexProp = %v, %v", age, ok)
 	}
 }

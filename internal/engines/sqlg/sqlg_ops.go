@@ -34,8 +34,7 @@ func (e *Engine) HasVertex(id core.ID) bool {
 	if _, isEdge := splitEdgeID(id); isEdge || id < 0 {
 		return false
 	}
-	_, ok := e.vtab.Get(int64(id))
-	return ok
+	return e.vtab.Has(int64(id))
 }
 
 // VertexProps implements core.Engine.
@@ -101,7 +100,7 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 		})
 		for _, eid := range doomed {
 			// A loop edge is collected twice; the second delete is a no-op.
-			if _, ok := t.Get(eid); ok {
+			if t.Has(eid) {
 				if err := t.Delete(eid); err != nil {
 					return err
 				}
@@ -140,6 +139,16 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	return id, nil
 }
 
+// edgeTableOf returns the join table holding edge id, if the edge
+// exists; edgeRow also copies the row, for callers that read it.
+func (e *Engine) edgeTableOf(id core.ID) (*rel.Table, bool) {
+	ti, isEdge := splitEdgeID(id)
+	if !isEdge || ti >= len(e.etabs) || !e.etabs[ti].Has(int64(id)) {
+		return nil, false
+	}
+	return e.etabs[ti], true
+}
+
 func (e *Engine) edgeRow(id core.ID) (*rel.Table, rel.Row, bool) {
 	ti, isEdge := splitEdgeID(id)
 	if !isEdge || ti >= len(e.etabs) {
@@ -154,19 +163,16 @@ func (e *Engine) edgeRow(id core.ID) (*rel.Table, rel.Row, bool) {
 
 // HasEdge implements core.Engine.
 func (e *Engine) HasEdge(id core.ID) bool {
-	_, _, ok := e.edgeRow(id)
+	_, ok := e.edgeTableOf(id)
 	return ok
 }
 
 // EdgeLabel implements core.Engine: the label is the table.
 func (e *Engine) EdgeLabel(id core.ID) (string, error) {
-	ti, isEdge := splitEdgeID(id)
-	if !isEdge || ti >= len(e.etabs) {
+	if _, ok := e.edgeTableOf(id); !ok {
 		return "", core.ErrNotFound
 	}
-	if _, ok := e.etabs[ti].Get(int64(id)); !ok {
-		return "", core.ErrNotFound
-	}
+	ti, _ := splitEdgeID(id)
 	return e.labels.Name(uint32(ti)), nil
 }
 
@@ -190,7 +196,7 @@ func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
 
 // EdgeProp implements core.Engine.
 func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	t, _, ok := e.edgeRow(id)
+	t, ok := e.edgeTableOf(id)
 	if !ok {
 		return core.Nil, false
 	}
@@ -203,7 +209,7 @@ func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
 
 // SetEdgeProp implements core.Engine.
 func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	t, _, ok := e.edgeRow(id)
+	t, ok := e.edgeTableOf(id)
 	if !ok {
 		return core.ErrNotFound
 	}
@@ -213,7 +219,7 @@ func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
 
 // RemoveEdgeProp implements core.Engine.
 func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	t, _, ok := e.edgeRow(id)
+	t, ok := e.edgeTableOf(id)
 	if !ok {
 		return core.ErrNotFound
 	}
@@ -225,7 +231,7 @@ func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
 
 // RemoveEdge implements core.Engine.
 func (e *Engine) RemoveEdge(id core.ID) error {
-	t, _, ok := e.edgeRow(id)
+	t, ok := e.edgeTableOf(id)
 	if !ok {
 		return core.ErrNotFound
 	}

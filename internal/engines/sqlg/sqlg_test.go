@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engines/enginetest"
+	"repro/internal/race"
 )
 
 func TestConformance(t *testing.T) {
@@ -144,5 +145,32 @@ func TestEdgesByLabelIsSingleTableScan(t *testing.T) {
 	}
 	if scansAfter, _ := cold.Stats(); scansAfter != scansBefore {
 		t.Fatal("label search touched an unrelated table")
+	}
+}
+
+// TestReadAllocs pins the existence probes: HasVertex and HasEdge test
+// the primary key without copying the row.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := New()
+	defer e.Close()
+	a, _ := e.AddVertex(core.Props{"name": core.S("a"), "age": core.I(1)})
+	b, _ := e.AddVertex(nil)
+	eid, _ := e.AddEdge(a, b, "knows", nil)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"HasVertex", func() { e.HasVertex(a) }},
+		{"HasEdge", func() { e.HasEdge(eid) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+	if !e.HasVertex(a) || e.HasVertex(eid) || !e.HasEdge(eid) || e.HasEdge(a) {
+		t.Fatal("existence probes wrong")
 	}
 }

@@ -103,7 +103,10 @@ func (e *Engine) Meta() core.EngineMeta {
 // --- key construction ---
 
 func rowKey(tag byte, id core.ID, kind byte) []byte {
-	k := make([]byte, 0, rowPrefixLen)
+	return appendRowKey(make([]byte, 0, rowPrefixLen), tag, id, kind)
+}
+
+func appendRowKey(k []byte, tag byte, id core.ID, kind byte) []byte {
 	k = append(k, tag)
 	k = enc.Uint64(k, uint64(id))
 	return append(k, kind)
@@ -114,16 +117,17 @@ func propKey(tag byte, id core.ID, tok uint32) []byte {
 	return binary.BigEndian.AppendUint32(k, tok)
 }
 
-func edgeColPrefix(id core.ID, kind byte, tok uint32) []byte {
-	k := rowKey(tagVertexRow, id, kind)
-	return binary.BigEndian.AppendUint32(k, tok)
+// appendEdgeColPrefix appends the adjacency columns' prefix for one
+// label: the row key plus the label token.
+func appendEdgeColPrefix(k []byte, id core.ID, kind byte, tok uint32) []byte {
+	return binary.BigEndian.AppendUint32(appendRowKey(k, tagVertexRow, id, kind), tok)
 }
 
 // edgeColKey encodes the adjacency column: the neighbour is stored as a
 // zigzag varint *delta* from the row's own id — the compact-ID encoding
 // behind Titan's space advantage on high-degree graphs.
 func edgeColKey(id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
-	k := edgeColPrefix(id, kind, tok)
+	k := appendEdgeColPrefix(nil, id, kind, tok)
 	k = binary.AppendVarint(k, int64(other)-int64(id))
 	return binary.AppendVarint(k, int64(eid))
 }

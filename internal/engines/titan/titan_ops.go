@@ -405,19 +405,9 @@ func (e *Engine) adjacency(id core.ID, d core.Direction, labels []string, neighb
 		return core.EmptyIter[core.ID]()
 	}
 	collect := func(kind byte, skipLoops bool) []core.ID {
-		var prefixes [][]byte
-		if len(labels) == 0 {
-			prefixes = [][]byte{rowKey(tagVertexRow, id, kind)}
-		} else {
-			for _, l := range labels {
-				if tok, ok := e.labels.Lookup(l); ok {
-					prefixes = append(prefixes, edgeColPrefix(id, kind, tok))
-				}
-			}
-		}
 		var out []core.ID
-		for _, p := range prefixes {
-			e.kv.ScanPrefix(p, func(k, _ []byte) bool {
+		scan := func(prefix []byte) {
+			e.kv.ScanPrefix(prefix, func(k, _ []byte) bool {
 				_, other, eid := parseEdgeCol(id, k)
 				if skipLoops && other == id {
 					return true
@@ -428,6 +418,15 @@ func (e *Engine) adjacency(id core.ID, d core.Direction, labels []string, neighb
 				out = append(out, eid)
 				return true
 			})
+		}
+		var buf [rowPrefixLen + 4]byte
+		if len(labels) == 0 {
+			scan(appendRowKey(buf[:0], tagVertexRow, id, kind))
+		}
+		for _, l := range labels {
+			if tok, ok := e.labels.Lookup(l); ok {
+				scan(appendEdgeColPrefix(buf[:0], id, kind, tok))
+			}
 		}
 		return out
 	}

@@ -65,6 +65,7 @@ func BenchmarkScanPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("cache=%v", cache), func(b *testing.B) {
 			s := benchStore(100_000, cache)
 			var p [8]byte
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				binary.BigEndian.PutUint64(p[:], uint64(i%1000))

@@ -44,8 +44,13 @@ type sstable struct {
 	bytes int64
 }
 
+// seek returns the position of the first key >= key.
+func (t *sstable) seek(key []byte) int {
+	return sort.Search(len(t.keys), func(i int) bool { return bytes.Compare(t.keys[i], key) >= 0 })
+}
+
 func (t *sstable) get(key []byte) (val []byte, found bool) {
-	i := sort.Search(len(t.keys), func(i int) bool { return bytes.Compare(t.keys[i], key) >= 0 })
+	i := t.seek(key)
 	if i < len(t.keys) && bytes.Equal(t.keys[i], key) {
 		return t.vals[i], true
 	}
@@ -406,51 +411,50 @@ func (s *Store) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) {
 	s.scanPrefixMerged(prefix, fn)
 }
 
-func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool) {
-	// Cursor over memtable + each run, merged newest-wins.
-	type src struct {
-		key, val []byte
-		tomb     bool
-		ok       bool
-		advance  func() ([]byte, []byte, bool, bool)
-	}
-	var srcs []*src // index 0 = memtable (newest), then runs newest→oldest
+// mergeSrc is one input of scanPrefixMerged, holding its current entry:
+// the memtable cursor (run == nil) or a position in a run.
+type mergeSrc struct {
+	mem      btree.Cursor
+	run      *sstable
+	pos      int
+	key, val []byte
+	tomb, ok bool
+}
 
-	memCursor := s.mem.Seek(prefix)
-	memAdv := func() ([]byte, []byte, bool, bool) {
-		k, v, ok := memCursor.Next()
-		if !ok || !bytes.HasPrefix(k, prefix) {
-			return nil, nil, false, false
-		}
-		val, tomb := decodeMem(v)
-		return k, val, tomb, true
+// advance loads the source's next entry under prefix, or clears ok.
+func (m *mergeSrc) advance(prefix []byte) {
+	if m.run == nil {
+		var v []byte
+		m.key, v, m.ok = m.mem.Next()
+		m.val, m.tomb = decodeMem(v)
+	} else if m.ok = m.pos < len(m.run.keys); m.ok {
+		m.key, m.val = m.run.keys[m.pos], m.run.vals[m.pos]
+		m.tomb = m.val == nil
+		m.pos++
 	}
-	srcs = append(srcs, &src{advance: memAdv})
+	m.ok = m.ok && bytes.HasPrefix(m.key, prefix)
+}
+
+// mergeWidth holds the memtable plus the at most CompactAt-1 runs a
+// default store keeps; more runs spill to the heap.
+const mergeWidth = 8
+
+func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool) {
+	// Index 0 is the memtable (newest), then runs newest→oldest, so the
+	// lowest index holding a key is its newest version.
+	var buf [mergeWidth]mergeSrc
+	srcs := append(buf[:0], mergeSrc{mem: *s.mem.Seek(prefix)})
 	for i := len(s.runs) - 1; i >= 0; i-- {
 		t := s.runs[i]
-		pos := sort.Search(len(t.keys), func(j int) bool { return bytes.Compare(t.keys[j], prefix) >= 0 })
-		tt := t
-		p := pos
-		adv := func() ([]byte, []byte, bool, bool) {
-			if p >= len(tt.keys) || !bytes.HasPrefix(tt.keys[p], prefix) {
-				return nil, nil, false, false
-			}
-			k, v := tt.keys[p], tt.vals[p]
-			p++
-			return k, v, v == nil, true
-		}
-		srcs = append(srcs, &src{advance: adv})
+		srcs = append(srcs, mergeSrc{run: t, pos: t.seek(prefix)})
 	}
-	for _, c := range srcs {
-		c.key, c.val, c.tomb, c.ok = c.advance()
+	for i := range srcs {
+		srcs[i].advance(prefix)
 	}
 	for {
 		best := -1
-		for i, c := range srcs {
-			if !c.ok {
-				continue
-			}
-			if best < 0 || bytes.Compare(c.key, srcs[best].key) < 0 {
+		for i := range srcs {
+			if srcs[i].ok && (best < 0 || bytes.Compare(srcs[i].key, srcs[best].key) < 0) {
 				best = i
 			}
 		}
@@ -458,9 +462,9 @@ func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool)
 			return
 		}
 		key, val, tomb := srcs[best].key, srcs[best].val, srcs[best].tomb
-		for _, c := range srcs {
-			for c.ok && bytes.Equal(c.key, key) {
-				c.key, c.val, c.tomb, c.ok = c.advance()
+		for i := range srcs {
+			for srcs[i].ok && bytes.Equal(srcs[i].key, key) {
+				srcs[i].advance(prefix)
 			}
 		}
 		if tomb {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 func small() Options { return Options{FlushBytes: 256, CompactAt: 4} }
@@ -217,5 +221,112 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanPrefixAgainstMap checks the merged prefix scan against a
+// reference map while tombstones sit in the memtable and in every run,
+// across flushes and a compaction: each key's newest version wins, and a
+// tombstone hides everything older.
+func TestScanPrefixAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := New(Options{FlushBytes: 1 << 30, CompactAt: 100}) // flush by hand
+	ref := make(map[string]string)
+	key := func() string { return fmt.Sprintf("r%d:%02d", rng.Intn(8), rng.Intn(40)) }
+	check := func(stage string) {
+		t.Helper()
+		for r := 0; r <= 8; r++ {
+			prefix := fmt.Sprintf("r%d:", r)
+			if r == 8 {
+				prefix = "" // the whole store
+			}
+			var want []string
+			for k, v := range ref {
+				if strings.HasPrefix(k, prefix) {
+					want = append(want, k+"="+v)
+				}
+			}
+			sort.Strings(want)
+			var got []string
+			s.ScanPrefix([]byte(prefix), func(k, v []byte) bool {
+				got = append(got, string(k)+"="+string(v))
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: ScanPrefix(%q) = %v, want %v", stage, prefix, got, want)
+			}
+		}
+		for k := range ref {
+			if v, ok := s.Get([]byte(k)); !ok || string(v) != ref[k] {
+				t.Fatalf("%s: Get(%s) = %q, %v; want %q", stage, k, v, ok, ref[k])
+			}
+		}
+	}
+	for run := 0; run < 5; run++ {
+		for i := 0; i < 150; i++ {
+			k := key()
+			if rng.Intn(3) == 0 {
+				s.Delete([]byte(k))
+				delete(ref, k)
+			} else {
+				v := fmt.Sprint(run, "-", i)
+				s.Put([]byte(k), []byte(v))
+				ref[k] = v
+			}
+		}
+		check(fmt.Sprintf("memtable over %d runs", run))
+		s.Flush()
+		check(fmt.Sprintf("%d runs", run+1))
+	}
+	for i, r := range s.runs {
+		if !slices.ContainsFunc(r.vals, func(v []byte) bool { return v == nil }) {
+			t.Fatalf("run %d holds no tombstone", i)
+		}
+	}
+	for i := 0; i < 100; i++ { // tombstones and updates over the runs
+		k := key()
+		s.Delete([]byte(k))
+		delete(ref, k)
+	}
+	check("memtable tombstones over 5 runs")
+	s.Compact()
+	check("compacted, memtable empty")
+}
+
+// TestReadAllocs pins allocation-free reads on a volatile store with a
+// memtable over two runs and no row cache: Get, and ScanPrefix's merge
+// of memtable cursor and run positions.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := New(Options{FlushBytes: 1 << 30, CompactAt: 100})
+	for run := 0; run < 3; run++ {
+		for i := 0; i < 200; i++ {
+			s.Put([]byte(fmt.Sprintf("r%d:%03d", i%10, i)), []byte(fmt.Sprint(run)))
+		}
+		if run < 2 {
+			s.Flush()
+		}
+	}
+	if _, _, runs, _, _ := s.Stats(); runs != 2 || s.mem.Len() == 0 {
+		t.Fatalf("want a memtable over 2 runs, have %d runs, %d memtable keys", runs, s.mem.Len())
+	}
+	k, prefix := []byte("r3:013"), []byte("r3:")
+	n := 0
+	visit := func(_, _ []byte) bool { n++; return true }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Get", func() { s.Get(k) }},
+		{"ScanPrefix", func() { s.ScanPrefix(prefix, visit) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.fn); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+	if n == 0 {
+		t.Fatal("scan visited nothing")
 	}
 }

@@ -29,6 +29,7 @@ func BenchmarkSelectEq(b *testing.B) {
 	for _, indexed := range []bool{false, true} {
 		b.Run(fmt.Sprintf("indexed=%v", indexed), func(b *testing.B) {
 			t := benchTable(b, 100_000, indexed)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0

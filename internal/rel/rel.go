@@ -141,6 +141,9 @@ func (t *Table) Insert(r Row) error {
 	return nil
 }
 
+// Has reports whether a row with the given id exists, without copying it.
+func (t *Table) Has(id int64) bool { _, ok := t.pk[id]; return ok }
+
 // Get returns the row with the given id (as a copy).
 func (t *Table) Get(id int64) (Row, bool) {
 	pos, ok := t.pk[id]
@@ -267,7 +270,8 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 	}
 	if idx := t.indexes[col]; idx != nil {
 		t.seeks.Add(1)
-		prefix := enc.Value(nil, v)
+		var buf [24]byte // fits every non-string value; longer ones spill
+		prefix := enc.Value(buf[:0], v)
 		idx.AscendPrefix(prefix, func(k, _ []byte) bool {
 			posBytes := k[len(prefix):]
 			pos, _ := enc.TakeUint64(posBytes)

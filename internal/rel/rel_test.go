@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/race"
 )
 
 func personTable(t *testing.T) *Table {
@@ -298,4 +299,37 @@ func TestTableReserve(t *testing.T) {
 	}
 	tb.Reserve(0)
 	tb.Reserve(-1)
+}
+
+// TestReadAllocs pins allocation-free index reads: SelectEq encodes its
+// index prefix on the stack and Has tests the primary key without
+// copying the row.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tbl := personTable(t)
+	for i := 0; i < 2000; i++ {
+		tbl.Insert(Row{core.I(int64(i)), core.S(fmt.Sprint("p", i%50)), core.I(int64(i % 90))})
+	}
+	if err := tbl.CreateIndex("age"); err != nil {
+		t.Fatal(err)
+	}
+	age := core.I(42)
+	n := 0
+	visit := func(Row) bool { n++; return true }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"SelectEq", func() { tbl.SelectEq("age", age, visit) }},
+		{"Has", func() { tbl.Has(1234) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.fn); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+	if n == 0 || !tbl.Has(1234) || tbl.Has(99999) {
+		t.Fatalf("SelectEq visited %d rows; Has(1234) = %v, Has(99999) = %v", n, tbl.Has(1234), tbl.Has(99999))
+	}
 }
