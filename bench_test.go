@@ -46,7 +46,7 @@ func benchScale() float64 {
 // graphCache builds each dataset once per benchmark binary. With
 // GDB_DATASET_CACHE set to a directory, acquisition additionally goes
 // through the on-disk artifact cache (internal/datasets), so repeated
-// benchmark invocations — and gdb-bench / gdb-worker runs pointed at
+// benchmark invocations — and gdb-bench runs pointed at
 // the same directory — share one snapshot per (dataset, scale, seed)
 // instead of regenerating per process.
 var (

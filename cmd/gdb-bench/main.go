@@ -10,7 +10,6 @@
 //	gdb-bench -engines neo-1.9,sqlg -datasets ldbc -report fig2
 //	gdb-bench -checkpoint run.jsonl -resume -export-json results.json
 //	gdb-bench -checkpoint run.jsonl -status
-//	gdb-bench -remote 10.0.0.2:9777,10.0.0.3:9777 -checkpoint run.jsonl
 package main
 
 import (
@@ -38,10 +37,11 @@ type options struct {
 	batch       int
 	seed        int64
 	workers     int
-	remote      string
-	exec        func() harness.Exec
+	cellWorkers int
+	cacheDir    string
+	optimize    bool
+	verbose     bool
 	lsmDir      string
-	serveArts   bool
 	checkpoint  string
 	resume      bool
 	status      bool
@@ -63,10 +63,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.batch, "batch", 10, "batch mode size")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for parameter selection")
 	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel evaluation workers")
-	fs.StringVar(&o.remote, "remote", "", "comma-separated gdb-worker addresses (host:port) adding remote grid slots")
-	o.exec = harness.ExecFlags(fs)
+	fs.IntVar(&o.cellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
+	fs.StringVar(&o.cacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
+	fs.BoolVar(&o.optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
+	fs.BoolVar(&o.verbose, "v", false, "print per-cell progress to stderr")
 	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root each durable-capable engine's LSM store (WAL + recovery) in a unique subdirectory of this path")
-	fs.BoolVar(&o.serveArts, "serve-artifacts", true, "stream dataset artifacts to remote workers that request them")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "stream completed grid cells to this JSONL file")
 	fs.BoolVar(&o.resume, "resume", false, "replay a compatible -checkpoint file and run only the missing cells")
 	fs.BoolVar(&o.status, "status", false, "print the -checkpoint file's progress and exit without executing")
@@ -129,14 +130,19 @@ func main() {
 		BatchSize:       o.batch,
 		Seed:            o.seed,
 		Workers:         o.workers,
-		Remote:          splitList(o.remote),
-		Exec:            o.exec(),
 		LSMDir:          o.lsmDir,
-		ServeArtifacts:  o.serveArts,
 		CheckpointPath:  o.checkpoint,
 		Resume:          o.resume,
 		CrashAfterCells: o.crashAfter,
 		FrozenClock:     o.frozenClock,
+		Exec: harness.Exec{
+			CellWorkers:     o.cellWorkers,
+			DatasetCacheDir: o.cacheDir,
+			NoOptimize:      !o.optimize,
+		},
+	}
+	if o.verbose {
+		cfg.Progress = os.Stderr
 	}
 
 	// Static reports need no run.

@@ -3,8 +3,8 @@
 // fsyncrename, mapalias) over the packages matching the given
 // patterns. It is the machine check behind docs/INVARIANTS.md: no
 // map-ordered bytes in encoders, no wall clock or global rand in
-// result paths, no untracked goroutines in the remote layer, no
-// rename without fsync, no mutation through slices that alias a
+// result paths, no untracked goroutines in the harness, par and serve
+// layers, no rename without fsync, no mutation through slices that alias a
 // read-only memory mapping.
 //
 // Usage:
@@ -21,7 +21,7 @@
 // Example:
 //
 //	gdb-lint ./...
-//	gdb-lint -json ./internal/remote
+//	gdb-lint -json ./internal/harness
 //
 // Findings are suppressed, with a mandatory reason, by the directive
 //

@@ -126,7 +126,7 @@ var a int
 }
 
 func TestScopeMatch(t *testing.T) {
-	s := Scope{"internal/harness", "internal/remote"}
+	s := Scope{"internal/harness", "internal/serve"}
 	for path, want := range map[string]bool{
 		"repro/internal/harness": true,
 		"internal/harness":       true,

@@ -1,6 +1,6 @@
 // Package goroutinejoin flags `go func(){...}()` launches in the
-// concurrency-heavy layers (internal/remote, internal/harness,
-// internal/par) whose goroutine is neither tracked by a sync.WaitGroup
+// concurrency-heavy layers (internal/harness, internal/par,
+// internal/serve) whose goroutine is neither tracked by a sync.WaitGroup
 // nor select-guarded by a channel receive. An untracked, unguarded
 // goroutine is exactly the shape behind the PR 5 shutdown races: it
 // outlives Close, touches freed connections, or leaks per-request. A
@@ -20,9 +20,9 @@ import (
 // Default covers the layers where goroutine lifetime bugs translate
 // into shutdown races and leaked connections.
 var Default = analysis.Scope{
-	"internal/remote",
 	"internal/harness",
 	"internal/par",
+	"internal/serve",
 }
 
 // Analyzer applies the rule over the Default scope.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGoroutinejoinPositive(t *testing.T) {
-	atest.Run(t, "testdata/src/internal/remote", goroutinejoin.Analyzer)
+	atest.Run(t, "testdata/src/internal/harness", goroutinejoin.Analyzer)
 }
 
 func TestGoroutinejoinOutOfScopeIsClean(t *testing.T) {

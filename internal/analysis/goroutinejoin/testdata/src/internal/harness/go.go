@@ -1,6 +1,6 @@
-// Package remote is goroutinejoin analyzer testdata: it sits at an
-// import path ending in internal/remote, so the default scope applies.
-package remote
+// Package harness is goroutinejoin analyzer testdata: it sits at an
+// import path ending in internal/harness, so the default scope applies.
+package harness
 
 import "sync"
 

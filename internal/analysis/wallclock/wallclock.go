@@ -5,9 +5,8 @@
 // fingerprint/byte-identity guarantee. Result-producing code must take
 // its clock through the harness' injectable now/since fields (frozen
 // in tests) or carry timestamps in from the caller; genuinely
-// operational uses — handshake deadlines, heartbeat stall detection,
-// stale-temp sweeps — document themselves with a //lint:gdb-allow
-// directive.
+// operational uses — the injectable clock's own default, stale-temp
+// sweeps — document themselves with a //lint:gdb-allow directive.
 package wallclock
 
 import (
@@ -19,14 +18,12 @@ import (
 
 // Default is the set of result-producing packages: harness writes
 // streams and checkpoints, datasets writes snapshot artifacts,
-// graphson renders exports, remote ships all three across the wire,
-// serve emits latency reports and op logs that must replay
-// byte-identically under a frozen clock.
+// graphson renders exports, serve emits latency reports and op logs
+// that must replay byte-identically under a frozen clock.
 var Default = analysis.Scope{
 	"internal/harness",
 	"internal/datasets",
 	"internal/graphson",
-	"internal/remote",
 	"internal/serve",
 }
 

@@ -20,13 +20,13 @@ import (
 // This file implements the dataset artifact cache: a compact binary
 // sectioned snapshot of a generated core.Graph (format v2, see
 // snapformat.go), stored content-addressed on disk so that repeated
-// and distributed runs acquire each dataset at decode speed — or, with
+// runs acquire each dataset at decode speed — or, with
 // Mmap, at section-verify speed — instead of regeneration speed.
 //
 // Decoding reconstructs the exact Graph the generator produced —
 // including the nil-versus-empty distinction of property maps — so
-// exports, checkpoints and catalog fingerprints cannot tell a cache
-// hit from a cache miss, and a mapped open from a heap one. Truncation,
+// exports and checkpoints cannot tell a cache hit from a cache miss,
+// and a mapped open from a heap one. Truncation,
 // bit rot and identity drift are all detected (size + per-section CRCs
 // + embedded fingerprint) and reported as errors; AcquireWith falls back to
 // regeneration on any of them — including a valid artifact in the v1
@@ -64,21 +64,10 @@ func SnapshotPath(dir, name string, fp [32]byte) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%x.gsnp", name, fp[:8]))
 }
 
-// FetchFunc obtains a reader over the raw bytes of one .gsnp artifact
-// from somewhere else — in the distributed harness, from the scheduler
-// over the wire. The fetched bytes are never trusted: AcquireWith
-// re-verifies them through the snapshot format's own fingerprint and
-// CRCs before serving the graph, and any error (including verification
-// failure) falls back to local generation.
-type FetchFunc func(name string, fp [32]byte) (io.ReadCloser, error)
-
 // AcquireOptions selects how AcquireWith obtains and opens artifacts.
 type AcquireOptions struct {
 	// CacheDir is the artifact cache directory; empty disables caching.
 	CacheDir string
-	// Fetch, when non-nil, is a remote artifact source layered between
-	// the local cache and generation.
-	Fetch FetchFunc
 	// Mmap opens cache-hit artifacts through a shared memory mapping
 	// instead of reading them onto the heap. The decoded graph aliases
 	// the mapping (strings, CSR arrays), so mappings are process-shared
@@ -89,14 +78,13 @@ type AcquireOptions struct {
 
 // CacheStatus reports how AcquireWith obtained a graph. Err is
 // non-fatal: it records a cache problem (unreadable or invalid
-// artifact, failed fetch or store) already recovered from.
+// artifact, failed store) already recovered from.
 type CacheStatus struct {
-	Hit     bool   // served from a valid local snapshot artifact
-	Fetched bool   // served from an artifact fetched via FetchFunc
-	Stored  bool   // this call wrote (or rewrote) the artifact
-	Mapped  bool   // served through a live memory mapping
-	Path    string // artifact path; empty when caching is disabled
-	Err     error  // non-fatal cache problem, already recovered from
+	Hit    bool   // served from a valid local snapshot artifact
+	Stored bool   // this call wrote (or rewrote) the artifact
+	Mapped bool   // served through a live memory mapping
+	Path   string // artifact path; empty when caching is disabled
+	Err    error  // non-fatal cache problem, already recovered from
 	// RawJSON is the graph's GraphSON byte size — the "Raw Data" bar of
 	// the paper's Figure 1 — carried by the artifact so warm acquires
 	// skip the O(dataset) sizing pass too. It is -1 when caching is
@@ -123,23 +111,13 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// AcquireWith returns the named dataset graph at the given scale. The
-// fallback order is:
-//
-//  1. local cache (when CacheDir is non-empty) — a valid artifact at
-//     the content address is decoded and served, through a shared
-//     memory mapping when Mmap is set; one that is missing, truncated,
-//     corrupt, in an old format or carrying a different fingerprint
-//     falls through and is refreshed;
-//  2. fetch (when non-nil) — the artifact is pulled from the source,
-//     re-verified by fingerprint and CRCs on arrival, written into the
-//     cache via the same temp-file+fsync+rename path a generated
-//     artifact uses (when CacheDir is non-empty), and served;
-//  3. local generation — always succeeds; refreshes the cache.
-//
-// Every layer produces the exact same graph bytes, so a fetched graph
-// is indistinguishable from a generated one to exports, checkpoints
-// and catalog fingerprints.
+// AcquireWith returns the named dataset graph at the given scale. With
+// a CacheDir, a valid artifact at the content address is decoded and
+// served — through a shared memory mapping when Mmap is set; one that
+// is missing, truncated, corrupt, in an old format or carrying a
+// different fingerprint falls through to generation, which refreshes
+// it. A decoded graph is byte-identical to a generated one, so exports
+// and checkpoints cannot tell a hit from a miss.
 //
 // Concurrent callers are safe: artifacts are written to a private temp
 // file and published with an atomic rename, so a reader either sees a
@@ -149,64 +127,30 @@ func AcquireWith(name string, scale float64, opts AcquireOptions) (*core.Graph, 
 	if spec == nil {
 		return nil, CacheStatus{}, fmt.Errorf("datasets: unknown dataset %q", name)
 	}
-	if opts.CacheDir == "" && opts.Fetch == nil {
+	if opts.CacheDir == "" {
 		return spec.Generate(scale), CacheStatus{RawJSON: -1}, nil
 	}
 	fp := SnapshotFingerprint(name, scale, spec.Seed)
-	st := CacheStatus{RawJSON: -1}
+	st := CacheStatus{Path: SnapshotPath(opts.CacheDir, name, fp), RawJSON: -1}
 
-	if opts.CacheDir != "" {
-		st.Path = SnapshotPath(opts.CacheDir, name, fp)
-		// Housekeeping: a crash between CreateTemp and Rename strands a
-		// .tmp-* file that nothing would ever remove; sweep old ones
-		// while we are looking at the directory anyway.
-		sweepStaleTemps(opts.CacheDir)
-		g, rawJSON, mapped, derr := openArtifact(st.Path, fp, opts.Mmap, decodeGraph)
-		if derr == nil {
-			st.Hit = true
-			st.Mapped = mapped
-			st.RawJSON = rawJSON
-			return g, st, nil
-		}
-		if !errors.Is(derr, os.ErrNotExist) {
-			// Invalid artifact (truncated write, bit rot, old format,
-			// foreign bytes at our path): refetch or regenerate, and
-			// rewrite it below.
-			st.Err = fmt.Errorf("datasets: cache %s: %w (refreshed)", st.Path, derr)
-		}
-	}
-
-	if opts.Fetch != nil {
-		g, rawJSON, storeErr, ferr := fetchSnapshot(opts.CacheDir, st.Path, name, fp, opts.Fetch)
-		if ferr == nil {
-			st.Fetched = true
-			st.Stored = opts.CacheDir != "" && storeErr == nil
-			if storeErr != nil {
-				// The fetch itself succeeded; only caching the bytes
-				// failed (read-only dir, disk full). Serve the fetched
-				// graph uncached rather than regenerating it.
-				st.Err = errors.Join(st.Err, fmt.Errorf("datasets: cache %s: %w (fetched, served uncached)", st.Path, storeErr))
-			}
-			st.RawJSON = rawJSON
-			if st.Stored && opts.Mmap {
-				// Land-then-map: the fetched bytes are verified and on
-				// disk now, so serve them through the shared mapping —
-				// a fetched artifact behaves exactly like a warm hit.
-				if mg, mraw, mapped, merr := openArtifact(st.Path, fp, true, decodeGraph); merr == nil {
-					st.Mapped = mapped
-					st.RawJSON = mraw
-					return mg, st, nil
-				}
-			}
-			return g, st, nil
-		}
-		st.Err = errors.Join(st.Err, fmt.Errorf("datasets: fetch %s: %w (generated locally)", name, ferr))
-	}
-
-	g := spec.Generate(scale)
-	if opts.CacheDir == "" {
+	// Housekeeping: a crash between CreateTemp and Rename strands a
+	// .tmp-* file that nothing would ever remove; sweep old ones while
+	// we are looking at the directory anyway.
+	sweepStaleTemps(opts.CacheDir)
+	g, rawJSON, mapped, derr := openArtifact(st.Path, fp, opts.Mmap, decodeGraph)
+	if derr == nil {
+		st.Hit = true
+		st.Mapped = mapped
+		st.RawJSON = rawJSON
 		return g, st, nil
 	}
+	if !errors.Is(derr, os.ErrNotExist) {
+		// Invalid artifact (truncated write, bit rot, old format, foreign
+		// bytes at our path): regenerate, and rewrite it below.
+		st.Err = fmt.Errorf("datasets: cache %s: %w (refreshed)", st.Path, derr)
+	}
+
+	g = spec.Generate(scale)
 	st.RawJSON = RawJSONSize(g)
 	if err := storeSnapshot(opts.CacheDir, st.Path, g, st.RawJSON, fp); err != nil {
 		// The graph is good; only the artifact store failed (read-only
@@ -336,76 +280,8 @@ func dropShared(path string) {
 	sharedMaps.Unlock()
 }
 
-// fetchSnapshot pulls one artifact from the remote source. With a
-// cache dir the bytes land in a private temp file first and are
-// re-verified — magic, embedded fingerprint against the expected
-// content address, file size, CRCs — before the atomic rename
-// publishes them, exactly like a locally generated artifact; without
-// one they are verified and decoded straight off the stream. Either
-// way a corrupted or mismatched transfer is an error (err), never a
-// served graph. A store-only failure (unwritable cache dir, a failed
-// rename) does not waste the transfer: the fetched graph is returned
-// with storeErr set and the caller serves it uncached — mirroring how
-// a generated graph survives a failed artifact store.
-func fetchSnapshot(cacheDir, path, name string, fp [32]byte, fetch FetchFunc) (g *core.Graph, rawJSON int64, storeErr, err error) {
-	rc, err := fetch(name, fp)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer rc.Close()
-	if cacheDir == "" {
-		g, rawJSON, err = ReadSnapshot(rc, fp)
-		return g, rawJSON, nil, err
-	}
-	cr := &countingReader{r: rc}
-	decoded := false
-	storeErr = publishSnapshot(cacheDir, path, func(tmp *os.File) error {
-		if _, err := io.Copy(tmp, cr); err != nil {
-			return err
-		}
-		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		var derr error
-		g, rawJSON, derr = ReadSnapshot(tmp, fp)
-		decoded = derr == nil
-		return derr
-	})
-	switch {
-	case storeErr == nil:
-		return g, rawJSON, nil, nil
-	case decoded:
-		// The graph came off the temp file intact; only the publish
-		// tail (sync, close, rename) failed.
-		return g, rawJSON, storeErr, nil
-	case cr.n == 0:
-		// Staging failed before any byte was consumed (unwritable or
-		// full cache dir): the stream is untouched, decode it
-		// directly and serve uncached.
-		g, rawJSON, err = ReadSnapshot(cr, fp)
-		return g, rawJSON, storeErr, err
-	default:
-		// The stream is partially consumed and nothing was decoded —
-		// a transfer or mid-copy staging error; the fetch is unusable.
-		return nil, 0, nil, storeErr
-	}
-}
-
-// countingReader counts consumed bytes so fetchSnapshot knows whether
-// a failed staging attempt left the stream re-readable.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// publishSnapshot is the crash-safe publish sequence shared by store
-// and fetch: a private .tmp- file in the artifact's own directory,
+// publishSnapshot is the crash-safe publish sequence behind
+// storeSnapshot: a private .tmp- file in the artifact's own directory,
 // filled by fill, fsynced, closed, and atomically renamed to path.
 // Any failure removes the temp file, so nothing ever appears at path
 // partially written — and concurrent publishers race benignly, since

@@ -3,12 +3,15 @@ package datasets
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/enc"
@@ -288,6 +291,41 @@ func TestAcquireConcurrentReaders(t *testing.T) {
 	}
 	if _, st, _ := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); !st.Hit {
 		t.Fatal("artifact invalid after concurrent acquire")
+	}
+}
+
+// TestSweepStaleTemps: temp files stranded by a crash between
+// CreateTemp and Rename must be swept during Acquire once they are
+// older than the grace period; fresh temps (a concurrent writer) and
+// unrelated files must survive.
+func TestSweepStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	mk := func(name string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stale := mk(".tmp-yeast-old-123")
+	fresh := mk(".tmp-yeast-new-456")
+	other := mk("keep.gsnp")
+	old := time.Now().Add(-2 * staleTempGrace)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale temp not swept: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("fresh temp swept: %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("non-temp file swept: %v", err)
 	}
 }
 

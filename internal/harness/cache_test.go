@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,52 +76,5 @@ func TestDatasetCacheWarmRunByteIdentical(t *testing.T) {
 	defer f.Close()
 	if f.Mapped() != strings.Contains(warmLog, "mapped=true") {
 		t.Fatalf("platform maps: %v, but the warm run logged:\n%s", f.Mapped(), warmLog)
-	}
-}
-
-// TestWorkerHandlerDatasetCache: a gdb-worker pointed at a cache
-// directory must populate it on the first accepted run and serve the
-// next run's graphs from it, without changing any result bytes.
-func TestWorkerHandlerDatasetCache(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"frb-s"}
-	cfg.BatchSize = 2
-	cfg.FrozenClock = true
-	cfg.Workers = 1
-
-	local, _ := exportRunProgress(t, cfg)
-
-	dir := t.TempDir()
-	var workerLog bytes.Buffer
-	h := &WorkerHandler{Exec: Exec{DatasetCacheDir: dir, Progress: &workerLog}}
-	cfg.Remote = []string{startWorker(t, h, 2)}
-	distributed, dispatched := remoteCells(t, cfg)
-	if dispatched == 0 {
-		t.Fatal("no cells reached the worker")
-	}
-	if !bytes.Equal(local, distributed) {
-		t.Fatal("worker with dataset cache diverges from local run")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("worker did not populate its dataset cache")
-	}
-
-	// A second scheduler run against the same worker handler: the
-	// handler caches its Runner per fingerprint, so force a fresh
-	// Runner by using a new handler over the same cache dir — its
-	// first dataset acquisition must be a warm hit.
-	var workerLog2 bytes.Buffer
-	h2 := &WorkerHandler{Exec: Exec{DatasetCacheDir: dir, Progress: &workerLog2}}
-	cfg.Remote = []string{startWorker(t, h2, 2)}
-	distributed2, _ := remoteCells(t, cfg)
-	if !bytes.Equal(local, distributed2) {
-		t.Fatal("warm-cache worker run diverges from local run")
-	}
-	if log := workerLog2.String(); strings.Contains(log, "generated") {
-		t.Fatalf("second worker regenerated a dataset:\n%s", log)
 	}
 }

@@ -53,7 +53,7 @@ func (r *Runner) fingerprint(jobs int) Fingerprint {
 }
 
 // equal compares every field, so a field added to Fingerprint guards
-// checkpoints and handshakes without further wiring.
+// resume and -status without further wiring.
 func (f Fingerprint) equal(o Fingerprint) bool { return reflect.DeepEqual(f, o) }
 
 // errCheckpointEmpty marks a checkpoint file that exists but has no

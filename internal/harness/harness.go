@@ -10,7 +10,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -43,19 +42,12 @@ type Config struct {
 	BatchSize int
 	// Seed fixes all random choices.
 	Seed int64
-	// Workers bounds the number of grid cells — (engine, dataset) micro
-	// cells plus indexed and complex cells — evaluated concurrently.
-	// Zero or negative means runtime.NumCPU(). Results are assembled in
-	// the same order regardless of the worker count.
+	// Workers is the number of goroutines the grid's pending cells —
+	// (engine, dataset) micro cells plus indexed and complex cells —
+	// fan out across; it is the only executor count a run has. Zero or
+	// negative means runtime.NumCPU(). Results are assembled in the same
+	// order regardless of the worker count.
 	Workers int
-	// Remote lists gdb-worker addresses (host:port) whose slots join
-	// the local workers in executing grid cells. The handshake ships
-	// this run's fingerprint and requires both builds to have identical
-	// engine/dataset catalogs; a worker that dies mid-cell has its cell
-	// reassigned to the local queue. Like Workers, Remote is absent
-	// from the checkpoint fingerprint: where a cell runs never changes
-	// what it measures.
-	Remote []string
 	// CheckpointPath, when non-empty, streams every completed grid cell
 	// to this JSONL file as workers finish: header line with the config
 	// Fingerprint, then one record per cell, fsynced. A crash loses at
@@ -76,14 +68,6 @@ type Config struct {
 	// with volatile runs modulo the WAL's write-path cost, which is the
 	// point of measuring with it.
 	LSMDir string
-	// ServeArtifacts streams dataset snapshot artifacts to remote
-	// workers that request them over the wire, so a cold worker fleet
-	// seeds itself from this scheduler instead of regenerating every
-	// dataset (gdb-bench enables it by default; see -serve-artifacts).
-	// Serving is read-only and — like DatasetCacheDir — never changes
-	// results: a shipped artifact is re-verified on arrival and decodes
-	// to the exact graph the worker would have generated.
-	ServeArtifacts bool
 	// CrashAfterCells, when positive, exits the process (code 1) after
 	// that many cells have been streamed to the checkpoint — fault
 	// injection for exercising checkpoint/resume, used by the CI smoke
@@ -99,8 +83,7 @@ type Config struct {
 // Exec holds the knobs that belong to the process executing cells:
 // they change its wall-clock time and where its bytes come from, never
 // what a run measures. Each is therefore absent from the checkpoint
-// Fingerprint, and a gdb-worker applies its own Exec — not the
-// scheduler's — to every run it accepts (WorkerHandler).
+// Fingerprint, so a run may resume under different ones.
 type Exec struct {
 	// CellWorkers bounds the number of batch iterations executed
 	// concurrently inside one cell. Only non-mutating queries fan out
@@ -113,10 +96,9 @@ type Exec struct {
 	// DatasetCacheDir, when non-empty, reuses binary dataset snapshots
 	// from this directory instead of regenerating each graph, and
 	// populates it on misses (see internal/datasets, AcquireWith): a
-	// fleet of workers pointed at warm caches skips the V+E dataset
-	// generation entirely, per process. Warm artifacts are opened
-	// memory-mapped (heap-read where the platform cannot map). Cached
-	// graphs are byte-identical to generated ones.
+	// warm run skips the V+E dataset generation entirely. Warm artifacts
+	// are opened memory-mapped (heap-read where the platform cannot
+	// map). Cached graphs are byte-identical to generated ones.
 	DatasetCacheDir string
 	// NoOptimize disables the gremlin traversal optimizer (filter
 	// reordering and implicit index fusion) for every query — the
@@ -125,25 +107,6 @@ type Exec struct {
 	NoOptimize bool
 	// Progress, when non-nil, receives one line per completed step.
 	Progress io.Writer
-}
-
-// ExecFlags registers the flags behind Exec on fs — the one declaration
-// gdb-bench and gdb-worker share — and returns a function that yields
-// the parsed value; call it after fs.Parse.
-func ExecFlags(fs *flag.FlagSet) func() Exec {
-	var x Exec
-	var optimize, verbose bool
-	fs.IntVar(&x.CellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
-	fs.StringVar(&x.DatasetCacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
-	fs.BoolVar(&verbose, "v", false, "print per-cell progress to stderr")
-	return func() Exec {
-		x.NoOptimize = !optimize
-		if verbose {
-			x.Progress = os.Stderr
-		}
-		return x
-	}
 }
 
 // DefaultConfig returns a laptop-scale configuration.
@@ -209,12 +172,8 @@ type Results struct {
 type Runner struct {
 	cfg Config
 
-	mu     sync.Mutex // guards graphs, fetch and Progress writes
+	mu     sync.Mutex // guards graphs and Progress writes
 	graphs map[string]*datasetCache
-	// fetch, when non-nil, is consulted by dataset acquisition after a
-	// local cache miss and before falling back to generation — the
-	// worker side of artifact shipping (see SetDatasetFetcher).
-	fetch datasets.FetchFunc
 
 	// now and since default to the real clock; Config.FrozenClock and
 	// tests substitute a frozen clock so two runs produce byte-identical
@@ -301,34 +260,12 @@ func (r *Runner) progressf(format string, args ...any) {
 	}
 }
 
-// SetDatasetFetcher installs a remote artifact source for dataset
-// acquisition: on a local cache miss the fetcher is tried before
-// falling back to generation (the worker half of artifact shipping —
-// remote workers point it at their scheduler's artifact stream). A
-// fetched graph is byte-identical to a generated one, so the fetcher —
-// like the cache dir — never changes what a run measures. Safe to call
-// while cells execute; datasets already acquired keep their graphs.
-func (r *Runner) SetDatasetFetcher(f datasets.FetchFunc) {
-	r.mu.Lock()
-	r.fetch = f
-	r.mu.Unlock()
-}
-
-func (r *Runner) datasetFetcher() datasets.FetchFunc {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fetch
-}
-
 // dataset returns the cache entry for a dataset, acquiring the graph
-// and its GraphSON raw size on first use. Acquisition tries, in order:
-// the artifact cache when Config.DatasetCacheDir is set (a warm hit
-// maps the content-addressed snapshot), the remote fetcher when one
-// was installed via SetDatasetFetcher (a cold worker pulls the
-// artifact from its scheduler), and generation; the graph is identical
-// whichever layer served it. Concurrent callers block on the entry's
-// Once, so each graph is acquired exactly once per run and shared
-// read-only afterwards.
+// and its GraphSON raw size on first use: from the artifact cache when
+// Config.DatasetCacheDir is set (a warm hit maps the content-addressed
+// snapshot), else by generation; the graph is identical either way.
+// Concurrent callers block on the entry's Once, so each graph is
+// acquired exactly once per run and shared read-only afterwards.
 func (r *Runner) dataset(name string) *datasetCache {
 	r.mu.Lock()
 	c, ok := r.graphs[name]
@@ -340,7 +277,6 @@ func (r *Runner) dataset(name string) *datasetCache {
 	c.once.Do(func() {
 		g, st, err := datasets.AcquireWith(name, r.cfg.Scale, datasets.AcquireOptions{
 			CacheDir: r.cfg.DatasetCacheDir,
-			Fetch:    r.datasetFetcher(),
 			Mmap:     true,
 		})
 		if err != nil {
@@ -350,12 +286,9 @@ func (r *Runner) dataset(name string) *datasetCache {
 		if st.Err != nil {
 			r.progressf("dataset %s: %v", name, st.Err)
 		}
-		switch {
-		case st.Hit:
+		if st.Hit {
 			r.progressf("dataset %s: warm cache hit (%d vertices, %d edges, mapped=%t)", name, g.NumVertices(), g.NumEdges(), st.Mapped)
-		case st.Fetched:
-			r.progressf("fetched %s from scheduler (%d vertices, %d edges)", name, g.NumVertices(), g.NumEdges())
-		default:
+		} else {
 			suffix := ""
 			if st.Stored {
 				suffix = " (snapshot cached)"

@@ -2,13 +2,12 @@ package harness
 
 import (
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/par"
-	"repro/internal/remote"
 	"repro/internal/workload"
 )
 
@@ -51,13 +50,12 @@ type gridJob struct {
 }
 
 // cell is everything one grid job measured, in the one shape it has
-// everywhere: a slot of Run's plan-indexed slice, a JSONL line of the
-// checkpoint file, and the payload a remote worker answers with. Each
-// executor writes only its own slot, so the assembled Results keep the
-// sequential order regardless of completion order; measurements
-// round-trip exactly (durations are nanosecond integers), which is what
-// makes a resumed or distributed run's export byte-identical to a
-// local uninterrupted one.
+// everywhere: a slot of Run's plan-indexed slice and a JSONL line of
+// the checkpoint file. Each worker writes only its own slot, so the
+// assembled Results keep the sequential order regardless of completion
+// order; measurements round-trip exactly (durations are nanosecond
+// integers), which is what makes a resumed run's export byte-identical
+// to an uninterrupted one.
 type cell struct {
 	Index   int               `json:"i"` // position in the grid plan
 	Loads   []LoadMeasurement `json:"loads,omitempty"`
@@ -72,8 +70,9 @@ type cell struct {
 // variant of Q11 (Figure 4(c)), and — when ldbc is among the datasets —
 // the complex workload (Figure 2).
 //
-// The grid cells are independent jobs executed on Config.Workers
-// goroutines; results are assembled in plan order, so any worker count
+// The pending grid cells are independent jobs fanned out by par.For
+// across Config.Workers goroutines (with one worker, on the calling
+// goroutine); results are assembled in plan order, so any worker count
 // produces output identical to a sequential run. An engine that fails
 // to construct or load is recorded as DNF (failed LoadMeasurement plus
 // failed cells) and the evaluation continues.
@@ -83,48 +82,14 @@ type cell struct {
 // compatible checkpoint is replayed first and only the cells it is
 // missing are executed — the assembled Results are byte-identical to an
 // uninterrupted run either way.
-//
-// With Config.Remote set, the listed gdb-worker processes contribute
-// additional execution slots: cells are shipped over the wire, their
-// results land in the same plan-indexed slots (and flow through the
-// same checkpoint stream) as local ones, and a worker that dies
-// mid-cell has its cell reassigned to the local queue. Where a cell
-// ran never changes what it measured.
 func (r *Runner) Run() (*Results, error) {
 	jobs := planGrid(r.cfg.Engines, r.cfg.Datasets)
 	cells := make([]cell, len(jobs))
 	fp := r.fingerprint(len(jobs))
 
-	// Everything that can fail fast does so before dataset generation —
-	// the longest sequential stretch of a run: a typo'd worker address,
-	// a mismatched worker build, or an incompatible checkpoint must
-	// surface in milliseconds, not after the graphs are built.
-	var clients []*remote.Client
-	if len(r.cfg.Remote) > 0 {
-		// With ServeArtifacts the runner doubles as the workers'
-		// artifact source: cold workers pull dataset snapshots from
-		// this process instead of regenerating them.
-		var artifacts remote.ArtifactProvider
-		if r.cfg.ServeArtifacts {
-			artifacts = r
-		}
-		var err error
-		clients, err = dialRemotes(r.cfg.Remote, fp, artifacts)
-		if err != nil {
-			return nil, err
-		}
-		defer func() {
-			for _, cl := range clients {
-				cl.Close()
-			}
-		}()
-		slots := 0
-		for _, cl := range clients {
-			slots += cl.Capacity()
-		}
-		r.progressf("remote: %d workers providing %d extra slots", len(clients), slots)
-	}
-
+	// An incompatible checkpoint fails before dataset generation — the
+	// longest sequential stretch of a run — so it surfaces in
+	// milliseconds, not after the graphs are built.
 	var recovered map[int]cell
 	var cp *checkpointWriter
 	if r.cfg.CheckpointPath != "" {
@@ -152,7 +117,7 @@ func (r *Runner) Run() (*Results, error) {
 		out.Stats[ds] = datasets.Stats(r.graph(ds))
 	}
 
-	// Recovered cells are restored in place; only the rest is scheduled.
+	// Recovered cells are restored in place; only the rest is executed.
 	pending := make([]int, 0, len(jobs))
 	for i := range jobs {
 		if c, ok := recovered[i]; ok {
@@ -162,66 +127,31 @@ func (r *Runner) Run() (*Results, error) {
 		}
 	}
 
-	sched := newCellScheduler(pending)
-	// finish is the shared completion path: it streams the cell to the
-	// checkpoint (wherever it was executed) and stops the grid on a
-	// checkpoint write failure — durability was requested and is gone,
-	// so failing fast beats burning hours on cells that cannot be
-	// checkpointed (everything already streamed stays resumable).
-	// Stopping drains: in-flight cells finish, queued ones are dropped.
-	finish := func(i int) {
-		if cp != nil {
-			streamed, err := cp.write(&cells[i])
-			if err != nil {
-				sched.stop()
-				return
-			}
-			if n := r.cfg.CrashAfterCells; n > 0 && streamed >= n {
-				r.progressf("fault injection: crashing after %d checkpointed cells", streamed)
-				r.exit(1)
-			}
+	// A checkpoint write failure stops the grid: durability was
+	// requested and is gone, so failing fast beats burning hours on
+	// cells that cannot be checkpointed (everything already streamed
+	// stays resumable). Cells already running finish; the rest are
+	// skipped.
+	var stopped atomic.Bool
+	par.For(r.cfg.Workers, len(pending), func(k int) {
+		if stopped.Load() {
+			return
 		}
-	}
-
-	localWorker := func() {
-		for {
-			i, ok := sched.nextLocal()
-			if !ok {
-				return
-			}
-			cells[i] = r.runCell(i, jobs[i])
-			finish(i)
-			sched.done()
+		i := pending[k]
+		cells[i] = r.runCell(i, jobs[i])
+		if cp == nil {
+			return
 		}
-	}
-	var wg sync.WaitGroup
-	localWorkers := min(r.cfg.Workers, len(pending))
-	for w := 1; w < localWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			localWorker()
-		}()
-	}
-	for ci, cl := range clients {
-		for k := 0; k < cl.Capacity(); k++ {
-			wg.Add(1)
-			sched.registerRemoteSlot(ci)
-			go func(ci int, cl *remote.Client) {
-				defer wg.Done()
-				defer sched.retireRemoteSlot(ci)
-				r.remoteSlot(ci, cl, sched, jobs, cells, finish)
-			}(ci, cl)
+		streamed, err := cp.write(&cells[i])
+		if err != nil {
+			stopped.Store(true)
+			return
 		}
-	}
-	// One local worker always runs on the calling goroutine — with
-	// -workers 1 the grid executes exactly where Run was called (which
-	// fault-injection tests rely on), and a requeued remote cell always
-	// has a local executor to land on.
-	if localWorkers > 0 {
-		localWorker()
-	}
-	wg.Wait()
+		if n := r.cfg.CrashAfterCells; n > 0 && streamed >= n {
+			r.progressf("fault injection: crashing after %d checkpointed cells", streamed)
+			r.exit(1)
+		}
+	})
 	if cp != nil {
 		if err := cp.firstErr(); err != nil {
 			return nil, err
@@ -239,10 +169,9 @@ func (r *Runner) Run() (*Results, error) {
 
 // planGrid lays out the grid in the canonical sequential order; the
 // job list order is also the assembly order of the result slices. The
-// plan is shared by the runner, remote workers (which re-derive it from
-// the handshake fingerprint) and the -status command (which re-derives
-// it from a checkpoint header): the same engine and dataset lists
-// always produce the same indexed plan.
+// plan is shared by the runner and the -status command (which
+// re-derives it from a checkpoint header): the same engine and dataset
+// lists always produce the same indexed plan.
 func planGrid(engineNames, datasetNames []string) []gridJob {
 	var jobs []gridJob
 	for _, ds := range datasetNames {

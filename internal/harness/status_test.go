@@ -141,3 +141,14 @@ func TestStatusSharedWithResume(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// mustFingerprint derives the checkpoint fingerprint for a config the
+// way Run does.
+func mustFingerprint(t *testing.T, cfg Config) Fingerprint {
+	t.Helper()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.fingerprint(len(planGrid(r.cfg.Engines, r.cfg.Datasets)))
+}

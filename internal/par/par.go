@@ -1,7 +1,6 @@
-// Package par is the repo's one index fan-out: batch iterations inside
-// a harness cell and dataset shards both run through For. (The grid
-// itself has a scheduler, harness.cellScheduler, because its cells
-// requeue between local and remote executors; nothing else does.)
+// Package par is the repo's one index fan-out: the harness grid's
+// pending cells, batch iterations inside a cell and dataset shards all
+// run through For.
 package par
 
 import (
