@@ -41,7 +41,6 @@ type options struct {
 	cacheDir    string
 	optimize    bool
 	verbose     bool
-	lsmDir      string
 	checkpoint  string
 	resume      bool
 	status      bool
@@ -67,7 +66,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.cacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
 	fs.BoolVar(&o.optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
 	fs.BoolVar(&o.verbose, "v", false, "print per-cell progress to stderr")
-	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root each durable-capable engine's LSM store (WAL + recovery) in a unique subdirectory of this path")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "stream completed grid cells to this JSONL file")
 	fs.BoolVar(&o.resume, "resume", false, "replay a compatible -checkpoint file and run only the missing cells")
 	fs.BoolVar(&o.status, "status", false, "print the -checkpoint file's progress and exit without executing")
@@ -130,7 +128,6 @@ func main() {
 		BatchSize:       o.batch,
 		Seed:            o.seed,
 		Workers:         o.workers,
-		LSMDir:          o.lsmDir,
 		CheckpointPath:  o.checkpoint,
 		Resume:          o.resume,
 		CrashAfterCells: o.crashAfter,

@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -64,5 +65,29 @@ func TestTable1Metadata(t *testing.T) {
 			t.Errorf("%s: kind = %q, want %q", name, got, want)
 		}
 		e.Close()
+	}
+}
+
+// TestSupportsDurable: SupportsDurable names exactly the engines
+// OpenDurable can build — the titan configurations — and the durable
+// engine comes back empty from a fresh directory.
+func TestSupportsDurable(t *testing.T) {
+	if !SupportsDurable("titan-0.5") || !SupportsDurable("titan-1.0") || SupportsDurable("sqlg") {
+		t.Fatal("SupportsDurable misreports")
+	}
+	for _, name := range Names() {
+		e, rst, err := OpenDurable(name, filepath.Join(t.TempDir(), "store"))
+		if (err == nil) != SupportsDurable(name) {
+			t.Fatalf("%s: SupportsDurable = %v, OpenDurable error = %v", name, SupportsDurable(name), err)
+		}
+		if err != nil {
+			continue
+		}
+		if nv, _ := e.CountVertices(); nv != 0 || rst.Records != 0 {
+			t.Fatalf("%s: fresh durable store has %d vertices, replayed %d records", name, nv, rst.Records)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

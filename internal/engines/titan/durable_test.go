@@ -13,11 +13,11 @@ import (
 )
 
 // durableOpts keeps the tests' thresholds small enough to exercise
-// flush, compaction and value separation on tiny graphs.
+// flush, compaction and segment rotation on tiny graphs.
 func durableOpts() lsm.OpenOptions {
 	return lsm.OpenOptions{
 		Store: lsm.Options{FlushBytes: 1 << 10, CompactAt: 3, CachePrefixLen: rowPrefixLen},
-		WAL:   wal.Options{SegmentBytes: 8 << 10, ValueThreshold: 64, GroupCommitOps: 8},
+		WAL:   wal.Options{SegmentBytes: 8 << 10, GroupCommitOps: 8},
 	}
 }
 
@@ -116,7 +116,7 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 		t.Fatalf("edges = %d, want 4", ne)
 	}
 	if v, ok := r.VertexProp(res.VertexIDs[0], "bio"); !ok || len(v.Str()) != 100 {
-		t.Fatalf("separated bio property lost: %v %v", v, ok)
+		t.Fatalf("100-byte bio property lost: %v %v", v, ok)
 	}
 	if !r.HasVertexPropIndex("name") {
 		t.Fatal("index definition lost")

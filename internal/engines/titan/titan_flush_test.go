@@ -46,9 +46,24 @@ func TestOperationsAcrossFlushBoundaries(t *testing.T) {
 			if got, _ := e.VertexProp(spokes[0], "i"); got != core.I(100) {
 				t.Fatalf("prop across runs = %v", got)
 			}
-			// Compact everything and re-verify.
-			e.kv.Flush()
-			e.kv.Compact()
+			// Flush until the run count reaches CompactAt and a full
+			// compaction merges everything, then re-verify.
+			_, before, _, _, _ := e.kv.Stats()
+			for i := 0; ; i++ {
+				if _, compacts, runs, _, _ := e.kv.Stats(); compacts > before {
+					if runs != 1 {
+						t.Fatalf("%d runs after compaction, want 1", runs)
+					}
+					break
+				}
+				if i == 100 {
+					t.Fatal("100 flushes never triggered a compaction")
+				}
+				if err := e.SetVertexProp(hub, "n", core.I(int64(i))); err != nil {
+					t.Fatal(err)
+				}
+				e.kv.Flush()
+			}
 			if d, _ := e.Degree(hub, core.DirOut); d != 9 {
 				t.Fatalf("degree after compaction = %d", d)
 			}

@@ -283,7 +283,7 @@ func TestCellWorkersDeterministic(t *testing.T) {
 // cells run, never what they measure: absent from the Fingerprint.
 var schedulingOnly = map[string]bool{
 	"Workers": true, "CheckpointPath": true, "Resume": true,
-	"LSMDir": true, "CrashAfterCells": true,
+	"CrashAfterCells": true,
 }
 
 // TestConfigFieldsClassified makes the next Config field declare what

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -59,15 +57,6 @@ type Config struct {
 	// uninterrupted run. A checkpoint written under a different
 	// Fingerprint is rejected; a missing file starts a fresh run.
 	Resume bool
-	// LSMDir, when non-empty, opens every durable-capable engine (the
-	// titan configurations) over a write-ahead-logged store rooted in a
-	// unique subdirectory of this path, one per cell. Engines without a
-	// durable substrate still run volatile. Like DatasetCacheDir this is
-	// absent from the checkpoint fingerprint: durability changes where
-	// bytes live, not what a run measures — results stay comparable
-	// with volatile runs modulo the WAL's write-path cost, which is the
-	// point of measuring with it.
-	LSMDir string
 	// CrashAfterCells, when positive, exits the process (code 1) after
 	// that many cells have been streamed to the checkpoint — fault
 	// injection for exercising checkpoint/resume, used by the CI smoke
@@ -184,10 +173,6 @@ type Runner struct {
 	// exit is called to simulate a crash for Config.CrashAfterCells;
 	// tests substitute it, production keeps os.Exit.
 	exit func(code int)
-
-	// lsmSeq numbers durable store directories under Config.LSMDir so
-	// concurrent cells never share a WAL.
-	lsmSeq atomic.Int64
 }
 
 // datasetCache generates a dataset graph (and its GraphSON raw size,
@@ -311,18 +296,8 @@ func (r *Runner) dataset(name string) *datasetCache {
 func (r *Runner) graph(name string) *core.Graph { return r.dataset(name).g }
 
 // loadInto bulk-loads a dataset into a fresh engine, measuring time.
-// With Config.LSMDir set, durable-capable engines open over a WAL in
-// a cell-unique subdirectory instead of purely in memory.
 func (r *Runner) loadInto(engine, dataset string) (core.Engine, *core.LoadResult, time.Duration, error) {
-	var e core.Engine
-	var err error
-	if r.cfg.LSMDir != "" && engines.SupportsDurable(engine) {
-		dir := filepath.Join(r.cfg.LSMDir,
-			fmt.Sprintf("%s-%s-%d", engine, dataset, r.lsmSeq.Add(1)))
-		e, _, err = engines.OpenDurable(engine, dir)
-	} else {
-		e, err = engines.New(engine)
-	}
+	e, err := engines.New(engine)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -176,81 +177,70 @@ func ReportTable4(res *Results, w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// ReportAll renders every table and figure in paper order.
+// reports names every table and figure in paper order; "all" renders
+// them in this order.
+var reports = []struct {
+	name string
+	fn   func(*Results, io.Writer)
+}{
+	{"table1", func(_ *Results, w io.Writer) { ReportTable1(w) }},
+	{"table2", func(_ *Results, w io.Writer) { ReportTable2(w) }},
+	{"table3", ReportTable3},
+	{"fig1", ReportFig1Space},
+	{"fig1c", ReportFig1cTimeouts},
+	{"fig2", ReportFig2Complex},
+	{"fig3a", ReportFig3Load},
+	{"fig3b", ReportFig3Insert},
+	{"fig3c", ReportFig3UpdateDelete},
+	{"fig4a", ReportFig4Select},
+	{"fig4b", ReportFig4ByID},
+	{"fig4c", ReportFig4cIndex},
+	{"fig5a", ReportFig5Local},
+	{"fig5b", ReportFig5Degree},
+	{"fig6", ReportFig6BFS},
+	{"fig7", ReportFig7SP},
+	{"fig7cd", ReportFig7Overall},
+	{"table4", ReportTable4},
+	{"shapes", func(res *Results, w io.Writer) { ReportShapes(res, w) }},
+}
+
+// ReportAll renders every table and figure in paper order, skipping
+// Figure 2 when the run has no complex cells.
 func ReportAll(res *Results, w io.Writer) {
-	ReportTable1(w)
-	ReportTable2(w)
-	ReportTable3(res, w)
-	ReportFig1Space(res, w)
-	ReportFig1cTimeouts(res, w)
-	if len(res.Complex) > 0 {
-		ReportFig2Complex(res, w)
+	for _, r := range reports {
+		if r.name != "fig2" || len(res.Complex) > 0 {
+			r.fn(res, w)
+		}
 	}
-	ReportFig3Load(res, w)
-	ReportFig3Insert(res, w)
-	ReportFig3UpdateDelete(res, w)
-	ReportFig4Select(res, w)
-	ReportFig4ByID(res, w)
-	ReportFig4cIndex(res, w)
-	ReportFig5Local(res, w)
-	ReportFig5Degree(res, w)
-	ReportFig6BFS(res, w)
-	ReportFig7SP(res, w)
-	ReportFig7Overall(res, w)
-	ReportTable4(res, w)
-	ReportShapes(res, w)
 }
 
 // Report renders one named report; see ReportNames.
 func Report(res *Results, name string, w io.Writer) error {
-	fns := map[string]func(){
-		"table1": func() { ReportTable1(w) },
-		"table2": func() { ReportTable2(w) },
-		"table3": func() { ReportTable3(res, w) },
-		"fig1":   func() { ReportFig1Space(res, w) },
-		"fig1c":  func() { ReportFig1cTimeouts(res, w) },
-		"fig2":   func() { ReportFig2Complex(res, w) },
-		"fig3a":  func() { ReportFig3Load(res, w) },
-		"fig3b":  func() { ReportFig3Insert(res, w) },
-		"fig3c":  func() { ReportFig3UpdateDelete(res, w) },
-		"fig4a":  func() { ReportFig4Select(res, w) },
-		"fig4b":  func() { ReportFig4ByID(res, w) },
-		"fig4c":  func() { ReportFig4cIndex(res, w) },
-		"fig5a":  func() { ReportFig5Local(res, w) },
-		"fig5b":  func() { ReportFig5Degree(res, w) },
-		"fig6":   func() { ReportFig6BFS(res, w) },
-		"fig7":   func() { ReportFig7SP(res, w) },
-		"fig7cd": func() { ReportFig7Overall(res, w) },
-		"table4": func() { ReportTable4(res, w) },
-		"shapes": func() { ReportShapes(res, w) },
-		"all":    func() { ReportAll(res, w) },
+	if name == "all" {
+		ReportAll(res, w)
+		return nil
 	}
-	fn, ok := fns[name]
-	if !ok {
-		return fmt.Errorf("harness: unknown report %q (known: %v)", name, ReportNames())
+	for _, r := range reports {
+		if r.name == name {
+			r.fn(res, w)
+			return nil
+		}
 	}
-	fn()
-	return nil
+	return fmt.Errorf("harness: unknown report %q (known: %v)", name, ReportNames())
 }
 
 // ValidReport reports whether name names a known report. Callers that
 // run a grid before rendering (cmd/gdb-bench) validate up front, so an
 // unknown report name is not discovered only after hours of execution.
 func ValidReport(name string) bool {
-	for _, n := range ReportNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ReportNames(), name)
 }
 
 // ReportNames lists the available reports.
 func ReportNames() []string {
-	return []string{
-		"table1", "table2", "table3", "fig1", "fig1c", "fig2",
-		"fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c",
-		"fig5a", "fig5b", "fig6", "fig7", "fig7cd", "table4",
-		"shapes", "all",
+	names := make([]string, 0, len(reports)+1)
+	for _, r := range reports {
+		names = append(names, r.name)
 	}
+	return append(names, "all")
 }

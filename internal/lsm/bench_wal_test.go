@@ -20,7 +20,6 @@ import (
 func benchWALOpts(groupOps int) wal.Options {
 	return wal.Options{
 		SegmentBytes:      4 << 20,
-		ValueThreshold:    1024,
 		GroupCommitOps:    groupOps,
 		GroupCommitWindow: 2 * time.Millisecond,
 	}

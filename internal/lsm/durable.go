@@ -12,8 +12,7 @@ type OpenOptions struct {
 	// Store carries the in-memory knobs (flush threshold, compaction
 	// trigger, row cache).
 	Store Options
-	// WAL carries the log knobs (segment size, group commit, value
-	// separation threshold).
+	// WAL carries the log knobs (segment size, group commit).
 	WAL wal.Options
 	// FS is the filesystem the log writes through; nil means the real
 	// one (fsim.OS). Tests inject fsim.Mem to simulate crashes.
@@ -35,11 +34,11 @@ type RecoveryStats struct {
 // write-ahead log with newest-valid-prefix semantics: a torn tail
 // (partial frame, bad CRC, unterminated transaction or bulk load) is
 // truncated cleanly, never an error. Replay applies records through
-// the same memtable paths as live writes and flushes/compacts exactly
-// at the logged marks, so the recovered store is structurally
-// identical — runs, counters, bytes — to the store that wrote the
-// acknowledged prefix. Reopening an already-recovered directory is
-// idempotent.
+// the same memtable paths as live writes and flushes exactly at the
+// logged marks (compacting wherever those flushes did), so the
+// recovered store is structurally identical — runs, counters, bytes —
+// to the store that wrote the acknowledged prefix. Reopening an
+// already-recovered directory is idempotent.
 func Open(dir string, o OpenOptions) (*Store, *RecoveryStats, error) {
 	if o.FS == nil {
 		o.FS = fsim.OS{}
@@ -51,7 +50,6 @@ func Open(dir string, o OpenOptions) (*Store, *RecoveryStats, error) {
 	start := now()
 
 	s := New(o.Store)
-	s.durable = true
 	s.replaying = true
 	var bulkKeys, bulkVals [][]byte
 	inBulk := false
@@ -67,19 +65,16 @@ func Open(dir string, o OpenOptions) (*Store, *RecoveryStats, error) {
 			}
 			bulkKeys, bulkVals = nil, nil
 		case wal.OpPut:
-			stored := boxValue(op.Val, op.Ptr, op.Separated)
 			if inBulk {
 				bulkKeys = append(bulkKeys, op.Key)
-				bulkVals = append(bulkVals, stored)
+				bulkVals = append(bulkVals, op.Val)
 			} else {
-				s.applyPut(op.Key, stored)
+				s.applyPut(op.Key, op.Val)
 			}
 		case wal.OpDelete:
 			s.applyDelete(op.Key)
 		case wal.OpFlushMark:
 			s.flush()
-		case wal.OpCompactMark:
-			s.compact()
 		}
 		return nil
 	})

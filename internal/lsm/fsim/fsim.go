@@ -21,7 +21,7 @@ import (
 	"sort"
 )
 
-// FS is the filesystem surface the WAL and value log write through.
+// FS is the filesystem surface the WAL writes through.
 // Implementations must return names from ReadDir in sorted order so
 // replay visits segments deterministically.
 type FS interface {
@@ -43,10 +43,9 @@ type FS interface {
 	Remove(name string) error
 }
 
-// File is an open handle: appending writes, positional reads, fsync.
+// File is an open handle: appending writes and fsync.
 type File interface {
 	io.Writer
-	io.ReaderAt
 	// Sync makes every byte written so far durable.
 	Sync() error
 	// Close releases the handle without syncing.

@@ -202,13 +202,6 @@ func TestOSRoundtrip(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 5)
-	if _, err := f.ReadAt(buf, 6); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "world" {
-		t.Fatalf("ReadAt = %q", buf)
-	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}

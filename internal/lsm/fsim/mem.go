@@ -3,7 +3,6 @@ package fsim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math/rand"
 	"path/filepath"
@@ -299,27 +298,6 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	}
 	h.f.data = append(h.f.data, p...)
 	return len(p), nil
-}
-
-// ReadAt implements io.ReaderAt over the file's current (possibly
-// unsynced) contents.
-func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.crashed {
-		return 0, ErrCrashed
-	}
-	if h.closed {
-		return 0, errClosed
-	}
-	if off < 0 || off > int64(len(h.f.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
 }
 
 // Sync marks the file's current length durable and commits pending

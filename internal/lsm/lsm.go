@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/btree"
-	"repro/internal/enc"
 	"repro/internal/lsm/wal"
 )
 
@@ -70,12 +69,9 @@ type Store struct {
 	compacts int
 
 	// Durable mode (see Open): every mutation is logged to the WAL
-	// before it touches the memtable, and stored values are boxed with
-	// an inline/pointer tag so large payloads can live in the value
-	// log. Volatile stores (New) leave all of this nil/false and store
-	// raw value bytes.
+	// before it touches the memtable. Volatile stores (New) leave all
+	// of this nil/false; both keep raw value bytes.
 	wal       *wal.Writer
-	durable   bool
 	replaying bool
 	err       error
 
@@ -134,12 +130,11 @@ func (s *Store) Put(key, value []byte) {
 		s.err = err
 		return
 	}
-	ptr, sep, err := s.wal.AppendPut(key, value)
-	if err != nil {
+	if err := s.wal.AppendPut(key, value); err != nil {
 		s.err = err
 		return
 	}
-	s.applyPut(key, boxValue(value, ptr, sep))
+	s.applyPut(key, value)
 	if s.err != nil {
 		return
 	}
@@ -149,7 +144,7 @@ func (s *Store) Put(key, value []byte) {
 }
 
 // applyPut is the raw memtable insert shared by the volatile path,
-// the durable path (boxed values) and WAL replay. It invalidates the
+// the durable path and WAL replay. It invalidates the
 // row cache — recovery must not resurrect stale cached rows.
 func (s *Store) applyPut(key, stored []byte) {
 	k := append([]byte(nil), key...)
@@ -235,14 +230,14 @@ func (s *Store) Get(key []byte) (value []byte, ok bool) {
 		if tomb {
 			return nil, false
 		}
-		return s.resolve(val), true
+		return val, true
 	}
 	for i := len(s.runs) - 1; i >= 0; i-- {
 		if v, found := s.runs[i].get(key); found {
 			if v == nil {
 				return nil, false
 			}
-			return s.resolve(v), true
+			return v, true
 		}
 	}
 	return nil, false
@@ -310,26 +305,10 @@ func (s *Store) flush() {
 	}
 }
 
-// Compact merges all runs into one, dropping shadowed entries and — as
-// this is a full merge — tombstones as well. An explicit compaction is
-// logged in durable mode (flush-triggered ones are implied).
-func (s *Store) Compact() {
-	if len(s.runs) <= 1 {
-		return
-	}
-	if s.wal != nil {
-		if s.err != nil {
-			return
-		}
-		if err := s.wal.AppendCompactMark(); err != nil {
-			s.err = err
-			return
-		}
-	}
-	s.compact()
-}
-
-// compact is the in-memory merge shared with WAL replay.
+// compact merges all runs into one, dropping shadowed entries and — as
+// this is a full merge — tombstones as well. Only flush triggers it,
+// so a durable store's flush mark implies it and nothing else is
+// logged.
 func (s *Store) compact() {
 	if len(s.runs) <= 1 {
 		return
@@ -470,53 +449,10 @@ func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool)
 		if tomb {
 			continue
 		}
-		if !fn(key, s.resolve(val)) {
+		if !fn(key, val) {
 			return
 		}
 	}
-}
-
-// Value boxing: durable stores prefix every stored value with a tag so
-// a memtable/SSTable slot can hold either the value itself or a
-// pointer into the value log. Volatile stores keep raw bytes.
-const (
-	valInline byte = 0
-	valPtr    byte = 1
-)
-
-func boxValue(value []byte, ptr wal.Pointer, separated bool) []byte {
-	if !separated {
-		return append([]byte{valInline}, value...)
-	}
-	b := []byte{valPtr}
-	b = enc.Uvarint(b, uint64(ptr.Off))
-	return enc.Uvarint(b, uint64(ptr.Len))
-}
-
-// resolve unboxes a stored value, reading through to the value log for
-// separated values. A value-log read error surfaces as an empty value:
-// the read path has no error channel, and the fault-injection suite
-// only reads from healthy filesystems.
-func (s *Store) resolve(stored []byte) []byte {
-	if !s.durable || len(stored) == 0 {
-		return stored
-	}
-	if stored[0] == valInline {
-		return stored[1:]
-	}
-	off, rest, ok := enc.TakeUvarint(stored[1:])
-	if !ok {
-		return []byte{}
-	}
-	n, _, ok := enc.TakeUvarint(rest)
-	if !ok || s.wal == nil {
-		return []byte{}
-	}
-	v, err := s.wal.ReadValue(wal.Pointer{Off: int64(off), Len: int64(n)})
-	if err != nil {
-		return []byte{}
-	}
-	return v
 }
 
 // BulkLoad replaces the store contents with the given pairs (sorted,
@@ -540,29 +476,24 @@ func (s *Store) BulkLoad(keys, vals [][]byte) error {
 		s.err = err
 		return err
 	}
-	stored := make([][]byte, len(vals))
 	for i := range keys {
-		v := vals[i]
-		if v == nil {
-			v = []byte{}
+		if vals[i] == nil {
+			vals[i] = []byte{} // logged as empty, so it must stay live here too
 		}
-		ptr, sep, err := s.wal.AppendPut(keys[i], v)
-		if err != nil {
+		if err := s.wal.AppendPut(keys[i], vals[i]); err != nil {
 			s.err = err
 			return err
 		}
-		stored[i] = boxValue(v, ptr, sep)
 	}
 	if err := s.wal.EndBulk(len(keys)); err != nil {
 		s.err = err
 		return err
 	}
-	return s.installBulk(keys, stored)
+	return s.installBulk(keys, vals)
 }
 
 // installBulk swaps the store contents for a single pre-sorted run;
-// shared by the volatile path (raw values), the durable path (boxed
-// values) and WAL replay.
+// shared by the volatile path, the durable path and WAL replay.
 func (s *Store) installBulk(keys, vals [][]byte) error {
 	t := &sstable{keys: keys, vals: vals}
 	for i := range keys {
@@ -606,7 +537,7 @@ func (s *Store) Bytes() int64 {
 }
 
 // Durable reports whether the store was opened with a WAL.
-func (s *Store) Durable() bool { return s.durable }
+func (s *Store) Durable() bool { return s.wal != nil }
 
 // Err returns the sticky durability error: once a WAL append or fsync
 // fails, the store stops acknowledging mutations and reports why here.

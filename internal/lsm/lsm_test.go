@@ -56,7 +56,7 @@ func TestDeleteTombstone(t *testing.T) {
 	if _, ok := s.Get([]byte("a")); ok {
 		t.Fatal("tombstoned key visible via runs")
 	}
-	s.Compact()
+	s.compact()
 	if _, ok := s.Get([]byte("a")); ok {
 		t.Fatal("tombstoned key visible after compaction")
 	}
@@ -75,7 +75,7 @@ func TestCompactionDropsShadowedAndReducesRuns(t *testing.T) {
 		t.Fatalf("expected multiple runs, got %d", runsBefore)
 	}
 	before := s.Bytes()
-	s.Compact()
+	s.compact()
 	_, _, runsAfter, _, _ := s.Stats()
 	if runsAfter != 1 {
 		t.Fatalf("compaction left %d runs", runsAfter)
@@ -289,7 +289,7 @@ func TestScanPrefixAgainstMap(t *testing.T) {
 		delete(ref, k)
 	}
 	check("memtable tombstones over 5 runs")
-	s.Compact()
+	s.compact()
 	check("compacted, memtable empty")
 }
 

@@ -78,7 +78,7 @@ func TestStatsBytesAcrossFlushCompactCycles(t *testing.T) {
 		return true
 	})
 	s.Flush()
-	s.Compact()
+	s.compact()
 	if got := s.Bytes(); got != 0 {
 		t.Fatalf("Bytes() = %d after deleting everything and compacting, want 0", got)
 	}

@@ -2,10 +2,8 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -22,7 +20,6 @@ const (
 	OpPut OpKind = iota + 1
 	OpDelete
 	OpFlushMark
-	OpCompactMark
 	OpBulkBegin // followed by the bulk's OpPut stream, then OpBulkEnd
 	OpBulkEnd
 )
@@ -32,11 +29,7 @@ const (
 type Op struct {
 	Kind OpKind
 	Key  []byte
-	// Val holds the inline value for an un-separated OpPut.
-	Val []byte
-	// Ptr locates the value in the value log when Separated is true.
-	Ptr       Pointer
-	Separated bool
+	Val  []byte // an OpPut's value, never nil
 }
 
 // ReplayStats counts what recovery found and repaired.
@@ -45,14 +38,12 @@ type ReplayStats struct {
 	// marker frames included — the writer's resumed LSN.
 	Records int64
 	// Logical operation counts within the kept prefix.
-	Puts, Deletes, FlushMarks, CompactMarks int64
-	BulkLoads, BulkPairs                    int64
+	Puts, Deletes, FlushMarks int64
+	BulkLoads, BulkPairs      int64
 	// Segments found, and how many trailing ones were dropped whole.
 	Segments, SegmentsDropped int
-	// BytesTruncated is how much torn/discarded segment tail was cut;
-	// VlogBytesTruncated likewise for the value log.
-	BytesTruncated     int64
-	VlogBytesTruncated int64
+	// BytesTruncated is how much torn/discarded segment tail was cut.
+	BytesTruncated int64
 }
 
 // unit is an atomic group of operations pending delivery.
@@ -63,8 +54,7 @@ type unit struct {
 
 // Replay scans dir's segments oldest-first, delivers the
 // newest-valid-prefix of completed units to apply, truncates whatever
-// follows (torn frames, bad CRCs, unterminated units, orphan value-log
-// bytes), and returns a Writer positioned to append. A fresh directory
+// follows (torn frames, bad CRCs, unterminated units), and returns a Writer positioned to append. A fresh directory
 // replays zero records. Replay is idempotent: reopening an
 // already-recovered log delivers the same operations and repairs
 // nothing further.
@@ -91,14 +81,7 @@ func Replay(fsys fsim.FS, dir string, o Options, apply func(Op) error) (*Writer,
 	}
 	sort.Strings(segs) // zero-padded indices sort numerically
 
-	vlogPath := filepath.Join(dir, "values.vlog")
-	vlogData, err := fsys.ReadFile(vlogPath)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, err
-	}
-
 	st := &ReplayStats{Segments: len(segs)}
-	var vlogEnd int64
 
 	deliver := func(u *unit) error {
 		for i := range u.ops {
@@ -110,15 +93,8 @@ func Replay(fsys fsim.FS, dir string, o Options, apply func(Op) error) (*Writer,
 				st.Deletes++
 			case OpFlushMark:
 				st.FlushMarks++
-			case OpCompactMark:
-				st.CompactMarks++
 			case OpBulkBegin:
 				st.BulkLoads++
-			}
-			if op.Separated {
-				if end := op.Ptr.Off + vlogHeader + op.Ptr.Len; end > vlogEnd {
-					vlogEnd = end
-				}
 			}
 			if err := apply(*op); err != nil {
 				return err
@@ -126,18 +102,6 @@ func Replay(fsys fsim.FS, dir string, o Options, apply func(Op) error) (*Writer,
 		}
 		st.Records += u.frames
 		return nil
-	}
-
-	// checkVlog verifies a separated value is intact in the value log;
-	// a failure means the unit referencing it is torn.
-	checkVlog := func(p Pointer) bool {
-		end := p.Off + vlogHeader + p.Len
-		if p.Off < 0 || p.Len < 0 || end > int64(len(vlogData)) {
-			return false
-		}
-		entry := vlogData[p.Off:end]
-		return binary.BigEndian.Uint32(entry[4:8]) == uint32(p.Len) &&
-			binary.BigEndian.Uint32(entry[0:4]) == crc32.Checksum(entry[vlogHeader:], crcTable)
 	}
 
 	truncSeg := -1 // segment index where the torn tail starts
@@ -213,10 +177,6 @@ scan:
 				inBulk, cur = false, nil
 				commitOff = end
 			default:
-				if op.Separated && !checkVlog(op.Ptr) {
-					torn()
-					break scan
-				}
 				if cur != nil {
 					cur.ops = append(cur.ops, op)
 					cur.frames++
@@ -237,8 +197,8 @@ scan:
 		}
 	}
 
-	// Repair: rewrite the torn segment to its valid prefix, drop every
-	// later segment, and trim orphan value-log bytes.
+	// Repair: rewrite the torn segment to its valid prefix and drop
+	// every later segment.
 	if truncSeg >= 0 {
 		name := segs[truncSeg]
 		data, err := fsys.ReadFile(filepath.Join(dir, name))
@@ -264,12 +224,6 @@ scan:
 		}
 		segs = segs[:truncSeg+1]
 	}
-	if int64(len(vlogData)) > vlogEnd {
-		st.VlogBytesTruncated = int64(len(vlogData)) - vlogEnd
-		if err := publishPrefix(fsys, vlogPath, vlogData[:vlogEnd]); err != nil {
-			return nil, nil, err
-		}
-	}
 
 	// Resume the writer on the last kept segment.
 	segIdx := 1
@@ -285,15 +239,9 @@ scan:
 	if err != nil {
 		return nil, nil, err
 	}
-	vlogF, err := fsys.Append(vlogPath)
-	if err != nil {
-		seg.Close()
-		return nil, nil, err
-	}
 	w := &Writer{
 		fs: fsys, dir: dir, o: o,
 		seg: seg, segIdx: segIdx, segBytes: lastKeptSize,
-		vlog: vlogF, vlogOff: vlogEnd,
 		lsn: st.Records, durable: st.Records,
 	}
 	return w, st, nil
@@ -321,7 +269,7 @@ func parseFrame(data []byte, off int64) (typ byte, body []byte, end int64, ok bo
 
 // decodeRecord turns a frame payload into an Op. Marker frames decode
 // to zero-value Ops for the caller's state machine; valid is false on
-// malformed bodies.
+// malformed bodies and on unknown or retired record types.
 func decodeRecord(typ byte, body []byte) (Op, bool) {
 	switch typ {
 	case recPut:
@@ -332,33 +280,14 @@ func decodeRecord(typ byte, body []byte) (Op, bool) {
 		return Op{
 			Kind: OpPut,
 			Key:  append([]byte(nil), rest[:klen]...),
-			Val:  append([]byte(nil), rest[klen:]...),
-		}, true
-	case recPutPtr:
-		klen, rest, ok := enc.TakeUvarint(body)
-		if !ok || int64(klen) > int64(len(rest)) {
-			return Op{}, false
-		}
-		key := append([]byte(nil), rest[:klen]...)
-		off, rest, ok := enc.TakeUvarint(rest[klen:])
-		if !ok {
-			return Op{}, false
-		}
-		vlen, rest, ok := enc.TakeUvarint(rest)
-		if !ok || len(rest) != 0 {
-			return Op{}, false
-		}
-		return Op{
-			Kind: OpPut, Key: key,
-			Ptr:       Pointer{Off: int64(off), Len: int64(vlen)},
-			Separated: true,
+			// Non-nil even when empty: a nil value in a bulk run is a
+			// tombstone.
+			Val: append([]byte{}, rest[klen:]...),
 		}, true
 	case recDelete:
 		return Op{Kind: OpDelete, Key: append([]byte(nil), body...)}, true
 	case recFlushMark:
 		return Op{Kind: OpFlushMark}, len(body) == 0
-	case recCompactMark:
-		return Op{Kind: OpCompactMark}, len(body) == 0
 	case recTxBegin, recTxEnd:
 		return Op{}, len(body) == 0
 	case recBulkBegin:

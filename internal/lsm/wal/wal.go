@@ -1,6 +1,8 @@
 // Package wal is the write-ahead log under internal/lsm's durable
-// mode: CRC-32C-framed append-only records with group commit, segment
-// rotation, and WAL-time key-value separation.
+// mode: CRC-32C-framed append-only records with group commit and
+// segment rotation. Every value travels inline in its put frame, so a
+// store directory holds only wal-*.seg segments (replay ignores any
+// other file, such as the empty values.vlog older builds created).
 //
 // Frame layout (all integers big-endian):
 //
@@ -18,15 +20,14 @@
 // triggers, an engine-level transaction) are delimited by tx marker
 // frames, and bulk loads by bulk markers, so recovery only ever stops
 // on a unit boundary — a torn tail can not split a logical operation.
-// Single-record units are written bare, marker-free.
+// Single-record units are written bare, marker-free. Compaction is
+// never logged: a flush mark implies the compaction that flush
+// triggers.
 //
-// Key-value separation (the BVLSM pattern): values of at least
-// ValueThreshold bytes are appended to a side value log
-// (values.vlog, entries crc32c(4) | len(4) | bytes) and the WAL
-// frame — and therefore the memtable and every SSTable — carries only
-// a (offset, length) pointer, so flush and compaction move keys, not
-// payloads. The value log is synced before the WAL segment in each
-// group commit: a durable pointer never references torn value bytes.
+// Record types 2 (a value-log pointer) and 5 (an explicit compaction
+// mark) are retired: production never wrote them, and replay treats
+// such a frame as corruption, truncating the log there like any torn
+// tail.
 package wal
 
 import (
@@ -40,22 +41,19 @@ import (
 	"repro/internal/lsm/fsim"
 )
 
-// Record types.
+// Record types. 2 and 5 are retired (see the package comment).
 const (
-	recPut         byte = 1 // uvarint keyLen | key | value
-	recPutPtr      byte = 2 // uvarint keyLen | key | uvarint vlogOff | uvarint valueLen
-	recDelete      byte = 3 // key
-	recFlushMark   byte = 4
-	recCompactMark byte = 5
-	recTxBegin     byte = 6
-	recTxEnd       byte = 7
-	recBulkBegin   byte = 8
-	recBulkEnd     byte = 9 // uvarint pair count
+	recPut       byte = 1 // uvarint keyLen | key | value
+	recDelete    byte = 3 // key
+	recFlushMark byte = 4
+	recTxBegin   byte = 6
+	recTxEnd     byte = 7
+	recBulkBegin byte = 8
+	recBulkEnd   byte = 9 // uvarint pair count
 )
 
 const (
 	frameHeader = 8
-	vlogHeader  = 8
 	// maxFrame bounds a frame payload; anything larger is corruption,
 	// not data.
 	maxFrame = 1 << 30
@@ -69,9 +67,6 @@ type Options struct {
 	// current one reaches this size (default 1 MiB). Rotation happens
 	// between atomic units, never inside one.
 	SegmentBytes int64
-	// ValueThreshold routes values of at least this many bytes to the
-	// value log (default 1024). Negative disables separation.
-	ValueThreshold int
 	// GroupCommitOps is the record count that forces an fsync
 	// (default 64).
 	GroupCommitOps int
@@ -89,9 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}
-	if o.ValueThreshold == 0 {
-		o.ValueThreshold = 1024
-	}
 	if o.GroupCommitOps <= 0 {
 		o.GroupCommitOps = 64
 	}
@@ -104,15 +96,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Pointer locates a separated value in the value log.
-type Pointer struct {
-	Off int64
-	Len int64
-}
-
 // Writer appends records to the log. It inherits the store's
-// single-writer contract: all methods except ReadValue must be called
-// from one goroutine at a time.
+// single-writer contract: its methods must be called from one
+// goroutine at a time.
 type Writer struct {
 	fs  fsim.FS
 	dir string
@@ -121,10 +107,6 @@ type Writer struct {
 	seg      fsim.File
 	segIdx   int
 	segBytes int64
-
-	vlog      fsim.File
-	vlogOff   int64
-	vlogDirty bool
 
 	lsn     int64 // frames written
 	durable int64 // frames covered by the last fsync
@@ -142,26 +124,6 @@ type Writer struct {
 }
 
 func segName(i int) string { return fmt.Sprintf("wal-%06d.seg", i) }
-
-// Create opens a fresh writer in dir with no existing log. Most
-// callers want Replay, which handles both the fresh and the recovery
-// case; Create exists for tests that need a bare writer.
-func Create(fsys fsim.FS, dir string, o Options) (*Writer, error) {
-	o = o.withDefaults()
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, err
-	}
-	seg, err := fsys.Append(filepath.Join(dir, segName(1)))
-	if err != nil {
-		return nil, err
-	}
-	vlog, err := fsys.Append(filepath.Join(dir, "values.vlog"))
-	if err != nil {
-		seg.Close()
-		return nil, err
-	}
-	return &Writer{fs: fsys, dir: dir, o: o, seg: seg, segIdx: 1, vlog: vlog}, nil
-}
 
 // Err returns the sticky error: after any append or sync failure the
 // writer refuses further work.
@@ -239,13 +201,6 @@ func (w *Writer) afterUnit() error {
 }
 
 func (w *Writer) syncNow() error {
-	if w.vlogDirty {
-		if err := w.vlog.Sync(); err != nil {
-			w.err = err
-			return err
-		}
-		w.vlogDirty = false
-	}
 	if err := w.seg.Sync(); err != nil {
 		w.err = err
 		return err
@@ -275,59 +230,12 @@ func (w *Writer) rotate() error {
 	return nil
 }
 
-// AppendPut logs key→value. Values at or above the separation
-// threshold land in the value log; the returned pointer (valid when
-// separated is true) is what the store keeps in its memtable and runs.
-func (w *Writer) AppendPut(key, value []byte) (ptr Pointer, separated bool, err error) {
-	if w.err != nil {
-		return Pointer{}, false, w.err
-	}
-	if w.o.ValueThreshold > 0 && len(value) >= w.o.ValueThreshold {
-		ptr, err = w.appendValue(value)
-		if err != nil {
-			return Pointer{}, false, err
-		}
-		body := enc.Uvarint(nil, uint64(len(key)))
-		body = append(body, key...)
-		body = enc.Uvarint(body, uint64(ptr.Off))
-		body = enc.Uvarint(body, uint64(ptr.Len))
-		return ptr, true, w.emit(recPutPtr, body)
-	}
+// AppendPut logs key→value.
+func (w *Writer) AppendPut(key, value []byte) error {
 	body := enc.Uvarint(nil, uint64(len(key)))
 	body = append(body, key...)
 	body = append(body, value...)
-	return Pointer{}, false, w.emit(recPut, body)
-}
-
-// appendValue writes one value-log entry: crc32c(4) | len(4) | bytes.
-func (w *Writer) appendValue(value []byte) (Pointer, error) {
-	entry := make([]byte, vlogHeader+len(value))
-	binary.BigEndian.PutUint32(entry[0:4], crc32.Checksum(value, crcTable))
-	binary.BigEndian.PutUint32(entry[4:8], uint32(len(value)))
-	copy(entry[vlogHeader:], value)
-	if _, err := w.vlog.Write(entry); err != nil {
-		w.err = err
-		return Pointer{}, err
-	}
-	ptr := Pointer{Off: w.vlogOff, Len: int64(len(value))}
-	w.vlogOff += int64(len(entry))
-	w.vlogDirty = true
-	return ptr, nil
-}
-
-// ReadValue resolves a separated value. Safe for concurrent readers:
-// it touches only the value-log handle via positional reads.
-func (w *Writer) ReadValue(ptr Pointer) ([]byte, error) {
-	entry := make([]byte, vlogHeader+int(ptr.Len))
-	if _, err := w.vlog.ReadAt(entry, ptr.Off); err != nil {
-		return nil, err
-	}
-	value := entry[vlogHeader:]
-	if binary.BigEndian.Uint32(entry[4:8]) != uint32(ptr.Len) ||
-		binary.BigEndian.Uint32(entry[0:4]) != crc32.Checksum(value, crcTable) {
-		return nil, fmt.Errorf("wal: value log entry at %d corrupt", ptr.Off)
-	}
-	return value, nil
+	return w.emit(recPut, body)
 }
 
 // AppendDelete logs a tombstone for key.
@@ -339,12 +247,6 @@ func (w *Writer) AppendDelete(key []byte) error {
 // Replay flushes exactly at marks, reproducing the run structure.
 func (w *Writer) AppendFlushMark() error {
 	return w.emit(recFlushMark, nil)
-}
-
-// AppendCompactMark logs an explicit compaction (flush-triggered
-// compactions are implied by the flush mark and not logged).
-func (w *Writer) AppendCompactMark() error {
-	return w.emit(recCompactMark, nil)
 }
 
 // BeginTx opens an atomic unit; frames are buffered until EndTx.
@@ -444,7 +346,7 @@ func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.pending == 0 && !w.vlogDirty {
+	if w.pending == 0 {
 		return nil
 	}
 	return w.syncNow()
@@ -458,12 +360,6 @@ func (w *Writer) Close() error {
 			err = cerr
 		}
 		w.seg = nil
-	}
-	if w.vlog != nil {
-		if cerr := w.vlog.Close(); err == nil {
-			err = cerr
-		}
-		w.vlog = nil
 	}
 	return err
 }

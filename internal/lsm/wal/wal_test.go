@@ -9,7 +9,7 @@ import (
 	"repro/internal/lsm/fsim"
 )
 
-func collect(t *testing.T, fsys fsim.FS, dir string, o Options) (*Writer, *ReplayStats, []Op) {
+func collect(t testing.TB, fsys fsim.FS, dir string, o Options) (*Writer, *ReplayStats, []Op) {
 	t.Helper()
 	var ops []Op
 	w, st, err := Replay(fsys, dir, o, func(op Op) error {
@@ -22,6 +22,16 @@ func collect(t *testing.T, fsys fsim.FS, dir string, o Options) (*Writer, *Repla
 	return w, st, ops
 }
 
+// fresh opens a writer on an empty directory: Replay of nothing.
+func fresh(t testing.TB, fsys fsim.FS, dir string, o Options) *Writer {
+	t.Helper()
+	w, _, ops := collect(t, fsys, dir, o)
+	if len(ops) != 0 {
+		t.Fatalf("fresh directory replayed %d ops", len(ops))
+	}
+	return w
+}
+
 // fakeClock is an injectable clock for the group-commit window.
 type fakeClock struct{ t time.Time }
 
@@ -30,20 +40,14 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestRoundTrip(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, err := Create(m, "wal", Options{})
-	if err != nil {
+	w := fresh(t, m, "wal", Options{})
+	if err := w.AppendPut([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
-	}
-	if _, sep, err := w.AppendPut([]byte("k1"), []byte("v1")); err != nil || sep {
-		t.Fatalf("put: sep=%v err=%v", sep, err)
 	}
 	if err := w.AppendDelete([]byte("k2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendFlushMark(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendCompactMark(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -52,17 +56,16 @@ func TestRoundTrip(t *testing.T) {
 
 	w2, st, ops := collect(t, m, "wal", Options{})
 	defer w2.Close()
-	if st.Records != 4 || st.Puts != 1 || st.Deletes != 1 || st.FlushMarks != 1 || st.CompactMarks != 1 {
+	if st.Records != 3 || st.Puts != 1 || st.Deletes != 1 || st.FlushMarks != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BytesTruncated != 0 || st.VlogBytesTruncated != 0 {
+	if st.BytesTruncated != 0 {
 		t.Fatalf("clean log truncated: %+v", st)
 	}
 	want := []Op{
 		{Kind: OpPut, Key: []byte("k1"), Val: []byte("v1")},
 		{Kind: OpDelete, Key: []byte("k2")},
 		{Kind: OpFlushMark},
-		{Kind: OpCompactMark},
 	}
 	if len(ops) != len(want) {
 		t.Fatalf("replayed %d ops, want %d", len(ops), len(want))
@@ -72,16 +75,16 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("op %d = %+v, want %+v", i, op, want[i])
 		}
 	}
-	if w2.LSN() != 4 || w2.DurableLSN() != 4 {
-		t.Fatalf("resumed lsn = %d/%d, want 4/4", w2.LSN(), w2.DurableLSN())
+	if w2.LSN() != 3 || w2.DurableLSN() != 3 {
+		t.Fatalf("resumed lsn = %d/%d, want 3/3", w2.LSN(), w2.DurableLSN())
 	}
 }
 
 func TestTornTailTruncatedNotFatal(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{})
+	w := fresh(t, m, "wal", Options{})
 	for i := 0; i < 5; i++ {
-		if _, _, err := w.AppendPut([]byte{byte('a' + i)}, []byte("val")); err != nil {
+		if err := w.AppendPut([]byte{byte('a' + i)}, []byte("val")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,16 +133,16 @@ func TestGroupCommitBatchesAndWindow(t *testing.T) {
 	clk := &fakeClock{}
 	m := fsim.NewMem(fsim.Faults{})
 	o := Options{GroupCommitOps: 4, GroupCommitWindow: 2 * time.Millisecond, Now: clk.now}
-	w, _ := Create(m, "wal", o)
+	w := fresh(t, m, "wal", o)
 	for i := 0; i < 3; i++ {
-		if _, _, err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
+		if err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w.DurableLSN() != 0 {
 		t.Fatalf("durable = %d before batch boundary", w.DurableLSN())
 	}
-	if _, _, err := w.AppendPut([]byte{9}, []byte("v")); err != nil {
+	if err := w.AppendPut([]byte{9}, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if w.DurableLSN() != 4 || w.Syncs() != 1 {
@@ -148,14 +151,14 @@ func TestGroupCommitBatchesAndWindow(t *testing.T) {
 
 	// Window: one record, then the clock jumps past the window; the
 	// next append must force the sync.
-	if _, _, err := w.AppendPut([]byte{10}, []byte("v")); err != nil {
+	if err := w.AppendPut([]byte{10}, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if w.DurableLSN() != 4 {
 		t.Fatalf("durable advanced without sync trigger")
 	}
 	clk.advance(5 * time.Millisecond)
-	if _, _, err := w.AppendPut([]byte{11}, []byte("v")); err != nil {
+	if err := w.AppendPut([]byte{11}, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if w.DurableLSN() != 6 || w.Syncs() != 2 {
@@ -166,84 +169,15 @@ func TestGroupCommitBatchesAndWindow(t *testing.T) {
 	}
 }
 
-func TestValueSeparation(t *testing.T) {
-	m := fsim.NewMem(fsim.Faults{})
-	big := bytes.Repeat([]byte("x"), 100)
-	w, _ := Create(m, "wal", Options{ValueThreshold: 64})
-	ptr, sep, err := w.AppendPut([]byte("big"), big)
-	if err != nil || !sep {
-		t.Fatalf("big put: sep=%v err=%v", sep, err)
-	}
-	if _, sep, err = w.AppendPut([]byte("small"), []byte("v")); err != nil || sep {
-		t.Fatalf("small put separated")
-	}
-	got, err := w.ReadValue(ptr)
-	if err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("ReadValue = %d bytes, %v", len(got), err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, st, ops := collect(t, m, "wal", Options{ValueThreshold: 64})
-	defer w2.Close()
-	if st.Puts != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if !ops[0].Separated || ops[0].Ptr != ptr {
-		t.Fatalf("replayed ptr = %+v, want %+v", ops[0].Ptr, ptr)
-	}
-	if got, err := w2.ReadValue(ops[0].Ptr); err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("post-replay ReadValue failed: %v", err)
-	}
-}
-
-func TestOrphanVlogTailTruncated(t *testing.T) {
-	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{ValueThreshold: 8})
-	if _, _, err := w.AppendPut([]byte("a"), bytes.Repeat([]byte("A"), 16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash that persisted vlog bytes whose WAL frame was
-	// lost: append garbage to the vlog.
-	f, _ := m.Append("wal/values.vlog")
-	if _, err := f.Write(bytes.Repeat([]byte{0xff}, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, st, _ := collect(t, m, "wal", Options{ValueThreshold: 8})
-	if st.VlogBytesTruncated != 32 {
-		t.Fatalf("VlogBytesTruncated = %d, want 32", st.VlogBytesTruncated)
-	}
-	// The surviving entry must still resolve, and the writer must
-	// append new values after the trimmed tail without overlap.
-	ptr2, sep, err := w2.AppendPut([]byte("b"), bytes.Repeat([]byte("B"), 16))
-	if err != nil || !sep {
-		t.Fatal(err)
-	}
-	if got, err := w2.ReadValue(ptr2); err != nil || !bytes.Equal(got, bytes.Repeat([]byte("B"), 16)) {
-		t.Fatalf("ReadValue after trim: %v", err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTxAtomicity(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{})
+	w := fresh(t, m, "wal", Options{})
 	// Committed multi-record tx.
 	if err := w.BeginTx(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
+		if err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,9 +218,9 @@ func TestTxAtomicity(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{SegmentBytes: 64})
+	w := fresh(t, m, "wal", Options{SegmentBytes: 64})
 	for i := 0; i < 20; i++ {
-		if _, _, err := w.AppendPut([]byte(fmt.Sprintf("key-%02d", i)), []byte("value")); err != nil {
+		if err := w.AppendPut([]byte(fmt.Sprintf("key-%02d", i)), []byte("value")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,12 +231,7 @@ func TestSegmentRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segCount := 0
-	for _, n := range names {
-		if n != "values.vlog" {
-			segCount++
-		}
-	}
+	segCount := len(names)
 	if segCount < 3 {
 		t.Fatalf("expected rotation to produce >= 3 segments, got %d: %v", segCount, names)
 	}
@@ -317,7 +246,7 @@ func TestSegmentRotation(t *testing.T) {
 		}
 	}
 	// The resumed writer appends into the newest segment.
-	if _, _, err := w2.AppendPut([]byte("after"), []byte("v")); err != nil {
+	if err := w2.AppendPut([]byte("after"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -331,12 +260,12 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestTornBulkDiscardedWhole(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{})
+	w := fresh(t, m, "wal", Options{})
 	if err := w.BeginBulk(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
+		if err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,7 +274,6 @@ func TestTornBulkDiscardedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = w.seg.Close()
-	_ = w.vlog.Close()
 
 	w2, st, ops := collect(t, m, "wal", Options{})
 	defer w2.Close()
@@ -359,12 +287,12 @@ func TestTornBulkDiscardedWhole(t *testing.T) {
 
 func TestCompletedBulkReplayed(t *testing.T) {
 	m := fsim.NewMem(fsim.Faults{})
-	w, _ := Create(m, "wal", Options{})
+	w := fresh(t, m, "wal", Options{})
 	if err := w.BeginBulk(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
+		if err := w.AppendPut([]byte{byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,5 +312,109 @@ func TestCompletedBulkReplayed(t *testing.T) {
 	}
 	if len(ops) != 6 || ops[0].Kind != OpBulkBegin || ops[5].Kind != OpBulkEnd {
 		t.Fatalf("bulk op stream = %d ops", len(ops))
+	}
+}
+
+// writeLog writes a small log of every surviving unit kind — bare
+// puts and deletes, a flush mark, a multi-record transaction and a bulk
+// load — and returns the segment bytes.
+func writeLog(t testing.TB, m *fsim.Mem, dir string) []byte {
+	t.Helper()
+	w := fresh(t, m, dir, Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.AppendPut([]byte("a"), []byte("1")))
+	must(w.AppendDelete([]byte("b")))
+	must(w.AppendFlushMark())
+	must(w.BeginTx())
+	must(w.AppendPut([]byte("c"), []byte{}))
+	must(w.AppendPut([]byte("d"), []byte("4")))
+	must(w.EndTx())
+	must(w.BeginBulk())
+	must(w.AppendPut([]byte("e"), []byte("5")))
+	must(w.EndBulk(1))
+	must(w.Close())
+	data, err := m.ReadFile(dir + "/wal-000001.seg")
+	must(err)
+	return data
+}
+
+func sameOps(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Val, b[i].Val) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEmptyValueLogFileIgnored: stores written before the value log was
+// removed hold an empty values.vlog beside their segments. It is not
+// part of the log, so replay delivers the same ops and repairs nothing.
+func TestEmptyValueLogFileIgnored(t *testing.T) {
+	m := fsim.NewMem(fsim.Faults{})
+	writeLog(t, m, "plain")
+	_, want, wantOps := collect(t, m, "plain", Options{})
+
+	writeLog(t, m, "old")
+	f, err := m.Create("old/values.vlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w, st, ops := collect(t, m, "old", Options{})
+	defer w.Close()
+	if st.BytesTruncated != 0 || st.Records != want.Records || !sameOps(ops, wantOps) {
+		t.Fatalf("with values.vlog: %+v, %d ops; without: %+v, %d ops", st, len(ops), want, len(wantOps))
+	}
+	if v := ops[3].Val; v == nil || len(v) != 0 {
+		t.Fatalf("empty value replayed as %#v, want non-nil empty", v)
+	}
+}
+
+// TestRetiredRecordTypesTruncated: a frame of retired type 2 (value-log
+// pointer) or 5 (explicit compaction mark) decodes as unknown. Replay
+// keeps the valid prefix before it and truncates it and everything
+// after, as for any torn tail.
+func TestRetiredRecordTypesTruncated(t *testing.T) {
+	for _, typ := range []byte{2, 5} {
+		m := fsim.NewMem(fsim.Faults{})
+		prefix := writeLog(t, m, "w")
+		_, _, wantOps := collect(t, m, "w", Options{})
+		tail := frameBytes(typ, nil)
+		if typ == 2 {
+			tail = frameBytes(typ, []byte{1, 'k', 0, 3}) // key "k" at offset 0, length 3
+		}
+		tail = append(tail, frameBytes(recPut, []byte{1, 'z', '9'})...)
+		f, err := m.Append("w/wal-000001.seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		w, st, ops := collect(t, m, "w", Options{})
+		if st.BytesTruncated != int64(len(tail)) || !sameOps(ops, wantOps) {
+			t.Fatalf("type %d: truncated %d of %d tail bytes, %d ops (want %d)",
+				typ, st.BytesTruncated, len(tail), len(ops), len(wantOps))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, _ := m.ReadFile("w/wal-000001.seg"); !bytes.Equal(data, prefix) {
+			t.Fatalf("type %d: repaired segment is %d bytes, want the %d-byte prefix", typ, len(data), len(prefix))
+		}
 	}
 }
