@@ -39,7 +39,6 @@ type options struct {
 	workers     int
 	cellWorkers int
 	cacheDir    string
-	optimize    bool
 	verbose     bool
 	checkpoint  string
 	resume      bool
@@ -64,7 +63,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel evaluation workers")
 	fs.IntVar(&o.cellWorkers, "cell-workers", 1, "parallel batch iterations per cell (non-mutating queries)")
 	fs.StringVar(&o.cacheDir, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.BoolVar(&o.optimize, "optimize", true, "enable the gremlin plan optimizer; -optimize=false runs every query exactly as written (A/B escape hatch, identical results)")
 	fs.BoolVar(&o.verbose, "v", false, "print per-cell progress to stderr")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "stream completed grid cells to this JSONL file")
 	fs.BoolVar(&o.resume, "resume", false, "replay a compatible -checkpoint file and run only the missing cells")
@@ -135,7 +133,6 @@ func main() {
 		Exec: harness.Exec{
 			CellWorkers:     o.cellWorkers,
 			DatasetCacheDir: o.cacheDir,
-			NoOptimize:      !o.optimize,
 		},
 	}
 	if o.verbose {

@@ -37,13 +37,12 @@ const helpText = `commands:
   labels                       distinct edge labels
   search <name> <value>        vertices by property
   index <name>                 build an attribute index
-  explain [noopt] <steps>      show the query plan with cardinality
+  explain <steps>              show the query plan with cardinality
                                estimates; steps are space-separated
                                (V, E, V:<id>, E:<id>, has:k=v,
                                hasLabel:l, out[:l], in, both, outE,
                                inE, bothE, outV, inV, degree:dir,k,
-                               dedup, limit:n, sample:n). 'noopt'
-                               explains the plan exactly as written.
+                               dedup, limit:n, sample:n; n >= 0).
   bfs <id> <depth> [label]     breadth-first reach
   sp <v1> <v2> [label]         shortest path
   space                        space occupancy report
@@ -239,10 +238,6 @@ func (s *session) Eval(line string) (string, bool) {
 		}
 		return fmt.Sprintf("%d vertices %v", len(ids), truncIDs(ids, 20)), false
 	case "explain":
-		if len(args) > 0 && args[0] == "noopt" {
-			ctx = gremlin.WithoutOptimizer(ctx)
-			args = args[1:]
-		}
 		t, err := parseTraversal(gremlin.New(s.e), args)
 		if err != nil {
 			return err.Error(), false
@@ -314,7 +309,7 @@ func (s *session) Eval(line string) (string, bool) {
 // token must be a source (V, E, V:<id>, E:<id>).
 func parseTraversal(g gremlin.G, args []string) (*gremlin.Traversal, error) {
 	if len(args) == 0 {
-		return nil, fmt.Errorf("usage: explain [noopt] V|E|V:<id>|E:<id> [step ...]")
+		return nil, fmt.Errorf("usage: explain V|E|V:<id>|E:<id> [step ...]")
 	}
 	var t *gremlin.Traversal
 	for i, tok := range args {
@@ -366,14 +361,14 @@ func parseTraversal(g gremlin.G, args []string) (*gremlin.Traversal, error) {
 			t = t.Dedup()
 		case "limit":
 			n, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("step %q: want limit:n", tok)
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("step %q: want limit:n, n >= 0", tok)
 			}
 			t = t.Limit(n)
 		case "sample":
 			n, err := strconv.Atoi(arg)
-			if err != nil {
-				return nil, fmt.Errorf("step %q: want sample:n", tok)
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("step %q: want sample:n, n >= 0", tok)
 			}
 			t = t.Sample(n, 1)
 		default:

@@ -160,3 +160,19 @@ func TestShellValueParsing(t *testing.T) {
 		t.Fatalf("string search -> %q", out)
 	}
 }
+
+func TestShellExplain(t *testing.T) {
+	s := newTestSession(t)
+	run(t, s, "gen yeast 0.05")
+	out := run(t, s, "explain E hasLabel:x limit:5")
+	if !strings.HasPrefix(out, "plan (snapshot stats)") || !strings.Contains(out, "E().hasLabel(x) [index]") || !strings.Contains(out, "limit(5)") {
+		t.Fatalf("explain -> %q", out)
+	}
+	// A negative budget has no meaning: it would render an estimate
+	// below zero as unknown, and a negative sample capacity panics.
+	for _, bad := range []string{"explain V limit:-1", "explain V sample:-2"} {
+		if out, _ := s.Eval(bad); !strings.Contains(out, "n >= 0") {
+			t.Fatalf("%q -> %q, want a rejection", bad, out)
+		}
+	}
+}

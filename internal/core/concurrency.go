@@ -108,8 +108,8 @@ func (g *GuardedEngine) ConcurrentWrites() bool {
 	return false
 }
 
-// PlanStats forwards the wrapped engine's planner statistics, so the
-// gremlin optimizer sees through the guard.
+// PlanStats forwards the wrapped engine's planner statistics, so
+// Explain sees through the guard.
 func (g *GuardedEngine) PlanStats() *PlanStats {
 	if p, ok := g.inner.(PlanStatsProvider); ok {
 		return p.PlanStats()

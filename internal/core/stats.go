@@ -5,17 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// PlanStats is the cheap cardinality summary the query planner reads:
+// PlanStats is the cheap cardinality summary gremlin's Explain reads:
 // vertex/edge totals, per-label edge counts and log-bucketed degree
 // histograms, all derived in one pass from the CSR snapshot a dataset
 // graph already carries. No statistics machinery — these are exactly
-// the signals Graph.Snapshot() computes anyway, packaged so the
-// gremlin optimizer can rank commutable filter steps without touching
-// the engine.
+// the signals Graph.Snapshot() computes anyway, packaged so a plan's
+// estimated cardinalities can be rendered without touching the engine.
 //
-// Stats are taken at bulk-load time and never refreshed: they are
-// estimates that influence only the *order* of commutable steps, never
-// the result, so staleness after mutation is harmless.
+// Stats are taken at bulk-load time and never refreshed: they feed
+// only the rendered estimates, never execution or results, so
+// staleness after mutation is harmless.
 type PlanStats struct {
 	// V and E are the snapshotted vertex and edge counts.
 	V, E int64
@@ -104,10 +103,10 @@ func (s *PlanStats) AvgDegree(d Direction, labels []string) float64 {
 }
 
 // PlanStatsProvider is implemented by engines that retain planning
-// statistics from their bulk-loaded dataset. The gremlin optimizer
+// statistics from their bulk-loaded dataset. gremlin's Explain
 // consults it through a type assertion; engines without stats (or
-// instances populated element by element, as in the shell) simply run
-// with heuristic defaults. Like core.ConcurrentReader, this is an
+// instances populated element by element, as in the shell) render
+// unknown estimates. Like core.ConcurrentReader, this is an
 // optional capability, not part of the Engine contract.
 type PlanStatsProvider interface {
 	// PlanStats returns the load-time statistics, or nil when none
@@ -116,11 +115,10 @@ type PlanStatsProvider interface {
 }
 
 // PlanStatsHolder is an embeddable PlanStatsProvider: an engine embeds
-// it and calls CapturePlanStats from its BulkLoad, after which the
-// gremlin optimizer can read the dataset's cardinality signals through
-// the engine. Engines populated element by element (the shell) never
-// capture, and PlanStats stays nil — the optimizer then runs on
-// heuristic defaults.
+// it and calls CapturePlanStats from its BulkLoad, after which Explain
+// can read the dataset's cardinality signals through the engine.
+// Engines populated element by element (the shell) never capture, and
+// PlanStats stays nil — Explain then renders unknown estimates.
 type PlanStatsHolder struct{ stats statsCache }
 
 // PlanStats returns the captured statistics, or nil.

@@ -1,44 +1,26 @@
 package gremlin
 
-import (
-	"context"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// compile turns the logical plan into an executable stream. When the
-// optimizer is enabled for ctx, commutable filters are reordered first
-// (optimize.go); lowering then walks the ordered steps once, fusing an
-// index-served leading filter into the source and each maximal run of
-// predicate steps into a single filter loop. The traversal's own plan
-// is never mutated — compiling is repeatable and Explain sees the same
-// plan the executor ran.
-func (t *Traversal) compile(ctx context.Context) stream {
-	steps := t.steps
-	opt := OptimizerEnabled(ctx)
-	if opt {
-		steps = optimize(steps, engineStats(t.e))
-	}
-	return lower(t.e, steps, opt)
-}
-
-// lower translates ordered steps into a chain of pull-based streams.
-// Each stage pulls from its upstream only on demand, so a downstream
-// Limit that stops pulling stops the whole chain — including the
-// engine iterators inside the source — without any push-side
-// cooperation (the Limit short-circuit the closure pipeline could not
-// express).
-func lower(e core.Engine, steps []Step, opt bool) stream {
+// lower translates the plan, in the order it was written, into a
+// chain of pull-based streams: a leading index-served filter fuses
+// into the source, and each maximal run of filter steps into a single
+// loop. Each stage pulls from its upstream only on demand, so a
+// downstream Limit that stops pulling stops the whole chain —
+// including the engine iterators inside the source. The plan itself
+// is never mutated, so lowering is repeatable and Explain sees the
+// plan that executes.
+func lower(e core.Engine, steps []Step) stream {
 	if len(steps) == 0 || !steps[0].isSource() {
 		return func() (core.ID, bool, error) { return core.NoID, false, nil }
 	}
-	s, i := lowerSource(e, steps, opt)
+	s, i := lowerSource(e, steps)
 	for i < len(steps) {
 		st := steps[i]
-		if isPredicate(st) {
-			// Fuse the whole predicate run into one filter loop.
+		if st.isFilter() {
+			// Fuse the whole filter run into one loop.
 			j := i + 1
-			for j < len(steps) && isPredicate(steps[j]) {
+			for j < len(steps) && steps[j].isFilter() {
 				j++
 			}
 			s = filterStage(e, s, steps[i:j])
@@ -69,22 +51,21 @@ func lower(e core.Engine, steps []Step, opt bool) stream {
 }
 
 // lowerSource emits the plan's source stream and returns the index of
-// the first unconsumed step. A leading Has/HasLabel filter is fused
-// into the engine's index surface (VerticesByProp / EdgesByProp /
-// EdgesByLabel) when the filter is Explicit — the workload asked for
-// the index, Q11–Q13 — or when the optimizer is on. Fusion preserves
-// the element sequence because every engine's ByProp/ByLabel surface
-// yields ids in the same ascending order its full scan does.
-func lowerSource(e core.Engine, steps []Step, opt bool) (stream, int) {
+// the first unconsumed step. A Has/HasLabel directly after V()/E() is
+// served by the engine's index surface (VerticesByProp / EdgesByProp /
+// EdgesByLabel) — the paper's source-step fast path, Q11–Q13. Fusion
+// preserves the element sequence because every engine's ByProp/ByLabel
+// surface yields ids in the same ascending order its full scan does.
+func lowerSource(e core.Engine, steps []Step) (stream, int) {
 	src := steps[0]
-	if len(steps) > 1 && (steps[1].Explicit || opt) {
+	if fusedSource(steps) {
 		next := steps[1]
 		switch {
-		case src.Op == OpSourceV && next.Op == OpHas:
-			return fromIter(e.VerticesByProp(next.Name, next.Value)), 2
-		case src.Op == OpSourceE && next.Op == OpHasLabel:
+		case next.Op == OpHasLabel:
 			return fromIter(e.EdgesByLabel(next.Label)), 2
-		case src.Op == OpSourceE && next.Op == OpHas:
+		case src.Op == OpSourceV:
+			return fromIter(e.VerticesByProp(next.Name, next.Value)), 2
+		default:
 			return fromIter(e.EdgesByProp(next.Name, next.Value)), 2
 		}
 	}
@@ -108,36 +89,22 @@ func lowerSource(e core.Engine, steps []Step, opt bool) (stream, int) {
 	}
 }
 
-// fusedSource reports whether lowering would serve the plan's second
-// step from the engine index surface (shared with Explain so the
-// rendered plan matches what executes).
-func fusedSource(steps []Step, opt bool) bool {
-	if len(steps) < 2 || !(steps[1].Explicit || opt) {
+// fusedSource reports whether lowering serves the plan's second step
+// from the engine index surface (shared with Explain so the rendered
+// plan matches what executes).
+func fusedSource(steps []Step) bool {
+	if len(steps) < 2 {
 		return false
 	}
-	switch {
-	case steps[0].Op == OpSourceV && steps[1].Op == OpHas,
-		steps[0].Op == OpSourceE && steps[1].Op == OpHasLabel,
-		steps[0].Op == OpSourceE && steps[1].Op == OpHas:
-		return true
-	}
-	return false
+	src, next := steps[0].Op, steps[1].Op
+	return src == OpSourceV && next == OpHas ||
+		src == OpSourceE && (next == OpHas || next == OpHasLabel)
 }
 
-// isPredicate reports whether lowering can fold the step into a fused
-// filter loop. This is broader than Step.isFilter: an opaque FilterFunc
-// never *reorders*, but once the order is fixed it evaluates like any
-// other per-element predicate.
-func isPredicate(s Step) bool {
-	return s.isFilter() || s.Op == OpFilterFunc
-}
-
-// predicate compiles one filter step to its per-element test. The
-// engine call patterns match the closure API exactly — per-element
-// property probes, label fetches and degree counts — so optimizer-off
-// execution is indistinguishable from the pre-plan implementation, and
-// engine failures (core.ErrOutOfMemory from Degree on Q28–Q31) still
-// abort the traversal.
+// predicate compiles one filter step to its per-element test: a
+// property probe, label fetch, degree count or set lookup per element.
+// Engine failures (core.ErrOutOfMemory from Degree on Q28–Q31) abort
+// the traversal.
 func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 	switch s.Op {
 	case OpHas:
@@ -167,17 +134,15 @@ func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 			}
 			return deg >= s.K, nil
 		}
-	case OpExcept:
+	default: // OpExcept
 		return func(id core.ID) (bool, error) {
 			_, in := s.Set[id]
 			return !in, nil
 		}
-	default: // OpFilterFunc
-		return s.Keep
 	}
 }
 
-// filterStage lowers a run of predicate steps into a single loop: each
+// filterStage lowers a run of filter steps into a single loop: each
 // element is tested against the conjunction in plan order, with no
 // intermediate stream frames between the predicates.
 func filterStage(e core.Engine, src stream, run []Step) stream {
@@ -344,5 +309,16 @@ func sampleStage(src stream, n, seed int64) stream {
 		}
 		id, ok := inner()
 		return id, ok, nil
+	}
+}
+
+// splitMix returns a deterministic PRNG closure.
+func splitMix(s uint64) func() uint64 {
+	return func() uint64 {
+		s += 0x9e3779b97f4a7c15
+		z := s
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
 	}
 }

@@ -24,31 +24,24 @@ type PlanStep struct {
 // Traversal.Explain without executing anything.
 type Plan struct {
 	Steps []PlanStep
-	// Optimized records whether filter reordering and implicit source
-	// fusion were applied (the ctx carried no WithoutOptimizer mark).
-	Optimized bool
 	// HasStats records whether snapshot statistics informed the
 	// estimates; false means every Est is -1.
 	HasStats bool
 }
 
-// Explain compiles the traversal's plan under ctx — applying the same
-// reordering and source fusion a terminal would — and returns it with
-// estimated cardinalities instead of executing it. The rendering is
-// deterministic: identical plan and dataset produce byte-identical
-// output across runs and processes.
+// Explain returns the plan a terminal would run — with the same source
+// fusion — annotated with estimated cardinalities, without executing
+// it. The rendering is deterministic: identical plan and dataset
+// produce byte-identical output across runs and processes. Explain
+// calls no engine iterator, so it ignores ctx.
 func (t *Traversal) Explain(ctx context.Context) *Plan {
 	steps := t.steps
-	opt := OptimizerEnabled(ctx)
 	stats := engineStats(t.e)
-	if opt {
-		steps = optimize(steps, stats)
-	}
-	p := &Plan{Optimized: opt, HasStats: stats != nil}
+	p := &Plan{HasStats: stats != nil}
 
 	est := newEstimator(stats)
 	i := 0
-	if fusedSource(steps, opt) {
+	if fusedSource(steps) {
 		est.apply(steps[0])
 		est.apply(steps[1])
 		p.Steps = append(p.Steps, PlanStep{
@@ -67,15 +60,11 @@ func (t *Traversal) Explain(ctx context.Context) *Plan {
 // String renders the plan as a fixed-width table, one line per step.
 func (p *Plan) String() string {
 	var b strings.Builder
-	mode := "as-written"
-	if p.Optimized {
-		mode = "optimized"
-	}
 	src := "no stats"
 	if p.HasStats {
 		src = "snapshot stats"
 	}
-	fmt.Fprintf(&b, "plan: %s (%s)\n", mode, src)
+	fmt.Fprintf(&b, "plan (%s)\n", src)
 	width := 0
 	for _, s := range p.Steps {
 		if len(s.Label) > width {
@@ -94,7 +83,7 @@ func (p *Plan) String() string {
 
 // estimator threads an estimated row count through the plan. With no
 // statistics every estimate is unknown; estimates never influence
-// results, only the rendered plan and the optimizer's filter order.
+// results, only the rendered plan.
 type estimator struct {
 	stats *core.PlanStats
 	cur   float64
@@ -131,8 +120,6 @@ func (e *estimator) apply(s Step) {
 		e.cur = 1
 	case OpHas, OpHasLabel, OpDegree, OpExcept:
 		e.cur *= selectivity(s, e.stats)
-	case OpFilterFunc:
-		e.cur *= 0.5
 	case OpOut:
 		e.cur *= e.stats.AvgDegree(core.DirOut, s.Labels)
 	case OpIn:
@@ -156,4 +143,34 @@ func (e *estimator) apply(s Step) {
 	case OpLimit, OpSample:
 		e.cur = math.Min(e.cur, float64(s.N))
 	}
+}
+
+// engineStats returns the engine's load-time planner statistics, or nil
+// when the engine has none.
+func engineStats(e core.Engine) *core.PlanStats {
+	if p, ok := e.(core.PlanStatsProvider); ok {
+		return p.PlanStats()
+	}
+	return nil
+}
+
+// selectivity estimates the fraction of elements a filter passes.
+// Label and degree predicates read the snapshot statistics; property
+// equality has no per-value statistics (the repo keeps no histogram
+// machinery, by design) and uses a fixed heuristic.
+func selectivity(s Step, stats *core.PlanStats) float64 {
+	switch s.Op {
+	case OpHasLabel:
+		return stats.LabelSelectivity(s.Label)
+	case OpHas:
+		return 0.25
+	case OpDegree:
+		if s.Kind == KindVertex {
+			return stats.DegreeAtLeastFrac(s.Dir, s.K)
+		}
+		return 0.5
+	case OpExcept:
+		return 0.9
+	}
+	return 1
 }

@@ -5,14 +5,13 @@
 // It plays the role Apache TinkerPop plays in the paper — the
 // database-independent connectivity layer through which every test query
 // is expressed exactly once. Builder methods append declarative Step
-// nodes to a logical plan (plan.go); a terminal operation compiles the
-// plan — greedily reordering commutable filters by snapshot cardinality
-// signals and fusing index-served filters into the source step
-// (optimize.go) — and lowers it to pull-based streams (compile.go).
-// Like the non-optimizing adapters the paper describes, lowered steps
-// execute one element at a time against the engine API; the optimizer
-// is guaranteed to return element-identical results to the unoptimized
-// plan, and can be held off per query for A/B runs (WithoutOptimizer).
+// nodes to a logical plan (plan.go); a terminal operation lowers the
+// plan, in the order it was written, to pull-based streams
+// (compile.go), serving a leading property or label filter from the
+// engine's index surface. Like the non-optimizing adapters the paper
+// describes, lowered steps execute one element at a time against the
+// engine API; Explain (explain.go) renders the same plan with
+// estimated cardinalities.
 package gremlin
 
 import (
@@ -57,9 +56,6 @@ type G struct{ e core.Engine }
 // New returns a traversal source over the engine.
 func New(e core.Engine) G { return G{e: e} }
 
-// Engine returns the underlying engine.
-func (g G) Engine() core.Engine { return g.e }
-
 func (g G) source(s Step) *Traversal {
 	return &Traversal{e: g.e, steps: []Step{s}}
 }
@@ -86,34 +82,31 @@ func (g G) EID(id core.ID) *Traversal {
 
 // VHas streams vertices with property name = v through the engine's
 // search surface (g.V.has(name, value), Q11 — the step that benefits
-// from attribute indexes in Figure 4(c)). It is plan sugar for
-// V().Has(name, v) with the filter marked explicit, so the compiler
-// dispatches it to the engine index surface even with the optimizer
-// off — entry points and mid-chain filters share one representation.
+// from attribute indexes in Figure 4(c)). It is sugar for
+// V().Has(name, v), which lowering serves from the index surface.
 func (g G) VHas(name string, v core.Value) *Traversal {
-	t := g.V()
-	t.steps = append(t.steps, Step{Op: OpHas, Kind: KindVertex, Name: name, Value: v, Explicit: true})
-	return t
+	return g.V().Has(name, v)
 }
 
 // EHas streams edges with property name = v (g.E.has(name, value), Q12).
 func (g G) EHas(name string, v core.Value) *Traversal {
-	t := g.E()
-	t.steps = append(t.steps, Step{Op: OpHas, Kind: KindEdge, Name: name, Value: v, Explicit: true})
-	return t
+	return g.E().Has(name, v)
 }
 
 // EHasLabel streams edges with the given label (g.E.has('label', l),
 // Q13).
 func (g G) EHasLabel(label string) *Traversal {
-	t := g.E()
-	t.steps = append(t.steps, Step{Op: OpHasLabel, Kind: KindEdge, Label: label, Explicit: true})
-	return t
+	return g.E().HasLabel(label)
 }
 
-// Kind reports whether the traversal currently carries vertices or
-// edges, derived from the plan's output step.
-func (t *Traversal) Kind() Kind { return outputKind(t.steps) }
+// kind reports whether the traversal currently carries vertices or
+// edges: the kind its last step outputs.
+func (t *Traversal) kind() Kind {
+	if len(t.steps) == 0 {
+		return KindVertex
+	}
+	return t.steps[len(t.steps)-1].Kind
+}
 
 // append extends the plan in place and returns the receiver: builder
 // chains stay cheap (one slice append per step), and intermediate
@@ -168,59 +161,60 @@ func (t *Traversal) InV() *Traversal {
 }
 
 // Has filters elements on a property value (mid-pipeline .has step —
-// a per-element probe unless the compiler fuses it into the source).
+// a per-element probe unless lowering fuses it into the source).
 func (t *Traversal) Has(name string, v core.Value) *Traversal {
-	return t.append(Step{Op: OpHas, Kind: t.Kind(), Name: name, Value: v})
+	return t.append(Step{Op: OpHas, Kind: t.kind(), Name: name, Value: v})
 }
 
 // HasLabel filters edges on their label.
 func (t *Traversal) HasLabel(label string) *Traversal {
-	return t.append(Step{Op: OpHasLabel, Kind: t.Kind(), Label: label})
-}
-
-// Filter keeps the elements for which keep returns true; an error from
-// keep aborts the traversal (this is how engine failures such as
-// core.ErrOutOfMemory propagate out of Q28–Q31). The predicate is
-// opaque to the optimizer, so it is never reordered.
-func (t *Traversal) Filter(keep func(core.ID) (bool, error)) *Traversal {
-	return t.append(Step{Op: OpFilterFunc, Kind: t.Kind(), Keep: keep})
+	return t.append(Step{Op: OpHasLabel, Kind: t.kind(), Label: label})
 }
 
 // DegreeAtLeast keeps vertices with at least k incident edges in
-// direction d (the filter of Q28–Q30).
+// direction d (the filter of Q28–Q30). An engine failure such as
+// core.ErrOutOfMemory from Degree aborts the traversal.
 func (t *Traversal) DegreeAtLeast(d core.Direction, k int64) *Traversal {
-	return t.append(Step{Op: OpDegree, Kind: t.Kind(), Dir: d, K: k})
+	return t.append(Step{Op: OpDegree, Kind: t.kind(), Dir: d, K: k})
 }
 
 // Dedup suppresses repeated element ids (.dedup).
 func (t *Traversal) Dedup() *Traversal {
-	return t.append(Step{Op: OpDedup, Kind: t.Kind()})
+	return t.append(Step{Op: OpDedup, Kind: t.kind()})
 }
 
 // Except drops elements contained in the set (.except(vs)).
 func (t *Traversal) Except(set map[core.ID]struct{}) *Traversal {
-	return t.append(Step{Op: OpExcept, Kind: t.Kind(), Set: set})
+	return t.append(Step{Op: OpExcept, Kind: t.kind(), Set: set})
 }
 
 // Store adds every passing element to the set (.store(vs)).
 func (t *Traversal) Store(set map[core.ID]struct{}) *Traversal {
-	return t.append(Step{Op: OpStore, Kind: t.Kind(), Set: set})
+	return t.append(Step{Op: OpStore, Kind: t.kind(), Set: set})
 }
 
 // Limit stops the traversal after n elements (.limit). The compiled
 // stream stops pulling its upstream — and therefore the engine
 // iterators — as soon as the budget is spent.
 func (t *Traversal) Limit(n int64) *Traversal {
-	return t.append(Step{Op: OpLimit, Kind: t.Kind(), N: n})
+	return t.append(Step{Op: OpLimit, Kind: t.kind(), N: n})
+}
+
+// Sample keeps a uniform random sample of up to n elements (reservoir
+// sampling with a deterministic seed — the harness requires identical
+// random choices across engines, per the paper's methodology). It is a
+// barrier: the reservoir sees the whole upstream sequence before the
+// first element is emitted.
+func (t *Traversal) Sample(n int, seed int64) *Traversal {
+	return t.append(Step{Op: OpSample, Kind: t.kind(), N: int64(n), Seed: seed})
 }
 
 // --- terminal operations (deadline-aware) ---
 
-// drain compiles the plan (reordering and fusing when the optimizer is
-// enabled for ctx) and pulls every element through fn until fn returns
-// false or the stream ends.
+// drain lowers the plan and pulls every element through fn until fn
+// returns false or the stream ends.
 func (t *Traversal) drain(ctx context.Context, fn func(core.ID) bool) error {
-	src := t.compile(ctx)
+	src := lower(t.e, t.steps)
 	n := 0
 	for {
 		if n%ctxCheckEvery == 0 {
@@ -256,26 +250,6 @@ func (t *Traversal) IDs(ctx context.Context) ([]core.ID, error) {
 	return out, err
 }
 
-// First returns the first element; ok is false on an empty traversal.
-func (t *Traversal) First(ctx context.Context) (core.ID, bool, error) {
-	var got core.ID
-	found := false
-	err := t.drain(ctx, func(id core.ID) bool { got, found = id, true; return false })
-	return got, found, err
-}
-
-// Labels drains an edge traversal into the label of each edge (.label).
-func (t *Traversal) Labels(ctx context.Context) ([]string, error) {
-	var out []string
-	err := t.drain(ctx, func(id core.ID) bool {
-		if l, err := t.e.EdgeLabel(id); err == nil {
-			out = append(out, l)
-		}
-		return true
-	})
-	return out, err
-}
-
 // DistinctLabels drains an edge traversal into its distinct labels
 // (.label.dedup — Q10, Q25–Q27).
 func (t *Traversal) DistinctLabels(ctx context.Context) ([]string, error) {
@@ -297,7 +271,7 @@ func (t *Traversal) DistinctLabels(ctx context.Context) ([]string, error) {
 // skipping elements without the property (.values(name)). The element
 // kind is derived from the plan's output step.
 func (t *Traversal) Values(ctx context.Context, name string) ([]core.Value, error) {
-	kind := t.Kind()
+	kind := t.kind()
 	var out []core.Value
 	err := t.drain(ctx, func(id core.ID) bool {
 		var v core.Value

@@ -3,12 +3,14 @@ package gremlin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engines/neo"
+	"repro/internal/engines/sparksee"
 	"repro/internal/engines/sqlg"
 )
 
@@ -170,10 +172,7 @@ func TestDegreeFilterAndStoreExcept(t *testing.T) {
 			if !eq(sorted(big), sorted([]core.ID{a, d})) {
 				t.Fatalf("degree>=3 = %v", big)
 			}
-			withIn, _ := g.V().Filter(func(id core.ID) (bool, error) {
-				n, err := g.Engine().Degree(id, core.DirIn)
-				return n >= 1, err
-			}).Count(ctx)
+			withIn, _ := g.V().DegreeAtLeast(core.DirIn, 1).Count(ctx)
 			if withIn != 4 {
 				t.Fatalf("with incoming = %d", withIn)
 			}
@@ -186,20 +185,46 @@ func TestDegreeFilterAndStoreExcept(t *testing.T) {
 	}
 }
 
-func TestLimitAndFirstAndValues(t *testing.T) {
+// pullCounter wraps an engine and counts the elements its scan
+// surfaces hand out, so a test can see how far a traversal pulled.
+type pullCounter struct {
+	core.Engine
+	pulls int
+}
+
+func (p *pullCounter) count(it core.Iter[core.ID]) core.Iter[core.ID] {
+	return func() (core.ID, bool) {
+		id, ok := it()
+		if ok {
+			p.pulls++
+		}
+		return id, ok
+	}
+}
+
+func (p *pullCounter) Vertices() core.Iter[core.ID] { return p.count(p.Engine.Vertices()) }
+func (p *pullCounter) Edges() core.Iter[core.ID]    { return p.count(p.Engine.Edges()) }
+func (p *pullCounter) EdgesByLabel(l string) core.Iter[core.ID] {
+	return p.count(p.Engine.EdgesByLabel(l))
+}
+
+func TestLimitShortCircuitsAndValues(t *testing.T) {
 	e := neo.New(neo.V19)
 	defer e.Close()
 	diamond(t, e)
 	ctx := context.Background()
-	g := New(e)
-	if n, _ := g.V().Limit(2).Count(ctx); n != 2 {
-		t.Fatalf("limit = %d", n)
+	pc := &pullCounter{Engine: e}
+	g := New(pc)
+	if n, _ := g.V().Limit(2).Count(ctx); n != 2 || pc.pulls != 2 {
+		t.Fatalf("V().Limit(2): count %d after %d pulls, want 2 after 2", n, pc.pulls)
 	}
-	if _, ok, _ := g.V().First(ctx); !ok {
-		t.Fatal("First on non-empty traversal")
+	// Three "y" edges exist; the fused label source stops after one.
+	pc.pulls = 0
+	if n, _ := g.E().HasLabel("y").Limit(1).Count(ctx); n != 1 || pc.pulls != 1 {
+		t.Fatalf("E().HasLabel(y).Limit(1): count %d after %d pulls, want 1 after 1", n, pc.pulls)
 	}
-	if _, ok, _ := g.VHas("name", core.S("zzz")).First(ctx); ok {
-		t.Fatal("First on empty traversal")
+	if n, _ := g.VHas("name", core.S("zzz")).Limit(1).Count(ctx); n != 0 {
+		t.Fatalf("limit on empty traversal = %d", n)
 	}
 	vals, _ := g.V().Values(ctx, "name")
 	if len(vals) != 4 {
@@ -232,17 +257,31 @@ func TestTimeoutPropagates(t *testing.T) {
 	}
 }
 
-func TestFilterErrorAborts(t *testing.T) {
-	e := neo.New(neo.V19)
-	defer e.Close()
-	for i := 0; i < 10; i++ {
-		e.AddVertex(nil)
+// labelHeavySparksee builds the graph shape on which the sparksee
+// adapter exhausts its memory budget computing degrees (many nodes,
+// many edge labels — the paper's Q28–Q31 failure on Freebase).
+func labelHeavySparksee() core.Engine {
+	e := sparksee.New(sparksee.WithMemBudget(1 << 20))
+	const nodes, labels = 500, 400
+	var vs []core.ID
+	for i := 0; i < nodes; i++ {
+		v, _ := e.AddVertex(nil)
+		vs = append(vs, v)
 	}
-	g := New(e)
-	boom := errors.New("boom")
-	_, err := g.V().Filter(func(core.ID) (bool, error) { return false, boom }).Count(context.Background())
-	if !errors.Is(err, boom) {
-		t.Fatalf("filter error = %v", err)
+	for i := 0; i < 2*nodes; i++ {
+		e.AddEdge(vs[i%nodes], vs[(i+1)%nodes], fmt.Sprint("l", i%labels), nil)
+	}
+	return e
+}
+
+// TestFilterErrorAborts: an engine failure inside a filter aborts the
+// traversal with that error, on the path Q28–Q31 take.
+func TestFilterErrorAborts(t *testing.T) {
+	e := labelHeavySparksee()
+	defer e.Close()
+	_, err := New(e).V().DegreeAtLeast(core.DirBoth, 1).Count(context.Background())
+	if !errors.Is(err, core.ErrOutOfMemory) {
+		t.Fatalf("degree filter err = %v, want ErrOutOfMemory", err)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Op identifies one logical step kind of the traversal plan. Builder
 // methods append Step values; nothing executes until a terminal
-// compiles the plan (see compile.go), which is what makes steps
-// inspectable, reorderable and explainable before any element flows.
+// lowers the plan (see compile.go), which is what makes a query
+// explainable before any element flows.
 type Op uint8
 
 // Plan step operators.
@@ -21,8 +21,8 @@ const (
 	OpSourceVID           // one vertex by id (g.V(id))
 	OpSourceEID           // one edge by id (g.E(id))
 
-	// Filters — pure per-element predicates; commutable (see
-	// optimize.go for the commutability rules).
+	// Filters — per-element predicates; a run of them lowers to one
+	// loop.
 	OpHas      // property equality
 	OpHasLabel // edge label equality
 	OpDegree   // degree-at-least threshold
@@ -38,12 +38,11 @@ const (
 	OpOutV  // edge → source vertex
 	OpInV   // edge → destination vertex
 
-	// Barriers and stream shapers — order-pinned.
-	OpFilterFunc // opaque user predicate (side effects unknown)
-	OpDedup      // first occurrence of each id
-	OpStore      // add passing elements to a set
-	OpLimit      // stop after n elements
-	OpSample     // deterministic reservoir sample
+	// Stream shapers.
+	OpDedup  // first occurrence of each id
+	OpStore  // add passing elements to a set
+	OpLimit  // stop after n elements
+	OpSample // deterministic reservoir sample
 )
 
 // String returns the operator's Gremlin-flavoured name.
@@ -81,8 +80,6 @@ func (op Op) String() string {
 		return "outV"
 	case OpInV:
 		return "inV"
-	case OpFilterFunc:
-		return "filter"
 	case OpDedup:
 		return "dedup"
 	case OpStore:
@@ -112,16 +109,7 @@ type Step struct {
 	Seed   int64          // Sample: PRNG seed
 	ID     core.ID        // SourceVID / SourceEID
 
-	Keep func(core.ID) (bool, error) // FilterFunc predicate
-	Set  map[core.ID]struct{}        // Except / Store set
-
-	// Explicit marks a Has/HasLabel written through the G.VHas /
-	// G.EHas / G.EHasLabel entry constructors: the workload requests
-	// the engine's index surface deliberately (the paper's source-step
-	// fast path), so the compiler fuses it into the source even with
-	// the optimizer off. A plain mid-chain .has() sets it false and is
-	// fused only when the optimizer is on.
-	Explicit bool
+	Set map[core.ID]struct{} // Except / Store set
 }
 
 // label renders the step with its arguments, e.g. `has(name=x)`.
@@ -153,10 +141,8 @@ func (s Step) label() string {
 	}
 }
 
-// isFilter reports whether the step is a pure per-element predicate:
-// its verdict depends only on the element id (and, for Except, on set
-// contents that nothing between two filters can change), so any two
-// adjacent filters commute without changing the output sequence.
+// isFilter reports whether the step is a per-element predicate that
+// passes or drops each element without changing it.
 func (s Step) isFilter() bool {
 	switch s.Op {
 	case OpHas, OpHasLabel, OpDegree, OpExcept:
@@ -172,21 +158,4 @@ func (s Step) isSource() bool {
 		return true
 	}
 	return false
-}
-
-// Steps returns a copy of the traversal's logical plan, in builder
-// order (before any optimization).
-func (t *Traversal) Steps() []Step {
-	return append([]Step(nil), t.steps...)
-}
-
-// outputKind derives the element kind a plan produces from its final
-// step — the plan is the single source of truth, so a terminal that
-// needs the kind (OrderBy, Values) can never consult a stale field
-// after steps have been reordered or fused.
-func outputKind(steps []Step) Kind {
-	if len(steps) == 0 {
-		return KindVertex
-	}
-	return steps[len(steps)-1].Kind
 }

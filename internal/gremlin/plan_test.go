@@ -2,8 +2,11 @@ package gremlin
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,124 +37,77 @@ func propGraph(seed int64) *core.Graph {
 	return g
 }
 
-// planCases is the representative Q1–Q35-style traversal grid the
-// determinism suite runs under both optimizer modes. Each case builds a
-// fresh traversal (Store/Except sets are per-build, so the two modes
-// never share mutable state).
-func planCases() []struct {
-	name  string
-	build func(gr G, res *core.LoadResult) *Traversal
-} {
-	firstThree := func(res *core.LoadResult) map[core.ID]struct{} {
-		set := make(map[core.ID]struct{})
-		for _, id := range res.VertexIDs[:3] {
-			set[id] = struct{}{}
+// TestSourceFusionMatchesScan: a Has/HasLabel directly after V()/E()
+// is served by the engine's index surface, and that must yield exactly
+// the element sequence a full scan plus a per-element probe yields —
+// on every engine configuration, with and without a declared vertex
+// property index.
+func TestSourceFusionMatchesScan(t *testing.T) {
+	ctx := context.Background()
+	collect := func(it core.Iter[core.ID], keep func(core.ID) bool) []core.ID {
+		var out []core.ID
+		for id, ok := it(); ok; id, ok = it() {
+			if keep(id) {
+				out = append(out, id)
+			}
 		}
-		return set
+		return out
 	}
-	return []struct {
-		name  string
-		build func(gr G, res *core.LoadResult) *Traversal
-	}{
-		{"has", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Has("color", core.S("red"))
-		}},
-		{"vhas-explicit", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.VHas("color", core.S("red"))
-		}},
-		{"filter-late", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().DegreeAtLeast(core.DirBoth, 3).Has("color", core.S("red"))
-		}},
-		{"filter-early", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Has("color", core.S("red")).DegreeAtLeast(core.DirBoth, 3)
-		}},
-		{"edge-has-then-label", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.E().Has("w", core.I(1)).HasLabel("b")
-		}},
-		{"edge-label-then-has", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.E().HasLabel("b").Has("w", core.I(1))
-		}},
-		{"ehaslabel-explicit", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.EHasLabel("c")
-		}},
-		{"ehas-explicit", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.EHas("w", core.I(2))
-		}},
-		{"expand-dedup", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Out("a", "b").Dedup()
-		}},
-		{"two-hop", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Has("color", core.S("red")).Out().Has("color", core.S("blue"))
-		}},
-		{"both-dedup-degree", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Both().Dedup().DegreeAtLeast(core.DirOut, 1)
-		}},
-		{"limit-label", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.E().HasLabel("c").Limit(3)
-		}},
-		{"limit", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.E().Limit(5)
-		}},
-		{"oute-inv", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().OutE("a").InV().Dedup()
-		}},
-		{"except-then-has", func(gr G, res *core.LoadResult) *Traversal {
-			return gr.V().Except(firstThree(res)).Has("color", core.S("red"))
-		}},
-		{"has-then-except", func(gr G, res *core.LoadResult) *Traversal {
-			return gr.V().Has("color", core.S("red")).Except(firstThree(res))
-		}},
-		{"store-barrier", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Has("color", core.S("red")).Store(map[core.ID]struct{}{}).DegreeAtLeast(core.DirBoth, 2)
-		}},
-		{"sample", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.V().Sample(5, 7)
-		}},
-		{"filterfunc-barrier", func(gr G, _ *core.LoadResult) *Traversal {
-			e := gr.Engine()
-			return gr.V().DegreeAtLeast(core.DirBoth, 1).Filter(func(id core.ID) (bool, error) {
-				n, ok := e.VertexProp(id, "n")
-				return ok && n.Compare(core.I(5)) > 0, nil
-			}).Has("color", core.S("green"))
-		}},
-		{"triple-filter", func(gr G, _ *core.LoadResult) *Traversal {
-			return gr.E().Has("w", core.I(0)).HasLabel("a").Limit(10)
-		}},
-	}
-}
-
-// TestOptimizerOnOffElementIdentical is the cross-engine determinism
-// suite: for every engine in the catalog and every traversal in the
-// grid, optimizer-on execution must yield the same elements in the
-// same order as optimizer-off execution.
-func TestOptimizerOnOffElementIdentical(t *testing.T) {
-	ctxOn := context.Background()
-	ctxOff := WithoutOptimizer(context.Background())
-	cases := planCases()
 	for _, seed := range []int64{1, 42, 9000} {
 		g := propGraph(seed)
 		for name, e := range allEngines() {
-			res, err := e.BulkLoad(g)
-			if err != nil {
+			if _, err := e.BulkLoad(g); err != nil {
 				t.Fatalf("%s: load: %v", name, err)
 			}
 			gr := New(e)
-			for _, tc := range cases {
-				on, err1 := tc.build(gr, res).IDs(ctxOn)
-				off, err2 := tc.build(gr, res).IDs(ctxOff)
-				if err1 != nil || err2 != nil {
-					t.Errorf("%s/%s: errors on=%v off=%v [seed %d]", name, tc.name, err1, err2, seed)
-					continue
+			check := func(phase, what string, tr *Traversal, want []core.ID) {
+				t.Helper()
+				if !fusedSource(tr.steps) {
+					t.Fatalf("%s: %s is not source-fused", name, what)
 				}
-				if len(on) != len(off) {
-					t.Errorf("%s/%s: optimizer changed cardinality: on=%d off=%d [seed %d]", name, tc.name, len(on), len(off), seed)
-					continue
+				got, err := tr.IDs(ctx)
+				if err != nil {
+					t.Fatalf("%s/%s: %s: %v", name, phase, what, err)
 				}
-				for i := range on {
-					if on[i] != off[i] {
-						t.Errorf("%s/%s: element %d differs: on=%d off=%d [seed %d]", name, tc.name, i, on[i], off[i], seed)
-						break
+				if !slices.Equal(got, want) {
+					t.Errorf("%s/%s: %s = %v, scan gives %v [seed %d]", name, phase, what, got, want, seed)
+				}
+			}
+			for _, phase := range []string{"no-index", "indexed"} {
+				if phase == "indexed" {
+					err := e.BuildVertexPropIndex("color")
+					if errors.Is(err, core.ErrUnsupported) {
+						continue // no declarable index (blaze)
 					}
+					if err != nil {
+						t.Fatalf("%s: index: %v", name, err)
+					}
+				}
+				for _, c := range []string{"red", "green", "blue"} {
+					v := core.S(c)
+					want := collect(e.Vertices(), func(id core.ID) bool {
+						got, ok := e.VertexProp(id, "color")
+						return ok && got.Compare(v) == 0
+					})
+					check(phase, "VHas(color="+c+")", gr.VHas("color", v), want)
+					check(phase, "V().Has(color="+c+")", gr.V().Has("color", v), want)
+				}
+				for w := int64(0); w < 4; w++ {
+					v := core.I(w)
+					want := collect(e.Edges(), func(id core.ID) bool {
+						got, ok := e.EdgeProp(id, "w")
+						return ok && got.Compare(v) == 0
+					})
+					check(phase, fmt.Sprintf("EHas(w=%d)", w), gr.EHas("w", v), want)
+					check(phase, fmt.Sprintf("E().Has(w=%d)", w), gr.E().Has("w", v), want)
+				}
+				for _, l := range []string{"a", "b", "c", "d"} {
+					want := collect(e.Edges(), func(id core.ID) bool {
+						got, err := e.EdgeLabel(id)
+						return err == nil && got == l
+					})
+					check(phase, "EHasLabel("+l+")", gr.EHasLabel(l), want)
+					check(phase, "E().HasLabel("+l+")", gr.E().HasLabel(l), want)
 				}
 			}
 			e.Close()
@@ -159,99 +115,30 @@ func TestOptimizerOnOffElementIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreBarrierSetsIdentical: the set a Store step populates must be
-// identical under both optimizer modes — filters must never migrate
-// across the Store barrier.
+// TestStoreBarrierSetsIdentical: a Store step records exactly the
+// elements that reached it — the vertices passing the filter before
+// it — whatever the filters after it drop.
 func TestStoreBarrierSetsIdentical(t *testing.T) {
 	g := propGraph(3)
 	for name, e := range allEngines() {
 		if _, err := e.BulkLoad(g); err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		gr := New(e)
-		run := func(ctx context.Context) []core.ID {
-			set := map[core.ID]struct{}{}
-			_, err := gr.V().DegreeAtLeast(core.DirBoth, 2).Store(set).Has("color", core.S("red")).Count(ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ids := make([]core.ID, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return ids
+		set := map[core.ID]struct{}{}
+		if _, err := New(e).V().DegreeAtLeast(core.DirBoth, 2).Store(set).Has("color", core.S("red")).Count(context.Background()); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		on := run(context.Background())
-		off := run(WithoutOptimizer(context.Background()))
-		if len(on) != len(off) {
-			t.Fatalf("%s: stored set sizes differ: on=%d off=%d", name, len(on), len(off))
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("%s: stored sets differ at %d", name, i)
+		want := map[core.ID]struct{}{}
+		it := e.Vertices()
+		for id, ok := it(); ok; id, ok = it() {
+			if d, err := e.Degree(id, core.DirBoth); err == nil && d >= 2 {
+				want[id] = struct{}{}
 			}
+		}
+		if !maps.Equal(set, want) {
+			t.Fatalf("%s: stored %d vertices, %d have degree >= 2", name, len(set), len(want))
 		}
 		e.Close()
-	}
-}
-
-// TestOptimizeReordersWithinRuns exercises the commutability rules on
-// the plan alone (heuristic selectivities, no engine).
-func TestOptimizeReordersWithinRuns(t *testing.T) {
-	ops := func(steps []Step) []Op {
-		out := make([]Op, len(steps))
-		for i, s := range steps {
-			out[i] = s.Op
-		}
-		return out
-	}
-	eq := func(a, b []Op) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// A cheap selective Has overtakes an expensive Degree.
-	got := ops(optimize([]Step{
-		{Op: OpSourceV}, {Op: OpDegree, Dir: core.DirBoth, K: 3}, {Op: OpHas, Name: "p"},
-	}, nil))
-	if !eq(got, []Op{OpSourceV, OpHas, OpDegree}) {
-		t.Errorf("degree/has not reordered: %v", got)
-	}
-
-	// An opaque FilterFunc is a barrier: nothing crosses it.
-	got = ops(optimize([]Step{
-		{Op: OpSourceV}, {Op: OpDegree, Dir: core.DirBoth, K: 3}, {Op: OpFilterFunc}, {Op: OpHas, Name: "p"},
-	}, nil))
-	if !eq(got, []Op{OpSourceV, OpDegree, OpFilterFunc, OpHas}) {
-		t.Errorf("filterfunc barrier crossed: %v", got)
-	}
-
-	// Dedup, Store, Limit pin their positions too.
-	got = ops(optimize([]Step{
-		{Op: OpSourceV}, {Op: OpDegree, Dir: core.DirBoth, K: 3}, {Op: OpStore}, {Op: OpHas, Name: "p"}, {Op: OpLimit, N: 1},
-	}, nil))
-	if !eq(got, []Op{OpSourceV, OpDegree, OpStore, OpHas, OpLimit}) {
-		t.Errorf("store/limit barrier crossed: %v", got)
-	}
-
-	// HasLabel (heuristically most selective per cost) leads its run,
-	// which then makes it fusable into the source.
-	reordered := optimize([]Step{
-		{Op: OpSourceE}, {Op: OpHas, Name: "w"}, {Op: OpHasLabel, Label: "b"},
-	}, nil)
-	if !eq(ops(reordered), []Op{OpSourceE, OpHasLabel, OpHas}) {
-		t.Errorf("hasLabel not promoted: %v", ops(reordered))
-	}
-	if !fusedSource(reordered, true) {
-		t.Error("promoted hasLabel should fuse into the E() source")
 	}
 }
 
@@ -279,22 +166,12 @@ func TestExplainByteStable(t *testing.T) {
 		}
 	}
 
-	// The optimized plan runs the cheap selective filter first…
-	if strings.Index(want, "has(color=red)") > strings.Index(want, "degreeAtLeast") {
-		t.Errorf("optimized plan did not promote has before degreeAtLeast:\n%s", want)
+	// The plan runs in builder order, with snapshot estimates.
+	if strings.Index(want, "has(color=red)") < strings.Index(want, "degreeAtLeast") {
+		t.Errorf("plan was reordered:\n%s", want)
 	}
-	// …and the as-written plan preserves builder order.
-	e := sqlg.New()
-	defer e.Close()
-	if _, err := e.BulkLoad(g); err != nil {
-		t.Fatal(err)
-	}
-	plain := build(e).Explain(WithoutOptimizer(ctx)).String()
-	if strings.Index(plain, "has(color=red)") < strings.Index(plain, "degreeAtLeast") {
-		t.Errorf("as-written plan was reordered:\n%s", plain)
-	}
-	if !strings.Contains(plain, "as-written") || !strings.Contains(want, "optimized") {
-		t.Errorf("plan headers wrong:\n%s\n%s", plain, want)
+	if !strings.HasPrefix(want, "plan (snapshot stats)\n") {
+		t.Errorf("plan header wrong:\n%s", want)
 	}
 }
 
@@ -319,11 +196,10 @@ func TestExplainEstimatesWithoutStats(t *testing.T) {
 	}
 }
 
-// TestOrderByKindFromPlanOutput is the regression test for the OrderBy
-// kind derivation: after a vertex→edge expansion the terminal must
-// fetch the sort property from edge properties, even though the
+// TestValuesKindFromPlanOutput: after a vertex→edge expansion Values
+// must fetch the property from edge properties, even though the
 // traversal began with vertices (and vice versa for edge→vertex).
-func TestOrderByKindFromPlanOutput(t *testing.T) {
+func TestValuesKindFromPlanOutput(t *testing.T) {
 	ctx := context.Background()
 	e := sqlg.New()
 	defer e.Close()
@@ -343,46 +219,29 @@ func TestOrderByKindFromPlanOutput(t *testing.T) {
 		}
 	}
 
-	ranked, err := New(e).V().OutE("x").OrderBy(ctx, "w", false)
+	vals, err := New(e).V().OutE("x").Values(ctx, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranked) != 3 {
-		t.Fatalf("got %d edges, want 3", len(ranked))
+	if len(vals) != 3 {
+		t.Fatalf("got %d edge values, want 3", len(vals))
 	}
-	for i, r := range ranked {
-		if r.Value.Compare(core.I(int64(i))) != 0 {
-			t.Fatalf("rank %d: got %v — OrderBy fetched vertex properties for an edge stream", i, r.Value)
+	for _, v := range vals {
+		if v.Compare(core.I(100)) >= 0 {
+			t.Fatalf("got %v — Values fetched vertex properties for an edge stream", v)
 		}
 	}
 
-	// Edge→vertex direction: values must be the vertex range.
-	ranked, err = New(e).E().InV().Dedup().OrderBy(ctx, "w", false)
+	vals, err = New(e).E().InV().Dedup().Values(ctx, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranked) != 3 {
-		t.Fatalf("got %d vertices, want 3", len(ranked))
+	if len(vals) != 3 {
+		t.Fatalf("got %d vertex values, want 3", len(vals))
 	}
-	for _, r := range ranked {
-		if r.Value.Compare(core.I(100)) < 0 {
-			t.Fatalf("got %v — OrderBy fetched edge properties for a vertex stream", r.Value)
+	for _, v := range vals {
+		if v.Compare(core.I(100)) < 0 {
+			t.Fatalf("got %v — Values fetched edge properties for a vertex stream", v)
 		}
-	}
-}
-
-// TestStepsReturnsBuilderOrder: Steps exposes the as-written plan and
-// is a copy — mutating it must not affect execution.
-func TestStepsReturnsBuilderOrder(t *testing.T) {
-	e := sqlg.New()
-	defer e.Close()
-	tr := New(e).V().DegreeAtLeast(core.DirBoth, 1).Has("color", core.S("red"))
-	steps := tr.Steps()
-	if len(steps) != 3 || steps[1].Op != OpDegree || steps[2].Op != OpHas {
-		t.Fatalf("unexpected plan: %v", steps)
-	}
-	steps[1] = Step{Op: OpLimit, N: 0}
-	if got := tr.Steps(); got[1].Op != OpDegree {
-		t.Fatal("Steps must return a copy")
 	}
 }

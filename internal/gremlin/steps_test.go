@@ -2,103 +2,12 @@ package gremlin
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engines/neo"
-	"repro/internal/engines/sqlg"
 )
-
-func TestGroupCount(t *testing.T) {
-	for name, e := range testEngines() {
-		t.Run(name, func(t *testing.T) {
-			defer e.Close()
-			hub, _ := e.AddVertex(nil)
-			a, _ := e.AddVertex(nil)
-			b, _ := e.AddVertex(nil)
-			// hub reaches a twice (parallel edges) and b once.
-			e.AddEdge(hub, a, "l", nil)
-			e.AddEdge(hub, a, "l", nil)
-			e.AddEdge(hub, b, "l", nil)
-			counts, err := New(e).VID(hub).Out().GroupCount(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if counts[a] != 2 || counts[b] != 1 || len(counts) != 2 {
-				t.Fatalf("GroupCount = %v", counts)
-			}
-		})
-	}
-}
-
-func TestOrderByAndTopK(t *testing.T) {
-	e := neo.New(neo.V19)
-	defer e.Close()
-	scores := []int64{30, 10, 50, 20, 40}
-	var ids []core.ID
-	for _, s := range scores {
-		id, _ := e.AddVertex(core.Props{"score": core.I(s)})
-		ids = append(ids, id)
-	}
-	noScore, _ := e.AddVertex(nil)
-	ctx := context.Background()
-	g := New(e)
-
-	asc, err := g.V().OrderBy(ctx, "score", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(asc) != 6 {
-		t.Fatalf("OrderBy kept %d elements", len(asc))
-	}
-	wantAsc := []int64{10, 20, 30, 40, 50}
-	for i, w := range wantAsc {
-		if asc[i].Value.Int() != w {
-			t.Fatalf("asc[%d] = %v, want %d", i, asc[i].Value, w)
-		}
-	}
-	if asc[5].ID != noScore || !asc[5].Value.IsNil() {
-		t.Fatalf("missing property must sort last: %+v", asc[5])
-	}
-
-	top, err := g.V().TopK(ctx, "score", 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 || top[0].Value.Int() != 50 || top[1].Value.Int() != 40 {
-		t.Fatalf("TopK = %+v", top)
-	}
-	if top[0].ID != ids[2] {
-		t.Fatalf("TopK id = %v, want %v", top[0].ID, ids[2])
-	}
-
-	// k larger than the result keeps everything.
-	all, _ := g.V().TopK(ctx, "score", 100, false)
-	if len(all) != 6 {
-		t.Fatalf("TopK(100) = %d", len(all))
-	}
-}
-
-func TestOrderByEdgesAndStability(t *testing.T) {
-	e := sqlg.New()
-	defer e.Close()
-	a, _ := e.AddVertex(nil)
-	b, _ := e.AddVertex(nil)
-	e.AddEdge(a, b, "l", core.Props{"w": core.I(5)})
-	e.AddEdge(a, b, "l", core.Props{"w": core.I(5)})
-	e.AddEdge(a, b, "l", core.Props{"w": core.I(1)})
-	ranked, err := New(e).E().OrderBy(context.Background(), "w", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranked[0].Value.Int() != 1 {
-		t.Fatalf("edge order wrong: %+v", ranked)
-	}
-	// Equal values tie-break by id, ascending.
-	if ranked[1].ID > ranked[2].ID {
-		t.Fatalf("tie-break not by id: %+v", ranked[1:])
-	}
-}
 
 func TestSampleDeterministicAndBounded(t *testing.T) {
 	e := neo.New(neo.V19)
@@ -147,21 +56,10 @@ func TestSampleDeterministicAndBounded(t *testing.T) {
 }
 
 func TestSamplePropagatesErrors(t *testing.T) {
-	e := neo.New(neo.V19)
+	e := labelHeavySparksee()
 	defer e.Close()
-	for i := 0; i < 10; i++ {
-		e.AddVertex(nil)
-	}
-	boom := errFixed("boom")
-	_, err := New(e).V().
-		Filter(func(core.ID) (bool, error) { return false, boom }).
-		Sample(3, 1).
-		Count(context.Background())
-	if err == nil {
-		t.Fatal("sample swallowed upstream error")
+	_, err := New(e).V().DegreeAtLeast(core.DirBoth, 1).Sample(3, 1).Count(context.Background())
+	if !errors.Is(err, core.ErrOutOfMemory) {
+		t.Fatalf("sample err = %v, want the upstream ErrOutOfMemory", err)
 	}
 }
-
-type errFixed string
-
-func (e errFixed) Error() string { return string(e) }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/engines"
-	"repro/internal/gremlin"
 	"repro/internal/workload"
 )
 
@@ -89,11 +88,6 @@ type Exec struct {
 	// are opened memory-mapped (heap-read where the platform cannot
 	// map). Cached graphs are byte-identical to generated ones.
 	DatasetCacheDir string
-	// NoOptimize disables the gremlin traversal optimizer (filter
-	// reordering and implicit index fusion) for every query — the
-	// -optimize=false escape hatch for A/B comparisons. Optimized and
-	// unoptimized plans are guaranteed element-identical.
-	NoOptimize bool
 	// Progress, when non-nil, receives one line per completed step.
 	Progress io.Writer
 }
@@ -312,20 +306,9 @@ func (r *Runner) loadInto(engine, dataset string) (core.Engine, *core.LoadResult
 	return e, res, elapsed, nil
 }
 
-// queryContext derives the context every query execution runs under:
-// the given time budget, plus the optimizer escape hatch when the run
-// was configured with NoOptimize.
-func (r *Runner) queryContext(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	if r.cfg.NoOptimize {
-		ctx = gremlin.WithoutOptimizer(ctx)
-	}
-	return ctx, cancel
-}
-
 // timeQuery runs one query execution under the configured timeout.
 func (r *Runner) timeQuery(e core.Engine, q *workload.Query, p workload.Params) Measurement {
-	ctx, cancel := r.queryContext(r.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
 	defer cancel()
 	start := r.now()
 	res, err := q.Run(ctx, e, p)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -357,7 +358,7 @@ func (r *Runner) batch(e core.Engine, q *workload.Query, pg *ParamGen, res *core
 	// One context carries the whole batch's time budget; deriving it
 	// here (rather than computing a time.Now-based deadline per
 	// iteration) keeps the wall clock out of the measurement path.
-	ctx, cancel := r.queryContext(r.cfg.Timeout * time.Duration(r.cfg.BatchSize))
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout*time.Duration(r.cfg.BatchSize))
 	defer cancel()
 	iterate := func(i int) (int64, error) {
 		iter := i
@@ -469,7 +470,7 @@ func (r *Runner) runComplex(c *cell, engine string) {
 	defer e.Close()
 	cp := ComplexFor(ds.g, r.cfg.Seed, res)
 	for _, cq := range workload.ComplexQueries() {
-		ctx, cancel := r.queryContext(r.cfg.Timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
 		start := r.now()
 		res2, err := cq.Run(ctx, e, cp)
 		m := Measurement{Query: cq.Name, Elapsed: r.since(start), Count: res2.Count}
