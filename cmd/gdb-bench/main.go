@@ -43,7 +43,6 @@ type options struct {
 	checkpoint  string
 	resume      bool
 	status      bool
-	crashAfter  int
 	frozenClock bool
 	report      string
 	exportJSON  string
@@ -67,7 +66,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "stream completed grid cells to this JSONL file")
 	fs.BoolVar(&o.resume, "resume", false, "replay a compatible -checkpoint file and run only the missing cells")
 	fs.BoolVar(&o.status, "status", false, "print the -checkpoint file's progress and exit without executing")
-	fs.IntVar(&o.crashAfter, "crash-after", 0, "fault injection: exit(1) after N cells are checkpointed (testing)")
 	fs.BoolVar(&o.frozenClock, "frozen-clock", false, "record all durations as zero for byte-deterministic exports (testing/CI)")
 	fs.StringVar(&o.report, "report", "all", "report to print ("+strings.Join(harness.ReportNames(), ", ")+")")
 	fs.StringVar(&o.exportJSON, "export-json", "", "also write raw results as JSON to this file")
@@ -119,21 +117,18 @@ func main() {
 	}
 
 	cfg := harness.Config{
-		Engines:         splitList(o.engines),
-		Datasets:        splitList(o.datasets),
-		Scale:           o.scale,
-		Timeout:         o.timeout,
-		BatchSize:       o.batch,
-		Seed:            o.seed,
-		Workers:         o.workers,
-		CheckpointPath:  o.checkpoint,
-		Resume:          o.resume,
-		CrashAfterCells: o.crashAfter,
-		FrozenClock:     o.frozenClock,
-		Exec: harness.Exec{
-			CellWorkers:     o.cellWorkers,
-			DatasetCacheDir: o.cacheDir,
-		},
+		Engines:        splitList(o.engines),
+		Datasets:       splitList(o.datasets),
+		Scale:          o.scale,
+		Timeout:        o.timeout,
+		BatchSize:      o.batch,
+		Seed:           o.seed,
+		Workers:        o.workers,
+		CheckpointPath: o.checkpoint,
+		Resume:         o.resume,
+		FrozenClock:    o.frozenClock,
+		CellWorkers:    o.cellWorkers,
+		Exec:           harness.Exec{DatasetCacheDir: o.cacheDir},
 	}
 	if o.verbose {
 		cfg.Progress = os.Stderr

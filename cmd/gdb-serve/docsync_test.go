@@ -8,7 +8,7 @@ import (
 )
 
 // TestDocSyncFlagsDocumented fails when a gdb-serve flag is missing
-// from README.md and docs/ — the drift guard CI runs explicitly, so a
+// from README.md and docs/ — the drift guard go test ./... runs, so a
 // new flag cannot land undocumented.
 func TestDocSyncFlagsDocumented(t *testing.T) {
 	docsync.FlagsDocumented(t, "../..", func(fs *flag.FlagSet) { defineFlags(fs) })

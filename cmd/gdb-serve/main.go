@@ -173,8 +173,8 @@ func run(o *options) error {
 
 // runAudit recovers the durable store at -lsm-dir and prints the
 // recovery counters plus the integrity audit as JSON. No dataset is
-// loaded and nothing is served — this is the post-crash verification
-// half of the wal-smoke CI job.
+// loaded and nothing is served — this is the post-crash check the
+// smoke test runs after SIGKILLing a durable serving run.
 func runAudit(o *options) error {
 	rep, err := engines.DurableAudit(o.engine, o.lsmDir)
 	if err != nil {

@@ -74,13 +74,9 @@ func TestSnapshotRoundTripAllDatasets(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripEdgeCases covers shapes the generators do not
-// produce: empty graph, empty-but-non-nil property maps, every value
-// kind, and parallel/self edges.
-func TestSnapshotRoundTripEdgeCases(t *testing.T) {
-	graphs := map[string]*core.Graph{
-		"empty": core.NewGraph(0, 0),
-	}
+// kindsGraph has shapes the generators do not produce: empty-but-non-nil
+// and nil property maps, every value kind, and parallel/self edges.
+func kindsGraph() *core.Graph {
 	g := core.NewGraph(4, 4)
 	g.AddVertex(core.Props{}) // empty, non-nil
 	g.AddVertex(nil)          // nil
@@ -89,7 +85,15 @@ func TestSnapshotRoundTripEdgeCases(t *testing.T) {
 	g.AddEdge(2, 2, "self", core.Props{})
 	g.AddEdge(2, 3, "par", nil)
 	g.AddEdge(2, 3, "par", core.Props{"w": core.F(-0.5)})
-	graphs["kinds"] = g
+	return g
+}
+
+// TestSnapshotRoundTripEdgeCases covers the empty graph and kindsGraph.
+func TestSnapshotRoundTripEdgeCases(t *testing.T) {
+	graphs := map[string]*core.Graph{
+		"empty": core.NewGraph(0, 0),
+		"kinds": kindsGraph(),
+	}
 
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
@@ -403,11 +407,10 @@ func edgelessSections(n int, strtab, vprops, eprops []byte) []testSection {
 	}
 }
 
-// TestSnapshotMalformedDeltaDoesNotPanic: a CRC-valid artifact whose
-// property block carries a huge index delta (a legal 10-byte LEB128
-// encoding of 1<<63) must decode to an error, not a wrapped-negative
-// slice index and a process panic.
-func TestSnapshotMalformedDeltaDoesNotPanic(t *testing.T) {
+// poisonedDeltaArtifacts returns CRC-valid artifacts whose property
+// block carries a huge index delta (a legal 10-byte LEB128 encoding of
+// 1<<63): once among a column's entries, once in the empty-props list.
+func poisonedDeltaArtifacts() [][]byte {
 	var fp [32]byte
 	var strtab []byte
 	strtab = enc.Uvarint(strtab, 1) // one string, "k"
@@ -425,32 +428,33 @@ func TestSnapshotMalformedDeltaDoesNotPanic(t *testing.T) {
 	vprops = enc.Uvarint(vprops, uint64(len(blk)))
 	vprops = append(vprops, blk...)
 	eprops := enc.Uvarint(nil, 0) // 0 columns, no blocks (E=0)
+	inEntries := buildArtifact(fp, edgelessSections(2, strtab, vprops, eprops))
 
-	raw := buildArtifact(fp, edgelessSections(2, strtab, vprops, eprops))
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-		t.Fatal("poisoned delta decoded without error")
-	}
-
-	// Same poison in the empty-props list.
 	vprops = enc.Uvarint(nil, 0) // 0 columns
 	blk = blk[:0]
 	blk = enc.Uvarint(blk, 1)     // one empty marker
 	blk = enc.Uvarint(blk, 1<<63) // poisoned delta
 	vprops = enc.Uvarint(vprops, uint64(len(blk)))
 	vprops = append(vprops, blk...)
-	raw = buildArtifact(fp, edgelessSections(2, enc.Uvarint(nil, 0), vprops, eprops))
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-		t.Fatal("poisoned empty-list delta decoded without error")
+	inEmpties := buildArtifact(fp, edgelessSections(2, enc.Uvarint(nil, 0), vprops, eprops))
+	return [][]byte{inEntries, inEmpties}
+}
+
+// TestSnapshotMalformedDeltaDoesNotPanic: a poisoned delta must decode
+// to an error, not a wrapped-negative slice index and a process panic.
+func TestSnapshotMalformedDeltaDoesNotPanic(t *testing.T) {
+	for i, raw := range poisonedDeltaArtifacts() {
+		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
+			t.Fatalf("poisoned artifact %d decoded without error", i)
+		}
 	}
 }
 
-// TestSnapshotHugeCountsRejectedCheaply: a tiny CRC-valid artifact
-// declaring astronomically many vertices must be rejected by the
-// size-proportional bound — and then by the exact section-length
-// checks — before any large allocation; and a corrupted (oversized)
-// file size field must fail against the actual byte count, not size
-// an allocation.
-func TestSnapshotHugeCountsRejectedCheaply(t *testing.T) {
+// hugeCountArtifacts returns a tiny CRC-valid artifact declaring
+// astronomically many vertices, and g's artifact twice: with its file
+// size field raised far beyond the bytes present, and with a corrupted
+// directory entry.
+func hugeCountArtifacts(g *core.Graph) [][]byte {
 	var fp [32]byte
 	var meta []byte
 	meta = enc.Uvarint(meta, 0)     // rawJSON
@@ -459,33 +463,92 @@ func TestSnapshotHugeCountsRejectedCheaply(t *testing.T) {
 	meta = enc.Uvarint(meta, 0)
 	meta = enc.Uvarint(meta, 0)
 	meta = enc.Uvarint(meta, 0)
-	raw := buildArtifact(fp, []testSection{{secMeta, meta}})
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-		t.Fatal("absurd vertex count accepted")
-	}
+	absurd := buildArtifact(fp, []testSection{{secMeta, meta}})
+	oversized := encodeSnapshot(g, 0, fp)
+	binary.BigEndian.PutUint64(oversized[37:45], 1<<39)
+	badDir := encodeSnapshot(g, 0, fp)
+	badDir[snapshotHeaderLen+2] ^= 0x01
+	return [][]byte{absurd, oversized, badDir}
+}
 
-	// Oversized file size: flip the size field way up on a real
-	// artifact.
-	g := Yeast(snapTestScale)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g, 0, fp); err != nil {
-		t.Fatal(err)
+// TestSnapshotHugeCountsRejectedCheaply: an absurd vertex count must be
+// rejected by the size-proportional bound — and then by the exact
+// section-length checks — before any large allocation; an oversized
+// file size field must fail against the actual byte count, not size an
+// allocation; a corrupted directory entry must fail the directory CRC.
+func TestSnapshotHugeCountsRejectedCheaply(t *testing.T) {
+	for i, raw := range hugeCountArtifacts(Yeast(snapTestScale)) {
+		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
+			t.Errorf("artifact %d (absurd count, oversized size field, corrupt directory) accepted", i)
+		}
 	}
-	raw = buf.Bytes()
-	binary.BigEndian.PutUint64(raw[37:45], 1<<39)
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-		t.Fatal("oversized size field accepted")
-	}
+}
 
-	// A corrupted directory entry must fail the directory CRC.
-	buf.Reset()
-	if err := WriteSnapshot(&buf, g, 0, fp); err != nil {
-		t.Fatal(err)
+// oneEdgeArtifact frames a consistent one-edge graph (0→1 "knows"),
+// applying mutate to its sections first.
+func oneEdgeArtifact(mutate func(secs []testSection)) []byte {
+	blk := enc.Uvarint(nil, 0) // 0 empties
+	props := enc.Uvarint(nil, 0)
+	props = enc.Uvarint(props, uint64(len(blk)))
+	props = append(props, blk...)
+	var meta []byte
+	meta = enc.Uvarint(meta, 0) // rawJSON
+	meta = enc.Uvarint(meta, 2) // V
+	meta = enc.Uvarint(meta, 1) // E
+	meta = enc.Uvarint(meta, 1) // labels
+	meta = enc.Uvarint(meta, 0) // VPropTotal
+	meta = enc.Uvarint(meta, 0) // EPropTotal
+	var labels []byte
+	labels = enc.Uvarint(labels, 1)
+	labels = enc.Uvarint(labels, 5)
+	labels = append(labels, "knows"...)
+	secs := []testSection{
+		{secMeta, meta},
+		{secLabels, labels},
+		{secOutOff, encodeInt32s([]int32{0, 1, 1})},
+		{secInOff, encodeInt32s([]int32{0, 0, 1})},
+		{secUndOff, encodeInt32s([]int32{0, 1, 2})},
+		{secUndAdj, encodeInt32s([]int32{1, 0})},
+		{secLabelIx, encodeInt32s([]int32{0})},
+		{secLabelOff, encodeInt32s([]int32{0, 1})},
+		{secLabelAdj, encodeInt32s([]int32{0})},
+		{secEdgeSrc, encodeInt32s([]int32{0})},
+		{secEdgeDst, encodeInt32s([]int32{1})},
+		{secStrTab, enc.Uvarint(nil, 0)},
+		{secVProps, props},
+		{secEProps, props},
 	}
-	raw = buf.Bytes()
-	raw[snapshotHeaderLen+2] ^= 0x01
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-		t.Fatal("corrupt directory accepted")
+	mutate(secs)
+	return buildArtifact([32]byte{}, secs)
+}
+
+// inconsistentArtifacts returns CRC-valid artifacts whose sections
+// contradict each other, keyed by the contradiction.
+func inconsistentArtifacts() map[string][]byte {
+	edgeless := func(mutate func(secs []testSection)) []byte {
+		// A 2-vertex edgeless graph needs a 1-byte empty shard block in
+		// vprops/eprops (0 columns, 0 empties) to decode cleanly.
+		blk := enc.Uvarint(nil, 0)
+		props := enc.Uvarint(nil, 0)
+		props = enc.Uvarint(props, uint64(len(blk)))
+		props = append(props, blk...)
+		secs := edgelessSections(2, enc.Uvarint(nil, 0), props, props)
+		mutate(secs)
+		return buildArtifact([32]byte{}, secs)
+	}
+	return map[string][]byte{
+		"non-monotonic prefix sum": edgeless(func(secs []testSection) {
+			secs[2].body = encodeInt32s([]int32{0, 1, 0}) // OutOff dips
+		}),
+		"prefix sum missing edge total": edgeless(func(secs []testSection) {
+			secs[2].body = encodeInt32s([]int32{0, 1, 1}) // claims an edge, E=0
+		}),
+		"ragged int32 section": edgeless(func(secs []testSection) {
+			secs[5].body = []byte{1, 2, 3} // UndAdj length must be 4×count
+		}),
+		"undirected adjacency out of range": oneEdgeArtifact(func(secs []testSection) { secs[5].body = encodeInt32s([]int32{5, 0}) }),
+		"label index out of range":          oneEdgeArtifact(func(secs []testSection) { secs[6].body = encodeInt32s([]int32{7}) }),
+		"edge endpoint out of range":        oneEdgeArtifact(func(secs []testSection) { secs[10].body = encodeInt32s([]int32{9}) }),
 	}
 }
 
@@ -494,82 +557,15 @@ func TestSnapshotHugeCountsRejectedCheaply(t *testing.T) {
 // that do not reach the edge count) must be rejected by the CSR
 // validation pass, never served.
 func TestSnapshotInconsistentSectionsRejected(t *testing.T) {
-	var fp [32]byte
-	strtab := enc.Uvarint(nil, 0)
-	poke := func(name string, mutate func(secs []testSection)) {
-		// A 2-vertex edgeless graph needs a 1-byte empty shard block in
-		// vprops/eprops (0 columns, 0 empties) to decode cleanly.
-		blk := enc.Uvarint(nil, 0)
-		props := enc.Uvarint(nil, 0)
-		props = enc.Uvarint(props, uint64(len(blk)))
-		props = append(props, blk...)
-		secs := edgelessSections(2, strtab, props, props)
-		mutate(secs)
-		raw := buildArtifact(fp, secs)
-		if _, _, err := ReadSnapshot(bytes.NewReader(raw), fp); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	poke("non-monotonic prefix sum", func(secs []testSection) {
-		secs[2].body = encodeInt32s([]int32{0, 1, 0}) // OutOff dips
-	})
-	poke("prefix sum missing edge total", func(secs []testSection) {
-		secs[2].body = encodeInt32s([]int32{0, 1, 1}) // claims an edge, E=0
-	})
-	poke("ragged int32 section", func(secs []testSection) {
-		secs[5].body = []byte{1, 2, 3} // UndAdj length must be 4×count
-	})
-
-	// Out-of-range adjacency entries in an otherwise consistent
-	// one-edge graph (0→1 "knows").
-	oneEdge := func(mutate func(secs []testSection)) []byte {
-		blk := enc.Uvarint(nil, 0) // 0 empties
-		props := enc.Uvarint(nil, 0)
-		props = enc.Uvarint(props, uint64(len(blk)))
-		props = append(props, blk...)
-		var meta []byte
-		meta = enc.Uvarint(meta, 0) // rawJSON
-		meta = enc.Uvarint(meta, 2) // V
-		meta = enc.Uvarint(meta, 1) // E
-		meta = enc.Uvarint(meta, 1) // labels
-		meta = enc.Uvarint(meta, 0) // VPropTotal
-		meta = enc.Uvarint(meta, 0) // EPropTotal
-		var labels []byte
-		labels = enc.Uvarint(labels, 1)
-		labels = enc.Uvarint(labels, 5)
-		labels = append(labels, "knows"...)
-		secs := []testSection{
-			{secMeta, meta},
-			{secLabels, labels},
-			{secOutOff, encodeInt32s([]int32{0, 1, 1})},
-			{secInOff, encodeInt32s([]int32{0, 0, 1})},
-			{secUndOff, encodeInt32s([]int32{0, 1, 2})},
-			{secUndAdj, encodeInt32s([]int32{1, 0})},
-			{secLabelIx, encodeInt32s([]int32{0})},
-			{secLabelOff, encodeInt32s([]int32{0, 1})},
-			{secLabelAdj, encodeInt32s([]int32{0})},
-			{secEdgeSrc, encodeInt32s([]int32{0})},
-			{secEdgeDst, encodeInt32s([]int32{1})},
-			{secStrTab, enc.Uvarint(nil, 0)},
-			{secVProps, props},
-			{secEProps, props},
-		}
-		mutate(secs)
-		return buildArtifact(fp, secs)
-	}
-	g, _, err := ReadSnapshot(bytes.NewReader(oneEdge(func([]testSection) {})), fp)
+	g, _, err := ReadSnapshot(bytes.NewReader(oneEdgeArtifact(func([]testSection) {})), [32]byte{})
 	if err != nil {
 		t.Fatalf("consistent one-edge artifact rejected: %v", err)
 	}
 	if g.NumVertices() != 2 || g.NumEdges() != 1 || g.EdgeL[0].Label != "knows" {
 		t.Fatalf("one-edge artifact decoded wrong: %+v", g.EdgeL)
 	}
-	for name, mutate := range map[string]func([]testSection){
-		"undirected adjacency out of range": func(secs []testSection) { secs[5].body = encodeInt32s([]int32{5, 0}) },
-		"label index out of range":          func(secs []testSection) { secs[6].body = encodeInt32s([]int32{7}) },
-		"edge endpoint out of range":        func(secs []testSection) { secs[10].body = encodeInt32s([]int32{9}) },
-	} {
-		if _, _, err := ReadSnapshot(bytes.NewReader(oneEdge(mutate)), fp); err == nil {
+	for name, raw := range inconsistentArtifacts() {
+		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

@@ -108,8 +108,8 @@ func OpenDurable(name, dir string) (core.Engine, *lsm.RecoveryStats, error) {
 
 // DurableReport is DurableAudit's JSON-ready result: the recovery
 // counters from replaying the WAL plus the graph-level integrity
-// audit. The serve smoke greps records_replayed and audit_ok after a
-// kill -9.
+// audit. gdb-serve's smoke test checks records_replayed and audit_ok
+// after a kill -9.
 type DurableReport struct {
 	Engine          string   `json:"engine"`
 	Dir             string   `json:"lsm_dir"`

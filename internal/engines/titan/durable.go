@@ -174,8 +174,8 @@ func (r AuditReport) Ok() bool { return len(r.Problems) == 0 }
 // Audit cross-checks the row families: every edge row's endpoints
 // must exist, each edge must appear in both endpoints' adjacency
 // columns, every adjacency column must point at a live edge row, and
-// the persisted ID allocator must be ahead of every live object. The
-// serve crash-recovery smoke greps its output after a kill -9.
+// the persisted ID allocator must be ahead of every live object.
+// gdb-serve's smoke test checks its output after a kill -9.
 func (e *Engine) Audit() AuditReport {
 	rep := AuditReport{NextID: e.nextID}
 	problem := func(format string, args ...any) {

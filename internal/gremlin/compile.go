@@ -10,7 +10,7 @@ import "repro/internal/core"
 // including the engine iterators inside the source. The plan itself
 // is never mutated, so lowering is repeatable and Explain sees the
 // plan that executes.
-func lower(e core.Engine, steps []Step) stream {
+func lower(e core.Engine, steps []step) stream {
 	if len(steps) == 0 || !steps[0].isSource() {
 		return func() (core.ID, bool, error) { return core.NoID, false, nil }
 	}
@@ -28,21 +28,21 @@ func lower(e core.Engine, steps []Step) stream {
 			continue
 		}
 		switch st.Op {
-		case OpOut, OpIn, OpBoth:
+		case opOut, opIn, opBoth:
 			s = flatMapStage(s, neighborExpand(e, st))
-		case OpOutE, OpInE, OpBothE:
+		case opOutE, opInE, opBothE:
 			s = flatMapStage(s, incidentExpand(e, st))
-		case OpOutV:
+		case opOutV:
 			s = flatMapStage(s, endExpand(e, false))
-		case OpInV:
+		case opInV:
 			s = flatMapStage(s, endExpand(e, true))
-		case OpDedup:
+		case opDedup:
 			s = dedupStage(s)
-		case OpStore:
+		case opStore:
 			s = storeStage(s, st.Set)
-		case OpLimit:
+		case opLimit:
 			s = limitStage(s, st.N)
-		case OpSample:
+		case opSample:
 			s = sampleStage(s, st.N, st.Seed)
 		}
 		i++
@@ -56,31 +56,31 @@ func lower(e core.Engine, steps []Step) stream {
 // EdgesByLabel) — the paper's source-step fast path, Q11–Q13. Fusion
 // preserves the element sequence because every engine's ByProp/ByLabel
 // surface yields ids in the same ascending order its full scan does.
-func lowerSource(e core.Engine, steps []Step) (stream, int) {
+func lowerSource(e core.Engine, steps []step) (stream, int) {
 	src := steps[0]
 	if fusedSource(steps) {
 		next := steps[1]
 		switch {
-		case next.Op == OpHasLabel:
+		case next.Op == opHasLabel:
 			return fromIter(e.EdgesByLabel(next.Label)), 2
-		case src.Op == OpSourceV:
+		case src.Op == opSourceV:
 			return fromIter(e.VerticesByProp(next.Name, next.Value)), 2
 		default:
 			return fromIter(e.EdgesByProp(next.Name, next.Value)), 2
 		}
 	}
 	switch src.Op {
-	case OpSourceV:
+	case opSourceV:
 		return fromIter(e.Vertices()), 1
-	case OpSourceE:
+	case opSourceE:
 		return fromIter(e.Edges()), 1
-	case OpSourceVID:
+	case opSourceVID:
 		var ids []core.ID
 		if e.HasVertex(src.ID) {
 			ids = append(ids, src.ID)
 		}
 		return fromIter(core.SliceIter(ids)), 1
-	default: // OpSourceEID
+	default: // opSourceEID
 		var ids []core.ID
 		if e.HasEdge(src.ID) {
 			ids = append(ids, src.ID)
@@ -92,23 +92,23 @@ func lowerSource(e core.Engine, steps []Step) (stream, int) {
 // fusedSource reports whether lowering serves the plan's second step
 // from the engine index surface (shared with Explain so the rendered
 // plan matches what executes).
-func fusedSource(steps []Step) bool {
+func fusedSource(steps []step) bool {
 	if len(steps) < 2 {
 		return false
 	}
 	src, next := steps[0].Op, steps[1].Op
-	return src == OpSourceV && next == OpHas ||
-		src == OpSourceE && (next == OpHas || next == OpHasLabel)
+	return src == opSourceV && next == opHas ||
+		src == opSourceE && (next == opHas || next == opHasLabel)
 }
 
 // predicate compiles one filter step to its per-element test: a
 // property probe, label fetch, degree count or set lookup per element.
 // Engine failures (core.ErrOutOfMemory from Degree on Q28–Q31) abort
 // the traversal.
-func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
+func predicate(e core.Engine, s step) func(core.ID) (bool, error) {
 	switch s.Op {
-	case OpHas:
-		if s.Kind == KindVertex {
+	case opHas:
+		if s.Kind == kindVertex {
 			return func(id core.ID) (bool, error) {
 				got, ok := e.VertexProp(id, s.Name)
 				return ok && got.Compare(s.Value) == 0, nil
@@ -118,7 +118,7 @@ func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 			got, ok := e.EdgeProp(id, s.Name)
 			return ok && got.Compare(s.Value) == 0, nil
 		}
-	case OpHasLabel:
+	case opHasLabel:
 		return func(id core.ID) (bool, error) {
 			l, err := e.EdgeLabel(id)
 			if err != nil {
@@ -126,7 +126,7 @@ func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 			}
 			return l == s.Label, nil
 		}
-	case OpDegree:
+	case opDegree:
 		return func(id core.ID) (bool, error) {
 			deg, err := e.Degree(id, s.Dir)
 			if err != nil {
@@ -134,7 +134,7 @@ func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 			}
 			return deg >= s.K, nil
 		}
-	default: // OpExcept
+	default: // opExcept
 		return func(id core.ID) (bool, error) {
 			_, in := s.Set[id]
 			return !in, nil
@@ -145,7 +145,7 @@ func predicate(e core.Engine, s Step) func(core.ID) (bool, error) {
 // filterStage lowers a run of filter steps into a single loop: each
 // element is tested against the conjunction in plan order, with no
 // intermediate stream frames between the predicates.
-func filterStage(e core.Engine, src stream, run []Step) stream {
+func filterStage(e core.Engine, src stream, run []step) stream {
 	preds := make([]func(core.ID) (bool, error), len(run))
 	for i, s := range run {
 		preds[i] = predicate(e, s)
@@ -191,12 +191,12 @@ func flatMapStage(src stream, expand func(core.ID) core.Iter[core.ID]) stream {
 	}
 }
 
-func neighborExpand(e core.Engine, s Step) func(core.ID) core.Iter[core.ID] {
+func neighborExpand(e core.Engine, s step) func(core.ID) core.Iter[core.ID] {
 	var d core.Direction
 	switch s.Op {
-	case OpOut:
+	case opOut:
 		d = core.DirOut
-	case OpIn:
+	case opIn:
 		d = core.DirIn
 	default:
 		d = core.DirBoth
@@ -206,12 +206,12 @@ func neighborExpand(e core.Engine, s Step) func(core.ID) core.Iter[core.ID] {
 	}
 }
 
-func incidentExpand(e core.Engine, s Step) func(core.ID) core.Iter[core.ID] {
+func incidentExpand(e core.Engine, s step) func(core.ID) core.Iter[core.ID] {
 	var d core.Direction
 	switch s.Op {
-	case OpOutE:
+	case opOutE:
 		d = core.DirOut
-	case OpInE:
+	case opInE:
 		d = core.DirIn
 	default:
 		d = core.DirBoth

@@ -101,10 +101,10 @@ func (e *estimator) rows() int64 {
 	return int64(math.Round(e.cur))
 }
 
-func (e *estimator) apply(s Step) {
+func (e *estimator) apply(s step) {
 	if e.stats == nil {
 		// Singleton sources are exact even without statistics.
-		if s.Op == OpSourceVID || s.Op == OpSourceEID {
+		if s.Op == opSourceVID || s.Op == opSourceEID {
 			e.cur = 1
 		} else {
 			e.cur = -1
@@ -112,35 +112,35 @@ func (e *estimator) apply(s Step) {
 		return
 	}
 	switch s.Op {
-	case OpSourceV:
+	case opSourceV:
 		e.cur = float64(e.stats.V)
-	case OpSourceE:
+	case opSourceE:
 		e.cur = float64(e.stats.E)
-	case OpSourceVID, OpSourceEID:
+	case opSourceVID, opSourceEID:
 		e.cur = 1
-	case OpHas, OpHasLabel, OpDegree, OpExcept:
+	case opHas, opHasLabel, opDegree, opExcept:
 		e.cur *= selectivity(s, e.stats)
-	case OpOut:
+	case opOut:
 		e.cur *= e.stats.AvgDegree(core.DirOut, s.Labels)
-	case OpIn:
+	case opIn:
 		e.cur *= e.stats.AvgDegree(core.DirIn, s.Labels)
-	case OpBoth:
+	case opBoth:
 		e.cur *= e.stats.AvgDegree(core.DirBoth, s.Labels)
-	case OpOutE:
+	case opOutE:
 		e.cur *= e.stats.AvgDegree(core.DirOut, s.Labels)
-	case OpInE:
+	case opInE:
 		e.cur *= e.stats.AvgDegree(core.DirIn, s.Labels)
-	case OpBothE:
+	case opBothE:
 		e.cur *= e.stats.AvgDegree(core.DirBoth, s.Labels)
-	case OpOutV, OpInV, OpStore:
+	case opOutV, opInV, opStore:
 		// Row count unchanged.
-	case OpDedup:
+	case opDedup:
 		pool := float64(e.stats.V)
-		if s.Kind == KindEdge {
+		if s.Kind == kindEdge {
 			pool = float64(e.stats.E)
 		}
 		e.cur = math.Min(e.cur, pool)
-	case OpLimit, OpSample:
+	case opLimit, opSample:
 		e.cur = math.Min(e.cur, float64(s.N))
 	}
 }
@@ -158,18 +158,18 @@ func engineStats(e core.Engine) *core.PlanStats {
 // Label and degree predicates read the snapshot statistics; property
 // equality has no per-value statistics (the repo keeps no histogram
 // machinery, by design) and uses a fixed heuristic.
-func selectivity(s Step, stats *core.PlanStats) float64 {
+func selectivity(s step, stats *core.PlanStats) float64 {
 	switch s.Op {
-	case OpHasLabel:
+	case opHasLabel:
 		return stats.LabelSelectivity(s.Label)
-	case OpHas:
+	case opHas:
 		return 0.25
-	case OpDegree:
-		if s.Kind == KindVertex {
+	case opDegree:
+		if s.Kind == kindVertex {
 			return stats.DegreeAtLeastFrac(s.Dir, s.K)
 		}
 		return 0.5
-	case OpExcept:
+	case opExcept:
 		return 0.9
 	}
 	return 1

@@ -4,7 +4,7 @@
 //
 // It plays the role Apache TinkerPop plays in the paper — the
 // database-independent connectivity layer through which every test query
-// is expressed exactly once. Builder methods append declarative Step
+// is expressed exactly once. Builder methods append declarative step
 // nodes to a logical plan (plan.go); a terminal operation lowers the
 // plan, in the order it was written, to pull-based streams
 // (compile.go), serving a leading property or label filter from the
@@ -34,20 +34,20 @@ func fromIter(it core.Iter[core.ID]) stream {
 	}
 }
 
-// Kind of element flowing through a traversal.
-type Kind uint8
+// elemKind is the kind of element flowing through a traversal.
+type elemKind uint8
 
 // Element kinds.
 const (
-	KindVertex Kind = iota
-	KindEdge
+	kindVertex elemKind = iota
+	kindEdge
 )
 
 // Traversal is a lazy pipeline of elements (vertices or edges),
 // represented as a logical plan until a terminal compiles it.
 type Traversal struct {
 	e     core.Engine
-	steps []Step
+	steps []step
 }
 
 // G roots traversals at an engine, mirroring the Gremlin "g".
@@ -56,28 +56,28 @@ type G struct{ e core.Engine }
 // New returns a traversal source over the engine.
 func New(e core.Engine) G { return G{e: e} }
 
-func (g G) source(s Step) *Traversal {
-	return &Traversal{e: g.e, steps: []Step{s}}
+func (g G) source(s step) *Traversal {
+	return &Traversal{e: g.e, steps: []step{s}}
 }
 
 // V streams all vertices (g.V).
 func (g G) V() *Traversal {
-	return g.source(Step{Op: OpSourceV, Kind: KindVertex})
+	return g.source(step{Op: opSourceV, Kind: kindVertex})
 }
 
 // E streams all edges (g.E).
 func (g G) E() *Traversal {
-	return g.source(Step{Op: OpSourceE, Kind: KindEdge})
+	return g.source(step{Op: opSourceE, Kind: kindEdge})
 }
 
 // VID streams the single vertex with the given id (g.V(id), Q14).
 func (g G) VID(id core.ID) *Traversal {
-	return g.source(Step{Op: OpSourceVID, Kind: KindVertex, ID: id})
+	return g.source(step{Op: opSourceVID, Kind: kindVertex, ID: id})
 }
 
 // EID streams the single edge with the given id (g.E(id), Q15).
 func (g G) EID(id core.ID) *Traversal {
-	return g.source(Step{Op: OpSourceEID, Kind: KindEdge, ID: id})
+	return g.source(step{Op: opSourceEID, Kind: kindEdge, ID: id})
 }
 
 // VHas streams vertices with property name = v through the engine's
@@ -101,9 +101,9 @@ func (g G) EHasLabel(label string) *Traversal {
 
 // kind reports whether the traversal currently carries vertices or
 // edges: the kind its last step outputs.
-func (t *Traversal) kind() Kind {
+func (t *Traversal) kind() elemKind {
 	if len(t.steps) == 0 {
-		return KindVertex
+		return kindVertex
 	}
 	return t.steps[len(t.steps)-1].Kind
 }
@@ -111,93 +111,93 @@ func (t *Traversal) kind() Kind {
 // append extends the plan in place and returns the receiver: builder
 // chains stay cheap (one slice append per step), and intermediate
 // traversal values are not retained anywhere.
-func (t *Traversal) append(s Step) *Traversal {
+func (t *Traversal) append(s step) *Traversal {
 	t.steps = append(t.steps, s)
 	return t
 }
 
-func (t *Traversal) expand(op Op, kind Kind, labels []string) *Traversal {
-	return t.append(Step{Op: op, Kind: kind, Labels: labels})
+func (t *Traversal) expand(op opcode, kind elemKind, labels []string) *Traversal {
+	return t.append(step{Op: op, Kind: kind, Labels: labels})
 }
 
 // Out moves vertex→vertex over outgoing edges (v.out, Q23).
 func (t *Traversal) Out(labels ...string) *Traversal {
-	return t.expand(OpOut, KindVertex, labels)
+	return t.expand(opOut, kindVertex, labels)
 }
 
 // In moves vertex→vertex over incoming edges (v.in, Q22).
 func (t *Traversal) In(labels ...string) *Traversal {
-	return t.expand(OpIn, KindVertex, labels)
+	return t.expand(opIn, kindVertex, labels)
 }
 
 // Both moves vertex→vertex over all incident edges (v.both, Q24).
 func (t *Traversal) Both(labels ...string) *Traversal {
-	return t.expand(OpBoth, KindVertex, labels)
+	return t.expand(opBoth, kindVertex, labels)
 }
 
 // OutE moves vertex→edge (v.outE, Q26).
 func (t *Traversal) OutE(labels ...string) *Traversal {
-	return t.expand(OpOutE, KindEdge, labels)
+	return t.expand(opOutE, kindEdge, labels)
 }
 
 // InE moves vertex→edge (v.inE, Q25).
 func (t *Traversal) InE(labels ...string) *Traversal {
-	return t.expand(OpInE, KindEdge, labels)
+	return t.expand(opInE, kindEdge, labels)
 }
 
 // BothE moves vertex→edge (v.bothE, Q27).
 func (t *Traversal) BothE(labels ...string) *Traversal {
-	return t.expand(OpBothE, KindEdge, labels)
+	return t.expand(opBothE, kindEdge, labels)
 }
 
 // OutV moves edge→source vertex.
 func (t *Traversal) OutV() *Traversal {
-	return t.append(Step{Op: OpOutV, Kind: KindVertex})
+	return t.append(step{Op: opOutV, Kind: kindVertex})
 }
 
 // InV moves edge→destination vertex.
 func (t *Traversal) InV() *Traversal {
-	return t.append(Step{Op: OpInV, Kind: KindVertex})
+	return t.append(step{Op: opInV, Kind: kindVertex})
 }
 
 // Has filters elements on a property value (mid-pipeline .has step —
 // a per-element probe unless lowering fuses it into the source).
 func (t *Traversal) Has(name string, v core.Value) *Traversal {
-	return t.append(Step{Op: OpHas, Kind: t.kind(), Name: name, Value: v})
+	return t.append(step{Op: opHas, Kind: t.kind(), Name: name, Value: v})
 }
 
 // HasLabel filters edges on their label.
 func (t *Traversal) HasLabel(label string) *Traversal {
-	return t.append(Step{Op: OpHasLabel, Kind: t.kind(), Label: label})
+	return t.append(step{Op: opHasLabel, Kind: t.kind(), Label: label})
 }
 
 // DegreeAtLeast keeps vertices with at least k incident edges in
 // direction d (the filter of Q28–Q30). An engine failure such as
 // core.ErrOutOfMemory from Degree aborts the traversal.
 func (t *Traversal) DegreeAtLeast(d core.Direction, k int64) *Traversal {
-	return t.append(Step{Op: OpDegree, Kind: t.kind(), Dir: d, K: k})
+	return t.append(step{Op: opDegree, Kind: t.kind(), Dir: d, K: k})
 }
 
 // Dedup suppresses repeated element ids (.dedup).
 func (t *Traversal) Dedup() *Traversal {
-	return t.append(Step{Op: OpDedup, Kind: t.kind()})
+	return t.append(step{Op: opDedup, Kind: t.kind()})
 }
 
 // Except drops elements contained in the set (.except(vs)).
 func (t *Traversal) Except(set map[core.ID]struct{}) *Traversal {
-	return t.append(Step{Op: OpExcept, Kind: t.kind(), Set: set})
+	return t.append(step{Op: opExcept, Kind: t.kind(), Set: set})
 }
 
 // Store adds every passing element to the set (.store(vs)).
 func (t *Traversal) Store(set map[core.ID]struct{}) *Traversal {
-	return t.append(Step{Op: OpStore, Kind: t.kind(), Set: set})
+	return t.append(step{Op: opStore, Kind: t.kind(), Set: set})
 }
 
 // Limit stops the traversal after n elements (.limit). The compiled
 // stream stops pulling its upstream — and therefore the engine
 // iterators — as soon as the budget is spent.
 func (t *Traversal) Limit(n int64) *Traversal {
-	return t.append(Step{Op: OpLimit, Kind: t.kind(), N: n})
+	return t.append(step{Op: opLimit, Kind: t.kind(), N: n})
 }
 
 // Sample keeps a uniform random sample of up to n elements (reservoir
@@ -206,7 +206,7 @@ func (t *Traversal) Limit(n int64) *Traversal {
 // barrier: the reservoir sees the whole upstream sequence before the
 // first element is emitted.
 func (t *Traversal) Sample(n int, seed int64) *Traversal {
-	return t.append(Step{Op: OpSample, Kind: t.kind(), N: int64(n), Seed: seed})
+	return t.append(step{Op: opSample, Kind: t.kind(), N: int64(n), Seed: seed})
 }
 
 // --- terminal operations (deadline-aware) ---
@@ -276,7 +276,7 @@ func (t *Traversal) Values(ctx context.Context, name string) ([]core.Value, erro
 	err := t.drain(ctx, func(id core.ID) bool {
 		var v core.Value
 		var ok bool
-		if kind == KindVertex {
+		if kind == kindVertex {
 			v, ok = t.e.VertexProp(id, name)
 		} else {
 			v, ok = t.e.EdgeProp(id, name)

@@ -7,96 +7,96 @@ import (
 	"repro/internal/core"
 )
 
-// Op identifies one logical step kind of the traversal plan. Builder
-// methods append Step values; nothing executes until a terminal
+// opcode identifies one logical step kind of the traversal plan. Builder
+// methods append step values; nothing executes until a terminal
 // lowers the plan (see compile.go), which is what makes a query
 // explainable before any element flows.
-type Op uint8
+type opcode uint8
 
 // Plan step operators.
 const (
 	// Sources (exactly one, always first).
-	OpSourceV   Op = iota // all vertices (g.V)
-	OpSourceE             // all edges (g.E)
-	OpSourceVID           // one vertex by id (g.V(id))
-	OpSourceEID           // one edge by id (g.E(id))
+	opSourceV   opcode = iota // all vertices (g.V)
+	opSourceE                 // all edges (g.E)
+	opSourceVID               // one vertex by id (g.V(id))
+	opSourceEID               // one edge by id (g.E(id))
 
 	// Filters — per-element predicates; a run of them lowers to one
 	// loop.
-	OpHas      // property equality
-	OpHasLabel // edge label equality
-	OpDegree   // degree-at-least threshold
-	OpExcept   // drop members of a set
+	opHas      // property equality
+	opHasLabel // edge label equality
+	opDegree   // degree-at-least threshold
+	opExcept   // drop members of a set
 
 	// Expansions — change the element stream.
-	OpOut   // vertex → vertex, outgoing
-	OpIn    // vertex → vertex, incoming
-	OpBoth  // vertex → vertex, both
-	OpOutE  // vertex → edge, outgoing
-	OpInE   // vertex → edge, incoming
-	OpBothE // vertex → edge, both
-	OpOutV  // edge → source vertex
-	OpInV   // edge → destination vertex
+	opOut   // vertex → vertex, outgoing
+	opIn    // vertex → vertex, incoming
+	opBoth  // vertex → vertex, both
+	opOutE  // vertex → edge, outgoing
+	opInE   // vertex → edge, incoming
+	opBothE // vertex → edge, both
+	opOutV  // edge → source vertex
+	opInV   // edge → destination vertex
 
 	// Stream shapers.
-	OpDedup  // first occurrence of each id
-	OpStore  // add passing elements to a set
-	OpLimit  // stop after n elements
-	OpSample // deterministic reservoir sample
+	opDedup  // first occurrence of each id
+	opStore  // add passing elements to a set
+	opLimit  // stop after n elements
+	opSample // deterministic reservoir sample
 )
 
 // String returns the operator's Gremlin-flavoured name.
-func (op Op) String() string {
+func (op opcode) String() string {
 	switch op {
-	case OpSourceV:
+	case opSourceV:
 		return "V()"
-	case OpSourceE:
+	case opSourceE:
 		return "E()"
-	case OpSourceVID:
+	case opSourceVID:
 		return "V(id)"
-	case OpSourceEID:
+	case opSourceEID:
 		return "E(id)"
-	case OpHas:
+	case opHas:
 		return "has"
-	case OpHasLabel:
+	case opHasLabel:
 		return "hasLabel"
-	case OpDegree:
+	case opDegree:
 		return "degreeAtLeast"
-	case OpExcept:
+	case opExcept:
 		return "except"
-	case OpOut:
+	case opOut:
 		return "out"
-	case OpIn:
+	case opIn:
 		return "in"
-	case OpBoth:
+	case opBoth:
 		return "both"
-	case OpOutE:
+	case opOutE:
 		return "outE"
-	case OpInE:
+	case opInE:
 		return "inE"
-	case OpBothE:
+	case opBothE:
 		return "bothE"
-	case OpOutV:
+	case opOutV:
 		return "outV"
-	case OpInV:
+	case opInV:
 		return "inV"
-	case OpDedup:
+	case opDedup:
 		return "dedup"
-	case OpStore:
+	case opStore:
 		return "store"
-	case OpLimit:
+	case opLimit:
 		return "limit"
-	case OpSample:
+	case opSample:
 		return "sample"
 	}
 	return "unknown"
 }
 
-// Step is one declarative node of the logical plan. Only the fields
+// step is one declarative node of the logical plan. Only the fields
 // its Op consumes are set.
-type Step struct {
-	Op   Op
-	Kind Kind // element kind this step OUTPUTS (and, for filters, filters)
+type step struct {
+	Op   opcode
+	Kind elemKind // element kind this step OUTPUTS (and, for filters, filters)
 
 	Name  string     // Has: property name
 	Value core.Value // Has: property value
@@ -113,28 +113,28 @@ type Step struct {
 }
 
 // label renders the step with its arguments, e.g. `has(name=x)`.
-func (s Step) label() string {
+func (s step) label() string {
 	switch s.Op {
-	case OpHas:
+	case opHas:
 		return fmt.Sprintf("has(%s=%s)", s.Name, s.Value)
-	case OpHasLabel:
+	case opHasLabel:
 		return fmt.Sprintf("hasLabel(%s)", s.Label)
-	case OpDegree:
+	case opDegree:
 		return fmt.Sprintf("degreeAtLeast(%s,%d)", s.Dir, s.K)
-	case OpExcept:
+	case opExcept:
 		return fmt.Sprintf("except(|set|=%d)", len(s.Set))
-	case OpOut, OpIn, OpBoth, OpOutE, OpInE, OpBothE:
+	case opOut, opIn, opBoth, opOutE, opInE, opBothE:
 		if len(s.Labels) > 0 {
 			return fmt.Sprintf("%s(%s)", s.Op, strings.Join(s.Labels, ","))
 		}
 		return s.Op.String() + "()"
-	case OpLimit:
+	case opLimit:
 		return fmt.Sprintf("limit(%d)", s.N)
-	case OpSample:
+	case opSample:
 		return fmt.Sprintf("sample(%d)", s.N)
-	case OpSourceVID, OpSourceEID:
+	case opSourceVID, opSourceEID:
 		return s.Op.String()
-	case OpSourceV, OpSourceE:
+	case opSourceV, opSourceE:
 		return s.Op.String()
 	default:
 		return s.Op.String() + "()"
@@ -143,18 +143,18 @@ func (s Step) label() string {
 
 // isFilter reports whether the step is a per-element predicate that
 // passes or drops each element without changing it.
-func (s Step) isFilter() bool {
+func (s step) isFilter() bool {
 	switch s.Op {
-	case OpHas, OpHasLabel, OpDegree, OpExcept:
+	case opHas, opHasLabel, opDegree, opExcept:
 		return true
 	}
 	return false
 }
 
 // isSource reports whether the step roots the plan.
-func (s Step) isSource() bool {
+func (s step) isSource() bool {
 	switch s.Op {
-	case OpSourceV, OpSourceE, OpSourceVID, OpSourceEID:
+	case opSourceV, opSourceE, opSourceVID, opSourceEID:
 		return true
 	}
 	return false

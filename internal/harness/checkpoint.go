@@ -15,14 +15,16 @@ import (
 // meaning of cell indexes. v2: the micro cell split into separately
 // resumable interactive (micro-i) and batch (micro-b) halves — a v1
 // checkpoint's indexes would misattribute every record. v3: the
-// fingerprint lost its always-true isolation field.
-const checkpointVersion = 3
+// fingerprint lost its always-true isolation field. v4: it gained
+// cell_workers.
+const checkpointVersion = 4
 
 // Fingerprint identifies the result-relevant part of a configuration:
 // two runs with equal fingerprints plan the same grid and measure the
 // same logical cells, so a checkpoint written by one can be replayed by
-// the other. Worker counts are deliberately absent — they never change
-// results, only wall-clock time.
+// the other. Workers is deliberately absent — it never changes results,
+// only wall-clock time. CellWorkers is present: above one, a batch
+// cell's Elapsed is the parallel wall time of its iterations.
 type Fingerprint struct {
 	Version   int      `json:"version"`
 	Engines   []string `json:"engines"`
@@ -33,22 +35,24 @@ type Fingerprint struct {
 	TimeoutNS int64    `json:"timeout_ns"`
 	// Frozen is Config.FrozenClock: a zero-duration run must not replay
 	// real-clock measurements or vice versa.
-	Frozen bool `json:"frozen_clock"`
-	Jobs   int  `json:"jobs"` // grid plan length, a final drift guard
+	Frozen      bool `json:"frozen_clock"`
+	CellWorkers int  `json:"cell_workers"`
+	Jobs        int  `json:"jobs"` // grid plan length, a final drift guard
 }
 
 // fingerprint derives the checkpoint compatibility key for this run.
 func (r *Runner) fingerprint(jobs int) Fingerprint {
 	return Fingerprint{
-		Version:   checkpointVersion,
-		Engines:   r.cfg.Engines,
-		Datasets:  r.cfg.Datasets,
-		Scale:     r.cfg.Scale,
-		Seed:      r.cfg.Seed,
-		BatchSize: r.cfg.BatchSize,
-		TimeoutNS: int64(r.cfg.Timeout),
-		Frozen:    r.cfg.FrozenClock,
-		Jobs:      jobs,
+		Version:     checkpointVersion,
+		Engines:     r.cfg.Engines,
+		Datasets:    r.cfg.Datasets,
+		Scale:       r.cfg.Scale,
+		Seed:        r.cfg.Seed,
+		BatchSize:   r.cfg.BatchSize,
+		TimeoutNS:   int64(r.cfg.Timeout),
+		Frozen:      r.cfg.FrozenClock,
+		CellWorkers: r.cfg.CellWorkers,
+		Jobs:        jobs,
 	}
 }
 
@@ -124,7 +128,7 @@ func loadCheckpoint(path string, want Fingerprint) (map[int]cell, error) {
 		return nil, err
 	}
 	if !got.equal(want) {
-		return nil, fmt.Errorf("harness: checkpoint %s was written by an incompatible configuration (engines, datasets, scale, seed, batch, timeout or frozen-clock differ); remove it or rerun with the original flags", path)
+		return nil, fmt.Errorf("harness: checkpoint %s was written by an incompatible configuration (engines, datasets, scale, seed, batch, timeout, frozen-clock or cell-workers differ); remove it or rerun with the original flags", path)
 	}
 	return cells, nil
 }

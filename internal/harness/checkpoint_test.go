@@ -31,23 +31,52 @@ func exportRun(t *testing.T, cfg Config) ([]byte, int) {
 	return buf.Bytes(), executedCells(progress.String())
 }
 
-// executedCells counts grid cells that were actually executed (restored
-// cells emit no per-cell progress line).
+// cellStarted reports whether a progress line announces an executed
+// grid cell (restored cells emit none).
+func cellStarted(line string) bool {
+	for _, kind := range []string{"micro-i ", "micro-b ", "indexed ", "complex "} {
+		if strings.HasPrefix(line, kind) {
+			return true
+		}
+	}
+	return false
+}
+
+// executedCells counts the grid cells a progress log shows executed.
 func executedCells(progress string) int {
 	n := 0
 	for _, line := range strings.Split(progress, "\n") {
-		if strings.HasPrefix(line, "micro-i ") || strings.HasPrefix(line, "micro-b ") ||
-			strings.HasPrefix(line, "indexed ") || strings.HasPrefix(line, "complex ") {
+		if cellStarted(line) {
 			n++
 		}
 	}
 	return n
 }
 
+// cutCheckpoint writes to dst the header and first keep records of the
+// checkpoint at src, plus half of the next record: the exact footprint
+// of a crash while that record was being streamed.
+func cutCheckpoint(t *testing.T, src, dst string, keep int) {
+	t.Helper()
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	if len(lines) < keep+3 { // header + keep records + one to tear + the empty tail
+		t.Fatalf("checkpoint too small to cut after %d records: %d lines", keep, len(lines))
+	}
+	torn := lines[1+keep]
+	cut := append(bytes.Join(lines[:1+keep], nil), torn[:len(torn)/2]...)
+	if err := os.WriteFile(dst, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointResumeByteIdentical is the acceptance contract of the
-// streaming checkpoint: a run interrupted after N cells (simulated by
-// truncating the checkpoint mid-record, the exact footprint of a crash)
-// and resumed re-executes only the missing cells, and its ExportJSON is
+// streaming checkpoint: a run interrupted after N cells (a checkpoint
+// cut mid-record, the exact footprint of a crash) and resumed
+// re-executes only the missing cells, and its ExportJSON is
 // byte-identical to an uninterrupted run.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -55,37 +84,21 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	cfg.BatchSize = 2
 	cfg.FrozenClock = true
 
-	cfg.CheckpointPath = filepath.Join(dir, "fresh.jsonl")
-	fresh, freshCells := exportRun(t, cfg)
+	fresh := filepath.Join(dir, "fresh.jsonl")
+	cfg.CheckpointPath = fresh
+	want, freshCells := exportRun(t, cfg)
 	if freshCells == 0 {
 		t.Fatal("fresh run executed no cells")
 	}
 
-	// Second full run on its own checkpoint, which we then truncate to a
-	// 4-complete-cell prefix plus a torn half record.
-	cfg.CheckpointPath = filepath.Join(dir, "interrupted.jsonl")
-	exportRun(t, cfg)
-	raw, err := os.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
 	const keep = 4
-	if len(lines) < keep+3 { // header + keep cells + one to tear
-		t.Fatalf("checkpoint too small to truncate: %d lines", len(lines))
-	}
-	truncated := bytes.Join(lines[:1+keep], nil)
-	torn := lines[1+keep]
-	truncated = append(truncated, torn[:len(torn)/2]...)
-	if err := os.WriteFile(cfg.CheckpointPath, truncated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	cfg.CheckpointPath = filepath.Join(dir, "interrupted.jsonl")
+	cutCheckpoint(t, fresh, cfg.CheckpointPath, keep)
 	cfg.Resume = true
 	resumed, resumedCells := exportRun(t, cfg)
 
-	if !bytes.Equal(fresh, resumed) {
-		t.Fatalf("resumed export diverges from fresh run:\nfresh   %d bytes\nresumed %d bytes", len(fresh), len(resumed))
+	if !bytes.Equal(want, resumed) {
+		t.Fatalf("resumed export diverges from fresh run:\nfresh   %d bytes\nresumed %d bytes", len(want), len(resumed))
 	}
 	if want := freshCells - keep; resumedCells != want {
 		t.Fatalf("resumed run executed %d cells, want %d (only the missing ones)", resumedCells, want)
@@ -111,28 +124,37 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	exportRun(t, cfg)
 
 	cfg.Resume = true
-	cfg.Seed = cfg.Seed + 1
+	for name, perturb := range map[string]func(*Config){
+		"seed": func(c *Config) { c.Seed++ },
+		// Above one, batch cells measure parallel wall time: a resume
+		// must not mix them with sequential ones.
+		"cell-workers": func(c *Config) { c.CellWorkers = 4 },
+	} {
+		other := cfg
+		perturb(&other)
+		r, err := NewRunner(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "incompatible") {
+			t.Fatalf("checkpoint accepted under another %s: %v", name, err)
+		}
+	}
+
+	// A checkpoint in the previous record format (v3 has no
+	// cell_workers) is refused by version, before any field of it could
+	// be misread as this build's.
+	cfg.CheckpointPath = filepath.Join(dir, "v3.jsonl")
+	v3 := `{"version":3,"engines":["neo-1.9","sqlg"],"datasets":["frb-s"],"scale":0.001,"seed":7,"batch_size":2,"timeout_ns":3000000000,"frozen_clock":true,"jobs":6}` + "\n"
+	if err := os.WriteFile(cfg.CheckpointPath, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("incompatible checkpoint accepted: %v", err)
-	}
-
-	// A checkpoint in the previous record format (v2 still carried the
-	// isolation field) is refused by version, before any field of it
-	// could be misread as this build's.
-	cfg.CheckpointPath = filepath.Join(dir, "v2.jsonl")
-	v2 := `{"version":2,"engines":["neo-1.9","sqlg"],"datasets":["frb-s"],"scale":0.001,"seed":8,"batch_size":2,"timeout_ns":3000000000,"isolation":true,"frozen_clock":true,"jobs":6}` + "\n"
-	if err := os.WriteFile(cfg.CheckpointPath, []byte(v2), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if r, err = NewRunner(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "record format v2; this build reads v3") {
-		t.Fatalf("v2 checkpoint not refused by version: %v", err)
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "record format v3; this build reads v4") {
+		t.Fatalf("v3 checkpoint not refused by version: %v", err)
 	}
 
 	// A missing checkpoint with Resume set starts fresh instead.
@@ -147,57 +169,6 @@ func TestResumeRequiresCheckpointPath(t *testing.T) {
 	cfg.Resume = true
 	if _, err := NewRunner(cfg); err == nil {
 		t.Fatal("Resume without CheckpointPath accepted")
-	}
-	cfg.Resume = false
-	cfg.CrashAfterCells = 1
-	if _, err := NewRunner(cfg); err == nil {
-		t.Fatal("CrashAfterCells without CheckpointPath accepted")
-	}
-}
-
-type crashSentinel struct{}
-
-// TestCrashAfterCellsResume exercises the fault-injection path end to
-// end in-process: the run "crashes" (via the substituted exit hook)
-// after 2 streamed cells, and a resumed run completes with a
-// byte-identical export.
-func TestCrashAfterCellsResume(t *testing.T) {
-	dir := t.TempDir()
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"frb-s"}
-	cfg.BatchSize = 2
-	cfg.FrozenClock = true
-
-	cfg.CheckpointPath = filepath.Join(dir, "fresh.jsonl")
-	fresh, _ := exportRun(t, cfg)
-
-	cfg.CheckpointPath = filepath.Join(dir, "crash.jsonl")
-	cfg.CrashAfterCells = 2
-	cfg.Workers = 1 // the crash panic must unwind the Run goroutine
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.exit = func(int) { panic(crashSentinel{}) }
-	func() {
-		defer func() {
-			if rec := recover(); rec == nil {
-				t.Fatal("CrashAfterCells did not crash")
-			} else if _, ok := rec.(crashSentinel); !ok {
-				panic(rec)
-			}
-		}()
-		r.Run()
-	}()
-
-	cfg.CrashAfterCells = 0
-	cfg.Resume = true
-	resumed, cells := exportRun(t, cfg)
-	if !bytes.Equal(fresh, resumed) {
-		t.Fatal("post-crash resume diverges from uninterrupted run")
-	}
-	if cells == 0 {
-		t.Fatal("resume after crash executed nothing")
 	}
 }
 
@@ -214,53 +185,38 @@ func TestCrashBetweenMicroHalvesResume(t *testing.T) {
 	cfg.Datasets = []string{"frb-s"}
 	cfg.BatchSize = 2
 	cfg.FrozenClock = true
+	cfg.Workers = 1 // records stream in plan order: micro-i first
 
 	// Plan for one engine on one dataset: micro-i, micro-b, indexed.
-	cfg.CheckpointPath = filepath.Join(dir, "fresh.jsonl")
-	fresh, freshCells := exportRun(t, cfg)
+	fresh := filepath.Join(dir, "fresh.jsonl")
+	cfg.CheckpointPath = fresh
+	want, freshCells := exportRun(t, cfg)
 	if freshCells != 3 {
 		t.Fatalf("plan executed %d cells, want 3 (micro-i, micro-b, indexed)", freshCells)
 	}
 
-	// Crash after exactly one streamed cell: micro-i is checkpointed,
-	// micro-b is not — the crash falls on the half boundary.
+	// A crash after the first record: micro-i is checkpointed, micro-b
+	// is torn — the crash falls on the half boundary.
 	cfg.CheckpointPath = filepath.Join(dir, "crash.jsonl")
-	cfg.CrashAfterCells = 1
-	cfg.Workers = 1
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.exit = func(int) { panic(crashSentinel{}) }
-	func() {
-		defer func() {
-			if rec := recover(); rec == nil {
-				t.Fatal("CrashAfterCells did not crash")
-			} else if _, ok := rec.(crashSentinel); !ok {
-				panic(rec)
-			}
-		}()
-		r.Run()
-	}()
-
-	cfg.CrashAfterCells = 0
+	cutCheckpoint(t, fresh, cfg.CheckpointPath, 1)
 	cfg.Resume = true
 	resumed, resumedCells := exportRun(t, cfg)
 	if resumedCells != freshCells-1 {
 		t.Fatalf("resume executed %d cells, want %d (micro-i restored, micro-b + indexed re-run)", resumedCells, freshCells-1)
 	}
-	if !bytes.Equal(fresh, resumed) {
-		t.Fatalf("half-boundary resume diverges from uninterrupted run:\nfresh   %d bytes\nresumed %d bytes", len(fresh), len(resumed))
+	if !bytes.Equal(want, resumed) {
+		t.Fatalf("half-boundary resume diverges from uninterrupted run:\nfresh   %d bytes\nresumed %d bytes", len(want), len(resumed))
 	}
 }
 
 // TestCellWorkersDeterministic: parallel batch iterations must not
-// change any measurement. titan-1.0 is included deliberately (its read
-// path goes through the lsm row cache), as are arango (read-path REST
-// accounting) and sparksee (stateful retention model, which vetoes
-// fan-out via core.ConcurrentReader) — all must stay race-free and
-// deterministic under the concurrent reads CellWorkers introduces
-// (verified by -race).
+// change any count or failure (under the frozen clock, where Elapsed is
+// zero, the exports are then byte-identical). titan-1.0 is included
+// deliberately (its read path goes through the lsm row cache), as are
+// arango (read-path REST accounting) and sparksee (stateful retention
+// model, which vetoes fan-out via core.ConcurrentReader) — all must
+// stay race-free and deterministic under the concurrent reads
+// CellWorkers introduces (verified by -race).
 func TestCellWorkersDeterministic(t *testing.T) {
 	run := func(cellWorkers int) []byte {
 		cfg := tinyConfig()
@@ -283,7 +239,6 @@ func TestCellWorkersDeterministic(t *testing.T) {
 // cells run, never what they measure: absent from the Fingerprint.
 var schedulingOnly = map[string]bool{
 	"Workers": true, "CheckpointPath": true, "Resume": true,
-	"CrashAfterCells": true,
 }
 
 // TestConfigFieldsClassified makes the next Config field declare what

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -56,14 +55,20 @@ type Config struct {
 	// uninterrupted run. A checkpoint written under a different
 	// Fingerprint is rejected; a missing file starts a fresh run.
 	Resume bool
-	// CrashAfterCells, when positive, exits the process (code 1) after
-	// that many cells have been streamed to the checkpoint — fault
-	// injection for exercising checkpoint/resume, used by the CI smoke
-	// job. Replayed cells do not count.
-	CrashAfterCells int
 	// FrozenClock records every duration as zero, making exports fully
-	// deterministic — the knob behind byte-identical CI comparisons.
+	// deterministic — the knob behind byte-identical test comparisons.
 	FrozenClock bool
+	// CellWorkers bounds the number of batch iterations executed
+	// concurrently inside one cell. Only non-mutating queries fan out
+	// (engines are single-writer; their read surfaces are required to be
+	// race-free, see core.Engine), engines with result-affecting read
+	// state veto fan-out via core.ConcurrentReader, and the iterations
+	// fold in index order, so counts and failures are identical for any
+	// value. A batch's Elapsed is not: above one it is the parallel wall
+	// time of the iterations, not the paper's consecutive executions,
+	// which is why the Fingerprint carries it. Zero, one or negative
+	// means sequential.
+	CellWorkers int
 	// Exec is this process's own business (see Exec).
 	Exec
 }
@@ -73,14 +78,6 @@ type Config struct {
 // what a run measures. Each is therefore absent from the checkpoint
 // Fingerprint, so a run may resume under different ones.
 type Exec struct {
-	// CellWorkers bounds the number of batch iterations executed
-	// concurrently inside one cell. Only non-mutating queries fan out
-	// (engines are single-writer; their read surfaces are required to be
-	// race-free, see core.Engine), engines with result-affecting read
-	// state veto fan-out via core.ConcurrentReader, and the iterations
-	// fold in index order — so results are identical for any value.
-	// Zero, one or negative means sequential.
-	CellWorkers int
 	// DatasetCacheDir, when non-empty, reuses binary dataset snapshots
 	// from this directory instead of regenerating each graph, and
 	// populates it on misses (see internal/datasets, AcquireWith): a
@@ -163,10 +160,6 @@ type Runner struct {
 	// exports.
 	now   func() time.Time
 	since func(time.Time) time.Duration
-
-	// exit is called to simulate a crash for Config.CrashAfterCells;
-	// tests substitute it, production keeps os.Exit.
-	exit func(code int)
 }
 
 // datasetCache generates a dataset graph (and its GraphSON raw size,
@@ -211,15 +204,14 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("harness: Resume requires CheckpointPath")
 	}
-	if cfg.CrashAfterCells > 0 && cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("harness: CrashAfterCells requires CheckpointPath")
+	if cfg.CellWorkers < 1 {
+		cfg.CellWorkers = 1
 	}
 	r := &Runner{
 		cfg:    cfg,
 		graphs: make(map[string]*datasetCache),
 		now:    time.Now,   //lint:gdb-allow wallclock this IS the injectable clock's production default
 		since:  time.Since, //lint:gdb-allow wallclock this IS the injectable clock's production default
-		exit:   os.Exit,
 	}
 	if cfg.FrozenClock {
 		r.now = func() time.Time { return time.Time{} }

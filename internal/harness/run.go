@@ -140,17 +140,8 @@ func (r *Runner) Run() (*Results, error) {
 		}
 		i := pending[k]
 		cells[i] = r.runCell(i, jobs[i])
-		if cp == nil {
-			return
-		}
-		streamed, err := cp.write(&cells[i])
-		if err != nil {
+		if cp != nil && cp.write(&cells[i]) != nil {
 			stopped.Store(true)
-			return
-		}
-		if n := r.cfg.CrashAfterCells; n > 0 && streamed >= n {
-			r.progressf("fault injection: crashing after %d checkpointed cells", streamed)
-			r.exit(1)
 		}
 	})
 	if cp != nil {
@@ -345,10 +336,12 @@ func depthSuffix(d int) string {
 // Non-mutating batches fan out across Config.CellWorkers goroutines:
 // engines guarantee race-free concurrent reads (see core.Engine), and
 // the iterations fold in index order — first error wins, Count taken
-// from the last success before it — so the measurement is identical to
-// a sequential batch. Mutating batches always run sequentially: the
-// engines are single-writer, and concurrent destructive iterations
-// would make the instance state depend on scheduling.
+// from the last success before it — so counts and failures are those of
+// a sequential batch; Elapsed becomes the parallel wall time (hence
+// CellWorkers in the Fingerprint). Mutating batches always run
+// sequentially: the engines are single-writer, and concurrent
+// destructive iterations would make the instance state depend on
+// scheduling.
 func (r *Runner) batch(e core.Engine, q *workload.Query, pg *ParamGen, res *core.LoadResult) Measurement {
 	total := Measurement{Query: q.Name}
 	if q.Num == 32 {

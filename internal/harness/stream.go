@@ -12,11 +12,10 @@ import (
 // returns, so a crash loses at most the cell being written — and the
 // loader tolerates that torn line.
 type checkpointWriter struct {
-	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder
-	streamed int   // cells written by this run (excludes replayed ones)
-	err      error // first write error; surfaced after the grid drains
+	mu  sync.Mutex
+	f   *os.File
+	enc *json.Encoder
+	err error // first write error; surfaced after the grid drains
 }
 
 // newCheckpointWriter creates (or rewrites) the checkpoint at path:
@@ -59,13 +58,12 @@ func newCheckpointWriter(path string, fp Fingerprint, recovered map[int]cell) (*
 	return w, nil
 }
 
-// write streams one completed cell and returns how many cells this run
-// has durably streamed so far. Safe for concurrent workers. On error
-// the caller must stop the grid: later cells would not be durable, and
-// completing a multi-hour run whose results cannot be exported safely
-// is worse than failing fast (everything already streamed remains
-// resumable).
-func (w *checkpointWriter) write(c *cell) (int, error) {
+// write durably streams one completed cell. Safe for concurrent
+// workers. On error the caller must stop the grid: later cells would
+// not be durable, and completing a multi-hour run whose results cannot
+// be exported safely is worse than failing fast (everything already
+// streamed remains resumable).
+func (w *checkpointWriter) write(c *cell) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {
@@ -75,11 +73,7 @@ func (w *checkpointWriter) write(c *cell) (int, error) {
 			w.err = fmt.Errorf("harness: checkpoint: %w", err)
 		}
 	}
-	if w.err != nil {
-		return w.streamed, w.err
-	}
-	w.streamed++
-	return w.streamed, nil
+	return w.err
 }
 
 // firstErr returns the first write error, if any.

@@ -143,7 +143,7 @@ func NewRunner() *Runner {
 // client is one load-generating client's accumulated state.
 type client struct {
 	id   int
-	ops  []op // issued ops in sequence order, for the op log
+	ops  []op // issued ops in sequence order, kept only for Config.OpLog
 	lat  *hist.Histogram
 	kind [nOpKinds]*hist.Histogram
 	errs [nOpKinds]int64
@@ -264,7 +264,9 @@ func (r *Runner) runReal(cfg Config, g *core.GuardedEngine) ([]*client, int64) {
 					}
 				}
 				o := genOp(rng, cfg.Mix, len(cfg.Base))
-				c.ops = append(c.ops, o)
+				if cfg.OpLog != nil {
+					c.ops = append(c.ops, o)
+				}
 				var t0 time.Time
 				if perClientRate == 0 {
 					t0 = r.now()
@@ -333,7 +335,9 @@ func (r *Runner) runFrozen(cfg Config, g *core.GuardedEngine) ([]*client, int64)
 				completion = intended + virtualServiceNS
 			}
 			o := genOp(rng, cfg.Mix, len(cfg.Base))
-			c.ops = append(c.ops, o)
+			if cfg.OpLog != nil {
+				c.ops = append(c.ops, o)
+			}
 			c.record(o.Kind, completion-intended, nil)
 			events = append(events, vevent{intended: intended, client: c.id, seq: seq, o: o})
 		}

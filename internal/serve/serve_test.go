@@ -263,6 +263,22 @@ func TestRealModeOnInjectedClock(t *testing.T) {
 	}
 }
 
+// TestRealModeKeepsNoOpsWithoutLog: issued ops are kept only for the op
+// log, so a run without one — a long -duration run in particular —
+// does not grow with every operation it issues.
+func TestRealModeKeepsNoOpsWithoutLog(t *testing.T) {
+	e, base := loadedEngine(t, "sqlg")
+	defer e.Close()
+	fc := &fakeClock{step: time.Microsecond}
+	r := &Runner{now: fc.now, since: fc.since, sleep: fc.sleep}
+	clients, _ := r.runReal(Config{Base: base, Clients: 3, Ops: 40, Seed: 9, Mix: DefaultMix}, core.Guard(e))
+	for _, c := range clients {
+		if c.ops != nil {
+			t.Fatalf("client %d kept %d ops without an op log", c.id, len(c.ops))
+		}
+	}
+}
+
 // TestRealModeOpenLoopOnInjectedClock checks the open-loop scheduler
 // sleeps to its intended arrivals and records intended-start latencies.
 func TestRealModeOpenLoopOnInjectedClock(t *testing.T) {
