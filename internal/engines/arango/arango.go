@@ -21,6 +21,14 @@
 //   - whole-graph edge operations must materialize (deserialize) every
 //     edge document, which is why edge iteration rarely finished within
 //     the paper's timeout;
+//   - every property read decodes the whole document and every property
+//     write re-encodes it. Documents go through graphson's flat-object
+//     codec (AppendObject/DecodeObject), whose bytes are exactly
+//     encoding/json's, so document sizes are unchanged; what it leaves
+//     out — reflection, an intermediate map[string]any, decoder buffers —
+//     is not something the paper measures. A property JSON cannot carry
+//     (a non-finite float) or named like one of the document's own
+//     fields (_key; on edges also _from, _to, _label) is refused;
 //   - attribute indexes are accepted but change nothing ("ArangoDB
 //     showed no difference in running times, so we suspect some defect
 //     in the Gremlin implementation").
@@ -35,6 +43,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engines/kit"
+	"repro/internal/graphson"
 )
 
 // Engine is an ArangoDB-style document graph store.
@@ -54,6 +63,7 @@ type Engine struct {
 	labels kit.Tokens
 
 	declaredIndexes map[string]bool
+	scratch         []byte // encode buffer, reused by every write
 	// restBytes is atomic: every read operation crosses the simulated
 	// REST boundary, and reads may run concurrently (core.Engine).
 	restBytes atomic.Int64 // total bytes through the simulated REST boundary
@@ -126,84 +136,49 @@ func (e *Engine) call(op string, id core.ID, args ...string) {
 
 // --- document encoding (JSON, as stored) ---
 
-func propsToJSONMap(p core.Props) map[string]any {
-	m := make(map[string]any, len(p)+2)
-	for k, v := range p {
-		switch v.Kind() {
-		case core.KindString:
-			m[k] = v.Str()
-		case core.KindInt:
-			m[k] = v.Int()
-		case core.KindFloat:
-			m[k] = v.Float()
-		case core.KindBool:
-			m[k] = v.Bool()
-		case core.KindNil:
-			m[k] = nil
-		}
-	}
-	return m
+// A document's system fields, in key order: the order encode hands
+// them to graphson.AppendObject in. A property cannot take one of its
+// document's system-field names.
+const (
+	fieldFrom  = "_from"
+	fieldKey   = "_key"
+	fieldLabel = "_label"
+	fieldTo    = "_to"
+)
+
+func (e *Engine) encodeVertexDoc(id core.ID, p core.Props) ([]byte, error) {
+	return e.encode(p, graphson.Field{Name: fieldKey, Value: core.I(int64(id))})
 }
 
-func jsonMapToProps(m map[string]any) (core.Props, error) {
-	p := core.Props{}
-	for k, v := range m {
-		if len(k) > 0 && k[0] == '_' {
-			continue // system fields
-		}
-		switch x := v.(type) {
-		case string:
-			p[k] = core.S(x)
-		case bool:
-			p[k] = core.B(x)
-		case nil:
-			p[k] = core.Nil
-		case json.Number:
-			if i, err := x.Int64(); err == nil {
-				p[k] = core.I(i)
-			} else if f, err := x.Float64(); err == nil {
-				p[k] = core.F(f)
-			} else {
-				return nil, fmt.Errorf("arango: bad number %q", x)
-			}
-		default:
-			return nil, fmt.Errorf("arango: unsupported field type %T", v)
-		}
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p, nil
+func (e *Engine) encodeEdgeDoc(id core.ID, src, dst core.ID, label string, p core.Props) ([]byte, error) {
+	return e.encode(p,
+		graphson.Field{Name: fieldFrom, Value: core.I(int64(src))},
+		graphson.Field{Name: fieldKey, Value: core.I(int64(id))},
+		graphson.Field{Name: fieldLabel, Value: core.S(label)},
+		graphson.Field{Name: fieldTo, Value: core.I(int64(dst))})
 }
 
-func (e *Engine) encodeVertexDoc(id core.ID, p core.Props) []byte {
-	m := propsToJSONMap(p)
-	m["_key"] = int64(id)
-	b, _ := json.Marshal(m)
-	return b
-}
-
-func (e *Engine) encodeEdgeDoc(id core.ID, src, dst core.ID, label string, p core.Props) []byte {
-	m := propsToJSONMap(p)
-	m["_key"] = int64(id)
-	m["_from"] = int64(src)
-	m["_to"] = int64(dst)
-	m["_label"] = label
-	b, _ := json.Marshal(m)
-	return b
-}
-
-// decodeDoc deserializes a stored document into its property set —
-// the materialization step whose cost dominates whole-graph edge
-// operations on this engine.
-func decodeDoc(doc []byte) (core.Props, error) {
-	var m map[string]any
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	if err := dec.Decode(&m); err != nil {
-		return nil, err
+// encode serializes a whole document through the engine's scratch
+// buffer (writes are exclusive, so one buffer serves them all) and
+// returns a copy sized to the document.
+func (e *Engine) encode(p core.Props, sys ...graphson.Field) ([]byte, error) {
+	b, err := graphson.AppendObject(e.scratch[:0], p, sys...)
+	if err != nil {
+		return nil, fmt.Errorf("arango: %w", err)
 	}
-	return jsonMapToProps(m)
+	e.scratch = b
+	return bytes.Clone(b), nil
+}
+
+// decodeVertexDoc and decodeEdgeDoc deserialize a stored document into
+// its property set — the materialization step whose cost dominates
+// whole-graph edge operations on this engine.
+func decodeVertexDoc(doc []byte) (core.Props, error) {
+	return graphson.DecodeObject(doc, fieldKey)
+}
+
+func decodeEdgeDoc(doc []byte) (core.Props, error) {
+	return graphson.DecodeObject(doc, fieldFrom, fieldKey, fieldLabel, fieldTo)
 }
 
 func removeID(s []core.ID, id core.ID) []core.ID {

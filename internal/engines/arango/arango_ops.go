@@ -8,12 +8,17 @@ import (
 
 // AddVertex implements core.Engine. The write is acknowledged once the
 // document is registered in memory (asynchronous durability, as the
-// paper notes), so this is fast despite the REST hop.
+// paper notes), so this is fast despite the REST hop. A property set
+// JSON cannot carry is refused and nothing is stored.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 	e.call("insert-vertex", core.NoID)
 	id := core.ID(e.nextID)
+	doc, err := e.encodeVertexDoc(id, props)
+	if err != nil {
+		return core.NoID, err
+	}
 	e.nextID++
-	e.vdocs[id] = e.encodeVertexDoc(id, props)
+	e.vdocs[id] = doc
 	e.call("insert-vertex-resp", id)
 	return id, nil
 }
@@ -31,7 +36,7 @@ func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
 	if !ok {
 		return nil, core.ErrNotFound
 	}
-	return decodeDoc(doc)
+	return decodeVertexDoc(doc)
 }
 
 // VertexProp implements core.Engine.
@@ -52,7 +57,7 @@ func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
 	if !ok {
 		return core.ErrNotFound
 	}
-	p, err := decodeDoc(doc)
+	p, err := decodeVertexDoc(doc)
 	if err != nil {
 		return err
 	}
@@ -60,7 +65,10 @@ func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
 		p = core.Props{}
 	}
 	p[name] = v
-	e.vdocs[id] = e.encodeVertexDoc(id, p)
+	if doc, err = e.encodeVertexDoc(id, p); err != nil {
+		return err
+	}
+	e.vdocs[id] = doc
 	return nil
 }
 
@@ -71,12 +79,15 @@ func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
 	if !ok {
 		return core.ErrNotFound
 	}
-	p, err := decodeDoc(doc)
+	p, err := decodeVertexDoc(doc)
 	if err != nil {
 		return err
 	}
 	delete(p, name)
-	e.vdocs[id] = e.encodeVertexDoc(id, p)
+	if doc, err = e.encodeVertexDoc(id, p); err != nil {
+		return err
+	}
+	e.vdocs[id] = doc
 	return nil
 }
 
@@ -107,8 +118,12 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 		return core.NoID, core.ErrNotFound
 	}
 	id := core.ID(e.nextID)
+	doc, err := e.encodeEdgeDoc(id, src, dst, label, props)
+	if err != nil {
+		return core.NoID, err
+	}
 	e.nextID++
-	e.edocs[id] = e.encodeEdgeDoc(id, src, dst, label, props)
+	e.edocs[id] = doc
 	e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labels.Intern(label)}
 	e.outIdx[src] = append(e.outIdx[src], id)
 	e.inIdx[dst] = append(e.inIdx[dst], id)
@@ -154,7 +169,7 @@ func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
 	if !ok {
 		return nil, core.ErrNotFound
 	}
-	return decodeDoc(doc)
+	return decodeEdgeDoc(doc)
 }
 
 // EdgeProp implements core.Engine.
@@ -174,7 +189,7 @@ func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
 	if !ok {
 		return core.ErrNotFound
 	}
-	p, err := decodeDoc(doc)
+	p, err := decodeEdgeDoc(doc)
 	if err != nil {
 		return err
 	}
@@ -183,7 +198,10 @@ func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
 	}
 	p[name] = v
 	ent := e.edgeIdx[id]
-	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p)
+	if doc, err = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p); err != nil {
+		return err
+	}
+	e.edocs[id] = doc
 	return nil
 }
 
@@ -194,13 +212,16 @@ func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
 	if !ok {
 		return core.ErrNotFound
 	}
-	p, err := decodeDoc(doc)
+	p, err := decodeEdgeDoc(doc)
 	if err != nil {
 		return err
 	}
 	delete(p, name)
 	ent := e.edgeIdx[id]
-	e.edocs[id] = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p)
+	if doc, err = e.encodeEdgeDoc(id, ent.src, ent.dst, e.labels.Name(ent.label), p); err != nil {
+		return err
+	}
+	e.edocs[id] = doc
 	return nil
 }
 
@@ -239,7 +260,7 @@ func (e *Engine) CountEdges() (int64, error) {
 	e.call("count-edges", core.NoID)
 	var n int64
 	for _, doc := range e.edocs {
-		if _, err := decodeDoc(doc); err != nil {
+		if _, err := decodeEdgeDoc(doc); err != nil {
 			return 0, err
 		}
 		n++
@@ -258,7 +279,7 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 	e.call("all-edges", core.NoID)
 	keys := sortedKeys(e.edocs)
 	for _, id := range keys {
-		_, _ = decodeDoc(e.edocs[id])
+		_, _ = decodeEdgeDoc(e.edocs[id])
 	}
 	return core.SliceIter(keys)
 }
@@ -269,7 +290,7 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 	e.call("filter-vertices", core.NoID, name)
 	var out []core.ID
 	for _, id := range sortedKeys(e.vdocs) {
-		p, err := decodeDoc(e.vdocs[id])
+		p, err := decodeVertexDoc(e.vdocs[id])
 		if err != nil {
 			continue
 		}
@@ -285,7 +306,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 	e.call("filter-edges", core.NoID, name)
 	var out []core.ID
 	for _, id := range sortedKeys(e.edocs) {
-		p, err := decodeDoc(e.edocs[id])
+		p, err := decodeEdgeDoc(e.edocs[id])
 		if err != nil {
 			continue
 		}
@@ -305,7 +326,7 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 	}
 	var out []core.ID
 	for _, id := range sortedKeys(e.edocs) {
-		_, _ = decodeDoc(e.edocs[id])
+		_, _ = decodeEdgeDoc(e.edocs[id])
 		if e.edgeIdx[id].label == tok {
 			out = append(out, id)
 		}
@@ -444,7 +465,11 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 	for i := range g.VProps {
 		id := core.ID(e.nextID)
 		e.nextID++
-		e.vdocs[id] = e.encodeVertexDoc(id, g.VProps[i])
+		doc, err := e.encodeVertexDoc(id, g.VProps[i])
+		if err != nil {
+			return nil, err
+		}
+		e.vdocs[id] = doc
 		res.VertexIDs[i] = id
 		if d := snap.OutDegree(i); d > 0 && e.outIdx[id] == nil {
 			e.outIdx[id] = make([]core.ID, 0, d)
@@ -458,7 +483,11 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		id := core.ID(e.nextID)
 		e.nextID++
 		src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
-		e.edocs[id] = e.encodeEdgeDoc(id, src, dst, er.Label, er.Props)
+		doc, err := e.encodeEdgeDoc(id, src, dst, er.Label, er.Props)
+		if err != nil {
+			return nil, err
+		}
+		e.edocs[id] = doc
 		e.edgeIdx[id] = edgeEntry{src: src, dst: dst, label: e.labels.Intern(er.Label)}
 		e.outIdx[src] = append(e.outIdx[src], id)
 		e.inIdx[dst] = append(e.inIdx[dst], id)

@@ -35,6 +35,7 @@ func Run(t *testing.T, newEngine func() core.Engine) {
 	}{
 		{"VertexCRUD", testVertexCRUD},
 		{"EdgeCRUD", testEdgeCRUD},
+		{"UnderscorePropertyName", testUnderscorePropertyName},
 		{"PropertyUpdateRemove", testPropertyUpdateRemove},
 		{"RemoveVertexCascades", testRemoveVertexCascades},
 		{"Counts", testCounts},
@@ -102,6 +103,47 @@ func testVertexCRUD(t *testing.T, newEngine func() core.Engine) {
 	}
 	if e.HasVertex(id) {
 		t.Fatal("vertex visible after removal")
+	}
+}
+
+// testUnderscorePropertyName: a user property whose name starts with
+// "_" (the prefix of some engines' own document fields) is an ordinary
+// property on every engine.
+func testUnderscorePropertyName(t *testing.T, newEngine func() core.Engine) {
+	e := newEngine()
+	defer e.Close()
+	a, err := e.AddVertex(core.Props{"_x": core.S("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := e.AddVertex(nil)
+	eid, err := e.AddEdge(a, b, "l", core.Props{"_x": core.I(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := e.VertexProps(a); err != nil || len(p) != 1 || p["_x"] != core.S("v") {
+		t.Fatalf("VertexProps = %v, %v", p, err)
+	}
+	if p, err := e.EdgeProps(eid); err != nil || len(p) != 1 || p["_x"] != core.I(1) {
+		t.Fatalf("EdgeProps = %v, %v", p, err)
+	}
+	if err := e.SetVertexProp(b, "_x", core.S("w")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := e.VertexProp(b, "_x"); !ok || v != core.S("w") {
+		t.Fatalf("VertexProp = %v, %v", v, ok)
+	}
+	if err := e.SetEdgeProp(eid, "_x", core.I(2)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := e.EdgeProp(eid, "_x"); !ok || v != core.I(2) {
+		t.Fatalf("EdgeProp = %v, %v", v, ok)
+	}
+	if got := ids(e.VerticesByProp("_x", core.S("v"))); !sameIDs(got, []core.ID{a}) {
+		t.Fatalf("VerticesByProp = %v", got)
+	}
+	if got := ids(e.EdgesByProp("_x", core.I(2))); !sameIDs(got, []core.ID{eid}) {
+		t.Fatalf("EdgesByProp = %v", got)
 	}
 }
 

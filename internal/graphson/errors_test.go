@@ -1,7 +1,9 @@
 package graphson
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +38,48 @@ func TestWritePropagatesWriterErrors(t *testing.T) {
 		if err := Write(&failAfter{n: limit}, g); !errors.Is(err, errDiskFull) {
 			t.Errorf("limit %d: err = %v, want disk full", limit, err)
 		}
+	}
+}
+
+// TestWriteRefusesWhatJSONCannotCarry: a non-finite float, or a
+// property named like one of the element's own fields, fails Write
+// instead of producing a file that reads back differently.
+func TestWriteRefusesWhatJSONCannotCarry(t *testing.T) {
+	vertex := func(p core.Props) *core.Graph {
+		g := core.NewGraph(1, 0)
+		g.AddVertex(p)
+		return g
+	}
+	edge := func(p core.Props) *core.Graph {
+		g := core.NewGraph(1, 1)
+		g.AddVertex(nil)
+		g.AddEdge(0, 0, "l", p)
+		return g
+	}
+	cases := map[string]*core.Graph{
+		"vertex NaN":   vertex(core.Props{"f": core.F(math.NaN())}),
+		"vertex +Inf":  vertex(core.Props{"f": core.F(math.Inf(1))}),
+		"edge -Inf":    edge(core.Props{"f": core.F(math.Inf(-1))}),
+		"vertex _id":   vertex(core.Props{"_id": core.I(5)}),
+		"vertex _type": vertex(core.Props{"_type": core.S("edge")}),
+	}
+	for _, name := range []string{"_id", "_type", "_outV", "_inV", "_label"} {
+		cases["edge "+name] = edge(core.Props{name: core.I(5)})
+	}
+	for name, g := range cases {
+		if err := Write(&bytes.Buffer{}, g); err == nil {
+			t.Errorf("%s: Write accepted it", name)
+		}
+	}
+	// Edge-only names and other "_" names are ordinary vertex properties.
+	g := vertex(core.Props{"_outV": core.I(1), "_label": core.S("x"), "_x": core.B(true)})
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Read(&buf)
+	if err != nil || len(g2.VProps[0]) != 3 || g2.VProps[0]["_x"] != core.B(true) {
+		t.Fatalf("round trip = %v, %v", g2.VProps, err)
 	}
 }
 

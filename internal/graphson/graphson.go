@@ -22,13 +22,14 @@ import (
 	"repro/internal/core"
 )
 
-// Reserved GraphSON field names.
+// Reserved GraphSON field names, in key order: the order Write hands
+// them to AppendObject in.
 const (
 	fieldID    = "_id"
-	fieldType  = "_type"
-	fieldOutV  = "_outV"
 	fieldInV   = "_inV"
 	fieldLabel = "_label"
+	fieldOutV  = "_outV"
+	fieldType  = "_type"
 )
 
 // Read parses a GraphSON document into a dataset graph. Vertex _id
@@ -235,77 +236,59 @@ func toValue(v any) (core.Value, error) {
 }
 
 // Write serializes a dataset graph as GraphSON 1.0. Vertex _id values
-// are the dense indexes, so Write∘Read is identity on structure.
+// are the dense indexes, so Write∘Read is identity on structure. It
+// fails on a graph JSON cannot carry: a non-finite float, or a property
+// with the name of one of the element's own fields (_id and _type on a
+// vertex; those and _outV, _inV and _label on an edge).
 func Write(w io.Writer, g *core.Graph) error {
-	bw := &errWriter{w: w}
-	bw.str(`{"mode":"NORMAL","vertices":[`)
+	// Elements are encoded into one buffer, handed to w whenever it
+	// holds writeChunk bytes.
+	const writeChunk = 32 << 10
+	buf := make([]byte, 0, writeChunk+4<<10)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	var err error
+	buf = append(buf, `{"mode":"NORMAL","vertices":[`...)
 	for i := 0; i < g.NumVertices(); i++ {
 		if i > 0 {
-			bw.str(",")
+			buf = append(buf, ',')
 		}
-		bw.obj(func(m map[string]any) {
-			m[fieldID] = i
-			m[fieldType] = "vertex"
-			addProps(m, g.VProps[i])
-		})
+		buf, err = AppendObject(buf, g.VProps[i],
+			Field{fieldID, core.I(int64(i))},
+			Field{fieldType, core.S("vertex")})
+		if err != nil {
+			return fmt.Errorf("%w (vertex %d)", err, i)
+		}
+		if len(buf) >= writeChunk {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 	}
-	bw.str(`],"edges":[`)
+	buf = append(buf, `],"edges":[`...)
 	for i := range g.EdgeL {
 		if i > 0 {
-			bw.str(",")
+			buf = append(buf, ',')
 		}
 		e := &g.EdgeL[i]
-		bw.obj(func(m map[string]any) {
-			m[fieldID] = i
-			m[fieldType] = "edge"
-			m[fieldOutV] = e.Src
-			m[fieldInV] = e.Dst
-			m[fieldLabel] = e.Label
-			addProps(m, e.Props)
-		})
-	}
-	bw.str("]}\n")
-	return bw.err
-}
-
-func addProps(m map[string]any, p core.Props) {
-	for k, v := range p {
-		switch v.Kind() {
-		case core.KindString:
-			m[k] = v.Str()
-		case core.KindInt:
-			m[k] = v.Int()
-		case core.KindFloat:
-			m[k] = v.Float()
-		case core.KindBool:
-			m[k] = v.Bool()
-		case core.KindNil:
-			m[k] = nil
+		buf, err = AppendObject(buf, e.Props,
+			Field{fieldID, core.I(int64(i))},
+			Field{fieldInV, core.I(int64(e.Dst))},
+			Field{fieldLabel, core.S(e.Label)},
+			Field{fieldOutV, core.I(int64(e.Src))},
+			Field{fieldType, core.S("edge")})
+		if err != nil {
+			return fmt.Errorf("%w (edge %d)", err, i)
+		}
+		if len(buf) >= writeChunk {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
-}
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) str(s string) {
-	if e.err == nil {
-		_, e.err = io.WriteString(e.w, s)
-	}
-}
-
-func (e *errWriter) obj(fill func(map[string]any)) {
-	if e.err != nil {
-		return
-	}
-	m := make(map[string]any)
-	fill(m)
-	b, err := json.Marshal(m)
-	if err != nil {
-		e.err = err
-		return
-	}
-	_, e.err = e.w.Write(b)
+	buf = append(buf, "]}\n"...)
+	return flush()
 }
