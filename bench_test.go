@@ -158,7 +158,7 @@ func BenchmarkFig2Complex(b *testing.B) {
 	g := graph(b, "ldbc")
 	for _, en := range engines.Names() {
 		e, res := loaded(b, en, "ldbc")
-		cp := harness.ComplexFor(g, 1, res)
+		cp := harness.ComplexFor(g, res)
 		ctx := context.Background()
 		for _, qn := range []string{"city", "friend2", "triangle", "places"} {
 			cq := workload.ComplexByName(qn)

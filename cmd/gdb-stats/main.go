@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	gdb-stats [-datasets yeast,mico,...] [-scale 0.01] [-dataset-cache DIR] [-workers N]
+//	gdb-stats [-datasets yeast,mico,...] [-scale 0.01] [-dataset-cache DIR]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/datasets"
@@ -24,7 +23,6 @@ type options struct {
 	list         string
 	scale        float64
 	datasetCache string
-	workers      int
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
@@ -32,7 +30,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.list, "datasets", strings.Join(datasets.Names(), ","), "datasets to measure")
 	fs.Float64Var(&o.scale, "scale", 0.002, "scale factor (1.0 = paper sizes)")
 	fs.StringVar(&o.datasetCache, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
-	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel analytics workers (never changes the computed statistics)")
 	return o
 }
 
@@ -61,7 +58,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gdb-stats: %v\n", err)
 			os.Exit(1)
 		}
-		res.Stats[name] = datasets.StatsCSR(c, o.workers)
+		res.Stats[name] = datasets.StatsCSR(c, 1)
 	}
 	harness.ReportTable3(res, os.Stdout)
 }

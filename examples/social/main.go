@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cp := harness.ComplexFor(g, 1, res)
+		cp := harness.ComplexFor(g, res)
 		for _, cq := range workload.ComplexQueries() {
 			start := time.Now()
 			r, err := cq.Run(ctx, e, cp)

@@ -73,12 +73,7 @@ func openCSR(opts datasets.AcquireOptions) (datasets.CacheStatus, error) {
 	return st, err
 }
 
-// statsBenchWorkers is the parallel-stats worker count the trajectory
-// records; the acceptance floor (≥2× over sequential) only means
-// anything with at least that many CPUs underneath.
-const statsBenchWorkers = 4
-
-func benchStatsN(b *testing.B, workers int) {
+func benchStats(b *testing.B) {
 	g, _, err := datasets.AcquireWith(benchDataset, benchScale, datasets.AcquireOptions{CacheDir: ""})
 	if err != nil {
 		b.Fatal(err)
@@ -86,14 +81,11 @@ func benchStatsN(b *testing.B, workers int) {
 	c := g.Snapshot() // steady state: the one-time CSR build is not the measurand
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if row := datasets.StatsCSR(c, workers); row.V == 0 {
+		if row := datasets.StatsCSR(c, 1); row.V == 0 {
 			b.Fatal("empty stats")
 		}
 	}
 }
-
-func benchStatsSeq(b *testing.B)      { benchStatsN(b, 1) }
-func benchStatsParallel(b *testing.B) { benchStatsN(b, statsBenchWorkers) }
 
 // benchLabelSlice walks every per-label edge slice end to end — the
 // O(matches) label-filtered traversal the LabelOff/LabelAdj sections
@@ -142,8 +134,7 @@ func BenchmarkDatasetAcquireWarmGraphHeap(b *testing.B) { benchWarm(false, openG
 func BenchmarkDatasetAcquireWarmGraphMmap(b *testing.B) { benchWarm(true, openGraph)(b) }
 func BenchmarkDatasetAcquireWarmCSRHeap(b *testing.B)   { benchWarm(false, openCSR)(b) }
 func BenchmarkDatasetAcquireWarmCSRMmap(b *testing.B)   { benchWarm(true, openCSR)(b) }
-func BenchmarkDatasetStatsSeq(b *testing.B)             { benchStatsSeq(b) }
-func BenchmarkDatasetStatsParallel(b *testing.B)        { benchStatsParallel(b) }
+func BenchmarkDatasetStats(b *testing.B)                { benchStats(b) }
 func BenchmarkDatasetLabelSlice(b *testing.B)           { benchLabelSlice(b) }
 func BenchmarkDatasetBulkLoad(b *testing.B)             { benchBulkLoad(b) }
 
@@ -185,15 +176,13 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 	warmMmap := run("acquire/warm-graph-mmap", benchWarm(true, openGraph))
 	csrHeap := run("acquire/warm-csr-heap", benchWarm(false, openCSR))
 	csrMmap := run("acquire/warm-csr-mmap", benchWarm(true, openCSR))
-	statsSeq := run("stats/seq", benchStatsSeq)
-	statsPar := run("stats/parallel", benchStatsParallel)
+	stats := run("stats", benchStats)
 	labelSlice := run("csr/label-slice", benchLabelSlice)
 	load := run("bulkload/neo-1.9", benchBulkLoad)
 
 	speedup := cold.NsPerOp / warm.NsPerOp
 	graphMmapSpeedup := warm.NsPerOp / warmMmap.NsPerOp
 	csrMmapSpeedup := csrHeap.NsPerOp / csrMmap.NsPerOp
-	statsSpeedup := statsSeq.NsPerOp / statsPar.NsPerOp
 	doc := struct {
 		Dataset          string        `json:"dataset"`
 		Scale            float64       `json:"scale"`
@@ -203,17 +192,15 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 		WarmSpeedup      float64       `json:"warm_speedup"`
 		GraphMmapSpeedup float64       `json:"graph_mmap_speedup"`
 		CSRMmapSpeedup   float64       `json:"csr_mmap_speedup"`
-		StatsSpeedup     float64       `json:"stats_parallel_speedup"`
 	}{
 		Dataset:          benchDataset,
 		Scale:            benchScale,
 		GeneratorVersion: datasets.GeneratorVersion,
 		CPUs:             runtime.NumCPU(),
-		Benchmarks:       []benchRecord{cold, warm, warmMmap, csrHeap, csrMmap, statsSeq, statsPar, labelSlice, load},
+		Benchmarks:       []benchRecord{cold, warm, warmMmap, csrHeap, csrMmap, stats, labelSlice, load},
 		WarmSpeedup:      speedup,
 		GraphMmapSpeedup: graphMmapSpeedup,
 		CSRMmapSpeedup:   csrMmapSpeedup,
-		StatsSpeedup:     statsSpeedup,
 	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -222,8 +209,8 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (warm %.1fx, mapped graph %.2fx, mapped CSR %.1fx, stats parallel %.1fx on %d CPUs)",
-		out, speedup, graphMmapSpeedup, csrMmapSpeedup, statsSpeedup, runtime.NumCPU())
+	t.Logf("wrote %s (warm %.1fx, mapped graph %.2fx, mapped CSR %.1fx on %d CPUs)",
+		out, speedup, graphMmapSpeedup, csrMmapSpeedup, runtime.NumCPU())
 	if speedup < 5 {
 		t.Errorf("warm dataset acquisition is only %.1fx faster than cold, want >= 5x", speedup)
 	}
@@ -233,55 +220,31 @@ func TestRecordDatasetBenchmarks(t *testing.T) {
 	if csrMmapSpeedup < 2 {
 		t.Errorf("mapped warm CSR open is only %.1fx faster than the heap decode, want >= 2x", csrMmapSpeedup)
 	}
-	// The parallel-stats floor presumes the workers have CPUs to run
-	// on: on a machine with fewer cores than statsBenchWorkers the
-	// speedup is physically capped near 1x, so the trajectory is
-	// recorded but the floor is not enforced.
-	if runtime.NumCPU() >= statsBenchWorkers && statsSpeedup < 2 {
-		t.Errorf("parallel stats at %d workers is only %.1fx faster than sequential, want >= 2x", statsBenchWorkers, statsSpeedup)
-	}
 
 	// The committed trajectory is the second floor: a regression that
 	// halves a recorded speedup fails even while it clears the absolute
 	// bar. The factor-of-two slack absorbs machine-to-machine variance;
-	// the committed file ratchets the rest. The parallel-stats ratchet
-	// additionally requires both the committed and the current machine
-	// to have enough CPUs for the comparison to be physical.
-	committed, ok := committedFloor(t)
-	if ok && speedup < committed.Warm/2 {
-		t.Errorf("warm speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", speedup, committed.Warm)
-	}
-	if ok && committed.Stats > 0 && committed.CPUs >= statsBenchWorkers && runtime.NumCPU() >= statsBenchWorkers &&
-		statsSpeedup < committed.Stats/2 {
-		t.Errorf("parallel-stats speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", statsSpeedup, committed.Stats)
+	// the committed file ratchets the rest.
+	if committed, ok := committedWarmSpeedup(t); ok && speedup < committed/2 {
+		t.Errorf("warm speedup %.1fx is less than half the committed floor %.1fx (BENCH_datasets.json); investigate or re-baseline", speedup, committed)
 	}
 }
 
-// floors is the committed speedup trajectory relevant to ratcheting.
-type floors struct {
-	Warm  float64
-	Stats float64
-	CPUs  int
-}
-
-// committedFloor reads the recorded speedups from the repo's committed
-// BENCH_datasets.json. The comparison only holds between identical
-// workloads, so a differing dataset/scale/generator skips it; fields
-// absent from an older committed file come back zero and their
-// ratchets are skipped individually.
-func committedFloor(t *testing.T) (floors, bool) {
+// committedWarmSpeedup reads the recorded warm speedup from the repo's
+// committed BENCH_datasets.json. The comparison only holds between
+// identical workloads, so a differing dataset/scale/generator (or an
+// absent field) skips it.
+func committedWarmSpeedup(t *testing.T) (float64, bool) {
 	raw, err := os.ReadFile("../../BENCH_datasets.json")
 	if err != nil {
 		t.Logf("no committed BENCH_datasets.json floor: %v", err)
-		return floors{}, false
+		return 0, false
 	}
 	var doc struct {
 		Dataset          string  `json:"dataset"`
 		Scale            float64 `json:"scale"`
 		GeneratorVersion int     `json:"generator_version"`
-		CPUs             int     `json:"cpus"`
 		WarmSpeedup      float64 `json:"warm_speedup"`
-		StatsSpeedup     float64 `json:"stats_parallel_speedup"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("committed BENCH_datasets.json is unreadable: %v", err)
@@ -289,8 +252,7 @@ func committedFloor(t *testing.T) (floors, bool) {
 	if doc.Dataset != benchDataset || doc.Scale != benchScale || doc.GeneratorVersion != datasets.GeneratorVersion {
 		t.Logf("committed floor is for %s@%g gen=%d, current workload is %s@%g gen=%d; skipping comparison",
 			doc.Dataset, doc.Scale, doc.GeneratorVersion, benchDataset, benchScale, datasets.GeneratorVersion)
-		return floors{}, false
+		return 0, false
 	}
-	f := floors{Warm: doc.WarmSpeedup, Stats: doc.StatsSpeedup, CPUs: doc.CPUs}
-	return f, f.Warm > 0
+	return doc.WarmSpeedup, doc.WarmSpeedup > 0
 }

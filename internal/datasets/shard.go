@@ -39,10 +39,7 @@ func shardRNG(seed int64, phase uint64, s int) *rand.Rand {
 }
 
 // shardCount is the number of fixed-size shards covering [0, n). It
-// depends only on n, never on the worker count — per-shard partial
-// results combined in shard order are therefore identical for any
-// parallelism, which is how the floating-point reductions in stats.go
-// stay byte-deterministic.
+// depends only on n, never on the worker count.
 func shardCount(n int) int {
 	if n <= 0 {
 		return 0
@@ -52,19 +49,11 @@ func shardCount(n int) int {
 
 // forShards partitions [0, n) into shardSize-sized shards and runs
 // fn(shard, start, end) for each on runtime.GOMAXPROCS(0) goroutines.
-// fn must write only into the [start, end) range of its outputs.
+// fn must write only into the [start, end) range of its outputs. It
+// returns only after every shard has run, so callers may read the
+// outputs without further synchronization.
 func forShards(n int, fn func(shard, start, end int)) {
-	forShardsN(n, 0, fn)
-}
-
-// forShardsN is forShards with an explicit worker bound (workers <= 0
-// means runtime.GOMAXPROCS(0)). It returns only after every shard has
-// run, so callers may read the outputs without further synchronization.
-func forShardsN(n, workers int, fn func(shard, start, end int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	par.For(workers, shardCount(n), func(s int) {
+	par.For(runtime.GOMAXPROCS(0), shardCount(n), func(s int) {
 		start := s * shardSize
 		fn(s, start, min(start+shardSize, n))
 	})

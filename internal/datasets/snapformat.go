@@ -132,16 +132,6 @@ func (t *stringTable) id(s string) uint64 {
 	return id
 }
 
-// snapShards returns the number of shard blocks covering n objects —
-// the same arithmetic forShards uses (shard.go), so parallel decode
-// reuses the generation worker pool with matching ranges.
-func snapShards(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + shardSize - 1) / shardSize
-}
-
 // Value kind tags of the snapshot encoding (distinct from enc's
 // order-preserving tags: snapshots optimize for density, not order).
 const (
@@ -639,7 +629,7 @@ func decodeGraph(v *artifactView) (*core.Graph, int64, error) {
 	if m > 0 {
 		g.EdgeL = make([]core.EdgeRec, m)
 	}
-	edgeErrs := make([]error, snapShards(m))
+	edgeErrs := make([]error, shardCount(m))
 	forShards(m, func(shard, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := edgeSrc[i], edgeDst[i]
@@ -751,7 +741,7 @@ func (r *snapReader) bytes(n int) []byte {
 
 // cutBlocks slices the length-prefixed shard blocks of one section.
 func (r *snapReader) cutBlocks(count int) [][]byte {
-	blocks := make([][]byte, snapShards(count))
+	blocks := make([][]byte, shardCount(count))
 	for s := range blocks {
 		blocks[s] = r.bytes(r.count(len(r.b)))
 	}

@@ -1,10 +1,6 @@
 package datasets
 
-import (
-	"sync/atomic"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Stats computes the Table 3 characteristics of a dataset graph:
 // connected components (treating edges as undirected, as the paper's
@@ -12,24 +8,20 @@ import (
 // component partition, degree statistics, and a double-sweep BFS
 // estimate of the largest component's diameter.
 //
-// It works off the graph's shared CSR snapshot (core.Graph.Snapshot)
-// and runs the sweeps on runtime.GOMAXPROCS(0) goroutines; see StatsCSR
-// for the determinism contract.
+// It works off the graph's shared CSR snapshot (core.Graph.Snapshot);
+// see StatsCSR for the tie-break rules that make the row deterministic.
 func Stats(g *core.Graph) Table3Row { return StatsCSR(g.Snapshot(), 0) }
 
 // StatsCSR computes the Table 3 row purely from a CSR snapshot — it
 // never touches the owning graph, so it also serves snapshots decoded
-// straight from a cache artifact (AcquireCSR). workers bounds the
-// goroutines; workers <= 0 means runtime.GOMAXPROCS(0).
+// straight from a cache artifact (AcquireCSR). It runs in one
+// sequential pass on the calling goroutine; workers is ignored.
 //
-// The row is byte-identical for every worker count, including one:
-// integer reductions (component count, sizes, degree sums, maxima)
-// are order-free; the floating-point modularity sum combines fixed
-// shardSize partials in shard order; and every selection (largest
-// component, farthest BFS vertex) tie-breaks on the smallest vertex
-// index. Union-find roots are canonical too — a root only ever links
-// to a smaller root, so each component's root is its minimum vertex
-// regardless of execution order.
+// The row is a pure function of the snapshot. Components are labelled
+// by BFS from each unlabelled vertex in index order, so a component's
+// root is its smallest vertex; a largest-component tie goes to the
+// smallest root, and a farthest-vertex tie in the diameter sweeps goes
+// to the smallest index.
 func StatsCSR(c *core.CSR, workers int) Table3Row {
 	n := c.NumVertices()
 	m := c.NumEdges()
@@ -38,229 +30,98 @@ func StatsCSR(c *core.CSR, workers int) Table3Row {
 		return row
 	}
 
-	// Components: lock-free union-find over the undirected adjacency.
-	// Each undirected edge is processed once (by its smaller endpoint's
-	// shard); links always point from the larger root to the smaller.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
+	// Components: root[v] is the smallest vertex of v's component, -1
+	// until labelled. Each BFS also sums its component's size and degree.
+	root := make([]int32, n)
+	for i := range root {
+		root[i] = -1
 	}
-	find := func(x int32) int32 {
-		for {
-			p := atomic.LoadInt32(&parent[x])
-			if p == x {
-				return x
-			}
-			if gp := atomic.LoadInt32(&parent[p]); gp != p {
-				atomic.CompareAndSwapInt32(&parent[x], p, gp) // path halving
-			}
-			x = p
+	queue := make([]int32, n)
+	maxRoot, maxSize := int32(0), 0
+	// Modularity of the component partition:
+	// Q = Σ_c [ e_c/m − (d_c/2m)² ]. With components as communities,
+	// Σ e_c = m, so Q = 1 − Σ (d_c/2m)² — zero for a single component,
+	// approaching 1 for many comparable fragments; this reproduces the
+	// shape of the paper's modularity column. The squares are summed per
+	// shardSize block of roots and the block sums added in order: a flat
+	// sum changes the last bits of Q once |V| > shardSize (frb-l), and
+	// Table 3 output is pinned bit for bit.
+	sumSq, blockSq, block := 0.0, 0.0, 0
+	for r := range n {
+		row.MaxDeg = max(row.MaxDeg, c.Degree(r))
+		if root[r] >= 0 {
+			continue
 		}
-	}
-	forShardsN(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for _, w := range c.Und(v) {
-				if int(w) <= v {
-					continue
-				}
-				a, b := int32(v), w
-				for {
-					ra, rb := find(a), find(b)
-					if ra == rb {
-						break
-					}
-					if ra > rb {
-						ra, rb = rb, ra
-					}
-					if atomic.CompareAndSwapInt32(&parent[rb], rb, ra) {
-						break
-					}
+		row.Components++
+		root[r], queue[0] = int32(r), int32(r)
+		size, deg := 1, 0
+		for head := 0; head < size; head++ {
+			adj := c.Und(int(queue[head]))
+			deg += len(adj)
+			for _, w := range adj {
+				if root[w] < 0 {
+					root[w], queue[size] = int32(r), w
+					size++
 				}
 			}
 		}
-	})
-	// Full compression: after this barrier parent[v] is the canonical
-	// root and can be read without atomics.
-	forShardsN(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			atomic.StoreInt32(&parent[v], find(int32(v)))
+		if size > maxSize {
+			maxRoot, maxSize = int32(r), size
 		}
-	})
-
-	// Component sizes and degree sums, indexed by root. Integer atomic
-	// adds commute, so the totals are exact for any schedule.
-	size := make([]int32, n)
-	deg := make([]int64, n)
-	forShardsN(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			r := parent[v]
-			atomic.AddInt32(&size[r], 1)
-			atomic.AddInt64(&deg[r], int64(c.Degree(v)))
-		}
-	})
-
-	// Component count, largest component, max degree: per-shard bests
-	// merged in shard order with strict comparisons, so ties resolve to
-	// the smallest root/vertex.
-	nsh := shardCount(n)
-	type shardBest struct {
-		comps            int
-		maxSize, maxRoot int32
-		maxDeg           int32
-	}
-	bests := make([]shardBest, nsh)
-	forShardsN(n, workers, func(s, lo, hi int) {
-		p := shardBest{maxRoot: -1}
-		for v := lo; v < hi; v++ {
-			if int(parent[v]) == v {
-				p.comps++
-				if size[v] > p.maxSize {
-					p.maxSize, p.maxRoot = size[v], int32(v)
-				}
+		if m > 0 {
+			if r/shardSize != block {
+				sumSq, blockSq, block = sumSq+blockSq, 0, r/shardSize
 			}
-			if d := int32(c.Degree(v)); d > p.maxDeg {
-				p.maxDeg = d
-			}
-		}
-		bests[s] = p
-	})
-	maxRoot, maxSize := int32(-1), int32(0)
-	for _, p := range bests {
-		row.Components += p.comps
-		if int(p.maxDeg) > row.MaxDeg {
-			row.MaxDeg = int(p.maxDeg)
-		}
-		if p.maxRoot >= 0 && (maxRoot < 0 || p.maxSize > maxSize) {
-			maxSize, maxRoot = p.maxSize, p.maxRoot
+			frac := float64(deg) / float64(2*m)
+			blockSq += frac * frac
 		}
 	}
-	row.MaxComp = int(maxSize)
+	row.MaxComp = maxSize
 
 	// Density of the directed graph.
 	if n > 1 {
 		row.Density = float64(m) / (float64(n) * float64(n-1))
 	}
-
-	// Modularity of the component partition:
-	// Q = Σ_c [ e_c/m − (d_c/2m)² ]. With components as communities,
-	// Σ e_c = m, so Q = 1 − Σ (d_c/2m)² — zero for a single component,
-	// approaching 1 for many comparable fragments; this reproduces the
-	// shape of the paper's modularity column. The float sum runs over
-	// fixed shard partials in shard order (roots ascending within each),
-	// never over a schedule-dependent order.
-	if m > 0 {
-		qpart := make([]float64, nsh)
-		forShardsN(n, workers, func(s, lo, hi int) {
-			sum := 0.0
-			for v := lo; v < hi; v++ {
-				if int(parent[v]) == v {
-					frac := float64(deg[v]) / float64(2*m)
-					sum += frac * frac
-				}
-			}
-			qpart[s] = sum
-		})
-		sum := 0.0
-		for _, q := range qpart {
-			sum += q
-		}
-		row.Modularity = 1 - sum
-	}
-
 	row.AvgDeg = 2 * float64(m) / float64(n)
 
 	// Diameter estimate: double-sweep BFS on the largest component,
-	// seeded at its root — which, being the component's minimum vertex,
-	// is the same seed the sequential scan used to find (exact
-	// diameters are infeasible at these sizes; the double sweep is a
-	// standard tight lower bound). Both sweeps share one distance array
-	// and one frontier buffer pair.
+	// seeded at its root (exact diameters are infeasible at these sizes;
+	// the double sweep is a standard tight lower bound). Both sweeps
+	// reuse the component queue and share one distance array.
 	if m > 0 {
-		b := newBFSState(n)
-		far, _ := b.farthest(c, int(maxRoot), workers)
-		_, dist := b.farthest(c, far, workers)
-		row.Diameter = dist
+		row.Modularity = 1 - (sumSq + blockSq)
+		dist := root // the component labels are spent; reuse their array
+		far, _ := farthest(c, maxRoot, queue, dist)
+		_, d := farthest(c, far, queue, dist)
+		row.Diameter = int(d)
 	}
 	return row
 }
 
-// bfsState holds the buffers of a BFS sweep so the double sweep (and
-// any further sweeps) reuses one allocation set instead of paying it
-// per call.
-type bfsState struct {
-	dist     []int32
-	frontier []int32
-	next     []int32
-	buckets  [][]int32 // per-shard discovery lists, pooled across levels
-}
-
-func newBFSState(n int) *bfsState {
-	return &bfsState{dist: make([]int32, n)}
-}
-
-// farthest runs a level-synchronous parallel BFS over the undirected
-// adjacency from start and returns the farthest vertex plus its
-// distance. Distances are exact (a vertex is claimed for level d by a
-// CompareAndSwap that only ever fires at its true BFS depth), so the
-// result — max distance, tie-broken to the smallest vertex index — is
-// deterministic for any worker count even though the frontier
-// permutation is not.
-func (b *bfsState) farthest(c *core.CSR, start, workers int) (int, int) {
-	n := c.NumVertices()
-	forShardsN(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b.dist[i] = -1
-		}
-	})
-	b.dist[start] = 0
-	b.frontier = append(b.frontier[:0], int32(start))
-
-	for level := int32(1); len(b.frontier) > 0; level++ {
-		fsh := shardCount(len(b.frontier))
-		for len(b.buckets) < fsh {
-			b.buckets = append(b.buckets, nil)
-		}
-		forShardsN(len(b.frontier), workers, func(s, lo, hi int) {
-			out := b.buckets[s][:0]
-			for _, v := range b.frontier[lo:hi] {
-				for _, w := range c.Und(int(v)) {
-					if atomic.LoadInt32(&b.dist[w]) >= 0 {
-						continue
-					}
-					if atomic.CompareAndSwapInt32(&b.dist[w], -1, level) {
-						out = append(out, w)
-					}
-				}
-			}
-			b.buckets[s] = out
-		})
-		b.next = b.next[:0]
-		for s := 0; s < fsh; s++ {
-			b.next = append(b.next, b.buckets[s]...)
-		}
-		b.frontier, b.next = b.next, b.frontier
+// farthest runs a BFS over the undirected adjacency from start, with
+// queue and dist as scratch, and returns the farthest vertex — the
+// smallest index among those at the maximum distance — and its
+// distance.
+func farthest(c *core.CSR, start int32, queue, dist []int32) (int32, int32) {
+	for i := range dist {
+		dist[i] = -1
 	}
-
-	// Deterministic farthest reduce: per-shard (max dist, min vertex)
-	// merged in shard order.
-	type farBest struct{ v, d int32 }
-	bests := make([]farBest, shardCount(n))
-	forShardsN(n, workers, func(s, lo, hi int) {
-		best := farBest{int32(lo), -1}
-		for v := lo; v < hi; v++ {
-			if d := b.dist[v]; d > best.d {
-				best = farBest{int32(v), d}
+	dist[start], queue[0] = 0, start
+	far := start
+	for head, tail := 0, 1; head < tail; head++ {
+		v := queue[head]
+		for _, w := range c.Und(int(v)) {
+			if dist[w] >= 0 {
+				continue
+			}
+			dist[w], queue[tail] = dist[v]+1, w
+			tail++
+			if dist[w] > dist[far] || (dist[w] == dist[far] && w < far) {
+				far = w
 			}
 		}
-		bests[s] = best
-	})
-	far := farBest{int32(start), 0}
-	for _, p := range bests {
-		if p.d > far.d {
-			far = p
-		}
 	}
-	return int(far.v), int(far.d)
+	return far, dist[far]
 }
 
 // PickRandom draws deterministic benchmark parameters from a dataset
@@ -302,9 +163,7 @@ type splitMix struct{ s uint64 }
 func newSplitMix(seed int64) *splitMix { return &splitMix{s: uint64(seed)} }
 
 func (r *splitMix) next() uint64 {
+	z := splitmix64(r.s)
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }

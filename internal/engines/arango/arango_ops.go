@@ -114,7 +114,7 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 // AddEdge implements core.Engine.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
 	e.call("insert-edge", src)
-	if !e.HasVertexQuiet(src) || !e.HasVertexQuiet(dst) {
+	if !e.hasVertexQuiet(src) || !e.hasVertexQuiet(dst) {
 		return core.NoID, core.ErrNotFound
 	}
 	id := core.ID(e.nextID)
@@ -131,9 +131,9 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	return id, nil
 }
 
-// HasVertexQuiet checks existence without a REST hop (used inside
+// hasVertexQuiet checks existence without a REST hop (used inside
 // server-side operations).
-func (e *Engine) HasVertexQuiet(id core.ID) bool {
+func (e *Engine) hasVertexQuiet(id core.ID) bool {
 	_, ok := e.vdocs[id]
 	return ok
 }
@@ -339,7 +339,7 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 // IncidentEdges implements core.Engine.
 func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
 	e.call("neighbors", id)
-	if !e.HasVertexQuiet(id) {
+	if !e.hasVertexQuiet(id) {
 		return core.EmptyIter[core.ID]()
 	}
 	var want map[uint32]bool
@@ -408,7 +408,7 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 
 // Degree implements core.Engine.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.HasVertexQuiet(id) {
+	if !e.hasVertexQuiet(id) {
 		return 0, core.ErrNotFound
 	}
 	switch d {

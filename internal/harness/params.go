@@ -186,14 +186,13 @@ func (pg *ParamGen) edgeWithProp(iter int) (int, bool) {
 }
 
 // ComplexFor draws the complex-workload parameters from the ldbc graph.
-func ComplexFor(g *core.Graph, seed int64, res *core.LoadResult) workload.ComplexParams {
+func ComplexFor(g *core.Graph, res *core.LoadResult) workload.ComplexParams {
 	byKind := map[string][]int{}
 	for i, p := range g.VProps {
 		if k, ok := p["kind"]; ok {
 			byKind[k.Str()] = append(byKind[k.Str()], i)
 		}
 	}
-	rng := datasets.Pick(g, seed, 8) // reuse the deterministic picker for ordering
 	pick := func(kind string, n int) int {
 		s := byKind[kind]
 		if len(s) == 0 {
@@ -216,7 +215,6 @@ func ComplexFor(g *core.Graph, seed int64, res *core.LoadResult) workload.Comple
 		}
 	}
 	person = best
-	_ = rng
 	cp := workload.ComplexParams{
 		Person:     res.VertexIDs[person],
 		City:       res.VertexIDs[pick("place", 0)],

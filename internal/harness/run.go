@@ -461,7 +461,7 @@ func (r *Runner) runComplex(c *cell, engine string) {
 		return
 	}
 	defer e.Close()
-	cp := ComplexFor(ds.g, r.cfg.Seed, res)
+	cp := ComplexFor(ds.g, res)
 	for _, cq := range workload.ComplexQueries() {
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
 		start := r.now()

@@ -39,9 +39,6 @@ func NewStore(recSize int) *Store {
 	return &Store{recSize: recSize}
 }
 
-// RecordSize returns the fixed record size.
-func (s *Store) RecordSize() int { return s.recSize }
-
 // Reserve grows the store's capacity to hold n additional records
 // without reallocation — the bulk-load pre-sizing hook: a loader that
 // knows its record count up front (via the dataset's CSR snapshot)
@@ -104,7 +101,7 @@ func (s *Store) Record(id int64) (rec []byte, ok bool) {
 func (s *Store) Live() int64 { return s.live }
 
 // HighWater returns the number of record slots ever allocated; the file
-// size is HighWater × RecordSize regardless of freed records, as with
+// size is HighWater × the record size regardless of freed records, as with
 // real record files.
 func (s *Store) HighWater() int64 { return int64(len(s.inUse)) }
 

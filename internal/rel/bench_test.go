@@ -39,27 +39,18 @@ func BenchmarkSelectEq(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinVsIndexedJoin contrasts the two join strategies the
-// Sqlg engine alternates between: full-scan hash join (large frontiers)
-// vs per-key index lookups (small frontiers).
-func BenchmarkHashJoinVsIndexedJoin(b *testing.B) {
+// BenchmarkIndexedJoin measures per-key index lookups over a small
+// frontier — the join behind Sqlg's fast single-label hops.
+func BenchmarkIndexedJoin(b *testing.B) {
 	t := benchTable(b, 100_000, true)
-	keys := map[int64]struct{}{}
 	var keyList []int64
 	for i := int64(0); i < 10; i++ {
-		keys[i] = struct{}{}
 		keyList = append(keyList, i)
 	}
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t.HashJoin("src", keys, func(Row) bool { return true })
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t.IndexedJoin("src", keyList, func(Row) bool { return true })
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.IndexedJoin("src", keyList, func(Row) bool { return true })
+	}
 }
 
 // BenchmarkInsert measures the tuple-insert path (Sqlg's fast Q2).

@@ -1,6 +1,7 @@
 // Package rel implements a miniature relational engine: tables of typed
 // rows with an int64 primary key, secondary B+Tree indexes, equality
-// selection with a scan-vs-index planner, hash joins, and ALTER TABLE.
+// selection with a scan-vs-index planner, indexed joins, and
+// ALTER TABLE.
 //
 // It is the "Postgres" under the Sqlg-style engine. The paper's Sqlg
 // findings are architectural consequences reproduced here: per-label
@@ -292,13 +293,6 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 	return nil
 }
 
-// CountEq counts rows whose col equals v.
-func (t *Table) CountEq(col string, v core.Value) (int, error) {
-	n := 0
-	err := t.SelectEq(col, v, func(Row) bool { n++; return true })
-	return n, err
-}
-
 // Bytes returns the table's approximate footprint including indexes.
 func (t *Table) Bytes() int64 {
 	var n int64 = 64
@@ -316,28 +310,6 @@ func (t *Table) Bytes() int64 {
 		n += idx.Bytes()
 	}
 	return n
-}
-
-// HashJoin scans t once, probing keys (values of col) and calling fn for
-// every matching row. It is the build-side-in-memory join the Sqlg
-// engine falls back to when a traversal frontier is large: cost is a
-// full scan of the table regardless of how many keys match, which is
-// exactly the "very large joins" behaviour the paper observes on BFS.
-func (t *Table) HashJoin(col string, keys map[int64]struct{}, fn func(Row) bool) error {
-	ci, ok := t.colIdx[col]
-	if !ok {
-		return fmt.Errorf("rel: %s: no column %q", t.name, col)
-	}
-	t.scans.Add(1)
-	for _, r := range t.rows {
-		if r == nil {
-			continue
-		}
-		if _, hit := keys[r[ci].Int()]; hit && !fn(r) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // IndexedJoin looks each key up through the index on col (creating no
