@@ -10,6 +10,13 @@
 // counting is a popcount and set operations are bitwise. The same
 // structure also explains that engine's weakness: operations that need
 // *materialized* neighbour lists per node must decompress many bitmaps.
+//
+// Memory layout: as in Roaring itself, the containers live in one slice
+// parallel to the sorted chunk keys, so a bitmap is two slices plus
+// each container's array or word set, with no map and no pointer per
+// container. Adding or removing a chunk shifts both slices. A container
+// owns its array or words; nothing returned by a Bitmap aliases them.
+// Bytes is the modelled footprint and does not depend on this layout.
 package bitmap
 
 import (
@@ -34,8 +41,8 @@ type container struct {
 // Bitmap is a set of uint64 values. The zero value is an empty set ready
 // for use.
 type Bitmap struct {
-	keys []uint64              // sorted high-bits chunk keys
-	cs   map[uint64]*container // chunk key -> container
+	keys []uint64    // sorted high-bits chunk keys
+	cs   []container // cs[i] holds the chunk keys[i]
 }
 
 // New returns an empty bitmap.
@@ -43,23 +50,49 @@ func New() *Bitmap { return &Bitmap{} }
 
 func split(x uint64) (hi uint64, lo uint16) { return x >> 16, uint16(x & 0xffff) }
 
+// find returns the index of the first chunk key >= hi, and whether it
+// is hi.
+func (b *Bitmap) find(hi uint64) (int, bool) {
+	lo, n := 0, len(b.keys)
+	for lo < n {
+		mid := int(uint(lo+n) >> 1)
+		if b.keys[mid] < hi {
+			lo = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	return lo, lo < len(b.keys) && b.keys[lo] == hi
+}
+
+// container returns the container of chunk hi, or nil when it is
+// absent and create is false. The pointer is valid until the next
+// chunk is added or removed.
 func (b *Bitmap) container(hi uint64, create bool) *container {
-	if b.cs == nil {
+	i, ok := b.find(hi)
+	if !ok {
 		if !create {
 			return nil
 		}
-		b.cs = make(map[uint64]*container)
+		b.keys = insertAt(b.keys, i, hi)
+		b.cs = insertAt(b.cs, i, container{})
 	}
-	c := b.cs[hi]
-	if c == nil && create {
-		c = &container{}
-		b.cs[hi] = c
-		i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= hi })
-		b.keys = append(b.keys, 0)
-		copy(b.keys[i+1:], b.keys[i:])
-		b.keys[i] = hi
-	}
-	return c
+	return &b.cs[i]
+}
+
+func insertAt[T any](s []T, i int, v T) []T {
+	var zero T
+	s = append(s, zero)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+func removeAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	var zero T
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
 }
 
 func (c *container) contains(lo uint16) bool {
@@ -148,16 +181,14 @@ func (b *Bitmap) Add(x uint64) bool {
 // Remove deletes x, reporting whether it was present.
 func (b *Bitmap) Remove(x uint64) bool {
 	hi, lo := split(x)
-	c := b.container(hi, false)
-	if c == nil {
+	i, found := b.find(hi)
+	if !found {
 		return false
 	}
-	ok := c.remove(lo)
-	if ok && c.n == 0 {
-		delete(b.cs, hi)
-		i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= hi })
-		copy(b.keys[i:], b.keys[i+1:])
-		b.keys = b.keys[:len(b.keys)-1]
+	ok := b.cs[i].remove(lo)
+	if ok && b.cs[i].n == 0 {
+		b.keys = removeAt(b.keys, i)
+		b.cs = removeAt(b.cs, i)
 	}
 	return ok
 }
@@ -173,8 +204,8 @@ func (b *Bitmap) Contains(x uint64) bool {
 // operation behind the Sparksee engine's fast counting queries.
 func (b *Bitmap) Len() int {
 	n := 0
-	for _, c := range b.cs {
-		n += c.n
+	for i := range b.cs {
+		n += b.cs[i].n
 	}
 	return n
 }
@@ -185,8 +216,8 @@ func (b *Bitmap) IsEmpty() bool { return b.Len() == 0 }
 // Iterate calls fn on each element in ascending order until fn returns
 // false.
 func (b *Bitmap) Iterate(fn func(x uint64) bool) {
-	for _, hi := range b.keys {
-		c := b.cs[hi]
+	for i, hi := range b.keys {
+		c := &b.cs[i]
 		base := hi << 16
 		if c.words != nil {
 			for wi, w := range c.words {
@@ -266,7 +297,8 @@ func (b *Bitmap) AndLen(o *Bitmap) int {
 // Bytes approximates the memory footprint, for space accounting.
 func (b *Bitmap) Bytes() int64 {
 	var n int64 = 48
-	for _, c := range b.cs {
+	for i := range b.cs {
+		c := &b.cs[i]
 		n += 40
 		if c.words != nil {
 			n += wordsPerContainer * 8

@@ -2,9 +2,12 @@ package bitmap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 func TestAddContainsRemove(t *testing.T) {
@@ -175,5 +178,88 @@ func TestQuickAgainstMapSet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMiddleChunkRemovedAndReadded drops the middle one of four chunks
+// and adds it back: the containers slice must shift with the keys, so
+// iteration stays ascending and Len and Bytes count exactly the chunks
+// present (48 base, 40 + 8 per chunk, 2 per array element, 8 KiB per
+// dense chunk).
+func TestMiddleChunkRemovedAndReadded(t *testing.T) {
+	b := New()
+	var want []uint64
+	for hi := uint64(0); hi < 4; hi++ {
+		n := uint64(10)
+		if hi == 3 {
+			n = 5000 // dense
+		}
+		for lo := uint64(0); lo < n; lo++ {
+			x := hi<<16 | lo*3
+			b.Add(x)
+			want = append(want, x)
+		}
+	}
+	check := func(stage string, want []uint64, bytes int64) {
+		t.Helper()
+		if got := b.Slice(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Iterate gave %d elements, want %d in ascending order", stage, len(got), len(want))
+		}
+		if b.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", stage, b.Len(), len(want))
+		}
+		if b.Bytes() != bytes {
+			t.Fatalf("%s: Bytes = %d, want %d", stage, b.Bytes(), bytes)
+		}
+	}
+	dense := int64(40 + 8 + wordsPerContainer*8)
+	check("four chunks", want, 48+3*(40+8+20)+dense)
+	var rest []uint64
+	for _, x := range want {
+		if x>>16 == 1 {
+			b.Remove(x)
+		} else {
+			rest = append(rest, x)
+		}
+	}
+	check("middle chunk removed", rest, 48+2*(40+8+20)+dense)
+	if b.Contains(1<<16) || !b.Contains(2<<16) || !b.Contains(3<<16|4998*3) {
+		t.Fatal("membership wrong after removing the middle chunk")
+	}
+	for _, x := range want {
+		if x>>16 == 1 {
+			b.Add(x)
+		}
+	}
+	check("middle chunk re-added", want, 48+3*(40+8+20)+dense)
+}
+
+// TestReadAllocs pins allocation-free reads: membership, counting,
+// iteration and intersection counting walk the containers in place.
+func TestReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a, b := New(), New()
+	for i := uint64(0); i < 20000; i++ {
+		a.Add(i * 7)
+		b.Add(i * 5)
+	}
+	n := 0
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Contains", func() { a.Contains(7000) }},
+		{"Len", func() { n += a.Len() }},
+		{"Iterate", func() { a.Iterate(func(uint64) bool { n++; return true }) }},
+		{"AndLen", func() { n += a.AndLen(b) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+	if n == 0 {
+		t.Fatal("reads saw nothing")
 	}
 }

@@ -17,6 +17,23 @@
 // Get, Has, Seek, AscendPrefix and AscendRange descend without recording
 // a path and iterate with a stack Cursor. Only Put and Delete record the
 // descent path their rebalancing walks back up, in a fixed stack array.
+//
+// Nor does it price per-entry pointers. Each leaf packs its pairs into
+// one append-only byte arena, indexed by a small key-ordered entry
+// table, so a leaf is two allocations however many keys it holds and
+// the garbage collector scans none of its bytes. Put and BulkBuild copy
+// keys and values in; the tree keeps no caller slice. Bytes once
+// written to an arena are never overwritten: a replaced or deleted
+// entry only counts its bytes as dead, and once more than half of an
+// arena is dead the leaf rewrites its live entries into a new array,
+// leaving the old one to whoever still holds slices of it. Splits give
+// both halves new arenas. So a slice returned by Get, Seek,
+// Cursor.Next, AscendPrefix or AscendRange keeps its bytes after any
+// later mutation, and its capacity ends where it ends, so a caller's
+// append copies instead of writing into the arena. Inner separators are
+// copies too, so they pin no leaf arena. Tree.Bytes is the modelled
+// footprint (payload plus per-entry and per-node overhead) and does not
+// depend on this layout.
 package btree
 
 import (
@@ -33,14 +50,30 @@ const (
 	minKeys = maxKeys / 2
 )
 
+// entry locates one pair in its leaf's arena: the key is
+// buf[off:off+klen] and the value follows it.
+type entry struct{ off, klen, vlen uint32 }
+
+// nilVal is the vlen of a nil value, which reads back as nil, not empty.
+const nilVal = ^uint32(0)
+
+// size is the number of arena bytes the entry occupies.
+func (e entry) size() int {
+	if e.vlen == nilVal {
+		return int(e.klen)
+	}
+	return int(e.klen + e.vlen)
+}
+
 type leaf struct {
-	keys       [][]byte
-	vals       [][]byte
+	buf        []byte  // append-only arena
+	ents       []entry // in key order
+	dead       int     // arena bytes no entry refers to
 	next, prev *leaf
 }
 
 type inner struct {
-	keys     [][]byte // len(children)-1 separators
+	keys     [][]byte // len(children)-1 separators, owned copies
 	children []node
 }
 
@@ -48,6 +81,71 @@ type node interface{ isNode() }
 
 func (*leaf) isNode()  {}
 func (*inner) isNode() {}
+
+// key returns the i-th key, capped so that an append cannot reach the
+// arena.
+func (l *leaf) key(i int) []byte {
+	e := l.ents[i]
+	end := e.off + e.klen
+	return l.buf[e.off:end:end]
+}
+
+// val returns the i-th value, capped like key.
+func (l *leaf) val(i int) []byte {
+	e := l.ents[i]
+	if e.vlen == nilVal {
+		return nil
+	}
+	start := e.off + e.klen
+	end := start + e.vlen
+	return l.buf[start:end:end]
+}
+
+// add appends key and value to the arena and returns their entry.
+func (l *leaf) add(key, value []byte) entry {
+	e := entry{off: uint32(len(l.buf)), klen: uint32(len(key)), vlen: nilVal}
+	l.buf = append(l.buf, key...)
+	if value != nil {
+		e.vlen = uint32(len(value))
+		l.buf = append(l.buf, value...)
+	}
+	return e
+}
+
+// drop retires the i-th entry's bytes, compacting the arena if they tip
+// it over half dead.
+func (l *leaf) drop(i int) {
+	l.dead += l.ents[i].size()
+	l.ents = removeAt(l.ents, i)
+	l.maybeCompact()
+}
+
+func (l *leaf) maybeCompact() {
+	if 2*l.dead > len(l.buf) {
+		l.repack(l.ents)
+	}
+}
+
+// repack rebuilds l from the entries ents of l's current arena (which
+// may be a subslice of l.ents) into a new arena and entry table sized to
+// fit. The old arena is left untouched.
+func (l *leaf) repack(ents []entry) {
+	n := 0
+	for _, e := range ents {
+		n += e.size()
+	}
+	var buf []byte
+	if n > 0 {
+		buf = make([]byte, 0, n)
+	}
+	out := make([]entry, len(ents))
+	for i, e := range ents {
+		sz := uint32(e.size())
+		out[i] = entry{off: uint32(len(buf)), klen: e.klen, vlen: e.vlen}
+		buf = append(buf, l.buf[e.off:e.off+sz]...)
+	}
+	l.buf, l.ents, l.dead = buf, out, 0
+}
 
 // Tree is a B+Tree. The zero value is not usable; call New.
 type Tree struct {
@@ -80,32 +178,39 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.vals[i], true
+	return l.val(i), true
 }
 
 // Has reports whether key is present.
 func (t *Tree) Has(key []byte) bool {
-	_, ok := t.Get(key)
+	l := t.leafFor(key)
+	_, ok := l.search(key)
 	return ok
 }
 
 func (l *leaf) search(key []byte) (int, bool) {
-	lo, hi := 0, len(l.keys)
+	buf, ents := l.buf, l.ents
+	lo, hi := 0, len(ents)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(l.keys[mid], key) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		e := ents[mid]
+		if bytes.Compare(buf[e.off:e.off+e.klen], key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(l.keys) && bytes.Equal(l.keys[lo], key)
+	if lo == len(ents) {
+		return lo, false
+	}
+	e := ents[lo]
+	return lo, bytes.Equal(buf[e.off:e.off+e.klen], key)
 }
 
 func (in *inner) childIndex(key []byte) int {
 	lo, hi := 0, len(in.keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if bytes.Compare(in.keys[mid], key) <= 0 {
 			lo = mid + 1
 		} else {
@@ -155,22 +260,28 @@ type pathElem struct {
 // falls back to the heap if it ever does.
 const pathDepth = 8
 
-// Put inserts key→value, replacing any existing value. It returns true
-// if the key was new.
+// Put copies key→value into the tree, replacing any existing value. It
+// returns true if the key was new. Replacing a value with equal bytes
+// writes nothing.
 func (t *Tree) Put(key, value []byte) bool {
 	var buf [pathDepth]pathElem
 	l, path := t.findLeaf(key, buf[:0])
 	i, ok := l.search(key)
 	if ok {
-		t.bytes += int64(len(value) - len(l.vals[i]))
-		l.vals[i] = value
+		old := l.val(i)
+		if (old == nil) == (value == nil) && bytes.Equal(old, value) {
+			return false
+		}
+		t.bytes += int64(len(value) - len(old))
+		l.dead += l.ents[i].size()
+		l.ents[i] = l.add(key, value)
+		l.maybeCompact()
 		return false
 	}
-	l.keys = insertAt(l.keys, i, key)
-	l.vals = insertAt(l.vals, i, value)
+	l.ents = insertAt(l.ents, i, l.add(key, value))
 	t.size++
 	t.bytes += t.payload(key, value)
-	if len(l.keys) > maxKeys {
+	if len(l.ents) > maxKeys {
 		t.splitLeaf(l, path)
 	}
 	return true
@@ -191,21 +302,16 @@ func removeAt[T any](s []T, i int) []T {
 }
 
 func (t *Tree) splitLeaf(l *leaf, path []pathElem) {
-	mid := len(l.keys) / 2
-	right := &leaf{
-		keys: append([][]byte(nil), l.keys[mid:]...),
-		vals: append([][]byte(nil), l.vals[mid:]...),
-		next: l.next,
-		prev: l,
-	}
+	mid := len(l.ents) / 2
+	right := &leaf{buf: l.buf, next: l.next, prev: l}
+	right.repack(l.ents[mid:])
+	l.repack(l.ents[:mid])
 	if l.next != nil {
 		l.next.prev = right
 	}
 	l.next = right
-	l.keys = l.keys[:mid:mid]
-	l.vals = l.vals[:mid:mid]
 	t.bytes += 96 // new node overhead
-	t.insertIntoParent(path, right.keys[0], l, right)
+	t.insertIntoParent(path, bytes.Clone(right.key(0)), l, right)
 }
 
 func (t *Tree) insertIntoParent(path []pathElem, sep []byte, left, right node) {
@@ -248,11 +354,10 @@ func (t *Tree) Delete(key []byte) bool {
 	if !ok {
 		return false
 	}
-	t.bytes -= t.payload(key, l.vals[i])
-	l.keys = removeAt(l.keys, i)
-	l.vals = removeAt(l.vals, i)
+	t.bytes -= t.payload(key, l.val(i))
+	l.drop(i)
 	t.size--
-	if len(l.keys) >= minKeys || len(path) == 0 {
+	if len(l.ents) >= minKeys || len(path) == 0 {
 		return true
 	}
 	t.rebalanceLeaf(l, path)
@@ -265,25 +370,21 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 	// Borrow from the right sibling when possible.
 	if idx+1 < len(p.children) {
 		r := p.children[idx+1].(*leaf)
-		if len(r.keys) > minKeys {
-			l.keys = append(l.keys, r.keys[0])
-			l.vals = append(l.vals, r.vals[0])
-			r.keys = removeAt(r.keys, 0)
-			r.vals = removeAt(r.vals, 0)
-			p.keys[idx] = r.keys[0]
+		if len(r.ents) > minKeys {
+			l.ents = append(l.ents, l.add(r.key(0), r.val(0)))
+			r.drop(0)
+			p.keys[idx] = bytes.Clone(r.key(0))
 			return
 		}
 	}
 	// Borrow from the left sibling.
 	if idx > 0 {
 		lft := p.children[idx-1].(*leaf)
-		if len(lft.keys) > minKeys {
-			last := len(lft.keys) - 1
-			l.keys = insertAt(l.keys, 0, lft.keys[last])
-			l.vals = insertAt(l.vals, 0, lft.vals[last])
-			lft.keys = lft.keys[:last]
-			lft.vals = lft.vals[:last]
-			p.keys[idx-1] = l.keys[0]
+		if len(lft.ents) > minKeys {
+			last := len(lft.ents) - 1
+			l.ents = insertAt(l.ents, 0, l.add(lft.key(last), lft.val(last)))
+			lft.drop(last)
+			p.keys[idx-1] = bytes.Clone(l.key(0))
 			return
 		}
 	}
@@ -291,22 +392,12 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 	switch {
 	case idx+1 < len(p.children):
 		r := p.children[idx+1].(*leaf)
-		l.keys = append(l.keys, r.keys...)
-		l.vals = append(l.vals, r.vals...)
-		l.next = r.next
-		if r.next != nil {
-			r.next.prev = l
-		}
+		l.absorb(r)
 		p.keys = removeAt(p.keys, idx)
 		p.children = removeAt(p.children, idx+1)
 	case idx > 0:
 		lft := p.children[idx-1].(*leaf)
-		lft.keys = append(lft.keys, l.keys...)
-		lft.vals = append(lft.vals, l.vals...)
-		lft.next = l.next
-		if l.next != nil {
-			l.next.prev = lft
-		}
+		lft.absorb(l)
 		p.keys = removeAt(p.keys, idx-1)
 		p.children = removeAt(p.children, idx)
 	default:
@@ -318,6 +409,18 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 	t.collapseRoot()
 }
 
+// absorb appends every entry of its right neighbour r, copying r's
+// bytes into l's arena, and unlinks r.
+func (l *leaf) absorb(r *leaf) {
+	for i := range r.ents {
+		l.ents = append(l.ents, l.add(r.key(i), r.val(i)))
+	}
+	l.next = r.next
+	if r.next != nil {
+		r.next.prev = l
+	}
+}
+
 // collapseRoot shrinks the tree height when the root lost all separators.
 func (t *Tree) collapseRoot() {
 	if r, ok := t.root.(*inner); ok && len(r.children) == 1 {
@@ -326,24 +429,29 @@ func (t *Tree) collapseRoot() {
 	}
 }
 
-// Cursor iterates key/value pairs in ascending key order.
+// Cursor iterates key/value pairs in ascending key order. Get one from
+// Seek or Scan; the zero Cursor is not usable.
 type Cursor struct {
 	l *leaf
 	i int
 }
 
-// Next returns the next pair, or ok=false at the end.
+// Next returns the next pair, or ok=false at the end. It stays within
+// the compiler's inlining budget, so scan loops pay no call per pair.
 func (c *Cursor) Next() (key, value []byte, ok bool) {
-	for c.l != nil && c.i >= len(c.l.keys) {
-		c.l = c.l.next
-		c.i = 0
+	for c.i >= len(c.l.ents) {
+		if c.l.next == nil {
+			return nil, nil, false
+		}
+		c.l, c.i = c.l.next, 0
 	}
-	if c.l == nil {
-		return nil, nil, false
-	}
-	k, v := c.l.keys[c.i], c.l.vals[c.i]
+	e := c.l.ents[c.i]
 	c.i++
-	return k, v, true
+	key = c.l.buf[e.off:][:e.klen:e.klen]
+	if e.vlen != nilVal {
+		value = c.l.buf[e.off+e.klen:][:e.vlen:e.vlen]
+	}
+	return key, value, true
 }
 
 // Seek positions a cursor at the first key >= start.
@@ -390,66 +498,78 @@ func (t *Tree) AscendRange(start, end []byte, fn func(key, value []byte) bool) {
 	}
 }
 
-// BulkBuild replaces the tree contents with the given pairs, which must
-// be sorted by key and free of duplicates. It builds leaves left to
-// right without per-insert rebalancing — the "bulk loading" mode that
-// the paper had to enable to load BlazeGraph in reasonable time.
+// BulkBuild replaces the tree contents with copies of the given pairs,
+// which must be sorted by key and free of duplicates. It builds leaves
+// left to right without per-insert rebalancing — the "bulk loading"
+// mode that the paper had to enable to load BlazeGraph in reasonable
+// time. All leaves' arenas and entry tables are carved from one
+// allocation each, capped so that a later insert into one leaf
+// reallocates that leaf rather than writing into its neighbour.
 func (t *Tree) BulkBuild(keys, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("btree: BulkBuild: %d keys but %d values", len(keys), len(vals))
 	}
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+	total := 0
+	for i := range keys {
+		if i > 0 && bytes.Compare(keys[i-1], keys[i]) >= 0 {
 			return fmt.Errorf("btree: BulkBuild: keys not strictly ascending at %d", i)
 		}
+		total += len(keys[i]) + len(vals[i])
 	}
 	*t = *New()
-	const fill = maxKeys * 3 / 4
-	var leaves []*leaf
-	for i := 0; i < len(keys); i += fill {
-		j := i + fill
-		if j > len(keys) {
-			j = len(keys)
-		}
-		l := &leaf{
-			keys: append([][]byte(nil), keys[i:j]...),
-			vals: append([][]byte(nil), vals[i:j]...),
-		}
-		if n := len(leaves); n > 0 {
-			leaves[n-1].next = l
-			l.prev = leaves[n-1]
-		}
-		leaves = append(leaves, l)
-		t.bytes += 96
-		for k := i; k < j; k++ {
-			t.bytes += t.payload(keys[k], vals[k])
-		}
-	}
-	t.size = len(keys)
-	if len(leaves) == 0 {
+	if len(keys) == 0 {
 		return nil
 	}
-	t.first = leaves[0]
-	// Build inner levels bottom-up.
+	const fill = maxKeys * 3 / 4
+	arena := make([]byte, 0, total)
+	ents := make([]entry, len(keys))
+	leaves := make([]leaf, (len(keys)+fill-1)/fill)
+	// Separators copied into one buffer: the first key of every leaf
+	// but the first.
+	var sepBytes int
+	for i := fill; i < len(keys); i += fill {
+		sepBytes += len(keys[i])
+	}
+	seps := make([]byte, 0, sepBytes)
 	level := make([]node, len(leaves))
 	firstKeys := make([][]byte, len(leaves))
-	for i, l := range leaves {
-		level[i] = l
-		firstKeys[i] = l.keys[0]
+	for n := range leaves {
+		i, j := n*fill, min((n+1)*fill, len(keys))
+		l := &leaves[n]
+		start := len(arena)
+		for k := i; k < j; k++ {
+			e := entry{off: uint32(len(arena) - start), klen: uint32(len(keys[k])), vlen: nilVal}
+			arena = append(arena, keys[k]...)
+			if vals[k] != nil {
+				e.vlen = uint32(len(vals[k]))
+				arena = append(arena, vals[k]...)
+			}
+			ents[k] = e
+			t.bytes += t.payload(keys[k], vals[k])
+		}
+		l.buf = arena[start:len(arena):len(arena)]
+		l.ents = ents[i:j:j]
+		if n > 0 {
+			leaves[n-1].next = l
+			l.prev = &leaves[n-1]
+			s := len(seps)
+			seps = append(seps, keys[i]...)
+			firstKeys[n] = seps[s:len(seps):len(seps)]
+		}
+		level[n] = l
+		t.bytes += 96
 	}
+	t.size = len(keys)
+	t.first = &leaves[0]
+	// Build inner levels bottom-up.
 	for len(level) > 1 {
 		var up []node
 		var upKeys [][]byte
 		const width = degree * 3 / 4
 		for i := 0; i < len(level); i += width {
-			j := i + width
-			if j > len(level) {
-				j = len(level)
-			}
+			j := min(i+width, len(level))
 			in := &inner{children: append([]node(nil), level[i:j]...)}
-			for k := i + 1; k < j; k++ {
-				in.keys = append(in.keys, firstKeys[k])
-			}
+			in.keys = append(in.keys, firstKeys[i+1:j]...)
 			up = append(up, in)
 			upKeys = append(upKeys, firstKeys[i])
 			t.bytes += 96

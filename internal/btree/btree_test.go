@@ -401,8 +401,8 @@ func (t *Tree) recount() (nodes int, payload int64) {
 		nodes++
 		switch x := n.(type) {
 		case *leaf:
-			for i, k := range x.keys {
-				payload += t.payload(k, x.vals[i])
+			for i := range x.ents {
+				payload += t.payload(x.key(i), x.val(i))
 			}
 		case *inner:
 			for _, c := range x.children {
@@ -449,5 +449,97 @@ func TestReadAllocs(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("scans visited nothing")
+	}
+}
+
+// TestReturnedSlicesOutliveMutation pins the arena invariant: bytes once
+// written to a leaf are never overwritten. It captures the slices Get,
+// Seek, Cursor.Next and AscendPrefix return, appends to each (which must
+// copy, not write into the arena), then drives thousands of random Puts
+// and Deletes — growing, replacing and draining the tree, so leaves
+// split, borrow, merge and compact — and a BulkBuild, and checks that
+// every captured slice still holds the bytes it held when captured.
+func TestReturnedSlicesOutliveMutation(t *testing.T) {
+	const keySpace = 3000
+	rng := rand.New(rand.NewSource(5))
+	tr := New()
+	type capture struct{ got, want []byte }
+	var caps []capture
+	grab := func(b []byte) {
+		caps = append(caps, capture{b, bytes.Clone(b)})
+		_ = append(b, 0xEE, 0xEE, 0xEE) // must not reach the arena
+	}
+	value := func() []byte { return bytes.Repeat([]byte{byte(rng.Intn(256))}, rng.Intn(24)) }
+	probe := func() {
+		k := key(rng.Intn(keySpace))
+		if v, ok := tr.Get(k); ok {
+			grab(v)
+		}
+		c := tr.Seek(k)
+		for i := 0; i < 40; i++ { // runs over leaf boundaries
+			k, v, ok := c.Next()
+			if !ok {
+				break
+			}
+			grab(k)
+			grab(v)
+		}
+		tr.AscendPrefix(k[:6], func(k, v []byte) bool {
+			grab(k)
+			grab(v)
+			return rng.Intn(8) != 0
+		})
+	}
+	maxLeaves := 0
+	for _, putShare := range []int{90, 60, 50, 10} { // grow, churn, replace, drain
+		for n := 0; n < 3*keySpace; n++ {
+			if k := key(rng.Intn(keySpace)); rng.Intn(100) < putShare {
+				tr.Put(k, value())
+			} else {
+				tr.Delete(k)
+			}
+			if n%50 == 0 {
+				probe()
+			}
+		}
+		maxLeaves = max(maxLeaves, len(tr.leaves()))
+	}
+	if drained := len(tr.leaves()); maxLeaves < 50 || drained > maxLeaves/4 {
+		t.Fatalf("leaves peaked at %d and drained to %d: want splits, then merges", maxLeaves, drained)
+	}
+	// Replacing one key's value over and over kills its leaf's arena
+	// until the leaf compacts: every replacement adds dead bytes, and
+	// only a compaction clears them.
+	k := key(keySpace / 2)
+	tr.Put(k, value())
+	l := tr.leafFor(k)
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("a leaf replacing one value 1000 times never compacted")
+		}
+		tr.Put(k, bytes.Repeat([]byte{byte(i)}, 20))
+		probe()
+		if l.dead == 0 {
+			break
+		}
+	}
+	keys, vals := make([][]byte, 0, keySpace), make([][]byte, 0, keySpace)
+	for i := 0; i < keySpace; i += 2 {
+		keys, vals = append(keys, key(i)), append(vals, value())
+	}
+	if err := tr.BulkBuild(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	probe()
+	for i := 0; i < keySpace; i++ {
+		tr.Put(key(i), value())
+	}
+	for i, c := range caps {
+		if !bytes.Equal(c.got, c.want) {
+			t.Fatalf("captured slice %d of %d changed: %x, was %x", i, len(caps), c.got, c.want)
+		}
+	}
+	if len(caps) < 1000 {
+		t.Fatalf("only %d captures", len(caps))
 	}
 }

@@ -139,11 +139,9 @@ func (e *Engine) literal(v core.Value) int64 {
 
 func (e *Engine) literalValue(t int64) core.Value { return e.litVals[termSeq(t)] }
 
-// Statement keys are order-preserving int64 terms. Writes allocate their
-// keys, which the trees retain; read probes and prefixes encode into a
+// Statement keys are order-preserving int64 terms. The trees copy what
+// they store, so writes, read probes and prefixes all encode into a
 // caller's stack buffer (var buf [24]byte; appendKey(buf[:0], …)).
-func key3(a, b, c int64) []byte { return appendKey(make([]byte, 0, 24), a, b, c) }
-
 func appendKey(k []byte, terms ...int64) []byte {
 	for _, t := range terms {
 		k = enc.Int64(k, t)
@@ -163,9 +161,10 @@ func decode3(k []byte) (a, b, c int64) {
 // eager, per-statement path the paper measured as up to three orders of
 // magnitude slower than other loaders.
 func (e *Engine) addStatement(st statement) {
-	e.spo.Put(key3(st.s, st.p, st.o), nil)
-	e.pos.Put(key3(st.p, st.o, st.s), nil)
-	e.osp.Put(key3(st.o, st.s, st.p), nil)
+	var buf [24]byte
+	e.spo.Put(appendKey(buf[:0], st.s, st.p, st.o), nil)
+	e.pos.Put(appendKey(buf[:0], st.p, st.o, st.s), nil)
+	e.osp.Put(appendKey(buf[:0], st.o, st.s, st.p), nil)
 	e.journalUsed += 3 * 25 // serialized statement + record header, ×3 indexes
 	for e.journalUsed > e.journalCap {
 		e.journalCap += journalSegment
@@ -173,9 +172,10 @@ func (e *Engine) addStatement(st statement) {
 }
 
 func (e *Engine) removeStatement(st statement) bool {
-	ok := e.spo.Delete(key3(st.s, st.p, st.o))
-	e.pos.Delete(key3(st.p, st.o, st.s))
-	e.osp.Delete(key3(st.o, st.s, st.p))
+	var buf [24]byte
+	ok := e.spo.Delete(appendKey(buf[:0], st.s, st.p, st.o))
+	e.pos.Delete(appendKey(buf[:0], st.p, st.o, st.s))
+	e.osp.Delete(appendKey(buf[:0], st.o, st.s, st.p))
 	// The journal is append-only: deletion writes a retraction record.
 	if ok {
 		e.journalUsed += 25

@@ -468,28 +468,30 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		}
 		return res, nil
 	}
-	build := func(t *btree.Tree, perm func(statement) []byte) error {
-		keys := make([][]byte, len(sts))
+	// Each permutation is encoded into one buffer, sorted, deduplicated
+	// and bulk-built; the tree copies the keys, so the next permutation
+	// reuses the buffer.
+	buf := make([]byte, 24*len(sts))
+	keys := make([][]byte, len(sts))
+	vals := make([][]byte, len(sts))
+	build := func(t *btree.Tree, perm func(statement) (a, b, c int64)) error {
 		for i, st := range sts {
-			keys[i] = perm(st)
+			k := buf[24*i : 24*i : 24*(i+1)]
+			a, b, c := perm(st)
+			keys[i] = appendKey(k, a, b, c)
 		}
-		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+		slices.SortFunc(keys, bytes.Compare)
 		// Dedupe defensively: BulkBuild requires strictly ascending keys.
-		uniq := keys[:0]
-		for i, k := range keys {
-			if i == 0 || !bytes.Equal(k, keys[i-1]) {
-				uniq = append(uniq, k)
-			}
-		}
-		return t.BulkBuild(uniq, make([][]byte, len(uniq)))
+		uniq := slices.CompactFunc(keys, bytes.Equal)
+		return t.BulkBuild(uniq, vals[:len(uniq)])
 	}
-	if err := build(e.spo, func(st statement) []byte { return key3(st.s, st.p, st.o) }); err != nil {
+	if err := build(e.spo, func(st statement) (a, b, c int64) { return st.s, st.p, st.o }); err != nil {
 		return nil, err
 	}
-	if err := build(e.pos, func(st statement) []byte { return key3(st.p, st.o, st.s) }); err != nil {
+	if err := build(e.pos, func(st statement) (a, b, c int64) { return st.p, st.o, st.s }); err != nil {
 		return nil, err
 	}
-	if err := build(e.osp, func(st statement) []byte { return key3(st.o, st.s, st.p) }); err != nil {
+	if err := build(e.osp, func(st statement) (a, b, c int64) { return st.o, st.s, st.p }); err != nil {
 		return nil, err
 	}
 	e.journalUsed += int64(len(sts)) * 75

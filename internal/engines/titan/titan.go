@@ -113,8 +113,11 @@ func appendRowKey(k []byte, tag byte, id core.ID, kind byte) []byte {
 }
 
 func propKey(tag byte, id core.ID, tok uint32) []byte {
-	k := rowKey(tag, id, colProp)
-	return binary.BigEndian.AppendUint32(k, tok)
+	return appendPropKey(make([]byte, 0, rowPrefixLen+4), tag, id, tok)
+}
+
+func appendPropKey(k []byte, tag byte, id core.ID, tok uint32) []byte {
+	return binary.BigEndian.AppendUint32(appendRowKey(k, tag, id, colProp), tok)
 }
 
 // appendEdgeColPrefix appends the adjacency columns' prefix for one
@@ -127,7 +130,11 @@ func appendEdgeColPrefix(k []byte, id core.ID, kind byte, tok uint32) []byte {
 // zigzag varint *delta* from the row's own id — the compact-ID encoding
 // behind Titan's space advantage on high-degree graphs.
 func edgeColKey(id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
-	k := appendEdgeColPrefix(nil, id, kind, tok)
+	return appendEdgeColKey(nil, id, kind, tok, other, eid)
+}
+
+func appendEdgeColKey(k []byte, id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
+	k = appendEdgeColPrefix(k, id, kind, tok)
 	k = binary.AppendVarint(k, int64(other)-int64(id))
 	return binary.AppendVarint(k, int64(eid))
 }
@@ -145,8 +152,10 @@ func parseEdgeCol(id core.ID, key []byte) (tok uint32, other core.ID, eid core.I
 
 // --- value encoding ---
 
-func encodeValue(v core.Value) []byte {
-	out := []byte{byte(v.Kind())}
+func encodeValue(v core.Value) []byte { return appendValue(nil, v) }
+
+func appendValue(out []byte, v core.Value) []byte {
+	out = append(out, byte(v.Kind()))
 	switch v.Kind() {
 	case core.KindString:
 		out = append(out, v.Str()...)
@@ -183,8 +192,10 @@ func decodeValue(b []byte) core.Value {
 }
 
 // edge row value: src(8) dst(8) labelTok(4)
-func encodeEdgeRow(src, dst core.ID, tok uint32) []byte {
-	out := binary.BigEndian.AppendUint64(nil, uint64(src))
+func encodeEdgeRow(src, dst core.ID, tok uint32) []byte { return appendEdgeRow(nil, src, dst, tok) }
+
+func appendEdgeRow(out []byte, src, dst core.ID, tok uint32) []byte {
+	out = binary.BigEndian.AppendUint64(out, uint64(src))
 	out = binary.BigEndian.AppendUint64(out, uint64(dst))
 	return binary.BigEndian.AppendUint32(out, tok)
 }

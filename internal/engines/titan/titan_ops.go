@@ -1,11 +1,10 @@
 package titan
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/enc"
 	"repro/internal/engines/kit"
+	"repro/internal/lsm"
 )
 
 // checkedWrite models the v0.5 consistency machinery: reads verifying
@@ -473,12 +472,14 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		return kit.LoadPerItem(e, g)
 	}
 	res := core.NewLoadResult(g)
-	type kvPair struct{ k, v []byte }
 	// The CSR snapshot knows the exact pair count up front: one exists
 	// row per object, three rows per edge (edge row + out/in columns),
-	// one row per property.
+	// one row per property. Each pair is encoded into the scratch
+	// buffers k and v and copied once, into the batch that becomes the
+	// store's run.
 	snap := g.Snapshot()
-	pairs := make([]kvPair, 0, g.NumVertices()+3*g.NumEdges()+snap.VPropTotal+snap.EPropTotal)
+	b := lsm.NewBatch(g.NumVertices() + 3*g.NumEdges() + snap.VPropTotal + snap.EPropTotal)
+	var k, v []byte
 	// Fresh engine (nextID == 0 above): the snapshot's label table is
 	// exactly the token set this load interns, so pre-size the
 	// dictionary. Tokens still assign in first-encounter order.
@@ -487,9 +488,12 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		id := core.ID(e.nextID)
 		e.nextID++
 		res.VertexIDs[i] = id
-		pairs = append(pairs, kvPair{rowKey(tagVertexRow, id, colExists), []byte{}})
-		for k, v := range g.VProps[i] {
-			pairs = append(pairs, kvPair{propKey(tagVertexRow, id, e.propKeys.Intern(k)), encodeValue(v)})
+		k = appendRowKey(k[:0], tagVertexRow, id, colExists)
+		b.Add(k, nil)
+		for name, val := range g.VProps[i] {
+			k = appendPropKey(k[:0], tagVertexRow, id, e.propKeys.Intern(name))
+			v = appendValue(v[:0], val)
+			b.Add(k, v)
 		}
 	}
 	for i := range g.EdgeL {
@@ -499,12 +503,17 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		res.EdgeIDs[i] = eid
 		src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
 		tok := e.labels.Intern(er.Label)
-		pairs = append(pairs,
-			kvPair{rowKey(tagEdgeRow, eid, colExists), encodeEdgeRow(src, dst, tok)},
-			kvPair{edgeColKey(src, colOutEdge, tok, dst, eid), []byte{}},
-			kvPair{edgeColKey(dst, colInEdge, tok, src, eid), []byte{}})
-		for k, v := range er.Props {
-			pairs = append(pairs, kvPair{propKey(tagEdgeRow, eid, e.propKeys.Intern(k)), encodeValue(v)})
+		k = appendRowKey(k[:0], tagEdgeRow, eid, colExists)
+		v = appendEdgeRow(v[:0], src, dst, tok)
+		b.Add(k, v)
+		k = appendEdgeColKey(k[:0], src, colOutEdge, tok, dst, eid)
+		b.Add(k, nil)
+		k = appendEdgeColKey(k[:0], dst, colInEdge, tok, src, eid)
+		b.Add(k, nil)
+		for name, val := range er.Props {
+			k = appendPropKey(k[:0], tagEdgeRow, eid, e.propKeys.Intern(name))
+			v = appendValue(v[:0], val)
+			b.Add(k, v)
 		}
 	}
 	if e.kv.Durable() {
@@ -513,17 +522,11 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		// the same pair set; 'M' sorts between the 'E' and 'V' rows.
 		mk, mv := e.metaPairs()
 		for i := range mk {
-			pairs = append(pairs, kvPair{mk[i], mv[i]})
+			b.Add(mk[i], mv[i])
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return string(pairs[i].k) < string(pairs[j].k) })
-	keys := make([][]byte, len(pairs))
-	vals := make([][]byte, len(pairs))
-	for i, p := range pairs {
-		keys[i] = p.k
-		vals[i] = p.v
-	}
-	if err := e.kv.BulkLoad(keys, vals); err != nil {
+	b.Sort()
+	if err := e.kv.BulkLoad(b); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -51,23 +51,19 @@ func Open(dir string, o OpenOptions) (*Store, *RecoveryStats, error) {
 
 	s := New(o.Store)
 	s.replaying = true
-	var bulkKeys, bulkVals [][]byte
-	inBulk := false
+	var bulk *Batch // the bulk load being replayed, nil outside one
 	w, rst, err := wal.Replay(o.FS, dir, o.WAL, func(op wal.Op) error {
 		switch op.Kind {
 		case wal.OpBulkBegin:
-			inBulk = true
-			bulkKeys, bulkVals = nil, nil
+			bulk = NewBatch(0)
 		case wal.OpBulkEnd:
-			inBulk = false
-			if err := s.installBulk(bulkKeys, bulkVals); err != nil {
+			if err := s.installBulk(bulk); err != nil {
 				return err
 			}
-			bulkKeys, bulkVals = nil, nil
+			bulk = nil
 		case wal.OpPut:
-			if inBulk {
-				bulkKeys = append(bulkKeys, op.Key)
-				bulkVals = append(bulkVals, op.Val)
+			if bulk != nil {
+				bulk.Add(op.Key, op.Val)
 			} else {
 				s.applyPut(op.Key, op.Val)
 			}

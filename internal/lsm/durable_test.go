@@ -100,7 +100,7 @@ func genMatrixOps(seed int64, n int) []mop {
 func applyMop(s *Store, op mop) {
 	switch op.kind {
 	case 'B':
-		_ = s.BulkLoad(op.pairsK, op.pairsV)
+		_ = s.BulkLoad(batchOf(op.pairsK, op.pairsV))
 	case 'p':
 		s.Put(op.key, op.val)
 	case 'd':

@@ -9,11 +9,22 @@
 // paper's "tombstone mechanism" note on Titan); reads must consult the
 // memtable plus every run (newest wins); and the v1.0 row cache makes
 // repeated complex queries look better than the micro-benchmarks say.
+//
+// Memory layout: the memtable is a btree.Tree, whose leaves keep their
+// pairs in append-only arenas (see package btree), and each run packs
+// all its keys and values into one byte array indexed by a key-ordered
+// entry table, with the tombstone as a sentinel value length. A run is
+// written once, when a flush, a compaction or a bulk load builds it,
+// and never changes after, so the bytes of a slice returned by Get or
+// ScanPrefix are never overwritten; returned slices are capped at their
+// length, so a caller's append copies. The Store keeps no caller slice:
+// Put, Delete and Batch.Add copy. Bytes is the modelled footprint and
+// does not depend on this layout.
 package lsm
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/btree"
@@ -37,23 +48,84 @@ func DefaultOptions() Options {
 	return Options{FlushBytes: 1 << 20, CompactAt: 8}
 }
 
+// entry locates one pair in a run's data: the key is
+// data[off:off+klen] and the value follows it.
+type entry struct{ off, klen, vlen uint32 }
+
+// tombstone is the vlen of a deleted key, which has no value bytes.
+const tombstone = ^uint32(0)
+
+// size is the number of data bytes the entry occupies.
+func (e entry) size() int {
+	if e.vlen == tombstone {
+		return int(e.klen)
+	}
+	return int(e.klen + e.vlen)
+}
+
+// sstable is an immutable sorted run: every key and value in one byte
+// array, indexed by entries in key order.
 type sstable struct {
-	keys  [][]byte
-	vals  [][]byte // nil value = tombstone
+	data  []byte
+	ents  []entry
 	bytes int64
+}
+
+// newRun returns an empty run with room for n pairs of size bytes.
+func newRun(n, size int) *sstable {
+	return &sstable{data: make([]byte, 0, size), ents: make([]entry, 0, n)}
+}
+
+// add appends a pair (a tombstone when tomb is set, and val is then
+// ignored) after every key already in the run.
+func (t *sstable) add(key, val []byte, tomb bool) {
+	e := entry{off: uint32(len(t.data)), klen: uint32(len(key)), vlen: tombstone}
+	t.data = append(t.data, key...)
+	if !tomb {
+		e.vlen = uint32(len(val))
+		t.data = append(t.data, val...)
+	} else {
+		val = nil
+	}
+	t.ents = append(t.ents, e)
+	t.bytes += int64(len(key)+len(val)) + 6
+}
+
+func (t *sstable) key(i int) []byte {
+	e := t.ents[i]
+	return t.data[e.off:][:e.klen:e.klen]
+}
+
+// val returns the i-th value, or tomb for a tombstone.
+func (t *sstable) val(i int) (val []byte, tomb bool) {
+	e := t.ents[i]
+	if e.vlen == tombstone {
+		return nil, true
+	}
+	return t.data[e.off+e.klen:][:e.vlen:e.vlen], false
 }
 
 // seek returns the position of the first key >= key.
 func (t *sstable) seek(key []byte) int {
-	return sort.Search(len(t.keys), func(i int) bool { return bytes.Compare(t.keys[i], key) >= 0 })
+	lo, hi := 0, len(t.ents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(t.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-func (t *sstable) get(key []byte) (val []byte, found bool) {
+func (t *sstable) get(key []byte) (val []byte, tomb, found bool) {
 	i := t.seek(key)
-	if i < len(t.keys) && bytes.Equal(t.keys[i], key) {
-		return t.vals[i], true
+	if i < len(t.ents) && bytes.Equal(t.key(i), key) {
+		val, tomb = t.val(i)
+		return val, tomb, true
 	}
-	return nil, false
+	return nil, false, false
 }
 
 // Store is an LSM key-value store. Reads are safe to run concurrently
@@ -74,6 +146,10 @@ type Store struct {
 	wal       *wal.Writer
 	replaying bool
 	err       error
+
+	// scratch is where applyPut builds the memtable value (the value
+	// plus its live marker) that the memtable then copies.
+	scratch []byte
 
 	// cacheMu guards cache, hits and miss: ScanPrefix mutates them on
 	// the read path, which concurrent readers would otherwise race on.
@@ -147,10 +223,9 @@ func (s *Store) Put(key, value []byte) {
 // the durable path and WAL replay. It invalidates the
 // row cache — recovery must not resurrect stale cached rows.
 func (s *Store) applyPut(key, stored []byte) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), stored...)
-	s.mem.Put(k, append(v, 1)) // trailing live marker
-	s.memBytes += int64(len(k) + len(v) + 1)
+	s.scratch = append(append(s.scratch[:0], stored...), 1) // trailing live marker
+	s.mem.Put(key, s.scratch)
+	s.memBytes += int64(len(key) + len(stored) + 1)
 	s.invalidate(key)
 	s.maybeFlush()
 }
@@ -181,10 +256,12 @@ func (s *Store) Delete(key []byte) {
 	}
 }
 
+// memTombstone is the memtable value of a deleted key: the marker alone.
+var memTombstone = []byte{0}
+
 func (s *Store) applyDelete(key []byte) {
-	k := append([]byte(nil), key...)
-	s.mem.Put(k, []byte{0}) // tombstone marker
-	s.memBytes += int64(len(k) + 1)
+	s.mem.Put(key, memTombstone)
+	s.memBytes += int64(len(key) + 1)
 	s.invalidate(key)
 	s.maybeFlush()
 }
@@ -219,7 +296,7 @@ func decodeMem(v []byte) (val []byte, tomb bool) {
 	if len(v) == 0 || v[len(v)-1] == 0 {
 		return nil, true
 	}
-	return v[:len(v)-1], false
+	return v[: len(v)-1 : len(v)-1], false
 }
 
 // Get returns the newest value for key; ok is false if absent or
@@ -233,11 +310,8 @@ func (s *Store) Get(key []byte) (value []byte, ok bool) {
 		return val, true
 	}
 	for i := len(s.runs) - 1; i >= 0; i-- {
-		if v, found := s.runs[i].get(key); found {
-			if v == nil {
-				return nil, false
-			}
-			return v, true
+		if v, tomb, found := s.runs[i].get(key); found {
+			return v, !tomb
 		}
 	}
 	return nil, false
@@ -278,21 +352,18 @@ func (s *Store) flush() {
 	if s.mem.Len() == 0 {
 		return
 	}
-	t := &sstable{}
+	// Size the run exactly, then copy the memtable into it in order.
+	n, size := 0, 0
 	c := s.mem.Scan()
-	for {
-		k, v, ok := c.Next()
-		if !ok {
-			break
-		}
+	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
+		val, _ := decodeMem(v)
+		n, size = n+1, size+len(k)+len(val)
+	}
+	t := newRun(n, size)
+	c = s.mem.Scan()
+	for k, v, ok := c.Next(); ok; k, v, ok = c.Next() {
 		val, tomb := decodeMem(v)
-		t.keys = append(t.keys, k)
-		if tomb {
-			t.vals = append(t.vals, nil)
-		} else {
-			t.vals = append(t.vals, val)
-		}
-		t.bytes += int64(len(k)+len(val)) + 6
+		t.add(k, val, tomb)
 	}
 	s.runs = append(s.runs, t)
 	s.mem = btree.New()
@@ -313,43 +384,50 @@ func (s *Store) compact() {
 	if len(s.runs) <= 1 {
 		return
 	}
-	merged := &sstable{}
-	type cursor struct {
+	// Pick the surviving version of every key, then pack the survivors
+	// into one exactly sized run.
+	type ref struct {
 		t *sstable
 		i int
 	}
-	cs := make([]cursor, len(s.runs))
+	var live []ref
+	size := 0
+	cs := make([]ref, len(s.runs))
 	for i, t := range s.runs {
-		cs[i] = cursor{t, 0}
+		cs[i] = ref{t, 0}
 	}
 	for {
 		// Find the smallest current key; runs are ordered oldest→newest,
 		// so on key ties the higher index (newer run) wins.
 		best := -1
 		for i := range cs {
-			if cs[i].i >= len(cs[i].t.keys) {
+			if cs[i].i >= len(cs[i].t.ents) {
 				continue
 			}
-			if best < 0 || bytes.Compare(cs[i].t.keys[cs[i].i], cs[best].t.keys[cs[best].i]) <= 0 {
+			if best < 0 || bytes.Compare(cs[i].t.key(cs[i].i), cs[best].t.key(cs[best].i)) <= 0 {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		key := cs[best].t.keys[cs[best].i]
-		val := cs[best].t.vals[cs[best].i]
+		win := cs[best]
+		key := win.t.key(win.i)
 		for i := range cs {
-			for cs[i].i < len(cs[i].t.keys) && bytes.Equal(cs[i].t.keys[cs[i].i], key) {
+			for cs[i].i < len(cs[i].t.ents) && bytes.Equal(cs[i].t.key(cs[i].i), key) {
 				cs[i].i++
 			}
 		}
-		if val == nil {
+		if win.t.ents[win.i].vlen == tombstone {
 			continue // tombstone resolved by full compaction
 		}
-		merged.keys = append(merged.keys, key)
-		merged.vals = append(merged.vals, val)
-		merged.bytes += int64(len(key)+len(val)) + 6
+		live = append(live, win)
+		size += win.t.ents[win.i].size()
+	}
+	merged := newRun(len(live), size)
+	for _, r := range live {
+		v, _ := r.t.val(r.i)
+		merged.add(r.t.key(r.i), v, false)
 	}
 	s.runs = []*sstable{merged}
 	s.compacts++
@@ -406,9 +484,9 @@ func (m *mergeSrc) advance(prefix []byte) {
 		var v []byte
 		m.key, v, m.ok = m.mem.Next()
 		m.val, m.tomb = decodeMem(v)
-	} else if m.ok = m.pos < len(m.run.keys); m.ok {
-		m.key, m.val = m.run.keys[m.pos], m.run.vals[m.pos]
-		m.tomb = m.val == nil
+	} else if m.ok = m.pos < len(m.run.ents); m.ok {
+		m.key = m.run.key(m.pos)
+		m.val, m.tomb = m.run.val(m.pos)
 		m.pos++
 	}
 	m.ok = m.ok && bytes.HasPrefix(m.key, prefix)
@@ -455,56 +533,89 @@ func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool)
 	}
 }
 
-// BulkLoad replaces the store contents with the given pairs (sorted,
+// Batch collects the pairs of one BulkLoad, packed the way a run is:
+// every key and value appended to one byte array. BulkLoad adopts that
+// array as the run's data, so the pairs are copied once, by Add.
+type Batch struct{ run sstable }
+
+// NewBatch returns an empty batch with room for n pairs.
+func NewBatch(n int) *Batch { return &Batch{run: sstable{ents: make([]entry, 0, n)}} }
+
+// Add copies the pair key→val into the batch; a nil val is stored as
+// empty.
+func (b *Batch) Add(key, val []byte) { b.run.add(key, val, false) }
+
+// Len returns the number of pairs added.
+func (b *Batch) Len() int { return len(b.run.ents) }
+
+// Sort orders the pairs by key. BulkLoad requires it.
+func (b *Batch) Sort() {
+	t := &b.run
+	slices.SortFunc(t.ents, func(x, y entry) int {
+		return bytes.Compare(t.data[x.off:][:x.klen], t.data[y.off:][:y.klen])
+	})
+}
+
+// BulkLoad replaces the store contents with the batch's pairs (sorted,
 // unique keys) as a single run — the "disable consistency checks and
-// write straight to the backend" load path. In durable mode the whole
-// load is logged between bulk markers and committed with one fsync;
-// recovery discards an unterminated load.
-func (s *Store) BulkLoad(keys, vals [][]byte) error {
+// write straight to the backend" load path. The store takes the batch
+// over; do not use it afterwards. In durable mode the whole load is
+// logged between bulk markers and committed with one fsync; recovery
+// discards an unterminated load.
+func (s *Store) BulkLoad(b *Batch) error {
 	if s.wal == nil {
-		return s.installBulk(keys, vals)
+		return s.installBulk(b)
 	}
 	if s.err != nil {
 		return s.err
 	}
-	for i := range keys {
-		if i > 0 && bytes.Compare(keys[i-1], keys[i]) >= 0 {
-			return errNotSorted
-		}
+	t := &b.run
+	if !t.sorted() {
+		return errNotSorted
 	}
 	if err := s.wal.BeginBulk(); err != nil {
 		s.err = err
 		return err
 	}
-	for i := range keys {
-		if vals[i] == nil {
-			vals[i] = []byte{} // logged as empty, so it must stay live here too
-		}
-		if err := s.wal.AppendPut(keys[i], vals[i]); err != nil {
+	for i := range t.ents {
+		v, _ := t.val(i)
+		if err := s.wal.AppendPut(t.key(i), v); err != nil {
 			s.err = err
 			return err
 		}
 	}
-	if err := s.wal.EndBulk(len(keys)); err != nil {
+	if err := s.wal.EndBulk(len(t.ents)); err != nil {
 		s.err = err
 		return err
 	}
-	return s.installBulk(keys, vals)
+	return s.installBulk(b)
 }
 
-// installBulk swaps the store contents for a single pre-sorted run;
-// shared by the volatile path, the durable path and WAL replay.
-func (s *Store) installBulk(keys, vals [][]byte) error {
-	t := &sstable{keys: keys, vals: vals}
-	for i := range keys {
-		if i > 0 && bytes.Compare(keys[i-1], keys[i]) >= 0 {
-			return errNotSorted
+// sorted reports whether the run's keys are strictly ascending.
+func (t *sstable) sorted() bool {
+	for i := 1; i < len(t.ents); i++ {
+		if bytes.Compare(t.key(i-1), t.key(i)) >= 0 {
+			return false
 		}
-		t.bytes += int64(len(keys[i])+len(vals[i])) + 6
+	}
+	return true
+}
+
+// installBulk swaps the store contents for the batch as a single run;
+// shared by the volatile path, the durable path and WAL replay. The
+// batch's data is clipped to its length first when growth left more
+// than an eighth of it unused.
+func (s *Store) installBulk(b *Batch) error {
+	t := b.run
+	if !t.sorted() {
+		return errNotSorted
+	}
+	if slack := cap(t.data) - len(t.data); slack > len(t.data)/8 {
+		t.data = bytes.Clone(t.data)
 	}
 	s.mem = btree.New()
 	s.memBytes = 0
-	s.runs = []*sstable{t}
+	s.runs = []*sstable{&t}
 	if s.cache != nil {
 		s.cacheMu.Lock()
 		s.cache = make(map[string][]kv)

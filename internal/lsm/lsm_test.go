@@ -158,7 +158,7 @@ func TestBulkLoad(t *testing.T) {
 		keys = append(keys, []byte(fmt.Sprintf("k%03d", i)))
 		vals = append(vals, []byte(fmt.Sprint(i)))
 	}
-	if err := s.BulkLoad(keys, vals); err != nil {
+	if err := s.BulkLoad(batchOf(keys, vals)); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := s.Get([]byte("k050")); !ok || string(v) != "50" {
@@ -168,9 +168,18 @@ func TestBulkLoad(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("bulk load produced %d runs", runs)
 	}
-	if err := s.BulkLoad([][]byte{[]byte("b"), []byte("a")}, [][]byte{{1}, {2}}); err == nil {
+	if err := s.BulkLoad(batchOf([][]byte{[]byte("b"), []byte("a")}, [][]byte{{1}, {2}})); err == nil {
 		t.Fatal("unsorted bulk load accepted")
 	}
+}
+
+// batchOf packs keys[i]→vals[i] into a batch, in the given order.
+func batchOf(keys, vals [][]byte) *Batch {
+	b := NewBatch(len(keys))
+	for i := range keys {
+		b.Add(keys[i], vals[i])
+	}
+	return b
 }
 
 // TestQuickAgainstMap runs random Put/Delete/Get/scan sequences with
@@ -279,7 +288,7 @@ func TestScanPrefixAgainstMap(t *testing.T) {
 		check(fmt.Sprintf("%d runs", run+1))
 	}
 	for i, r := range s.runs {
-		if !slices.ContainsFunc(r.vals, func(v []byte) bool { return v == nil }) {
+		if !slices.ContainsFunc(r.ents, func(e entry) bool { return e.vlen == tombstone }) {
 			t.Fatalf("run %d holds no tombstone", i)
 		}
 	}
@@ -328,5 +337,57 @@ func TestReadAllocs(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("scan visited nothing")
+	}
+}
+
+// TestReturnedSlicesOutliveFlushAndCompaction pins the package's
+// layout invariant: the bytes of a slice Get or ScanPrefix returned
+// are never overwritten — not by later puts and deletes into the
+// memtable, not by the flush that copies the memtable into a run, not
+// by the compaction that packs the runs into one, not by a bulk load —
+// and appending to such a slice copies instead of writing into the
+// memtable or a run.
+func TestReturnedSlicesOutliveFlushAndCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := New(Options{FlushBytes: 2048, CompactAt: 3})
+	type capture struct{ got, want []byte }
+	var caps []capture
+	grab := func(b []byte) {
+		caps = append(caps, capture{b, bytes.Clone(b)})
+		_ = append(b, 0xEE, 0xEE, 0xEE)
+	}
+	key := func() []byte { return []byte(fmt.Sprintf("r%d:%03d", rng.Intn(10), rng.Intn(100))) }
+	for i := 0; i < 5000; i++ {
+		switch k := key(); rng.Intn(10) {
+		case 0, 1:
+			s.Delete(k)
+		case 2:
+			if v, ok := s.Get(k); ok {
+				grab(v)
+			}
+		case 3:
+			s.ScanPrefix(k[:3], func(k, v []byte) bool {
+				grab(k)
+				grab(v)
+				return rng.Intn(10) != 0
+			})
+		default:
+			s.Put(k, bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(20)))
+		}
+	}
+	flushes, compacts, _, _, _ := s.Stats()
+	if flushes < 10 || compacts < 3 || len(caps) < 1000 {
+		t.Fatalf("weak run: %d flushes, %d compactions, %d captures", flushes, compacts, len(caps))
+	}
+	if err := s.BulkLoad(batchOf([][]byte{[]byte("a"), []byte("b")}, [][]byte{{1}, {2}})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		s.Put(key(), []byte("overwrite"))
+	}
+	for i, c := range caps {
+		if !bytes.Equal(c.got, c.want) {
+			t.Fatalf("captured slice %d of %d changed: %q, was %q", i, len(caps), c.got, c.want)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func TestStatsBytesAfterBulkLoad(t *testing.T) {
 		vals = append(vals, v)
 		payload += int64(len(k) + len(v))
 	}
-	if err := s.BulkLoad(keys, vals); err != nil {
+	if err := s.BulkLoad(batchOf(keys, vals)); err != nil {
 		t.Fatal(err)
 	}
 	flushes, compacts, runs, _, _ := s.Stats()

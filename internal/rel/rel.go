@@ -33,6 +33,8 @@ type Table struct {
 	rows    []Row         // position-addressed; nil = deleted
 	pk      map[int64]int // id -> position
 	indexes map[string]*btree.Tree
+	// keyBuf is where writes encode index keys, which the trees copy.
+	keyBuf []byte
 	// scans and seeks are atomic: they are incremented on read paths,
 	// which may run concurrently (see core.Engine's concurrent-read
 	// contract).
@@ -137,7 +139,7 @@ func (t *Table) Insert(r Row) error {
 	t.pk[id] = pos
 	for col, idx := range t.indexes {
 		ci := t.colIdx[col]
-		idx.Put(indexKey(r[ci], pos), nil)
+		idx.Put(t.indexKey(r[ci], pos), nil)
 	}
 	return nil
 }
@@ -181,8 +183,8 @@ func (t *Table) Update(id int64, col string, v core.Value) error {
 		return fmt.Errorf("rel: %s: cannot update primary key", t.name)
 	}
 	if idx := t.indexes[col]; idx != nil {
-		idx.Delete(indexKey(t.rows[pos][ci], pos))
-		idx.Put(indexKey(v, pos), nil)
+		idx.Delete(t.indexKey(t.rows[pos][ci], pos))
+		idx.Put(t.indexKey(v, pos), nil)
 	}
 	t.rows[pos][ci] = v
 	return nil
@@ -196,7 +198,7 @@ func (t *Table) Delete(id int64) error {
 	}
 	for col, idx := range t.indexes {
 		ci := t.colIdx[col]
-		idx.Delete(indexKey(t.rows[pos][ci], pos))
+		idx.Delete(t.indexKey(t.rows[pos][ci], pos))
 	}
 	t.rows[pos] = nil
 	delete(t.pk, id)
@@ -237,7 +239,7 @@ func (t *Table) CreateIndex(col string) error {
 		if r == nil {
 			continue
 		}
-		idx.Put(indexKey(r[ci], pos), nil)
+		idx.Put(t.indexKey(r[ci], pos), nil)
 	}
 	t.indexes[col] = idx
 	return nil
@@ -246,8 +248,11 @@ func (t *Table) CreateIndex(col string) error {
 // HasIndex reports whether an index on col exists.
 func (t *Table) HasIndex(col string) bool { _, ok := t.indexes[col]; return ok }
 
-func indexKey(v core.Value, pos int) []byte {
-	return enc.Uint64(enc.Value(nil, v), uint64(pos))
+// indexKey encodes the index key of value v at row pos into t.keyBuf;
+// the key is valid until the next call.
+func (t *Table) indexKey(v core.Value, pos int) []byte {
+	t.keyBuf = enc.Uint64(enc.Value(t.keyBuf[:0], v), uint64(pos))
+	return t.keyBuf
 }
 
 // Scan calls fn for every live row (as a direct view; do not mutate)
