@@ -166,6 +166,41 @@ func TestStatsOnKnownGraph(t *testing.T) {
 	}
 }
 
+// TestPickWithoutReplacement draws more than the graph holds: Pick
+// returns every connected vertex and every edge exactly once.
+func TestPickWithoutReplacement(t *testing.T) {
+	g := Yeast(0.002)
+	connected := 0
+	deg := make([]int, g.NumVertices())
+	for i := range g.EdgeL {
+		deg[g.EdgeL[i].Src]++
+		deg[g.EdgeL[i].Dst]++
+	}
+	for _, d := range deg {
+		if d > 0 {
+			connected++
+		}
+	}
+	p := Pick(g, 5, 10*g.NumEdges())
+	if len(p.Vertices) != connected || len(p.Edges) != g.NumEdges() {
+		t.Fatalf("picked %d vertices and %d edges, want %d and %d", len(p.Vertices), len(p.Edges), connected, g.NumEdges())
+	}
+	for what, xs := range map[string][]int{"vertex": p.Vertices, "edge": p.Edges} {
+		seen := map[int]bool{}
+		for _, x := range xs {
+			if seen[x] {
+				t.Fatalf("%s %d picked twice", what, x)
+			}
+			seen[x] = true
+		}
+	}
+	for _, v := range p.Vertices {
+		if deg[v] == 0 {
+			t.Fatalf("picked isolated vertex %d", v)
+		}
+	}
+}
+
 func TestPickDeterministicAndConnected(t *testing.T) {
 	g := MiCo(0.005)
 	p1 := Pick(g, 123, 20)

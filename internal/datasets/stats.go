@@ -134,9 +134,11 @@ type Picks struct {
 	Edges    []int // dataset edge indexes
 }
 
-// Pick samples k connected vertices and k edges with the given seed.
-// Degrees come from the graph's shared CSR snapshot, so repeated calls
-// (one per engine cell) no longer rebuild a degree array each time.
+// Pick draws up to k distinct connected vertices and up to k distinct
+// edges with the given seed, each list in draw order. Draws are without
+// replacement, so the lists stop at |connected| and |E|. Degrees come
+// from the graph's shared CSR snapshot, so repeated calls (one per
+// engine cell) no longer rebuild a degree array each time.
 func Pick(g *core.Graph, seed int64, k int) Picks {
 	snap := g.Snapshot()
 	var connected []int
@@ -146,14 +148,33 @@ func Pick(g *core.Graph, seed int64, k int) Picks {
 		}
 	}
 	rng := newSplitMix(seed)
-	p := Picks{}
-	for i := 0; i < k && len(connected) > 0; i++ {
-		p.Vertices = append(p.Vertices, connected[int(rng.next()%uint64(len(connected)))])
+	p := Picks{Vertices: sample(rng, len(connected), k)}
+	for i, j := range p.Vertices {
+		p.Vertices[i] = connected[j]
 	}
-	for i := 0; i < k && g.NumEdges() > 0; i++ {
-		p.Edges = append(p.Edges, int(rng.next()%uint64(g.NumEdges())))
-	}
+	p.Edges = sample(rng, g.NumEdges(), k)
 	return p
+}
+
+// sample returns min(k, n) distinct integers of [0, n) in random order:
+// the first k steps of a Fisher–Yates shuffle of 0..n-1, keeping only
+// the displaced positions (in a map) instead of an n-sized array.
+func sample(rng *splitMix, n, k int) []int {
+	k = min(k, n)
+	out := make([]int, k)
+	moved := make(map[int]int, k)
+	at := func(i int) int {
+		if v, ok := moved[i]; ok {
+			return v
+		}
+		return i
+	}
+	for i := range out {
+		j := i + int(rng.next()%uint64(n-i))
+		out[i] = at(j)
+		moved[j] = at(i)
+	}
+	return out
 }
 
 // splitMix is a tiny deterministic PRNG, independent of math/rand's

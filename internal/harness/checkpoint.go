@@ -16,8 +16,9 @@ import (
 // resumable interactive (micro-i) and batch (micro-b) halves — a v1
 // checkpoint's indexes would misattribute every record. v3: the
 // fingerprint lost its always-true isolation field. v4: it gained
-// cell_workers.
-const checkpointVersion = 4
+// cell_workers. v5: query parameters are drawn without replacement and
+// laid out per query, so a v4 checkpoint's cells ran other targets.
+const checkpointVersion = 5
 
 // Fingerprint identifies the result-relevant part of a configuration:
 // two runs with equal fingerprints plan the same grid and measure the

@@ -141,20 +141,20 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		}
 	}
 
-	// A checkpoint in the previous record format (v3 has no
-	// cell_workers) is refused by version, before any field of it could
-	// be misread as this build's.
-	cfg.CheckpointPath = filepath.Join(dir, "v3.jsonl")
-	v3 := `{"version":3,"engines":["neo-1.9","sqlg"],"datasets":["frb-s"],"scale":0.001,"seed":7,"batch_size":2,"timeout_ns":3000000000,"frozen_clock":true,"jobs":6}` + "\n"
-	if err := os.WriteFile(cfg.CheckpointPath, []byte(v3), 0o644); err != nil {
+	// A checkpoint in the previous record format (v4 cells ran
+	// parameters drawn with replacement) is refused by version, even
+	// when every field of its header matches this run's.
+	cfg.CheckpointPath = filepath.Join(dir, "v4.jsonl")
+	v4 := `{"version":4,"engines":["neo-1.9","sqlg"],"datasets":["frb-s"],"scale":0.001,"seed":7,"batch_size":2,"timeout_ns":3000000000,"frozen_clock":true,"jobs":6}` + "\n"
+	if err := os.WriteFile(cfg.CheckpointPath, []byte(v4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "record format v3; this build reads v4") {
-		t.Fatalf("v3 checkpoint not refused by version: %v", err)
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "record format v4; this build reads v5") {
+		t.Fatalf("v4 checkpoint not refused by version: %v", err)
 	}
 
 	// A missing checkpoint with Resume set starts fresh instead.

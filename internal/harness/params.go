@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -8,9 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
-// paramPoolPerQuery reserves this many distinct picks per query so that
-// batch iterations of destructive queries never collide with each other
-// or with other queries' targets.
+// paramPoolPerQuery is the number of iterations of one query whose
+// targets are kept apart: on a dataset large enough, iterations
+// 0..paramPoolPerQuery-1 of a query get pairwise distinct V, pairwise
+// distinct V2 (none of them a V) and pairwise distinct E, so batch
+// iterations of a destructive query never collide. Iteration 0 is the
+// interactive cell's, 1..BatchSize the batch cell's. Different queries
+// may share targets: every mutating query runs on its own fresh load.
 const paramPoolPerQuery = 64
 
 // ParamGen derives per-query, per-iteration parameters from the dataset
@@ -25,6 +30,20 @@ const paramPoolPerQuery = 64
 type ParamGen struct {
 	g     *core.Graph
 	picks datasets.Picks
+
+	// vslots is the number of iterations per query with distinct
+	// vertex targets, which sizes each query's window of vertex picks:
+	// paramPoolPerQuery, or fewer on a dataset with fewer than twice
+	// that many connected vertices. slots is the number with distinct
+	// vertex and edge targets. For panics past it; the runner checks it
+	// against the batch size first.
+	vslots, slots int
+	// edges[q] is query q's edge slots in iteration order: the edge
+	// picks from q's own starting point on, without (for Q19 and Q21)
+	// the edges incident to a vertex q reserves. propEdges[q] is the
+	// same order restricted to edges that carry a property, which
+	// Q17 and Q21 retarget onto.
+	edges, propEdges [][]int
 
 	label      string
 	vPropName  string
@@ -42,6 +61,19 @@ func NewParamGen(g *core.Graph, seed int64) *ParamGen {
 		// Enough picks for every query's pool plus headroom.
 		picks: datasets.Pick(g, seed, paramPoolPerQuery*40),
 		depth: 2,
+	}
+	pg.vslots = min(paramPoolPerQuery, len(pg.picks.Vertices)/2)
+	pg.slots = pg.vslots
+	queries := workload.Queries()
+	maxNum := 0
+	for _, q := range queries {
+		maxNum = max(maxNum, q.Num)
+	}
+	pg.edges = make([][]int, maxNum+1)
+	pg.propEdges = make([][]int, maxNum+1)
+	for _, q := range queries {
+		pg.edges[q.Num], pg.propEdges[q.Num] = pg.edgeSlots(q.Num)
+		pg.slots = min(pg.slots, len(pg.edges[q.Num]))
 	}
 	// Label: the label of the first picked edge.
 	if len(pg.picks.Edges) > 0 {
@@ -100,15 +132,84 @@ func (pg *ParamGen) DatasetVertexIndex(q *workload.Query, iter int) int {
 	return pg.vertexAt(q.Num, iter, 0)
 }
 
-// vertexAt returns the dataset vertex index for pool slot (q, iter, off).
+// vertexAt returns the dataset vertex index behind V (off 0) or V2
+// (off 1) of iteration iter of query qNum.
 func (pg *ParamGen) vertexAt(qNum, iter, off int) int {
-	i := (qNum*3+off)*paramPoolPerQuery + iter
-	return pg.picks.Vertices[i%len(pg.picks.Vertices)]
+	pg.checkSlot(qNum, iter)
+	return pg.vertexSlot(qNum, iter, off)
 }
 
+// vertexSlot is vertexAt's layout: each query owns a window of 2·vslots
+// consecutive vertex picks, V's half then V2's, placed by query number
+// so that it fits in the picks.
+func (pg *ParamGen) vertexSlot(qNum, iter, off int) int {
+	w := 2 * pg.vslots
+	start := qNum * w % (len(pg.picks.Vertices) - w + 1)
+	return pg.picks.Vertices[start+off*pg.vslots+iter]
+}
+
+// edgeAt returns the dataset edge index behind E of iteration iter of
+// query qNum.
 func (pg *ParamGen) edgeAt(qNum, iter int) int {
-	i := qNum*paramPoolPerQuery + iter
-	return pg.picks.Edges[i%len(pg.picks.Edges)]
+	pg.checkSlot(qNum, iter)
+	return pg.edges[qNum][iter]
+}
+
+// checkSlot panics when iter has no distinct target left: reusing one
+// would make a destructive batch fail on an object an earlier iteration
+// removed. The runner rejects such a batch size before any query runs.
+func (pg *ParamGen) checkSlot(qNum, iter int) {
+	if iter < 0 || iter >= pg.slots {
+		panic(fmt.Sprintf("harness: Q%d iteration %d: the dataset has distinct targets for %d iterations", qNum, iter, pg.slots))
+	}
+}
+
+// checkBatch reports whether the dataset has distinct targets for every
+// iteration a query runs: slot 0 for the interactive cell and 1..batch
+// for the batch cell.
+func (pg *ParamGen) checkBatch(batch int) error {
+	if batch >= pg.slots {
+		return fmt.Errorf("dataset too small for batch size %d: %d connected vertices and %d edges give each query distinct targets for only %d iterations",
+			batch, len(pg.picks.Vertices), len(pg.picks.Edges), pg.slots)
+	}
+	return nil
+}
+
+// edgeSlots returns query qNum's edge slots and its property-bearing
+// edge slots, each at most paramPoolPerQuery long: the edge picks in
+// order from the query's starting point, going round once. Q19 and Q21
+// skip edges incident to any vertex the query reserves as V or V2, so
+// no iteration's edge is one an endpoint's removal took with it.
+func (pg *ParamGen) edgeSlots(qNum int) (all, withProps []int) {
+	picks := pg.picks.Edges
+	if len(picks) == 0 {
+		return nil, nil
+	}
+	var reserved map[int]bool
+	if qNum == 19 || qNum == 21 {
+		reserved = make(map[int]bool, 2*pg.vslots)
+		for iter := 0; iter < pg.vslots; iter++ {
+			reserved[pg.vertexSlot(qNum, iter, 0)] = true
+			reserved[pg.vertexSlot(qNum, iter, 1)] = true
+		}
+	}
+	start := qNum * paramPoolPerQuery % len(picks)
+	for _, ei := range append(picks[start:len(picks):len(picks)], picks[:start]...) {
+		er := &pg.g.EdgeL[ei]
+		if reserved[er.Src] || reserved[er.Dst] {
+			continue
+		}
+		if len(all) < paramPoolPerQuery {
+			all = append(all, ei)
+		}
+		if len(er.Props) > 0 && len(withProps) < paramPoolPerQuery {
+			withProps = append(withProps, ei)
+		}
+		if len(all) == paramPoolPerQuery && len(withProps) == paramPoolPerQuery {
+			break
+		}
+	}
+	return all, withProps
 }
 
 // For builds the parameters for one execution of q. iter distinguishes
@@ -135,13 +236,9 @@ func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workl
 	if q.Mutates {
 		stableIter = iter
 	}
-	if len(pg.picks.Vertices) > 0 {
-		p.V = res.VertexIDs[pg.vertexAt(q.Num, stableIter, 0)]
-		p.V2 = res.VertexIDs[pg.vertexAt(q.Num, stableIter, 1)]
-	}
-	if len(pg.picks.Edges) > 0 {
-		p.E = res.EdgeIDs[pg.edgeAt(q.Num, stableIter)]
-	}
+	p.V = res.VertexIDs[pg.vertexAt(q.Num, stableIter, 0)]
+	p.V2 = res.VertexIDs[pg.vertexAt(q.Num, stableIter, 1)]
+	p.E = res.EdgeIDs[pg.edgeAt(q.Num, stableIter)]
 	// Q16/Q20 need an existing vertex property on the target; Q17/Q21
 	// an existing edge property. Retarget onto objects that have them.
 	switch q.Num {
@@ -151,7 +248,8 @@ func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workl
 			p.VPropName, _, _ = firstProp(pg.g.VProps[v])
 		}
 	case 17, 21:
-		if ei, ok := pg.edgeWithProp(stableIter); ok {
+		if eis := pg.propEdges[q.Num]; stableIter < len(eis) {
+			ei := eis[stableIter]
 			p.E = res.EdgeIDs[ei]
 			p.EPropName, _, _ = firstProp(pg.g.EdgeL[ei].Props)
 		}
@@ -165,19 +263,6 @@ func (pg *ParamGen) vertexWithProp(iter int) (int, bool) {
 		if len(pg.g.VProps[v]) > 0 {
 			if seen == iter {
 				return v, true
-			}
-			seen++
-		}
-	}
-	return 0, false
-}
-
-func (pg *ParamGen) edgeWithProp(iter int) (int, bool) {
-	seen := 0
-	for _, ei := range pg.picks.Edges {
-		if len(pg.g.EdgeL[ei].Props) > 0 {
-			if seen == iter {
-				return ei, true
 			}
 			seen++
 		}

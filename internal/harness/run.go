@@ -255,7 +255,17 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		c.Micro = append(c.Micro, m)
 	}
 
+	pg := NewParamGen(ds.g, r.cfg.Seed)
+	lastIter := 0 // the interactive cell runs slot 0, the batch cell 1..BatchSize
+	if mode == ModeBatch {
+		lastIter = r.cfg.BatchSize
+	}
 	e, res, loadTime, err := r.loadInto(engine, dataset)
+	if err == nil {
+		if err = pg.checkBatch(lastIter); err != nil {
+			e.Close()
+		}
+	}
 	if err != nil {
 		if mode == ModeInteractive {
 			c.Loads = append(c.Loads, LoadMeasurement{
@@ -276,8 +286,6 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 			Elapsed: loadTime, Space: e.SpaceUsage(), RawJSON: ds.rawJSON,
 		})
 	}
-	pg := NewParamGen(ds.g, r.cfg.Seed)
-
 	for _, q := range queryOrder() {
 		exec := e
 		execRes := res
@@ -416,6 +424,10 @@ func (r *Runner) runIndexed(c *cell, engine, dataset string) {
 		record(dnf("Q5(idx)", err))
 	}
 
+	if err := pg.checkBatch(1); err != nil { // Q11 runs slot 0, Q5 slot 1
+		recordDNF(err)
+		return
+	}
 	e, res, _, err := r.loadInto(engine, dataset)
 	if err != nil {
 		recordDNF(err)
