@@ -470,16 +470,26 @@ func (t *Tree) seek(start []byte) Cursor {
 func (t *Tree) Scan() *Cursor { return &Cursor{l: t.first} }
 
 // AscendPrefix calls fn for every pair whose key begins with prefix,
-// in key order, until fn returns false.
+// in key order, until fn returns false. It walks each leaf's entry
+// table directly, holding the leaf's arena, rather than through a
+// Cursor: the triple store's statement scans spend their time here.
 func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
-	c := t.seek(prefix)
-	for {
-		k, v, ok := c.Next()
-		if !ok || !bytes.HasPrefix(k, prefix) {
-			return
-		}
-		if !fn(k, v) {
-			return
+	l := t.leafFor(prefix)
+	i, _ := l.search(prefix)
+	for ; l != nil; l, i = l.next, 0 {
+		buf := l.buf
+		for _, e := range l.ents[i:] {
+			k := buf[e.off:][:e.klen:e.klen]
+			if !bytes.HasPrefix(k, prefix) {
+				return
+			}
+			var v []byte
+			if e.vlen != nilVal {
+				v = buf[e.off+e.klen:][:e.vlen:e.vlen]
+			}
+			if !fn(k, v) {
+				return
+			}
 		}
 	}
 }

@@ -350,17 +350,22 @@ func TestReadAllocs(t *testing.T) {
 func TestReturnedSlicesOutliveFlushAndCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := New(Options{FlushBytes: 2048, CompactAt: 3})
+	ref := map[string]string{}
 	type capture struct{ got, want []byte }
 	var caps []capture
 	grab := func(b []byte) {
 		caps = append(caps, capture{b, bytes.Clone(b)})
-		_ = append(b, 0xEE, 0xEE, 0xEE)
+		// One zero: it fits any spare capacity, and past a memtable
+		// value lies its live marker, which a zero turns into a
+		// tombstone.
+		_ = append(b, 0)
 	}
 	key := func() []byte { return []byte(fmt.Sprintf("r%d:%03d", rng.Intn(10), rng.Intn(100))) }
 	for i := 0; i < 5000; i++ {
 		switch k := key(); rng.Intn(10) {
 		case 0, 1:
 			s.Delete(k)
+			delete(ref, string(k))
 		case 2:
 			if v, ok := s.Get(k); ok {
 				grab(v)
@@ -372,12 +377,25 @@ func TestReturnedSlicesOutliveFlushAndCompaction(t *testing.T) {
 				return rng.Intn(10) != 0
 			})
 		default:
-			s.Put(k, bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(20)))
+			v := bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(20))
+			s.Put(k, v)
+			ref[string(k)] = string(v)
 		}
 	}
 	flushes, compacts, _, _, _ := s.Stats()
 	if flushes < 10 || compacts < 3 || len(caps) < 1000 {
 		t.Fatalf("weak run: %d flushes, %d compactions, %d captures", flushes, compacts, len(caps))
+	}
+	n := 0
+	s.ScanPrefix(nil, func(k, v []byte) bool {
+		if rv, ok := ref[string(k)]; !ok || rv != string(v) {
+			t.Fatalf("store holds %s=%x, reference %x (present: %v)", k, v, rv, ok)
+		}
+		n++
+		return true
+	})
+	if n != len(ref) {
+		t.Fatalf("store holds %d keys, reference %d", n, len(ref))
 	}
 	if err := s.BulkLoad(batchOf([][]byte{[]byte("a"), []byte("b")}, [][]byte{{1}, {2}})); err != nil {
 		t.Fatal(err)
