@@ -175,11 +175,12 @@ func (pg *ParamGen) checkBatch(batch int) error {
 	return nil
 }
 
-// edgeSlots returns query qNum's edge slots and its property-bearing
-// edge slots, each at most paramPoolPerQuery long: the edge picks in
-// order from the query's starting point, going round once. Q19 and Q21
-// skip edges incident to any vertex the query reserves as V or V2, so
-// no iteration's edge is one an endpoint's removal took with it.
+// edgeSlots returns query qNum's edge slots and, for Q17 and Q21, its
+// property-bearing edge slots, each at most paramPoolPerQuery long: the
+// edge picks in order from the query's starting point, going round
+// once. Q19 and Q21, which remove edges and edge properties, skip edges
+// incident to any vertex the query reserves as V or V2, so their edge
+// targets share no object with their vertex targets.
 func (pg *ParamGen) edgeSlots(qNum int) (all, withProps []int) {
 	picks := pg.picks.Edges
 	if len(picks) == 0 {
@@ -193,20 +194,21 @@ func (pg *ParamGen) edgeSlots(qNum int) (all, withProps []int) {
 			reserved[pg.vertexSlot(qNum, iter, 1)] = true
 		}
 	}
-	start := qNum * paramPoolPerQuery % len(picks)
-	for _, ei := range append(picks[start:len(picks):len(picks)], picks[:start]...) {
+	retargets := qNum == 17 || qNum == 21
+	start := qNum * paramPoolPerQuery
+	for j := range picks {
+		ei := picks[(start+j)%len(picks)]
 		er := &pg.g.EdgeL[ei]
 		if reserved[er.Src] || reserved[er.Dst] {
 			continue
 		}
 		if len(all) < paramPoolPerQuery {
 			all = append(all, ei)
-		}
-		if len(er.Props) > 0 && len(withProps) < paramPoolPerQuery {
-			withProps = append(withProps, ei)
-		}
-		if len(all) == paramPoolPerQuery && len(withProps) == paramPoolPerQuery {
+		} else if !retargets {
 			break
+		}
+		if retargets && len(er.Props) > 0 && len(withProps) < paramPoolPerQuery {
+			withProps = append(withProps, ei)
 		}
 	}
 	return all, withProps
