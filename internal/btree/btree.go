@@ -15,7 +15,7 @@
 //
 // What the paper does not price is heap churn, so reads never allocate:
 // Get, Has, Seek, AscendPrefix and AscendRange descend without recording
-// a path and iterate with a stack Cursor. Only Put and Delete record the
+// a path, and scans iterate on the stack. Only Put and Delete record the
 // descent path their rebalancing walks back up, in a fixed stack array.
 //
 // Nor does it price per-entry pointers. Each leaf packs its pairs into

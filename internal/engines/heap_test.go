@@ -8,13 +8,14 @@ import (
 	"repro/internal/race"
 )
 
-// heapCeilingMB bounds each engine's live heap after BulkLoad of
-// ldbc@0.01 (1,840 vertices, 15,000 edges, the graph the repository
-// benchmark's read workload serves), at 1.15× what it measured when the
-// B+Tree leaves and LSM runs became byte arenas and the bitmaps lost
-// their container maps. The space the engines *model* is pinned by
-// TestSpaceUsageGolden; this pins what the simulation itself costs, so
-// a layout change that puts per-entry pointers back fails here.
+// heapCeilingMB bounds each engine's live heap, in MB of 2^20 bytes,
+// after BulkLoad of ldbc@0.01 (1,840 vertices, 15,000 edges, the graph
+// the repository benchmark's read workload serves), at 1.15× what it
+// measured when the B+Tree leaves and LSM runs became byte arenas and
+// the bitmaps lost their container maps. The space the engines *model*
+// is pinned by TestSpaceUsageGolden; this pins what the simulation
+// itself costs, so a layout change that puts per-entry pointers back
+// fails here.
 var heapCeilingMB = map[string]float64{
 	"arango":    5.15,  // measured 4.48
 	"blaze":     13.83, // 12.03

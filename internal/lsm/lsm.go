@@ -545,9 +545,6 @@ func NewBatch(n int) *Batch { return &Batch{run: sstable{ents: make([]entry, 0, 
 // empty.
 func (b *Batch) Add(key, val []byte) { b.run.add(key, val, false) }
 
-// Len returns the number of pairs added.
-func (b *Batch) Len() int { return len(b.run.ents) }
-
 // Sort orders the pairs by key. BulkLoad requires it.
 func (b *Batch) Sort() {
 	t := &b.run
