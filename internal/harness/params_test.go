@@ -28,7 +28,7 @@ func TestGridFailuresAreModelled(t *testing.T) {
 			Engines:   engines.Names(),
 			Datasets:  []string{"mico", "frb-s"},
 			Scale:     scale,
-			Timeout:   100 * time.Millisecond,
+			Timeout:   50 * time.Millisecond,
 			BatchSize: 10,
 			Seed:      1,
 			Workers:   2,
