@@ -2,6 +2,8 @@ package graphson
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"maps"
 	"testing"
 
@@ -51,9 +53,13 @@ func FuzzObject(f *testing.F) {
 	})
 }
 
-// FuzzRead feeds arbitrary bytes to Read. No input may panic, and a
-// graph Read accepts must survive Write∘Read: the same vertices, the
-// same edges in the same order, and the same properties as JSON values.
+// FuzzRead feeds arbitrary bytes to Read and to the encoding/json
+// reader it replaced. No input may panic. The two must accept and
+// reject alike, except that the old reader also accepts a document cut
+// short after a complete field or followed by other data, and must
+// return equal graphs. A graph Read accepts must also survive
+// Write∘Read: the same vertices, the same edges in the same order, and
+// the same properties as JSON values.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte(sample))
 	g := core.NewGraph(2, 1)
@@ -70,13 +76,29 @@ func FuzzRead(f *testing.F) {
 		`{"vertices":[{"_id":"1"},{"_id":1},{"_id":true}],"edges":[{"_outV":"1","_inV":1}]}`,
 		`{"mode":"NORMAL","generator":{"nested":[1,2]},"vertices":[{"_id":1,"_outV":2,"_label":3}]}`,
 		`{"vertices":[{"_id":1,"p":null,"f":1.0}]}`,
+		`{"vertices":[{"_id":1,"_type":{"a":[{"b":[]}],"c":"\u00e9"}}]}`,
+		`{"vertices":[{"_id":1},{"_id":2}],"edges":[{"_outV":1,"_inV":2,"_label":{"x":[1]},"_id":[null]}]}`,
+		`{"vertices":[{"_id":1,"a":1,"a":"two","_id":[0],"_id":2,"b":[1],"b":false}],"vertices":[{"_id":3}]}`,
+		`{"vertices":[{"_id":1},{"_id":1.0},{"_id":-0},{"_id":0},{"_id":1e400}],"edges":[{"_outV":1.0,"_inV":-0}]}`,
+		`{"vert\u0069ces":[{"\u005fid":"\ud800","n\u0061me":"\u00e9"}],"edges":[{"_outV":"\ufffd","_inV":"\ud800","_l\u0061bel":"x"}]}`,
+		`{"vertices":[{"_id":1,"big":1e400}]}`,
+		`{"vertices":[{"_id":1,"big":1e400,"big":1}]}`,
+		`{"vertices":[1]}`, `{"vertices":[null]}`, `{"vertices":[[{"_id":1}]]}`, `{"edges":["x"]}`,
+		`{"vertices":[{"_id":1}]`, `{"vertices":[{"_id":1}]} x`, `{"vertices":[{"_id":1}]]`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Read(bytes.NewReader(data))
+		want, legacyErr := legacyRead(bytes.NewReader(data))
+		if accepted := legacyErr == nil && wholeValue(data); (err == nil) != accepted {
+			t.Fatalf("Read error %v; the encoding/json reader accepts it: %v (%v)", err, accepted, legacyErr)
+		}
 		if err != nil {
 			return
+		}
+		if diff := diffGraphs(g, want); diff != "" {
+			t.Fatalf("Read and the encoding/json reader differ: %s", diff)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, g); err != nil {
@@ -102,4 +124,30 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wholeValue reports whether data is one complete JSON value followed
+// by nothing but whitespace, walking it token by token as the old
+// reader did (so without encoding/json's nesting limit on the
+// document's own object).
+func wholeValue(data []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	depth := 0
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			depth++
+		case json.Delim('}'), json.Delim(']'):
+			depth--
+		}
+		if depth == 0 {
+			_, err := dec.Token()
+			return err == io.EOF
+		}
+	}
 }

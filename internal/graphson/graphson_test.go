@@ -2,9 +2,12 @@ package graphson
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/core"
@@ -69,6 +72,8 @@ func TestReadErrors(t *testing.T) {
 		"dangling inV":      `{"vertices":[{"_id":1}],"edges":[{"_outV":1,"_inV":9}]}`,
 		"duplicate id":      `{"vertices":[{"_id":1},{"_id":1}]}`,
 		"truncated":         `{"vertices":[{"_id":1}`,
+		"no closing brace":  `{"vertices":[{"_id":1}]`,
+		"data after":        `{"vertices":[{"_id":1}]} garbage`,
 		"array prop":        `{"vertices":[{"_id":1,"bad":[1,2]}]}`,
 	}
 	for name, doc := range cases {
@@ -167,5 +172,72 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadAcrossWindowBoundaries shifts a document past the end of
+// Read's first window one byte at a time, so that the window ends in
+// turn inside every token of a dense stretch of the document: escapes,
+// surrogate pairs, numbers, literals, skipped nested values, and a
+// skipped top-level number, which only the byte after it ends. A string
+// longer than the window makes it grow. Every shift must read as the
+// encoding/json reader reads the unshifted document, and a cut at any
+// byte of the stretch must be an error.
+func TestReadAcrossWindowBoundaries(t *testing.T) {
+	const dense = `{"_id":"vé🎉","s":"a\"b\\c\/\n","i":-12345,"f":6.02e23,"t":true,"n":null,"_type":{"x":[1,{"y":"z"}]}},` +
+		`{"_id":2,"f":false,"e":1E-5,"z":-0,"u":" \uDC00"}],"num":-123.456e7,"vertices":[`
+	// Unshifted, the first window ends just after the dense stretch.
+	const open, close = `{"mode":"NORMAL","pad":"`, `","vertices":[`
+	head := open + strings.Repeat("p", readWindow-len(open)-len(close)-len(dense)) + close
+	tail := dense + `{"_id":3,"long":"` + strings.Repeat("l", readWindow) + `"}],` +
+		`"edges":[{"_outV":2,"_inV":3,"_label":"k","_id":{"a":[]},"w":1.5},{"_outV":"vé🎉","_inV":2,"_label":7}],"end":[true,false,null,-1.5e-3]}`
+	want, err := legacyRead(strings.NewReader(head + tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shift := 0; shift < len(dense)+20; shift++ {
+		got, err := Read(strings.NewReader(strings.Repeat(" ", shift) + head + tail))
+		if err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		if diff := diffGraphs(got, want); diff != "" {
+			t.Fatalf("shift %d: %s", shift, diff)
+		}
+	}
+	doc := head + tail
+	for cut := len(head); cut < len(head)+len(dense)+5; cut++ {
+		if _, err := Read(strings.NewReader(doc[:cut])); err == nil {
+			t.Fatalf("document cut after %d bytes accepted", cut)
+		}
+	}
+}
+
+// TestReadPassesOnSourceErrors: an error from the reader, other than
+// its end, ends Read with that error.
+func TestReadPassesOnSourceErrors(t *testing.T) {
+	errBroken := errors.New("broken pipe")
+	src := io.MultiReader(strings.NewReader(`{"vertices":[{"_id":1},`), iotest.ErrReader(errBroken))
+	if _, err := Read(src); !errors.Is(err, errBroken) {
+		t.Fatalf("err = %v, want %v", err, errBroken)
+	}
+}
+
+// TestReadNestingLimitMatchesLegacy: skipped values may nest as deep as
+// encoding/json allows, counted from the value it decoded (the field's
+// own value at the top level, the element inside an array), and no
+// deeper.
+func TestReadNestingLimitMatchesLegacy(t *testing.T) {
+	nested := func(d int) string { return strings.Repeat("[", d) + strings.Repeat("]", d) }
+	for _, d := range []int{9998, 9999, 10000, 10001} {
+		for _, doc := range []string{
+			`{"x":` + nested(d) + `,"vertices":[]}`,
+			`{"vertices":[{"_id":1,"_type":` + nested(d) + `}]}`,
+		} {
+			_, err := Read(strings.NewReader(doc))
+			_, legacyErr := legacyRead(strings.NewReader(doc))
+			if (err == nil) != (legacyErr == nil) {
+				t.Errorf("depth %d in %.20s: Read error %v, encoding/json reader error %v", d, doc, err, legacyErr)
+			}
+		}
 	}
 }

@@ -214,14 +214,17 @@ func DecodeObject(data []byte, system ...string) (core.Props, error) {
 	return p, nil
 }
 
-// objectReader is DecodeObject's cursor over its copy of the input.
+// objectReader is the cursor of DecodeObject over its copy of the
+// input, and of Read over its window of the document, which starts
+// base bytes into the document.
 type objectReader struct {
-	s string
-	i int
+	s    string
+	i    int
+	base int64
 }
 
 func (r *objectReader) fail(msg string) error {
-	return fmt.Errorf("graphson: %s at offset %d", msg, r.i)
+	return fmt.Errorf("graphson: %s at offset %d", msg, r.base+int64(r.i))
 }
 
 func (r *objectReader) space() {
@@ -233,6 +236,14 @@ func (r *objectReader) space() {
 			return
 		}
 	}
+}
+
+// peek returns the next byte, or 0 at the end of the input.
+func (r *objectReader) peek() byte {
+	if r.i < len(r.s) {
+		return r.s[r.i]
+	}
+	return 0
 }
 
 func (r *objectReader) eat(c byte) bool {
@@ -282,19 +293,20 @@ func (r *objectReader) digits() bool {
 	return r.i > start
 }
 
-// number reads -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, the
-// JSON number grammar, which is narrower than what strconv accepts.
-func (r *objectReader) number() (core.Value, error) {
+// numberLit reads -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, the
+// JSON number grammar, which is narrower than what strconv accepts, and
+// reports whether the literal has neither fraction nor exponent.
+func (r *objectReader) numberLit() (lit string, integer bool, err error) {
 	start := r.i
 	r.eat('-')
 	if !r.eat('0') && !r.digits() {
-		return core.Nil, r.fail("malformed number")
+		return "", false, r.fail("malformed number")
 	}
-	integer := true
+	integer = true
 	if r.eat('.') {
 		integer = false
 		if !r.digits() {
-			return core.Nil, r.fail("malformed number")
+			return "", false, r.fail("malformed number")
 		}
 	}
 	if r.eat('e') || r.eat('E') {
@@ -303,20 +315,96 @@ func (r *objectReader) number() (core.Value, error) {
 			r.eat('-')
 		}
 		if !r.digits() {
-			return core.Nil, r.fail("malformed number")
+			return "", false, r.fail("malformed number")
 		}
 	}
-	lit := r.s[start:r.i]
+	return r.s[start:r.i], integer, nil
+}
+
+// numberValue is the value of a number literal: an int when the literal
+// is an integer that fits int64, a float otherwise, and false when it
+// is beyond float64's range.
+func numberValue(lit string, integer bool) (core.Value, bool) {
 	if integer {
 		if n, err := strconv.ParseInt(lit, 10, 64); err == nil {
-			return core.I(n), nil
+			return core.I(n), true
 		}
 	}
 	f, err := strconv.ParseFloat(lit, 64)
+	return core.F(f), err == nil
+}
+
+// number reads a number as a value; beyond float64's range is an error.
+func (r *objectReader) number() (core.Value, error) {
+	lit, integer, err := r.numberLit()
 	if err != nil {
+		return core.Nil, err
+	}
+	v, ok := numberValue(lit, integer)
+	if !ok {
 		return core.Nil, fmt.Errorf("graphson: bad number %q", lit)
 	}
-	return core.F(f), nil
+	return v, nil
+}
+
+// maxDepth is encoding/json's nesting limit: at most this many open
+// objects and arrays within one decoded value.
+const maxDepth = 10000
+
+// skip consumes one JSON value of any kind, nested or not, checking its
+// grammar as encoding/json does; numbers are not range-checked. depth
+// is the number of objects and arrays the value sits inside, counted
+// from the value encoding/json would have decoded.
+func (r *objectReader) skip(depth int) error {
+	switch c := r.peek(); {
+	case c == '{' || c == '[':
+		if depth == maxDepth {
+			return r.fail("exceeded max depth")
+		}
+		end := byte(']')
+		if c == '{' {
+			end = '}'
+		}
+		r.i++
+		r.space()
+		if r.eat(end) {
+			return nil
+		}
+		for {
+			r.space()
+			if c == '{' {
+				if _, err := r.str(); err != nil {
+					return err
+				}
+				r.space()
+				if !r.eat(':') {
+					return r.fail("expected :")
+				}
+				r.space()
+			}
+			if err := r.skip(depth + 1); err != nil {
+				return err
+			}
+			r.space()
+			if r.eat(',') {
+				continue
+			}
+			if r.eat(end) {
+				return nil
+			}
+			return r.fail("expected , or " + string(end))
+		}
+	case c == '"':
+		_, err := r.str()
+		return err
+	case c == '-' || '0' <= c && c <= '9':
+		_, _, err := r.numberLit()
+		return err
+	case r.literal("true") || r.literal("false") || r.literal("null"):
+		return nil
+	default:
+		return r.fail("expected a value")
+	}
 }
 
 // str reads a quoted string. Without escapes or invalid UTF-8 the
