@@ -509,14 +509,14 @@ func (t *Tree) AscendRange(start, end []byte, fn func(key, value []byte) bool) {
 }
 
 // BulkBuild replaces the tree contents with copies of the given pairs,
-// which must be sorted by key and free of duplicates. It builds leaves
-// left to right without per-insert rebalancing — the "bulk loading"
-// mode that the paper had to enable to load BlazeGraph in reasonable
-// time. All leaves' arenas and entry tables are carved from one
+// which must be sorted by key and free of duplicates; a nil vals gives
+// every key a nil value. It builds leaves left to right without
+// per-insert rebalancing — the "bulk loading" mode that the paper had
+// to enable to load BlazeGraph in reasonable time. All leaves' arenas and entry tables are carved from one
 // allocation each, capped so that a later insert into one leaf
 // reallocates that leaf rather than writing into its neighbour.
 func (t *Tree) BulkBuild(keys, vals [][]byte) error {
-	if len(keys) != len(vals) {
+	if vals != nil && len(keys) != len(vals) {
 		return fmt.Errorf("btree: BulkBuild: %d keys but %d values", len(keys), len(vals))
 	}
 	total := 0
@@ -524,7 +524,10 @@ func (t *Tree) BulkBuild(keys, vals [][]byte) error {
 		if i > 0 && bytes.Compare(keys[i-1], keys[i]) >= 0 {
 			return fmt.Errorf("btree: BulkBuild: keys not strictly ascending at %d", i)
 		}
-		total += len(keys[i]) + len(vals[i])
+		total += len(keys[i])
+		if vals != nil {
+			total += len(vals[i])
+		}
 	}
 	*t = *New()
 	if len(keys) == 0 {
@@ -548,14 +551,18 @@ func (t *Tree) BulkBuild(keys, vals [][]byte) error {
 		l := &leaves[n]
 		start := len(arena)
 		for k := i; k < j; k++ {
+			var val []byte
+			if vals != nil {
+				val = vals[k]
+			}
 			e := entry{off: uint32(len(arena) - start), klen: uint32(len(keys[k])), vlen: nilVal}
 			arena = append(arena, keys[k]...)
-			if vals[k] != nil {
-				e.vlen = uint32(len(vals[k]))
-				arena = append(arena, vals[k]...)
+			if val != nil {
+				e.vlen = uint32(len(val))
+				arena = append(arena, val...)
 			}
 			ents[k] = e
-			t.bytes += t.payload(keys[k], vals[k])
+			t.bytes += t.payload(keys[k], val)
 		}
 		l.buf = arena[start:len(arena):len(arena)]
 		l.ents = ents[i:j:j]

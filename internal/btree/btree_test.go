@@ -205,8 +205,15 @@ func TestBulkBuildRejectsUnsorted(t *testing.T) {
 	if err := tr.BulkBuild([][]byte{key(2), key(1)}, [][]byte{nil, nil}); err == nil {
 		t.Fatalf("unsorted BulkBuild accepted")
 	}
-	if err := tr.BulkBuild([][]byte{key(1)}, nil); err == nil {
+	if err := tr.BulkBuild([][]byte{key(1)}, [][]byte{nil, nil}); err == nil {
 		t.Fatalf("mismatched lengths accepted")
+	}
+	// nil values: every key maps to nil.
+	if err := tr.BulkBuild([][]byte{key(1), key(2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tr.Get(key(2)); !ok || v != nil || tr.Len() != 2 {
+		t.Fatalf("nil-valued BulkBuild: Get = %q, %v; Len = %d", v, ok, tr.Len())
 	}
 }
 

@@ -1,7 +1,7 @@
 package blaze
 
 import (
-	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 
@@ -468,37 +468,47 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		}
 		return res, nil
 	}
-	// Each permutation is encoded into one buffer, sorted, deduplicated
-	// and bulk-built; the tree copies the keys, so the next permutation
-	// reuses the buffer.
+	// Each index is built from the statements sorted as term triples in
+	// its order: enc.Int64 preserves int64 order, so the keys, encoded
+	// once into one buffer, arrive sorted. Rotating every triple turns
+	// SPO order into POS and POS into OSP. The tree copies the keys, so
+	// the next index reuses the buffer.
+	written := len(sts)
+	// Dedupe defensively: BulkBuild requires strictly ascending keys.
+	slices.SortFunc(sts, compareStatements)
+	sts = slices.Compact(sts)
 	buf := make([]byte, 24*len(sts))
 	keys := make([][]byte, len(sts))
-	vals := make([][]byte, len(sts))
-	build := func(t *btree.Tree, perm func(statement) (a, b, c int64)) error {
-		for i, st := range sts {
-			k := buf[24*i : 24*i : 24*(i+1)]
-			a, b, c := perm(st)
-			keys[i] = appendKey(k, a, b, c)
+	for n, t := range []*btree.Tree{e.spo, e.pos, e.osp} {
+		if n > 0 {
+			for i, st := range sts {
+				sts[i] = statement{st.p, st.o, st.s}
+			}
+			slices.SortFunc(sts, compareStatements)
 		}
-		slices.SortFunc(keys, bytes.Compare)
-		// Dedupe defensively: BulkBuild requires strictly ascending keys.
-		uniq := slices.CompactFunc(keys, bytes.Equal)
-		return t.BulkBuild(uniq, vals[:len(uniq)])
+		for i, st := range sts {
+			keys[i] = appendKey(buf[24*i:24*i:24*(i+1)], st.s, st.p, st.o)
+		}
+		if err := t.BulkBuild(keys, nil); err != nil {
+			return nil, err
+		}
 	}
-	if err := build(e.spo, func(st statement) (a, b, c int64) { return st.s, st.p, st.o }); err != nil {
-		return nil, err
-	}
-	if err := build(e.pos, func(st statement) (a, b, c int64) { return st.p, st.o, st.s }); err != nil {
-		return nil, err
-	}
-	if err := build(e.osp, func(st statement) (a, b, c int64) { return st.o, st.s, st.p }); err != nil {
-		return nil, err
-	}
-	e.journalUsed += int64(len(sts)) * 75
+	e.journalUsed += int64(written) * 75
 	for e.journalUsed > e.journalCap {
 		e.journalCap += journalSegment
 	}
 	return res, nil
+}
+
+// compareStatements orders statements as (s, p, o) triples of int64.
+func compareStatements(a, b statement) int {
+	if c := cmp.Compare(a.s, b.s); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.p, b.p); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.o, b.o)
 }
 
 // SpaceUsage implements core.Engine: the pre-allocated journal plus the

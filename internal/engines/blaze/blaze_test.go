@@ -2,8 +2,10 @@ package blaze
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/engines/enginetest"
 	"repro/internal/race"
@@ -104,6 +106,19 @@ func TestBulkLoadMatchesIncrementalState(t *testing.T) {
 	}
 	if bulk.spo.Len() != incr.spo.Len() {
 		t.Fatalf("statement counts differ: bulk=%d incr=%d", bulk.spo.Len(), incr.spo.Len())
+	}
+	// The bulk path sorts term triples, not keys: every index must hold
+	// the keys, in the order, that per-statement inserts give it.
+	keysOf := func(tr *btree.Tree) (out []string) {
+		tr.AscendPrefix(nil, func(k, _ []byte) bool { out = append(out, string(k)); return true })
+		return out
+	}
+	for name, pair := range map[string][2]*btree.Tree{
+		"spo": {bulk.spo, incr.spo}, "pos": {bulk.pos, incr.pos}, "osp": {bulk.osp, incr.osp},
+	} {
+		if !slices.Equal(keysOf(pair[0]), keysOf(pair[1])) {
+			t.Errorf("%s index: bulk and incremental keys differ", name)
+		}
 	}
 	nb, _ := bulk.CountEdges()
 	ni, _ := incr.CountEdges()

@@ -24,7 +24,8 @@ package lsm
 
 import (
 	"bytes"
-	"slices"
+	"encoding/binary"
+	"sort"
 	"sync"
 
 	"repro/internal/btree"
@@ -545,12 +546,44 @@ func NewBatch(n int) *Batch { return &Batch{run: sstable{ents: make([]entry, 0, 
 // empty.
 func (b *Batch) Add(key, val []byte) { b.run.add(key, val, false) }
 
-// Sort orders the pairs by key. BulkLoad requires it.
+// Sort orders the pairs by key. BulkLoad requires it. Each key's first
+// 16 bytes are read once, as two big-endian words, zero past the end of
+// a shorter key (which orders a key before its extensions, as
+// bytes.Compare does); the sort compares those words, and whole keys
+// only on a tie.
 func (b *Batch) Sort() {
-	t := &b.run
-	slices.SortFunc(t.ents, func(x, y entry) int {
-		return bytes.Compare(t.data[x.off:][:x.klen], t.data[y.off:][:y.klen])
-	})
+	s := prefixSort{t: &b.run, words: make([][2]uint64, len(b.run.ents))}
+	for i := range s.words {
+		var pad [16]byte
+		copy(pad[:], s.t.key(i))
+		s.words[i] = [2]uint64{binary.BigEndian.Uint64(pad[:]), binary.BigEndian.Uint64(pad[8:])}
+	}
+	sort.Sort(&s)
+}
+
+// prefixSort sorts a run's entries by key, moving each entry's prefix
+// words along with it.
+type prefixSort struct {
+	t     *sstable
+	words [][2]uint64
+}
+
+func (s *prefixSort) Len() int { return len(s.words) }
+
+func (s *prefixSort) Less(i, j int) bool {
+	x, y := &s.words[i], &s.words[j]
+	if x[0] != y[0] {
+		return x[0] < y[0]
+	}
+	if x[1] != y[1] {
+		return x[1] < y[1]
+	}
+	return bytes.Compare(s.t.key(i), s.t.key(j)) < 0
+}
+
+func (s *prefixSort) Swap(i, j int) {
+	s.words[i], s.words[j] = s.words[j], s.words[i]
+	s.t.ents[i], s.t.ents[j] = s.t.ents[j], s.t.ents[i]
 }
 
 // BulkLoad replaces the store contents with the batch's pairs (sorted,

@@ -173,6 +173,41 @@ func TestBulkLoad(t *testing.T) {
 	}
 }
 
+// TestBatchSortMatchesBytesOrder: Sort compares 16-byte prefixes as
+// words first, so keys shorter than that, keys sharing it, and keys
+// holding 0x00 (the padding) must still come out in bytes.Compare
+// order.
+func TestBatchSortMatchesBytesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte{0x00, 0x01, 0x7f, 0x80, 0xff}
+	seen := map[string]bool{}
+	var keys [][]byte
+	for len(keys) < 3000 {
+		k := make([]byte, rng.Intn(24))
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if rng.Intn(2) == 0 {
+			k = append(bytes.Repeat([]byte{0x01}, 16), k...)
+		}
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	b := NewBatch(len(keys))
+	for _, k := range keys {
+		b.Add(k, nil)
+	}
+	b.Sort()
+	slices.SortFunc(keys, bytes.Compare)
+	for i, want := range keys {
+		if got := b.run.key(i); !bytes.Equal(got, want) {
+			t.Fatalf("key %d = %x, want %x", i, got, want)
+		}
+	}
+}
+
 // batchOf packs keys[i]→vals[i] into a batch, in the given order.
 func batchOf(keys, vals [][]byte) *Batch {
 	b := NewBatch(len(keys))
