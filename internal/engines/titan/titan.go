@@ -102,6 +102,10 @@ func (e *Engine) Meta() core.EngineMeta {
 
 // --- key construction ---
 
+// The constructors encode into a buffer of constant capacity: inlined
+// into a caller that hands the result to the store, which copies it,
+// the buffer stays on that caller's stack.
+
 func rowKey(tag byte, id core.ID, kind byte) []byte {
 	return appendRowKey(make([]byte, 0, rowPrefixLen), tag, id, kind)
 }
@@ -130,7 +134,7 @@ func appendEdgeColPrefix(k []byte, id core.ID, kind byte, tok uint32) []byte {
 // zigzag varint *delta* from the row's own id — the compact-ID encoding
 // behind Titan's space advantage on high-degree graphs.
 func edgeColKey(id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
-	return appendEdgeColKey(nil, id, kind, tok, other, eid)
+	return appendEdgeColKey(make([]byte, 0, rowPrefixLen+4+2*binary.MaxVarintLen64), id, kind, tok, other, eid)
 }
 
 func appendEdgeColKey(k []byte, id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
@@ -152,7 +156,9 @@ func parseEdgeCol(id core.ID, key []byte) (tok uint32, other core.ID, eid core.I
 
 // --- value encoding ---
 
-func encodeValue(v core.Value) []byte { return appendValue(nil, v) }
+// encodeValue, like the key constructors, stays on the caller's stack
+// unless the encoding outgrows its 32 bytes.
+func encodeValue(v core.Value) []byte { return appendValue(make([]byte, 0, 32), v) }
 
 func appendValue(out []byte, v core.Value) []byte {
 	out = append(out, byte(v.Kind()))
@@ -192,7 +198,9 @@ func decodeValue(b []byte) core.Value {
 }
 
 // edge row value: src(8) dst(8) labelTok(4)
-func encodeEdgeRow(src, dst core.ID, tok uint32) []byte { return appendEdgeRow(nil, src, dst, tok) }
+func encodeEdgeRow(src, dst core.ID, tok uint32) []byte {
+	return appendEdgeRow(make([]byte, 0, 20), src, dst, tok)
+}
 
 func appendEdgeRow(out []byte, src, dst core.ID, tok uint32) []byte {
 	out = binary.BigEndian.AppendUint64(out, uint64(src))

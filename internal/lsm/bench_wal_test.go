@@ -114,6 +114,9 @@ func TestRecordLSMBenchmarks(t *testing.T) {
 	if out == "" {
 		t.Skip("BENCH_JSON not set; skipping benchmark recording")
 	}
+	// Read the committed floors before anything is written: CI points
+	// BENCH_JSON at the committed file itself.
+	floors, haveFloors := committedLSMFloor(t)
 	run := func(name string, fn func(*testing.B)) lsmBenchRecord {
 		r := testing.Benchmark(fn)
 		t.Logf("%s: %v", name, r)
@@ -156,7 +159,7 @@ func TestRecordLSMBenchmarks(t *testing.T) {
 		t.Errorf("group commit is only %.2fx faster than per-op fsync, want >= 1.5x", speedup)
 	}
 
-	if floors, ok := committedLSMFloor(t); ok {
+	if haveFloors {
 		check := func(name string, got, floor float64) {
 			if floor > 0 && got < floor/2 {
 				t.Errorf("%s = %.1f is less than half the committed floor %.1f (BENCH_lsm.json); investigate or re-baseline", name, got, floor)

@@ -27,12 +27,14 @@ type Row []core.Value
 
 // Table is a heap of rows plus indexes.
 type Table struct {
-	name    string
-	cols    []string
-	colIdx  map[string]int
-	rows    []Row         // position-addressed; nil = deleted
-	pk      map[int64]int // id -> position
-	indexes map[string]*btree.Tree
+	name   string
+	cols   []string
+	colIdx map[string]int
+	rows   []Row         // position-addressed; nil = deleted
+	pk     map[int64]int // id -> position
+	// indexes holds the secondary index on each column by position,
+	// nil where there is none.
+	indexes []*btree.Tree
 	// keyBuf is where writes encode index keys, which the trees copy.
 	keyBuf []byte
 	// scans and seeks are atomic: they are incremented on read paths,
@@ -64,7 +66,7 @@ func (db *DB) CreateTable(name string, cols ...string) (*Table, error) {
 		cols:    append([]string(nil), cols...),
 		colIdx:  make(map[string]int, len(cols)),
 		pk:      make(map[int64]int),
-		indexes: make(map[string]*btree.Tree),
+		indexes: make([]*btree.Tree, len(cols)),
 	}
 	for i, c := range cols {
 		if _, dup := t.colIdx[c]; dup {
@@ -137,9 +139,10 @@ func (t *Table) Insert(r Row) error {
 	pos := len(t.rows)
 	t.rows = append(t.rows, append(Row(nil), r...))
 	t.pk[id] = pos
-	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		idx.Put(t.indexKey(r[ci], pos), nil)
+	for ci, idx := range t.indexes {
+		if idx != nil {
+			idx.Put(t.indexKey(r[ci], pos), nil)
+		}
 	}
 	return nil
 }
@@ -182,7 +185,7 @@ func (t *Table) Update(id int64, col string, v core.Value) error {
 	if ci == 0 {
 		return fmt.Errorf("rel: %s: cannot update primary key", t.name)
 	}
-	if idx := t.indexes[col]; idx != nil {
+	if idx := t.indexes[ci]; idx != nil {
 		idx.Delete(t.indexKey(t.rows[pos][ci], pos))
 		idx.Put(t.indexKey(v, pos), nil)
 	}
@@ -196,9 +199,10 @@ func (t *Table) Delete(id int64) error {
 	if !ok {
 		return fmt.Errorf("rel: %s: no row %d", t.name, id)
 	}
-	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		idx.Delete(t.indexKey(t.rows[pos][ci], pos))
+	for ci, idx := range t.indexes {
+		if idx != nil {
+			idx.Delete(t.indexKey(t.rows[pos][ci], pos))
+		}
 	}
 	t.rows[pos] = nil
 	delete(t.pk, id)
@@ -214,6 +218,7 @@ func (t *Table) AlterAddColumn(col string) error {
 	}
 	t.colIdx[col] = len(t.cols)
 	t.cols = append(t.cols, col)
+	t.indexes = append(t.indexes, nil)
 	for pos, r := range t.rows {
 		if r == nil {
 			continue
@@ -231,7 +236,7 @@ func (t *Table) CreateIndex(col string) error {
 	if !ok {
 		return fmt.Errorf("rel: %s: no column %q", t.name, col)
 	}
-	if _, dup := t.indexes[col]; dup {
+	if t.indexes[ci] != nil {
 		return nil
 	}
 	idx := btree.New()
@@ -241,12 +246,15 @@ func (t *Table) CreateIndex(col string) error {
 		}
 		idx.Put(t.indexKey(r[ci], pos), nil)
 	}
-	t.indexes[col] = idx
+	t.indexes[ci] = idx
 	return nil
 }
 
 // HasIndex reports whether an index on col exists.
-func (t *Table) HasIndex(col string) bool { _, ok := t.indexes[col]; return ok }
+func (t *Table) HasIndex(col string) bool {
+	ci, ok := t.colIdx[col]
+	return ok && t.indexes[ci] != nil
+}
 
 // indexKey encodes the index key of value v at row pos into t.keyBuf;
 // the key is valid until the next call.
@@ -274,7 +282,7 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 	if !ok {
 		return fmt.Errorf("rel: %s: no column %q", t.name, col)
 	}
-	if idx := t.indexes[col]; idx != nil {
+	if idx := t.indexes[ci]; idx != nil {
 		t.seeks.Add(1)
 		var buf [24]byte // fits every non-string value; longer ones spill
 		prefix := enc.Value(buf[:0], v)
@@ -312,7 +320,9 @@ func (t *Table) Bytes() int64 {
 	}
 	n += int64(len(t.pk)) * 24
 	for _, idx := range t.indexes {
-		n += idx.Bytes()
+		if idx != nil {
+			n += idx.Bytes()
+		}
 	}
 	return n
 }
