@@ -14,11 +14,10 @@
 // larger than memory headroom still load (loading the biggest sample is
 // itself one of the paper's experiments).
 //
-// Read accepts exactly what the encoding/json reader it replaced
-// accepted, apart from a strict end. The document is one JSON object.
-// Its "vertices" and "edges" fields are arrays of objects, and may
-// appear in either order, and more than once; any other field may hold
-// any JSON value and is skipped. In a vertex, _id is a string, number
+// The grammar Read accepts: the document is one JSON object. Its
+// "vertices" and "edges" fields are arrays of objects, and may appear
+// in either order, and more than once; any other field may hold any
+// JSON value and is skipped. In a vertex, _id is a string, number
 // or boolean, _type any value, and every other field a property. In an
 // edge, _outV and _inV are such ids, _label a string (any other value
 // reads as no label), _id and _type any value, and every other field a
