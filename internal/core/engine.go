@@ -118,7 +118,11 @@ type Engine interface {
 	BulkLoad(g *Graph) (*LoadResult, error)
 	// SpaceUsage reports structural space occupancy (Figure 1).
 	SpaceUsage() SpaceReport
-	// Close releases the engine.
+	// Close releases the engine's stored data; only its configuration
+	// survives. A closed engine that is still referenced must not pin
+	// the graph it held, so after Close no method panics, reads answer
+	// as on an empty graph, AddVertex, AddEdge and BulkLoad return
+	// ErrClosed, and a second Close returns nil.
 	Close() error
 }
 

@@ -131,6 +131,10 @@ func (h *PlanStatsHolder) CapturePlanStats(g *Graph) {
 	h.stats.Store(g.Snapshot().PlanStats())
 }
 
+// ReleasePlanStats drops the captured statistics, as Close does with
+// the rest of a closed engine's data.
+func (h *PlanStatsHolder) ReleasePlanStats() { h.stats.Store(nil) }
+
 // PlanStats derives (and caches) the planner statistics of this
 // snapshot. Concurrent first calls may race to build, but every build
 // produces identical contents, so whichever pointer wins is

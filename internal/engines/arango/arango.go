@@ -49,7 +49,17 @@ import (
 // Engine is an ArangoDB-style document graph store.
 type Engine struct {
 	core.PlanStatsHolder
+	store
+	closed bool
 
+	// restBytes is atomic: every read operation crosses the simulated
+	// REST boundary, and reads may run concurrently (core.Engine).
+	restBytes atomic.Int64 // total bytes through the simulated REST boundary
+}
+
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	nextID int64
 	vdocs  map[core.ID][]byte
 	edocs  map[core.ID][]byte
@@ -64,9 +74,6 @@ type Engine struct {
 
 	declaredIndexes map[string]bool
 	scratch         []byte // encode buffer, reused by every write
-	// restBytes is atomic: every read operation crosses the simulated
-	// REST boundary, and reads may run concurrently (core.Engine).
-	restBytes atomic.Int64 // total bytes through the simulated REST boundary
 }
 
 type edgeEntry struct {
@@ -74,9 +81,8 @@ type edgeEntry struct {
 	label    uint32
 }
 
-// New returns an empty engine.
-func New() *Engine {
-	return &Engine{
+func newStore() store {
+	return store{
 		vdocs:           make(map[core.ID][]byte),
 		edocs:           make(map[core.ID][]byte),
 		edgeIdx:         make(map[core.ID]edgeEntry),
@@ -85,6 +91,9 @@ func New() *Engine {
 		declaredIndexes: make(map[string]bool),
 	}
 }
+
+// New returns an empty engine.
+func New() *Engine { return &Engine{store: newStore()} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

@@ -11,6 +11,9 @@ import (
 // paper notes), so this is fast despite the REST hop. A property set
 // JSON cannot carry is refused and nothing is stored.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	e.call("insert-vertex", core.NoID)
 	id := core.ID(e.nextID)
 	doc, err := e.encodeVertexDoc(id, props)
@@ -113,6 +116,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 
 // AddEdge implements core.Engine.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	e.call("insert-edge", src)
 	if !e.hasVertexQuiet(src) || !e.hasVertexQuiet(dst) {
 		return core.NoID, core.ErrNotFound
@@ -444,6 +450,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes
 // directly, bypassing the REST boundary — which is how ArangoDB ends up
 // the *fastest* loader of the study despite its slow per-item path.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	res := core.NewLoadResult(g)
 	// Pre-size the document and index maps from the CSR snapshot: on a
@@ -523,5 +532,11 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 // boundary (for tests and the harness's explain output).
 func (e *Engine) RESTBytes() int64 { return e.restBytes.Load() }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements core.Engine: the documents and indexes go; the
+// REST byte count restarts.
+func (e *Engine) Close() error {
+	e.store, e.closed = newStore(), true
+	e.ReleasePlanStats()
+	e.restBytes.Store(0)
+	return nil
+}

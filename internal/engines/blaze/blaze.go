@@ -67,7 +67,13 @@ type statement struct{ s, p, o int64 }
 // Engine is a BlazeGraph-style RDF statement store.
 type Engine struct {
 	core.PlanStatsHolder
+	store
+	closed bool
+}
 
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	spo, pos, osp *btree.Tree
 
 	// Term dictionary.
@@ -81,20 +87,20 @@ type Engine struct {
 	journalCap  int64 // bytes pre-allocated (fixed segments)
 }
 
-// New returns an empty engine.
-func New() *Engine {
-	e := &Engine{
+func newStore() store {
+	// The vertex-class literal is reserved at seq 0.
+	return store{
 		spo:        btree.New(),
 		pos:        btree.New(),
 		osp:        btree.New(),
-		lits:       make(map[core.Value]int64),
+		lits:       map[core.Value]int64{core.S(":Vertex"): mkTerm(tagLiteral, litVertexClass)},
+		litVals:    []core.Value{core.S(":Vertex")},
 		journalCap: journalSegment,
 	}
-	// Reserve the vertex-class literal at seq 0.
-	e.lits[core.S(":Vertex")] = mkTerm(tagLiteral, litVertexClass)
-	e.litVals = append(e.litVals, core.S(":Vertex"))
-	return e
 }
+
+// New returns an empty engine.
+func New() *Engine { return &Engine{store: newStore()} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

@@ -24,6 +24,9 @@ func vertexClassTerm() int64 { return mkTerm(tagLiteral, litVertexClass) }
 // AddVertex implements core.Engine: a type statement plus one statement
 // per property, each hitting all three indexes.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	v := mkTerm(tagVertex, e.nextV)
 	e.nextV++
 	e.addStatement(statement{v, rdfType, vertexClassTerm()})
@@ -137,6 +140,9 @@ func (e *Engine) isEdgeTerm(t int64) bool {
 // per property — each ×3 indexes, the write amplification behind this
 // engine's slow loading.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	if !e.HasVertex(src) || !e.HasVertex(dst) {
 		return core.NoID, core.ErrNotFound
 	}
@@ -429,6 +435,9 @@ func (e *Engine) HasVertexPropIndex(string) bool { return false }
 // option: statements are collected, sorted once per index, and the
 // three B+Trees are bulk-built without per-insert rebalancing.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	res := core.NewLoadResult(g)
 	// Exact statement count from the CSR snapshot: one rdf:type per
@@ -527,5 +536,10 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements core.Engine: the statement indexes, the term
+// dictionary and the journal go.
+func (e *Engine) Close() error {
+	e.store, e.closed = newStore(), true
+	e.ReleasePlanStats()
+	return nil
+}

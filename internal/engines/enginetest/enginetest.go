@@ -13,6 +13,8 @@
 //   - RemoveVertex cascades to incident edges and their properties.
 //   - Scans see exactly the live objects, in any order.
 //   - BulkLoad's LoadResult maps dataset indexes to engine IDs.
+//   - A closed engine holds no data: it reads as an empty graph and
+//     refuses inserts and loads with core.ErrClosed.
 package enginetest
 
 import (
@@ -51,6 +53,7 @@ func Run(t *testing.T, newEngine func() core.Engine) {
 		{"SpaceUsage", testSpaceUsage},
 		{"Meta", testMeta},
 		{"RandomizedAgainstReference", testRandomizedAgainstReference},
+		{"Closed", testClosed},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) { tc.fn(t, newEngine) })
@@ -658,6 +661,113 @@ func testSpaceUsage(t *testing.T, newEngine func() core.Engine) {
 		t.Fatalf("breakdown sums to %d, total %d", sum, loaded.Total)
 	}
 }
+
+// testClosed calls every core.Engine method on a loaded engine after
+// Close. None may panic; reads see an empty graph; AddVertex, AddEdge
+// and BulkLoad return core.ErrClosed; a second Close returns nil.
+func testClosed(t *testing.T, newEngine func() core.Engine) {
+	fresh := newEngine()
+	emptySpace := fresh.SpaceUsage().Total
+	fresh.Close()
+
+	e := newEngine()
+	g := SampleGraph()
+	res, err := e.BulkLoad(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildVertexPropIndex("name"); err != nil && !errors.Is(err, core.ErrUnsupported) {
+		t.Fatal(err)
+	}
+	meta := e.Meta()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v, ed := res.VertexIDs[0], res.EdgeIDs[0]
+
+	if e.Meta() != meta {
+		t.Errorf("Meta after Close = %+v, want %+v", e.Meta(), meta)
+	}
+	if _, err := e.AddVertex(core.Props{"name": core.S("x")}); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("AddVertex err = %v, want ErrClosed", err)
+	}
+	if _, err := e.AddEdge(v, v, "a", nil); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("AddEdge err = %v, want ErrClosed", err)
+	}
+	if _, err := e.BulkLoad(g); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("BulkLoad err = %v, want ErrClosed", err)
+	}
+
+	if e.HasVertex(v) || e.HasEdge(ed) {
+		t.Error("closed engine still holds its elements")
+	}
+	notFound := []struct {
+		name string
+		err  error
+	}{
+		{"VertexProps", second(e.VertexProps(v))},
+		{"EdgeProps", second(e.EdgeProps(ed))},
+		{"EdgeLabel", second(e.EdgeLabel(ed))},
+		{"EdgeEnds", third(e.EdgeEnds(ed))},
+		{"SetVertexProp", e.SetVertexProp(v, "name", core.S("y"))},
+		{"SetEdgeProp", e.SetEdgeProp(ed, "w", core.I(2))},
+		{"RemoveVertexProp", e.RemoveVertexProp(v, "name")},
+		{"RemoveEdgeProp", e.RemoveEdgeProp(ed, "w")},
+		{"RemoveEdge", e.RemoveEdge(ed)},
+		{"RemoveVertex", e.RemoveVertex(v)},
+		{"Degree", second(e.Degree(v, core.DirBoth))},
+	}
+	for _, c := range notFound {
+		if !errors.Is(c.err, core.ErrNotFound) {
+			t.Errorf("%s err = %v, want ErrNotFound", c.name, c.err)
+		}
+	}
+	if _, ok := e.VertexProp(v, "name"); ok {
+		t.Error("VertexProp found on a closed engine")
+	}
+	if _, ok := e.EdgeProp(ed, "w"); ok {
+		t.Error("EdgeProp found on a closed engine")
+	}
+	if n, err := e.CountVertices(); n != 0 || err != nil {
+		t.Errorf("CountVertices = %d, %v; want 0", n, err)
+	}
+	if n, err := e.CountEdges(); n != 0 || err != nil {
+		t.Errorf("CountEdges = %d, %v; want 0", n, err)
+	}
+	scans := []struct {
+		name string
+		it   core.Iter[core.ID]
+	}{
+		{"Vertices", e.Vertices()},
+		{"Edges", e.Edges()},
+		{"VerticesByProp", e.VerticesByProp("idx", core.I(0))},
+		{"EdgesByProp", e.EdgesByProp("w", core.I(1))},
+		{"EdgesByLabel", e.EdgesByLabel("a")},
+		{"Neighbors", e.Neighbors(v, core.DirBoth)},
+		{"IncidentEdges", e.IncidentEdges(v, core.DirBoth, "a")},
+	}
+	for _, c := range scans {
+		if got := core.Collect(c.it); len(got) != 0 {
+			t.Errorf("%s = %v on a closed engine", c.name, got)
+		}
+	}
+	if e.HasVertexPropIndex("name") {
+		t.Error("index survives Close")
+	}
+	if got := e.SpaceUsage().Total; got != emptySpace {
+		t.Errorf("SpaceUsage after Close = %d, want an empty engine's %d", got, emptySpace)
+	}
+	if err := e.BuildVertexPropIndex("idx"); err != nil && !errors.Is(err, core.ErrUnsupported) {
+		t.Errorf("BuildVertexPropIndex err = %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("second Close = %v", err)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
+
+func third[T, U any](_ T, _ U, err error) error { return err }
 
 func testMeta(t *testing.T, newEngine func() core.Engine) {
 	e := newEngine()

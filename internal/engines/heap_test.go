@@ -32,9 +32,15 @@ var heapCeilingMB = map[string]float64{
 // against 64.6 MB before the arenas.
 const heapTotalCeilingMB = 45
 
+// closedCeilingKB bounds, in KB of 2^10 bytes, the live heap a loaded
+// engine keeps after Close while something still references it: Close
+// releases the data, so what is left is an empty engine.
+const closedCeilingKB = 64
+
 // TestLiveHeapPerEngine measures, per engine, the live heap that New
 // plus BulkLoad retain: the HeapAlloc delta across two collections,
-// with the dataset allocated before the first reading.
+// with the dataset allocated before the first reading. It measures
+// again after Close, with the engine still referenced.
 func TestLiveHeapPerEngine(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -67,13 +73,19 @@ func TestLiveHeapPerEngine(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		mb := float64(live()-before) / (1 << 20)
-		runtime.KeepAlive(e)
 		total += mb
-		t.Logf("%-9s %6.2f MB live (ceiling %.2f)", name, mb, ceiling)
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		kb := float64(int64(live()-before)) / (1 << 10)
+		runtime.KeepAlive(e)
+		t.Logf("%-9s %6.2f MB live (ceiling %.2f), %5.1f KB after Close", name, mb, ceiling, kb)
 		if mb > ceiling {
 			t.Errorf("%s: %.2f MB live after BulkLoad, ceiling %.2f MB", name, mb, ceiling)
 		}
-		e.Close()
+		if kb > closedCeilingKB {
+			t.Errorf("%s: %.1f KB live after Close, ceiling %d KB", name, kb, closedCeilingKB)
+		}
 	}
 	t.Logf("all engines %.2f MB", total)
 	if total > heapTotalCeilingMB {

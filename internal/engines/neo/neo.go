@@ -65,7 +65,13 @@ type Engine struct {
 	core.PlanStatsHolder
 
 	version Version
+	store
+	closed bool
+}
 
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	nodes  *pagefile.Store
 	rels   *pagefile.Store
 	props  *pagefile.Store
@@ -78,24 +84,23 @@ type Engine struct {
 	// User-controlled attribute indexes on vertex properties
 	// (Section 6.4 "Effect of Indexing").
 	vindex kit.PropIndex
+}
 
-	closed bool
+func newStore(v Version) store {
+	s := store{
+		nodes: pagefile.NewStore(nodeRecSize),
+		rels:  pagefile.NewStore(relRecSize),
+		props: pagefile.NewStore(propRecSize),
+		strs:  pagefile.NewHeap(),
+	}
+	if v == V30 {
+		s.groups = pagefile.NewStore(groupRecSize)
+	}
+	return s
 }
 
 // New returns an empty engine of the given version.
-func New(v Version) *Engine {
-	e := &Engine{
-		version: v,
-		nodes:   pagefile.NewStore(nodeRecSize),
-		rels:    pagefile.NewStore(relRecSize),
-		props:   pagefile.NewStore(propRecSize),
-		strs:    pagefile.NewHeap(),
-	}
-	if v == V30 {
-		e.groups = pagefile.NewStore(groupRecSize)
-	}
-	return e
-}
+func New(v Version) *Engine { return &Engine{version: v, store: newStore(v)} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

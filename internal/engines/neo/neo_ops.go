@@ -126,6 +126,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 
 // AddEdge implements core.Engine.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	if !e.nodes.InUse(int64(src)) || !e.nodes.InUse(int64(dst)) {
 		return core.NoID, core.ErrNotFound
 	}
@@ -650,6 +653,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name
 // paper found the Gremlin load path of this engine equally good, so no
 // penalty applies).
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	res := core.NewLoadResult(g)
 	// Reserve the store files up front — the record counts are known
@@ -688,8 +694,9 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
-// Close implements core.Engine.
+// Close implements core.Engine: the store files and the indexes go.
 func (e *Engine) Close() error {
-	e.closed = true
+	e.store, e.closed = newStore(e.version), true
+	e.ReleasePlanStats()
 	return nil
 }

@@ -82,7 +82,13 @@ func (c *cluster) bytes() int64 { return c.heap.Bytes() + c.pmap.Bytes() }
 // Engine is an OrientDB-style native graph store.
 type Engine struct {
 	core.PlanStatsHolder
+	store
+	closed bool
+}
 
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	vcluster  *cluster
 	eclusters []*cluster // index = cluster id - 1
 	labels    kit.Tokens // token = cluster id - 1
@@ -93,8 +99,10 @@ type Engine struct {
 	vindex kit.PropIndex
 }
 
+func newStore() store { return store{vcluster: newCluster()} }
+
 // New returns an empty engine.
-func New() *Engine { return &Engine{vcluster: newCluster()} }
+func New() *Engine { return &Engine{store: newStore()} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

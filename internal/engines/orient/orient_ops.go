@@ -9,6 +9,9 @@ import (
 // AddVertex implements core.Engine: appending a document, the fast path
 // Figure 3(b) shows.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	d := &vertexDoc{props: props.Clone()}
 	pos := e.vcluster.add(e.encodeVertex(d))
 	id := makeRID(vertexCluster, pos)
@@ -116,6 +119,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 // AddEdge implements core.Engine: one append in the label's cluster plus
 // a rewrite of both endpoint documents.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	sd, ok := e.readVertex(src)
 	if !ok {
 		return core.NoID, core.ErrNotFound
@@ -461,6 +467,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name
 // bookkeeping per label): edge documents are written first, then each
 // vertex document exactly once with its full RID lists.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	res := core.NewLoadResult(g)
 	// Vertex RIDs are dense positions assigned in order.
@@ -544,5 +553,9 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements core.Engine: the clusters and the indexes go.
+func (e *Engine) Close() error {
+	e.store, e.closed = newStore(), true
+	e.ReleasePlanStats()
+	return nil
+}

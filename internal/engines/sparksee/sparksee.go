@@ -39,7 +39,19 @@ const DefaultMemBudget = 256 << 20
 // Engine is a Sparksee-style bitmap graph store.
 type Engine struct {
 	core.PlanStatsHolder
+	store
+	closed bool
 
+	// Gremlin-adapter retention accounting.
+	memBudget int64
+	// retained is atomic: it is bumped on read paths (Degree), which may
+	// run concurrently under the core.Engine concurrent-read contract.
+	retained atomic.Int64
+}
+
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	nextOID uint64
 	nodes   *bitmap.Bitmap
 	edges   *bitmap.Bitmap
@@ -58,12 +70,22 @@ type Engine struct {
 
 	// declared user indexes (accepted, not exploited — see package doc)
 	declaredIndexes map[string]bool
+}
 
-	// Gremlin-adapter retention accounting.
-	memBudget int64
-	// retained is atomic: it is bumped on read paths (Degree), which may
-	// run concurrently under the core.Engine concurrent-read contract.
-	retained atomic.Int64
+func newStore() store {
+	return store{
+		nodes:           bitmap.New(),
+		edges:           bitmap.New(),
+		srcOf:           make(map[uint64]uint64),
+		dstOf:           make(map[uint64]uint64),
+		labelOf:         make(map[uint64]uint32),
+		byLabel:         make(map[uint32]*bitmap.Bitmap),
+		out:             make(map[uint64]*bitmap.Bitmap),
+		in:              make(map[uint64]*bitmap.Bitmap),
+		vattrs:          make(map[string]*attrStore),
+		eattrs:          make(map[string]*attrStore),
+		declaredIndexes: make(map[string]bool),
+	}
 }
 
 // attrStore is the paper's per-attribute structure: a map from OIDs to
@@ -131,20 +153,7 @@ func WithMemBudget(bytes int64) Option {
 
 // New returns an empty engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		nodes:           bitmap.New(),
-		edges:           bitmap.New(),
-		srcOf:           make(map[uint64]uint64),
-		dstOf:           make(map[uint64]uint64),
-		labelOf:         make(map[uint64]uint32),
-		byLabel:         make(map[uint32]*bitmap.Bitmap),
-		out:             make(map[uint64]*bitmap.Bitmap),
-		in:              make(map[uint64]*bitmap.Bitmap),
-		vattrs:          make(map[string]*attrStore),
-		eattrs:          make(map[string]*attrStore),
-		declaredIndexes: make(map[string]bool),
-		memBudget:       DefaultMemBudget,
-	}
+	e := &Engine{store: newStore(), memBudget: DefaultMemBudget}
 	for _, o := range opts {
 		o(e)
 	}
@@ -179,6 +188,9 @@ func (e *Engine) labelTok(l string) uint32 {
 
 // AddVertex implements core.Engine.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	oid := e.nextOID
 	e.nextOID++
 	e.nodes.Add(oid)
@@ -292,6 +304,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 
 // AddEdge implements core.Engine.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	if !e.HasVertex(src) || !e.HasVertex(dst) {
 		return core.NoID, core.ErrNotFound
 	}

@@ -196,6 +196,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes
 // BulkLoad implements core.Engine (the engine's Gremlin load path was
 // unproblematic in the paper, so this is a plain loop).
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	// On a fresh engine the per-edge link maps reach exactly |E|
 	// entries and the adjacency-bitmap maps one entry per vertex with
@@ -256,5 +259,11 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements core.Engine: the bitmaps and attribute maps go; the
+// memory budget stays, and the retention count restarts.
+func (e *Engine) Close() error {
+	e.store, e.closed = newStore(), true
+	e.ReleasePlanStats()
+	e.retained.Store(0)
+	return nil
+}

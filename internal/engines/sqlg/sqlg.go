@@ -46,7 +46,13 @@ func splitEdgeID(id core.ID) (tableIdx int, ok bool) {
 // Engine is a Sqlg-style relational graph store.
 type Engine struct {
 	core.PlanStatsHolder
+	store
+	closed bool
+}
 
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
 	db         *rel.DB
 	vtab       *rel.Table
 	etabs      []*rel.Table // per label
@@ -56,19 +62,17 @@ type Engine struct {
 	vindexed   map[string]bool
 }
 
-// New returns an empty engine.
-func New() *Engine {
+func newStore() store {
 	db := rel.NewDB()
 	vt, err := db.CreateTable("V", "id")
 	if err != nil {
 		panic("sqlg: " + err.Error())
 	}
-	return &Engine{
-		db:       db,
-		vtab:     vt,
-		vindexed: make(map[string]bool),
-	}
+	return store{db: db, vtab: vt, vindexed: make(map[string]bool)}
 }
+
+// New returns an empty engine.
+func New() *Engine { return &Engine{store: newStore()} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

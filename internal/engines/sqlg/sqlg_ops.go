@@ -10,6 +10,9 @@ import (
 // AddVertex implements core.Engine: a tuple insert, plus ALTER TABLE for
 // any property name the schema has not seen.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	for k := range props {
 		ensureColumn(e.vtab, k)
 	}
@@ -114,6 +117,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 
 // AddEdge implements core.Engine: an insert into the label's join table.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	if !e.HasVertex(src) || !e.HasVertex(dst) {
 		return core.NoID, core.ErrNotFound
 	}
@@ -423,6 +429,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindexed[name] 
 // per label with all property columns known up front), then COPY-style
 // row inserts.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	res := core.NewLoadResult(g)
 	// Collect the vertex schema.
@@ -498,5 +507,9 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements core.Engine: the tables and their indexes go.
+func (e *Engine) Close() error {
+	e.store, e.closed = newStore(), true
+	e.ReleasePlanStats()
+	return nil
+}

@@ -83,16 +83,13 @@ func Open(v Version, dir string) (*Engine, *lsm.RecoveryStats, error) {
 // inject a simulated filesystem or tighter thresholds.
 func OpenOptions(v Version, dir string, o lsm.OpenOptions) (*Engine, *lsm.RecoveryStats, error) {
 	if o.Store == (lsm.Options{}) {
-		o.Store = lsm.DefaultOptions()
-		if v == V10 {
-			o.Store.CachePrefixLen = rowPrefixLen
-		}
+		o.Store = storeOptions(v)
 	}
 	kv, rst, err := lsm.Open(dir, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &Engine{version: v, kv: kv}
+	e := &Engine{version: v, store: store{kv: kv}}
 	if err := e.loadMeta(); err != nil {
 		kv.Close()
 		return nil, nil, err

@@ -91,6 +91,8 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	}
 	wantNext := e.nextID
 	lsnBefore, _, _ := e.kv.WALStats()
+	// Close releases the bookkeeping; keep what the reopen must match.
+	labels, propKeys, vindex := e.labels, e.propKeys, e.vindex
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,11 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	}
 	// The replayed bookkeeping is the closed engine's, exactly: the same
 	// tokens in the same order, the same index membership.
-	if !reflect.DeepEqual(r.labels, e.labels) || !reflect.DeepEqual(r.propKeys, e.propKeys) {
-		t.Fatalf("dictionaries after reopen = %+v %+v, want %+v %+v", r.labels, r.propKeys, e.labels, e.propKeys)
+	if !reflect.DeepEqual(r.labels, labels) || !reflect.DeepEqual(r.propKeys, propKeys) {
+		t.Fatalf("dictionaries after reopen = %+v %+v, want %+v %+v", r.labels, r.propKeys, labels, propKeys)
 	}
-	if !reflect.DeepEqual(r.vindex, e.vindex) {
-		t.Fatalf("index after reopen = %+v, want %+v", r.vindex, e.vindex)
+	if !reflect.DeepEqual(r.vindex, vindex) {
+		t.Fatalf("index after reopen = %+v, want %+v", r.vindex, vindex)
 	}
 	ids := core.Collect(r.VerticesByProp("name", core.S("d")))
 	if len(ids) != 1 || ids[0] != extra {

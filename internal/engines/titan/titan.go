@@ -63,7 +63,14 @@ type Engine struct {
 	core.PlanStatsHolder
 
 	version Version
-	kv      *lsm.Store
+	store
+	closed bool
+}
+
+// store is the engine's data: New starts it empty, and Close swaps it
+// for an empty one so that a closed engine pins nothing.
+type store struct {
+	kv *lsm.Store
 
 	labels   kit.Tokens
 	propKeys kit.Tokens
@@ -73,14 +80,20 @@ type Engine struct {
 	vindex kit.PropIndex // graph-centric indexes
 }
 
-// New returns an empty engine of the given version.
-func New(v Version) *Engine {
+// storeOptions are the LSM knobs of the version: titan-1.0 adds the
+// row cache.
+func storeOptions(v Version) lsm.Options {
 	opts := lsm.DefaultOptions()
 	if v == V10 {
 		opts.CachePrefixLen = rowPrefixLen
 	}
-	return &Engine{version: v, kv: lsm.New(opts)}
+	return opts
 }
+
+func newStore(v Version) store { return store{kv: lsm.New(storeOptions(v))} }
+
+// New returns an empty engine of the given version.
+func New(v Version) *Engine { return &Engine{version: v, store: newStore(v)} }
 
 // Meta implements core.Engine.
 func (e *Engine) Meta() core.EngineMeta {

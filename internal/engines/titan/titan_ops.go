@@ -22,6 +22,9 @@ func (e *Engine) checkedWrite(tag byte, id core.ID) {
 // AddVertex implements core.Engine. The row writes plus the ID
 // allocator update form one atomic WAL unit in durable mode.
 func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	var id core.ID
 	e.kv.Tx(func() {
 		id = e.allocID()
@@ -166,6 +169,9 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 // AddEdge implements core.Engine: one edge row plus an adjacency column
 // in each endpoint row.
 func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core.ID, error) {
+	if e.closed {
+		return core.NoID, core.ErrClosed
+	}
 	if !e.HasVertex(src) || !e.HasVertex(dst) {
 		return core.NoID, core.ErrNotFound
 	}
@@ -467,6 +473,9 @@ func (e *Engine) HasVertexPropIndex(name string) bool { return e.vindex.Has(name
 // disabled): all columns are built, sorted once, and installed as a
 // single SSTable.
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
+	if e.closed {
+		return nil, core.ErrClosed
+	}
 	e.CapturePlanStats(g)
 	if e.nextID != 0 {
 		return kit.LoadPerItem(e, g)
@@ -547,6 +556,12 @@ func (e *Engine) Stats() (flushes, compacts, runs, cacheHits, cacheMisses int) {
 	return e.kv.Stats()
 }
 
-// Close implements core.Engine. In durable mode this syncs and closes
-// the WAL; a volatile engine has nothing to release.
-func (e *Engine) Close() error { return e.kv.Close() }
+// Close implements core.Engine. In durable mode this first syncs and
+// closes the WAL. Then the LSM store, the dictionaries and the indexes
+// go; what is left is an empty in-memory store of the same version.
+func (e *Engine) Close() error {
+	err := e.kv.Close()
+	e.store, e.closed = newStore(e.version), true
+	e.ReleasePlanStats()
+	return err
+}
