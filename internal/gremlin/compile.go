@@ -9,12 +9,13 @@ import "repro/internal/core"
 // downstream Limit that stops pulling stops the whole chain —
 // including the engine iterators inside the source. The plan itself
 // is never mutated, so lowering is repeatable and Explain sees the
-// plan that executes.
-func lower(e core.Engine, steps []step) stream {
+// plan that executes. Every pull from an engine iterator goes through
+// d, so the deadline bounds the work done, not the elements emitted.
+func lower(e core.Engine, steps []step, d *deadline) stream {
 	if len(steps) == 0 || !steps[0].isSource() {
 		return func() (core.ID, bool, error) { return core.NoID, false, nil }
 	}
-	s, i := lowerSource(e, steps)
+	s, i := lowerSource(e, steps, d)
 	for i < len(steps) {
 		st := steps[i]
 		if st.isFilter() {
@@ -29,13 +30,13 @@ func lower(e core.Engine, steps []step) stream {
 		}
 		switch st.Op {
 		case opOut, opIn, opBoth:
-			s = flatMapStage(s, neighborExpand(e, st))
+			s = flatMapStage(s, neighborExpand(e, st), d)
 		case opOutE, opInE, opBothE:
-			s = flatMapStage(s, incidentExpand(e, st))
+			s = flatMapStage(s, incidentExpand(e, st), d)
 		case opOutV:
-			s = flatMapStage(s, endExpand(e, false))
+			s = flatMapStage(s, endExpand(e, false), d)
 		case opInV:
-			s = flatMapStage(s, endExpand(e, true))
+			s = flatMapStage(s, endExpand(e, true), d)
 		case opDedup:
 			s = dedupStage(s)
 		case opStore:
@@ -56,36 +57,36 @@ func lower(e core.Engine, steps []step) stream {
 // EdgesByLabel) — the paper's source-step fast path, Q11–Q13. Fusion
 // preserves the element sequence because every engine's ByProp/ByLabel
 // surface yields ids in the same ascending order its full scan does.
-func lowerSource(e core.Engine, steps []step) (stream, int) {
+func lowerSource(e core.Engine, steps []step, d *deadline) (stream, int) {
 	src := steps[0]
 	if fusedSource(steps) {
 		next := steps[1]
 		switch {
 		case next.Op == opHasLabel:
-			return fromIter(e.EdgesByLabel(next.Label)), 2
+			return d.fromIter(e.EdgesByLabel(next.Label)), 2
 		case src.Op == opSourceV:
-			return fromIter(e.VerticesByProp(next.Name, next.Value)), 2
+			return d.fromIter(e.VerticesByProp(next.Name, next.Value)), 2
 		default:
-			return fromIter(e.EdgesByProp(next.Name, next.Value)), 2
+			return d.fromIter(e.EdgesByProp(next.Name, next.Value)), 2
 		}
 	}
 	switch src.Op {
 	case opSourceV:
-		return fromIter(e.Vertices()), 1
+		return d.fromIter(e.Vertices()), 1
 	case opSourceE:
-		return fromIter(e.Edges()), 1
+		return d.fromIter(e.Edges()), 1
 	case opSourceVID:
 		var ids []core.ID
 		if e.HasVertex(src.ID) {
 			ids = append(ids, src.ID)
 		}
-		return fromIter(core.SliceIter(ids)), 1
+		return d.fromIter(core.SliceIter(ids)), 1
 	default: // opSourceEID
 		var ids []core.ID
 		if e.HasEdge(src.ID) {
 			ids = append(ids, src.ID)
 		}
-		return fromIter(core.SliceIter(ids)), 1
+		return d.fromIter(core.SliceIter(ids)), 1
 	}
 }
 
@@ -171,12 +172,16 @@ func filterStage(e core.Engine, src stream, run []step) stream {
 	}
 }
 
-// flatMapStage expands each incoming element through expand.
-func flatMapStage(src stream, expand func(core.ID) core.Iter[core.ID]) stream {
+// flatMapStage expands each incoming element through expand, counting
+// each pull from an expansion against the deadline.
+func flatMapStage(src stream, expand func(core.ID) core.Iter[core.ID], d *deadline) stream {
 	var cur core.Iter[core.ID]
 	return func() (core.ID, bool, error) {
 		for {
 			if cur != nil {
+				if err := d.tick(); err != nil {
+					return core.NoID, false, err
+				}
 				if id, ok := cur(); ok {
 					return id, true, nil
 				}

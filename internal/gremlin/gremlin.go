@@ -27,8 +27,30 @@ const ctxCheckEvery = 64
 // (e.g. core.ErrOutOfMemory from an engine, or ctx cancellation).
 type stream func() (id core.ID, ok bool, err error)
 
-func fromIter(it core.Iter[core.ID]) stream {
+// deadline counts the elements a traversal pulls from the engine, in
+// its source and in every expansion, and checks ctx once per
+// ctxCheckEvery of them. Counting pulls rather than emitted elements
+// bounds a filter or dedup that rejects nearly everything it sees.
+type deadline struct {
+	ctx   context.Context
+	pulls int
+}
+
+// tick is called before each pull from an engine iterator.
+func (d *deadline) tick() error {
+	if d.pulls%ctxCheckEvery == 0 && d.ctx.Err() != nil {
+		return core.ErrTimeout
+	}
+	d.pulls++
+	return nil
+}
+
+// fromIter is a source stream over an engine iterator.
+func (d *deadline) fromIter(it core.Iter[core.ID]) stream {
 	return func() (core.ID, bool, error) {
+		if err := d.tick(); err != nil {
+			return core.NoID, false, err
+		}
 		id, ok := it()
 		return id, ok, nil
 	}
@@ -212,17 +234,10 @@ func (t *Traversal) Sample(n int, seed int64) *Traversal {
 // --- terminal operations (deadline-aware) ---
 
 // drain lowers the plan and pulls every element through fn until fn
-// returns false or the stream ends.
+// returns false, the stream ends, or ctx expires (core.ErrTimeout).
 func (t *Traversal) drain(ctx context.Context, fn func(core.ID) bool) error {
-	src := lower(t.e, t.steps)
-	n := 0
+	src := lower(t.e, t.steps, &deadline{ctx: ctx})
 	for {
-		if n%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return core.ErrTimeout
-			}
-		}
-		n++
 		id, ok, err := src()
 		if err != nil {
 			return err

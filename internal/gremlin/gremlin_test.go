@@ -257,6 +257,65 @@ func TestTimeoutPropagates(t *testing.T) {
 	}
 }
 
+// slowDegree is an engine whose Degree sleeps and finds no edges, so a
+// degree filter does real work per element and rejects every one.
+type slowDegree struct {
+	core.Engine
+	per      time.Duration
+	deadline time.Time
+	late     int // Degree calls begun after the deadline
+}
+
+func (s *slowDegree) Degree(core.ID, core.Direction) (int64, error) {
+	if time.Now().After(s.deadline) {
+		s.late++
+	}
+	time.Sleep(s.per)
+	return 0, nil
+}
+
+// TestSelectiveFilterHonorsDeadline: a filter that rejects everything
+// emits nothing, yet the traversal stops within ctxCheckEvery elements
+// of its deadline, whether the elements come from the source scan or
+// from an expansion.
+func TestSelectiveFilterHonorsDeadline(t *testing.T) {
+	e := neo.New(neo.V19)
+	defer e.Close()
+	prev := core.NoID
+	for i := 0; i < 1000; i++ {
+		v, _ := e.AddVertex(nil)
+		if prev != core.NoID {
+			e.AddEdge(prev, v, "n", nil)
+		}
+		prev = v
+	}
+	const timeout, per = 10 * time.Millisecond, 100 * time.Microsecond
+	for _, tc := range []struct {
+		name  string
+		build func(G) *Traversal
+	}{
+		{"source", func(g G) *Traversal { return g.V().DegreeAtLeast(core.DirOut, 1) }},
+		{"expansion", func(g G) *Traversal { return g.V().Out().DegreeAtLeast(core.DirOut, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &slowDegree{Engine: e, per: per}
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			s.deadline, _ = ctx.Deadline()
+			start := time.Now()
+			n, err := tc.build(New(s)).Count(ctx)
+			elapsed := time.Since(start)
+			if !errors.Is(err, core.ErrTimeout) {
+				t.Fatalf("count %d, err %v after %v; want ErrTimeout", n, err, elapsed)
+			}
+			if s.late > ctxCheckEvery {
+				t.Fatalf("%d Degree calls after the deadline, want at most %d", s.late, ctxCheckEvery)
+			}
+			t.Logf("ErrTimeout after %v (timeout %v), %d calls late", elapsed, timeout, s.late)
+		})
+	}
+}
+
 // labelHeavySparksee builds the graph shape on which the sparksee
 // adapter exhausts its memory budget computing degrees (many nodes,
 // many edge labels — the paper's Q28–Q31 failure on Freebase).
