@@ -5,7 +5,8 @@ import "repro/internal/core"
 // Stats computes the Table 3 characteristics of a dataset graph:
 // connected components (treating edges as undirected, as the paper's
 // component and diameter figures do), density, modularity of the
-// component partition, degree statistics, and a double-sweep BFS
+// component partition (not the paper's modularity, whose partition the
+// paper does not give), degree statistics, and a double-sweep BFS
 // estimate of the largest component's diameter.
 //
 // It works off the graph's shared CSR snapshot (core.Graph.Snapshot);
@@ -41,8 +42,12 @@ func StatsCSR(c *core.CSR, workers int) Table3Row {
 	// Modularity of the component partition:
 	// Q = Σ_c [ e_c/m − (d_c/2m)² ]. With components as communities,
 	// Σ e_c = m, so Q = 1 − Σ (d_c/2m)² — zero for a single component,
-	// approaching 1 for many comparable fragments; this reproduces the
-	// shape of the paper's modularity column. The squares are summed per
+	// approaching 1 for many comparable fragments. This is not the
+	// quantity in the paper's modularity column, whose definition
+	// cannot be recovered from the paper's other columns: frb-o's
+	// largest component holds 1.6M of 1.9M vertices, which caps its
+	// component-partition modularity near 0.86, yet the paper reports
+	// 0.982. The squares are summed per
 	// shardSize block of roots and the block sums added in order: a flat
 	// sum changes the last bits of Q once |V| > shardSize (frb-l), and
 	// Table 3 output is pinned bit for bit.
