@@ -76,17 +76,9 @@ func lowerSource(e core.Engine, steps []step, d *deadline) (stream, int) {
 	case opSourceE:
 		return d.fromIter(e.Edges()), 1
 	case opSourceVID:
-		var ids []core.ID
-		if e.HasVertex(src.ID) {
-			ids = append(ids, src.ID)
-		}
-		return d.fromIter(core.SliceIter(ids)), 1
+		return d.one(src.ID, e.HasVertex(src.ID)), 1
 	default: // opSourceEID
-		var ids []core.ID
-		if e.HasEdge(src.ID) {
-			ids = append(ids, src.ID)
-		}
-		return d.fromIter(core.SliceIter(ids)), 1
+		return d.one(src.ID, e.HasEdge(src.ID)), 1
 	}
 }
 

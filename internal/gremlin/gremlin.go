@@ -45,6 +45,21 @@ func (d *deadline) tick() error {
 	return nil
 }
 
+// one is a source stream of the single element id, or of nothing when
+// the engine does not hold it.
+func (d *deadline) one(id core.ID, present bool) stream {
+	return func() (core.ID, bool, error) {
+		if err := d.tick(); err != nil {
+			return core.NoID, false, err
+		}
+		if !present {
+			return core.NoID, false, nil
+		}
+		present = false
+		return id, true, nil
+	}
+}
+
 // fromIter is a source stream over an engine iterator.
 func (d *deadline) fromIter(it core.Iter[core.ID]) stream {
 	return func() (core.ID, bool, error) {
