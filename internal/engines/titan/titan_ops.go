@@ -481,58 +481,70 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		return kit.LoadPerItem(e, g)
 	}
 	res := core.NewLoadResult(g)
-	// The CSR snapshot knows the exact pair count up front: one exists
-	// row per object, three rows per edge (edge row + out/in columns),
-	// one row per property. Each pair is encoded into the scratch
-	// buffers k and v and copied once, into the batch that becomes the
-	// store's run.
-	snap := g.Snapshot()
-	b := lsm.NewBatch(g.NumVertices() + 3*g.NumEdges() + snap.VPropTotal + snap.EPropTotal)
-	var k, v []byte
-	// Fresh engine (nextID == 0 above): the snapshot's label table is
+	nv := int64(g.NumVertices())
+	for i := range res.VertexIDs {
+		res.VertexIDs[i] = core.ID(e.nextID + int64(i))
+	}
+	for i := range res.EdgeIDs {
+		res.EdgeIDs[i] = core.ID(e.nextID + nv + int64(i))
+	}
+	e.nextID += nv + int64(g.NumEdges())
+	// Fresh engine (nextID was 0 above): the snapshot's label table is
 	// exactly the token set this load interns, so pre-size the
 	// dictionary. Tokens still assign in first-encounter order.
+	snap := g.Snapshot()
 	e.labels.Reserve(len(snap.Labels))
-	for i := range g.VProps {
-		id := core.ID(e.nextID)
-		e.nextID++
-		res.VertexIDs[i] = id
-		k = appendRowKey(k[:0], tagVertexRow, id, colExists)
-		b.Add(k, nil)
-		for name, val := range g.VProps[i] {
-			k = appendPropKey(k[:0], tagVertexRow, id, e.propKeys.Intern(name))
-			v = appendValue(v[:0], val)
-			b.Add(k, v)
+	// pairs encodes every pair into the scratch buffers k and v and
+	// hands it to add: one exists row per object, three rows per edge
+	// (edge row + out/in columns), one row per property. The first
+	// pass interns the tokens and counts the pairs and their bytes; the
+	// second copies each pair once, into a batch of exactly that size,
+	// which becomes the store's run.
+	var k, v []byte
+	pairs := func(add func(k, v []byte)) {
+		for i, id := range res.VertexIDs {
+			k = appendRowKey(k[:0], tagVertexRow, id, colExists)
+			add(k, nil)
+			for name, val := range g.VProps[i] {
+				k = appendPropKey(k[:0], tagVertexRow, id, e.propKeys.Intern(name))
+				v = appendValue(v[:0], val)
+				add(k, v)
+			}
+		}
+		for i, eid := range res.EdgeIDs {
+			er := &g.EdgeL[i]
+			src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
+			tok := e.labels.Intern(er.Label)
+			k = appendRowKey(k[:0], tagEdgeRow, eid, colExists)
+			v = appendEdgeRow(v[:0], src, dst, tok)
+			add(k, v)
+			k = appendEdgeColKey(k[:0], src, colOutEdge, tok, dst, eid)
+			add(k, nil)
+			k = appendEdgeColKey(k[:0], dst, colInEdge, tok, src, eid)
+			add(k, nil)
+			for name, val := range er.Props {
+				k = appendPropKey(k[:0], tagEdgeRow, eid, e.propKeys.Intern(name))
+				v = appendValue(v[:0], val)
+				add(k, v)
+			}
 		}
 	}
-	for i := range g.EdgeL {
-		er := &g.EdgeL[i]
-		eid := core.ID(e.nextID)
-		e.nextID++
-		res.EdgeIDs[i] = eid
-		src, dst := res.VertexIDs[er.Src], res.VertexIDs[er.Dst]
-		tok := e.labels.Intern(er.Label)
-		k = appendRowKey(k[:0], tagEdgeRow, eid, colExists)
-		v = appendEdgeRow(v[:0], src, dst, tok)
-		b.Add(k, v)
-		k = appendEdgeColKey(k[:0], src, colOutEdge, tok, dst, eid)
-		b.Add(k, nil)
-		k = appendEdgeColKey(k[:0], dst, colInEdge, tok, src, eid)
-		b.Add(k, nil)
-		for name, val := range er.Props {
-			k = appendPropKey(k[:0], tagEdgeRow, eid, e.propKeys.Intern(name))
-			v = appendValue(v[:0], val)
-			b.Add(k, v)
-		}
-	}
+	n, size := 0, 0
+	pairs(func(k, v []byte) { n, size = n+1, size+len(k)+len(v) })
+	var mk, mv [][]byte
 	if e.kv.Durable() {
 		// BulkLoad replaces the store's entire contents, so the meta
 		// snapshot (dictionaries, allocator, index definitions) rides in
 		// the same pair set; 'M' sorts between the 'E' and 'V' rows.
-		mk, mv := e.metaPairs()
+		mk, mv = e.metaPairs()
 		for i := range mk {
-			b.Add(mk[i], mv[i])
+			size += len(mk[i]) + len(mv[i])
 		}
+	}
+	b := lsm.NewBatch(n+len(mk), size)
+	pairs(b.Add)
+	for i := range mk {
+		b.Add(mk[i], mv[i])
 	}
 	b.Sort()
 	if err := e.kv.BulkLoad(b); err != nil {

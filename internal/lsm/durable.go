@@ -55,7 +55,7 @@ func Open(dir string, o OpenOptions) (*Store, *RecoveryStats, error) {
 	w, rst, err := wal.Replay(o.FS, dir, o.WAL, func(op wal.Op) error {
 		switch op.Kind {
 		case wal.OpBulkBegin:
-			bulk = NewBatch(0)
+			bulk = NewBatch(0, 0)
 		case wal.OpBulkEnd:
 			if err := s.installBulk(bulk); err != nil {
 				return err

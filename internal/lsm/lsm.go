@@ -539,8 +539,10 @@ func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool)
 // array as the run's data, so the pairs are copied once, by Add.
 type Batch struct{ run sstable }
 
-// NewBatch returns an empty batch with room for n pairs.
-func NewBatch(n int) *Batch { return &Batch{run: sstable{ents: make([]entry, 0, n)}} }
+// NewBatch returns an empty batch with room for n pairs of size bytes
+// of keys and values together. A batch filled to exactly that size
+// becomes the store's run without a copy.
+func NewBatch(n, size int) *Batch { return &Batch{run: *newRun(n, size)} }
 
 // Add copies the pair key→val into the batch; a nil val is stored as
 // empty.

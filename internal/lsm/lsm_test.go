@@ -195,7 +195,7 @@ func TestBatchSortMatchesBytesOrder(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	b := NewBatch(len(keys))
+	b := NewBatch(len(keys), 0)
 	for _, k := range keys {
 		b.Add(k, nil)
 	}
@@ -210,7 +210,7 @@ func TestBatchSortMatchesBytesOrder(t *testing.T) {
 
 // batchOf packs keys[i]→vals[i] into a batch, in the given order.
 func batchOf(keys, vals [][]byte) *Batch {
-	b := NewBatch(len(keys))
+	b := NewBatch(len(keys), 0)
 	for i := range keys {
 		b.Add(keys[i], vals[i])
 	}
