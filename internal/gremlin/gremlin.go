@@ -6,7 +6,7 @@
 // database-independent connectivity layer through which every test query
 // is expressed exactly once. Builder methods append declarative step
 // nodes to a logical plan (plan.go); a terminal operation lowers the
-// plan, in the order it was written, to pull-based streams
+// plan, in the order it was written, to a chain of push sinks
 // (compile.go), serving a leading property or label filter from the
 // engine's index surface. Like the non-optimizing adapters the paper
 // describes, lowered steps execute one element at a time against the
@@ -19,57 +19,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// ctxCheckEvery bounds how many elements flow between deadline checks.
-const ctxCheckEvery = 64
-
-// stream produces elements until ok is false; err aborts the traversal
-// (e.g. core.ErrOutOfMemory from an engine, or ctx cancellation).
-type stream func() (id core.ID, ok bool, err error)
-
-// deadline counts the elements a traversal pulls from the engine, in
-// its source and in every expansion, and checks ctx once per
-// ctxCheckEvery of them. Counting pulls rather than emitted elements
-// bounds a filter or dedup that rejects nearly everything it sees.
-type deadline struct {
-	ctx   context.Context
-	pulls int
-}
-
-// tick is called before each pull from an engine iterator.
-func (d *deadline) tick() error {
-	if d.pulls%ctxCheckEvery == 0 && d.ctx.Err() != nil {
-		return core.ErrTimeout
-	}
-	d.pulls++
-	return nil
-}
-
-// one is a source stream of the single element id, or of nothing when
-// the engine does not hold it.
-func (d *deadline) one(id core.ID, present bool) stream {
-	return func() (core.ID, bool, error) {
-		if err := d.tick(); err != nil {
-			return core.NoID, false, err
-		}
-		if !present {
-			return core.NoID, false, nil
-		}
-		present = false
-		return id, true, nil
-	}
-}
-
-// fromIter is a source stream over an engine iterator.
-func (d *deadline) fromIter(it core.Iter[core.ID]) stream {
-	return func() (core.ID, bool, error) {
-		if err := d.tick(); err != nil {
-			return core.NoID, false, err
-		}
-		id, ok := it()
-		return id, ok, nil
-	}
-}
 
 // elemKind is the kind of element flowing through a traversal.
 type elemKind uint8
@@ -230,9 +179,9 @@ func (t *Traversal) Store(set map[core.ID]struct{}) *Traversal {
 	return t.append(step{Op: opStore, Kind: t.kind(), Set: set})
 }
 
-// Limit stops the traversal after n elements (.limit). The compiled
-// stream stops pulling its upstream — and therefore the engine
-// iterators — as soon as the budget is spent.
+// Limit stops the traversal after n elements (.limit). Its sink
+// returns false as soon as the budget is spent, which stops its
+// upstream — and therefore the engine iterators — from pulling more.
 func (t *Traversal) Limit(n int64) *Traversal {
 	return t.append(step{Op: opLimit, Kind: t.kind(), N: n})
 }
@@ -248,22 +197,12 @@ func (t *Traversal) Sample(n int, seed int64) *Traversal {
 
 // --- terminal operations (deadline-aware) ---
 
-// drain lowers the plan and pulls every element through fn until fn
-// returns false, the stream ends, or ctx expires (core.ErrTimeout).
+// drain lowers the plan and pushes every element into fn until fn
+// returns false, the plan runs out, or ctx expires (core.ErrTimeout).
 func (t *Traversal) drain(ctx context.Context, fn func(core.ID) bool) error {
-	src := lower(t.e, t.steps, &deadline{ctx: ctx})
-	for {
-		id, ok, err := src()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(id) {
-			return nil
-		}
-	}
+	r := &run{e: t.e, ctx: ctx}
+	r.exec(t.steps, fn)
+	return r.err
 }
 
 // Count drains the traversal and returns the element count (.count).

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engines/neo"
 	"repro/internal/engines/sparksee"
 	"repro/internal/engines/sqlg"
+	"repro/internal/race"
 )
 
 // testEngines returns one native and one hybrid engine, so every test
@@ -185,20 +186,20 @@ func TestDegreeFilterAndStoreExcept(t *testing.T) {
 	}
 }
 
-// pullCounter wraps an engine and counts the elements its scan
-// surfaces hand out, so a test can see how far a traversal pulled.
+// pullCounter wraps an engine and counts the calls a traversal makes
+// to its scan, expansion, existence, edge-end and degree surfaces, and
+// every pull from the iterators they return (the last, empty pull
+// included), so a test can see how far a traversal pulled.
 type pullCounter struct {
 	core.Engine
-	pulls int
+	calls, pulls int
 }
 
 func (p *pullCounter) count(it core.Iter[core.ID]) core.Iter[core.ID] {
+	p.calls++
 	return func() (core.ID, bool) {
-		id, ok := it()
-		if ok {
-			p.pulls++
-		}
-		return id, ok
+		p.pulls++
+		return it()
 	}
 }
 
@@ -206,6 +207,55 @@ func (p *pullCounter) Vertices() core.Iter[core.ID] { return p.count(p.Engine.Ve
 func (p *pullCounter) Edges() core.Iter[core.ID]    { return p.count(p.Engine.Edges()) }
 func (p *pullCounter) EdgesByLabel(l string) core.Iter[core.ID] {
 	return p.count(p.Engine.EdgesByLabel(l))
+}
+func (p *pullCounter) Neighbors(id core.ID, d core.Direction, ls ...string) core.Iter[core.ID] {
+	return p.count(p.Engine.Neighbors(id, d, ls...))
+}
+func (p *pullCounter) IncidentEdges(id core.ID, d core.Direction, ls ...string) core.Iter[core.ID] {
+	return p.count(p.Engine.IncidentEdges(id, d, ls...))
+}
+func (p *pullCounter) HasVertex(id core.ID) bool { p.calls++; return p.Engine.HasVertex(id) }
+func (p *pullCounter) HasEdge(id core.ID) bool   { p.calls++; return p.Engine.HasEdge(id) }
+func (p *pullCounter) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
+	p.calls++
+	return p.Engine.EdgeEnds(id)
+}
+func (p *pullCounter) Degree(id core.ID, d core.Direction) (int64, error) {
+	p.calls++
+	return p.Engine.Degree(id, d)
+}
+
+// TestEngineCallsAndPulls pins the engine calls and iterator pulls of
+// plans through expansions, a limit and a sample barrier: lowering may
+// change how elements move between steps, never what it asks of the
+// engine.
+func TestEngineCallsAndPulls(t *testing.T) {
+	e := neo.New(neo.V19)
+	defer e.Close()
+	a, _, _, _ := diamond(t, e)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name         string
+		build        func(G) *Traversal
+		n            int64
+		calls, pulls int
+	}{
+		{"V().Limit(0)", func(g G) *Traversal { return g.V().Limit(0) }, 0, 1, 0},
+		{"V().Out().Limit(3)", func(g G) *Traversal { return g.V().Out().Limit(3) }, 3, 3, 6},
+		{"V(a).Out().Out().Dedup()", func(g G) *Traversal { return g.VID(a).Out().Out().Dedup() }, 1, 4, 7},
+		{"E().HasLabel(y).InV()", func(g G) *Traversal { return g.E().HasLabel("y").InV() }, 3, 4, 4},
+		{"V().DegreeAtLeast(both,3).Sample(2,1)", func(g G) *Traversal {
+			return g.V().DegreeAtLeast(core.DirBoth, 3).Sample(2, 1)
+		}, 2, 5, 5},
+		{"V().Sample(3,1).Out().Limit(2)", func(g G) *Traversal { return g.V().Sample(3, 1).Out().Limit(2) }, 2, 2, 7},
+	} {
+		pc := &pullCounter{Engine: e}
+		n, err := tc.build(New(pc)).Count(ctx)
+		if err != nil || n != tc.n || pc.calls != tc.calls || pc.pulls != tc.pulls {
+			t.Errorf("%s: count %d (err %v), %d calls, %d pulls; want %d, %d calls, %d pulls",
+				tc.name, n, err, pc.calls, pc.pulls, tc.n, tc.calls, tc.pulls)
+		}
+	}
 }
 
 func TestLimitShortCircuitsAndValues(t *testing.T) {
@@ -313,6 +363,100 @@ func TestSelectiveFilterHonorsDeadline(t *testing.T) {
 			}
 			t.Logf("ErrTimeout after %v (timeout %v), %d calls late", elapsed, timeout, s.late)
 		})
+	}
+}
+
+// slowNeighbors is an engine whose Neighbors iterator sleeps on every
+// pull and yields 1,000 fresh ids, so a single expansion outlasts the
+// deadline.
+type slowNeighbors struct {
+	core.Engine
+	per      time.Duration
+	deadline time.Time
+	late     int // pulls begun after the deadline
+}
+
+func (s *slowNeighbors) Neighbors(core.ID, core.Direction, ...string) core.Iter[core.ID] {
+	next := core.ID(1000)
+	return func() (core.ID, bool) {
+		if time.Now().After(s.deadline) {
+			s.late++
+		}
+		if next == 2000 {
+			return core.NoID, false
+		}
+		time.Sleep(s.per)
+		next++
+		return next, true
+	}
+}
+
+// TestPathQueriesHonorDeadlineInsideExpansion: BFS and ShortestPath
+// count the pulls of each neighbour iterator against the deadline, so
+// one high-degree vertex cannot run the query far past it.
+func TestPathQueriesHonorDeadlineInsideExpansion(t *testing.T) {
+	e := neo.New(neo.V19)
+	defer e.Close()
+	start, _ := e.AddVertex(nil)
+	other, _ := e.AddVertex(nil)
+	const timeout, per = 20 * time.Millisecond, 100 * time.Microsecond
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, core.Engine) error
+	}{
+		{"BFS", func(ctx context.Context, e core.Engine) error {
+			_, err := BFS(ctx, e, start, 1)
+			return err
+		}},
+		{"ShortestPath", func(ctx context.Context, e core.Engine) error {
+			_, err := ShortestPath(ctx, e, start, other)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &slowNeighbors{Engine: e, per: per}
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			s.deadline, _ = ctx.Deadline()
+			if err := tc.run(ctx, s); !errors.Is(err, core.ErrTimeout) {
+				t.Fatalf("err %v, want ErrTimeout", err)
+			}
+			if s.late > ctxCheckEvery {
+				t.Fatalf("%d pulls after the deadline, want at most %d", s.late, ctxCheckEvery)
+			}
+		})
+	}
+}
+
+// TestTraversalAllocs bounds what one short traversal allocates on
+// neo-1.9: the plan, the run state and the sinks, with the engine's
+// own iterators included.
+func TestTraversalAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := neo.New(neo.V19)
+	defer e.Close()
+	a, _, _, _ := diamond(t, e)
+	eid, _ := e.Edges()()
+	ctx := context.Background()
+	g := New(e)
+	for _, c := range []struct {
+		name string
+		fn   func() (int64, error)
+		n    int64
+		max  float64
+	}{
+		{"V(id).Count", func() (int64, error) { return g.VID(a).Count(ctx) }, 1, 4},
+		{"V(id).Out().Count", func() (int64, error) { return g.VID(a).Out().Count(ctx) }, 2, 9},
+		{"E(id).OutV().Count", func() (int64, error) { return g.EID(eid).OutV().Count(ctx) }, 1, 6},
+	} {
+		if n, err := c.fn(); n != c.n || err != nil {
+			t.Fatalf("%s = %d, %v; want %d", c.name, n, err, c.n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.fn() }); n > c.max {
+			t.Errorf("%s: %v allocs/op, want at most %v", c.name, n, c.max)
+		}
 	}
 }
 

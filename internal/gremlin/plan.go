@@ -21,8 +21,7 @@ const (
 	opSourceVID               // one vertex by id (g.V(id))
 	opSourceEID               // one edge by id (g.E(id))
 
-	// Filters — per-element predicates; a run of them lowers to one
-	// loop.
+	// Filters — per-element predicates that drop or pass each element.
 	opHas      // property equality
 	opHasLabel // edge label equality
 	opDegree   // degree-at-least threshold
@@ -139,16 +138,6 @@ func (s step) label() string {
 	default:
 		return s.Op.String() + "()"
 	}
-}
-
-// isFilter reports whether the step is a per-element predicate that
-// passes or drops each element without changing it.
-func (s step) isFilter() bool {
-	switch s.Op {
-	case opHas, opHasLabel, opDegree, opExcept:
-		return true
-	}
-	return false
 }
 
 // isSource reports whether the step roots the plan.

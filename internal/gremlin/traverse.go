@@ -16,30 +16,23 @@ func BFS(ctx context.Context, e core.Engine, start core.ID, depth int, labels ..
 	if !e.HasVertex(start) {
 		return nil, core.ErrNotFound
 	}
+	r := &run{e: e, ctx: ctx}
 	visited := map[core.ID]struct{}{start: {}}
-	var out []core.ID
-	frontier := []core.ID{start}
-	checked := 0
-	for level := 0; level < depth && len(frontier) > 0; level++ {
-		if ctx.Err() != nil {
-			return nil, core.ErrTimeout
+	var out, next []core.ID
+	visit := func(n core.ID) bool {
+		if _, seen := visited[n]; !seen {
+			visited[n] = struct{}{}
+			out = append(out, n)
+			next = append(next, n)
 		}
-		var next []core.ID
+		return true
+	}
+	frontier := []core.ID{start}
+	for level := 0; level < depth && len(frontier) > 0; level++ {
+		next = nil
 		for _, v := range frontier {
-			checked++
-			if checked%ctxCheckEvery == 0 {
-				if ctx.Err() != nil {
-					return nil, core.ErrTimeout
-				}
-			}
-			it := e.Neighbors(v, core.DirBoth, labels...)
-			for n, ok := it(); ok; n, ok = it() {
-				if _, seen := visited[n]; seen {
-					continue
-				}
-				visited[n] = struct{}{}
-				out = append(out, n)
-				next = append(next, n)
+			if !r.each(e.Neighbors(v, core.DirBoth, labels...), visit) {
+				return nil, r.err
 			}
 		}
 		frontier = next
@@ -58,31 +51,28 @@ func ShortestPath(ctx context.Context, e core.Engine, v1, v2 core.ID, labels ...
 	if v1 == v2 {
 		return []core.ID{v1}, nil
 	}
+	r := &run{e: e, ctx: ctx}
 	parent := map[core.ID]core.ID{v1: v1}
-	frontier := []core.ID{v1}
-	checked := 0
-	for len(frontier) > 0 {
-		if ctx.Err() != nil {
-			return nil, core.ErrTimeout
+	var from core.ID
+	var next []core.ID
+	// visit records n's parent and stops the search when n is v2.
+	visit := func(n core.ID) bool {
+		if _, seen := parent[n]; seen {
+			return true
 		}
-		var next []core.ID
-		for _, v := range frontier {
-			checked++
-			if checked%ctxCheckEvery == 0 {
-				if ctx.Err() != nil {
-					return nil, core.ErrTimeout
+		parent[n] = from
+		next = append(next, n)
+		return n != v2
+	}
+	frontier := []core.ID{v1}
+	for len(frontier) > 0 {
+		next = nil
+		for _, from = range frontier {
+			if !r.each(e.Neighbors(from, core.DirBoth, labels...), visit) {
+				if r.err != nil {
+					return nil, r.err
 				}
-			}
-			it := e.Neighbors(v, core.DirBoth, labels...)
-			for n, ok := it(); ok; n, ok = it() {
-				if _, seen := parent[n]; seen {
-					continue
-				}
-				parent[n] = v
-				if n == v2 {
-					return reconstruct(parent, v1, v2), nil
-				}
-				next = append(next, n)
+				return reconstruct(parent, v1, v2), nil
 			}
 		}
 		frontier = next

@@ -309,11 +309,16 @@ func (r *Runner) timeQuery(e core.Engine, q *workload.Query, p workload.Params) 
 	return m
 }
 
+// classify marks m with the outcome err reports. A timed-out
+// measurement exports Count 0: how far a query got before its deadline
+// depends on timing, and a count that does would make the export
+// differ between runs of the same configuration.
 func classify(m *Measurement, err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, core.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
 		m.TimedOut = true
+		m.Count = 0
 		m.Error = err.Error()
 	default:
 		m.Failed = true

@@ -339,7 +339,8 @@ func depthSuffix(d int) string {
 // batch executes BatchSize iterations and reports the total time; one
 // timeout or failure marks the whole batch, as in Figure 1(c). Count is
 // that of the last successful iteration — a failed iteration must not
-// overwrite it with its zero value.
+// overwrite it with its zero value — except after a timeout, which
+// exports 0 (see classify).
 //
 // Non-mutating batches fan out across Config.CellWorkers goroutines:
 // engines guarantee race-free concurrent reads (see core.Engine), and

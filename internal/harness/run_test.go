@@ -87,6 +87,41 @@ func TestBatchEnforcesTimeBudget(t *testing.T) {
 	}
 }
 
+// TestTimedOutCountIsZero: a query that times out after partial
+// progress exports Count 0, interactively and in a batch whose earlier
+// iterations succeeded, so the export does not depend on how far the
+// clock let it get.
+func TestTimedOutCountIsZero(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.BatchSize = 3
+	cfg.Timeout = 20 * time.Millisecond
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := r.graph("frb-s")
+	pg := NewParamGen(g, cfg.Seed)
+	res := identityLoadResult(g)
+	var calls int
+	q := &workload.Query{
+		Num: 34, Name: "QPARTIAL",
+		Run: func(ctx context.Context, e core.Engine, p workload.Params) (workload.Result, error) {
+			calls++
+			if calls == 1 {
+				return workload.Result{Count: 7}, nil
+			}
+			<-ctx.Done()
+			return workload.Result{Count: 5}, core.ErrTimeout
+		},
+	}
+	if m := r.batch(nil, q, pg, res); !m.TimedOut || m.Count != 0 {
+		t.Fatalf("batch timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
+	}
+	if m := r.timeQuery(nil, q, pg.For(q, 0, res)); !m.TimedOut || m.Count != 0 {
+		t.Fatalf("query timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
+	}
+}
+
 // frozenClock makes every recorded duration zero, so two runs of the
 // same configuration export byte-identical JSON.
 func frozenClock(r *Runner) {

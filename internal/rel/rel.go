@@ -97,8 +97,11 @@ func (db *DB) Bytes() int64 {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Columns returns the column names.
-func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
+// Columns returns the column names without copying them. The slice is
+// read-only: its capacity equals its length, so an append to it copies
+// rather than writing into the table, and a later AlterAddColumn leaves
+// it as it was.
+func (t *Table) Columns() []string { return t.cols[:len(t.cols):len(t.cols)] }
 
 // HasColumn reports whether the column exists.
 func (t *Table) HasColumn(col string) bool { _, ok := t.colIdx[col]; return ok }

@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -300,6 +301,32 @@ func TestTableReserve(t *testing.T) {
 	tb.Reserve(-1)
 }
 
+// TestColumnsReadOnly: the column list Columns returns shares the
+// table's, yet neither an append to it nor a later AlterAddColumn
+// changes what the other side sees.
+func TestColumnsReadOnly(t *testing.T) {
+	tbl := personTable(t)
+	// Growing the list once leaves the table's array spare capacity.
+	if err := tbl.AlterAddColumn("email"); err != nil {
+		t.Fatal(err)
+	}
+	cols := tbl.Columns()
+	want := strings.Join(cols, ",")
+	ext := append(cols, "extra")
+	if err := tbl.AlterAddColumn("city"); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(cols, ","); got != want {
+		t.Fatalf("AlterAddColumn changed an earlier Columns slice: %s, want %s", got, want)
+	}
+	if got := strings.Join(ext, ","); got != want+",extra" {
+		t.Fatalf("an append to Columns shares the table's array: %s, want %s,extra", got, want)
+	}
+	if got := strings.Join(tbl.Columns(), ","); got != want+",city" {
+		t.Fatalf("columns after AlterAddColumn = %s, want %s,city", got, want)
+	}
+}
+
 // TestReadAllocs pins allocation-free index reads: SelectEq encodes its
 // index prefix on the stack and Has tests the primary key without
 // copying the row.
@@ -323,6 +350,7 @@ func TestReadAllocs(t *testing.T) {
 	}{
 		{"SelectEq", func() { tbl.SelectEq("age", age, visit) }},
 		{"Has", func() { tbl.Has(1234) }},
+		{"Columns", func() { tbl.Columns() }},
 	} {
 		if a := testing.AllocsPerRun(100, c.fn); a != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
