@@ -12,7 +12,7 @@
 //
 //	gdb-serve -engine neo-1.9 -dataset mico -clients 8 -duration 5s
 //	gdb-serve -engine sqlg -rate 2000 -mix read=50,traverse=20,insert=20,update=10
-//	gdb-serve -engine sparksee -frozen-clock -ops 1000 -oplog ops.jsonl
+//	gdb-serve -engine sparksee -ops 1000 -oplog ops.jsonl
 //	gdb-serve -engine titan-1.0 -lsm-dir walstore -mix read=20,insert=50,update=30
 //	gdb-serve -engine titan-1.0 -lsm-dir walstore -lsm-audit
 package main
@@ -45,7 +45,6 @@ type options struct {
 	rate         float64
 	mix          string
 	seed         int64
-	frozenClock  bool
 	oplog        string
 	datasetCache string
 	lsmDir       string
@@ -59,12 +58,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.dataset, "dataset", "mico", "dataset name")
 	fs.Float64Var(&o.scale, "scale", 0.002, "dataset scale factor (1.0 = paper sizes)")
 	fs.IntVar(&o.clients, "clients", 8, "concurrent client count")
-	fs.DurationVar(&o.duration, "duration", 5*time.Second, "run length when -ops is 0 (real clock only)")
-	fs.IntVar(&o.ops, "ops", 0, "operations per client (required with -frozen-clock)")
+	fs.DurationVar(&o.duration, "duration", 5*time.Second, "run length when -ops is 0")
+	fs.IntVar(&o.ops, "ops", 0, "operations per client; 0 = run for -duration")
 	fs.Float64Var(&o.rate, "rate", 0, "total target arrival rate in ops/sec; 0 = closed loop")
 	fs.StringVar(&o.mix, "mix", serve.DefaultMix.String(), "workload mix, e.g. read=60,traverse=20,insert=10,update=10")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for op streams and arrival times")
-	fs.BoolVar(&o.frozenClock, "frozen-clock", false, "deterministic virtual-time mode (byte-identical op log and report)")
 	fs.StringVar(&o.oplog, "oplog", "", "write the intended-operation log (JSON lines) to this file")
 	fs.StringVar(&o.datasetCache, "dataset-cache", "", "reuse dataset snapshot artifacts from this directory (populated on miss)")
 	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root the engine's LSM store at this directory (WAL + crash recovery; titan engines only)")
@@ -140,16 +138,15 @@ func run(o *options) error {
 	}
 
 	cfg := serve.Config{
-		Engine:      e,
-		EngineName:  o.engine,
-		Dataset:     o.dataset,
-		Base:        res.VertexIDs,
-		Clients:     o.clients,
-		Ops:         o.ops,
-		Rate:        o.rate,
-		Mix:         mix,
-		Seed:        o.seed,
-		FrozenClock: o.frozenClock,
+		Engine:     e,
+		EngineName: o.engine,
+		Dataset:    o.dataset,
+		Base:       res.VertexIDs,
+		Clients:    o.clients,
+		Ops:        o.ops,
+		Rate:       o.rate,
+		Mix:        mix,
+		Seed:       o.seed,
 	}
 	if o.ops == 0 {
 		cfg.Duration = o.duration

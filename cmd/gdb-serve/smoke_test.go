@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +33,9 @@ func command(dir string, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestSmoke drives gdb-serve: closed-loop reports, a byte-identical
-// frozen-clock replay, and a durable store recovered after a SIGKILL.
+// TestSmoke drives gdb-serve: closed-loop reports, two -ops runs with
+// byte-identical op logs and equal counts, and a durable store
+// recovered after a SIGKILL.
 func TestSmoke(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store")
@@ -80,15 +82,28 @@ func TestSmoke(t *testing.T) {
 	t.Run("read-only-serialized", func(t *testing.T) {
 		report(t, "-engine", "sparksee") // vetoes concurrent readers: core.Guard serializes the clients
 	})
-	t.Run("frozen-replay", func(t *testing.T) {
-		replay := func(oplog string) string {
-			rep := run(t, "-engine", "sqlg", "-frozen-clock", "-ops", "500", "-clients", "4", "-rate", "100000",
+	t.Run("frozen-replay", func(t *testing.T) { // a fixed -ops schedule replays
+		replay := func(oplog string) (string, serve.Report) {
+			out := run(t, "-engine", "sqlg", "-ops", "500", "-clients", "4", "-rate", "100000",
 				"-mix", "read=50,traverse=30,insert=10,update=10", "-seed", "42", "-oplog", oplog)
 			log, _ := os.ReadFile(filepath.Join(dir, oplog))
-			return string(log) + string(rep)
+			var rep serve.Report
+			if err := json.Unmarshal(out, &rep); err != nil || rep.Ops != 2000 || rep.Errors != 0 {
+				t.Fatalf("report of a 4×500-op run (%v):\n%s", err, out)
+			}
+			rep.DurationNS, rep.Throughput, rep.Latency = 0, 0, serve.Summary{}
+			for i := range rep.PerOp {
+				rep.PerOp[i].Summary = serve.Summary{}
+			}
+			return string(log), rep
 		}
-		if a, b := replay("ops-a.jsonl"), replay("ops-b.jsonl"); a != b || !strings.HasPrefix(a, `{"client":0,"seq":0,`) {
-			t.Fatalf("two identical frozen-clock runs differ in op log or report:\n%s\n---\n%s", a, b)
+		logA, repA := replay("ops-a.jsonl")
+		logB, repB := replay("ops-b.jsonl")
+		if logA != logB || !strings.HasPrefix(logA, `{"client":0,"seq":0,`) {
+			t.Fatalf("two identical -ops runs differ in op log:\n%s\n---\n%s", logA, logB)
+		}
+		if !reflect.DeepEqual(repA, repB) {
+			t.Fatalf("two identical -ops runs differ in counts:\n%+v\n---\n%+v", repA, repB)
 		}
 	})
 	t.Run("durable-sigkill", func(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package serve is wallclock analyzer testdata: it sits at an import
 // path ending in internal/serve, so the default scope applies — the
-// serving layer's reports and op logs must replay byte-identically
-// under a frozen clock.
+// serving layer times operations only through its injectable clock.
 package serve
 
 import "time"

@@ -18,8 +18,9 @@ import (
 
 // Default is the set of result-producing packages: harness writes
 // streams and checkpoints, datasets writes snapshot artifacts,
-// graphson renders exports, serve emits latency reports and op logs
-// that must replay byte-identically under a frozen clock.
+// graphson renders exports, serve times every operation through its
+// Runner's injectable clock so the executor's tests run it on a fake
+// one.
 var Default = analysis.Scope{
 	"internal/harness",
 	"internal/datasets",

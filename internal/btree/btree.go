@@ -14,7 +14,7 @@
 // is slow unless its bulk path is used (see BulkBuild).
 //
 // What the paper does not price is heap churn, so reads never allocate:
-// Get, Has, Seek, AscendPrefix and AscendRange descend without recording
+// Get, Has, Seek and AscendPrefix descend without recording
 // a path, and scans iterate on the stack. Only Put and Delete record the
 // descent path their rebalancing walks back up, in a fixed stack array.
 //
@@ -28,7 +28,7 @@
 // arena is dead the leaf rewrites its live entries into a new array,
 // leaving the old one to whoever still holds slices of it. Splits give
 // both halves new arenas. So a slice returned by Get, Seek,
-// Cursor.Next, AscendPrefix or AscendRange keeps its bytes after any
+// Cursor.Next or AscendPrefix keeps its bytes after any
 // later mutation, and its capacity ends where it ends, so a caller's
 // append copies instead of writing into the arena. Inner separators are
 // copies too, so they pin no leaf arena. Tree.Bytes is the modelled
@@ -490,20 +490,6 @@ func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
 			if !fn(k, v) {
 				return
 			}
-		}
-	}
-}
-
-// AscendRange calls fn for every pair with start <= key < end.
-func (t *Tree) AscendRange(start, end []byte, fn func(key, value []byte) bool) {
-	c := t.seek(start)
-	for {
-		k, v, ok := c.Next()
-		if !ok || (end != nil && bytes.Compare(k, end) >= 0) {
-			return
-		}
-		if !fn(k, v) {
-			return
 		}
 	}
 }

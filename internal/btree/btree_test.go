@@ -121,10 +121,13 @@ func TestSeekAndRange(t *testing.T) {
 		t.Fatalf("Seek(51) landed on %v", k)
 	}
 	var got []uint64
-	tr.AscendRange(key(10), key(20), func(k, _ []byte) bool {
+	for c := tr.Seek(key(10)); ; {
+		k, _, ok := c.Next()
+		if !ok || bytes.Compare(k, key(20)) >= 0 {
+			break
+		}
 		got = append(got, binary.BigEndian.Uint64(k))
-		return true
-	})
+	}
 	want := []uint64{10, 12, 14, 16, 18}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("range = %v, want %v", got, want)
@@ -354,8 +357,16 @@ func checkAgainst(tr *Tree, ref map[string]string, rng *rand.Rand, keySpace int)
 				exp = append(exp, k)
 			}
 		}
-		if r := collect(func(fn func(k, _ []byte) bool) { tr.AscendRange(lo, end, fn) }); !slices.Equal(r, exp) {
-			return fmt.Errorf("AscendRange(%x, %x) = %d keys, want %d", lo, end, len(r), len(exp))
+		var r []string
+		for c := tr.Seek(lo); ; {
+			k, _, ok := c.Next()
+			if !ok || (end != nil && bytes.Compare(k, end) >= 0) {
+				break
+			}
+			r = append(r, string(k))
+		}
+		if !slices.Equal(r, exp) {
+			return fmt.Errorf("Seek(%x) up to %x = %d keys, want %d", lo, end, len(r), len(exp))
 		}
 		prefix := key(rng.Intn(keySpace))[:6+i%2] // the whole tree, or 256 keys
 		exp = exp[:0]
@@ -435,7 +446,7 @@ func TestReadAllocs(t *testing.T) {
 	if tr.depth() < 3 {
 		t.Fatalf("tree has %d levels, want >= 3", tr.depth())
 	}
-	k, lo, hi, v := key(1234), key(1000), key(1100), []byte("v")
+	k, v := key(1234), []byte("v")
 	prefix := k[:7]
 	n := 0
 	visit := func(_, _ []byte) bool { n++; return true }
@@ -447,7 +458,6 @@ func TestReadAllocs(t *testing.T) {
 		{"Has", func() { tr.Has(k) }},
 		{"Seek", func() { tr.Seek(k).Next() }},
 		{"AscendPrefix", func() { tr.AscendPrefix(prefix, visit) }},
-		{"AscendRange", func() { tr.AscendRange(lo, hi, visit) }},
 		{"Put existing", func() { tr.Put(k, v) }},
 	} {
 		if a := testing.AllocsPerRun(100, c.fn); a != 0 {

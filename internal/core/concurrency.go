@@ -48,9 +48,9 @@ type ConcurrentWriter interface {
 // are *not* atomic as a whole: like any production store without
 // transactions, they may observe mutations that land between calls.
 //
-// Guard forwards the optional capabilities of the wrapped engine
-// (ConcurrentReader, ConcurrentWriter, PlanStatsProvider), so planner
-// statistics and veto decisions survive wrapping.
+// Guard forwards the wrapped engine's concurrency capabilities
+// (ConcurrentReader, ConcurrentWriter), so veto decisions survive
+// wrapping.
 func Guard(e Engine) *GuardedEngine {
 	g := &GuardedEngine{inner: e}
 	if cr, ok := e.(ConcurrentReader); ok && !cr.ConcurrentReads() {
@@ -61,10 +61,9 @@ func Guard(e Engine) *GuardedEngine {
 
 // The guard is a full Engine plus the optional capabilities.
 var (
-	_ Engine            = (*GuardedEngine)(nil)
-	_ ConcurrentReader  = (*GuardedEngine)(nil)
-	_ ConcurrentWriter  = (*GuardedEngine)(nil)
-	_ PlanStatsProvider = (*GuardedEngine)(nil)
+	_ Engine           = (*GuardedEngine)(nil)
+	_ ConcurrentReader = (*GuardedEngine)(nil)
+	_ ConcurrentWriter = (*GuardedEngine)(nil)
 )
 
 // GuardedEngine is the engine wrapper Guard returns. The zero value is
@@ -76,9 +75,6 @@ type GuardedEngine struct {
 	exclusive bool
 	mu        sync.RWMutex
 }
-
-// Unwrap returns the guarded engine.
-func (g *GuardedEngine) Unwrap() Engine { return g.inner }
 
 // Exclusive reports whether the guard serializes *all* operations —
 // true exactly when the wrapped engine vetoed concurrent reads.
@@ -106,15 +102,6 @@ func (g *GuardedEngine) ConcurrentWrites() bool {
 		return cw.ConcurrentWrites()
 	}
 	return false
-}
-
-// PlanStats forwards the wrapped engine's planner statistics, so
-// Explain sees through the guard.
-func (g *GuardedEngine) PlanStats() *PlanStats {
-	if p, ok := g.inner.(PlanStatsProvider); ok {
-		return p.PlanStats()
-	}
-	return nil
 }
 
 // --- lifecycle and metadata ---

@@ -338,18 +338,12 @@ func TestGuardSnapshotIterators(t *testing.T) {
 	}
 }
 
-// TestGuardForwardsCapabilities checks the optional interfaces pass
+// TestGuardForwardsCapabilities checks the write grant passes
 // through the wrapper.
 func TestGuardForwardsCapabilities(t *testing.T) {
 	s := newStub(false)
 	g := Guard(s)
 	if !g.ConcurrentWrites() {
 		t.Fatal("ConcurrentWrites grant not forwarded")
-	}
-	if g.PlanStats() != nil {
-		t.Fatal("PlanStats invented for a stats-less engine")
-	}
-	if g.Unwrap() != Engine(s) {
-		t.Fatal("Unwrap lost the inner engine")
 	}
 }

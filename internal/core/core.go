@@ -96,21 +96,6 @@ func Drain[T any](it Iter[T]) int {
 	return n
 }
 
-// ConcatIter chains iterators in order.
-func ConcatIter[T any](its ...Iter[T]) Iter[T] {
-	i := 0
-	return func() (T, bool) {
-		for i < len(its) {
-			if v, ok := its[i](); ok {
-				return v, true
-			}
-			i++
-		}
-		var zero T
-		return zero, false
-	}
-}
-
 // FilterIter yields only the elements for which keep returns true.
 func FilterIter[T any](it Iter[T], keep func(T) bool) Iter[T] {
 	return func() (T, bool) {

@@ -38,7 +38,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -188,24 +187,6 @@ func decodeVertexDoc(doc []byte) (core.Props, error) {
 
 func decodeEdgeDoc(doc []byte) (core.Props, error) {
 	return graphson.DecodeObject(doc, fieldFrom, fieldKey, fieldLabel, fieldTo)
-}
-
-func removeID(s []core.ID, id core.ID) []core.ID {
-	for i, x := range s {
-		if x == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func sortedKeys[V any](m map[core.ID]V) []core.ID {
-	out := make([]core.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ConcurrentWrites implements core.ConcurrentWriter: the document

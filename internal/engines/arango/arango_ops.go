@@ -1,6 +1,9 @@
 package arango
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -243,8 +246,9 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 
 func (e *Engine) removeEdgeInternal(id core.ID) {
 	ent := e.edgeIdx[id]
-	e.outIdx[ent.src] = removeID(e.outIdx[ent.src], id)
-	e.inIdx[ent.dst] = removeID(e.inIdx[ent.dst], id)
+	is := func(x core.ID) bool { return x == id }
+	e.outIdx[ent.src] = slices.DeleteFunc(e.outIdx[ent.src], is)
+	e.inIdx[ent.dst] = slices.DeleteFunc(e.inIdx[ent.dst], is)
 	delete(e.edocs, id)
 	delete(e.edgeIdx, id)
 }
@@ -277,13 +281,16 @@ func (e *Engine) CountEdges() (int64, error) {
 // Vertices implements core.Engine.
 func (e *Engine) Vertices() core.Iter[core.ID] {
 	e.call("all-vertices", core.NoID)
-	return core.SliceIter(sortedKeys(e.vdocs))
+	keys := slices.AppendSeq(make([]core.ID, 0, len(e.vdocs)), maps.Keys(e.vdocs))
+	slices.Sort(keys)
+	return core.SliceIter(keys)
 }
 
 // Edges implements core.Engine: materializes every document up front.
 func (e *Engine) Edges() core.Iter[core.ID] {
 	e.call("all-edges", core.NoID)
-	keys := sortedKeys(e.edocs)
+	keys := slices.AppendSeq(make([]core.ID, 0, len(e.edocs)), maps.Keys(e.edocs))
+	slices.Sort(keys)
 	for _, id := range keys {
 		_, _ = decodeEdgeDoc(e.edocs[id])
 	}
@@ -295,8 +302,8 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 	e.call("filter-vertices", core.NoID, name)
 	var out []core.ID
-	for _, id := range sortedKeys(e.vdocs) {
-		p, err := decodeVertexDoc(e.vdocs[id])
+	for id, doc := range e.vdocs {
+		p, err := decodeVertexDoc(doc)
 		if err != nil {
 			continue
 		}
@@ -304,6 +311,7 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return core.SliceIter(out)
 }
 
@@ -311,8 +319,8 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 	e.call("filter-edges", core.NoID, name)
 	var out []core.ID
-	for _, id := range sortedKeys(e.edocs) {
-		p, err := decodeEdgeDoc(e.edocs[id])
+	for id, doc := range e.edocs {
+		p, err := decodeEdgeDoc(doc)
 		if err != nil {
 			continue
 		}
@@ -320,6 +328,7 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return core.SliceIter(out)
 }
 
@@ -331,12 +340,13 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 		return core.EmptyIter[core.ID]()
 	}
 	var out []core.ID
-	for _, id := range sortedKeys(e.edocs) {
-		_, _ = decodeEdgeDoc(e.edocs[id])
+	for id, doc := range e.edocs {
+		_, _ = decodeEdgeDoc(doc)
 		if e.edgeIdx[id].label == tok {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return core.SliceIter(out)
 }
 

@@ -1,6 +1,8 @@
 package orient
 
 import (
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -233,31 +235,23 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 	if !ok {
 		return core.ErrNotFound
 	}
+	is := func(x core.ID) bool { return x == id }
 	if sd, ok := e.readVertex(d.src); ok {
-		sd.out = removeRID(sd.out, id)
+		sd.out = slices.DeleteFunc(sd.out, is)
 		if d.src == d.dst {
-			sd.in = removeRID(sd.in, id)
+			sd.in = slices.DeleteFunc(sd.in, is)
 		}
 		e.rewriteVertex(d.src, sd)
 	}
 	if d.dst != d.src {
 		if dd, ok := e.readVertex(d.dst); ok {
-			dd.in = removeRID(dd.in, id)
+			dd.in = slices.DeleteFunc(dd.in, is)
 			e.rewriteVertex(d.dst, dd)
 		}
 	}
 	c, pos, _ := e.edgeCluster(id)
 	c.free(pos)
 	return nil
-}
-
-func removeRID(rids []core.ID, id core.ID) []core.ID {
-	for i, r := range rids {
-		if r == id {
-			return append(rids[:i], rids[i+1:]...)
-		}
-	}
-	return rids
 }
 
 // --- scans ---

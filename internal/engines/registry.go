@@ -175,21 +175,3 @@ func Constructor(name string) core.Constructor {
 	defer mu.RUnlock()
 	return registry[name]
 }
-
-// ForEach calls fn with a fresh instance of every registered engine,
-// closing each afterwards. It stops at the first error.
-func ForEach(fn func(e core.Engine) error) error {
-	for _, n := range Names() {
-		c := Constructor(n)
-		if c == nil {
-			continue
-		}
-		e := c()
-		err := fn(e)
-		e.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", n, err)
-		}
-	}
-	return nil
-}

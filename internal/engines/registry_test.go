@@ -29,20 +29,6 @@ func TestUnknownName(t *testing.T) {
 	}
 }
 
-func TestForEachVisitsAll(t *testing.T) {
-	seen := map[string]bool{}
-	err := ForEach(func(e core.Engine) error {
-		seen[e.Meta().Name] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(Names()) {
-		t.Fatalf("visited %d engines, want %d", len(seen), len(Names()))
-	}
-}
-
 func TestTable1Metadata(t *testing.T) {
 	// The registry must reproduce Table 1's native/hybrid split.
 	wantKind := map[string]core.SystemKind{

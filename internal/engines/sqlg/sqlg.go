@@ -23,7 +23,6 @@ package sqlg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/engines/kit"
@@ -134,11 +133,6 @@ func rowToProps(t *rel.Table, r rel.Row, skip int) core.Props {
 		return nil
 	}
 	return p
-}
-
-func sortedIDs(ids []core.ID) []core.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // ConcurrentWrites implements core.ConcurrentWriter: the relational

@@ -1,6 +1,8 @@
 package sqlg
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/rel"
 )
@@ -281,7 +283,8 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 			out = append(out, core.ID(id))
 		}
 	}
-	return core.SliceIter(sortedIDs(out))
+	slices.Sort(out)
+	return core.SliceIter(out)
 }
 
 // VerticesByProp implements core.Engine: one relational predicate scan,
@@ -296,7 +299,8 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 		out = append(out, core.ID(r[0].Int()))
 		return true
 	})
-	return core.SliceIter(sortedIDs(out))
+	slices.Sort(out)
+	return core.SliceIter(out)
 }
 
 // EdgesByProp implements core.Engine.
@@ -311,7 +315,8 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 			return true
 		})
 	}
-	return core.SliceIter(sortedIDs(out))
+	slices.Sort(out)
+	return core.SliceIter(out)
 }
 
 // EdgesByLabel implements core.Engine: a single-table scan — the
@@ -327,7 +332,8 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 		out = append(out, core.ID(r[0].Int()))
 		return true
 	})
-	return core.SliceIter(sortedIDs(out))
+	slices.Sort(out)
+	return core.SliceIter(out)
 }
 
 // --- traversal ---

@@ -103,12 +103,6 @@ func (r *run) exec(steps []step, out sink) {
 				seen[id] = struct{}{}
 				return next(id)
 			}
-		case opStore:
-			set := st.Set
-			out = func(id core.ID) bool {
-				set[id] = struct{}{}
-				return next(id)
-			}
 		case opLimit:
 			if st.N <= 0 {
 				return // nothing upstream of an empty Limit is pulled
@@ -230,9 +224,10 @@ func (r *run) filter(s step, next sink) sink {
 // sample keeps a uniform random sample of up to n elements (reservoir
 // sampling with a deterministic seed — the harness requires identical
 // random choices across engines, per the paper's methodology). add
-// fills the reservoir; feed then pushes it into next.
+// fills the reservoir, which grows with the arrivals rather than with
+// n; feed then pushes it into next.
 func sample(n, seed int64, next sink) (add sink, feed func()) {
-	reservoir := make([]core.ID, 0, n)
+	var reservoir []core.ID
 	rng := splitMix(uint64(seed))
 	count := 0
 	add = func(id core.ID) bool {

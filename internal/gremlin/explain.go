@@ -132,7 +132,7 @@ func (e *estimator) apply(s step) {
 		e.cur *= e.stats.AvgDegree(core.DirIn, s.Labels)
 	case opBothE:
 		e.cur *= e.stats.AvgDegree(core.DirBoth, s.Labels)
-	case opOutV, opInV, opStore:
+	case opOutV, opInV:
 		// Row count unchanged.
 	case opDedup:
 		pool := float64(e.stats.V)

@@ -174,11 +174,6 @@ func (t *Traversal) Except(set map[core.ID]struct{}) *Traversal {
 	return t.append(step{Op: opExcept, Kind: t.kind(), Set: set})
 }
 
-// Store adds every passing element to the set (.store(vs)).
-func (t *Traversal) Store(set map[core.ID]struct{}) *Traversal {
-	return t.append(step{Op: opStore, Kind: t.kind(), Set: set})
-}
-
 // Limit stops the traversal after n elements (.limit). Its sink
 // returns false as soon as the budget is spent, which stops its
 // upstream — and therefore the engine iterators — from pulling more.

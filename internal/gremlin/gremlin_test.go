@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -177,10 +179,14 @@ func TestDegreeFilterAndStoreExcept(t *testing.T) {
 			if withIn != 4 {
 				t.Fatalf("with incoming = %d", withIn)
 			}
-			set := map[core.ID]struct{}{a: {}}
-			rest, _ := g.V().Except(set).Store(set).Count(ctx)
-			if rest != 3 || len(set) != 4 {
-				t.Fatalf("except/store = %d, set %d", rest, len(set))
+			// Store the high-degree ids in a set, then Except drops them.
+			set := map[core.ID]struct{}{}
+			for _, id := range big {
+				set[id] = struct{}{}
+			}
+			rest, _ := g.V().Except(set).IDs(ctx)
+			if len(rest) != 2 || slices.Contains(rest, a) || slices.Contains(rest, d) {
+				t.Fatalf("except = %v, set %v", rest, big)
 			}
 		})
 	}
@@ -457,6 +463,29 @@ func TestTraversalAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.fn() }); n > c.max {
 			t.Errorf("%s: %v allocs/op, want at most %v", c.name, n, c.max)
 		}
+	}
+}
+
+// TestSampleAllocs: a Sample's reservoir grows with what arrives, not
+// with the requested size, so asking for four million elements of a
+// four-vertex graph allocates kilobytes, not the 32 MiB n ids take.
+func TestSampleAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := neo.New(neo.V19)
+	defer e.Close()
+	diamond(t, e)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := New(e).V().Sample(1<<22, 1).Count(ctx)
+	runtime.ReadMemStats(&after)
+	if n != 4 || err != nil {
+		t.Fatalf("Sample(1<<22).Count = %d, %v; want 4", n, err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+		t.Fatalf("Sample(1<<22) on 4 vertices allocated %d bytes, want at most %d", b, 64<<10)
 	}
 }
 

@@ -39,7 +39,6 @@ const (
 
 	// Stream shapers.
 	opDedup  // first occurrence of each id
-	opStore  // add passing elements to a set
 	opLimit  // stop after n elements
 	opSample // deterministic reservoir sample
 )
@@ -81,8 +80,6 @@ func (op opcode) String() string {
 		return "inV"
 	case opDedup:
 		return "dedup"
-	case opStore:
-		return "store"
 	case opLimit:
 		return "limit"
 	case opSample:
@@ -108,7 +105,7 @@ type step struct {
 	Seed   int64          // Sample: PRNG seed
 	ID     core.ID        // SourceVID / SourceEID
 
-	Set map[core.ID]struct{} // Except / Store set
+	Set map[core.ID]struct{} // Except set
 }
 
 // label renders the step with its arguments, e.g. `has(name=x)`.

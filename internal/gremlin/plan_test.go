@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -112,33 +111,6 @@ func TestSourceFusionMatchesScan(t *testing.T) {
 			}
 			e.Close()
 		}
-	}
-}
-
-// TestStoreBarrierSetsIdentical: a Store step records exactly the
-// elements that reached it — the vertices passing the filter before
-// it — whatever the filters after it drop.
-func TestStoreBarrierSetsIdentical(t *testing.T) {
-	g := propGraph(3)
-	for name, e := range allEngines() {
-		if _, err := e.BulkLoad(g); err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		set := map[core.ID]struct{}{}
-		if _, err := New(e).V().DegreeAtLeast(core.DirBoth, 2).Store(set).Has("color", core.S("red")).Count(context.Background()); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := map[core.ID]struct{}{}
-		it := e.Vertices()
-		for id, ok := it(); ok; id, ok = it() {
-			if d, err := e.Degree(id, core.DirBoth); err == nil && d >= 2 {
-				want[id] = struct{}{}
-			}
-		}
-		if !maps.Equal(set, want) {
-			t.Fatalf("%s: stored %d vertices, %d have degree >= 2", name, len(set), len(want))
-		}
-		e.Close()
 	}
 }
 

@@ -5,11 +5,10 @@
 // serving layer needs to report tail quantiles (p99, p999) from
 // millions of samples without storing them.
 //
-// It also implements HdrHistogram's coordinated-omission correction:
-// RecordCorrected backfills the samples a stalled closed-loop client
-// failed to issue while it was stuck behind one slow operation, so the
-// recorded distribution approximates what an open-loop arrival process
-// would have observed.
+// It records what it is given and corrects nothing: the serving layer
+// keeps its open-loop latencies free of coordinated omission by
+// measuring from each operation's intended start, and reports its
+// closed-loop latencies as service time.
 //
 // The package is self-contained and allocation-free on the record path;
 // merging is element-wise addition and therefore associative and
@@ -83,24 +82,6 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.counts[slot(v)]++
 	h.total++
-}
-
-// RecordCorrected adds one sample plus the coordinated-omission
-// backfill: when a closed-loop client intended to issue one operation
-// every expectedInterval but a single operation took v ≫
-// expectedInterval, the operations it would have issued meanwhile were
-// never sampled. Following HdrHistogram, the missing samples are
-// reconstructed at v-expectedInterval, v-2·expectedInterval, … down to
-// expectedInterval — each queued arrival would have waited that much
-// less. With expectedInterval ≤ 0 it degrades to Record.
-func (h *Histogram) RecordCorrected(v, expectedInterval int64) {
-	h.Record(v)
-	if expectedInterval <= 0 {
-		return
-	}
-	for missed := v - expectedInterval; missed >= expectedInterval; missed -= expectedInterval {
-		h.Record(missed)
-	}
 }
 
 // Merge adds o's samples into h. Element-wise addition: associative,

@@ -108,63 +108,6 @@ func TestExactRegionIsExact(t *testing.T) {
 	}
 }
 
-// TestRecordCorrectedBackfill pins the HdrHistogram semantics: one
-// stalled operation of 10 intervals yields ten samples — the stall
-// itself plus nine reconstructed queued arrivals at 9, 8, …, 1
-// intervals of waiting.
-func TestRecordCorrectedBackfill(t *testing.T) {
-	const interval = int64(1_000_000) // 1ms intended period
-	h := New()
-	h.RecordCorrected(10*interval, interval)
-	if h.Count() != 10 {
-		t.Fatalf("count = %d, want 10 backfilled samples", h.Count())
-	}
-	// Median of {1..10}·interval ≈ 5·interval.
-	got := h.Quantile(0.5)
-	want := 5 * interval
-	if math.Abs(float64(got-want)) > float64(want)/32 {
-		t.Fatalf("corrected p50 = %d, want ≈ %d", got, want)
-	}
-	// No correction requested → single sample.
-	h2 := New()
-	h2.RecordCorrected(10*interval, 0)
-	if h2.Count() != 1 {
-		t.Fatalf("uncorrected count = %d", h2.Count())
-	}
-}
-
-// TestCoordinatedOmissionCorrection models the stalled client the
-// correction exists for: a steady stream of fast operations with one
-// long stall. Uncorrected, the stall is one sample among thousands and
-// the p99 stays low — the lie coordinated omission tells. Corrected,
-// the backfilled queue drags the upper quantiles toward the stall.
-func TestCoordinatedOmissionCorrection(t *testing.T) {
-	const (
-		interval = int64(1_000_000)     // client intends one op per ms
-		fast     = int64(100_000)       // 0.1ms service time
-		stall    = int64(1_000_000_000) // one 1s stall
-	)
-	uncorrected, corrected := New(), New()
-	for i := 0; i < 2000; i++ {
-		uncorrected.Record(fast)
-		corrected.RecordCorrected(fast, interval)
-	}
-	uncorrected.Record(stall)
-	corrected.RecordCorrected(stall, interval)
-
-	if p99 := uncorrected.Quantile(0.99); p99 >= interval {
-		t.Fatalf("uncorrected p99 = %d, expected the omission lie (< %d)", p99, interval)
-	}
-	// The stall backfills ~999 queued samples among ~3000 total, so the
-	// corrected p99 lands far into the stall's queue.
-	if p99 := corrected.Quantile(0.99); p99 < 100*interval {
-		t.Fatalf("corrected p99 = %d, correction did not surface the stall", p99)
-	}
-	if corrected.Count() <= uncorrected.Count() {
-		t.Fatalf("no backfill: %d vs %d", corrected.Count(), uncorrected.Count())
-	}
-}
-
 // TestMergeAssociative checks (a∪b)∪c = a∪(b∪c) = one histogram fed
 // everything, bucket by bucket — the property that makes per-client
 // histograms mergeable in any join order.

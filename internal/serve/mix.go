@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -52,7 +53,8 @@ var DefaultMix = Mix{Read: 70, Traverse: 30}
 
 // ParseMix parses "read=70,traverse=20,insert=5,update=5". Omitted
 // kinds weigh zero; weights must be non-negative and sum to a positive
-// total.
+// total of at most math.MaxInt32, so the sum fits an int on every
+// platform and draw never sees a wrapped total.
 func ParseMix(s string) (Mix, error) {
 	var m Mix
 	fields := map[string]*int{
@@ -80,7 +82,14 @@ func ParseMix(s string) (Mix, error) {
 		}
 		*dst = n
 	}
-	if m.total() <= 0 {
+	total := 0
+	for _, w := range []int{m.Read, m.Traverse, m.Insert, m.Update} {
+		if w > math.MaxInt32-total {
+			return Mix{}, fmt.Errorf("mix %q: weights sum past %d", s, math.MaxInt32)
+		}
+		total += w
+	}
+	if total == 0 {
 		return Mix{}, fmt.Errorf("mix %q: weights sum to zero", s)
 	}
 	return m, nil
@@ -131,7 +140,7 @@ func (m Mix) draw(rng *rand.Rand) opKind {
 // op is one intended operation: a kind plus two integer parameters
 // whose meaning depends on the kind (base-vertex index, BFS depth,
 // property payload). Ops carry *intent*, never outcomes, so the
-// operation log is identical across execution modes and interleavings.
+// operation log is identical across runs and interleavings.
 type op struct {
 	Kind opKind
 	A    int64

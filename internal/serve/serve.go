@@ -19,12 +19,11 @@
 // full serialization for ConcurrentReader-vetoing engines). Mixes
 // containing writes require the engine to grant core.ConcurrentWriter.
 //
-// With Config.FrozenClock the run becomes a discrete-event simulation:
-// no goroutines, a fixed virtual service time per operation, operations
-// executed in (virtual time, client) order. Same seed, mix, and rate then yield a
-// byte-identical operation log and JSON report — the property the
-// deterministic-replay tests and the gdb-lint wallclock analyzer
-// protect.
+// Each client draws its operations from its own seeded stream, so with
+// a per-client op count (Config.Ops) the same seed, mix and rate yield
+// a byte-identical operation log whatever the goroutine interleaving —
+// the property the replay tests protect. The clock is injectable
+// (Runner), which keeps the executor testable without the wall clock.
 package serve
 
 import (
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,14 +52,13 @@ type Config struct {
 	// Base is the pool of loaded vertex IDs operations draw targets
 	// from. Must be non-empty.
 	Base []core.ID
-	// Clients is the number of concurrent clients (goroutines in real
-	// mode, virtual clients in frozen mode). At least 1.
+	// Clients is the number of concurrent clients, one goroutine each.
+	// At least 1.
 	Clients int
-	// Ops is the per-client operation count. Required in frozen-clock
-	// mode; in real mode it may be 0, in which case Duration bounds the
-	// run instead.
+	// Ops is the per-client operation count. It may be 0, in which case
+	// Duration bounds the run instead.
 	Ops int
-	// Duration bounds a real-mode run when Ops is 0.
+	// Duration bounds the run when Ops is 0.
 	Duration time.Duration
 	// Rate is the total target arrival rate in ops/sec across all
 	// clients. Zero selects the closed loop.
@@ -72,8 +69,6 @@ type Config struct {
 	// Seed drives every random choice (per-client op streams and
 	// arrival processes).
 	Seed int64
-	// FrozenClock switches to the deterministic discrete-event mode.
-	FrozenClock bool
 	// OpLog, when non-nil, receives the intended-operation log as JSON
 	// lines sorted by (client, seq).
 	OpLog io.Writer
@@ -82,21 +77,20 @@ type Config struct {
 // Report is the JSON result schema. Field order is fixed; all maps are
 // avoided so encoding is deterministic.
 type Report struct {
-	Schema      string  `json:"schema"`
-	Engine      string  `json:"engine"`
-	Dataset     string  `json:"dataset"`
-	Clients     int     `json:"clients"`
-	Loop        string  `json:"loop"`
-	Rate        float64 `json:"rate_ops_per_sec"`
-	Mix         string  `json:"mix"`
-	Seed        int64   `json:"seed"`
-	FrozenClock bool    `json:"frozen_clock"`
-	DurationNS  int64   `json:"duration_ns"`
-	Ops         int64   `json:"ops"`
-	Errors      int64   `json:"errors"`
-	Throughput  float64 `json:"throughput_ops_per_sec"`
-	Latency     Summary `json:"latency_ns"`
-	PerOp       []OpSum `json:"per_op"`
+	Schema     string  `json:"schema"`
+	Engine     string  `json:"engine"`
+	Dataset    string  `json:"dataset"`
+	Clients    int     `json:"clients"`
+	Loop       string  `json:"loop"`
+	Rate       float64 `json:"rate_ops_per_sec"`
+	Mix        string  `json:"mix"`
+	Seed       int64   `json:"seed"`
+	DurationNS int64   `json:"duration_ns"`
+	Ops        int64   `json:"ops"`
+	Errors     int64   `json:"errors"`
+	Throughput float64 `json:"throughput_ops_per_sec"`
+	Latency    Summary `json:"latency_ns"`
+	PerOp      []OpSum `json:"per_op"`
 }
 
 // Summary is a latency digest in nanoseconds.
@@ -120,7 +114,7 @@ type OpSum struct {
 }
 
 // Schema is the report schema identifier.
-const Schema = "gdb-serve/v1"
+const Schema = "gdb-serve/v2"
 
 // Runner executes serving runs. The clock functions are injectable for
 // tests; production construction via NewRunner uses the wall clock (the
@@ -147,7 +141,6 @@ type client struct {
 	lat  *hist.Histogram
 	kind [nOpKinds]*hist.Histogram
 	errs [nOpKinds]int64
-	last int64 // last virtual completion (frozen mode)
 }
 
 func newClient(id int) *client {
@@ -180,10 +173,7 @@ func (r *Runner) Run(cfg Config) (*Report, error) {
 	if cfg.Mix.total() == 0 {
 		cfg.Mix = DefaultMix
 	}
-	if cfg.FrozenClock && cfg.Ops <= 0 {
-		return nil, fmt.Errorf("serve: frozen-clock mode needs a per-client op count (duration has no meaning in virtual time)")
-	}
-	if !cfg.FrozenClock && cfg.Ops <= 0 && cfg.Duration <= 0 {
+	if cfg.Ops <= 0 && cfg.Duration <= 0 {
 		return nil, fmt.Errorf("serve: need -ops or -duration")
 	}
 	if cfg.Rate < 0 {
@@ -195,13 +185,7 @@ func (r *Runner) Run(cfg Config) (*Report, error) {
 			cfg.Mix, cfg.EngineName)
 	}
 
-	var clients []*client
-	var durationNS int64
-	if cfg.FrozenClock {
-		clients, durationNS = r.runFrozen(cfg, g)
-	} else {
-		clients, durationNS = r.runReal(cfg, g)
-	}
+	clients, durationNS := r.runReal(cfg, g)
 
 	if cfg.OpLog != nil {
 		if err := writeOpLog(cfg.OpLog, clients); err != nil {
@@ -225,7 +209,7 @@ func interArrival(rng *rand.Rand, perClientRate float64) int64 {
 	return dt
 }
 
-// --- real mode: goroutines on the injected clock ---
+// --- executor: one goroutine per client on the injected clock ---
 
 func (r *Runner) runReal(cfg Config, g *core.GuardedEngine) ([]*client, int64) {
 	clients := make([]*client, cfg.Clients)
@@ -286,85 +270,6 @@ func (r *Runner) runReal(cfg Config, g *core.GuardedEngine) ([]*client, int64) {
 	return clients, int64(r.since(start))
 }
 
-// --- frozen mode: discrete-event simulation in virtual time ---
-
-// vevent is one scheduled operation in the virtual timeline.
-type vevent struct {
-	intended int64
-	client   int
-	seq      int
-	o        op
-}
-
-// virtualServiceNS is the fixed virtual service time in frozen-clock
-// mode: long enough that an open-loop arrival process can outrun the
-// server and show queueing, short enough that closed-loop runs stay
-// readable. Virtual latencies measure the *simulated schedule*, not
-// the engine; the mode exists for byte-identical replay, not for
-// performance numbers.
-const virtualServiceNS = 1000
-
-func (r *Runner) runFrozen(cfg Config, g *core.GuardedEngine) ([]*client, int64) {
-	clients := make([]*client, cfg.Clients)
-	perClientRate := 0.0
-	if cfg.Rate > 0 {
-		perClientRate = cfg.Rate / float64(cfg.Clients)
-	}
-	var events []vevent
-	var maxCompletion int64
-	for i := range clients {
-		c := newClient(i)
-		clients[i] = c
-		rng := clientRNG(cfg.Seed, c.id)
-		var intended, completion int64
-		for seq := 0; seq < cfg.Ops; seq++ {
-			if perClientRate > 0 {
-				// Open loop: Poisson arrivals; an op takes the fixed
-				// virtual service time, and it cannot start before the
-				// previous one finished — queueing shows up as latency,
-				// exactly as on the real clock.
-				intended += interArrival(rng, perClientRate)
-				start := intended
-				if completion > start {
-					start = completion
-				}
-				completion = start + virtualServiceNS
-			} else {
-				// Closed loop: next op starts at the previous completion.
-				intended = completion
-				completion = intended + virtualServiceNS
-			}
-			o := genOp(rng, cfg.Mix, len(cfg.Base))
-			if cfg.OpLog != nil {
-				c.ops = append(c.ops, o)
-			}
-			c.record(o.Kind, completion-intended, nil)
-			events = append(events, vevent{intended: intended, client: c.id, seq: seq, o: o})
-		}
-		if completion > maxCompletion {
-			maxCompletion = completion
-		}
-	}
-	// Execute in global virtual order so engine state evolves the same
-	// way on every run: by intended time, then client, then sequence.
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.intended != b.intended {
-			return a.intended < b.intended
-		}
-		if a.client != b.client {
-			return a.client < b.client
-		}
-		return a.seq < b.seq
-	})
-	for _, ev := range events {
-		if err := executeOp(g, cfg.Base, ev.o); err != nil {
-			clients[ev.client].errs[ev.o.Kind]++
-		}
-	}
-	return clients, maxCompletion
-}
-
 // --- operation execution ---
 
 // traverseCap bounds BFS materialization so one traversal cannot
@@ -416,8 +321,8 @@ func executeOp(g core.Engine, base []core.ID, o op) error {
 // --- op log and report ---
 
 // opLogEntry is one line of the intended-operation log. Intent only —
-// no outcomes, no timestamps — so the log is identical across
-// execution modes and goroutine interleavings for a fixed op count.
+// no outcomes, no timestamps — so the log is identical across runs and
+// goroutine interleavings for a fixed op count.
 type opLogEntry struct {
 	Client int    `json:"client"`
 	Seq    int    `json:"seq"`
@@ -471,19 +376,18 @@ func buildReport(cfg Config, clients []*client, durationNS int64) *Report {
 		loop = "open"
 	}
 	rep := &Report{
-		Schema:      Schema,
-		Engine:      cfg.EngineName,
-		Dataset:     cfg.Dataset,
-		Clients:     cfg.Clients,
-		Loop:        loop,
-		Rate:        cfg.Rate,
-		Mix:         cfg.Mix.String(),
-		Seed:        cfg.Seed,
-		FrozenClock: cfg.FrozenClock,
-		DurationNS:  durationNS,
-		Ops:         total.Count(),
-		Errors:      errs,
-		Latency:     summarize(total),
+		Schema:     Schema,
+		Engine:     cfg.EngineName,
+		Dataset:    cfg.Dataset,
+		Clients:    cfg.Clients,
+		Loop:       loop,
+		Rate:       cfg.Rate,
+		Mix:        cfg.Mix.String(),
+		Seed:       cfg.Seed,
+		DurationNS: durationNS,
+		Ops:        total.Count(),
+		Errors:     errs,
+		Latency:    summarize(total),
 	}
 	if durationNS > 0 {
 		rep.Throughput = float64(rep.Ops) / (float64(durationNS) / 1e9)

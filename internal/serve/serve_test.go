@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -34,56 +37,71 @@ func loadedEngine(t *testing.T, name string) (core.Engine, []core.ID) {
 	return e, res.VertexIDs
 }
 
-// runFrozenOnce executes one frozen-clock run on a fresh engine and
-// returns the op log and report bytes.
-func runFrozenOnce(t *testing.T, engine string, cfg Config) (oplog, report []byte) {
+// runOnce executes one -ops run on a fresh engine, on a fresh fake
+// clock, and returns the op log and the report.
+func runOnce(t *testing.T, engine string, cfg Config) ([]byte, *Report) {
 	t.Helper()
 	e, base := loadedEngine(t, engine)
 	defer e.Close()
-	var logBuf, repBuf bytes.Buffer
+	var logBuf bytes.Buffer
 	cfg.Engine = e
 	cfg.EngineName = engine
 	cfg.Base = base
-	cfg.FrozenClock = true
 	cfg.OpLog = &logBuf
-	rep, err := Run(cfg)
+	rep, err := fakeRunner().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Encode(&repBuf); err != nil {
-		t.Fatal(err)
+	return logBuf.Bytes(), rep
+}
+
+// counts is the part of a report that a fixed op schedule determines:
+// everything but the timings.
+func counts(r *Report) string {
+	s := fmt.Sprintf("ops=%d errors=%d", r.Ops, r.Errors)
+	for _, o := range r.PerOp {
+		s += fmt.Sprintf(" %s=%d/%d", o.Op, o.Count, o.Errors)
 	}
-	return logBuf.Bytes(), repBuf.Bytes()
+	return s
 }
 
 // TestFrozenReplayByteIdentical is the deterministic-replay guarantee:
-// same seed + mix + rate ⇒ byte-identical operation log AND report,
-// run to run, on a fresh engine each time.
+// same seed + mix + rate + op count ⇒ a byte-identical operation log
+// and identical op, error and per-kind counts, run to run, on a fresh
+// engine each time. The schedule is frozen further by a digest: each
+// log is the one gdb-serve/v1's discrete-event simulator wrote for
+// the same configuration, since every client draws the same stream.
 func TestFrozenReplayByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		sha256 string
 	}{
 		{"closed-mixed", Config{Dataset: "tiny", Clients: 4, Ops: 200, Seed: 7,
-			Mix: Mix{Read: 60, Traverse: 20, Insert: 10, Update: 10}}},
+			Mix: Mix{Read: 60, Traverse: 20, Insert: 10, Update: 10}},
+			"ddaa918618849666dd69df90df2a12a133f6cc7742930dd3290783f79a19b71e"},
 		{"open-read-only", Config{Dataset: "tiny", Clients: 3, Ops: 150, Seed: 11,
-			Rate: 2e6, Mix: Mix{Read: 70, Traverse: 30}}},
+			Rate: 2e6, Mix: Mix{Read: 70, Traverse: 30}},
+			"0290ae5a73c6bb96e4b0d587648450c2a5e1cac80cf626380668d98e53f54f11"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			log1, rep1 := runFrozenOnce(t, "sqlg", tc.cfg)
-			log2, rep2 := runFrozenOnce(t, "sqlg", tc.cfg)
+			log1, rep1 := runOnce(t, "sqlg", tc.cfg)
+			log2, rep2 := runOnce(t, "sqlg", tc.cfg)
 			if !bytes.Equal(log1, log2) {
-				t.Fatal("op logs differ between identical frozen runs")
+				t.Fatal("op logs differ between identical runs")
 			}
-			if !bytes.Equal(rep1, rep2) {
-				t.Fatalf("reports differ between identical frozen runs:\n%s\n---\n%s", rep1, rep2)
+			if c1, c2 := counts(rep1), counts(rep2); c1 != c2 {
+				t.Fatalf("counts differ between identical runs: %s vs %s", c1, c2)
 			}
-			if len(log1) == 0 {
-				t.Fatal("empty op log")
+			if want := int64(tc.cfg.Clients * tc.cfg.Ops); rep1.Ops != want || rep1.Errors != 0 {
+				t.Fatalf("counts = %s, want %d ops and no errors", counts(rep1), want)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(log1)); got != tc.sha256 {
+				t.Fatalf("op log digest = %s, want %s", got, tc.sha256)
 			}
 			// A different seed must actually change the schedule.
 			tc.cfg.Seed++
-			log3, _ := runFrozenOnce(t, "sqlg", tc.cfg)
+			log3, _ := runOnce(t, "sqlg", tc.cfg)
 			if bytes.Equal(log1, log3) {
 				t.Fatal("op log insensitive to seed")
 			}
@@ -91,21 +109,24 @@ func TestFrozenReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFrozenReportShape sanity-checks the virtual schedule: closed-loop
-// latencies are exactly the virtual service time; the op count is
-// clients × ops; per_op covers exactly the mixed kinds in order.
+// TestFrozenReportShape sanity-checks a closed-loop report on the fake
+// clock, which moves only when the executor reads it: the run reads it
+// once at each end and twice per operation, whatever the interleaving,
+// so the duration is exact; every latency spans at least one read; the
+// op count is clients × ops; per_op covers exactly the mixed kinds in
+// order.
 func TestFrozenReportShape(t *testing.T) {
 	e, base := loadedEngine(t, "neo-1.9")
 	defer e.Close()
-	rep, err := Run(Config{
+	rep, err := fakeRunner().Run(Config{
 		Engine: e, EngineName: "neo-1.9", Dataset: "tiny", Base: base,
-		Clients: 4, Ops: 100, Seed: 3, FrozenClock: true,
+		Clients: 4, Ops: 100, Seed: 3,
 		Mix: Mix{Read: 50, Traverse: 20, Insert: 20, Update: 10},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != Schema || rep.Loop != "closed" || !rep.FrozenClock {
+	if rep.Schema != Schema || rep.Loop != "closed" {
 		t.Fatalf("header wrong: %+v", rep)
 	}
 	if rep.Ops != 400 {
@@ -114,11 +135,11 @@ func TestFrozenReportShape(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d", rep.Errors)
 	}
-	if rep.Latency.P50 != virtualServiceNS || rep.Latency.Max != virtualServiceNS {
-		t.Fatalf("closed-loop virtual latency = %+v, want constant %d", rep.Latency, virtualServiceNS)
+	if want := int64((2*400 + 1) * time.Microsecond); rep.DurationNS != want {
+		t.Fatalf("duration = %d, want %d", rep.DurationNS, want)
 	}
-	if rep.DurationNS != 100*virtualServiceNS {
-		t.Fatalf("virtual duration = %d", rep.DurationNS)
+	if l := rep.Latency; l.Min < int64(time.Microsecond) || l.Max > rep.DurationNS {
+		t.Fatalf("closed-loop latency = %+v", l)
 	}
 	var kinds []string
 	var n int64
@@ -134,18 +155,19 @@ func TestFrozenReportShape(t *testing.T) {
 	}
 }
 
-// TestFrozenOpenLoopShowsQueueing drives virtual arrivals faster than
-// the virtual service rate: an open loop must not slow down with the
+// TestFrozenOpenLoopShowsQueueing drives arrivals faster than the fake
+// clock's service rate: an open loop must not slow down with the
 // server, so the backlog shows up as growing intended-start latency —
 // the behaviour coordinated-omission-safe measurement exists to expose.
 func TestFrozenOpenLoopShowsQueueing(t *testing.T) {
 	e, base := loadedEngine(t, "sqlg")
 	defer e.Close()
-	// 2e6 ops/sec on one client = one arrival per 500ns mean, against a
-	// 1000ns virtual service time: the queue grows without bound.
-	rep, err := Run(Config{
+	// 2e6 ops/sec on one client = one arrival per 500ns mean, against an
+	// operation that reads the fake clock twice (2µs): the queue grows
+	// without bound.
+	rep, err := fakeRunner().Run(Config{
 		Engine: e, EngineName: "sqlg", Dataset: "tiny", Base: base,
-		Clients: 1, Ops: 500, Seed: 5, Rate: 2e6, FrozenClock: true,
+		Clients: 1, Ops: 500, Seed: 5, Rate: 2e6,
 		Mix: Mix{Read: 100},
 	})
 	if err != nil {
@@ -154,7 +176,7 @@ func TestFrozenOpenLoopShowsQueueing(t *testing.T) {
 	if rep.Loop != "open" {
 		t.Fatalf("loop = %q", rep.Loop)
 	}
-	if rep.Latency.Max < 20*virtualServiceNS {
+	if rep.Latency.Max < int64(20*time.Microsecond) {
 		t.Fatalf("max latency %d shows no queueing", rep.Latency.Max)
 	}
 	if rep.Latency.P99 <= rep.Latency.P50 {
@@ -170,7 +192,7 @@ func TestMutatingMixRequiresWriteGrant(t *testing.T) {
 	defer e.Close()
 	_, err := Run(Config{
 		Engine: e, EngineName: "sparksee", Dataset: "tiny", Base: base,
-		Clients: 2, Ops: 10, Seed: 1, FrozenClock: true,
+		Clients: 2, Ops: 10, Seed: 1,
 		Mix: Mix{Read: 90, Insert: 10},
 	})
 	if err == nil || !strings.Contains(err.Error(), "ConcurrentWriter") {
@@ -178,7 +200,7 @@ func TestMutatingMixRequiresWriteGrant(t *testing.T) {
 	}
 	rep, err := Run(Config{
 		Engine: e, EngineName: "sparksee", Dataset: "tiny", Base: base,
-		Clients: 2, Ops: 50, Seed: 1, FrozenClock: true,
+		Clients: 2, Ops: 50, Seed: 1,
 		Mix: Mix{Read: 70, Traverse: 30},
 	})
 	if err != nil {
@@ -218,16 +240,21 @@ func (f *fakeClock) sleep(d time.Duration) {
 	f.t = f.t.Add(d)
 }
 
+// fakeRunner returns a Runner on a fresh fakeClock that advances one
+// microsecond per read.
+func fakeRunner() *Runner {
+	fc := &fakeClock{step: time.Microsecond}
+	return &Runner{now: fc.now, since: fc.since, sleep: fc.sleep}
+}
+
 // TestRealModeOnInjectedClock exercises the goroutine executor without
 // touching the wall clock: a fixed per-client op count on a mixed
 // workload, with the op log covering every issued operation.
 func TestRealModeOnInjectedClock(t *testing.T) {
 	e, base := loadedEngine(t, "neo-3.0")
 	defer e.Close()
-	fc := &fakeClock{step: time.Microsecond}
-	r := &Runner{now: fc.now, since: fc.since, sleep: fc.sleep}
 	var logBuf bytes.Buffer
-	rep, err := r.Run(Config{
+	rep, err := fakeRunner().Run(Config{
 		Engine: e, EngineName: "neo-3.0", Dataset: "tiny", Base: base,
 		Clients: 3, Ops: 40, Seed: 9, OpLog: &logBuf,
 		Mix: Mix{Read: 50, Traverse: 20, Insert: 20, Update: 10},
@@ -235,7 +262,7 @@ func TestRealModeOnInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ops != 120 || rep.FrozenClock || rep.Loop != "closed" {
+	if rep.Ops != 120 || rep.Loop != "closed" {
 		t.Fatalf("report: %+v", rep)
 	}
 	if rep.Errors != 0 {
@@ -269,9 +296,7 @@ func TestRealModeOnInjectedClock(t *testing.T) {
 func TestRealModeKeepsNoOpsWithoutLog(t *testing.T) {
 	e, base := loadedEngine(t, "sqlg")
 	defer e.Close()
-	fc := &fakeClock{step: time.Microsecond}
-	r := &Runner{now: fc.now, since: fc.since, sleep: fc.sleep}
-	clients, _ := r.runReal(Config{Base: base, Clients: 3, Ops: 40, Seed: 9, Mix: DefaultMix}, core.Guard(e))
+	clients, _ := fakeRunner().runReal(Config{Base: base, Clients: 3, Ops: 40, Seed: 9, Mix: DefaultMix}, core.Guard(e))
 	for _, c := range clients {
 		if c.ops != nil {
 			t.Fatalf("client %d kept %d ops without an op log", c.id, len(c.ops))
@@ -284,9 +309,7 @@ func TestRealModeKeepsNoOpsWithoutLog(t *testing.T) {
 func TestRealModeOpenLoopOnInjectedClock(t *testing.T) {
 	e, base := loadedEngine(t, "sqlg")
 	defer e.Close()
-	fc := &fakeClock{step: time.Microsecond}
-	r := &Runner{now: fc.now, since: fc.since, sleep: fc.sleep}
-	rep, err := r.Run(Config{
+	rep, err := fakeRunner().Run(Config{
 		Engine: e, EngineName: "sqlg", Dataset: "tiny", Base: base,
 		Clients: 2, Ops: 30, Seed: 4, Rate: 1000, // 1k ops/sec: far slower than the fake clock's service
 		Mix: Mix{Read: 100},
@@ -313,7 +336,6 @@ func TestConfigValidation(t *testing.T) {
 		{"no-engine", Config{Base: base, Clients: 1, Ops: 1}, "no engine"},
 		{"no-base", Config{Engine: e, Clients: 1, Ops: 1}, "base"},
 		{"no-clients", Config{Engine: e, Base: base, Ops: 1}, "clients"},
-		{"frozen-needs-ops", Config{Engine: e, Base: base, Clients: 1, FrozenClock: true}, "op count"},
 		{"no-bound", Config{Engine: e, Base: base, Clients: 1}, "-ops or -duration"},
 		{"neg-rate", Config{Engine: e, Base: base, Clients: 1, Ops: 1, Rate: -1}, "rate"},
 	}
@@ -345,15 +367,49 @@ func TestParseMix(t *testing.T) {
 	if ro.Mutating() {
 		t.Fatal("read-only mix flagged mutating")
 	}
-	for _, bad := range []string{"read", "read=-1", "scan=5", "read=0,traverse=0", ""} {
+	for _, bad := range []string{"read", "read=-1", "scan=5", "read=0,traverse=0", "",
+		// Sums to 1 once wrapped, and would pass as read-only.
+		"read=2,traverse=9223372036854775807,insert=9223372036854775807,update=1",
+		"read=2147483647,update=1",
+	} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) accepted", bad)
 		}
 	}
+	if m, err := ParseMix("read=2147483646,update=1"); err != nil || m.total() != math.MaxInt32 || !m.Mutating() {
+		t.Fatalf("largest mix: %+v, %v", m, err)
+	}
 }
 
-// TestAllEnginesServeReadTraverse runs a short frozen-clock read+
-// traverse workload on every registered configuration — the acceptance
+// FuzzParseMix: an accepted mix has a positive total of at most
+// math.MaxInt32 that equals the unwrapped sum of its weights, is
+// mutating exactly when it weighs inserts or updates, and round-trips
+// through String.
+func FuzzParseMix(f *testing.F) {
+	for _, s := range []string{"read=60, traverse=20,insert=15,update=5", "read=1", "update=3,update=0,read=1",
+		"read=2,traverse=9223372036854775807,insert=9223372036854775807,update=1", "read=2147483646,update=1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMix(s)
+		if err != nil {
+			return
+		}
+		sum := int64(m.Read) + int64(m.Traverse) + int64(m.Insert) + int64(m.Update)
+		if tot := m.total(); tot <= 0 || tot > math.MaxInt32 || int64(tot) != sum {
+			t.Fatalf("ParseMix(%q) = %+v: total %d, weights sum to %d", s, m, tot, sum)
+		}
+		if m.Mutating() != (int64(m.Insert)+int64(m.Update) > 0) {
+			t.Fatalf("ParseMix(%q) = %+v: Mutating = %v", s, m, m.Mutating())
+		}
+		if back, err := ParseMix(m.String()); err != nil || back != m {
+			t.Fatalf("ParseMix(%q) = %+v, but ParseMix(%q) = %+v, %v", s, m, m.String(), back, err)
+		}
+	})
+}
+
+// TestAllEnginesServeReadTraverse runs a short read+traverse workload
+// on the fake clock on every registered configuration — the acceptance
 // criterion that serving works across all seven engines (nine
 // configurations), including the ConcurrentReader-vetoing one.
 func TestAllEnginesServeReadTraverse(t *testing.T) {
@@ -361,9 +417,9 @@ func TestAllEnginesServeReadTraverse(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e, base := loadedEngine(t, name)
 			defer e.Close()
-			rep, err := Run(Config{
+			rep, err := fakeRunner().Run(Config{
 				Engine: e, EngineName: name, Dataset: "tiny", Base: base,
-				Clients: 4, Ops: 50, Seed: 2, FrozenClock: true,
+				Clients: 4, Ops: 50, Seed: 2,
 				Mix: Mix{Read: 70, Traverse: 30},
 			})
 			if err != nil {
@@ -392,9 +448,9 @@ func TestMixedWorkloadOnGrantingEngines(t *testing.T) {
 			if !core.Guard(e).ConcurrentWrites() {
 				t.Skipf("%s does not grant ConcurrentWriter", name)
 			}
-			rep, err := Run(Config{
+			rep, err := fakeRunner().Run(Config{
 				Engine: e, EngineName: name, Dataset: "tiny", Base: base,
-				Clients: 4, Ops: 60, Seed: 8, FrozenClock: true,
+				Clients: 4, Ops: 60, Seed: 8,
 				Mix: Mix{Read: 40, Traverse: 20, Insert: 25, Update: 15},
 			})
 			if err != nil {
@@ -424,9 +480,9 @@ func TestMixedWorkloadOnGrantingEngines(t *testing.T) {
 func TestReportEncodeDeterministic(t *testing.T) {
 	e, base := loadedEngine(t, "sqlg")
 	defer e.Close()
-	rep, err := Run(Config{
+	rep, err := fakeRunner().Run(Config{
 		Engine: e, EngineName: "sqlg", Dataset: "tiny", Base: base,
-		Clients: 2, Ops: 20, Seed: 6, FrozenClock: true, Mix: DefaultMix,
+		Clients: 2, Ops: 20, Seed: 6, Mix: DefaultMix,
 	})
 	if err != nil {
 		t.Fatal(err)

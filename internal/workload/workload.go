@@ -365,14 +365,3 @@ func ByName(name string) *Query {
 	}
 	return nil
 }
-
-// ByCategory filters the query list.
-func ByCategory(cat Category) []Query {
-	var out []Query
-	for _, q := range Queries() {
-		if q.Cat == cat {
-			out = append(out, q)
-		}
-	}
-	return out
-}
