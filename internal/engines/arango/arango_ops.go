@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
 
 // --- vertex CRUD (each interactive op crosses the REST boundary) ---
@@ -246,9 +247,8 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 
 func (e *Engine) removeEdgeInternal(id core.ID) {
 	ent := e.edgeIdx[id]
-	is := func(x core.ID) bool { return x == id }
-	e.outIdx[ent.src] = slices.DeleteFunc(e.outIdx[ent.src], is)
-	e.inIdx[ent.dst] = slices.DeleteFunc(e.inIdx[ent.dst], is)
+	e.outIdx[ent.src] = kit.RemoveID(e.outIdx[ent.src], id)
+	e.inIdx[ent.dst] = kit.RemoveID(e.inIdx[ent.dst], id)
 	delete(e.edocs, id)
 	delete(e.edgeIdx, id)
 }

@@ -1,6 +1,7 @@
 // Package kit holds the bookkeeping every engine architecture needs
 // and none of them differs in: the string↔token dictionary, the hash
-// attribute index on vertex properties, and the per-item load loop.
+// attribute index on vertex properties, the per-item load loop, and
+// dropping an edge id from an adjacency list.
 // An engine package is its physical design (Table 1 of the paper);
 // what lives here is architecture-neutral, and nothing whose cost the
 // paper measures — record layouts, adjacency access, document
@@ -11,6 +12,7 @@
 package kit
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -189,4 +191,15 @@ func LoadPerItem(e core.Engine, g *core.Graph) (*core.LoadResult, error) {
 		res.EdgeIDs[i] = id
 	}
 	return res, nil
+}
+
+// RemoveID drops the first occurrence of id from s in place and returns
+// the shortened slice, or s unchanged when id is absent. It compares
+// without a callback: slices.DeleteFunc's per-element predicate call
+// made an edge removal from a 2,000-id list several times slower.
+func RemoveID(s []core.ID, id core.ID) []core.ID {
+	if i := slices.Index(s, id); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }

@@ -114,3 +114,20 @@ func TestPropIndex(t *testing.T) {
 		t.Fatalf("Names = %v, want build order", x.Names())
 	}
 }
+
+func TestRemoveID(t *testing.T) {
+	s := []core.ID{4, 7, 9, 7}
+	s = RemoveID(s, 7) // first occurrence only, order kept
+	if !reflect.DeepEqual(s, []core.ID{4, 9, 7}) {
+		t.Fatalf("RemoveID(7) = %v, want [4 9 7]", s)
+	}
+	if s = RemoveID(s, 5); !reflect.DeepEqual(s, []core.ID{4, 9, 7}) {
+		t.Fatalf("RemoveID(absent) = %v, want it unchanged", s)
+	}
+	for _, id := range []core.ID{7, 4, 9} {
+		s = RemoveID(s, id)
+	}
+	if len(s) != 0 {
+		t.Fatalf("after removing every id: %v", s)
+	}
+}

@@ -1,9 +1,8 @@
 package orient
 
 import (
-	"slices"
-
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
 
 // --- vertex CRUD ---
@@ -235,17 +234,16 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 	if !ok {
 		return core.ErrNotFound
 	}
-	is := func(x core.ID) bool { return x == id }
 	if sd, ok := e.readVertex(d.src); ok {
-		sd.out = slices.DeleteFunc(sd.out, is)
+		sd.out = kit.RemoveID(sd.out, id)
 		if d.src == d.dst {
-			sd.in = slices.DeleteFunc(sd.in, is)
+			sd.in = kit.RemoveID(sd.in, id)
 		}
 		e.rewriteVertex(d.src, sd)
 	}
 	if d.dst != d.src {
 		if dd, ok := e.readVertex(d.dst); ok {
-			dd.in = slices.DeleteFunc(dd.in, is)
+			dd.in = kit.RemoveID(dd.in, id)
 			e.rewriteVertex(d.dst, dd)
 		}
 	}
