@@ -52,9 +52,7 @@ type Mix struct {
 var DefaultMix = Mix{Read: 70, Traverse: 30}
 
 // ParseMix parses "read=70,traverse=20,insert=5,update=5". Omitted
-// kinds weigh zero; weights must be non-negative and sum to a positive
-// total of at most math.MaxInt32, so the sum fits an int on every
-// platform and draw never sees a wrapped total.
+// kinds weigh zero; the weights must pass check.
 func ParseMix(s string) (Mix, error) {
 	var m Mix
 	fields := map[string]*int{
@@ -82,17 +80,30 @@ func ParseMix(s string) (Mix, error) {
 		}
 		*dst = n
 	}
+	if err := m.check(); err != nil {
+		return Mix{}, fmt.Errorf("mix %q: %w", s, err)
+	}
+	return m, nil
+}
+
+// check rejects a mix draw cannot use: a negative weight, or weights
+// summing to zero or past math.MaxInt32. It sums term by term, so
+// nothing wraps, and the total fits an int on every platform.
+func (m Mix) check() error {
 	total := 0
 	for _, w := range []int{m.Read, m.Traverse, m.Insert, m.Update} {
+		if w < 0 {
+			return fmt.Errorf("negative weight %d", w)
+		}
 		if w > math.MaxInt32-total {
-			return Mix{}, fmt.Errorf("mix %q: weights sum past %d", s, math.MaxInt32)
+			return fmt.Errorf("weights sum past %d", math.MaxInt32)
 		}
 		total += w
 	}
 	if total == 0 {
-		return Mix{}, fmt.Errorf("mix %q: weights sum to zero", s)
+		return fmt.Errorf("weights sum to zero")
 	}
-	return m, nil
+	return nil
 }
 
 func (m Mix) total() int { return m.Read + m.Traverse + m.Insert + m.Update }

@@ -170,8 +170,11 @@ func (r *Runner) Run(cfg Config) (*Report, error) {
 	if cfg.Clients < 1 {
 		return nil, fmt.Errorf("serve: clients = %d, want ≥ 1", cfg.Clients)
 	}
-	if cfg.Mix.total() == 0 {
+	if cfg.Mix == (Mix{}) {
 		cfg.Mix = DefaultMix
+	}
+	if err := cfg.Mix.check(); err != nil {
+		return nil, fmt.Errorf("serve: mix %s: %w", cfg.Mix, err)
 	}
 	if cfg.Ops <= 0 && cfg.Duration <= 0 {
 		return nil, fmt.Errorf("serve: need -ops or -duration")

@@ -338,6 +338,9 @@ func TestConfigValidation(t *testing.T) {
 		{"no-clients", Config{Engine: e, Base: base, Ops: 1}, "clients"},
 		{"no-bound", Config{Engine: e, Base: base, Clients: 1}, "-ops or -duration"},
 		{"neg-rate", Config{Engine: e, Base: base, Clients: 1, Ops: 1, Rate: -1}, "rate"},
+		{"neg-weight", Config{Engine: e, Base: base, Clients: 1, Ops: 1, Mix: Mix{Read: -1, Traverse: 2}}, "negative weight"},
+		// Wraps to a negative total that would panic in draw.
+		{"mix-overflow", Config{Engine: e, Base: base, Clients: 1, Ops: 1, Mix: Mix{Read: math.MaxInt, Insert: 1}}, "sum past"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
