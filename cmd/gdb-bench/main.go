@@ -115,6 +115,9 @@ func main() {
 			fatal(fmt.Errorf("unknown dataset %q (known: %s)", d, strings.Join(datasets.Names(), ", ")))
 		}
 	}
+	if err := datasets.CheckScale(o.scale); err != nil {
+		fatal(fmt.Errorf("-scale: %w", err))
+	}
 
 	cfg := harness.Config{
 		Engines:        splitList(o.engines),

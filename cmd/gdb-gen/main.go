@@ -18,24 +18,40 @@ import (
 	"repro/internal/graphson"
 )
 
+// options holds every gdb-gen flag, declared through defineFlags so
+// the doc-sync test can enumerate them.
+type options struct {
+	dataset string
+	scale   float64
+	out     string
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.dataset, "dataset", "ldbc", "dataset name (see gdb-bench -list)")
+	fs.Float64Var(&o.scale, "scale", 0.002, "scale factor (1.0 = paper sizes)")
+	fs.StringVar(&o.out, "out", "-", "output file (\"-\" = stdout)")
+	return o
+}
+
 func main() {
-	var (
-		dataset = flag.String("dataset", "ldbc", "dataset name (see gdb-bench -list)")
-		scale   = flag.Float64("scale", 0.002, "scale factor (1.0 = paper sizes)")
-		out     = flag.String("out", "-", "output file (\"-\" = stdout)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	spec := datasets.ByName(*dataset)
+	spec := datasets.ByName(o.dataset)
 	if spec == nil {
-		fmt.Fprintf(os.Stderr, "gdb-gen: unknown dataset %q (known: %v)\n", *dataset, datasets.Names())
+		fmt.Fprintf(os.Stderr, "gdb-gen: unknown dataset %q (known: %v)\n", o.dataset, datasets.Names())
 		os.Exit(1)
 	}
-	g := spec.Generate(*scale)
+	if err := datasets.CheckScale(o.scale); err != nil {
+		fmt.Fprintf(os.Stderr, "gdb-gen: -scale: %v\n", err)
+		os.Exit(1)
+	}
+	g := spec.Generate(o.scale)
 
 	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
+	if o.out != "-" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gdb-gen:", err)
 			os.Exit(1)
@@ -53,5 +69,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "gdb-gen: %s at scale %g: %d vertices, %d edges\n",
-		*dataset, *scale, g.NumVertices(), g.NumEdges())
+		o.dataset, o.scale, g.NumVertices(), g.NumEdges())
 }

@@ -29,17 +29,23 @@ import (
 	"repro/internal/engines"
 )
 
+// defineFlags declares gdb-shell's one flag, -engine, so the doc-sync
+// test can enumerate it.
+func defineFlags(fs *flag.FlagSet) *string {
+	return fs.String("engine", "neo-1.9", "engine to start with")
+}
+
 func main() {
-	engineName := flag.String("engine", "neo-1.9", "engine to start with")
+	engine := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	e, err := engines.New(*engineName)
+	e, err := engines.New(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdb-shell:", err)
 		os.Exit(1)
 	}
 	s := newSession(e)
-	fmt.Printf("gdb-shell on %s — type 'help'\n", *engineName)
+	fmt.Printf("gdb-shell on %s — type 'help'\n", *engine)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {

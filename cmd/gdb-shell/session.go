@@ -84,8 +84,11 @@ func (s *session) Eval(line string) (string, bool) {
 			return fmt.Sprintf("unknown dataset %q (known: %v)", args[0], datasets.Names()), false
 		}
 		scale, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || scale <= 0 {
-			return "scale must be a positive number", false
+		if err == nil {
+			err = datasets.CheckScale(scale)
+		}
+		if err != nil {
+			return "scale must be a finite positive number", false
 		}
 		g := spec.Generate(scale)
 		if _, err := s.e.BulkLoad(g); err != nil {

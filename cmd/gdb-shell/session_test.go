@@ -129,6 +129,16 @@ func TestShellErrorsAndUsage(t *testing.T) {
 			t.Fatalf("%q produced no diagnostics", c)
 		}
 	}
+	// A scale that is not finite and positive is refused, not clamped
+	// to the generator's floor graph.
+	for _, c := range []string{"gen yeast NaN", "gen yeast +Inf", "gen yeast -1"} {
+		if out, _ := s.Eval(c); !strings.Contains(out, "finite positive") {
+			t.Fatalf("%q -> %q", c, out)
+		}
+	}
+	if out, _ := s.Eval("count v"); out != "0" {
+		t.Fatalf("a refused gen loaded vertices: count v -> %q", out)
+	}
 	if out, _ := s.Eval("zzz"); !strings.Contains(out, "unknown command") {
 		t.Fatalf("unknown -> %q", out)
 	}

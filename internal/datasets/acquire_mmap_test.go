@@ -1,8 +1,6 @@
 package datasets
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"sync"
@@ -10,63 +8,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// buildV1Artifact reproduces the exact format-v1 framing (magic,
-// version byte 1, fingerprint, big-endian payload length, payload CRC,
-// payload) so healing tests can plant a genuine old-format artifact.
-func buildV1Artifact(fp [32]byte, payload []byte) []byte {
-	out := append([]byte(snapshotMagic), 1)
-	out = append(out, fp[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
-}
-
-// TestAcquireHealsV1Artifact: a well-formed format-v1 artifact on the
-// acquire path must not be served — the version check rejects it, the
-// dataset regenerates, and the artifact is overwritten in place with a
-// format-v2 one that hits on the next acquire. This is the upgrade
-// path for caches written before the format bump.
-func TestAcquireHealsV1Artifact(t *testing.T) {
-	dir := t.TempDir()
-	spec := ByName("yeast")
-	fp := SnapshotFingerprint("yeast", snapTestScale, spec.Seed)
-	path := SnapshotPath(dir, "yeast", fp)
-	if err := os.WriteFile(path, buildV1Artifact(fp, []byte("old v1 payload bytes")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	g, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hit {
-		t.Fatal("format-v1 artifact served as a hit")
-	}
-	if st.Err == nil || !st.Stored {
-		t.Fatalf("v1 artifact not reported+healed: %+v", st)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) <= snapshotHeaderLen || raw[4] != snapshotVersion {
-		t.Fatalf("healed artifact is not format v%d", snapshotVersion)
-	}
-	g2, st2, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Hit {
-		t.Fatal("healed artifact does not hit")
-	}
-	want := spec.Generate(snapTestScale)
-	for _, got := range []*core.Graph{g, g2} {
-		if !reflect.DeepEqual(got.VProps, want.VProps) || !reflect.DeepEqual(got.EdgeL, want.EdgeL) {
-			t.Fatal("healed graph differs from generation")
-		}
-	}
-}
 
 // csrEqual compares the traversal-relevant fields of two snapshots.
 func csrEqual(t *testing.T, got, want *core.CSR) {

@@ -131,6 +131,17 @@ func Names() []string {
 	return out
 }
 
+// CheckScale reports an error for a scale that is not a finite
+// positive number. Generators clamp every size to a floor, so a NaN,
+// infinite or negative scale would otherwise yield minimum-size graphs
+// without a word.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("scale %v is not a finite positive number", scale)
+	}
+	return nil
+}
+
 // scaled returns max(lo, round(n*scale)).
 func scaled(n int, scale float64, lo int) int {
 	v := int(math.Round(float64(n) * scale))

@@ -14,11 +14,10 @@ import (
 )
 
 // This file implements snapshot format v2: an mmap-ready sectioned
-// artifact. Where v1 was one varint-packed payload that had to be
-// decoded front to back, v2 lays the graph out as individually CRC'd,
-// 8-byte-aligned sections behind a directory, so a memory-mapped (or
-// heap-read) artifact can hand core.CSR its arrays without decoding
-// and a CSR-only open touches only the sections it needs.
+// artifact. It lays the graph out as individually CRC'd, 8-byte-aligned
+// sections behind a directory, so a memory-mapped (or heap-read)
+// artifact can hand core.CSR its arrays without decoding and a
+// CSR-only open touches only the sections it needs.
 //
 // Layout (all header/directory fields big-endian):
 //
@@ -36,11 +35,11 @@ import (
 //	zero padding to the first 8-aligned offset
 //	sections, each starting 8-aligned, zero-padded between
 //
-// The magic/version/fingerprint prefix matches v1 byte for byte, so
-// either version's reader rejects the other's artifacts with a clear
-// version error — which is what lets AcquireWith heal a v1 artifact in
-// place (the fingerprint, and so the path, no longer encodes the
-// format version).
+// The reader rejects any header it does not recognise — another
+// magic, another version, another fingerprint — with an error, and
+// AcquireWith then regenerates the dataset and heals the artifact in
+// place (the fingerprint, and so the path, does not encode the format
+// version).
 //
 // Sections:
 //
@@ -52,7 +51,7 @@ import (
 //	                           CSR slices, []int32 LE
 //	edgeSrc/edgeDst       edge endpoint columns, []int32 LE
 //	strtab    varint count, per-string varint length, then one blob
-//	vprops/eprops   the v1 sharded property encoding: global sorted
+//	vprops/eprops   the sharded property encoding: global sorted
 //	                column-key list (string-table ids), then one
 //	                length-prefixed block per shardSize-sized range
 //	                with sparse delta-encoded (index, value) entries
@@ -70,15 +69,14 @@ import (
 //
 // Values in property blocks carry a one-byte kind tag; strings are
 // table ids, ints are zigzag varints, floats 8 raw bytes, bools one
-// byte — unchanged from v1, as is the sharding: blocks cover disjoint
-// ranges, so decode fans out across the generation worker pool.
+// byte. Blocks cover disjoint ranges, so decode fans out across the
+// generation worker pool.
 
 const (
 	snapshotMagic   = "GSNP"
 	snapshotVersion = 2
 	// snapshotHeaderLen = magic + version + fingerprint + fileSize +
-	// section count — the fixed prefix before the directory (the same
-	// 49 bytes the v1 header occupied).
+	// section count — the fixed prefix before the directory.
 	snapshotHeaderLen = 4 + 1 + 32 + 8 + 4
 	sectionEntryLen   = 4 + 8 + 8 + 4
 	// maxSnapshotFile caps how large an artifact a header can claim —
@@ -179,7 +177,7 @@ func sortedPropKeys(count int, props func(int) core.Props) []string {
 }
 
 // encodeProps serializes one property table in the sharded sparse
-// encoding shared with v1 (see the section list above).
+// encoding (see the section list above).
 func encodeProps(strs *stringTable, count int, props func(int) core.Props) []byte {
 	keys := sortedPropKeys(count, props)
 	body := enc.Uvarint(nil, uint64(len(keys)))

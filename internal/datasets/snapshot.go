@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,8 +28,8 @@ import (
 // and a mapped open from a heap one. Truncation,
 // bit rot and identity drift are all detected (size + per-section CRCs
 // + embedded fingerprint) and reported as errors; AcquireWith falls back to
-// regeneration on any of them — including a valid artifact in the v1
-// format, which is healed in place by the same overwrite path.
+// regeneration on any of them — including a valid artifact in an
+// older format, which is healed in place by the same overwrite path.
 
 // GeneratorVersion identifies the dataset generators' output, not
 // their speed: bump it whenever any generator's bytes change (new
@@ -127,6 +126,9 @@ func AcquireWith(name string, scale float64, opts AcquireOptions) (*core.Graph, 
 	if spec == nil {
 		return nil, CacheStatus{}, fmt.Errorf("datasets: unknown dataset %q", name)
 	}
+	if err := CheckScale(scale); err != nil {
+		return nil, CacheStatus{}, fmt.Errorf("datasets: %w", err)
+	}
 	if opts.CacheDir == "" {
 		return spec.Generate(scale), CacheStatus{RawJSON: -1}, nil
 	}
@@ -174,6 +176,9 @@ func AcquireCSR(name string, scale float64, opts AcquireOptions) (*core.CSR, Cac
 	spec := ByName(name)
 	if spec == nil {
 		return nil, CacheStatus{}, fmt.Errorf("datasets: unknown dataset %q", name)
+	}
+	if err := CheckScale(scale); err != nil {
+		return nil, CacheStatus{}, fmt.Errorf("datasets: %w", err)
 	}
 	if opts.CacheDir != "" {
 		fp := SnapshotFingerprint(name, scale, spec.Seed)
@@ -348,39 +353,11 @@ func sweepStaleTemps(dir string) {
 // readers never observe a partial file at the final path.
 func storeSnapshot(dir, path string, g *core.Graph, rawJSON int64, fp [32]byte) error {
 	err := publishSnapshot(dir, path, func(tmp *os.File) error {
-		return WriteSnapshot(tmp, g, rawJSON, fp)
+		_, err := tmp.Write(encodeSnapshot(g, rawJSON, fp))
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("datasets: cache %s: %w", path, err)
 	}
 	return nil
-}
-
-// WriteSnapshot serializes g as a snapshot artifact stamped with the
-// given fingerprint, carrying the graph's GraphSON size alongside it.
-// Encoding is deterministic: the same graph always produces the same
-// bytes.
-func WriteSnapshot(w io.Writer, g *core.Graph, rawJSON int64, fp [32]byte) error {
-	_, err := w.Write(encodeSnapshot(g, rawJSON, fp))
-	return err
-}
-
-// ReadSnapshot decodes a snapshot artifact from a stream, with the
-// same verification chain openArtifact applies to files: magic,
-// version, embedded fingerprint against want, claimed size against
-// the bytes read, directory and per-section CRCs. It returns the
-// graph and the GraphSON size the artifact carries.
-func ReadSnapshot(r io.Reader, want [32]byte) (*core.Graph, int64, error) {
-	// A corrupted size field must never OOM the process: read through
-	// a limiter; parseArtifact then compares the claimed size against
-	// what actually arrived.
-	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotFile))
-	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot truncated: %w", err)
-	}
-	v, err := parseArtifact(data, want)
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeGraph(v)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,6 +33,16 @@ func sameGraph(a, b *core.Graph) bool {
 	return a.NumEdges() == 0 || reflect.DeepEqual(a.EdgeL, b.EdgeL)
 }
 
+// decodeArtifact verifies and decodes an in-memory artifact through
+// the chain openArtifact applies to a file.
+func decodeArtifact(raw []byte, want [32]byte) (*core.Graph, int64, error) {
+	v, err := parseArtifact(raw, want)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeGraph(v)
+}
+
 // TestSnapshotRoundTripAllDatasets is the byte-identity contract of the
 // cache: for every dataset in the catalog, decode(encode(g)) must
 // reproduce the generated graph exactly — including the nil-versus-
@@ -45,19 +56,12 @@ func TestSnapshotRoundTripAllDatasets(t *testing.T) {
 			fp := SnapshotFingerprint(spec.Name, snapTestScale, spec.Seed)
 
 			raw := RawJSONSize(g)
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, g, raw, fp); err != nil {
-				t.Fatal(err)
-			}
-			var buf2 bytes.Buffer
-			if err := WriteSnapshot(&buf2, g, raw, fp); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			art := encodeSnapshot(g, raw, fp)
+			if !bytes.Equal(art, encodeSnapshot(g, raw, fp)) {
 				t.Fatal("snapshot encoding is not deterministic")
 			}
 
-			got, gotRaw, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), fp)
+			got, gotRaw, err := decodeArtifact(art, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,11 +102,7 @@ func TestSnapshotRoundTripEdgeCases(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			var fp [32]byte
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, g, 0, fp); err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), fp)
+			got, _, err := decodeArtifact(encodeSnapshot(g, 0, fp), fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,19 +227,32 @@ func TestAcquireFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[5] ^= 0xFF // first fingerprint byte
-	if err := os.WriteFile(st1.Path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hit {
-		t.Fatal("fingerprint-mismatched artifact served as a hit")
-	}
-	if st.Err == nil || !strings.Contains(st.Err.Error(), "fingerprint mismatch") {
-		t.Fatalf("mismatch not surfaced: %v", st.Err)
+	// An unrecognised format version (raw[4]) or a foreign fingerprint
+	// (raw[5], its first byte) is reported, regenerated and healed in
+	// place: the next acquire hits the rewritten artifact.
+	for _, c := range []struct {
+		at   int
+		want string
+	}{{4, "snapshot format"}, {5, "fingerprint mismatch"}} {
+		bad := bytes.Clone(raw)
+		bad[c.at] ^= 0xFF
+		if err := os.WriteFile(st1.Path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hit || !st.Stored {
+			t.Fatalf("byte %d: artifact served or not healed: %+v", c.at, st)
+		}
+		if st.Err == nil || !strings.Contains(st.Err.Error(), c.want) {
+			t.Fatalf("byte %d: %q not surfaced: %v", c.at, c.want, st.Err)
+		}
+		g, st, err := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir})
+		if err != nil || !st.Hit || !sameGraph(g, Yeast(snapTestScale)) {
+			t.Fatalf("byte %d: healed artifact: hit %v, err %v", c.at, st.Hit, err)
+		}
 	}
 
 	// Corrupted payload byte: CRC must catch it.
@@ -253,6 +266,23 @@ func TestAcquireFingerprintMismatch(t *testing.T) {
 	}
 	if _, st, _ := AcquireWith("yeast", snapTestScale, AcquireOptions{CacheDir: dir}); st.Hit || st.Err == nil {
 		t.Fatalf("corrupt payload served: %+v", st)
+	}
+}
+
+// TestAcquireRejectsBadScale: a scale that is not finite and positive
+// is an error from both acquire paths, and leaves no artifact behind.
+func TestAcquireRejectsBadScale(t *testing.T) {
+	dir := t.TempDir()
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		if _, _, err := AcquireWith("yeast", scale, AcquireOptions{CacheDir: dir}); err == nil {
+			t.Errorf("AcquireWith accepted scale %v", scale)
+		}
+		if _, _, err := AcquireCSR("yeast", scale, AcquireOptions{CacheDir: dir}); err == nil {
+			t.Errorf("AcquireCSR accepted scale %v", scale)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("cache dir after rejected acquires: %v entries, err %v", len(entries), err)
 	}
 }
 
@@ -444,7 +474,7 @@ func poisonedDeltaArtifacts() [][]byte {
 // to an error, not a wrapped-negative slice index and a process panic.
 func TestSnapshotMalformedDeltaDoesNotPanic(t *testing.T) {
 	for i, raw := range poisonedDeltaArtifacts() {
-		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
+		if _, _, err := decodeArtifact(raw, [32]byte{}); err == nil {
 			t.Fatalf("poisoned artifact %d decoded without error", i)
 		}
 	}
@@ -478,7 +508,7 @@ func hugeCountArtifacts(g *core.Graph) [][]byte {
 // allocation; a corrupted directory entry must fail the directory CRC.
 func TestSnapshotHugeCountsRejectedCheaply(t *testing.T) {
 	for i, raw := range hugeCountArtifacts(Yeast(snapTestScale)) {
-		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
+		if _, _, err := decodeArtifact(raw, [32]byte{}); err == nil {
 			t.Errorf("artifact %d (absurd count, oversized size field, corrupt directory) accepted", i)
 		}
 	}
@@ -557,7 +587,7 @@ func inconsistentArtifacts() map[string][]byte {
 // that do not reach the edge count) must be rejected by the CSR
 // validation pass, never served.
 func TestSnapshotInconsistentSectionsRejected(t *testing.T) {
-	g, _, err := ReadSnapshot(bytes.NewReader(oneEdgeArtifact(func([]testSection) {})), [32]byte{})
+	g, _, err := decodeArtifact(oneEdgeArtifact(func([]testSection) {}), [32]byte{})
 	if err != nil {
 		t.Fatalf("consistent one-edge artifact rejected: %v", err)
 	}
@@ -565,7 +595,7 @@ func TestSnapshotInconsistentSectionsRejected(t *testing.T) {
 		t.Fatalf("one-edge artifact decoded wrong: %+v", g.EdgeL)
 	}
 	for name, raw := range inconsistentArtifacts() {
-		if _, _, err := ReadSnapshot(bytes.NewReader(raw), [32]byte{}); err == nil {
+		if _, _, err := decodeArtifact(raw, [32]byte{}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

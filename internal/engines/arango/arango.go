@@ -71,8 +71,10 @@ type store struct {
 
 	labels kit.Tokens
 
-	declaredIndexes map[string]bool
-	scratch         []byte // encode buffer, reused by every write
+	// Attribute indexes are accepted, but the search path does not
+	// change (the paper measured no difference).
+	kit.DeclaredIndexes
+	scratch []byte // encode buffer, reused by every write
 }
 
 type edgeEntry struct {
@@ -82,12 +84,11 @@ type edgeEntry struct {
 
 func newStore() store {
 	return store{
-		vdocs:           make(map[core.ID][]byte),
-		edocs:           make(map[core.ID][]byte),
-		edgeIdx:         make(map[core.ID]edgeEntry),
-		outIdx:          make(map[core.ID][]core.ID),
-		inIdx:           make(map[core.ID][]core.ID),
-		declaredIndexes: make(map[string]bool),
+		vdocs:   make(map[core.ID][]byte),
+		edocs:   make(map[core.ID][]byte),
+		edgeIdx: make(map[core.ID]edgeEntry),
+		outIdx:  make(map[core.ID][]core.ID),
+		inIdx:   make(map[core.ID][]core.ID),
 	}
 }
 

@@ -30,7 +30,8 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 	return id, nil
 }
 
-// HasVertex implements core.Engine.
+// HasVertex implements core.Engine: a server-side lookup, without a
+// REST hop.
 func (e *Engine) HasVertex(id core.ID) bool {
 	_, ok := e.vdocs[id]
 	return ok
@@ -124,7 +125,7 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 		return core.NoID, core.ErrClosed
 	}
 	e.call("insert-edge", src)
-	if !e.hasVertexQuiet(src) || !e.hasVertexQuiet(dst) {
+	if !e.HasVertex(src) || !e.HasVertex(dst) {
 		return core.NoID, core.ErrNotFound
 	}
 	id := core.ID(e.nextID)
@@ -139,13 +140,6 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	e.inIdx[dst] = append(e.inIdx[dst], id)
 	e.call("insert-edge-resp", id)
 	return id, nil
-}
-
-// hasVertexQuiet checks existence without a REST hop (used inside
-// server-side operations).
-func (e *Engine) hasVertexQuiet(id core.ID) bool {
-	_, ok := e.vdocs[id]
-	return ok
 }
 
 // HasEdge implements core.Engine.
@@ -355,105 +349,39 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 // IncidentEdges implements core.Engine.
 func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
 	e.call("neighbors", id)
-	if !e.hasVertexQuiet(id) {
+	if !e.HasVertex(id) {
 		return core.EmptyIter[core.ID]()
 	}
-	var want map[uint32]bool
-	if len(labels) > 0 {
-		want = make(map[uint32]bool, len(labels))
-		for _, l := range labels {
-			if tok, ok := e.labels.Lookup(l); ok {
-				want[tok] = true
-			}
-		}
-		if len(want) == 0 {
-			return core.EmptyIter[core.ID]()
-		}
+	toks, ok := e.labels.Filter(labels)
+	if !ok {
+		return core.EmptyIter[core.ID]()
 	}
-	match := func(eid core.ID) bool {
-		return want == nil || want[e.edgeIdx[eid].label]
-	}
-	var list []core.ID
-	switch d {
-	case core.DirOut:
-		list = e.outIdx[id]
-	case core.DirIn:
-		list = e.inIdx[id]
-	default:
-		list = append(append([]core.ID(nil), e.outIdx[id]...), e.inIdx[id]...)
-	}
-	inStart := -1
-	if d == core.DirBoth {
-		inStart = len(e.outIdx[id])
-	}
-	i := 0
-	return func() (core.ID, bool) {
-		for i < len(list) {
-			eid := list[i]
-			fromIn := inStart >= 0 && i >= inStart
-			i++
-			if !match(eid) {
-				continue
-			}
-			if fromIn {
-				if ent := e.edgeIdx[eid]; ent.src == ent.dst {
-					continue // loop already yielded by the out pass
-				}
-			}
-			return eid, true
-		}
-		return core.NoID, false
-	}
+	return kit.Lists(e.outIdx[id], e.inIdx[id], d, func(eid core.ID, bothIn bool) bool {
+		ent := e.edgeIdx[eid]
+		return kit.Match(toks, ent.label) && !(bothIn && ent.src == ent.dst)
+	})
 }
 
 // Neighbors implements core.Engine.
 func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	inner := e.IncidentEdges(id, d, labels...)
-	return func() (core.ID, bool) {
-		eid, ok := inner()
-		if !ok {
-			return core.NoID, false
-		}
-		ent := e.edgeIdx[eid]
-		if ent.src != id {
-			return ent.src, true
-		}
-		return ent.dst, true
-	}
+	return kit.Neighbors(e, id, d, labels...)
 }
 
 // Degree implements core.Engine.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.hasVertexQuiet(id) {
+	if !e.HasVertex(id) {
 		return 0, core.ErrNotFound
 	}
-	switch d {
-	case core.DirOut:
-		return int64(len(e.outIdx[id])), nil
-	case core.DirIn:
-		return int64(len(e.inIdx[id])), nil
-	default:
-		loops := 0
-		for _, eid := range e.inIdx[id] {
-			if ent := e.edgeIdx[eid]; ent.src == ent.dst {
-				loops++
-			}
-		}
-		return int64(len(e.outIdx[id]) + len(e.inIdx[id]) - loops), nil
-	}
+	return kit.ListDegree(e.outIdx[id], e.inIdx[id], d, e.isLoop), nil
+}
+
+// isLoop reports whether edge eid is a self-loop, from the hash index.
+func (e *Engine) isLoop(eid core.ID) bool {
+	ent := e.edgeIdx[eid]
+	return ent.src == ent.dst
 }
 
 // --- index / bulk / space ---
-
-// BuildVertexPropIndex implements core.Engine: accepted, but the search
-// path does not change (the paper measured no difference).
-func (e *Engine) BuildVertexPropIndex(name string) error {
-	e.declaredIndexes[name] = true
-	return nil
-}
-
-// HasVertexPropIndex implements core.Engine.
-func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes[name] }
 
 // BulkLoad implements core.Engine via the implementation-specific import
 // scripts the paper's suite uses for this engine: documents are written

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
 
 // Well-known predicate terms.
@@ -397,29 +398,12 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 
 // Neighbors implements core.Engine.
 func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	inner := e.IncidentEdges(id, d, labels...)
-	return func() (core.ID, bool) {
-		eid, ok := inner()
-		if !ok {
-			return core.NoID, false
-		}
-		s, o, err := e.EdgeEnds(eid)
-		if err != nil {
-			return core.NoID, false
-		}
-		if s != id {
-			return s, true
-		}
-		return o, true
-	}
+	return kit.Neighbors(e, id, d, labels...)
 }
 
 // Degree implements core.Engine.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.HasVertex(id) {
-		return 0, core.ErrNotFound
-	}
-	return int64(core.Drain(e.IncidentEdges(id, d))), nil
+	return kit.Degree(e, id, d)
 }
 
 // --- index / bulk / space ---

@@ -1,14 +1,19 @@
-// Package kit holds the bookkeeping every engine architecture needs
-// and none of them differs in: the string↔token dictionary, the hash
-// attribute index on vertex properties, the per-item load loop, and
-// dropping an edge id from an adjacency list.
-// An engine package is its physical design (Table 1 of the paper);
-// what lives here is architecture-neutral, and nothing whose cost the
-// paper measures — record layouts, adjacency access, document
-// encode/decode, REST hops, retention budgets — may move here.
+// Package kit holds what every engine architecture needs and none of
+// them differs in, so that an engine package is its physical design
+// (Table 1 of the paper): the token dictionary (Tokens), the hash
+// attribute index (PropIndex), a declared index that changes no search
+// path (DeclaredIndexes), the per-item load (LoadPerItem), edge-id
+// removal (RemoveID), and the core.Engine method bodies derivable from
+// an engine's other methods — Neighbors, Degree, the walk and degree
+// over a record's edge-id lists (Lists, ListDegree), label filters
+// (Tokens.Filter, Match) and property searches (VerticesByProp,
+// EdgesByProp). A derivation makes exactly the reads the engine's own
+// methods make. Nothing whose cost the paper measures — record
+// layouts, adjacency access, document encode/decode, REST hops,
+// retention budgets — may move here.
 //
 // The types are concrete and their zero values are ready to use, so an
-// engine holds them by value and pays no interface call to reach them.
+// engine holds them by value.
 package kit
 
 import (

@@ -2,6 +2,7 @@ package neo
 
 import (
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/pagefile"
 )
 
@@ -452,23 +453,13 @@ func (e *Engine) Edges() core.Iter[core.ID] { return storeIter(e.rels) }
 // VerticesByProp implements core.Engine: an index lookup when the user
 // built one, a full node-store scan with property-chain walks otherwise.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if ids, ok := e.vindex.Lookup(name, v); ok {
-		return core.SliceIter(ids)
-	}
-	inner := e.Vertices()
-	return core.FilterIter(inner, func(id core.ID) bool {
-		got, ok := e.VertexProp(id, name)
-		return ok && got.Compare(v) == 0
-	})
+	return kit.VerticesByProp(e, &e.vindex, name, v)
 }
 
 // EdgesByProp implements core.Engine (always a scan: the modelled
 // versions index only node attributes).
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	return core.FilterIter(e.Edges(), func(id core.ID) bool {
-		got, ok := e.EdgeProp(id, name)
-		return ok && got.Compare(v) == 0
-	})
+	return kit.EdgesByProp(e, name, v)
 }
 
 // EdgesByLabel implements core.Engine: a relationship-store scan
@@ -492,30 +483,17 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	if !e.nodes.InUse(int64(id)) {
 		return core.EmptyIter[core.ID]()
 	}
-	toks, any, none := e.labelToks(labels)
-	if none {
+	toks, ok := e.labels.Filter(labels)
+	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
 	if e.version == V19 {
-		return e.incidentV19(int64(id), d, toks, any)
+		return e.incidentV19(int64(id), d, toks)
 	}
-	return e.incidentV30(int64(id), d, toks, any)
+	return e.incidentV30(int64(id), d, toks)
 }
 
-func (e *Engine) labelToks(labels []string) (map[uint32]bool, bool, bool) {
-	if len(labels) == 0 {
-		return nil, true, false
-	}
-	toks := make(map[uint32]bool, len(labels))
-	for _, l := range labels {
-		if tok, ok := e.labels.Lookup(l); ok {
-			toks[tok] = true
-		}
-	}
-	return toks, false, len(toks) == 0
-}
-
-func (e *Engine) incidentV19(node int64, d core.Direction, toks map[uint32]bool, any bool) core.Iter[core.ID] {
+func (e *Engine) incidentV19(node int64, d core.Direction, toks []uint32) core.Iter[core.ID] {
 	nrec, _ := e.nodes.Record(node)
 	cur := nodeFirstRel(nrec)
 	return func() (core.ID, bool) {
@@ -528,7 +506,7 @@ func (e *Engine) incidentV19(node int64, d core.Direction, toks map[uint32]bool,
 			} else {
 				cur = getI64(rec, rDstNext)
 			}
-			if !any && !toks[getU32(rec, rType)] {
+			if !kit.Match(toks, getU32(rec, rType)) {
 				continue
 			}
 			dst := getI64(rec, rDst)
@@ -551,7 +529,7 @@ func (e *Engine) incidentV19(node int64, d core.Direction, toks map[uint32]bool,
 // incidentV30 walks the group chains. For DirBoth, the out chains are
 // walked first and then the in chains with self-loops skipped (a loop is
 // already reported by its out chain).
-func (e *Engine) incidentV30(node int64, d core.Direction, toks map[uint32]bool, any bool) core.Iter[core.ID] {
+func (e *Engine) incidentV30(node int64, d core.Direction, toks []uint32) core.Iter[core.ID] {
 	nrec, _ := e.nodes.Record(node)
 	grp := nodeFirstRel(nrec)
 	phaseOut := d == core.DirOut || d == core.DirBoth
@@ -559,7 +537,7 @@ func (e *Engine) incidentV30(node int64, d core.Direction, toks map[uint32]bool,
 	advanceGroup := func() {
 		for cur == nilRef && grp != nilRef {
 			grec, _ := e.groups.Record(grp)
-			if any || toks[getU32(grec, gType)] {
+			if kit.Match(toks, getU32(grec, gType)) {
 				if phaseOut {
 					cur = getI64(grec, gFirstOut)
 				} else {
@@ -610,30 +588,14 @@ func (e *Engine) incidentV30(node int64, d core.Direction, toks map[uint32]bool,
 	}
 }
 
-// Neighbors implements core.Engine: the opposite endpoint of each
-// incident edge.
+// Neighbors implements core.Engine.
 func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	inner := e.IncidentEdges(id, d, labels...)
-	return func() (core.ID, bool) {
-		eid, ok := inner()
-		if !ok {
-			return core.NoID, false
-		}
-		rec, _ := e.rels.Record(int64(eid))
-		src := core.ID(getI64(rec, rSrc))
-		if src != id {
-			return src, true
-		}
-		return core.ID(getI64(rec, rDst)), true
-	}
+	return kit.Neighbors(e, id, d, labels...)
 }
 
 // Degree implements core.Engine by walking the chains.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.nodes.InUse(int64(id)) {
-		return 0, core.ErrNotFound
-	}
-	return int64(core.Drain(e.IncidentEdges(id, d))), nil
+	return kit.Degree(e, id, d)
 }
 
 // --- attribute index ---

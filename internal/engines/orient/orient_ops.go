@@ -309,21 +309,12 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 
 // VerticesByProp implements core.Engine.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if ids, ok := e.vindex.Lookup(name, v); ok {
-		return core.SliceIter(ids)
-	}
-	return core.FilterIter(e.Vertices(), func(id core.ID) bool {
-		got, ok := e.VertexProp(id, name)
-		return ok && got.Compare(v) == 0
-	})
+	return kit.VerticesByProp(e, &e.vindex, name, v)
 }
 
 // EdgesByProp implements core.Engine.
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	return core.FilterIter(e.Edges(), func(id core.ID) bool {
-		got, ok := e.EdgeProp(id, name)
-		return ok && got.Compare(v) == 0
-	})
+	return kit.EdgesByProp(e, name, v)
 }
 
 // EdgesByLabel implements core.Engine. The per-label clusters could
@@ -350,74 +341,19 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
-	want := map[int]bool{}
-	for _, l := range labels {
-		if c, ok := e.clusterOf(l); ok {
-			want[c] = true
-		}
-	}
-	if len(labels) > 0 && len(want) == 0 {
+	toks, ok := e.labels.Filter(labels)
+	if !ok {
 		return core.EmptyIter[core.ID]()
 	}
-	match := func(eid core.ID) bool {
-		if len(want) == 0 {
-			return true
-		}
+	return kit.Lists(vd.out, vd.in, d, func(eid core.ID, bothIn bool) bool {
 		c, _ := splitRID(eid)
-		return want[c]
-	}
-	var list []core.ID
-	switch d {
-	case core.DirOut:
-		list = vd.out
-	case core.DirIn:
-		list = vd.in
-	case core.DirBoth:
-		list = append(append([]core.ID(nil), vd.out...), vd.in...)
-	}
-	inStart := len(vd.out)
-	if d != core.DirBoth {
-		inStart = -1
-	}
-	i := 0
-	return func() (core.ID, bool) {
-		for i < len(list) {
-			eid := list[i]
-			fromIn := inStart >= 0 && i >= inStart
-			i++
-			if !match(eid) {
-				continue
-			}
-			if fromIn {
-				// In the Both walk, skip loops on the in-list pass: the
-				// out-list already reported them.
-				if ed, ok := e.readEdge(eid); ok && ed.src == ed.dst {
-					continue
-				}
-			}
-			return eid, true
-		}
-		return core.NoID, false
-	}
+		return kit.Match(toks, uint32(c-1)) && !(bothIn && e.isLoop(eid))
+	})
 }
 
 // Neighbors implements core.Engine.
 func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	inner := e.IncidentEdges(id, d, labels...)
-	return func() (core.ID, bool) {
-		eid, ok := inner()
-		if !ok {
-			return core.NoID, false
-		}
-		src, dst, err := e.EdgeEnds(eid)
-		if err != nil {
-			return core.NoID, false
-		}
-		if src != id {
-			return src, true
-		}
-		return dst, true
-	}
+	return kit.Neighbors(e, id, d, labels...)
 }
 
 // Degree implements core.Engine: list lengths from the vertex document,
@@ -427,20 +363,14 @@ func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 	if !ok {
 		return 0, core.ErrNotFound
 	}
-	switch d {
-	case core.DirOut:
-		return int64(len(vd.out)), nil
-	case core.DirIn:
-		return int64(len(vd.in)), nil
-	default:
-		loops := 0
-		for _, eid := range vd.in {
-			if ed, ok := e.readEdge(eid); ok && ed.src == ed.dst {
-				loops++
-			}
-		}
-		return int64(len(vd.out) + len(vd.in) - loops), nil
-	}
+	return kit.ListDegree(vd.out, vd.in, d, e.isLoop), nil
+}
+
+// isLoop reports whether edge eid is a self-loop, reading only the
+// endpoint prefix of its document.
+func (e *Engine) isLoop(eid core.ID) bool {
+	src, dst, err := e.EdgeEnds(eid)
+	return err == nil && src == dst
 }
 
 // --- index / bulk / lifecycle ---

@@ -68,23 +68,23 @@ type store struct {
 	vattrs map[string]*attrStore
 	eattrs map[string]*attrStore
 
-	// declared user indexes (accepted, not exploited — see package doc)
-	declaredIndexes map[string]bool
+	// Declared user indexes are accepted but — matching the paper's
+	// measurement — bring no change in the search path.
+	kit.DeclaredIndexes
 }
 
 func newStore() store {
 	return store{
-		nodes:           bitmap.New(),
-		edges:           bitmap.New(),
-		srcOf:           make(map[uint64]uint64),
-		dstOf:           make(map[uint64]uint64),
-		labelOf:         make(map[uint64]uint32),
-		byLabel:         make(map[uint32]*bitmap.Bitmap),
-		out:             make(map[uint64]*bitmap.Bitmap),
-		in:              make(map[uint64]*bitmap.Bitmap),
-		vattrs:          make(map[string]*attrStore),
-		eattrs:          make(map[string]*attrStore),
-		declaredIndexes: make(map[string]bool),
+		nodes:   bitmap.New(),
+		edges:   bitmap.New(),
+		srcOf:   make(map[uint64]uint64),
+		dstOf:   make(map[uint64]uint64),
+		labelOf: make(map[uint64]uint32),
+		byLabel: make(map[uint32]*bitmap.Bitmap),
+		out:     make(map[uint64]*bitmap.Bitmap),
+		in:      make(map[uint64]*bitmap.Bitmap),
+		vattrs:  make(map[string]*attrStore),
+		eattrs:  make(map[string]*attrStore),
 	}
 }
 

@@ -182,17 +182,6 @@ func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 
 // --- index / bulk / space ---
 
-// BuildVertexPropIndex implements core.Engine. The declaration is
-// accepted but — matching the paper's measurement — brings no change in
-// the search path.
-func (e *Engine) BuildVertexPropIndex(name string) error {
-	e.declaredIndexes[name] = true
-	return nil
-}
-
-// HasVertexPropIndex implements core.Engine.
-func (e *Engine) HasVertexPropIndex(name string) bool { return e.declaredIndexes[name] }
-
 // BulkLoad implements core.Engine (the engine's Gremlin load path was
 // unproblematic in the paper, so this is a plain loop).
 func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {

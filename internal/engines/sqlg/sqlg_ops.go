@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 	"repro/internal/rel"
 )
 
@@ -356,15 +357,33 @@ func (e *Engine) tablesFor(labels []string) []*rel.Table {
 
 // IncidentEdges implements core.Engine: an indexed join per table.
 func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
+	return e.join(id, d, labels, false)
+}
+
+// Neighbors implements core.Engine: the same joins, projecting the far
+// endpoint column instead of the edge id.
+func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
+	return e.join(id, d, labels, true)
+}
+
+// join selects the rows of id's edges from each table a hop consults:
+// through the src index for out-edges, the dst index for in-edges. A
+// row's columns are id, src, dst; it yields the edge id or, with far
+// set, the other endpoint.
+func (e *Engine) join(id core.ID, d core.Direction, labels []string, far bool) core.Iter[core.ID] {
 	if !e.HasVertex(id) {
 		return core.EmptyIter[core.ID]()
 	}
 	key := core.I(int64(id))
+	outCol, inCol := 0, 0
+	if far {
+		outCol, inCol = 2, 1
+	}
 	var out []core.ID
 	for _, t := range e.tablesFor(labels) {
 		if d == core.DirOut || d == core.DirBoth {
 			t.SelectEq("src", key, func(r rel.Row) bool {
-				out = append(out, core.ID(r[0].Int()))
+				out = append(out, core.ID(r[outCol].Int()))
 				return true
 			})
 		}
@@ -373,34 +392,7 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 				if d == core.DirBoth && r[1].Compare(r[2]) == 0 {
 					return true // loop already collected by the src join
 				}
-				out = append(out, core.ID(r[0].Int()))
-				return true
-			})
-		}
-	}
-	return core.SliceIter(out)
-}
-
-// Neighbors implements core.Engine.
-func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
-	if !e.HasVertex(id) {
-		return core.EmptyIter[core.ID]()
-	}
-	key := core.I(int64(id))
-	var out []core.ID
-	for _, t := range e.tablesFor(labels) {
-		if d == core.DirOut || d == core.DirBoth {
-			t.SelectEq("src", key, func(r rel.Row) bool {
-				out = append(out, core.ID(r[2].Int()))
-				return true
-			})
-		}
-		if d == core.DirIn || d == core.DirBoth {
-			t.SelectEq("dst", key, func(r rel.Row) bool {
-				if d == core.DirBoth && r[1].Compare(r[2]) == 0 {
-					return true
-				}
-				out = append(out, core.ID(r[1].Int()))
+				out = append(out, core.ID(r[inCol].Int()))
 				return true
 			})
 		}
@@ -410,10 +402,7 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 
 // Degree implements core.Engine: indexed counts over every edge table.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.HasVertex(id) {
-		return 0, core.ErrNotFound
-	}
-	return int64(core.Drain(e.IncidentEdges(id, d))), nil
+	return kit.Degree(e, id, d)
 }
 
 // --- index / bulk / space ---

@@ -449,10 +449,7 @@ func (e *Engine) adjacency(id core.ID, d core.Direction, labels []string, neighb
 
 // Degree implements core.Engine.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	if !e.HasVertex(id) {
-		return 0, core.ErrNotFound
-	}
-	return int64(core.Drain(e.IncidentEdges(id, d))), nil
+	return kit.Degree(e, id, d)
 }
 
 // --- index / bulk / space ---

@@ -179,8 +179,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if len(cfg.Datasets) == 0 {
 		cfg.Datasets = DefaultConfig().Datasets
 	}
-	if cfg.Scale <= 0 {
+	if cfg.Scale == 0 {
 		cfg.Scale = DefaultConfig().Scale
+	} else if err := datasets.CheckScale(cfg.Scale); err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultConfig().Timeout

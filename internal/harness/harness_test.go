@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +54,11 @@ func TestNewRunnerValidation(t *testing.T) {
 	}
 	if _, err := NewRunner(Config{Datasets: []string{"nope"}}); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := NewRunner(Config{Scale: scale}); err == nil {
+			t.Fatalf("scale %v accepted", scale)
+		}
 	}
 	r, err := NewRunner(Config{})
 	if err != nil {
