@@ -99,9 +99,6 @@ func run(o *options) error {
 	if datasets.ByName(o.dataset) == nil {
 		return fmt.Errorf("unknown dataset %q (known: %s)", o.dataset, strings.Join(datasets.Names(), ", "))
 	}
-	if err := datasets.CheckScale(o.scale); err != nil {
-		return fmt.Errorf("-scale: %w", err)
-	}
 	mix, err := serve.ParseMix(o.mix)
 	if err != nil {
 		return err

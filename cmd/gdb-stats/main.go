@@ -36,10 +36,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if err := datasets.CheckScale(o.scale); err != nil {
-		fmt.Fprintf(os.Stderr, "gdb-stats: -scale: %v\n", err)
-		os.Exit(1)
-	}
 
 	res := &harness.Results{
 		Config: harness.Config{Scale: o.scale},
