@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -250,18 +251,12 @@ func BenchmarkFig3UpdateDelete(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res.VertexIDs[indexOfVertex(pg, q, res)] = nv
+				res.VertexIDs[slices.Index(res.VertexIDs, p.V)] = nv
 				_ = ctx
 				b.StartTimer()
 			}
 		})
 	}
-}
-
-// indexOfVertex resolves which dataset index the Q18 pool slot 0 maps
-// to, so the recreated vertex can take its place.
-func indexOfVertex(pg *harness.ParamGen, q *workload.Query, res *core.LoadResult) int {
-	return pg.DatasetVertexIndex(q, 0)
 }
 
 // --- Figure 4: selections ---

@@ -10,7 +10,7 @@
 // Two families of publish calls are recognized. os.Rename /
 // (*os.File).Sync / (*os.File).Close are checked in every package.
 // The durability layer never touches os directly — it writes through
-// the fsim VFS seam — so inside the Default scope the fsim.FS.Rename /
+// the fsim VFS seam — so inside vfsScope the fsim.FS.Rename /
 // fsim.File.Sync / fsim.File.Close interface methods count as the same
 // events (fsim itself is the substrate, not a publisher, and stays out
 // of scope).
@@ -30,48 +30,42 @@ import (
 	"repro/internal/analysis"
 )
 
-// Default is the scope where VFS-mediated publishes are checked in
+// vfsScope is where VFS-mediated publishes are checked in
 // addition to direct os ones: the LSM store and its write-ahead log
 // publish truncated segments through fsim.FS, and a rename there
 // without a durable prefix is exactly the torn-artifact crash the
 // fault matrix exists to catch.
-var Default = analysis.Scope{
+var vfsScope = analysis.Scope{
 	"internal/lsm",
 	"internal/lsm/wal",
 }
 
-// Analyzer applies the rule with the Default VFS scope; the os-level
-// checks apply to every package regardless.
-var Analyzer = New(Default)
+// Analyzer applies the os-level checks to every package and the VFS
+// ones over vfsScope.
+var Analyzer = &analysis.Analyzer{
+	Name: "fsyncrename",
+	Doc:  "flags rename publishes (os or fsim VFS) without an error-checked fsync, or with ignored Sync/Close errors",
+	Run:  run,
+}
 
-// New builds a fsyncrename analyzer whose fsim-interface recognition
-// is restricted to vfsScope. The os.Rename/Sync/Close checks always
-// apply everywhere.
-func New(vfsScope analysis.Scope) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "fsyncrename",
-		Doc:  "flags rename publishes (os or fsim VFS) without an error-checked fsync, or with ignored Sync/Close errors",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		vfs := vfsScope.Match(pass.Pkg.Path())
-		for _, f := range pass.Files {
-			// Visit every function body — declarations and literals —
-			// each as its own scope.
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					if n.Body != nil {
-						checkBody(pass, n.Body, vfs)
-					}
-				case *ast.FuncLit:
+func run(pass *analysis.Pass) error {
+	vfs := vfsScope.Match(pass.Pkg.Path())
+	for _, f := range pass.Files {
+		// Visit every function body — declarations and literals —
+		// each as its own scope.
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
 					checkBody(pass, n.Body, vfs)
 				}
-				return true
-			})
-		}
-		return nil
+			case *ast.FuncLit:
+				checkBody(pass, n.Body, vfs)
+			}
+			return true
+		})
 	}
-	return a
+	return nil
 }
 
 // fileCall is one Sync/Close/Rename event in a body, in source order.

@@ -16,7 +16,7 @@ func TestFsyncrenameCleanPackage(t *testing.T) {
 }
 
 // TestFsyncrenameVFSInScope checks the fsim extension: inside the
-// Default scope, FS.Rename/File.Sync/File.Close through the VFS seam
+// VFS scope, FS.Rename/File.Sync/File.Close through the VFS seam
 // are publish events under the same contract as the os ones.
 func TestFsyncrenameVFSInScope(t *testing.T) {
 	atest.Run(t, "testdata/src/internal/lsm/wal", fsyncrename.Analyzer)

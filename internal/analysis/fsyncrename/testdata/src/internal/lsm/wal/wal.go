@@ -1,5 +1,5 @@
 // Package wal is fsyncrename analyzer testdata for the VFS extension:
-// the package path suffix-matches the Default scope, so renames
+// the package path suffix-matches the VFS scope, so renames
 // through the fsim interfaces are held to the same
 // checked-Sync-before-Rename contract as os.Rename publishes.
 package wal

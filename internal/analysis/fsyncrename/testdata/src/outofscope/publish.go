@@ -1,5 +1,5 @@
 // Package outofscope pins the VFS scope boundary: this package is not
-// in fsyncrename's Default scope, so renames through the fsim
+// in fsyncrename's VFS scope, so renames through the fsim
 // interfaces are not publish events here — only os.Rename would be.
 // No want comments: the whole file must stay clean.
 package outofscope

@@ -17,49 +17,45 @@ import (
 	"repro/internal/analysis"
 )
 
-// Default covers the layers where goroutine lifetime bugs translate
+// scope covers the layers where goroutine lifetime bugs translate
 // into shutdown races and leaked connections.
-var Default = analysis.Scope{
+var scope = analysis.Scope{
 	"internal/harness",
 	"internal/par",
 	"internal/serve",
 }
 
-// Analyzer applies the rule over the Default scope.
-var Analyzer = New(Default)
+// Analyzer applies the rule over scope.
+var Analyzer = &analysis.Analyzer{
+	Name: "goroutinejoin",
+	Doc:  "flags go-func launches with no WaitGroup tracking and no select guard",
+	Run:  run,
+}
 
-// New builds a goroutinejoin analyzer restricted to scope.
-func New(scope analysis.Scope) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "goroutinejoin",
-		Doc:  "flags go-func launches with no WaitGroup tracking and no select guard",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if !scope.Match(pass.Pkg.Path()) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
-				if !ok {
-					// `go s.loop()` delegates lifetime to a named method,
-					// which the analyzer cannot see into; named methods
-					// are reviewable at their definition.
-					return true
-				}
-				if !joined(pass, lit.Body) {
-					pass.Reportf(gs.Pos(), "goroutine is neither WaitGroup-tracked nor select-guarded; join it or guard it with a done channel")
-				}
-				return true
-			})
-		}
+func run(pass *analysis.Pass) error {
+	if !scope.Match(pass.Pkg.Path()) {
 		return nil
 	}
-	return a
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
+			if !ok {
+				// `go s.loop()` delegates lifetime to a named method,
+				// which the analyzer cannot see into; named methods
+				// are reviewable at their definition.
+				return true
+			}
+			if !joined(pass, lit.Body) {
+				pass.Reportf(gs.Pos(), "goroutine is neither WaitGroup-tracked nor select-guarded; join it or guard it with a done channel")
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // joined reports whether the goroutine body carries a recognized

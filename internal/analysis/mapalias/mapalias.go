@@ -23,17 +23,21 @@ import (
 	"repro/internal/analysis"
 )
 
-// Default is the set of packages that touch mapped regions: mmapfile
+// scope is the set of packages that touch mapped regions: mmapfile
 // creates them, datasets decodes artifact sections out of them, core
 // adopts the aliased CSR arrays.
-var Default = analysis.Scope{
+var scope = analysis.Scope{
 	"internal/mmapfile",
 	"internal/datasets",
 	"internal/core",
 }
 
-// Analyzer applies the rule over the Default scope.
-var Analyzer = New(Default)
+// Analyzer applies the rule over scope.
+var Analyzer = &analysis.Analyzer{
+	Name: "mapalias",
+	Doc:  "forbids append/copy/store mutations on slices derived from a read-only memory mapping",
+	Run:  run,
+}
 
 // mappedSources lists the functions whose results alias (or may
 // alias) a mapped region, by package-path suffix.
@@ -45,29 +49,21 @@ var mappedSources = map[string]map[string]bool{
 	"internal/datasets": {"section": true, "int32Section": true},
 }
 
-// New builds a mapalias analyzer restricted to scope.
-func New(scope analysis.Scope) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "mapalias",
-		Doc:  "forbids append/copy/store mutations on slices derived from a read-only memory mapping",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if !scope.Match(pass.Pkg.Path()) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				fd, ok := n.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					return true
-				}
-				checkFunc(pass, fd.Body)
-				return true
-			})
-		}
+func run(pass *analysis.Pass) error {
+	if !scope.Match(pass.Pkg.Path()) {
 		return nil
 	}
-	return a
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			fd, ok := n.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				return true
+			}
+			checkFunc(pass, fd.Body)
+			return true
+		})
+	}
+	return nil
 }
 
 // checkFunc marks the function's mapped-derived identifiers to a fixed

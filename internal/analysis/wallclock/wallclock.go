@@ -16,20 +16,24 @@ import (
 	"repro/internal/analysis"
 )
 
-// Default is the set of result-producing packages: harness writes
+// scope is the set of result-producing packages: harness writes
 // streams and checkpoints, datasets writes snapshot artifacts,
 // graphson renders exports, serve times every operation through its
 // Runner's injectable clock so the executor's tests run it on a fake
 // one.
-var Default = analysis.Scope{
+var scope = analysis.Scope{
 	"internal/harness",
 	"internal/datasets",
 	"internal/graphson",
 	"internal/serve",
 }
 
-// Analyzer applies the rule over the Default scope.
-var Analyzer = New(Default)
+// Analyzer applies the rule over scope.
+var Analyzer = &analysis.Analyzer{
+	Name: "wallclock",
+	Doc:  "forbids time.Now/time.Since in result-producing packages outside the frozen-clock abstraction",
+	Run:  run,
+}
 
 // banned are the time package's wall-clock reads. time.Sleep and timer
 // construction are deliberately absent: they consume durations, they
@@ -40,31 +44,23 @@ var banned = map[string]bool{
 	"Until": true,
 }
 
-// New builds a wallclock analyzer restricted to scope.
-func New(scope analysis.Scope) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "wallclock",
-		Doc:  "forbids time.Now/time.Since in result-producing packages outside the frozen-clock abstraction",
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if !scope.Match(pass.Pkg.Path()) {
-			return nil
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := pass.Info.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !banned[fn.Name()] {
-					return true
-				}
-				pass.Reportf(id.Pos(), "time.%s in result-producing package %s; route the clock through the injectable now/since abstraction", fn.Name(), pass.Pkg.Path())
-				return true
-			})
-		}
+func run(pass *analysis.Pass) error {
+	if !scope.Match(pass.Pkg.Path()) {
 		return nil
 	}
-	return a
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.Info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !banned[fn.Name()] {
+				return true
+			}
+			pass.Reportf(id.Pos(), "time.%s in result-producing package %s; route the clock through the injectable now/since abstraction", fn.Name(), pass.Pkg.Path())
+			return true
+		})
+	}
+	return nil
 }

@@ -55,7 +55,7 @@ func Specs() []Spec {
 		{
 			Name: "yeast",
 			Desc: "protein–protein interaction network (S. cerevisiae)",
-			Paper: Table3Row{V: 2_300, E: 7_100, L: 167, Components: 101, MaxComp: 2_200,
+			Paper: Table3Row{V: yeastV, E: yeastE, L: 167, Components: 101, MaxComp: 2_200,
 				Density: 1.34e-3, Modularity: 3.66e-2, AvgDeg: 6.1, MaxDeg: 66, Diameter: 11},
 			Seed:     yeastSeed,
 			Generate: Yeast,
@@ -63,7 +63,7 @@ func Specs() []Spec {
 		{
 			Name: "mico",
 			Desc: "co-authorship network (Microsoft Academic, CS)",
-			Paper: Table3Row{V: 100_000, E: 1_100_000, L: 106, Components: 1_300, MaxComp: 93_000,
+			Paper: Table3Row{V: micoV, E: micoE, L: 106, Components: 1_300, MaxComp: 93_000,
 				Density: 1.10e-6, Modularity: 5.45e-3, AvgDeg: 21.6, MaxDeg: 1_300, Diameter: 23},
 			Seed:     micoSeed,
 			Generate: MiCo,
@@ -71,7 +71,7 @@ func Specs() []Spec {
 		{
 			Name: "frb-o",
 			Desc: "Freebase subset: organization/business/government/… topics",
-			Paper: Table3Row{V: 1_900_000, E: 4_300_000, L: 424, Components: 133_000, MaxComp: 1_600_000,
+			Paper: Table3Row{V: frbO.nodes, E: frbO.edges, L: 424, Components: 133_000, MaxComp: 1_600_000,
 				Density: 1.19e-6, Modularity: 9.82e-1, AvgDeg: 4.3, MaxDeg: 92_000, Diameter: 48},
 			Seed:     frbO.seed,
 			Generate: func(s float64) *core.Graph { return freebase(frbO, s) },
@@ -79,7 +79,7 @@ func Specs() []Spec {
 		{
 			Name: "frb-s",
 			Desc: "Freebase 0.1% random edge sample",
-			Paper: Table3Row{V: 500_000, E: 300_000, L: 1_814, Components: 160_000, MaxComp: 20_000,
+			Paper: Table3Row{V: frbS.nodes, E: frbS.edges, L: 1_814, Components: 160_000, MaxComp: 20_000,
 				Density: 1.20e-6, Modularity: 9.91e-1, AvgDeg: 1.3, MaxDeg: 13_000, Diameter: 4},
 			Seed:     frbS.seed,
 			Generate: func(s float64) *core.Graph { return freebase(frbS, s) },
@@ -87,7 +87,7 @@ func Specs() []Spec {
 		{
 			Name: "frb-m",
 			Desc: "Freebase 1% random edge sample",
-			Paper: Table3Row{V: 4_000_000, E: 3_100_000, L: 2_912, Components: 1_100_000, MaxComp: 1_400_000,
+			Paper: Table3Row{V: frbM.nodes, E: frbM.edges, L: 2_912, Components: 1_100_000, MaxComp: 1_400_000,
 				Density: 1.94e-7, Modularity: 7.97e-1, AvgDeg: 1.5, MaxDeg: 139_000, Diameter: 37},
 			Seed:     frbM.seed,
 			Generate: func(s float64) *core.Graph { return freebase(frbM, s) },
@@ -95,7 +95,7 @@ func Specs() []Spec {
 		{
 			Name: "frb-l",
 			Desc: "Freebase 10% random edge sample",
-			Paper: Table3Row{V: 28_400_000, E: 31_200_000, L: 3_821, Components: 2_000_000, MaxComp: 23_000_000,
+			Paper: Table3Row{V: frbL.nodes, E: frbL.edges, L: 3_821, Components: 2_000_000, MaxComp: 23_000_000,
 				Density: 3.87e-8, Modularity: 2.12e-1, AvgDeg: 2.2, MaxDeg: 1_400_000, Diameter: 33},
 			Seed:     frbL.seed,
 			Generate: func(s float64) *core.Graph { return freebase(frbL, s) },
@@ -103,7 +103,7 @@ func Specs() []Spec {
 		{
 			Name: "ldbc",
 			Desc: "LDBC SNB-style social network (1000 users, 3 years)",
-			Paper: Table3Row{V: 184_000, E: 1_500_000, L: 15, Components: 1, MaxComp: 184_000,
+			Paper: Table3Row{V: ldbcV, E: ldbcE, L: 15, Components: 1, MaxComp: 184_000,
 				Density: 4.43e-5, Modularity: 0, AvgDeg: 16.6, MaxDeg: 48_000, Diameter: 10},
 			Seed:     ldbcSeed,
 			Generate: LDBC,
@@ -132,14 +132,29 @@ func Names() []string {
 }
 
 // CheckScale reports an error for a scale that is not a finite
-// positive number. Generators clamp every size to a floor, so a NaN,
-// infinite or negative scale would otherwise yield minimum-size graphs
-// without a word.
+// positive number, or that is above maxScale. Generators clamp every
+// size to a floor, so a NaN, infinite or negative scale would otherwise
+// yield minimum-size graphs without a word, and so would a huge one,
+// whose sizes overflow int.
 func CheckScale(scale float64) error {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("scale %v is not a finite positive number", scale)
 	}
+	if limit := maxScale(); scale > limit {
+		return fmt.Errorf("scale %v is above %v, where a dataset outgrows the int32 indexes of its CSR", scale, limit)
+	}
 	return nil
+}
+
+// maxScale is the largest scale at which every dataset's |V| and 2|E|
+// (its undirected adjacency) fit core.CSR's int32 indexes. A Spec's
+// Paper.V and Paper.E are the sizes its generator passes to scaled.
+func maxScale() float64 {
+	limit := math.Inf(1)
+	for _, s := range Specs() {
+		limit = min(limit, math.MaxInt32/float64(max(s.Paper.V, 2*s.Paper.E)))
+	}
+	return limit
 }
 
 // scaled returns max(lo, round(n*scale)).

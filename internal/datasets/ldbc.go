@@ -10,6 +10,10 @@ import (
 // ldbcSeed is the ldbc generator's fixed seed (see Spec.Seed).
 const ldbcSeed = 7
 
+// ldbcV and ldbcE are the generator's sizes at scale 1.0: Table 3's
+// |V| and |E|.
+const ldbcV, ldbcE = 184_000, 1_500_000
+
 // The 15 edge labels of the ldbc dataset (Table 3 reports |L| = 15).
 var ldbcLabels = []string{
 	"knows", "livesIn", "worksAt", "studyAt", "hasInterest",
@@ -46,8 +50,8 @@ const (
 // the sequential generator) up front.
 func LDBC(scale float64) *core.Graph {
 	const seed = ldbcSeed
-	totalV := scaled(184_000, scale, 1_500)
-	totalE := scaled(1_500_000, scale, 12_000)
+	totalV := scaled(ldbcV, scale, 1_500)
+	totalE := scaled(ldbcE, scale, 12_000)
 
 	// Node composition (fractions chosen to mimic SNB output: content
 	// dominates, persons are few).

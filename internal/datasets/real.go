@@ -14,6 +14,12 @@ const (
 	micoSeed  = 43
 )
 
+// The generators' sizes at scale 1.0: Table 3's |V| and |E|.
+const (
+	yeastV, yeastE = 2_300, 7_100
+	micoV, micoE   = 100_000, 1_100_000
+)
+
 // Yeast generates the protein-interaction-network equivalent: ~2.3K
 // proteins, ~7.1K interaction edges whose labels are protein-class
 // pairs (167 distinct), nodes carrying short/long names, a description,
@@ -22,8 +28,8 @@ const (
 // shard.go): output is identical for any worker count.
 func Yeast(scale float64) *core.Graph {
 	const seed = yeastSeed
-	n := scaled(2_300, scale, 200)
-	m := scaled(7_100, scale, 600)
+	n := scaled(yeastV, scale, 200)
+	m := scaled(yeastE, scale, 600)
 
 	classes := []string{"E", "T", "M", "P", "G", "R", "C", "F", "D", "O", "U", "B", "A"}
 	g := &core.Graph{VProps: make([]core.Props, n), EdgeL: make([]core.EdgeRec, m)}
@@ -68,8 +74,8 @@ func Yeast(scale float64) *core.Graph {
 // shard.go): output is identical for any worker count.
 func MiCo(scale float64) *core.Graph {
 	const seed = micoSeed
-	n := scaled(100_000, scale, 500)
-	m := scaled(1_100_000, scale, 4_000)
+	n := scaled(micoV, scale, 500)
+	m := scaled(micoE, scale, 4_000)
 
 	areas := []string{"databases", "theory", "systems", "ml", "networks", "hci", "security", "graphics"}
 	g := &core.Graph{VProps: make([]core.Props, n), EdgeL: make([]core.EdgeRec, m)}

@@ -269,11 +269,14 @@ func TestAcquireFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestAcquireRejectsBadScale: a scale that is not finite and positive
-// is an error from both acquire paths, and leaves no artifact behind.
+// TestAcquireRejectsBadScale: a scale that is not finite and positive,
+// or at which some dataset would outgrow its CSR's int32 indexes, is an
+// error from both acquire paths, and leaves no artifact behind. Yeast
+// at the first scale above the limit is still a small graph.
 func TestAcquireRejectsBadScale(t *testing.T) {
 	dir := t.TempDir()
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+	aboveLimit := math.Nextafter(maxScale(), math.Inf(1))
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 1e300, aboveLimit} {
 		if _, _, err := AcquireWith("yeast", scale, AcquireOptions{CacheDir: dir}); err == nil {
 			t.Errorf("AcquireWith accepted scale %v", scale)
 		}

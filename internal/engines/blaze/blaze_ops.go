@@ -43,67 +43,6 @@ func (e *Engine) HasVertex(id core.ID) bool {
 		e.hasStatement(statement{int64(id), rdfType, vertexClassTerm()})
 }
 
-// VertexProps implements core.Engine: an SPO prefix scan over the
-// vertex's statements.
-func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
-	if !e.HasVertex(id) {
-		return nil, core.ErrNotFound
-	}
-	p := core.Props{}
-	e.forS(int64(id), func(pr, o int64) bool {
-		if pr != rdfType {
-			p[e.predName(pr)] = e.literalValue(o)
-		}
-		return true
-	})
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p, nil
-}
-
-// VertexProp implements core.Engine.
-func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasVertex(id) {
-		return core.Nil, false
-	}
-	pr, ok := e.predOf(name)
-	if !ok {
-		return core.Nil, false
-	}
-	o, ok := e.firstSP(int64(id), pr)
-	if !ok {
-		return core.Nil, false
-	}
-	return e.literalValue(o), true
-}
-
-// SetVertexProp implements core.Engine: retract + assert.
-func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	pr := e.pred(name)
-	if old, ok := e.firstSP(int64(id), pr); ok {
-		e.removeStatement(statement{int64(id), pr, old})
-	}
-	e.addStatement(statement{int64(id), pr, e.literal(v)})
-	return nil
-}
-
-// RemoveVertexProp implements core.Engine.
-func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	if pr, ok := e.predOf(name); ok {
-		if old, ok := e.firstSP(int64(id), pr); ok {
-			e.removeStatement(statement{int64(id), pr, old})
-		}
-	}
-	return nil
-}
-
 // RemoveVertex implements core.Engine: retract the vertex's own
 // statements and cascade to every reified edge that references it.
 func (e *Engine) RemoveVertex(id core.ID) error {
@@ -115,7 +54,7 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 	e.forPO(rdfSubject, v, func(s int64) bool { edges = append(edges, s); return true })
 	e.forPO(rdfObject, v, func(s int64) bool { edges = append(edges, s); return true })
 	for _, ed := range edges {
-		if e.isEdgeTerm(ed) {
+		if e.HasEdge(core.ID(ed)) {
 			e.removeEdgeStatements(ed)
 		}
 	}
@@ -128,14 +67,6 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 }
 
 // --- edge CRUD (reification) ---
-
-func (e *Engine) isEdgeTerm(t int64) bool {
-	if termTag(t) != tagEdge {
-		return false
-	}
-	_, ok := e.firstSP(t, rdfSubject)
-	return ok
-}
 
 // AddEdge implements core.Engine: three reification statements plus one
 // per property — each ×3 indexes, the write amplification behind this
@@ -193,66 +124,6 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 	return core.ID(s), core.ID(o), nil
 }
 
-// EdgeProps implements core.Engine.
-func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
-	if !e.HasEdge(id) {
-		return nil, core.ErrNotFound
-	}
-	p := core.Props{}
-	e.forS(int64(id), func(pr, o int64) bool {
-		if pr != rdfSubject && pr != rdfPredicate && pr != rdfObject {
-			p[e.predName(pr)] = e.literalValue(o)
-		}
-		return true
-	})
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p, nil
-}
-
-// EdgeProp implements core.Engine.
-func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasEdge(id) {
-		return core.Nil, false
-	}
-	pr, ok := e.predOf(name)
-	if !ok {
-		return core.Nil, false
-	}
-	o, ok := e.firstSP(int64(id), pr)
-	if !ok {
-		return core.Nil, false
-	}
-	return e.literalValue(o), true
-}
-
-// SetEdgeProp implements core.Engine.
-func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	pr := e.pred(name)
-	if old, ok := e.firstSP(int64(id), pr); ok {
-		e.removeStatement(statement{int64(id), pr, old})
-	}
-	e.addStatement(statement{int64(id), pr, e.literal(v)})
-	return nil
-}
-
-// RemoveEdgeProp implements core.Engine.
-func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	if pr, ok := e.predOf(name); ok {
-		if old, ok := e.firstSP(int64(id), pr); ok {
-			e.removeStatement(statement{int64(id), pr, old})
-		}
-	}
-	return nil
-}
-
 // RemoveEdge implements core.Engine.
 func (e *Engine) RemoveEdge(id core.ID) error {
 	if !e.HasEdge(id) {
@@ -268,6 +139,103 @@ func (e *Engine) removeEdgeStatements(ed int64) {
 	for _, st := range sts {
 		e.removeStatement(st)
 	}
+}
+
+// --- properties: one body per operation, for vertices and edges ---
+
+// VertexProps implements core.Engine.
+func (e *Engine) VertexProps(id core.ID) (core.Props, error) { return e.propsOf(e.HasVertex(id), id) }
+
+// EdgeProps implements core.Engine.
+func (e *Engine) EdgeProps(id core.ID) (core.Props, error) { return e.propsOf(e.HasEdge(id), id) }
+
+// VertexProp implements core.Engine.
+func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(e.HasVertex(id), id, name)
+}
+
+// EdgeProp implements core.Engine.
+func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(e.HasEdge(id), id, name)
+}
+
+// SetVertexProp implements core.Engine.
+func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(e.HasVertex(id), id, name, v)
+}
+
+// SetEdgeProp implements core.Engine.
+func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(e.HasEdge(id), id, name, v)
+}
+
+// RemoveVertexProp implements core.Engine.
+func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
+	return e.removeProp(e.HasVertex(id), id, name)
+}
+
+// RemoveEdgeProp implements core.Engine.
+func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
+	return e.removeProp(e.HasEdge(id), id, name)
+}
+
+// propsOf is an SPO prefix scan over the element's statements: its
+// properties are those whose predicate lies past the rdf: vocabulary.
+func (e *Engine) propsOf(ok bool, id core.ID) (core.Props, error) {
+	if !ok {
+		return nil, core.ErrNotFound
+	}
+	p := core.Props{}
+	e.forS(int64(id), func(pr, o int64) bool {
+		if termSeq(pr) >= predFirstUser {
+			p[e.predName(pr)] = e.literalValue(o)
+		}
+		return true
+	})
+	if len(p) == 0 {
+		return nil, nil
+	}
+	return p, nil
+}
+
+func (e *Engine) propOf(ok bool, id core.ID, name string) (core.Value, bool) {
+	if !ok {
+		return core.Nil, false
+	}
+	pr, ok := e.predOf(name)
+	if !ok {
+		return core.Nil, false
+	}
+	o, ok := e.firstSP(int64(id), pr)
+	if !ok {
+		return core.Nil, false
+	}
+	return e.literalValue(o), true
+}
+
+// setProp retracts the old statement and asserts the new one.
+func (e *Engine) setProp(ok bool, id core.ID, name string, v core.Value) error {
+	if !ok {
+		return core.ErrNotFound
+	}
+	pr := e.pred(name)
+	if old, ok := e.firstSP(int64(id), pr); ok {
+		e.removeStatement(statement{int64(id), pr, old})
+	}
+	e.addStatement(statement{int64(id), pr, e.literal(v)})
+	return nil
+}
+
+func (e *Engine) removeProp(ok bool, id core.ID, name string) error {
+	if !ok {
+		return core.ErrNotFound
+	}
+	if pr, ok := e.predOf(name); ok {
+		if old, ok := e.firstSP(int64(id), pr); ok {
+			e.removeStatement(statement{int64(id), pr, old})
+		}
+	}
+	return nil
 }
 
 // --- scans (per-step graph API execution; see package doc) ---

@@ -490,8 +490,23 @@ func testMissingIDs(t *testing.T, newEngine func() core.Engine) {
 	if _, _, err := e.EdgeEnds(missing); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("EdgeEnds err = %v", err)
 	}
+	if got, ok := e.VertexProp(missing, "p"); ok || !got.IsNil() {
+		t.Fatalf("VertexProp = %v, %v", got, ok)
+	}
+	if got, ok := e.EdgeProp(missing, "p"); ok || !got.IsNil() {
+		t.Fatalf("EdgeProp = %v, %v", got, ok)
+	}
 	if err := e.SetVertexProp(missing, "p", core.I(1)); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("SetVertexProp err = %v", err)
+	}
+	if err := e.SetEdgeProp(missing, "p", core.I(1)); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("SetEdgeProp err = %v", err)
+	}
+	if err := e.RemoveVertexProp(missing, "p"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("RemoveVertexProp err = %v", err)
+	}
+	if err := e.RemoveEdgeProp(missing, "p"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("RemoveEdgeProp err = %v", err)
 	}
 	if err := e.RemoveVertex(missing); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("RemoveVertex err = %v", err)
@@ -630,6 +645,22 @@ func testPropertyIndex(t *testing.T, newEngine func() core.Engine) {
 		t.Fatalf("indexed search after mutations = %v, want %v", got, want2)
 	}
 	sameAsScan("after mutations")
+	// An edge carrying the indexed name must leave the vertex index
+	// alone while its property is set and removed.
+	var edges []core.ID
+	for _, x := range both {
+		ed, err := x.AddEdge(v, want[3], "l", core.Props{"mod": core.I(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.SetEdgeProp(ed, "mod", core.I(2))
+		edges = append(edges, ed)
+	}
+	sameAsScan("after edge property set")
+	for i, x := range both {
+		x.RemoveEdgeProp(edges[i], "mod")
+	}
+	sameAsScan("after edge property removal")
 	// Building an index that exists is a no-op: it must not forget the
 	// mutations applied since the first build.
 	if err := e.BuildVertexPropIndex("mod"); err != nil {

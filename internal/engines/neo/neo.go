@@ -133,10 +133,8 @@ func putU32(rec []byte, off int, v uint32) {
 // node record fields
 func nodeFirstRel(rec []byte) int64       { return getI64(rec, 0) }
 func setNodeFirstRel(rec []byte, v int64) { putI64(rec, 0, v) }
-func nodeFirstProp(rec []byte) int64      { return getI64(rec, 8) }
-func setNodeFirstProp(rec []byte, v int64) {
-	putI64(rec, 8, v)
-}
+
+const nFirstProp = 8 // the node's property-chain head
 
 // relationship record fields
 const (

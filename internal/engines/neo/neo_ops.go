@@ -29,68 +29,12 @@ func (e *Engine) addVertexDirect(props core.Props) core.ID {
 		first = e.propChainSet(first, k, v, nil)
 		e.vindex.Add(k, v, core.ID(id))
 	}
-	setNodeFirstProp(rec, first)
+	putI64(rec, nFirstProp, first)
 	return core.ID(id)
 }
 
 // HasVertex implements core.Engine.
 func (e *Engine) HasVertex(id core.ID) bool { return e.nodes.InUse(int64(id)) }
-
-// VertexProps implements core.Engine.
-func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
-	rec, ok := e.nodes.Record(int64(id))
-	if !ok {
-		return nil, core.ErrNotFound
-	}
-	return e.propChainAll(nodeFirstProp(rec)), nil
-}
-
-// VertexProp implements core.Engine.
-func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
-	rec, ok := e.nodes.Record(int64(id))
-	if !ok {
-		return core.Nil, false
-	}
-	return e.propChainGet(nodeFirstProp(rec), name)
-}
-
-// SetVertexProp implements core.Engine.
-func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
-	rec, ok := e.nodes.Record(int64(id))
-	if !ok {
-		return core.ErrNotFound
-	}
-	t := e.begin()
-	t.record(0, int64(id), rec)
-	if e.vindex.Has(name) {
-		if old, had := e.propChainGet(nodeFirstProp(rec), name); had {
-			e.vindex.Remove(name, old, id)
-		}
-		e.vindex.Add(name, v, id)
-	}
-	setNodeFirstProp(rec, e.propChainSet(nodeFirstProp(rec), name, v, t))
-	t.commit()
-	return nil
-}
-
-// RemoveVertexProp implements core.Engine.
-func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
-	rec, ok := e.nodes.Record(int64(id))
-	if !ok {
-		return core.ErrNotFound
-	}
-	t := e.begin()
-	t.record(0, int64(id), rec)
-	if e.vindex.Has(name) {
-		if old, had := e.propChainGet(nodeFirstProp(rec), name); had {
-			e.vindex.Remove(name, old, id)
-		}
-	}
-	head, _ := e.propChainRemove(nodeFirstProp(rec), name, t)
-	setNodeFirstProp(rec, head)
-	t.commit()
-	return nil
-}
 
 // RemoveVertex implements core.Engine. Incident edges are cascaded.
 func (e *Engine) RemoveVertex(id core.ID) error {
@@ -110,11 +54,11 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 	}
 	// Drop index entries for this vertex.
 	for _, name := range e.vindex.Names() {
-		if v, had := e.propChainGet(nodeFirstProp(rec), name); had {
+		if v, had := e.propChainGet(getI64(rec, nFirstProp), name); had {
 			e.vindex.Remove(name, v, id)
 		}
 	}
-	e.propChainFree(nodeFirstProp(rec))
+	e.propChainFree(getI64(rec, nFirstProp))
 	if e.version == V30 {
 		e.freeGroups(nodeFirstRel(rec))
 	}
@@ -266,51 +210,6 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 	return core.ID(getI64(rec, rSrc)), core.ID(getI64(rec, rDst)), nil
 }
 
-// EdgeProps implements core.Engine.
-func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
-	rec, ok := e.rels.Record(int64(id))
-	if !ok {
-		return nil, core.ErrNotFound
-	}
-	return e.propChainAll(getI64(rec, rFirstProp)), nil
-}
-
-// EdgeProp implements core.Engine.
-func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	rec, ok := e.rels.Record(int64(id))
-	if !ok {
-		return core.Nil, false
-	}
-	return e.propChainGet(getI64(rec, rFirstProp), name)
-}
-
-// SetEdgeProp implements core.Engine.
-func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	rec, ok := e.rels.Record(int64(id))
-	if !ok {
-		return core.ErrNotFound
-	}
-	t := e.begin()
-	t.record(1, int64(id), rec)
-	putI64(rec, rFirstProp, e.propChainSet(getI64(rec, rFirstProp), name, v, t))
-	t.commit()
-	return nil
-}
-
-// RemoveEdgeProp implements core.Engine.
-func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	rec, ok := e.rels.Record(int64(id))
-	if !ok {
-		return core.ErrNotFound
-	}
-	t := e.begin()
-	t.record(1, int64(id), rec)
-	head, _ := e.propChainRemove(getI64(rec, rFirstProp), name, t)
-	putI64(rec, rFirstProp, head)
-	t.commit()
-	return nil
-}
-
 // RemoveEdge implements core.Engine.
 func (e *Engine) RemoveEdge(id core.ID) error {
 	if !e.rels.InUse(int64(id)) {
@@ -414,6 +313,102 @@ func (e *Engine) unlinkV30(node, id int64, rec []byte, tok uint32, asSrc bool) {
 			putI64(nrec, rDstPrev, prev)
 		}
 	}
+}
+
+// --- properties: one body per operation, for vertices and edges ---
+
+// noIndex is the empty attribute index of edges: the modelled versions
+// index only node attributes.
+var noIndex kit.PropIndex
+
+// VertexProps implements core.Engine.
+func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
+	return e.propsOf(e.nodes, nFirstProp, id)
+}
+
+// EdgeProps implements core.Engine.
+func (e *Engine) EdgeProps(id core.ID) (core.Props, error) { return e.propsOf(e.rels, rFirstProp, id) }
+
+// VertexProp implements core.Engine.
+func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(e.nodes, nFirstProp, id, name)
+}
+
+// EdgeProp implements core.Engine.
+func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(e.rels, rFirstProp, id, name)
+}
+
+// SetVertexProp implements core.Engine.
+func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(e.nodes, 0, nFirstProp, &e.vindex, id, name, v)
+}
+
+// SetEdgeProp implements core.Engine.
+func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(e.rels, 1, rFirstProp, &noIndex, id, name, v)
+}
+
+// RemoveVertexProp implements core.Engine.
+func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
+	return e.removeProp(e.nodes, 0, nFirstProp, &e.vindex, id, name)
+}
+
+// RemoveEdgeProp implements core.Engine.
+func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
+	return e.removeProp(e.rels, 1, rFirstProp, &noIndex, id, name)
+}
+
+func (e *Engine) propsOf(s *pagefile.Store, head int, id core.ID) (core.Props, error) {
+	rec, ok := s.Record(int64(id))
+	if !ok {
+		return nil, core.ErrNotFound
+	}
+	return e.propChainAll(getI64(rec, head)), nil
+}
+
+func (e *Engine) propOf(s *pagefile.Store, head int, id core.ID, name string) (core.Value, bool) {
+	rec, ok := s.Record(int64(id))
+	if !ok {
+		return core.Nil, false
+	}
+	return e.propChainGet(getI64(rec, head), name)
+}
+
+func (e *Engine) setProp(s *pagefile.Store, tag int8, head int, idx *kit.PropIndex, id core.ID, name string, v core.Value) error {
+	rec, ok := s.Record(int64(id))
+	if !ok {
+		return core.ErrNotFound
+	}
+	t := e.begin()
+	t.record(tag, int64(id), rec)
+	if idx.Has(name) {
+		if old, had := e.propChainGet(getI64(rec, head), name); had {
+			idx.Remove(name, old, id)
+		}
+		idx.Add(name, v, id)
+	}
+	putI64(rec, head, e.propChainSet(getI64(rec, head), name, v, t))
+	t.commit()
+	return nil
+}
+
+func (e *Engine) removeProp(s *pagefile.Store, tag int8, head int, idx *kit.PropIndex, id core.ID, name string) error {
+	rec, ok := s.Record(int64(id))
+	if !ok {
+		return core.ErrNotFound
+	}
+	t := e.begin()
+	t.record(tag, int64(id), rec)
+	if idx.Has(name) {
+		if old, had := e.propChainGet(getI64(rec, head), name); had {
+			idx.Remove(name, old, id)
+		}
+	}
+	chain, _ := e.propChainRemove(getI64(rec, head), name, t)
+	putI64(rec, head, chain)
+	t.commit()
+	return nil
 }
 
 // --- store-wide scans ---

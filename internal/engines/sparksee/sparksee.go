@@ -195,25 +195,18 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 	e.nextOID++
 	e.nodes.Add(oid)
 	for k, v := range props {
-		e.vattr(k).set(oid, v)
+		attrOf(e.vattrs, k).set(oid, v)
 	}
 	return core.ID(oid), nil
 }
 
-func (e *Engine) vattr(name string) *attrStore {
-	a := e.vattrs[name]
+// attrOf returns the attribute store for name in attrs, creating it on
+// first use.
+func attrOf(attrs map[string]*attrStore, name string) *attrStore {
+	a := attrs[name]
 	if a == nil {
 		a = newAttrStore()
-		e.vattrs[name] = a
-	}
-	return a
-}
-
-func (e *Engine) eattr(name string) *attrStore {
-	a := e.eattrs[name]
-	if a == nil {
-		a = newAttrStore()
-		e.eattrs[name] = a
+		attrs[name] = a
 	}
 	return a
 }
@@ -221,56 +214,6 @@ func (e *Engine) eattr(name string) *attrStore {
 // HasVertex implements core.Engine.
 func (e *Engine) HasVertex(id core.ID) bool {
 	return id >= 0 && e.nodes.Contains(uint64(id))
-}
-
-// VertexProps implements core.Engine.
-func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
-	if !e.HasVertex(id) {
-		return nil, core.ErrNotFound
-	}
-	p := core.Props{}
-	for name, a := range e.vattrs {
-		if v, ok := a.vals[uint64(id)]; ok {
-			p[name] = v
-		}
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p, nil
-}
-
-// VertexProp implements core.Engine.
-func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasVertex(id) {
-		return core.Nil, false
-	}
-	a := e.vattrs[name]
-	if a == nil {
-		return core.Nil, false
-	}
-	v, ok := a.vals[uint64(id)]
-	return v, ok
-}
-
-// SetVertexProp implements core.Engine.
-func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	e.vattr(name).set(uint64(id), v)
-	return nil
-}
-
-// RemoveVertexProp implements core.Engine.
-func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	if a := e.vattrs[name]; a != nil {
-		a.remove(uint64(id))
-	}
-	return nil
 }
 
 // RemoveVertex implements core.Engine.
@@ -331,7 +274,7 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	}
 	ib.Add(oid)
 	for k, v := range props {
-		e.eattr(k).set(oid, v)
+		attrOf(e.eattrs, k).set(oid, v)
 	}
 	return core.ID(oid), nil
 }
@@ -357,56 +300,6 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 	return core.ID(e.srcOf[uint64(id)]), core.ID(e.dstOf[uint64(id)]), nil
 }
 
-// EdgeProps implements core.Engine.
-func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
-	if !e.HasEdge(id) {
-		return nil, core.ErrNotFound
-	}
-	p := core.Props{}
-	for name, a := range e.eattrs {
-		if v, ok := a.vals[uint64(id)]; ok {
-			p[name] = v
-		}
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p, nil
-}
-
-// EdgeProp implements core.Engine.
-func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasEdge(id) {
-		return core.Nil, false
-	}
-	a := e.eattrs[name]
-	if a == nil {
-		return core.Nil, false
-	}
-	v, ok := a.vals[uint64(id)]
-	return v, ok
-}
-
-// SetEdgeProp implements core.Engine.
-func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	e.eattr(name).set(uint64(id), v)
-	return nil
-}
-
-// RemoveEdgeProp implements core.Engine.
-func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	if a := e.eattrs[name]; a != nil {
-		a.remove(uint64(id))
-	}
-	return nil
-}
-
 // RemoveEdge implements core.Engine.
 func (e *Engine) RemoveEdge(id core.ID) error {
 	if !e.HasEdge(id) {
@@ -429,6 +322,94 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 	delete(e.dstOf, oid)
 	delete(e.labelOf, oid)
 	e.edges.Remove(oid)
+	return nil
+}
+
+// --- properties: one body per operation, for vertices and edges ---
+
+// VertexProps implements core.Engine.
+func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
+	return propsOf(e.HasVertex(id), e.vattrs, id)
+}
+
+// EdgeProps implements core.Engine.
+func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
+	return propsOf(e.HasEdge(id), e.eattrs, id)
+}
+
+// VertexProp implements core.Engine.
+func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
+	return propOf(e.HasVertex(id), e.vattrs, id, name)
+}
+
+// EdgeProp implements core.Engine.
+func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
+	return propOf(e.HasEdge(id), e.eattrs, id, name)
+}
+
+// SetVertexProp implements core.Engine.
+func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
+	return setProp(e.HasVertex(id), e.vattrs, id, name, v)
+}
+
+// SetEdgeProp implements core.Engine.
+func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
+	return setProp(e.HasEdge(id), e.eattrs, id, name, v)
+}
+
+// RemoveVertexProp implements core.Engine.
+func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
+	return removeProp(e.HasVertex(id), e.vattrs, id, name)
+}
+
+// RemoveEdgeProp implements core.Engine.
+func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
+	return removeProp(e.HasEdge(id), e.eattrs, id, name)
+}
+
+func propsOf(ok bool, attrs map[string]*attrStore, id core.ID) (core.Props, error) {
+	if !ok {
+		return nil, core.ErrNotFound
+	}
+	p := core.Props{}
+	for name, a := range attrs {
+		if v, ok := a.vals[uint64(id)]; ok {
+			p[name] = v
+		}
+	}
+	if len(p) == 0 {
+		return nil, nil
+	}
+	return p, nil
+}
+
+func propOf(ok bool, attrs map[string]*attrStore, id core.ID, name string) (core.Value, bool) {
+	if !ok {
+		return core.Nil, false
+	}
+	a := attrs[name]
+	if a == nil {
+		return core.Nil, false
+	}
+	v, ok := a.vals[uint64(id)]
+	return v, ok
+}
+
+func setProp(ok bool, attrs map[string]*attrStore, id core.ID, name string, v core.Value) error {
+	if !ok {
+		return core.ErrNotFound
+	}
+	attrOf(attrs, name).set(uint64(id), v)
+	return nil
+}
+
+func removeProp(ok bool, attrs map[string]*attrStore, id core.ID, name string) error {
+	if !ok {
+		return core.ErrNotFound
+	}
+	if a := attrs[name]; a != nil {
+		a.remove(uint64(id))
+	}
 	return nil
 }
 

@@ -27,18 +27,18 @@ func idsOf(b *bitmap.Bitmap) []core.ID {
 	return out
 }
 
-// Vertices implements core.Engine. Starting a fresh full-graph scan
-// resets the Gremlin adapter's retention accounting (each traversal
-// carries its own intermediates).
-func (e *Engine) Vertices() core.Iter[core.ID] {
-	e.retained.Store(0)
-	return bitmapIter(e.nodes)
-}
+// Vertices implements core.Engine.
+func (e *Engine) Vertices() core.Iter[core.ID] { return e.scan(e.nodes) }
 
 // Edges implements core.Engine.
-func (e *Engine) Edges() core.Iter[core.ID] {
+func (e *Engine) Edges() core.Iter[core.ID] { return e.scan(e.edges) }
+
+// scan is a full-graph scan of the objects in b. Starting one resets
+// the Gremlin adapter's retention accounting (each traversal carries
+// its own intermediates).
+func (e *Engine) scan(b *bitmap.Bitmap) core.Iter[core.ID] {
 	e.retained.Store(0)
-	return bitmapIter(e.edges)
+	return bitmapIter(b)
 }
 
 // VerticesByProp implements core.Engine. The value→bitmap structure
@@ -46,23 +46,22 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 // does not exploit it, and declared user indexes bring "no improvement"
 // for this engine), so a scan with per-object value lookups is modelled.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	a := e.vattrs[name]
-	if a == nil {
-		return core.EmptyIter[core.ID]()
-	}
-	return core.FilterIter(e.Vertices(), func(id core.ID) bool {
-		got, ok := a.vals[uint64(id)]
-		return ok && got.Compare(v) == 0
-	})
+	return e.byProp(e.nodes, e.vattrs, name, v)
 }
 
 // EdgesByProp implements core.Engine.
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	a := e.eattrs[name]
+	return e.byProp(e.edges, e.eattrs, name, v)
+}
+
+// byProp scans the objects in b, looking each one up in its kind's
+// attribute store for name.
+func (e *Engine) byProp(b *bitmap.Bitmap, attrs map[string]*attrStore, name string, v core.Value) core.Iter[core.ID] {
+	a := attrs[name]
 	if a == nil {
 		return core.EmptyIter[core.ID]()
 	}
-	return core.FilterIter(e.Edges(), func(id core.ID) bool {
+	return core.FilterIter(e.scan(b), func(id core.ID) bool {
 		got, ok := a.vals[uint64(id)]
 		return ok && got.Compare(v) == 0
 	})

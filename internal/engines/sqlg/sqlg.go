@@ -135,6 +135,20 @@ func rowToProps(t *rel.Table, r rel.Row, skip int) core.Props {
 	return p
 }
 
+// propsToRow is rowToProps' inverse: a row of t holding the system
+// columns sys, then each property in its column and NULL elsewhere.
+func propsToRow(t *rel.Table, props core.Props, sys ...core.Value) rel.Row {
+	cols := t.Columns()
+	row := make(rel.Row, len(cols))
+	copy(row, sys)
+	for i := len(sys); i < len(cols); i++ {
+		if v, ok := props[cols[i]]; ok {
+			row[i] = v
+		}
+	}
+	return row
+}
+
 // ConcurrentWrites implements core.ConcurrentWriter: the relational
 // tables are mutated only by write operations and the planner's
 // read-side counters are atomics, so under core.Guard's

@@ -21,15 +21,7 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 	}
 	id := e.nextVertex
 	e.nextVertex++
-	cols := e.vtab.Columns()
-	row := make(rel.Row, len(cols))
-	row[0] = core.I(id)
-	for i := 1; i < len(cols); i++ {
-		if v, ok := props[cols[i]]; ok {
-			row[i] = v
-		}
-	}
-	if err := e.vtab.Insert(row); err != nil {
+	if err := e.vtab.Insert(propsToRow(e.vtab, props, core.I(id))); err != nil {
 		return core.NoID, err
 	}
 	return core.ID(id), nil
@@ -37,54 +29,8 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 
 // HasVertex implements core.Engine.
 func (e *Engine) HasVertex(id core.ID) bool {
-	if _, isEdge := splitEdgeID(id); isEdge || id < 0 {
-		return false
-	}
-	return e.vtab.Has(int64(id))
-}
-
-// VertexProps implements core.Engine.
-func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
-	if _, isEdge := splitEdgeID(id); isEdge {
-		return nil, core.ErrNotFound
-	}
-	r, ok := e.vtab.Get(int64(id))
-	if !ok {
-		return nil, core.ErrNotFound
-	}
-	return rowToProps(e.vtab, r, 1), nil
-}
-
-// VertexProp implements core.Engine.
-func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
-	if _, isEdge := splitEdgeID(id); isEdge {
-		return core.Nil, false
-	}
-	v, ok := e.vtab.Value(int64(id), name)
-	if !ok || v.IsNil() {
-		return core.Nil, false
-	}
-	return v, true
-}
-
-// SetVertexProp implements core.Engine.
-func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	ensureColumn(e.vtab, name)
-	return e.vtab.Update(int64(id), name, v)
-}
-
-// RemoveVertexProp implements core.Engine: SET NULL.
-func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	if !e.vtab.HasColumn(name) {
-		return nil
-	}
-	return e.vtab.Update(int64(id), name, core.Nil)
+	t := e.vertexTable(id)
+	return id >= 0 && t != nil && t.Has(int64(id))
 }
 
 // RemoveVertex implements core.Engine: cascading deletes through the
@@ -132,53 +78,40 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	}
 	id := makeEdgeID(ti, e.nextEdge)
 	e.nextEdge++
-	cols := t.Columns()
-	row := make(rel.Row, len(cols))
-	row[0] = core.I(int64(id))
-	row[1] = core.I(int64(src))
-	row[2] = core.I(int64(dst))
-	for i := 3; i < len(cols); i++ {
-		if v, ok := props[cols[i]]; ok {
-			row[i] = v
-		}
-	}
+	row := propsToRow(t, props, core.I(int64(id)), core.I(int64(src)), core.I(int64(dst)))
 	if err := t.Insert(row); err != nil {
 		return core.NoID, err
 	}
 	return id, nil
 }
 
-// edgeTableOf returns the join table holding edge id, if the edge
-// exists; edgeRow also copies the row, for callers that read it.
-func (e *Engine) edgeTableOf(id core.ID) (*rel.Table, bool) {
-	ti, isEdge := splitEdgeID(id)
-	if !isEdge || ti >= len(e.etabs) || !e.etabs[ti].Has(int64(id)) {
-		return nil, false
+// vertexTable returns the vertex table for a vertex id and nil for an
+// edge id; edgeTableOf returns the join table an edge id names, or nil.
+// Neither checks that the row exists.
+func (e *Engine) vertexTable(id core.ID) *rel.Table {
+	if _, isEdge := splitEdgeID(id); isEdge {
+		return nil
 	}
-	return e.etabs[ti], true
+	return e.vtab
 }
 
-func (e *Engine) edgeRow(id core.ID) (*rel.Table, rel.Row, bool) {
+func (e *Engine) edgeTableOf(id core.ID) *rel.Table {
 	ti, isEdge := splitEdgeID(id)
 	if !isEdge || ti >= len(e.etabs) {
-		return nil, nil, false
+		return nil
 	}
-	r, ok := e.etabs[ti].Get(int64(id))
-	if !ok {
-		return nil, nil, false
-	}
-	return e.etabs[ti], r, true
+	return e.etabs[ti]
 }
 
 // HasEdge implements core.Engine.
 func (e *Engine) HasEdge(id core.ID) bool {
-	_, ok := e.edgeTableOf(id)
-	return ok
+	t := e.edgeTableOf(id)
+	return t != nil && t.Has(int64(id))
 }
 
 // EdgeLabel implements core.Engine: the label is the table.
 func (e *Engine) EdgeLabel(id core.ID) (string, error) {
-	if _, ok := e.edgeTableOf(id); !ok {
+	if !e.HasEdge(id) {
 		return "", core.ErrNotFound
 	}
 	ti, _ := splitEdgeID(id)
@@ -187,26 +120,79 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 
 // EdgeEnds implements core.Engine.
 func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
-	_, r, ok := e.edgeRow(id)
+	t := e.edgeTableOf(id)
+	if t == nil {
+		return core.NoID, core.NoID, core.ErrNotFound
+	}
+	r, ok := t.Get(int64(id))
 	if !ok {
 		return core.NoID, core.NoID, core.ErrNotFound
 	}
 	return core.ID(r[1].Int()), core.ID(r[2].Int()), nil
 }
 
-// EdgeProps implements core.Engine.
-func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
-	t, r, ok := e.edgeRow(id)
-	if !ok {
-		return nil, core.ErrNotFound
+// RemoveEdge implements core.Engine.
+func (e *Engine) RemoveEdge(id core.ID) error {
+	t := e.edgeTableOf(id)
+	if t == nil || !t.Has(int64(id)) {
+		return core.ErrNotFound
 	}
-	return rowToProps(t, r, 3), nil
+	return t.Delete(int64(id))
+}
+
+// --- properties: one body per operation, for vertices and edges ---
+
+// VertexProps implements core.Engine.
+func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
+	return propsOf(e.vertexTable(id), id, 1)
+}
+
+// EdgeProps implements core.Engine.
+func (e *Engine) EdgeProps(id core.ID) (core.Props, error) { return propsOf(e.edgeTableOf(id), id, 3) }
+
+// VertexProp implements core.Engine.
+func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
+	return propOf(e.vertexTable(id), id, name)
 }
 
 // EdgeProp implements core.Engine.
 func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	t, ok := e.edgeTableOf(id)
+	return propOf(e.edgeTableOf(id), id, name)
+}
+
+// SetVertexProp implements core.Engine.
+func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
+	return setProp(e.vertexTable(id), id, name, v)
+}
+
+// SetEdgeProp implements core.Engine.
+func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
+	return setProp(e.edgeTableOf(id), id, name, v)
+}
+
+// RemoveVertexProp implements core.Engine.
+func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
+	return removeProp(e.vertexTable(id), id, name)
+}
+
+// RemoveEdgeProp implements core.Engine.
+func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
+	return removeProp(e.edgeTableOf(id), id, name)
+}
+
+func propsOf(t *rel.Table, id core.ID, first int) (core.Props, error) {
+	if t == nil {
+		return nil, core.ErrNotFound
+	}
+	r, ok := t.Get(int64(id))
 	if !ok {
+		return nil, core.ErrNotFound
+	}
+	return rowToProps(t, r, first), nil
+}
+
+func propOf(t *rel.Table, id core.ID, name string) (core.Value, bool) {
+	if t == nil {
 		return core.Nil, false
 	}
 	v, ok := t.Value(int64(id), name)
@@ -216,35 +202,24 @@ func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
 	return v, true
 }
 
-// SetEdgeProp implements core.Engine.
-func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	t, ok := e.edgeTableOf(id)
-	if !ok {
+// setProp is an UPDATE, with ALTER TABLE for a new property name.
+func setProp(t *rel.Table, id core.ID, name string, v core.Value) error {
+	if t == nil || !t.Has(int64(id)) {
 		return core.ErrNotFound
 	}
 	ensureColumn(t, name)
 	return t.Update(int64(id), name, v)
 }
 
-// RemoveEdgeProp implements core.Engine.
-func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	t, ok := e.edgeTableOf(id)
-	if !ok {
+// removeProp is SET NULL.
+func removeProp(t *rel.Table, id core.ID, name string) error {
+	if t == nil || !t.Has(int64(id)) {
 		return core.ErrNotFound
 	}
 	if !t.HasColumn(name) {
 		return nil
 	}
 	return t.Update(int64(id), name, core.Nil)
-}
-
-// RemoveEdge implements core.Engine.
-func (e *Engine) RemoveEdge(id core.ID) error {
-	t, ok := e.edgeTableOf(id)
-	if !ok {
-		return core.ErrNotFound
-	}
-	return t.Delete(int64(id))
 }
 
 // --- scans ---
@@ -292,22 +267,20 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 // or an index seek when the user created an attribute index — the
 // planner choice measured by Figure 4(c).
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if !e.vtab.HasColumn(name) {
-		return core.EmptyIter[core.ID]()
-	}
-	var out []core.ID
-	e.vtab.SelectEq(name, v, func(r rel.Row) bool {
-		out = append(out, core.ID(r[0].Int()))
-		return true
-	})
-	slices.Sort(out)
-	return core.SliceIter(out)
+	return byProp([]*rel.Table{e.vtab}, name, v)
 }
 
-// EdgesByProp implements core.Engine.
+// EdgesByProp implements core.Engine: the same predicate over every
+// edge table.
 func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
+	return byProp(e.etabs, name, v)
+}
+
+// byProp selects the rows whose column name equals v from each table
+// that has the column.
+func byProp(tabs []*rel.Table, name string, v core.Value) core.Iter[core.ID] {
 	var out []core.ID
-	for _, t := range e.etabs {
+	for _, t := range tabs {
 		if !t.HasColumn(name) {
 			continue
 		}
@@ -436,18 +409,10 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		}
 	}
 	e.vtab.Reserve(g.NumVertices())
-	cols := e.vtab.Columns()
 	for i := range g.VProps {
 		id := e.nextVertex
 		e.nextVertex++
-		row := make(rel.Row, len(cols))
-		row[0] = core.I(id)
-		for ci := 1; ci < len(cols); ci++ {
-			if v, ok := g.VProps[i][cols[ci]]; ok {
-				row[ci] = v
-			}
-		}
-		if err := e.vtab.Insert(row); err != nil {
+		if err := e.vtab.Insert(propsToRow(e.vtab, g.VProps[i], core.I(id))); err != nil {
 			return nil, err
 		}
 		res.VertexIDs[i] = core.ID(id)
@@ -472,17 +437,8 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		t, ti := e.edgeTable(er.Label)
 		id := makeEdgeID(ti, e.nextEdge)
 		e.nextEdge++
-		ecols := t.Columns()
-		row := make(rel.Row, len(ecols))
-		row[0] = core.I(int64(id))
-		row[1] = core.I(int64(res.VertexIDs[er.Src]))
-		row[2] = core.I(int64(res.VertexIDs[er.Dst]))
-		for ci := 3; ci < len(ecols); ci++ {
-			if v, ok := er.Props[ecols[ci]]; ok {
-				row[ci] = v
-			}
-		}
-		if err := t.Insert(row); err != nil {
+		src, dst := core.I(int64(res.VertexIDs[er.Src])), core.I(int64(res.VertexIDs[er.Dst]))
+		if err := t.Insert(propsToRow(t, er.Props, core.I(int64(id)), src, dst)); err != nil {
 			return nil, err
 		}
 		res.EdgeIDs[i] = id

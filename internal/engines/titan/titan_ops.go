@@ -1,6 +1,8 @@
 package titan
 
 import (
+	"encoding/binary"
+
 	"repro/internal/core"
 	"repro/internal/enc"
 	"repro/internal/engines/kit"
@@ -39,87 +41,16 @@ func (e *Engine) AddVertex(props core.Props) (core.ID, error) {
 }
 
 // HasVertex implements core.Engine.
-func (e *Engine) HasVertex(id core.ID) bool {
+func (e *Engine) HasVertex(id core.ID) bool { return e.has(tagVertexRow, id) }
+
+// has reports whether row id exists under tag: a read of its existence
+// column.
+func (e *Engine) has(tag byte, id core.ID) bool {
 	if id < 0 {
 		return false
 	}
-	_, ok := e.kv.Get(rowKey(tagVertexRow, id, colExists))
+	_, ok := e.kv.Get(rowKey(tag, id, colExists))
 	return ok
-}
-
-// VertexProps implements core.Engine: a row scan over property columns.
-func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
-	if !e.HasVertex(id) {
-		return nil, core.ErrNotFound
-	}
-	return e.rowProps(tagVertexRow, id), nil
-}
-
-func (e *Engine) rowProps(tag byte, id core.ID) core.Props {
-	p := core.Props{}
-	e.kv.ScanPrefix(rowKey(tag, id, colProp), func(k, v []byte) bool {
-		tok := bigEndianU32(k[rowPrefixLen:])
-		p[e.propKeys.Name(tok)] = decodeValue(v)
-		return true
-	})
-	if len(p) == 0 {
-		return nil
-	}
-	return p
-}
-
-func bigEndianU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// VertexProp implements core.Engine.
-func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasVertex(id) {
-		return core.Nil, false
-	}
-	tok, ok := e.propKeys.Lookup(name)
-	if !ok {
-		return core.Nil, false
-	}
-	b, ok := e.kv.Get(propKey(tagVertexRow, id, tok))
-	if !ok {
-		return core.Nil, false
-	}
-	return decodeValue(b), true
-}
-
-// SetVertexProp implements core.Engine.
-func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	e.kv.Tx(func() {
-		e.checkedWrite(tagVertexRow, id)
-		if e.vindex.Has(name) {
-			if old, had := e.VertexProp(id, name); had {
-				e.vindex.Remove(name, old, id)
-			}
-			e.vindex.Add(name, v, id)
-		}
-		e.kv.Put(propKey(tagVertexRow, id, e.ensureProp(name)), encodeValue(v))
-	})
-	return nil
-}
-
-// RemoveVertexProp implements core.Engine: a tombstone write.
-func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
-	if !e.HasVertex(id) {
-		return core.ErrNotFound
-	}
-	if tok, ok := e.propKeys.Lookup(name); ok {
-		if e.vindex.Has(name) {
-			if old, had := e.VertexProp(id, name); had {
-				e.vindex.Remove(name, old, id)
-			}
-		}
-		e.kv.Delete(propKey(tagVertexRow, id, tok))
-	}
-	return nil
 }
 
 // RemoveVertex implements core.Engine: tombstones for the whole row plus
@@ -203,10 +134,7 @@ func (e *Engine) edgeRow(id core.ID) (src, dst core.ID, tok uint32, ok bool) {
 }
 
 // HasEdge implements core.Engine.
-func (e *Engine) HasEdge(id core.ID) bool {
-	_, _, _, ok := e.edgeRow(id)
-	return ok
-}
+func (e *Engine) HasEdge(id core.ID) bool { return e.has(tagEdgeRow, id) }
 
 // EdgeLabel implements core.Engine.
 func (e *Engine) EdgeLabel(id core.ID) (string, error) {
@@ -224,53 +152,6 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 		return core.NoID, core.NoID, core.ErrNotFound
 	}
 	return src, dst, nil
-}
-
-// EdgeProps implements core.Engine.
-func (e *Engine) EdgeProps(id core.ID) (core.Props, error) {
-	if !e.HasEdge(id) {
-		return nil, core.ErrNotFound
-	}
-	return e.rowProps(tagEdgeRow, id), nil
-}
-
-// EdgeProp implements core.Engine.
-func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
-	if !e.HasEdge(id) {
-		return core.Nil, false
-	}
-	tok, ok := e.propKeys.Lookup(name)
-	if !ok {
-		return core.Nil, false
-	}
-	b, ok := e.kv.Get(propKey(tagEdgeRow, id, tok))
-	if !ok {
-		return core.Nil, false
-	}
-	return decodeValue(b), true
-}
-
-// SetEdgeProp implements core.Engine.
-func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	e.kv.Tx(func() {
-		e.checkedWrite(tagEdgeRow, id)
-		e.kv.Put(propKey(tagEdgeRow, id, e.ensureProp(name)), encodeValue(v))
-	})
-	return nil
-}
-
-// RemoveEdgeProp implements core.Engine.
-func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
-	if !e.HasEdge(id) {
-		return core.ErrNotFound
-	}
-	if tok, ok := e.propKeys.Lookup(name); ok {
-		e.kv.Delete(propKey(tagEdgeRow, id, tok))
-	}
-	return nil
 }
 
 // RemoveEdge implements core.Engine: pure tombstone writes — the reason
@@ -297,31 +178,131 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 	return nil
 }
 
+// --- properties: one body per operation, for vertices and edges ---
+
+// noIndex is the empty index of edges: graph-centric indexes are built
+// on vertex properties only.
+var noIndex kit.PropIndex
+
+// VertexProps implements core.Engine.
+func (e *Engine) VertexProps(id core.ID) (core.Props, error) { return e.propsOf(tagVertexRow, id) }
+
+// EdgeProps implements core.Engine.
+func (e *Engine) EdgeProps(id core.ID) (core.Props, error) { return e.propsOf(tagEdgeRow, id) }
+
+// VertexProp implements core.Engine.
+func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(tagVertexRow, id, name)
+}
+
+// EdgeProp implements core.Engine.
+func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
+	return e.propOf(tagEdgeRow, id, name)
+}
+
+// SetVertexProp implements core.Engine.
+func (e *Engine) SetVertexProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(tagVertexRow, &e.vindex, id, name, v)
+}
+
+// SetEdgeProp implements core.Engine.
+func (e *Engine) SetEdgeProp(id core.ID, name string, v core.Value) error {
+	return e.setProp(tagEdgeRow, &noIndex, id, name, v)
+}
+
+// RemoveVertexProp implements core.Engine.
+func (e *Engine) RemoveVertexProp(id core.ID, name string) error {
+	return e.removeProp(tagVertexRow, &e.vindex, id, name)
+}
+
+// RemoveEdgeProp implements core.Engine.
+func (e *Engine) RemoveEdgeProp(id core.ID, name string) error {
+	return e.removeProp(tagEdgeRow, &noIndex, id, name)
+}
+
+// propsOf is a row scan over the property columns.
+func (e *Engine) propsOf(tag byte, id core.ID) (core.Props, error) {
+	if !e.has(tag, id) {
+		return nil, core.ErrNotFound
+	}
+	p := core.Props{}
+	e.kv.ScanPrefix(rowKey(tag, id, colProp), func(k, v []byte) bool {
+		tok := binary.BigEndian.Uint32(k[rowPrefixLen:])
+		p[e.propKeys.Name(tok)] = decodeValue(v)
+		return true
+	})
+	if len(p) == 0 {
+		return nil, nil
+	}
+	return p, nil
+}
+
+func (e *Engine) propOf(tag byte, id core.ID, name string) (core.Value, bool) {
+	if !e.has(tag, id) {
+		return core.Nil, false
+	}
+	tok, ok := e.propKeys.Lookup(name)
+	if !ok {
+		return core.Nil, false
+	}
+	b, ok := e.kv.Get(propKey(tag, id, tok))
+	if !ok {
+		return core.Nil, false
+	}
+	return decodeValue(b), true
+}
+
+func (e *Engine) setProp(tag byte, idx *kit.PropIndex, id core.ID, name string, v core.Value) error {
+	if !e.has(tag, id) {
+		return core.ErrNotFound
+	}
+	e.kv.Tx(func() {
+		e.checkedWrite(tag, id)
+		if idx.Has(name) {
+			if old, had := e.propOf(tag, id, name); had {
+				idx.Remove(name, old, id)
+			}
+			idx.Add(name, v, id)
+		}
+		e.kv.Put(propKey(tag, id, e.ensureProp(name)), encodeValue(v))
+	})
+	return nil
+}
+
+// removeProp is a tombstone write.
+func (e *Engine) removeProp(tag byte, idx *kit.PropIndex, id core.ID, name string) error {
+	if !e.has(tag, id) {
+		return core.ErrNotFound
+	}
+	if tok, ok := e.propKeys.Lookup(name); ok {
+		if idx.Has(name) {
+			if old, had := e.propOf(tag, id, name); had {
+				idx.Remove(name, old, id)
+			}
+		}
+		e.kv.Delete(propKey(tag, id, tok))
+	}
+	return nil
+}
+
 // --- scans ---
 
 // CountVertices implements core.Engine: a full scan over vertex
 // existence columns (every probe pays the LSM read path).
-func (e *Engine) CountVertices() (int64, error) {
-	var n int64
-	e.kv.ScanPrefix([]byte{tagVertexRow}, func(k, _ []byte) bool {
-		if k[rowPrefixLen-1] == colExists {
-			n++
-		}
-		return true
-	})
-	return n, nil
-}
+func (e *Engine) CountVertices() (int64, error) { return e.countRows(tagVertexRow), nil }
 
 // CountEdges implements core.Engine.
-func (e *Engine) CountEdges() (int64, error) {
+func (e *Engine) CountEdges() (int64, error) { return e.countRows(tagEdgeRow), nil }
+
+func (e *Engine) countRows(tag byte) int64 {
 	var n int64
-	e.kv.ScanPrefix([]byte{tagEdgeRow}, func(k, _ []byte) bool {
+	e.kv.ScanPrefix([]byte{tag}, func(k, _ []byte) bool {
 		if k[rowPrefixLen-1] == colExists {
 			n++
 		}
 		return true
 	})
-	return n, nil
+	return n
 }
 
 func (e *Engine) scanRows(tag byte) []core.ID {
@@ -350,7 +331,18 @@ func (e *Engine) Edges() core.Iter[core.ID] {
 // graph-centric index exists (the 2–5 orders-of-magnitude effect of
 // Figure 4(c)), a full scan with per-row probes otherwise.
 func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
-	if ids, ok := e.vindex.Lookup(name, v); ok {
+	return e.byProp(tagVertexRow, &e.vindex, name, v)
+}
+
+// EdgesByProp implements core.Engine.
+func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
+	return e.byProp(tagEdgeRow, &noIndex, name, v)
+}
+
+// byProp answers from idx when it indexes name, and otherwise scans the
+// rows under tag, comparing each one's encoded value.
+func (e *Engine) byProp(tag byte, idx *kit.PropIndex, name string, v core.Value) core.Iter[core.ID] {
+	if ids, ok := idx.Lookup(name, v); ok {
 		return core.SliceIter(ids)
 	}
 	tok, ok := e.propKeys.Lookup(name)
@@ -358,21 +350,8 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 		return core.EmptyIter[core.ID]()
 	}
 	want := encodeValue(v)
-	return core.FilterIter(e.Vertices(), func(id core.ID) bool {
-		b, ok := e.kv.Get(propKey(tagVertexRow, id, tok))
-		return ok && string(b) == string(want)
-	})
-}
-
-// EdgesByProp implements core.Engine.
-func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
-	tok, ok := e.propKeys.Lookup(name)
-	if !ok {
-		return core.EmptyIter[core.ID]()
-	}
-	want := encodeValue(v)
-	return core.FilterIter(e.Edges(), func(id core.ID) bool {
-		b, ok := e.kv.Get(propKey(tagEdgeRow, id, tok))
+	return core.FilterIter(core.SliceIter(e.scanRows(tag)), func(id core.ID) bool {
+		b, ok := e.kv.Get(propKey(tag, id, tok))
 		return ok && string(b) == string(want)
 	})
 }

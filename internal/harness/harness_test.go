@@ -55,7 +55,7 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(Config{Datasets: []string{"nope"}}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300} {
 		if _, err := NewRunner(Config{Scale: scale}); err == nil {
 			t.Fatalf("scale %v accepted", scale)
 		}

@@ -126,12 +126,6 @@ func (pg *ParamGen) SetDepth(d int) { pg.depth = d }
 // experiment builds its index on).
 func (pg *ParamGen) VPropName() string { return pg.vPropName }
 
-// DatasetVertexIndex returns the dataset vertex index behind the pool
-// slot (q, iter) — used by benchmarks that recreate deleted vertices.
-func (pg *ParamGen) DatasetVertexIndex(q *workload.Query, iter int) int {
-	return pg.vertexAt(q.Num, iter, 0)
-}
-
 // vertexAt returns the dataset vertex index behind V (off 0) or V2
 // (off 1) of iteration iter of query qNum.
 func (pg *ParamGen) vertexAt(qNum, iter, off int) int {
