@@ -48,6 +48,26 @@ type Bitmap struct {
 // New returns an empty bitmap.
 func New() *Bitmap { return &Bitmap{} }
 
+// Clone returns an independent copy of b. Every slice keeps its
+// capacity, so a write into the copy costs what it costs in b.
+func (b *Bitmap) Clone() *Bitmap {
+	c := &Bitmap{
+		keys: append(make([]uint64, 0, cap(b.keys)), b.keys...),
+		cs:   make([]container, len(b.cs), cap(b.cs)),
+	}
+	for i := range b.cs {
+		src, dst := &b.cs[i], &c.cs[i]
+		dst.n = src.n
+		if src.words != nil {
+			dst.words = append(make([]uint64, 0, cap(src.words)), src.words...)
+		}
+		if src.array != nil {
+			dst.array = append(make([]uint16, 0, cap(src.array)), src.array...)
+		}
+	}
+	return c
+}
+
 func split(x uint64) (hi uint64, lo uint16) { return x >> 16, uint16(x & 0xffff) }
 
 // find returns the index of the first chunk key >= hi, and whether it

@@ -494,6 +494,76 @@ func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
 	}
 }
 
+// Clone returns an independent copy of t: a write into either tree
+// never reaches the other. Every leaf's entry table, and every arena
+// with room to grow, is copied with its length and capacity, carved
+// from one allocation each, so a write into the copy costs what the
+// same write costs in t. A full arena (every one BulkBuild makes) is
+// shared instead: its bytes are never overwritten, and the next append
+// to it, in either tree, moves that tree's leaf to a new array. Inner
+// separators are shared too: no write changes a separator's bytes (a
+// new separator is always a new copy).
+func (t *Tree) Clone() *Tree {
+	var nLeaves, bufCap, entCap int
+	for l := t.first; l != nil; l = l.next {
+		nLeaves++
+		if cap(l.buf) > len(l.buf) {
+			bufCap += cap(l.buf)
+		}
+		entCap += cap(l.ents)
+	}
+	cl := &cloner{
+		leaves: make([]leaf, nLeaves),
+		buf:    make([]byte, bufCap),
+		ents:   make([]entry, entCap),
+	}
+	c := &Tree{root: cl.node(t.root), size: t.size, bytes: t.bytes}
+	c.first = &cl.leaves[0]
+	return c
+}
+
+// cloner carves a Clone's leaves, arenas and entry tables from its
+// three allocations, in leaf order.
+type cloner struct {
+	leaves []leaf
+	buf    []byte
+	ents   []entry
+	n      int   // leaves carved so far
+	prev   *leaf // the last leaf carved
+}
+
+// node copies n and everything below it, linking the copied leaves in
+// key order.
+func (cl *cloner) node(n node) node {
+	switch x := n.(type) {
+	case *leaf:
+		l := &cl.leaves[cl.n]
+		cl.n++
+		if l.buf = x.buf; cap(x.buf) > len(x.buf) {
+			l.buf, cl.buf = cl.buf[:len(x.buf):cap(x.buf)], cl.buf[cap(x.buf):]
+			copy(l.buf, x.buf)
+		}
+		l.ents, cl.ents = cl.ents[:len(x.ents):cap(x.ents)], cl.ents[cap(x.ents):]
+		copy(l.ents, x.ents)
+		l.dead = x.dead
+		if cl.prev != nil {
+			cl.prev.next, l.prev = l, cl.prev
+		}
+		cl.prev = l
+		return l
+	case *inner:
+		in := &inner{
+			keys:     append(make([][]byte, 0, cap(x.keys)), x.keys...),
+			children: make([]node, len(x.children), cap(x.children)),
+		}
+		for i, ch := range x.children {
+			in.children[i] = cl.node(ch)
+		}
+		return in
+	}
+	return nil
+}
+
 // BulkBuild replaces the tree contents with copies of the given pairs,
 // which must be sorted by key and free of duplicates; a nil vals gives
 // every key a nil value. It builds leaves left to right without

@@ -560,3 +560,47 @@ func TestReturnedSlicesOutliveMutation(t *testing.T) {
 		t.Fatalf("only %d captures", len(caps))
 	}
 }
+
+// TestClone: a clone holds the tree's pairs, leaf for leaf with the
+// same arena and entry-table capacities, and writes into either tree
+// afterwards, overwrites and deletes included, never reach the other.
+func TestClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const keySpace = 3000
+	write := func(tr *Tree, ref map[string]string, n int, tag string) {
+		for i := 0; i < n; i++ {
+			k := key(rng.Intn(keySpace))
+			if rng.Intn(4) == 0 {
+				tr.Delete(k)
+				delete(ref, string(k))
+			} else {
+				v := fmt.Sprint(tag, i)
+				tr.Put(k, []byte(v))
+				ref[string(k)] = v
+			}
+		}
+	}
+	tr, ref := New(), map[string]string{}
+	write(tr, ref, 4000, "a")
+	c, cref := tr.Clone(), maps.Clone(ref)
+	if c.depth() < 3 {
+		t.Fatalf("tree has %d levels, want >= 3", c.depth())
+	}
+	for i, l := range tr.leaves() {
+		cl := c.leaves()[i]
+		if len(cl.buf) != len(l.buf) || cap(cl.buf) != cap(l.buf) || len(cl.ents) != len(l.ents) || cap(cl.ents) != cap(l.ents) || cl.dead != l.dead {
+			t.Fatalf("leaf %d: clone arena %d/%d, entries %d/%d; tree %d/%d, %d/%d",
+				i, len(cl.buf), cap(cl.buf), len(cl.ents), cap(cl.ents), len(l.buf), cap(l.buf), len(l.ents), cap(l.ents))
+		}
+	}
+	write(c, cref, 2000, "c")
+	write(tr, ref, 2000, "t")
+	for _, x := range []struct {
+		tr  *Tree
+		ref map[string]string
+	}{{tr, ref}, {c, cref}} {
+		if err := checkAgainst(x.tr, x.ref, rng, keySpace); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -135,6 +135,10 @@ func (h *PlanStatsHolder) CapturePlanStats(g *Graph) {
 // the rest of a closed engine's data.
 func (h *PlanStatsHolder) ReleasePlanStats() { h.stats.Store(nil) }
 
+// CopyPlanStats retains the statistics that from holds, as an engine's
+// copy of a loaded instance does. The stats are immutable and shared.
+func (h *PlanStatsHolder) CopyPlanStats(from *PlanStatsHolder) { h.stats.Store(from.stats.Load()) }
+
 // PlanStats derives (and caches) the planner statistics of this
 // snapshot. Concurrent first calls may race to build, but every build
 // produces identical contents, so whichever pointer wins is

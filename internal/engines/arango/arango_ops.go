@@ -470,6 +470,49 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 // boundary (for tests and the harness's explain output).
 func (e *Engine) RESTBytes() int64 { return e.restBytes.Load() }
 
+// Clone returns an independent engine in e's state: the document and
+// index maps are copied, and so is every adjacency list, with its
+// capacity. Writes into either engine never reach the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{store: e.store.clone(), closed: e.closed}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	c.restBytes.Store(e.restBytes.Load())
+	return c, nil
+}
+
+func (s *store) clone() store {
+	return store{
+		nextID: s.nextID,
+		// The documents are shared: a write replaces a document with a
+		// new encoding and never changes one in place.
+		vdocs:           maps.Clone(s.vdocs),
+		edocs:           maps.Clone(s.edocs),
+		edgeIdx:         maps.Clone(s.edgeIdx),
+		outIdx:          cloneLists(s.outIdx),
+		inIdx:           cloneLists(s.inIdx),
+		labels:          s.labels.Clone(),
+		DeclaredIndexes: s.DeclaredIndexes.Clone(),
+		scratch:         make([]byte, 0, cap(s.scratch)),
+	}
+}
+
+// cloneLists copies the map and every adjacency list, with its
+// capacity, into one allocation: edge removal shifts a list in place,
+// so none is shared.
+func cloneLists(m map[core.ID][]core.ID) map[core.ID][]core.ID {
+	n := 0
+	for _, l := range m {
+		n += cap(l)
+	}
+	arena := make([]core.ID, n)
+	c := maps.Clone(m)
+	for id, l := range c {
+		c[id], arena = arena[:len(l):cap(l)], arena[cap(l):]
+		copy(c[id], l)
+	}
+	return c
+}
+
 // Close implements core.Engine: the documents and indexes go; the
 // REST byte count restarts.
 func (e *Engine) Close() error {

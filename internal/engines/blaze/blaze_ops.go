@@ -2,6 +2,7 @@ package blaze
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 
@@ -486,6 +487,30 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	}
 	r.Add("term-dictionary", dict+e.preds.Bytes())
 	return r
+}
+
+// Clone returns an independent engine in e's state: a copy of the three
+// statement indexes and of the term dictionary. Writes into either
+// engine never reach the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{store: e.store.clone(), closed: e.closed}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
+}
+
+func (s *store) clone() store {
+	return store{
+		spo:         s.spo.Clone(),
+		pos:         s.pos.Clone(),
+		osp:         s.osp.Clone(),
+		preds:       s.preds.Clone(),
+		lits:        maps.Clone(s.lits),
+		litVals:     append(make([]core.Value, 0, cap(s.litVals)), s.litVals...),
+		nextV:       s.nextV,
+		nextE:       s.nextE,
+		journalUsed: s.journalUsed,
+		journalCap:  s.journalCap,
+	}
 }
 
 // Close implements core.Engine: the statement indexes, the term

@@ -54,6 +54,7 @@ func Run(t *testing.T, newEngine func() core.Engine) {
 		{"Meta", testMeta},
 		{"RandomizedAgainstReference", testRandomizedAgainstReference},
 		{"Closed", testClosed},
+		{"Clone", testClone},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) { tc.fn(t, newEngine) })

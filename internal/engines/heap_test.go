@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/race"
 )
@@ -39,8 +40,10 @@ const closedCeilingKB = 64
 
 // TestLiveHeapPerEngine measures, per engine, the live heap that New
 // plus BulkLoad retain: the HeapAlloc delta across two collections,
-// with the dataset allocated before the first reading. It measures
-// again after Close, with the engine still referenced.
+// with the dataset allocated before the first reading. A clone of the
+// loaded engine, which the harness runs every mutating query on, is
+// held to the same ceiling. It measures again after Close, with the
+// engine still referenced.
 func TestLiveHeapPerEngine(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -72,16 +75,29 @@ func TestLiveHeapPerEngine(t *testing.T) {
 		if _, err := e.BulkLoad(g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mb := float64(live()-before) / (1 << 20)
+		loaded := live()
+		mb := float64(loaded-before) / (1 << 20)
 		total += mb
+		c, err := e.(interface{ Clone() (core.Engine, error) }).Clone()
+		if err != nil {
+			t.Fatalf("%s: clone: %v", name, err)
+		}
+		cloneMB := float64(int64(live()-loaded)) / (1 << 20)
+		if err := c.Close(); err != nil {
+			t.Fatalf("%s: close clone: %v", name, err)
+		}
 		if err := e.Close(); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
 		}
 		kb := float64(int64(live()-before)) / (1 << 10)
+		runtime.KeepAlive(c)
 		runtime.KeepAlive(e)
-		t.Logf("%-9s %6.2f MB live (ceiling %.2f), %5.1f KB after Close", name, mb, ceiling, kb)
+		t.Logf("%-9s %6.2f MB live (ceiling %.2f), clone %6.2f MB, %5.1f KB after Close", name, mb, ceiling, cloneMB, kb)
 		if mb > ceiling {
 			t.Errorf("%s: %.2f MB live after BulkLoad, ceiling %.2f MB", name, mb, ceiling)
+		}
+		if cloneMB > ceiling {
+			t.Errorf("%s: clone %.2f MB live, ceiling %.2f MB", name, cloneMB, ceiling)
 		}
 		if kb > closedCeilingKB {
 			t.Errorf("%s: %.1f KB live after Close, ceiling %d KB", name, kb, closedCeilingKB)

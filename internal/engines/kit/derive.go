@@ -1,6 +1,7 @@
 package kit
 
 import (
+	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -145,6 +146,9 @@ func (x *DeclaredIndexes) BuildVertexPropIndex(name string) error {
 	x.names[name] = true
 	return nil
 }
+
+// Clone returns an independent copy of the declarations.
+func (x *DeclaredIndexes) Clone() DeclaredIndexes { return DeclaredIndexes{maps.Clone(x.names)} }
 
 // HasVertexPropIndex implements core.Engine.
 func (x *DeclaredIndexes) HasVertexPropIndex(name string) bool { return x.names[name] }

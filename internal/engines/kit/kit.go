@@ -17,6 +17,7 @@
 package kit
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
@@ -68,6 +69,11 @@ func (t *Tokens) Reserve(n int) {
 	t.names = make([]string, 0, n)
 }
 
+// Clone returns an independent copy of the dictionary.
+func (t *Tokens) Clone() Tokens {
+	return Tokens{byName: maps.Clone(t.byName), names: append(make([]string, 0, cap(t.names)), t.names...)}
+}
+
 // Bytes is the dictionary's space accounting: each name plus a fixed
 // per-entry overhead.
 func (t *Tokens) Bytes() int64 {
@@ -95,6 +101,23 @@ func (x *PropIndex) Has(name string) bool {
 // Names returns the indexed property names in build order. The slice is
 // shared; callers must not modify it.
 func (x *PropIndex) Names() []string { return x.names }
+
+// Clone returns an independent copy of the indexes: every value's
+// member set is copied.
+func (x *PropIndex) Clone() PropIndex {
+	c := PropIndex{names: append(make([]string, 0, cap(x.names)), x.names...)}
+	if x.byName != nil {
+		c.byName = make(map[string]map[core.Value]map[core.ID]struct{}, len(x.byName))
+	}
+	for name, idx := range x.byName {
+		cidx := make(map[core.Value]map[core.ID]struct{}, len(idx))
+		for v, set := range idx {
+			cidx[v] = maps.Clone(set)
+		}
+		c.byName[name] = cidx
+	}
+	return c
+}
 
 // Build creates the index on name from a scan of the engine's own
 // vertices and property reads, and reports whether it did: building an

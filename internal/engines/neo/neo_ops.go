@@ -651,6 +651,31 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
+// Clone returns an independent engine in e's state: a copy of every
+// store file, token store and index. Writes into either engine never
+// reach the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{version: e.version, store: e.store.clone(), closed: e.closed}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
+}
+
+func (s *store) clone() store {
+	c := store{
+		nodes:    s.nodes.Clone(),
+		rels:     s.rels.Clone(),
+		props:    s.props.Clone(),
+		strs:     s.strs.Clone(),
+		labels:   s.labels.Clone(),
+		propKeys: s.propKeys.Clone(),
+		vindex:   s.vindex.Clone(),
+	}
+	if s.groups != nil {
+		c.groups = s.groups.Clone()
+	}
+	return c
+}
+
 // Close implements core.Engine: the store files and the indexes go.
 func (e *Engine) Close() error {
 	e.store, e.closed = newStore(e.version), true

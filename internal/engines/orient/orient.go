@@ -79,6 +79,10 @@ func (c *cluster) free(pos int64) bool {
 
 func (c *cluster) bytes() int64 { return c.heap.Bytes() + c.pmap.Bytes() }
 
+func (c *cluster) clone() *cluster {
+	return &cluster{heap: c.heap.Clone(), pmap: c.pmap.Clone()}
+}
+
 // Engine is an OrientDB-style native graph store.
 type Engine struct {
 	core.PlanStatsHolder
@@ -97,6 +101,10 @@ type store struct {
 	// SB-Tree style attribute indexes on vertex properties:
 	// name -> value -> set of vertex RIDs.
 	vindex kit.PropIndex
+
+	// scratch is where writes encode a document, which the cluster's
+	// heap then copies.
+	scratch []byte
 }
 
 func newStore() store { return store{vcluster: newCluster()} }
@@ -216,10 +224,13 @@ type vertexDoc struct {
 	props   core.Props
 }
 
+// encodeVertex encodes d into the engine's scratch buffer; the document
+// is valid until the next encode.
 func (e *Engine) encodeVertex(d *vertexDoc) []byte {
-	doc := appendRIDs(nil, d.out)
+	doc := appendRIDs(e.scratch[:0], d.out)
 	doc = appendRIDs(doc, d.in)
-	return appendProps(doc, e, d.props)
+	e.scratch = appendProps(doc, e, d.props)
+	return e.scratch
 }
 
 func (e *Engine) decodeVertex(doc []byte) *vertexDoc {
@@ -235,10 +246,12 @@ type edgeDoc struct {
 	props    core.Props
 }
 
+// encodeEdge is encodeVertex for an edge document.
 func (e *Engine) encodeEdge(d *edgeDoc) []byte {
-	doc := binary.LittleEndian.AppendUint64(nil, uint64(d.src))
+	doc := binary.LittleEndian.AppendUint64(e.scratch[:0], uint64(d.src))
 	doc = binary.LittleEndian.AppendUint64(doc, uint64(d.dst))
-	return appendProps(doc, e, d.props)
+	e.scratch = appendProps(doc, e, d.props)
+	return e.scratch
 }
 
 func (e *Engine) decodeEdge(doc []byte) *edgeDoc {

@@ -475,6 +475,30 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	return r
 }
 
+// Clone returns an independent engine in e's state: a copy of every
+// cluster, dictionary and index. Writes into either engine never reach
+// the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{store: e.store.clone(), closed: e.closed}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
+}
+
+func (s *store) clone() store {
+	c := store{
+		vcluster:  s.vcluster.clone(),
+		eclusters: make([]*cluster, len(s.eclusters), cap(s.eclusters)),
+		labels:    s.labels.Clone(),
+		propKeys:  s.propKeys.Clone(),
+		vindex:    s.vindex.Clone(),
+		scratch:   make([]byte, 0, cap(s.scratch)),
+	}
+	for i, cl := range s.eclusters {
+		c.eclusters[i] = cl.clone()
+	}
+	return c
+}
+
 // Close implements core.Engine: the clusters and the indexes go.
 func (e *Engine) Close() error {
 	e.store, e.closed = newStore(), true

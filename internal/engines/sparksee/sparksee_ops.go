@@ -1,6 +1,8 @@
 package sparksee
 
 import (
+	"maps"
+
 	"repro/internal/bitmap"
 	"repro/internal/core"
 	"repro/internal/engines/kit"
@@ -245,6 +247,55 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	}
 	r.Add("attribute-maps", at)
 	return r
+}
+
+// Clone returns an independent engine in e's state: a copy of every
+// bitmap and map, the memory budget and the retention count. Writes
+// into either engine never reach the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{store: e.store.clone(), closed: e.closed, memBudget: e.memBudget}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	c.retained.Store(e.retained.Load())
+	return c, nil
+}
+
+// clone copies the attribute maps first and the topology last, the
+// object bitmaps at the very end. A load, whose every edge insert
+// probes the node bitmap and writes the topology, leaves those hot in
+// the cache, and a clone takes a load's place before a mutating query.
+// On frb-s@0.002 (2-vCPU Xeon, 2 MB L2), AddEdge took 1.5–1.9 µs after
+// a load, 5.5 µs after a clone in field order, 2.8–3.9 µs in this one.
+func (s *store) clone() store {
+	c := store{nextOID: s.nextOID, labels: s.labels.Clone(), DeclaredIndexes: s.DeclaredIndexes.Clone()}
+	c.vattrs = cloneAttrs(s.vattrs)
+	c.eattrs = cloneAttrs(s.eattrs)
+	c.srcOf = maps.Clone(s.srcOf)
+	c.dstOf = maps.Clone(s.dstOf)
+	c.labelOf = maps.Clone(s.labelOf)
+	c.byLabel = cloneBitmaps(s.byLabel)
+	c.out = cloneBitmaps(s.out)
+	c.in = cloneBitmaps(s.in)
+	c.edges = s.edges.Clone()
+	c.nodes = s.nodes.Clone()
+	return c
+}
+
+// cloneBitmaps copies the map and every bitmap in it.
+func cloneBitmaps[K comparable](m map[K]*bitmap.Bitmap) map[K]*bitmap.Bitmap {
+	c := maps.Clone(m)
+	for k, b := range c {
+		c[k] = b.Clone()
+	}
+	return c
+}
+
+// cloneAttrs copies the map and every attribute store in it.
+func cloneAttrs(m map[string]*attrStore) map[string]*attrStore {
+	c := maps.Clone(m)
+	for name, a := range c {
+		c[name] = &attrStore{vals: maps.Clone(a.vals), byVal: cloneBitmaps(a.byVal)}
+	}
+	return c
 }
 
 // Close implements core.Engine: the bitmaps and attribute maps go; the

@@ -86,6 +86,10 @@ func (e *Engine) Meta() core.EngineMeta {
 	}
 }
 
+// An edge table's columns are id, src, dst; its rows are probed through
+// the src and dst indexes by position.
+const colSrc, colDst = 1, 2
+
 func (e *Engine) edgeTable(label string) (*rel.Table, int) {
 	if i, ok := e.labels.Lookup(label); ok {
 		return e.etabs[i], int(i)

@@ -1,6 +1,7 @@
 package sqlg
 
 import (
+	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -42,11 +43,11 @@ func (e *Engine) RemoveVertex(id core.ID) error {
 	key := core.I(int64(id))
 	for _, t := range e.etabs {
 		var doomed []int64
-		t.SelectEq("src", key, func(r rel.Row) bool {
+		t.SelectEqAt(colSrc, key, func(r rel.Row) bool {
 			doomed = append(doomed, r[0].Int())
 			return true
 		})
-		t.SelectEq("dst", key, func(r rel.Row) bool {
+		t.SelectEqAt(colDst, key, func(r rel.Row) bool {
 			doomed = append(doomed, r[0].Int())
 			return true
 		})
@@ -128,7 +129,7 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 	if !ok {
 		return core.NoID, core.NoID, core.ErrNotFound
 	}
-	return core.ID(r[1].Int()), core.ID(r[2].Int()), nil
+	return core.ID(r[colSrc].Int()), core.ID(r[colDst].Int()), nil
 }
 
 // RemoveEdge implements core.Engine.
@@ -350,19 +351,19 @@ func (e *Engine) join(id core.ID, d core.Direction, labels []string, far bool) c
 	key := core.I(int64(id))
 	outCol, inCol := 0, 0
 	if far {
-		outCol, inCol = 2, 1
+		outCol, inCol = colDst, colSrc
 	}
 	var out []core.ID
 	for _, t := range e.tablesFor(labels) {
 		if d == core.DirOut || d == core.DirBoth {
-			t.SelectEq("src", key, func(r rel.Row) bool {
+			t.SelectEqAt(colSrc, key, func(r rel.Row) bool {
 				out = append(out, core.ID(r[outCol].Int()))
 				return true
 			})
 		}
 		if d == core.DirIn || d == core.DirBoth {
-			t.SelectEq("dst", key, func(r rel.Row) bool {
-				if d == core.DirBoth && r[1].Compare(r[2]) == 0 {
+			t.SelectEqAt(colDst, key, func(r rel.Row) bool {
+				if d == core.DirBoth && r[colSrc].Compare(r[colDst]) == 0 {
 					return true // loop already collected by the src join
 				}
 				out = append(out, core.ID(r[inCol].Int()))
@@ -456,6 +457,30 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	}
 	r.Add("edge-tables", eb)
 	return r
+}
+
+// Clone returns an independent engine in e's state: a copy of every
+// table and index. Writes into either engine never reach the other.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{store: e.store.clone(), closed: e.closed}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
+}
+
+func (s *store) clone() store {
+	c := store{
+		db:         s.db.Clone(),
+		etabs:      make([]*rel.Table, len(s.etabs), cap(s.etabs)),
+		labels:     s.labels.Clone(),
+		nextVertex: s.nextVertex,
+		nextEdge:   s.nextEdge,
+		vindexed:   maps.Clone(s.vindexed),
+	}
+	c.vtab = c.db.Table(s.vtab.Name())
+	for i, t := range s.etabs {
+		c.etabs[i] = c.db.Table(t.Name())
+	}
+	return c
 }
 
 // Close implements core.Engine: the tables and their indexes go.

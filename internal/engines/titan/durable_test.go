@@ -1,6 +1,7 @@
 package titan
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -60,6 +61,25 @@ func buildSmallGraph() *core.Graph {
 	g.AddEdge(2, 0, "likes", nil)
 	g.AddEdge(3, 3, "likes", nil)
 	return g
+}
+
+// TestDurableRefusesClone: a durable engine's WAL is one set of files,
+// so it cannot be copied; a volatile one of the same version can.
+func TestDurableRefusesClone(t *testing.T) {
+	e, _, err := OpenOptions(V10, t.TempDir(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.BulkLoad(buildSmallGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := e.Clone(); !errors.Is(err, core.ErrUnsupported) || c != nil {
+		t.Fatalf("durable Clone = %v, %v; want nil, ErrUnsupported", c, err)
+	}
+	if _, err := New(V10).Clone(); err != nil {
+		t.Fatalf("volatile Clone: %v", err)
+	}
 }
 
 // TestDurableReopenRoundTrip bulk-loads, mutates, closes, reopens:

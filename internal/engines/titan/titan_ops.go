@@ -544,6 +544,26 @@ func (e *Engine) Stats() (flushes, compacts, runs, cacheHits, cacheMisses int) {
 	return e.kv.Stats()
 }
 
+// Clone returns an independent engine in e's state: a copy of the LSM
+// store (see lsm.Store.Clone), the dictionaries and the indexes. Writes
+// into either engine never reach the other. A durable engine cannot be
+// copied and returns core.ErrUnsupported.
+func (e *Engine) Clone() (core.Engine, error) {
+	kv, err := e.kv.Clone()
+	if err != nil {
+		return nil, core.ErrUnsupported
+	}
+	c := &Engine{version: e.version, closed: e.closed, store: store{
+		kv:       kv,
+		labels:   e.labels.Clone(),
+		propKeys: e.propKeys.Clone(),
+		nextID:   e.nextID,
+		vindex:   e.vindex.Clone(),
+	}}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
+}
+
 // Close implements core.Engine. In durable mode this first syncs and
 // closes the WAL. Then the LSM store, the dictionaries and the indexes
 // go; what is left is an empty in-memory store of the same version.

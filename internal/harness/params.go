@@ -15,7 +15,8 @@ import (
 // distinct V2 (none of them a V) and pairwise distinct E, so batch
 // iterations of a destructive query never collide. Iteration 0 is the
 // interactive cell's, 1..BatchSize the batch cell's. Different queries
-// may share targets: every mutating query runs on its own fresh load.
+// may share targets: every mutating query runs on its own instance in
+// the freshly loaded state.
 const paramPoolPerQuery = 64
 
 // ParamGen derives per-query, per-iteration parameters from the dataset

@@ -205,9 +205,9 @@ func (r *Runner) runCell(i int, j gridJob) cell {
 }
 
 // queryOrder returns the micro queries with reads and traversals first
-// (they share the cell's loaded instance) and destructive operations
-// last (each on its own fresh load); within a group, Table 2 order.
-// This is also the row order of every export.
+// (they share one instance) and destructive operations last (each on
+// its own instance in the freshly loaded state); within a group, Table
+// 2 order. This is also the row order of every export.
 func queryOrder() []workload.Query {
 	all := workload.Queries()
 	var reads, writes []workload.Query
@@ -240,13 +240,24 @@ func dnf(query string, err error) Measurement {
 	return Measurement{Query: query, Failed: true, Error: "DNF: " + err.Error()}
 }
 
+// cloner is implemented by engines that can copy a loaded instance:
+// Clone returns an independent engine in the receiver's state. It is
+// not part of core.Engine, and decorators that do not forward it (the
+// benchmark's tracing wrapper, test doubles) fall back to loading.
+type cloner interface {
+	Clone() (core.Engine, error)
+}
+
 // runMicro executes one half of the micro workload — interactive or
 // batch — as its own grid cell. The halves share nothing at runtime
-// (each loads its own instance; ParamGen is pure per (query, iter), so
+// (each loads its own engine; ParamGen is pure per (query, iter), so
 // both derive identical parameters from the dataset and seed), which is
 // what lets a resumed run restore one half and re-execute only the
 // other. The interactive half doubles as the load/space measurement;
 // the batch half's load is purely operational.
+//
+// Isolation (the paper's protocol): every query starts from the freshly
+// loaded state.
 func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 	ds := r.dataset(dataset)
 
@@ -255,15 +266,21 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		c.Micro = append(c.Micro, m)
 	}
 
+	recordDNF := func(q *workload.Query, err error) {
+		for _, name := range queryCells(q) {
+			record(dnf(name, err))
+		}
+	}
+
 	pg := NewParamGen(ds.g, r.cfg.Seed)
 	lastIter := 0 // the interactive cell runs slot 0, the batch cell 1..BatchSize
 	if mode == ModeBatch {
 		lastIter = r.cfg.BatchSize
 	}
-	e, res, loadTime, err := r.loadInto(engine, dataset)
+	image, res, loadTime, err := r.loadInto(engine, dataset)
 	if err == nil {
 		if err = pg.checkBatch(lastIter); err != nil {
-			e.Close()
+			image.Close()
 		}
 	}
 	if err != nil {
@@ -274,62 +291,87 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 			})
 		}
 		for _, q := range queryOrder() {
-			for _, name := range queryCells(&q) {
-				record(dnf(name, err))
-			}
+			recordDNF(&q, err)
 		}
 		return
 	}
 	if mode == ModeInteractive {
 		c.Loads = append(c.Loads, LoadMeasurement{
 			Engine: engine, Dataset: dataset,
-			Elapsed: loadTime, Space: e.SpaceUsage(), RawJSON: ds.rawJSON,
+			Elapsed: loadTime, Space: image.SpaceUsage(), RawJSON: ds.rawJSON,
 		})
 	}
-	for _, q := range queryOrder() {
-		exec := e
-		execRes := res
-		// Isolation: every mutating query runs against a fresh load, so
-		// the shared instance stays pristine for the reads (which never
-		// modify it).
-		if q.Mutates {
-			fresh, freshRes, _, err := r.loadInto(engine, dataset)
-			if err != nil {
-				// The shared instance is intact; only this query's cells
-				// are DNF.
-				for _, name := range queryCells(&q) {
-					record(dnf(name, err))
-				}
-				continue
-			}
-			exec, execRes = fresh, freshRes
-		}
 
-		// Q32 is swept over depths 2..5 (Figure 6); everything else
-		// runs once per mode.
+	// run executes q on exec and records its cells. Q32 is swept over
+	// depths 2..5 (Figure 6); everything else runs once per mode.
+	run := func(exec core.Engine, execRes *core.LoadResult, q *workload.Query) {
 		if q.Num == 32 {
 			for depth := 2; depth <= 5; depth++ {
 				pg.SetDepth(depth)
 				if mode == ModeInteractive {
-					m := r.timeQuery(exec, &q, pg.For(&q, 0, execRes))
+					m := r.timeQuery(exec, q, pg.For(q, 0, execRes))
 					m.Query = q.Name + depthSuffix(depth)
 					record(m)
 				} else {
-					record(r.batch(exec, &q, pg, execRes))
+					record(r.batch(exec, q, pg, execRes))
 				}
 			}
 			pg.SetDepth(2)
 		} else if mode == ModeInteractive {
-			record(r.timeQuery(exec, &q, pg.For(&q, 0, execRes)))
+			record(r.timeQuery(exec, q, pg.For(q, 0, execRes)))
 		} else {
-			record(r.batch(exec, &q, pg, execRes))
-		}
-
-		if exec != e {
-			exec.Close()
+			record(r.batch(exec, q, pg, execRes))
 		}
 	}
-	e.Close()
+
+	// The reads share one clone of the loaded engine, the image, which
+	// no query touches; every mutating query runs on a clone of its own.
+	// The reads' clone is closed before the mutating queries start, so
+	// two instances are alive at a time, as with a load per mutating
+	// query. An engine that does not clone reads the image itself and is
+	// loaded afresh for every mutating query.
+	reader := image
+	defer image.Close()
+	fresh := func() (core.Engine, *core.LoadResult, error) {
+		e, res, _, err := r.loadInto(engine, dataset)
+		return e, res, err
+	}
+	var readerErr error
+	if cl, ok := image.(cloner); ok {
+		reader, readerErr = cl.Clone()
+		fresh = func() (core.Engine, *core.LoadResult, error) {
+			c, err := cl.Clone()
+			return c, res, err
+		}
+	}
+	queries := queryOrder()
+	for i := range queries {
+		q := &queries[i]
+		if q.Mutates {
+			continue
+		}
+		if readerErr != nil {
+			recordDNF(q, readerErr)
+			continue
+		}
+		run(reader, res, q)
+	}
+	if reader != nil && reader != image {
+		reader.Close()
+	}
+	for i := range queries {
+		q := &queries[i]
+		if !q.Mutates {
+			continue
+		}
+		exec, execRes, err := fresh()
+		if err != nil {
+			recordDNF(q, err) // the image is intact: only this query is DNF
+			continue
+		}
+		run(exec, execRes, q)
+		exec.Close()
+	}
 }
 
 func depthSuffix(d int) string {

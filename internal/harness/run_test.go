@@ -265,3 +265,54 @@ func TestLoadFailureRecordsDNF(t *testing.T) {
 		t.Fatalf("CSV Q1 row for failing engine not flagged failed: %q", q1Row)
 	}
 }
+
+// TestIsolationCloneMatchesReload: running every mutating query on a
+// clone of the cell's loaded image exports exactly what loading anew
+// for each one does. The reload run registers every engine wrapped in
+// a struct that hides its Clone method.
+func TestIsolationCloneMatchesReload(t *testing.T) {
+	run := func(workers int) []byte {
+		cfg := tinyConfig()
+		cfg.Engines = engines.Names()
+		cfg.Datasets = []string{"frb-s", "mico"}
+		cfg.Scale = 0.002
+		cfg.Timeout = time.Minute // no deadline may depend on the machine
+		cfg.FrozenClock = true
+		cfg.Workers = workers
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ExportJSON(res, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	reload := func(workers int) []byte {
+		for _, name := range engines.Names() {
+			ctor := engines.Constructor(name)
+			if _, ok := ctor().(cloner); !ok {
+				t.Fatalf("%s does not clone", name)
+			}
+			defer engines.Register(name, func() core.Engine { return struct{ core.Engine }{ctor()} })()
+		}
+		return run(workers)
+	}
+	for _, workers := range []int{1, 2} {
+		cloned, reloaded := run(workers), reload(workers)
+		if !bytes.Equal(cloned, reloaded) {
+			c, r := strings.Split(string(cloned), "\n"), strings.Split(string(reloaded), "\n")
+			for i := range min(len(c), len(r)) {
+				if c[i] != r[i] {
+					t.Fatalf("workers=%d: export diverges at line %d:\ncloned:   %s\nreloaded: %s", workers, i+1, c[i], r[i])
+				}
+			}
+			t.Fatalf("workers=%d: exports differ in length: %d vs %d bytes", workers, len(cloned), len(reloaded))
+		}
+	}
+}

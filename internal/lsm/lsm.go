@@ -25,6 +25,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"sort"
 	"sync"
 
@@ -655,6 +656,39 @@ func (s *Store) installBulk(b *Batch) error {
 	}
 	return nil
 }
+
+// Clone returns an independent copy of a volatile store: same
+// contents, runs, counters and cached rows; a write into either store
+// never reaches the other. A durable store cannot be copied (its WAL
+// is one set of files) and returns an error. Clone reads s: it
+// may run alongside other reads, not alongside a write.
+func (s *Store) Clone() (*Store, error) {
+	if s.wal != nil {
+		return nil, errDurableClone
+	}
+	c := &Store{
+		opts:     s.opts,
+		mem:      s.mem.Clone(),
+		memBytes: s.memBytes,
+		// The runs are shared: a run is never written after the flush,
+		// compaction or bulk load that built it.
+		runs:     append(make([]*sstable, 0, cap(s.runs)), s.runs...),
+		flushes:  s.flushes,
+		compacts: s.compacts,
+		scratch:  make([]byte, 0, cap(s.scratch)),
+	}
+	if s.cache != nil {
+		s.cacheMu.Lock()
+		// The cached rows are shared: a row is never changed once
+		// published, only dropped from the map.
+		c.cache, c.hits, c.miss = maps.Clone(s.cache), s.hits, s.miss
+		s.cacheMu.Unlock()
+	}
+	return c, nil
+}
+
+// errDurableClone is Clone's refusal of a durable store.
+var errDurableClone = bulkErr("lsm: a durable store cannot be cloned")
 
 var errNotSorted = bulkErr("lsm: BulkLoad keys not strictly ascending")
 

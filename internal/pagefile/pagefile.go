@@ -52,6 +52,18 @@ func (s *Store) Reserve(n int64) {
 	s.inUse = slices.Grow(s.inUse, int(n))
 }
 
+// Clone returns an independent copy of the store. Every slice keeps its
+// capacity, so an Alloc on the copy costs what it costs on s.
+func (s *Store) Clone() *Store {
+	return &Store{
+		recSize:  s.recSize,
+		buf:      append(make([]byte, 0, cap(s.buf)), s.buf...),
+		inUse:    append(make([]bool, 0, cap(s.inUse)), s.inUse...),
+		freelist: append(make([]int64, 0, cap(s.freelist)), s.freelist...),
+		live:     s.live,
+	}
+}
+
 // Alloc reserves a record, reusing freed slots first, and returns its ID.
 func (s *Store) Alloc() int64 {
 	if n := len(s.freelist); n > 0 {
@@ -142,6 +154,11 @@ func (h *Heap) Reserve(n int64) {
 	h.buf = slices.Grow(h.buf, int(n))
 }
 
+// Clone returns an independent copy of the heap, with its capacity.
+func (h *Heap) Clone() *Heap {
+	return &Heap{buf: append(make([]byte, 0, cap(h.buf)), h.buf...), dead: h.dead, live: h.live}
+}
+
 // Append writes a record and returns its physical offset.
 func (h *Heap) Append(rec []byte) int64 {
 	off := int64(len(h.buf))
@@ -211,6 +228,11 @@ func (m *PositionMap) Reserve(n int64) {
 		return
 	}
 	m.phys = slices.Grow(m.phys, int(n))
+}
+
+// Clone returns an independent copy of the map, with its capacity.
+func (m *PositionMap) Clone() *PositionMap {
+	return &PositionMap{phys: append(make([]int64, 0, cap(m.phys)), m.phys...), live: m.live}
 }
 
 // Add registers a physical offset and returns the logical position.

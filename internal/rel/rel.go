@@ -13,6 +13,7 @@ package rel
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -79,6 +80,16 @@ func (db *DB) CreateTable(name string, cols ...string) (*Table, error) {
 	return t, nil
 }
 
+// Clone returns an independent copy of db: every table cloned (see
+// Table.Clone), in the same creation order.
+func (db *DB) Clone() *DB {
+	c := &DB{tables: maps.Clone(db.tables), order: append(make([]string, 0, cap(db.order)), db.order...)}
+	for name, t := range c.tables {
+		c.tables[name] = t.Clone()
+	}
+	return c
+}
+
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
@@ -92,6 +103,43 @@ func (db *DB) Bytes() int64 {
 		n += t.Bytes()
 	}
 	return n
+}
+
+// Clone returns an independent copy of t: rows, primary-key map,
+// indexes and planner counters. Every slice keeps its capacity, so a
+// write into the copy costs what it costs in t. Clone reads t: it may
+// run alongside other reads, not alongside a write.
+func (t *Table) Clone() *Table {
+	c := &Table{
+		name:    t.name,
+		cols:    append(make([]string, 0, cap(t.cols)), t.cols...),
+		colIdx:  maps.Clone(t.colIdx),
+		rows:    make([]Row, len(t.rows), cap(t.rows)),
+		pk:      maps.Clone(t.pk),
+		indexes: make([]*btree.Tree, len(t.indexes), cap(t.indexes)),
+		keyBuf:  make([]byte, 0, cap(t.keyBuf)),
+	}
+	// The live rows are carved from one allocation, each with its own
+	// capacity.
+	n := 0
+	for _, r := range t.rows {
+		n += cap(r)
+	}
+	vals := make([]core.Value, n)
+	for i, r := range t.rows {
+		if r != nil {
+			c.rows[i], vals = vals[:len(r):cap(r)], vals[cap(r):]
+			copy(c.rows[i], r)
+		}
+	}
+	for i, idx := range t.indexes {
+		if idx != nil {
+			c.indexes[i] = idx.Clone()
+		}
+	}
+	c.scans.Store(t.scans.Load())
+	c.seeks.Store(t.seeks.Load())
+	return c
 }
 
 // Name returns the table name.
@@ -285,6 +333,14 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 	if !ok {
 		return fmt.Errorf("rel: %s: no column %q", t.name, col)
 	}
+	t.SelectEqAt(ci, v, fn)
+	return nil
+}
+
+// SelectEqAt is SelectEq on the column at position ci, which must
+// exist: a caller that knows a column's position (a fixed schema's
+// foreign keys) skips the lookup by name on every probe.
+func (t *Table) SelectEqAt(ci int, v core.Value, fn func(Row) bool) {
 	if idx := t.indexes[ci]; idx != nil {
 		t.seeks.Add(1)
 		var buf [24]byte // fits every non-string value; longer ones spill
@@ -295,7 +351,7 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 			r := t.rows[pos]
 			return r == nil || fn(r)
 		})
-		return nil
+		return
 	}
 	t.scans.Add(1)
 	for _, r := range t.rows {
@@ -303,10 +359,9 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 			continue
 		}
 		if r[ci].Compare(v) == 0 && !fn(r) {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // Bytes returns the table's approximate footprint including indexes.

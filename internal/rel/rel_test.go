@@ -327,9 +327,9 @@ func TestColumnsReadOnly(t *testing.T) {
 	}
 }
 
-// TestReadAllocs pins allocation-free index reads: SelectEq encodes its
-// index prefix on the stack and Has tests the primary key without
-// copying the row.
+// TestReadAllocs pins allocation-free index reads: SelectEq and
+// SelectEqAt encode their index prefix on the stack and Has tests the
+// primary key without copying the row.
 func TestReadAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -349,6 +349,7 @@ func TestReadAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"SelectEq", func() { tbl.SelectEq("age", age, visit) }},
+		{"SelectEqAt", func() { tbl.SelectEqAt(2, age, visit) }},
 		{"Has", func() { tbl.Has(1234) }},
 		{"Columns", func() { tbl.Columns() }},
 	} {
