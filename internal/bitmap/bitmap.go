@@ -49,7 +49,7 @@ type Bitmap struct {
 func New() *Bitmap { return &Bitmap{} }
 
 // Clone returns an independent copy of b. Every slice keeps its
-// capacity, so a write into the copy costs what it costs in b.
+// capacity, so a write into the copy does the work it does in b.
 func (b *Bitmap) Clone() *Bitmap {
 	c := &Bitmap{
 		keys: append(make([]uint64, 0, cap(b.keys)), b.keys...),

@@ -497,8 +497,8 @@ func (t *Tree) AscendPrefix(prefix []byte, fn func(key, value []byte) bool) {
 // Clone returns an independent copy of t: a write into either tree
 // never reaches the other. Every leaf's entry table, and every arena
 // with room to grow, is copied with its length and capacity, carved
-// from one allocation each, so a write into the copy costs what the
-// same write costs in t. A full arena (every one BulkBuild makes) is
+// from one allocation each, so a write into the copy does the work
+// the same write does in t. A full arena (every one BulkBuild makes) is
 // shared instead: its bytes are never overwritten, and the next append
 // to it, in either tree, moves that tree's leaf to a new array. Inner
 // separators are shared too: no write changes a separator's bytes (a

@@ -53,7 +53,7 @@ func (s *Store) Reserve(n int64) {
 }
 
 // Clone returns an independent copy of the store. Every slice keeps its
-// capacity, so an Alloc on the copy costs what it costs on s.
+// capacity, so an Alloc on the copy does the work it does on s.
 func (s *Store) Clone() *Store {
 	return &Store{
 		recSize:  s.recSize,

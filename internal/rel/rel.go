@@ -107,7 +107,7 @@ func (db *DB) Bytes() int64 {
 
 // Clone returns an independent copy of t: rows, primary-key map,
 // indexes and planner counters. Every slice keeps its capacity, so a
-// write into the copy costs what it costs in t. Clone reads t: it may
+// write into the copy does the work it does in t. Clone reads t: it may
 // run alongside other reads, not alongside a write.
 func (t *Table) Clone() *Table {
 	c := &Table{
