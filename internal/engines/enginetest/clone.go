@@ -8,13 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engines/kit"
 )
-
-// cloner is the copy capability the harness isolates mutating queries
-// with: Clone returns an independent engine in the receiver's state.
-type cloner interface {
-	Clone() (core.Engine, error)
-}
 
 // mutation is one kind of write the micro workload makes.
 type mutation struct {
@@ -118,7 +113,7 @@ func testCloneOn(t *testing.T, newEngine func() core.Engine, g *core.Graph) {
 	}
 	clone := func(e core.Engine) core.Engine {
 		t.Helper()
-		cl, ok := e.(cloner)
+		cl, ok := e.(kit.Cloner)
 		if !ok {
 			t.Fatalf("%T has no Clone method", e)
 		}

@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engines/kit"
 	"repro/internal/race"
 )
 
@@ -78,7 +78,7 @@ func TestLiveHeapPerEngine(t *testing.T) {
 		loaded := live()
 		mb := float64(loaded-before) / (1 << 20)
 		total += mb
-		c, err := e.(interface{ Clone() (core.Engine, error) }).Clone()
+		c, err := e.(kit.Cloner).Clone()
 		if err != nil {
 			t.Fatalf("%s: clone: %v", name, err)
 		}

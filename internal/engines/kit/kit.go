@@ -3,7 +3,8 @@
 // (Table 1 of the paper): the token dictionary (Tokens), the hash
 // attribute index (PropIndex), a declared index that changes no search
 // path (DeclaredIndexes), the per-item load (LoadPerItem), edge-id
-// removal (RemoveID), and the core.Engine method bodies derivable from
+// removal (RemoveID), the copy capability every engine has (Cloner),
+// and the core.Engine method bodies derivable from
 // an engine's other methods — Neighbors, Degree, the walk and degree
 // over a record's edge-id lists (Lists, ListDegree), label filters
 // (Tokens.Filter, Match) and property searches (VerticesByProp,
@@ -196,6 +197,15 @@ func (x *PropIndex) Bytes() int64 {
 		}
 	}
 	return n
+}
+
+// Cloner is the copy capability of every engine: Clone returns an
+// independent engine in the receiver's state, or core.ErrUnsupported
+// when it cannot make one. It is not part of core.Engine, so a
+// decorator that does not forward it hides it; this is its one
+// declaration.
+type Cloner interface {
+	Clone() (core.Engine, error)
 }
 
 // LoadPerItem is the bulk load of engines whose load path is the

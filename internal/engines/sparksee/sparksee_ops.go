@@ -259,25 +259,23 @@ func (e *Engine) Clone() (core.Engine, error) {
 	return c, nil
 }
 
-// clone copies the attribute maps first and the topology last, the
-// object bitmaps at the very end. A load, whose every edge insert
-// probes the node bitmap and writes the topology, leaves those hot in
-// the cache, and a clone takes a load's place before a mutating query.
-// On frb-s@0.002 (2-vCPU Xeon, 2 MB L2), AddEdge took 1.5–1.9 µs after
-// a load, 5.5 µs after a clone in field order, 2.8–3.9 µs in this one.
+// clone returns an independent copy of the store.
 func (s *store) clone() store {
-	c := store{nextOID: s.nextOID, labels: s.labels.Clone(), DeclaredIndexes: s.DeclaredIndexes.Clone()}
-	c.vattrs = cloneAttrs(s.vattrs)
-	c.eattrs = cloneAttrs(s.eattrs)
-	c.srcOf = maps.Clone(s.srcOf)
-	c.dstOf = maps.Clone(s.dstOf)
-	c.labelOf = maps.Clone(s.labelOf)
-	c.byLabel = cloneBitmaps(s.byLabel)
-	c.out = cloneBitmaps(s.out)
-	c.in = cloneBitmaps(s.in)
-	c.edges = s.edges.Clone()
-	c.nodes = s.nodes.Clone()
-	return c
+	return store{
+		nextOID:         s.nextOID,
+		nodes:           s.nodes.Clone(),
+		edges:           s.edges.Clone(),
+		srcOf:           maps.Clone(s.srcOf),
+		dstOf:           maps.Clone(s.dstOf),
+		labelOf:         maps.Clone(s.labelOf),
+		byLabel:         cloneBitmaps(s.byLabel),
+		labels:          s.labels.Clone(),
+		out:             cloneBitmaps(s.out),
+		in:              cloneBitmaps(s.in),
+		vattrs:          cloneAttrs(s.vattrs),
+		eattrs:          cloneAttrs(s.eattrs),
+		DeclaredIndexes: s.DeclaredIndexes.Clone(),
+	}
 }
 
 // cloneBitmaps copies the map and every bitmap in it.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engines/kit"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -240,14 +241,6 @@ func dnf(query string, err error) Measurement {
 	return Measurement{Query: query, Failed: true, Error: "DNF: " + err.Error()}
 }
 
-// cloner is implemented by engines that can copy a loaded instance:
-// Clone returns an independent engine in the receiver's state. It is
-// not part of core.Engine, and decorators that do not forward it (the
-// benchmark's tracing wrapper, test doubles) fall back to loading.
-type cloner interface {
-	Clone() (core.Engine, error)
-}
-
 // runMicro executes one half of the micro workload — interactive or
 // batch — as its own grid cell. The halves share nothing at runtime
 // (each loads its own engine; ParamGen is pure per (query, iter), so
@@ -324,12 +317,16 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		}
 	}
 
-	// The reads share one clone of the loaded engine, the image, which
-	// no query touches; every mutating query runs on a clone of its own.
-	// The reads' clone is closed before the mutating queries start, so
-	// two instances are alive at a time, as with a load per mutating
-	// query. An engine that does not clone reads the image itself and is
-	// loaded afresh for every mutating query.
+	// The interactive cell exports each query's latency, so it gets the
+	// freshly loaded state as the paper's protocol does: its reads run
+	// on the timed load and every mutating query on a load of its own.
+	// A copy holds the same state, but its memory is laid out and cached
+	// unlike a load's, which moves per-query latencies differently on
+	// every engine. The batch cell, whose load is untimed, copies it
+	// instead when the engine can (kit.Cloner): the reads share one
+	// clone, closed before the mutating queries start, and each mutating
+	// query runs on a clone of its own, so the load itself is never
+	// queried. Either way two instances are alive at a time.
 	reader := image
 	defer image.Close()
 	fresh := func() (core.Engine, *core.LoadResult, error) {
@@ -337,7 +334,7 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		return e, res, err
 	}
 	var readerErr error
-	if cl, ok := image.(cloner); ok {
+	if cl, ok := image.(kit.Cloner); ok && mode == ModeBatch {
 		reader, readerErr = cl.Clone()
 		fresh = func() (core.Engine, *core.LoadResult, error) {
 			c, err := cl.Clone()

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engines"
+	"repro/internal/engines/kit"
 	"repro/internal/engines/sqlg"
 	"repro/internal/workload"
 )
@@ -266,15 +268,32 @@ func TestLoadFailureRecordsDNF(t *testing.T) {
 	}
 }
 
-// TestIsolationCloneMatchesReload: running every mutating query on a
-// clone of the cell's loaded image exports exactly what loading anew
-// for each one does. The reload run registers every engine wrapped in
-// a struct that hides its Clone method.
+// TestIsolationCloneMatchesReload: running the batch cells' queries on
+// clones of the cell's load exports exactly what loading anew for each
+// mutating query does. The reload run registers every engine wrapped in
+// a struct that hides its Clone method; counting the engines each run
+// constructs shows that the clone run took the clone path on every
+// engine, and only in the batch cells.
 func TestIsolationCloneMatchesReload(t *testing.T) {
-	run := func(workers int) []byte {
+	datasets := []string{"frb-s", "mico"}
+	run := func(workers int, hide bool) ([]byte, int64) {
+		var built atomic.Int64
+		for _, name := range engines.Names() {
+			ctor := engines.Constructor(name)
+			if _, ok := ctor().(kit.Cloner); !ok {
+				t.Fatalf("%s does not clone", name)
+			}
+			defer engines.Register(name, func() core.Engine {
+				built.Add(1)
+				if hide {
+					return struct{ core.Engine }{ctor()}
+				}
+				return ctor()
+			})()
+		}
 		cfg := tinyConfig()
 		cfg.Engines = engines.Names()
-		cfg.Datasets = []string{"frb-s", "mico"}
+		cfg.Datasets = datasets
 		cfg.Scale = 0.002
 		cfg.Timeout = time.Minute // no deadline may depend on the machine
 		cfg.FrozenClock = true
@@ -291,20 +310,20 @@ func TestIsolationCloneMatchesReload(t *testing.T) {
 		if err := ExportJSON(res, &buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), built.Load()
 	}
-	reload := func(workers int) []byte {
-		for _, name := range engines.Names() {
-			ctor := engines.Constructor(name)
-			if _, ok := ctor().(cloner); !ok {
-				t.Fatalf("%s does not clone", name)
-			}
-			defer engines.Register(name, func() core.Engine { return struct{ core.Engine }{ctor()} })()
+	mutating := 0
+	for _, q := range workload.Queries() {
+		if q.Mutates {
+			mutating++
 		}
-		return run(workers)
 	}
 	for _, workers := range []int{1, 2} {
-		cloned, reloaded := run(workers), reload(workers)
+		cloned, clonedLoads := run(workers, false)
+		reloaded, reloads := run(workers, true)
+		if want := int64(mutating * len(engines.Names()) * len(datasets)); reloads-clonedLoads != want {
+			t.Errorf("workers=%d: %d loads with clones, %d without: the batch cells' %d mutating queries should have cloned", workers, clonedLoads, reloads, want)
+		}
 		if !bytes.Equal(cloned, reloaded) {
 			c, r := strings.Split(string(cloned), "\n"), strings.Split(string(reloaded), "\n")
 			for i := range min(len(c), len(r)) {
