@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"repro/internal/datasets"
 )
 
 // exportDoc is the document ExportJSON writes and ImportJSON reads.
@@ -18,6 +20,9 @@ type exportDoc struct {
 	Micro     []Measurement     `json:"micro"`
 	Indexed   []Measurement     `json:"indexed"`
 	Complex   []Measurement     `json:"complex"`
+	// Stats holds the Table 3 rows; exports written before it existed
+	// import with an empty Table 3.
+	Stats map[string]datasets.Table3Row `json:"stats,omitempty"`
 }
 
 // ExportJSON writes the full result set as JSON, for archival or
@@ -36,6 +41,7 @@ func ExportJSON(res *Results, w io.Writer) error {
 		Micro:     res.Micro,
 		Indexed:   res.Indexed,
 		Complex:   res.Complex,
+		Stats:     res.Stats,
 	})
 }
 
@@ -74,8 +80,9 @@ func ExportCSV(res *Results, w io.Writer) error {
 }
 
 // ImportJSON reads a result set previously written by ExportJSON. The
-// embedded config fields are restored; report rendering needs Engines
-// and Datasets, which are reconstructed from the measurements.
+// embedded config fields and the Table 3 statistics are restored;
+// report rendering needs Engines and Datasets, which are reconstructed
+// from the measurements.
 func ImportJSON(r io.Reader) (*Results, error) {
 	var raw exportDoc
 	dec := json.NewDecoder(r)
@@ -87,6 +94,7 @@ func ImportJSON(r io.Reader) (*Results, error) {
 		Micro:   raw.Micro,
 		Indexed: raw.Indexed,
 		Complex: raw.Complex,
+		Stats:   raw.Stats,
 	}
 	res.Config.Scale = raw.Scale
 	res.Config.BatchSize = raw.BatchSize

@@ -28,10 +28,43 @@ func TestExportImportJSONRoundTrip(t *testing.T) {
 	if len(got.Config.Engines) != len(res.Config.Engines) {
 		t.Fatalf("engines = %v", got.Config.Engines)
 	}
-	var out bytes.Buffer
-	ReportFig3Load(got, &out)
-	if !strings.Contains(out.String(), "frb-s") {
+	if !strings.Contains(render(t, got, "fig3a"), "frb-s") {
 		t.Fatal("imported results cannot render reports")
+	}
+}
+
+// TestImportJSONRestoresTable3 renders Table 3 from an import as the
+// live run renders it, and imports an export from before the stats
+// field with Table 3 empty.
+func TestImportJSONRestoresTable3(t *testing.T) {
+	res := runTiny(t)
+	var buf bytes.Buffer
+	if err := ExportJSON(res, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ImportJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, imported := render(t, res, "table3"), render(t, got, "table3"); imported != live {
+		t.Fatalf("imported Table 3 differs:\n%s\nlive:\n%s", imported, live)
+	}
+
+	old := *res
+	old.Stats = nil
+	buf.Reset()
+	if err := ExportJSON(&old, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"stats"`) {
+		t.Fatal("an export without stats carries the field")
+	}
+	got, err = ImportJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty := render(t, &old, "table3"); render(t, got, "table3") != empty {
+		t.Fatalf("an export without stats imported %d Table 3 rows", len(got.Stats))
 	}
 }
 
@@ -75,9 +108,7 @@ func TestExportCSV(t *testing.T) {
 
 func TestShapesRunOnTinyResults(t *testing.T) {
 	res := runTiny(t)
-	var buf bytes.Buffer
-	ReportShapes(res, &buf)
-	out := buf.String()
+	out := render(t, res, "shapes")
 	// The tiny run only has neo-1.9 and sqlg: engine-specific checks
 	// must be skipped, not failed.
 	if !strings.Contains(out, "SKIP") {
@@ -93,14 +124,14 @@ func TestShapesRunOnTinyResults(t *testing.T) {
 
 func TestShapesHaveUniqueIDsAndClaims(t *testing.T) {
 	seen := map[string]bool{}
-	for _, s := range Shapes() {
-		if s.ID == "" || s.Paper == "" || s.Check == nil {
+	for _, s := range shapes {
+		if s.id == "" || s.paper == "" || s.check == nil {
 			t.Fatalf("incomplete shape %+v", s)
 		}
-		if seen[s.ID] {
-			t.Fatalf("duplicate shape id %s", s.ID)
+		if seen[s.id] {
+			t.Fatalf("duplicate shape id %s", s.id)
 		}
-		seen[s.ID] = true
+		seen[s.id] = true
 	}
 	if len(seen) < 12 {
 		t.Fatalf("expected a substantial findings checklist, got %d", len(seen))

@@ -300,15 +300,24 @@ func (r *Runner) loadInto(engine, dataset string) (core.Engine, *core.LoadResult
 	return e, res, elapsed, nil
 }
 
-// timeQuery runs one query execution under the configured timeout.
-func (r *Runner) timeQuery(e core.Engine, q *workload.Query, p workload.Params) Measurement {
+// timed runs one execution of query under the configured timeout,
+// measured with the injectable clock; classify records how it ended.
+// Callers derive the execution's parameters before calling, so their
+// cost stays outside the measurement.
+func (r *Runner) timed(query string, run func(context.Context) (workload.Result, error)) Measurement {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
 	defer cancel()
 	start := r.now()
-	res, err := q.Run(ctx, e, p)
-	m := Measurement{Query: q.Name, Elapsed: r.since(start), Count: res.Count}
+	res, err := run(ctx)
+	m := Measurement{Query: query, Elapsed: r.since(start), Count: res.Count}
 	classify(&m, err)
 	return m
+}
+
+// timeQuery times one execution of the micro query q with parameters
+// p on e, recorded under name.
+func (r *Runner) timeQuery(name string, e core.Engine, q *workload.Query, p workload.Params) Measurement {
+	return r.timed(name, func(ctx context.Context) (workload.Result, error) { return q.Run(ctx, e, p) })
 }
 
 // classify marks m with the outcome err reports. A timed-out

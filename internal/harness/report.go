@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -19,20 +20,43 @@ type key struct {
 	mode                   Mode
 }
 
-type index map[key]Measurement
+// view is what every report reads: a run's results plus one index of
+// its cells and one of its loads, built once per Report call. It is
+// not cached on Results, whose slices callers keep appending to.
+type view struct {
+	*Results
+	cells map[key]Measurement           // micro, indexed and complex cells
+	loads map[[2]string]LoadMeasurement // by (engine, dataset)
+}
 
-func (res *Results) index() index {
-	ix := index{}
-	for _, m := range res.Micro {
-		ix[key{m.Engine, m.Dataset, m.Query, m.Mode}] = m
+func newView(res *Results) *view {
+	v := &view{
+		Results: res,
+		cells:   make(map[key]Measurement, len(res.Micro)+len(res.Indexed)+len(res.Complex)),
+		loads:   make(map[[2]string]LoadMeasurement, len(res.Loads)),
 	}
-	for _, m := range res.Indexed {
-		ix[key{m.Engine, m.Dataset, m.Query, m.Mode}] = m
+	for _, ms := range [][]Measurement{res.Micro, res.Indexed, res.Complex} {
+		for _, m := range ms {
+			v.cells[key{m.Engine, m.Dataset, m.Query, m.Mode}] = m
+		}
 	}
-	for _, m := range res.Complex {
-		ix[key{m.Engine, m.Dataset, m.Query, m.Mode}] = m
+	for _, l := range res.Loads {
+		v.loads[[2]string{l.Engine, l.Dataset}] = l
 	}
-	return ix
+	return v
+}
+
+// loadCell renders the (engine, dataset) load: "-" when there is none,
+// DNF when it failed, else text of it.
+func (v *view) loadCell(e, d string, text func(LoadMeasurement) string) string {
+	l, ok := v.loads[[2]string{e, d}]
+	switch {
+	case !ok:
+		return "-"
+	case l.Failed:
+		return "DNF"
+	}
+	return text(l)
 }
 
 func fmtDur(d time.Duration) string {
@@ -90,21 +114,30 @@ func matrix(w io.Writer, title string, engineNames, cols []string, get func(engi
 	fmt.Fprintln(w)
 }
 
-// queryMatrix renders (engine × query) for one mode, one dataset group:
-// columns are query@dataset.
-func (res *Results) queryMatrix(w io.Writer, title string, queries []string, mode Mode) {
-	ix := res.index()
-	var cols []string
-	for _, q := range queries {
-		for _, d := range res.Config.Datasets {
-			cols = append(cols, q+"@"+d)
+// queryMatrix is one figure's (engine × query@dataset) matrix of
+// interactive cells.
+type queryMatrix struct {
+	title   string
+	queries []string
+}
+
+// matrices renders ms one after another.
+func matrices(ms ...queryMatrix) func(*view, io.Writer) {
+	return func(v *view, w io.Writer) {
+		for _, m := range ms {
+			var cols []string
+			for _, q := range m.queries {
+				for _, d := range v.Config.Datasets {
+					cols = append(cols, q+"@"+d)
+				}
+			}
+			matrix(w, m.title, v.Config.Engines, cols, func(e, c string) string {
+				q, d, _ := strings.Cut(c, "@")
+				cell, ok := v.cells[key{e, d, q, ModeInteractive}]
+				return cellText(cell, ok)
+			})
 		}
 	}
-	matrix(w, title, res.Config.Engines, cols, func(e, c string) string {
-		parts := strings.SplitN(c, "@", 2)
-		m, ok := ix[key{e, parts[1], parts[0], mode}]
-		return cellText(m, ok)
-	})
 }
 
 // ReportTable1 prints the engine feature matrix (Table 1).
@@ -165,42 +198,28 @@ func ReportTable3(res *Results, w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// ReportFig1Space prints space occupancy per engine per dataset
-// (Figure 1(a,b)), plus the raw GraphSON size.
-func ReportFig1Space(res *Results, w io.Writer) {
-	byDS := map[string]int64{}
-	ix := map[string]map[string]int64{}
-	dnfLoad := map[string]map[string]bool{}
-	for _, l := range res.Loads {
-		byDS[l.Dataset] = l.RawJSON
-		if ix[l.Engine] == nil {
-			ix[l.Engine] = map[string]int64{}
-			dnfLoad[l.Engine] = map[string]bool{}
-		}
-		ix[l.Engine][l.Dataset] = l.Space.Total
-		dnfLoad[l.Engine][l.Dataset] = l.Failed
+// reportFig1 prints space occupancy per engine per dataset (Figure
+// 1(a,b)), plus the raw GraphSON size.
+func reportFig1(v *view, w io.Writer) {
+	raw := map[string]int64{}
+	for _, l := range v.Loads {
+		raw[l.Dataset] = l.RawJSON
 	}
-	matrix(w, "Figure 1(a,b): space occupancy (MB)", append(res.Config.Engines, "raw-json"),
-		res.Config.Datasets, func(e, d string) string {
+	mb := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
+	matrix(w, "Figure 1(a,b): space occupancy (MB)", append(slices.Clip(v.Config.Engines), "raw-json"),
+		v.Config.Datasets, func(e, d string) string {
 			if e == "raw-json" {
-				return fmt.Sprintf("%.2f", float64(byDS[d])/(1<<20))
+				return mb(raw[d])
 			}
-			b, ok := ix[e][d]
-			if !ok {
-				return "-"
-			}
-			if dnfLoad[e][d] {
-				return "DNF"
-			}
-			return fmt.Sprintf("%.2f", float64(b)/(1<<20))
+			return v.loadCell(e, d, func(l LoadMeasurement) string { return mb(l.Space.Total) })
 		})
 }
 
-// ReportFig1cTimeouts prints the number of timed-out or failed queries
-// per engine in interactive and batch mode (Figure 1(c)).
-func ReportFig1cTimeouts(res *Results, w io.Writer) {
+// reportFig1c prints the number of timed-out or failed queries per
+// engine in interactive and batch mode (Figure 1(c)).
+func reportFig1c(v *view, w io.Writer) {
 	counts := map[string]map[Mode]int{}
-	for _, m := range res.Micro {
+	for _, m := range v.Micro {
 		if counts[m.Engine] == nil {
 			counts[m.Engine] = map[Mode]int{}
 		}
@@ -209,7 +228,7 @@ func ReportFig1cTimeouts(res *Results, w io.Writer) {
 		}
 	}
 	matrix(w, "Figure 1(c): # timeouts/failures, Interactive (I) and Batch (B)",
-		res.Config.Engines, []string{"I", "B"}, func(e, c string) string {
+		v.Config.Engines, []string{"I", "B"}, func(e, c string) string {
 			mode := ModeInteractive
 			if c == "B" {
 				mode = ModeBatch
@@ -218,124 +237,45 @@ func ReportFig1cTimeouts(res *Results, w io.Writer) {
 		})
 }
 
-// ReportFig2Complex prints the complex query latencies on ldbc.
-func ReportFig2Complex(res *Results, w io.Writer) {
-	ix := res.index()
+// reportFig2 prints the complex query latencies on ldbc.
+func reportFig2(v *view, w io.Writer) {
 	var cols []string
 	for _, cq := range workload.ComplexQueries() {
 		cols = append(cols, cq.Name)
 	}
 	matrix(w, "Figure 2: complex query performance on ldbc",
-		res.Config.Engines, cols, func(e, c string) string {
-			m, ok := ix[key{e, "ldbc", c, ModeInteractive}]
+		v.Config.Engines, cols, func(e, c string) string {
+			m, ok := v.cells[key{e, "ldbc", c, ModeInteractive}]
 			return cellText(m, ok)
 		})
 }
 
-// ReportFig3Load prints loading times (Figure 3(a)).
-func ReportFig3Load(res *Results, w io.Writer) {
-	ix := map[string]map[string]time.Duration{}
-	dnfLoad := map[string]map[string]bool{}
-	for _, l := range res.Loads {
-		if ix[l.Engine] == nil {
-			ix[l.Engine] = map[string]time.Duration{}
-			dnfLoad[l.Engine] = map[string]bool{}
-		}
-		ix[l.Engine][l.Dataset] = l.Elapsed
-		dnfLoad[l.Engine][l.Dataset] = l.Failed
-	}
-	matrix(w, "Figure 3(a): loading time", res.Config.Engines, res.Config.Datasets,
+// reportFig3a prints loading times (Figure 3(a)).
+func reportFig3a(v *view, w io.Writer) {
+	matrix(w, "Figure 3(a): loading time", v.Config.Engines, v.Config.Datasets,
 		func(e, d string) string {
-			t, ok := ix[e][d]
-			if !ok {
-				return "-"
-			}
-			if dnfLoad[e][d] {
-				return "DNF"
-			}
-			return fmtDur(t)
+			return v.loadCell(e, d, func(l LoadMeasurement) string { return fmtDur(l.Elapsed) })
 		})
 }
 
-// ReportFig3Insert prints Q2–Q7 (Figure 3(b)).
-func ReportFig3Insert(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 3(b): insertions (interactive)",
-		[]string{"Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}, ModeInteractive)
-}
-
-// ReportFig3UpdateDelete prints Q16–Q21 (Figure 3(c)).
-func ReportFig3UpdateDelete(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 3(c): updates and deletions (interactive)",
-		[]string{"Q16", "Q17", "Q18", "Q19", "Q20", "Q21"}, ModeInteractive)
-}
-
-// ReportFig4Select prints Q8–Q13 (Figure 4(a)).
-func ReportFig4Select(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 4(a): scans and selections (interactive)",
-		[]string{"Q8", "Q9", "Q10", "Q11", "Q12", "Q13"}, ModeInteractive)
-}
-
-// ReportFig4ByID prints Q14–Q15 (Figure 4(b)).
-func ReportFig4ByID(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 4(b): search by id (interactive)",
-		[]string{"Q14", "Q15"}, ModeInteractive)
-}
-
-// ReportFig4cIndex prints Q11 with an attribute index (Figure 4(c)),
-// plus the index-maintenance cost on property insertion (the §6.4
-// "insertions become slower" observation).
-func ReportFig4cIndex(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 4(c): Q11 with attribute index (engines without exploitable indexes keep their scan time; blaze unsupported)",
-		[]string{"Q11", "Q11(idx)"}, ModeInteractive)
-	res.queryMatrix(w, "Section 6.4: index maintenance cost on property insertion",
-		[]string{"Q5", "Q5(idx)"}, ModeInteractive)
-}
-
-// ReportFig5Local prints Q22–Q27 (Figure 5(a)).
-func ReportFig5Local(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 5(a): local traversals (interactive)",
-		[]string{"Q22", "Q23", "Q24", "Q25", "Q26", "Q27"}, ModeInteractive)
-}
-
-// ReportFig5Degree prints Q28–Q31 (Figure 5(b)).
-func ReportFig5Degree(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 5(b): degree filters over all nodes (interactive)",
-		[]string{"Q28", "Q29", "Q30", "Q31"}, ModeInteractive)
-}
-
-// ReportFig6BFS prints Q32 at depths 2–5 (Figure 6).
-func ReportFig6BFS(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 6: breadth-first traversal at depth 2-5 (interactive)",
-		[]string{"Q32(d=2)", "Q32(d=3)", "Q32(d=4)", "Q32(d=5)"}, ModeInteractive)
-}
-
-// ReportFig7SP prints Q34 (Figure 7(a)) and the label-constrained
-// variants Q33/Q35 (Figure 7(b), meaningful on ldbc).
-func ReportFig7SP(res *Results, w io.Writer) {
-	res.queryMatrix(w, "Figure 7(a): unlabelled shortest path (interactive)",
-		[]string{"Q34"}, ModeInteractive)
-	res.queryMatrix(w, "Figure 7(b): label-constrained BFS and shortest path (interactive)",
-		[]string{"Q33", "Q35"}, ModeInteractive)
-}
-
-// ReportFig7Overall prints cumulative times for single and batch
-// executions (Figure 7(c,d)). Timed-out and failed cells (including
-// DNF, whose recorded time is zero) are charged the timeout, as the
-// paper's cumulative plots do — a broken engine must not rank best.
-func ReportFig7Overall(res *Results, w io.Writer) {
+// reportFig7cd prints cumulative times for single and batch executions
+// (Figure 7(c,d)). Timed-out and failed cells (including DNF, whose
+// recorded time is zero) are charged the timeout, as the paper's
+// cumulative plots do — a broken engine must not rank best.
+func reportFig7cd(v *view, w io.Writer) {
 	tot := map[string]map[Mode]time.Duration{}
-	for _, m := range res.Micro {
+	for _, m := range v.Micro {
 		if tot[m.Engine] == nil {
 			tot[m.Engine] = map[Mode]time.Duration{}
 		}
 		d := m.Elapsed
 		if m.TimedOut || m.Failed {
-			d = res.Config.Timeout
+			d = v.Config.Timeout
 		}
 		tot[m.Engine][m.Mode] += d
 	}
 	matrix(w, "Figure 7(c,d): cumulative time over the whole micro workload",
-		res.Config.Engines, []string{"interactive", "batch"}, func(e, c string) string {
+		v.Config.Engines, []string{"interactive", "batch"}, func(e, c string) string {
 			return fmtDur(tot[e][Mode(c)])
 		})
 }

@@ -23,59 +23,73 @@ func TestReportsRenderFromRealRun(t *testing.T) {
 	}
 }
 
+// render returns report name rendered from res.
+func render(t *testing.T, res *Results, name string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Report(res, name, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// table4 parses the rendered Table 4 into engine → category → verdict.
+func table4(t *testing.T, res *Results) map[string]map[string]string {
+	t.Helper()
+	out := map[string]map[string]string{}
+	lines := strings.Split(render(t, res, "table4"), "\n")
+	for _, line := range lines[2:] {
+		if line == "" {
+			continue
+		}
+		row := map[string]string{}
+		for i, c := range table4Categories {
+			at := 12 + 16*i + 1
+			row[c.name] = strings.TrimSpace(line[at : at+15])
+		}
+		out[strings.TrimSpace(line[:12])] = row
+	}
+	return out
+}
+
 func TestReportContents(t *testing.T) {
 	res := runTiny(t)
-	var buf bytes.Buffer
-	ReportFig3Load(res, &buf)
-	s := buf.String()
+	s := render(t, res, "fig3a")
 	for _, want := range []string{"neo-1.9", "sqlg", "frb-s", "ldbc"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("fig3a missing %q:\n%s", want, s)
 		}
 	}
-	buf.Reset()
-	ReportTable3(res, &buf)
-	if !strings.Contains(buf.String(), "paper") {
+	if !strings.Contains(render(t, res, "table3"), "paper") {
 		t.Error("table3 lacks paper comparison rows")
 	}
-	buf.Reset()
-	ReportFig6BFS(res, &buf)
-	if !strings.Contains(buf.String(), "Q32(d=5)") {
+	if !strings.Contains(render(t, res, "fig6"), "Q32(d=5)") {
 		t.Error("fig6 lacks the depth sweep")
 	}
-	buf.Reset()
-	ReportFig2Complex(res, &buf)
-	if !strings.Contains(buf.String(), "friend-of-friend") {
+	if !strings.Contains(render(t, res, "fig2"), "friend-of-friend") {
 		t.Error("fig2 lacks complex query columns")
 	}
 }
 
 func TestSummaryShape(t *testing.T) {
 	res := runTiny(t)
-	sum := Summary(res)
-	cats := Table4Categories()
+	sum := table4(t, res)
 	for _, e := range res.Config.Engines {
-		row, ok := sum[e]
-		if !ok {
+		if _, ok := sum[e]; !ok {
 			t.Fatalf("summary lacks engine %s", e)
-		}
-		for _, c := range cats {
-			if _, ok := row[c.Name]; !ok {
-				t.Fatalf("summary %s lacks category %s", e, c.Name)
-			}
 		}
 	}
 	// At least one "ok" must exist per category among engines (someone
 	// is best).
-	for _, c := range cats {
+	for _, c := range table4Categories {
 		good := false
 		for _, e := range res.Config.Engines {
-			if sum[e][c.Name] == VerdictGood {
+			if sum[e][c.name] == verdictGood {
 				good = true
 			}
 		}
 		if !good {
-			t.Errorf("category %s has no best engine", c.Name)
+			t.Errorf("category %s has no best engine", c.name)
 		}
 	}
 }

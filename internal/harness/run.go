@@ -302,16 +302,14 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 			for depth := 2; depth <= 5; depth++ {
 				pg.SetDepth(depth)
 				if mode == ModeInteractive {
-					m := r.timeQuery(exec, q, pg.For(q, 0, execRes))
-					m.Query = q.Name + depthSuffix(depth)
-					record(m)
+					record(r.timeQuery(q.Name+depthSuffix(depth), exec, q, pg.For(q, 0, execRes)))
 				} else {
 					record(r.batch(exec, q, pg, execRes))
 				}
 			}
 			pg.SetDepth(2)
 		} else if mode == ModeInteractive {
-			record(r.timeQuery(exec, q, pg.For(q, 0, execRes)))
+			record(r.timeQuery(q.Name, exec, q, pg.For(q, 0, execRes)))
 		} else {
 			record(r.batch(exec, q, pg, execRes))
 		}
@@ -481,9 +479,7 @@ func (r *Runner) runIndexed(c *cell, engine, dataset string) {
 		return
 	}
 	q := workload.ByName("Q11")
-	m := r.timeQuery(e, q, pg.For(q, 0, res))
-	m.Query = "Q11(idx)"
-	record(m)
+	record(r.timeQuery("Q11(idx)", e, q, pg.For(q, 0, res)))
 
 	// Index maintenance overhead (Section 6.4: with indexes, CUD slows
 	// by ~10%, up to ~30% for Neo 3.0 and ~100% for OrientDB): re-run
@@ -491,9 +487,7 @@ func (r *Runner) runIndexed(c *cell, engine, dataset string) {
 	q5 := workload.ByName("Q5")
 	p5 := pg.For(q5, 1, res)
 	p5.NewPropName = pg.vPropName
-	m5 := r.timeQuery(e, q5, p5)
-	m5.Query = "Q5(idx)"
-	record(m5)
+	record(r.timeQuery("Q5(idx)", e, q5, p5))
 }
 
 // runComplex executes the 13 LDBC-derived queries (Figure 2) on ldbc.
@@ -515,12 +509,6 @@ func (r *Runner) runComplex(c *cell, engine string) {
 	defer e.Close()
 	cp := ComplexFor(ds.g, res)
 	for _, cq := range workload.ComplexQueries() {
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
-		start := r.now()
-		res2, err := cq.Run(ctx, e, cp)
-		m := Measurement{Query: cq.Name, Elapsed: r.since(start), Count: res2.Count}
-		classify(&m, err)
-		cancel()
-		record(m)
+		record(r.timed(cq.Name, func(ctx context.Context) (workload.Result, error) { return cq.Run(ctx, e, cp) }))
 	}
 }

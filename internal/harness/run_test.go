@@ -119,7 +119,7 @@ func TestTimedOutCountIsZero(t *testing.T) {
 	if m := r.batch(nil, q, pg, res); !m.TimedOut || m.Count != 0 {
 		t.Fatalf("batch timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
 	}
-	if m := r.timeQuery(nil, q, pg.For(q, 0, res)); !m.TimedOut || m.Count != 0 {
+	if m := r.timeQuery(q.Name, nil, q, pg.For(q, 0, res)); !m.TimedOut || m.Count != 0 {
 		t.Fatalf("query timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
 	}
 }
@@ -250,7 +250,7 @@ func TestLoadFailureRecordsDNF(t *testing.T) {
 
 	// DNF-aware consumers: the broken engine must not rank best in
 	// Table 4's Load column, and the CSV export flags its Q1 row.
-	if v := Summary(res)["fail-load"]["Load"]; v != VerdictWarn {
+	if v := table4(t, res)["fail-load"]["Load"]; v != verdictWarn {
 		t.Fatalf("Table 4 Load verdict for failing engine = %q, want warn", v)
 	}
 	var csvBuf bytes.Buffer

@@ -7,41 +7,35 @@ import (
 	"time"
 )
 
-// Table4Category groups micro queries as in the columns of Table 4.
-type Table4Category struct {
-	Name    string
-	Queries []string
+// table4Categories are the paper's Table 4 columns, mapped to the query
+// numbers each one aggregates; Load, with no queries, aggregates the
+// load measurements.
+var table4Categories = []struct {
+	name    string
+	queries []string
+}{
+	{"Load", nil},
+	{"Insertions", []string{"Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}},
+	{"GraphStatistics", []string{"Q8", "Q9", "Q10"}},
+	{"SearchPropLabel", []string{"Q11", "Q12", "Q13"}},
+	{"SearchById", []string{"Q14", "Q15"}},
+	{"Updates", []string{"Q16", "Q17"}},
+	{"DeleteNode", []string{"Q18"}},
+	{"OtherDeletions", []string{"Q19", "Q20", "Q21"}},
+	{"Neighbors", []string{"Q22", "Q23", "Q24"}},
+	{"NodeEdgeLabels", []string{"Q25", "Q26", "Q27"}},
+	{"DegreeFilter", []string{"Q28", "Q29", "Q30", "Q31"}},
+	{"BFS", []string{"Q32(d=2)", "Q32(d=3)", "Q32(d=4)", "Q32(d=5)", "Q33"}},
+	{"ShortestPath", []string{"Q34", "Q35"}},
 }
 
-// Table4Categories returns the paper's Table 4 columns, mapped to the
-// query numbers each one aggregates.
-func Table4Categories() []Table4Category {
-	return []Table4Category{
-		{"Load", nil}, // special-cased: uses load measurements
-		{"Insertions", []string{"Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}},
-		{"GraphStatistics", []string{"Q8", "Q9", "Q10"}},
-		{"SearchPropLabel", []string{"Q11", "Q12", "Q13"}},
-		{"SearchById", []string{"Q14", "Q15"}},
-		{"Updates", []string{"Q16", "Q17"}},
-		{"DeleteNode", []string{"Q18"}},
-		{"OtherDeletions", []string{"Q19", "Q20", "Q21"}},
-		{"Neighbors", []string{"Q22", "Q23", "Q24"}},
-		{"NodeEdgeLabels", []string{"Q25", "Q26", "Q27"}},
-		{"DegreeFilter", []string{"Q28", "Q29", "Q30", "Q31"}},
-		{"BFS", []string{"Q32(d=2)", "Q32(d=3)", "Q32(d=4)", "Q32(d=5)", "Q33"}},
-		{"ShortestPath", []string{"Q34", "Q35"}},
-	}
-}
-
-// Verdict is a Table 4 cell.
-type Verdict string
-
-// Table 4 symbols: best or near-best, unremarkable, problematic.
+// Table 4 symbols: best or near-best, unremarkable, problematic, and
+// no cells.
 const (
-	VerdictGood  Verdict = "ok"
-	VerdictMid   Verdict = ""
-	VerdictWarn  Verdict = "warn"
-	VerdictUnrun Verdict = "-"
+	verdictGood  = "ok"
+	verdictMid   = ""
+	verdictWarn  = "warn"
+	verdictUnrun = "-"
 )
 
 // goodFactor and warnFactor classify an engine by its geometric-mean
@@ -51,182 +45,170 @@ const (
 	warnFactor = 30.0
 )
 
-// Summary derives the Table 4 matrix from the measurements: an engine
-// earns "ok" in a category when its geometric mean latency is within
-// goodFactor of the best engine's, and "warn" when it exceeds
-// warnFactor or produced any timeout/failure in that category.
-func Summary(res *Results) map[string]map[string]Verdict {
-	cats := Table4Categories()
-	out := map[string]map[string]Verdict{}
-	for _, e := range res.Config.Engines {
-		out[e] = map[string]Verdict{}
-	}
+// perf is one engine's aggregate over a set of its cells, the number
+// Table 4 and the shapes compare engines by: the geometric mean of the
+// successful cells, whether there were any cells, and whether any
+// failed or timed out. Failed cells stay out of the mean: a DNF's zero
+// Elapsed would rank the broken engine fastest.
+type perf struct {
+	g            time.Duration
+	seen, failed bool
+}
 
-	// Load category from the load measurements. DNF loads don't enter
-	// the geomean (their zero Elapsed would rank the broken engine
-	// fastest); like query failures, they force "warn".
-	loadTimes := map[string]time.Duration{}
-	loadBad := map[string]bool{}
-	var bestLoad time.Duration
-	for _, e := range res.Config.Engines {
-		var ds []time.Duration
-		for _, l := range res.Loads {
-			if l.Engine != e {
-				continue
-			}
-			if l.Failed {
-				loadBad[e] = true
-				continue
-			}
-			ds = append(ds, l.Elapsed)
+// queryPerf aggregates engine's interactive micro cells of queries over
+// every dataset.
+func (v *view) queryPerf(engine string, queries []string) perf {
+	var p perf
+	var ds []time.Duration
+	for _, m := range v.Micro {
+		if m.Engine != engine || m.Mode != ModeInteractive || !slices.Contains(queries, m.Query) {
+			continue
 		}
-		g := geomean(ds)
-		loadTimes[e] = g
-		if g > 0 && (bestLoad == 0 || g < bestLoad) {
-			bestLoad = g
+		p.seen = true
+		if m.TimedOut || m.Failed {
+			p.failed = true
+			continue
 		}
+		ds = append(ds, m.Elapsed)
 	}
-	for _, e := range res.Config.Engines {
-		out[e]["Load"] = classifyFactor(loadTimes[e], bestLoad, loadBad[e])
-	}
+	p.g = geomean(ds)
+	return p
+}
 
-	// Query categories.
-	type agg struct {
-		times []time.Duration
-		bad   bool
-		seen  bool
+// loadPerf aggregates engine's loads over every dataset.
+func (v *view) loadPerf(engine string) perf {
+	var p perf
+	var ds []time.Duration
+	for _, l := range v.Loads {
+		if l.Engine != engine {
+			continue
+		}
+		p.seen = true
+		if l.Failed {
+			p.failed = true
+			continue
+		}
+		ds = append(ds, l.Elapsed)
 	}
-	for _, cat := range cats[1:] {
-		inCat := map[string]bool{}
-		for _, q := range cat.Queries {
-			inCat[q] = true
-		}
-		perEngine := map[string]*agg{}
-		for _, e := range res.Config.Engines {
-			perEngine[e] = &agg{}
-		}
-		for _, m := range res.Micro {
-			if m.Mode != ModeInteractive || !inCat[m.Query] {
-				continue
-			}
-			a := perEngine[m.Engine]
-			if a == nil {
-				continue
-			}
-			a.seen = true
-			if m.TimedOut || m.Failed {
-				a.bad = true
-				continue
-			}
-			a.times = append(a.times, m.Elapsed)
-		}
+	p.g = geomean(ds)
+	return p
+}
+
+// verdict classifies p against the best engine's geomean: "ok" within
+// goodFactor of it, "warn" at warnFactor or beyond or after any failure,
+// "-" without cells.
+func (p perf) verdict(best time.Duration) string {
+	switch {
+	case !p.seen:
+		return verdictUnrun
+	case p.failed:
+		return verdictWarn
+	case float64(p.g) <= goodFactor*float64(best):
+		return verdictGood
+	case float64(p.g) >= warnFactor*float64(best):
+		return verdictWarn
+	default:
+		return verdictMid
+	}
+}
+
+// reportTable4 renders the summary matrix (Table 4): "ok" is the
+// paper's check mark, "warn" its warning sign. A category's best is the
+// lowest geomean of successful cells over every engine, those with a
+// failure included.
+func reportTable4(v *view, w io.Writer) {
+	engs := v.Config.Engines
+	verdicts := make([][]string, len(table4Categories)) // [category][engine]
+	for c, cat := range table4Categories {
+		perfs := make([]perf, len(engs))
 		var best time.Duration
-		for _, a := range perEngine {
-			if g := geomean(a.times); g > 0 && (best == 0 || g < best) {
+		for i, e := range engs {
+			if cat.queries == nil {
+				perfs[i] = v.loadPerf(e)
+			} else {
+				perfs[i] = v.queryPerf(e, cat.queries)
+			}
+			if g := perfs[i].g; g > 0 && (best == 0 || g < best) {
 				best = g
 			}
 		}
-		for _, e := range res.Config.Engines {
-			a := perEngine[e]
-			switch {
-			case !a.seen:
-				out[e][cat.Name] = VerdictUnrun
-			case a.bad:
-				out[e][cat.Name] = VerdictWarn
-			default:
-				out[e][cat.Name] = classifyFactor(geomean(a.times), best, false)
-			}
+		for _, p := range perfs {
+			verdicts[c] = append(verdicts[c], p.verdict(best))
 		}
 	}
-	return out
-}
-
-func classifyFactor(g, best time.Duration, bad bool) Verdict {
-	switch {
-	case bad:
-		return VerdictWarn
-	case g == 0 || best == 0:
-		return VerdictUnrun
-	case float64(g) <= goodFactor*float64(best):
-		return VerdictGood
-	case float64(g) >= warnFactor*float64(best):
-		return VerdictWarn
-	default:
-		return VerdictMid
-	}
-}
-
-// ReportTable4 renders the summary matrix (Table 4): "ok" is the
-// paper's check mark, "warn" its warning sign.
-func ReportTable4(res *Results, w io.Writer) {
-	sum := Summary(res)
-	cats := Table4Categories()
 	fmt.Fprintln(w, "Table 4: evaluation summary (ok = best or near-best; warn = low end or execution problems)")
 	fmt.Fprintf(w, "%-12s", "engine")
-	for _, c := range cats {
-		fmt.Fprintf(w, " %-15s", c.Name)
+	for _, c := range table4Categories {
+		fmt.Fprintf(w, " %-15s", c.name)
 	}
 	fmt.Fprintln(w)
-	for _, e := range res.Config.Engines {
+	for i, e := range engs {
 		fmt.Fprintf(w, "%-12s", e)
-		for _, c := range cats {
-			fmt.Fprintf(w, " %-15s", string(sum[e][c.Name]))
+		for c := range table4Categories {
+			fmt.Fprintf(w, " %-15s", verdicts[c][i])
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
 }
 
-// reports names every table and figure in paper order; "all" renders
-// them in this order.
+// reports is the single declaration of every table and figure, in paper
+// order; "all" renders them in this order, skipping Figure 2 when the
+// run has no complex cells.
 var reports = []struct {
 	name string
-	fn   func(*Results, io.Writer)
+	fn   func(*view, io.Writer)
 }{
-	{"table1", func(_ *Results, w io.Writer) { ReportTable1(w) }},
-	{"table2", func(_ *Results, w io.Writer) { ReportTable2(w) }},
-	{"table3", ReportTable3},
-	{"fig1", ReportFig1Space},
-	{"fig1c", ReportFig1cTimeouts},
-	{"fig2", ReportFig2Complex},
-	{"fig3a", ReportFig3Load},
-	{"fig3b", ReportFig3Insert},
-	{"fig3c", ReportFig3UpdateDelete},
-	{"fig4a", ReportFig4Select},
-	{"fig4b", ReportFig4ByID},
-	{"fig4c", ReportFig4cIndex},
-	{"fig5a", ReportFig5Local},
-	{"fig5b", ReportFig5Degree},
-	{"fig6", ReportFig6BFS},
-	{"fig7", ReportFig7SP},
-	{"fig7cd", ReportFig7Overall},
-	{"table4", ReportTable4},
-	{"shapes", func(res *Results, w io.Writer) { ReportShapes(res, w) }},
+	{"table1", func(_ *view, w io.Writer) { ReportTable1(w) }},
+	{"table2", func(_ *view, w io.Writer) { ReportTable2(w) }},
+	{"table3", func(v *view, w io.Writer) { ReportTable3(v.Results, w) }},
+	{"fig1", reportFig1},
+	{"fig1c", reportFig1c},
+	{"fig2", reportFig2},
+	{"fig3a", reportFig3a},
+	{"fig3b", matrices(queryMatrix{"Figure 3(b): insertions (interactive)",
+		[]string{"Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}})},
+	{"fig3c", matrices(queryMatrix{"Figure 3(c): updates and deletions (interactive)",
+		[]string{"Q16", "Q17", "Q18", "Q19", "Q20", "Q21"}})},
+	{"fig4a", matrices(queryMatrix{"Figure 4(a): scans and selections (interactive)",
+		[]string{"Q8", "Q9", "Q10", "Q11", "Q12", "Q13"}})},
+	{"fig4b", matrices(queryMatrix{"Figure 4(b): search by id (interactive)",
+		[]string{"Q14", "Q15"}})},
+	// Q11 with an attribute index, plus the index-maintenance cost on
+	// property insertion (the §6.4 "insertions become slower" finding).
+	{"fig4c", matrices(
+		queryMatrix{"Figure 4(c): Q11 with attribute index (engines without exploitable indexes keep their scan time; blaze unsupported)",
+			[]string{"Q11", "Q11(idx)"}},
+		queryMatrix{"Section 6.4: index maintenance cost on property insertion",
+			[]string{"Q5", "Q5(idx)"}})},
+	{"fig5a", matrices(queryMatrix{"Figure 5(a): local traversals (interactive)",
+		[]string{"Q22", "Q23", "Q24", "Q25", "Q26", "Q27"}})},
+	{"fig5b", matrices(queryMatrix{"Figure 5(b): degree filters over all nodes (interactive)",
+		[]string{"Q28", "Q29", "Q30", "Q31"}})},
+	{"fig6", matrices(queryMatrix{"Figure 6: breadth-first traversal at depth 2-5 (interactive)",
+		[]string{"Q32(d=2)", "Q32(d=3)", "Q32(d=4)", "Q32(d=5)"}})},
+	// Q33/Q35 are meaningful on ldbc, the labelled dataset.
+	{"fig7", matrices(
+		queryMatrix{"Figure 7(a): unlabelled shortest path (interactive)", []string{"Q34"}},
+		queryMatrix{"Figure 7(b): label-constrained BFS and shortest path (interactive)", []string{"Q33", "Q35"}})},
+	{"fig7cd", reportFig7cd},
+	{"table4", reportTable4},
+	{"shapes", reportShapes},
 }
 
-// ReportAll renders every table and figure in paper order, skipping
-// Figure 2 when the run has no complex cells.
-func ReportAll(res *Results, w io.Writer) {
-	for _, r := range reports {
-		if r.name != "fig2" || len(res.Complex) > 0 {
-			r.fn(res, w)
-		}
-	}
-}
-
-// Report renders one named report; see ReportNames.
+// Report renders one named report, or every one for "all"; see
+// ReportNames.
 func Report(res *Results, name string, w io.Writer) error {
-	if name == "all" {
-		ReportAll(res, w)
-		return nil
+	if !ValidReport(name) {
+		return fmt.Errorf("harness: unknown report %q (known: %v)", name, ReportNames())
 	}
+	v := newView(res)
 	for _, r := range reports {
-		if r.name == name {
-			r.fn(res, w)
-			return nil
+		if r.name == name || name == "all" && (r.name != "fig2" || len(res.Complex) > 0) {
+			r.fn(v, w)
 		}
 	}
-	return fmt.Errorf("harness: unknown report %q (known: %v)", name, ReportNames())
+	return nil
 }
 
 // ValidReport reports whether name names a known report. Callers that
