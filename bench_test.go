@@ -359,8 +359,8 @@ func BenchmarkFig6BFS(b *testing.B) {
 		q := workload.ByName("Q32")
 		ctx := context.Background()
 		for depth := 2; depth <= 4; depth++ {
-			pg.SetDepth(depth)
 			p := pg.For(q, 0, res)
+			p.Depth = depth
 			b.Run(fmt.Sprintf("%s/depth%d", en, depth), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := q.Run(ctx, e, p); err != nil {

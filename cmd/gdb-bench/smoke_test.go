@@ -30,7 +30,7 @@ var cellStart = regexp.MustCompile(`(?m)^(micro-i|micro-b|indexed|complex) `)
 // command runs this binary as gdb-bench in dir on the smoke grid.
 func command(dir string, args ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], append([]string{"-scale", "0.001", "-engines", "neo-1.9,sqlg",
-		"-datasets", "frb-s", "-frozen-clock", "-report", "table3"}, args...)...)
+		"-datasets", "frb-s", "-frozen-clock", "-report", "fig1c"}, args...)...)
 	cmd.Dir, cmd.Env = dir, append(os.Environ(), runAsMain+"=1")
 	return cmd
 }
@@ -93,6 +93,14 @@ func TestSmoke(t *testing.T) {
 		}
 		run(t, "-checkpoint", "killed.jsonl", "-resume", "-export-json", "killed.json")
 		sameExport(t, "killed.json", fresh)
+	})
+	t.Run("table3-without-a-run", func(t *testing.T) {
+		imported := run(t, "-report", "table3", "-import-json", "fresh.json")
+		for _, state := range []string{"cold", "warm"} {
+			if out := run(t, "-report", "table3", "-dataset-cache", "stats-cache", "-v"); out != imported || cellStart.MatchString(out) {
+				t.Fatalf("Table 3 without a run, %s cache:\n%s\nfrom the run's export:\n%s", state, out, imported)
+			}
+		}
 	})
 	t.Run("dataset-cache", func(t *testing.T) {
 		cold := run(t, "-dataset-cache", "cache", "-v", "-export-json", "cold.json")

@@ -170,7 +170,7 @@ func AcquireWith(name string, scale float64, opts AcquireOptions) (*core.Graph, 
 // arrays alias the mapping and the open cost is O(sections touched) —
 // and only a cache miss falls back to the full acquire (generating,
 // refreshing the artifact, and snapshotting the graph). Analytics
-// that work purely off the CSR (gdb-stats) get warm opens that skip
+// that work purely off the CSR (gdb-bench's Table 3) get warm opens that skip
 // the property sections entirely.
 func AcquireCSR(name string, scale float64, opts AcquireOptions) (*core.CSR, CacheStatus, error) {
 	spec := ByName(name)

@@ -23,38 +23,17 @@ const checkpointVersion = 5
 // Fingerprint identifies the result-relevant part of a configuration:
 // two runs with equal fingerprints plan the same grid and measure the
 // same logical cells, so a checkpoint written by one can be replayed by
-// the other. Workers is deliberately absent — it never changes results,
-// only wall-clock time. CellWorkers is present: above one, a batch
-// cell's Elapsed is the parallel wall time of its iterations.
+// the other. It is the run's Grid whole; Exec, which never changes
+// results, is absent.
 type Fingerprint struct {
-	Version   int      `json:"version"`
-	Engines   []string `json:"engines"`
-	Datasets  []string `json:"datasets"`
-	Scale     float64  `json:"scale"`
-	Seed      int64    `json:"seed"`
-	BatchSize int      `json:"batch_size"`
-	TimeoutNS int64    `json:"timeout_ns"`
-	// Frozen is Config.FrozenClock: a zero-duration run must not replay
-	// real-clock measurements or vice versa.
-	Frozen      bool `json:"frozen_clock"`
-	CellWorkers int  `json:"cell_workers"`
-	Jobs        int  `json:"jobs"` // grid plan length, a final drift guard
+	Version int `json:"version"`
+	Grid
+	Jobs int `json:"jobs"` // grid plan length, a final drift guard
 }
 
 // fingerprint derives the checkpoint compatibility key for this run.
 func (r *Runner) fingerprint(jobs int) Fingerprint {
-	return Fingerprint{
-		Version:     checkpointVersion,
-		Engines:     r.cfg.Engines,
-		Datasets:    r.cfg.Datasets,
-		Scale:       r.cfg.Scale,
-		Seed:        r.cfg.Seed,
-		BatchSize:   r.cfg.BatchSize,
-		TimeoutNS:   int64(r.cfg.Timeout),
-		Frozen:      r.cfg.FrozenClock,
-		CellWorkers: r.cfg.CellWorkers,
-		Jobs:        jobs,
-	}
+	return Fingerprint{Version: checkpointVersion, Grid: r.cfg.Grid, Jobs: jobs}
 }
 
 // equal compares every field, so a field added to Fingerprint guards

@@ -2,9 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -211,7 +212,8 @@ func TestCrashBetweenMicroHalvesResume(t *testing.T) {
 
 // TestCellWorkersDeterministic: parallel batch iterations must not
 // change any count or failure (under the frozen clock, where Elapsed is
-// zero, the exports are then byte-identical). titan-1.0 is included
+// zero, the exports are then byte-identical but for the cell_workers
+// key of the run's identity, which records the setting). titan-1.0 is included
 // deliberately (its read path goes through the lsm row cache), as are
 // arango (read-path REST accounting) and sparksee (stateful retention
 // model, which vetoes fan-out via core.ConcurrentReader) — all must
@@ -230,53 +232,33 @@ func TestCellWorkersDeterministic(t *testing.T) {
 	}
 	seq := run(1)
 	par := run(8)
-	if !bytes.Equal(seq, par) {
+	key := func(n int) []byte { return fmt.Appendf(nil, "\n  \"cell_workers\": %d,\n", n) }
+	if !bytes.Contains(par, key(8)) {
+		t.Fatal("the cell-parallel export does not record its cell workers")
+	}
+	if !bytes.Equal(seq, bytes.Replace(par, key(8), key(1), 1)) {
 		t.Fatal("cell-parallel export diverges from sequential")
 	}
 }
 
-// schedulingOnly lists the Config fields that decide where and when
-// cells run, never what they measure: absent from the Fingerprint.
-var schedulingOnly = map[string]bool{
-	"Workers": true, "CheckpointPath": true, "Resume": true,
-}
-
-// TestConfigFieldsClassified makes the next Config field declare what
-// it is. A field outside Exec and schedulingOnly can change a result,
-// so the Fingerprint must carry it: perturbing it has to change the
-// fingerprint. A new field that does not fails here until it is added
-// to Fingerprint, moved into Exec, or listed above.
-func TestConfigFieldsClassified(t *testing.T) {
-	base := (&Runner{}).fingerprint(0)
-	typ := reflect.TypeOf(Config{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if f.Name == "Exec" && f.Anonymous || schedulingOnly[f.Name] {
-			continue
-		}
-		var cfg Config
-		v := reflect.ValueOf(&cfg).Elem().Field(i)
-		switch v.Kind() {
-		case reflect.Bool:
-			v.SetBool(true)
-		case reflect.Int, reflect.Int64:
-			v.SetInt(7)
-		case reflect.Float64:
-			v.SetFloat(0.5)
-		case reflect.String:
-			v.SetString("x")
-		case reflect.Slice:
-			v.Set(reflect.ValueOf([]string{"x"}))
-		default:
-			t.Fatalf("Config.%s: kind %s has no perturbation here; add one", f.Name, v.Kind())
-		}
-		if (&Runner{cfg: cfg}).fingerprint(0).equal(base) {
-			t.Errorf("Config.%s is not in Exec or schedulingOnly, yet changing it leaves the Fingerprint unchanged", f.Name)
-		}
+// TestCheckpointHeaderUnchanged: a v5 header written before the
+// Fingerprint embedded the Grid decodes into the same fingerprint this
+// build derives for that configuration, and this build writes it back
+// byte for byte, so such checkpoints still resume.
+func TestCheckpointHeaderUnchanged(t *testing.T) {
+	const header = `{"version":5,"engines":["neo-1.9","sqlg"],"datasets":["frb-s","ldbc"],"scale":0.001,"seed":7,"batch_size":3,"timeout_ns":3000000000,"frozen_clock":true,"cell_workers":2,"jobs":14}`
+	cfg := tinyConfig()
+	cfg.FrozenClock = true
+	cfg.CellWorkers = 2
+	want := mustFingerprint(t, cfg)
+	var got Fingerprint
+	if err := json.Unmarshal([]byte(header), &got); err != nil {
+		t.Fatal(err)
 	}
-	for name := range schedulingOnly {
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("schedulingOnly names Config.%s, which does not exist", name)
-		}
+	if !got.equal(want) {
+		t.Fatalf("header decodes to %+v, want %+v", got, want)
+	}
+	if b, err := json.Marshal(want); err != nil || string(b) != header {
+		t.Fatalf("header written as %s (%v), want %s", b, err, header)
 	}
 }

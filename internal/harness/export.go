@@ -5,17 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/datasets"
 )
 
-// exportDoc is the document ExportJSON writes and ImportJSON reads.
+// exportDoc is the document ExportJSON writes and ImportJSON reads: the
+// run's Grid, then its measurements.
 type exportDoc struct {
-	Scale     float64           `json:"scale"`
-	TimeoutMS int64             `json:"timeout_ms"`
-	BatchSize int               `json:"batch_size"`
+	Grid
+	// TimeoutMS is read from exports written before the Grid was, which
+	// carried scale, batch size and this truncated timeout only.
+	TimeoutMS int64             `json:"timeout_ms,omitempty"`
 	Loads     []LoadMeasurement `json:"loads"`
 	Micro     []Measurement     `json:"micro"`
 	Indexed   []Measurement     `json:"indexed"`
@@ -34,14 +37,12 @@ func ExportJSON(res *Results, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(exportDoc{
-		Scale:     res.Config.Scale,
-		TimeoutMS: res.Config.Timeout.Milliseconds(),
-		BatchSize: res.Config.BatchSize,
-		Loads:     res.Loads,
-		Micro:     res.Micro,
-		Indexed:   res.Indexed,
-		Complex:   res.Complex,
-		Stats:     res.Stats,
+		Grid:    res.Config.Grid,
+		Loads:   res.Loads,
+		Micro:   res.Micro,
+		Indexed: res.Indexed,
+		Complex: res.Complex,
+		Stats:   res.Stats,
 	})
 }
 
@@ -79,10 +80,11 @@ func ExportCSV(res *Results, w io.Writer) error {
 	return cw.Error()
 }
 
-// ImportJSON reads a result set previously written by ExportJSON. The
-// embedded config fields and the Table 3 statistics are restored;
-// report rendering needs Engines and Datasets, which are reconstructed
-// from the measurements.
+// ImportJSON reads a result set previously written by ExportJSON,
+// restoring the run's Grid and the Table 3 statistics. An export
+// written before the Grid was restores scale, batch size and the
+// millisecond timeout it kept; the engines and datasets report
+// rendering needs are reconstructed from its measurements.
 func ImportJSON(r io.Reader) (*Results, error) {
 	var raw exportDoc
 	dec := json.NewDecoder(r)
@@ -90,25 +92,24 @@ func ImportJSON(r io.Reader) (*Results, error) {
 		return nil, fmt.Errorf("harness: import: %w", err)
 	}
 	res := &Results{
+		Config:  Config{Grid: raw.Grid},
 		Loads:   raw.Loads,
 		Micro:   raw.Micro,
 		Indexed: raw.Indexed,
 		Complex: raw.Complex,
 		Stats:   raw.Stats,
 	}
-	res.Config.Scale = raw.Scale
-	res.Config.BatchSize = raw.BatchSize
+	if len(raw.Engines) > 0 {
+		return res, nil
+	}
 	res.Config.Timeout = time.Duration(raw.TimeoutMS) * time.Millisecond
-	seenE := map[string]bool{}
-	seenD := map[string]bool{}
+	g := &res.Config.Grid
 	record := func(e, d string) {
-		if !seenE[e] {
-			seenE[e] = true
-			res.Config.Engines = append(res.Config.Engines, e)
+		if !slices.Contains(g.Engines, e) {
+			g.Engines = append(g.Engines, e)
 		}
-		if !seenD[d] {
-			seenD[d] = true
-			res.Config.Datasets = append(res.Config.Datasets, d)
+		if !slices.Contains(g.Datasets, d) {
+			g.Datasets = append(g.Datasets, d)
 		}
 	}
 	for _, l := range raw.Loads {

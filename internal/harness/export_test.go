@@ -3,8 +3,11 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestExportImportJSONRoundTrip(t *testing.T) {
@@ -65,6 +68,57 @@ func TestImportJSONRestoresTable3(t *testing.T) {
 	}
 	if empty := render(t, &old, "table3"); render(t, got, "table3") != empty {
 		t.Fatalf("an export without stats imported %d Table 3 rows", len(got.Stats))
+	}
+}
+
+// TestImportChargesTheLiveTimeout: Figure 7(c,d) charges every failed
+// or timed-out cell the run's timeout, so an import renders it as the
+// live run did only if the exact timeout comes back; 1500 µs once read
+// back as 1 ms. An export in the older format, with a millisecond
+// timeout and no engines, still imports and renders with the timeout
+// it kept.
+func TestImportChargesTheLiveTimeout(t *testing.T) {
+	res := syntheticResults()
+	res.Config.Timeout = 1500 * time.Microsecond
+	res.Config.Seed, res.Config.FrozenClock, res.Config.CellWorkers = 3, true, 2
+	var buf bytes.Buffer
+	if err := ExportJSON(res, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ImportJSON(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Config.Grid, res.Config.Grid) {
+		t.Fatalf("imported grid %+v, want %+v", got.Config.Grid, res.Config.Grid)
+	}
+	if live, imported := render(t, res, "fig7cd"), render(t, got, "fig7cd"); imported != live {
+		t.Fatalf("imported Figure 7(c,d) differs:\n%s\nlive:\n%s", imported, live)
+	}
+
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"engines", "datasets", "seed", "timeout_ns", "frozen_clock", "cell_workers"} {
+		delete(doc, k)
+	}
+	doc["timeout_ms"] = json.RawMessage("1")
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ImportJSON(bytes.NewReader(old)); err != nil {
+		t.Fatal(err)
+	}
+	kept := *res
+	kept.Config = Config{Grid: Grid{Engines: res.Config.Engines[:len(res.Config.Engines)-1], Datasets: res.Config.Datasets,
+		Scale: res.Config.Scale, BatchSize: res.Config.BatchSize, Timeout: time.Millisecond}}
+	if !reflect.DeepEqual(got.Config, kept.Config) {
+		t.Fatalf("older export imported as %+v, want %+v", got.Config, kept.Config)
+	}
+	if want := render(t, &kept, "all"); render(t, got, "all") != want {
+		t.Fatal("older export renders differently")
 	}
 }
 

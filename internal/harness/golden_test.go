@@ -33,7 +33,7 @@ func syntheticResults() *Results {
 	engs := []string{"arango", "blaze", "neo-1.9", "neo-3.0", "orient", "sparksee", "sqlg", "titan-0.5", "titan-1.0", "ghost"}
 	dss := []string{"frb-s", "frb-m", "ldbc"}
 	res := &Results{
-		Config: Config{Engines: engs, Datasets: dss, Scale: 0.002, Timeout: 90 * time.Second, BatchSize: 10},
+		Config: Config{Grid: Grid{Engines: engs, Datasets: dss, Scale: 0.002, Timeout: 90 * time.Second, BatchSize: 10}},
 		Stats:  map[string]datasets.Table3Row{},
 	}
 	hash := func(parts ...string) uint64 {
@@ -87,10 +87,8 @@ func syntheticResults() *Results {
 			}
 			res.Loads = append(res.Loads, l)
 			for _, mode := range []Mode{ModeInteractive, ModeBatch} {
-				for _, q := range queryOrder() {
-					for _, name := range queryCells(&q) {
-						res.Micro = append(res.Micro, cellOf(e, d, name, mode))
-					}
+				for _, mc := range microCells() {
+					res.Micro = append(res.Micro, cellOf(e, d, mc.name, mode))
 				}
 			}
 			if e != "blaze" {
@@ -162,7 +160,7 @@ func diffLines(t *testing.T, what, want, got string) {
 // frozenGridSHA256 is the sha256 of the JSON export of TestFrozenGridGolden's
 // grid, the same bytes as `gdb-bench -datasets frb-s,mico,ldbc -scale
 // 0.002 -workers 2 -frozen-clock -export-json`.
-const frozenGridSHA256 = "8ec26a23b66828eb5d31cf2634d3036c6c7be5e8903f5b6a984a57c69a84ab01"
+const frozenGridSHA256 = "872c28f886cb126c4fb39aad1e7954c312fcc99799e8f5aa35abe31a3d253d1d"
 
 // TestFrozenGridGolden pins the frozen-clock grid of all nine engines
 // on frb-s, mico and ldbc: a committed table of every cell's result
@@ -176,8 +174,8 @@ func TestFrozenGridGolden(t *testing.T) {
 	if testing.Short() || race.Enabled {
 		t.Skip("runs the full frozen-clock grid")
 	}
-	r, err := NewRunner(Config{Datasets: []string{"frb-s", "mico", "ldbc"}, Scale: 0.002, Timeout: 2 * time.Second,
-		BatchSize: 10, Seed: 1, Workers: 2, FrozenClock: true})
+	r, err := NewRunner(Config{Grid: Grid{Datasets: []string{"frb-s", "mico", "ldbc"}, Scale: 0.002, Timeout: 2 * time.Second,
+		BatchSize: 10, Seed: 1, FrozenClock: true}, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,22 +22,53 @@ import (
 	"repro/internal/workload"
 )
 
-// Config parameterizes an evaluation run.
+// Config parameterizes an evaluation run: Grid is what the run
+// measures, Exec how this process executes it.
 type Config struct {
+	Grid
+	Exec
+}
+
+// Grid is a run's identity: every setting that changes what the run
+// measures, and nothing else. The checkpoint Fingerprint and the JSON
+// export carry it whole, so a field added here guards resume and
+// restores on import without further wiring. Field order and keys are
+// those of the checkpoint header.
+type Grid struct {
 	// Engines to evaluate; defaults to all registered configurations.
-	Engines []string
+	Engines []string `json:"engines"`
 	// Datasets to use; defaults to the Freebase ladder plus ldbc, the
 	// datasets Section 6 focuses on.
-	Datasets []string
+	Datasets []string `json:"datasets"`
 	// Scale is the dataset scale factor (1.0 = paper sizes).
-	Scale float64
-	// Timeout per query execution — the paper's 2-hour limit, scaled to
-	// the run.
-	Timeout time.Duration
-	// BatchSize is the number of executions in batch mode (paper: 10).
-	BatchSize int
+	Scale float64 `json:"scale"`
 	// Seed fixes all random choices.
-	Seed int64
+	Seed int64 `json:"seed"`
+	// BatchSize is the number of executions in batch mode (paper: 10).
+	BatchSize int `json:"batch_size"`
+	// Timeout per query execution — the paper's 2-hour limit, scaled to
+	// the run. A batch cell's budget is Timeout × BatchSize.
+	Timeout time.Duration `json:"timeout_ns"`
+	// FrozenClock records every duration as zero, making exports fully
+	// deterministic — the knob behind byte-identical test comparisons.
+	// A zero-duration run must not replay real-clock cells or vice versa.
+	FrozenClock bool `json:"frozen_clock"`
+	// CellWorkers bounds the number of batch iterations executed
+	// concurrently inside one cell. Only non-mutating queries fan out
+	// (engines are single-writer; their read surfaces are required to be
+	// race-free, see core.Engine), engines with result-affecting read
+	// state veto fan-out via core.ConcurrentReader, and the iterations
+	// fold in index order, so counts and failures are identical for any
+	// value. A batch's Elapsed is not: above one it is the parallel wall
+	// time of the iterations, not the paper's consecutive executions.
+	// Zero, one or negative means sequential.
+	CellWorkers int `json:"cell_workers"`
+}
+
+// Exec holds the knobs that belong to the process executing cells:
+// they change its wall-clock time and where its bytes come from, never
+// what a run measures, so a run may resume under different ones.
+type Exec struct {
 	// Workers is the number of goroutines the grid's pending cells —
 	// (engine, dataset) micro cells plus indexed and complex cells —
 	// fan out across; it is the only executor count a run has. Zero or
@@ -55,29 +86,6 @@ type Config struct {
 	// uninterrupted run. A checkpoint written under a different
 	// Fingerprint is rejected; a missing file starts a fresh run.
 	Resume bool
-	// FrozenClock records every duration as zero, making exports fully
-	// deterministic — the knob behind byte-identical test comparisons.
-	FrozenClock bool
-	// CellWorkers bounds the number of batch iterations executed
-	// concurrently inside one cell. Only non-mutating queries fan out
-	// (engines are single-writer; their read surfaces are required to be
-	// race-free, see core.Engine), engines with result-affecting read
-	// state veto fan-out via core.ConcurrentReader, and the iterations
-	// fold in index order, so counts and failures are identical for any
-	// value. A batch's Elapsed is not: above one it is the parallel wall
-	// time of the iterations, not the paper's consecutive executions,
-	// which is why the Fingerprint carries it. Zero, one or negative
-	// means sequential.
-	CellWorkers int
-	// Exec is this process's own business (see Exec).
-	Exec
-}
-
-// Exec holds the knobs that belong to the process executing cells:
-// they change its wall-clock time and where its bytes come from, never
-// what a run measures. Each is therefore absent from the checkpoint
-// Fingerprint, so a run may resume under different ones.
-type Exec struct {
 	// DatasetCacheDir, when non-empty, reuses binary dataset snapshots
 	// from this directory instead of regenerating each graph, and
 	// populates it on misses (see internal/datasets, AcquireWith): a
@@ -92,13 +100,15 @@ type Exec struct {
 // DefaultConfig returns a laptop-scale configuration.
 func DefaultConfig() Config {
 	return Config{
-		Engines:   engines.Names(),
-		Datasets:  []string{"frb-s", "frb-o", "frb-m", "frb-l"},
-		Scale:     0.002,
-		Timeout:   2 * time.Second,
-		BatchSize: 10,
-		Seed:      1,
-		Workers:   runtime.NumCPU(),
+		Grid: Grid{
+			Engines:   engines.Names(),
+			Datasets:  []string{"frb-s", "frb-o", "frb-m", "frb-l"},
+			Scale:     0.002,
+			Timeout:   2 * time.Second,
+			BatchSize: 10,
+			Seed:      1,
+		},
+		Exec: Exec{Workers: runtime.NumCPU()},
 	}
 }
 
@@ -162,13 +172,15 @@ type Runner struct {
 	since func(time.Time) time.Duration
 }
 
-// datasetCache generates a dataset graph (and its GraphSON raw size,
-// the "Raw Data" bar of Figure 1) exactly once; after Do the fields are
-// read-only and safe to share across worker goroutines.
+// datasetCache acquires a dataset graph, its GraphSON raw size (the
+// "Raw Data" bar of Figure 1) and its parameter table exactly once;
+// after Do the fields are read-only and safe to share across worker
+// goroutines.
 type datasetCache struct {
 	once    sync.Once
 	g       *core.Graph
 	rawJSON int64
+	pg      *ParamGen
 }
 
 // NewRunner validates the config and prepares a runner.
@@ -237,8 +249,10 @@ func (r *Runner) progressf(format string, args ...any) {
 // and its GraphSON raw size on first use: from the artifact cache when
 // Config.DatasetCacheDir is set (a warm hit maps the content-addressed
 // snapshot), else by generation; the graph is identical either way.
-// Concurrent callers block on the entry's Once, so each graph is
-// acquired exactly once per run and shared read-only afterwards.
+// The parameters are drawn from it then, once per dataset, so every
+// engine and every cell is asked about the same objects. Concurrent
+// callers block on the entry's Once, so each graph is acquired exactly
+// once per run and shared read-only afterwards.
 func (r *Runner) dataset(name string) *datasetCache {
 	r.mu.Lock()
 	c, ok := r.graphs[name]
@@ -276,6 +290,7 @@ func (r *Runner) dataset(name string) *datasetCache {
 		} else {
 			c.rawJSON = datasets.RawJSONSize(g)
 		}
+		c.pg = NewParamGen(g, r.cfg.Seed)
 	})
 	return c
 }
@@ -300,12 +315,13 @@ func (r *Runner) loadInto(engine, dataset string) (core.Engine, *core.LoadResult
 	return e, res, elapsed, nil
 }
 
-// timed runs one execution of query under the configured timeout,
-// measured with the injectable clock; classify records how it ended.
-// Callers derive the execution's parameters before calling, so their
-// cost stays outside the measurement.
-func (r *Runner) timed(query string, run func(context.Context) (workload.Result, error)) Measurement {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
+// timed is the runner's one clock around queries: it runs one measured
+// unit — an interactive execution, or a batch cell's consecutive
+// executions — under a deadline of budget, reads the injectable clock
+// around it and classifies how it ended. The clock covers query
+// executions only: callers derive every parameter before calling.
+func (r *Runner) timed(query string, budget time.Duration, run func(context.Context) (workload.Result, error)) Measurement {
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := r.now()
 	res, err := run(ctx)
@@ -317,7 +333,7 @@ func (r *Runner) timed(query string, run func(context.Context) (workload.Result,
 // timeQuery times one execution of the micro query q with parameters
 // p on e, recorded under name.
 func (r *Runner) timeQuery(name string, e core.Engine, q *workload.Query, p workload.Params) Measurement {
-	return r.timed(name, func(ctx context.Context) (workload.Result, error) { return q.Run(ctx, e, p) })
+	return r.timed(name, r.cfg.Timeout, func(ctx context.Context) (workload.Result, error) { return q.Run(ctx, e, p) })
 }
 
 // classify marks m with the outcome err reports. A timed-out

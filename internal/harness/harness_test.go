@@ -13,14 +13,14 @@ import (
 // tinyConfig keeps harness tests fast: two contrasting engines, two
 // small datasets including ldbc (for the complex workload).
 func tinyConfig() Config {
-	return Config{
+	return Config{Grid: Grid{
 		Engines:   []string{"neo-1.9", "sqlg"},
 		Datasets:  []string{"frb-s", "ldbc"},
 		Scale:     0.001,
 		Timeout:   3 * time.Second,
 		BatchSize: 3,
 		Seed:      7,
-	}
+	}}
 }
 
 var (
@@ -49,14 +49,14 @@ func runTiny(t *testing.T) *Results {
 }
 
 func TestNewRunnerValidation(t *testing.T) {
-	if _, err := NewRunner(Config{Engines: []string{"nope"}}); err == nil {
+	if _, err := NewRunner(Config{Grid: Grid{Engines: []string{"nope"}}}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	if _, err := NewRunner(Config{Datasets: []string{"nope"}}); err == nil {
+	if _, err := NewRunner(Config{Grid: Grid{Datasets: []string{"nope"}}}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300} {
-		if _, err := NewRunner(Config{Scale: scale}); err == nil {
+		if _, err := NewRunner(Config{Grid: Grid{Scale: scale}}); err == nil {
 			t.Fatalf("scale %v accepted", scale)
 		}
 	}
@@ -162,8 +162,7 @@ func TestEnginesAgreeOnCounts(t *testing.T) {
 
 func TestParamGenDisjointDeleteTargets(t *testing.T) {
 	r, _ := NewRunner(tinyConfig())
-	g := r.graph("frb-s")
-	pg := NewParamGen(g, 7)
+	g, pg := r.graph("frb-s"), r.dataset("frb-s").pg
 	res := identityLoadResult(g)
 	q18 := workload.ByName("Q18")
 	q19 := workload.ByName("Q19")

@@ -25,9 +25,8 @@ const paramPoolPerQuery = 64
 // the same logical choices for every engine, which is the paper's
 // fairness requirement.
 //
-// After construction a ParamGen is read-only except for SetDepth, so
-// For may be called from concurrent batch iterations (Config.
-// CellWorkers); SetDepth must only be called between batches.
+// A ParamGen is read-only after construction, so one per dataset is
+// shared by every cell of a run and For may be called concurrently.
 type ParamGen struct {
 	g     *core.Graph
 	picks datasets.Picks
@@ -52,7 +51,6 @@ type ParamGen struct {
 	ePropName  string
 	ePropValue core.Value
 	k          int64
-	depth      int
 }
 
 // NewParamGen draws the dataset-level choices.
@@ -61,7 +59,6 @@ func NewParamGen(g *core.Graph, seed int64) *ParamGen {
 		g: g,
 		// Enough picks for every query's pool plus headroom.
 		picks: datasets.Pick(g, seed, paramPoolPerQuery*40),
-		depth: 2,
 	}
 	pg.vslots = min(paramPoolPerQuery, len(pg.picks.Vertices)/2)
 	pg.slots = pg.vslots
@@ -119,9 +116,6 @@ func firstProp(p core.Props) (string, core.Value, bool) {
 	sort.Strings(keys)
 	return keys[0], p[keys[0]], true
 }
-
-// SetDepth overrides the BFS depth (Figure 6 sweeps 2–5).
-func (pg *ParamGen) SetDepth(d int) { pg.depth = d }
 
 // VPropName exposes the chosen Q11 property name (the one the indexed
 // experiment builds its index on).
@@ -211,7 +205,8 @@ func (pg *ParamGen) edgeSlots(qNum int) (all, withProps []int) {
 
 // For builds the parameters for one execution of q. iter distinguishes
 // batch iterations: destructive queries get disjoint targets per
-// iteration.
+// iteration. The BFS depth is Figure 6's smallest, 2; a Q32 cell of
+// the depth sweep sets p.Depth itself.
 func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workload.Params {
 	p := workload.Params{
 		Label:        pg.label,
@@ -224,7 +219,7 @@ func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workl
 		NewVertex:    core.Props{"bench_name": core.S("created"), "bench_iter": core.I(int64(iter))},
 		NewEdgeProps: core.Props{"bench_w": core.I(int64(iter))},
 		K:            pg.k,
-		Depth:        pg.depth,
+		Depth:        2,
 	}
 	// Non-destructive per-vertex queries reuse the same target across
 	// iterations (the paper measures the same op repeatedly); the

@@ -25,13 +25,15 @@ func TestGridFailuresAreModelled(t *testing.T) {
 	}
 	for _, scale := range []float64{0.002, 0.01, 0.04} {
 		cfg := Config{
-			Engines:   engines.Names(),
-			Datasets:  []string{"mico", "frb-s"},
-			Scale:     scale,
-			Timeout:   50 * time.Millisecond,
-			BatchSize: 10,
-			Seed:      1,
-			Workers:   2,
+			Grid: Grid{
+				Engines:   engines.Names(),
+				Datasets:  []string{"mico", "frb-s"},
+				Scale:     scale,
+				Timeout:   50 * time.Millisecond,
+				BatchSize: 10,
+				Seed:      1,
+			},
+			Exec: Exec{Workers: 2},
 		}
 		r, err := NewRunner(cfg)
 		if err != nil {
@@ -71,8 +73,7 @@ func TestGridFailuresAreModelled(t *testing.T) {
 func TestParamGenSlotsDistinct(t *testing.T) {
 	r, _ := NewRunner(tinyConfig())
 	for _, name := range []string{"yeast", "mico", "frb-s", "ldbc"} {
-		g := r.graph(name)
-		pg := NewParamGen(g, 7)
+		g, pg := r.graph(name), r.dataset(name).pg
 		if pg.slots < 11 {
 			t.Fatalf("%s: %d slots, want room for a batch of 10", name, pg.slots)
 		}

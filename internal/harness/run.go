@@ -188,51 +188,50 @@ func planGrid(engineNames, datasetNames []string) []gridJob {
 // other engines their run.
 func (r *Runner) runCell(i int, j gridJob) cell {
 	c := cell{Index: i}
+	r.progressf("%s %s on %s", j.kind, j.engine, j.dataset)
 	switch j.kind {
 	case jobMicroI:
-		r.progressf("micro-i %s on %s", j.engine, j.dataset)
 		r.runMicro(&c, j.engine, j.dataset, ModeInteractive)
 	case jobMicroB:
-		r.progressf("micro-b %s on %s", j.engine, j.dataset)
 		r.runMicro(&c, j.engine, j.dataset, ModeBatch)
 	case jobIndexed:
-		r.progressf("indexed %s on %s", j.engine, j.dataset)
 		r.runIndexed(&c, j.engine, j.dataset)
 	case jobComplex:
-		r.progressf("complex %s on ldbc", j.engine)
 		r.runComplex(&c, j.engine)
 	}
 	return c
 }
 
-// queryOrder returns the micro queries with reads and traversals first
-// (they share one instance) and destructive operations last (each on
-// its own instance in the freshly loaded state); within a group, Table
-// 2 order. This is also the row order of every export.
-func queryOrder() []workload.Query {
-	all := workload.Queries()
-	var reads, writes []workload.Query
-	for _, q := range all {
+// microCell is one micro-workload row of every export: the name it is
+// recorded under, its query, and for Q32 the depth of Figure 6's sweep
+// (0 keeps For's).
+type microCell struct {
+	name  string
+	query *workload.Query
+	depth int
+}
+
+// microCells lists the micro cells of either mode in export order:
+// reads and traversals first (they share one instance), destructive
+// operations last (each on its own instance in the freshly loaded
+// state), Table 2 order within a group, and Q32 once per depth 2..5.
+func microCells() []microCell {
+	var reads, writes []microCell
+	for _, q := range workload.Queries() {
+		cells := []microCell{{q.Name, &q, 0}}
+		if q.Num == 32 {
+			cells = cells[:0]
+			for depth := 2; depth <= 5; depth++ {
+				cells = append(cells, microCell{q.Name + "(d=" + strconv.Itoa(depth) + ")", &q, depth})
+			}
+		}
 		if q.Mutates {
-			writes = append(writes, q)
+			writes = append(writes, cells...)
 		} else {
-			reads = append(reads, q)
+			reads = append(reads, cells...)
 		}
 	}
 	return append(reads, writes...)
-}
-
-// queryCells returns the measurement names q contributes per mode: the
-// query name, or one per swept depth for Q32 (Figure 6).
-func queryCells(q *workload.Query) []string {
-	if q.Num != 32 {
-		return []string{q.Name}
-	}
-	names := make([]string, 0, 4)
-	for depth := 2; depth <= 5; depth++ {
-		names = append(names, q.Name+depthSuffix(depth))
-	}
-	return names
 }
 
 // dnf builds the cell the paper reports as DNF: the engine never got a
@@ -243,9 +242,8 @@ func dnf(query string, err error) Measurement {
 
 // runMicro executes one half of the micro workload — interactive or
 // batch — as its own grid cell. The halves share nothing at runtime
-// (each loads its own engine; ParamGen is pure per (query, iter), so
-// both derive identical parameters from the dataset and seed), which is
-// what lets a resumed run restore one half and re-execute only the
+// but the dataset's parameter table (each loads its own engine), which
+// is what lets a resumed run restore one half and re-execute only the
 // other. The interactive half doubles as the load/space measurement;
 // the batch half's load is purely operational.
 //
@@ -253,26 +251,20 @@ func dnf(query string, err error) Measurement {
 // loaded state.
 func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 	ds := r.dataset(dataset)
+	cells := microCells()
 
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, dataset, mode
 		c.Micro = append(c.Micro, m)
 	}
 
-	recordDNF := func(q *workload.Query, err error) {
-		for _, name := range queryCells(q) {
-			record(dnf(name, err))
-		}
-	}
-
-	pg := NewParamGen(ds.g, r.cfg.Seed)
 	lastIter := 0 // the interactive cell runs slot 0, the batch cell 1..BatchSize
 	if mode == ModeBatch {
 		lastIter = r.cfg.BatchSize
 	}
 	image, res, loadTime, err := r.loadInto(engine, dataset)
 	if err == nil {
-		if err = pg.checkBatch(lastIter); err != nil {
+		if err = ds.pg.checkBatch(lastIter); err != nil {
 			image.Close()
 		}
 	}
@@ -283,8 +275,8 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 				Failed: true, Error: err.Error(),
 			})
 		}
-		for _, q := range queryOrder() {
-			recordDNF(&q, err)
+		for _, mc := range cells {
+			record(dnf(mc.name, err))
 		}
 		return
 	}
@@ -293,26 +285,6 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 			Engine: engine, Dataset: dataset,
 			Elapsed: loadTime, Space: image.SpaceUsage(), RawJSON: ds.rawJSON,
 		})
-	}
-
-	// run executes q on exec and records its cells. Q32 is swept over
-	// depths 2..5 (Figure 6); everything else runs once per mode.
-	run := func(exec core.Engine, execRes *core.LoadResult, q *workload.Query) {
-		if q.Num == 32 {
-			for depth := 2; depth <= 5; depth++ {
-				pg.SetDepth(depth)
-				if mode == ModeInteractive {
-					record(r.timeQuery(q.Name+depthSuffix(depth), exec, q, pg.For(q, 0, execRes)))
-				} else {
-					record(r.batch(exec, q, pg, execRes))
-				}
-			}
-			pg.SetDepth(2)
-		} else if mode == ModeInteractive {
-			record(r.timeQuery(q.Name, exec, q, pg.For(q, 0, execRes)))
-		} else {
-			record(r.batch(exec, q, pg, execRes))
-		}
 	}
 
 	// The interactive cell exports each query's latency, so it gets the
@@ -339,101 +311,93 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 			return c, res, err
 		}
 	}
-	queries := queryOrder()
-	for i := range queries {
-		q := &queries[i]
-		if q.Mutates {
+	for _, mc := range cells {
+		if mc.query.Mutates {
 			continue
 		}
 		if readerErr != nil {
-			recordDNF(q, readerErr)
+			record(dnf(mc.name, readerErr))
 			continue
 		}
-		run(reader, res, q)
+		record(r.measure(reader, res, ds.pg, mc, mode))
 	}
 	if reader != nil && reader != image {
 		reader.Close()
 	}
-	for i := range queries {
-		q := &queries[i]
-		if !q.Mutates {
+	for _, mc := range cells {
+		if !mc.query.Mutates {
 			continue
 		}
 		exec, execRes, err := fresh()
 		if err != nil {
-			recordDNF(q, err) // the image is intact: only this query is DNF
+			record(dnf(mc.name, err)) // the image is intact: only this query is DNF
 			continue
 		}
-		run(exec, execRes, q)
+		record(r.measure(exec, execRes, ds.pg, mc, mode))
 		exec.Close()
 	}
 }
 
-func depthSuffix(d int) string {
-	return "(d=" + strconv.Itoa(d) + ")"
-}
-
-// batch executes BatchSize iterations and reports the total time; one
-// timeout or failure marks the whole batch, as in Figure 1(c). Count is
-// that of the last successful iteration — a failed iteration must not
-// overwrite it with its zero value — except after a timeout, which
-// exports 0 (see classify).
+// measure runs micro cell mc on e. Interactively that is one execution
+// of parameter slot 0 under Timeout. A batch is BatchSize consecutive
+// executions timed as one (Figure 1(c)) under Timeout × BatchSize: one
+// timeout or failure marks the whole batch, and Count is that of the
+// last successful iteration — a failed iteration must not overwrite it
+// with its zero value — except after a timeout, which exports 0 (see
+// classify). Every iteration's parameters are derived before the clock
+// starts.
 //
 // Non-mutating batches fan out across Config.CellWorkers goroutines:
 // engines guarantee race-free concurrent reads (see core.Engine), and
 // the iterations fold in index order — first error wins, Count taken
 // from the last success before it — so counts and failures are those of
 // a sequential batch; Elapsed becomes the parallel wall time (hence
-// CellWorkers in the Fingerprint). Mutating batches always run
-// sequentially: the engines are single-writer, and concurrent
-// destructive iterations would make the instance state depend on
-// scheduling.
-func (r *Runner) batch(e core.Engine, q *workload.Query, pg *ParamGen, res *core.LoadResult) Measurement {
-	total := Measurement{Query: q.Name}
-	if q.Num == 32 {
-		total.Query = q.Name + depthSuffix(pg.depth)
-	}
-	start := r.now()
-	// One context carries the whole batch's time budget; deriving it
-	// here (rather than computing a time.Now-based deadline per
-	// iteration) keeps the wall clock out of the measurement path.
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout*time.Duration(r.cfg.BatchSize))
-	defer cancel()
-	iterate := func(i int) (int64, error) {
-		iter := i
+// CellWorkers in the Grid). Mutating batches always run sequentially:
+// the engines are single-writer, and concurrent destructive iterations
+// would make the instance state depend on scheduling.
+func (r *Runner) measure(e core.Engine, res *core.LoadResult, pg *ParamGen, mc microCell, mode Mode) Measurement {
+	q := mc.query
+	first, n := 0, 1
+	if mode == ModeBatch {
+		n = r.cfg.BatchSize
 		if q.Mutates {
 			// Destructive iterations start at pool slot 1: slot 0 is the
-			// interactive half's, and keeping the offset keeps batch
+			// interactive cell's, and keeping the offset keeps batch
 			// parameters identical whether or not the halves ever shared
 			// an instance (they did before the micro cell was split).
-			iter = i + 1
+			first = 1
 		}
-		res2, err := q.Run(ctx, e, pg.For(q, iter, res))
-		return res2.Count, err
 	}
-	if w := r.cfg.CellWorkers; w > 1 && !q.Mutates && concurrentReads(e) {
-		counts := make([]int64, r.cfg.BatchSize)
-		errs := make([]error, r.cfg.BatchSize)
-		par.For(w, r.cfg.BatchSize, func(i int) { counts[i], errs[i] = iterate(i) })
-		for i := 0; i < r.cfg.BatchSize; i++ {
-			if errs[i] != nil {
-				classify(&total, errs[i])
-				break
-			}
-			total.Count = counts[i]
+	ps := make([]workload.Params, n)
+	for i := range ps {
+		ps[i] = pg.For(q, first+i, res)
+		if mc.depth > 0 {
+			ps[i].Depth = mc.depth
 		}
-	} else {
-		for i := 0; i < r.cfg.BatchSize; i++ {
-			count, err := iterate(i)
+	}
+	fanOut := mode == ModeBatch && r.cfg.CellWorkers > 1 && !q.Mutates && concurrentReads(e)
+	return r.timed(mc.name, r.cfg.Timeout*time.Duration(n), func(ctx context.Context) (last workload.Result, err error) {
+		if fanOut {
+			got := make([]workload.Result, n)
+			errs := make([]error, n)
+			par.For(r.cfg.CellWorkers, n, func(i int) { got[i], errs[i] = q.Run(ctx, e, ps[i]) })
+			for i := range n {
+				if errs[i] != nil {
+					return last, errs[i]
+				}
+				last = got[i]
+			}
+			return last, nil
+		}
+		for _, p := range ps {
+			got, err := q.Run(ctx, e, p)
 			if err != nil {
-				classify(&total, err)
-				break
+				return last, err
 			}
-			total.Count = count
+			last = got
 		}
-	}
-	total.Elapsed = r.since(start)
-	return total
+		return last, nil
+	})
 }
 
 // concurrentReads reports whether e's read results are independent of
@@ -450,8 +414,7 @@ func concurrentReads(e core.Engine) bool {
 // skipped, engines that accept but ignore the index (Sparksee,
 // ArangoDB) run unchanged — both as the paper found.
 func (r *Runner) runIndexed(c *cell, engine, dataset string) {
-	ds := r.dataset(dataset)
-	pg := NewParamGen(ds.g, r.cfg.Seed)
+	pg := r.dataset(dataset).pg
 
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, dataset, ModeInteractive
@@ -492,8 +455,6 @@ func (r *Runner) runIndexed(c *cell, engine, dataset string) {
 
 // runComplex executes the 13 LDBC-derived queries (Figure 2) on ldbc.
 func (r *Runner) runComplex(c *cell, engine string) {
-	ds := r.dataset("ldbc")
-
 	record := func(m Measurement) {
 		m.Engine, m.Dataset, m.Mode = engine, "ldbc", ModeInteractive
 		c.Complex = append(c.Complex, m)
@@ -507,8 +468,8 @@ func (r *Runner) runComplex(c *cell, engine string) {
 		return
 	}
 	defer e.Close()
-	cp := ComplexFor(ds.g, res)
+	cp := ComplexFor(r.graph("ldbc"), res)
 	for _, cq := range workload.ComplexQueries() {
-		record(r.timed(cq.Name, func(ctx context.Context) (workload.Result, error) { return cq.Run(ctx, e, cp) }))
+		record(r.timed(cq.Name, r.cfg.Timeout, func(ctx context.Context) (workload.Result, error) { return cq.Run(ctx, e, cp) }))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,12 +18,26 @@ import (
 	"repro/internal/workload"
 )
 
+// TestDepthSuffix: the micro cell list names Q32 once per swept depth,
+// "Q32(d=2)".."Q32(d=5)" in order, each cell carrying its depth into
+// the parameters, and lists every read before the first mutating query.
 func TestDepthSuffix(t *testing.T) {
-	cases := map[int]string{2: "(d=2)", 5: "(d=5)", 10: "(d=10)", 15: "(d=15)"}
-	for d, want := range cases {
-		if got := depthSuffix(d); got != want {
-			t.Errorf("depthSuffix(%d) = %q, want %q", d, got, want)
+	var q32 []string
+	mutating := false
+	for _, mc := range microCells() {
+		if mc.query.Num == 32 {
+			q32 = append(q32, mc.name)
+			if want := "Q32(d=" + strconv.Itoa(mc.depth) + ")"; mc.name != want {
+				t.Errorf("cell %s carries depth %d", mc.name, mc.depth)
+			}
 		}
+		if mutating && !mc.query.Mutates {
+			t.Errorf("read %s listed after a mutating query", mc.name)
+		}
+		mutating = mc.query.Mutates
+	}
+	if want := []string{"Q32(d=2)", "Q32(d=3)", "Q32(d=4)", "Q32(d=5)"}; !slices.Equal(q32, want) {
+		t.Errorf("Q32 cells %v, want %v", q32, want)
 	}
 }
 
@@ -35,8 +51,7 @@ func TestBatchRetainsLastSuccessfulCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := r.graph("frb-s")
-	pg := NewParamGen(g, cfg.Seed)
+	g, pg := r.graph("frb-s"), r.dataset("frb-s").pg
 	res := identityLoadResult(g)
 	var calls int
 	q := &workload.Query{
@@ -49,7 +64,7 @@ func TestBatchRetainsLastSuccessfulCount(t *testing.T) {
 			return workload.Result{Count: 7}, nil
 		},
 	}
-	m := r.batch(nil, q, pg, res)
+	m := r.measure(nil, res, pg, microCell{name: q.Name, query: q}, ModeBatch)
 	if !m.Failed {
 		t.Fatal("mid-batch failure not marked on the batch measurement")
 	}
@@ -73,8 +88,7 @@ func TestBatchEnforcesTimeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := r.graph("frb-s")
-	pg := NewParamGen(g, cfg.Seed)
+	g, pg := r.graph("frb-s"), r.dataset("frb-s").pg
 	res := identityLoadResult(g)
 	q := &workload.Query{
 		Num: 34, Name: "QSLOW",
@@ -83,7 +97,7 @@ func TestBatchEnforcesTimeBudget(t *testing.T) {
 			return workload.Result{}, ctx.Err()
 		},
 	}
-	m := r.batch(nil, q, pg, res)
+	m := r.measure(nil, res, pg, microCell{name: q.Name, query: q}, ModeBatch)
 	if !m.TimedOut {
 		t.Fatalf("stalled batch not classified as timeout: %+v", m)
 	}
@@ -101,8 +115,7 @@ func TestTimedOutCountIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := r.graph("frb-s")
-	pg := NewParamGen(g, cfg.Seed)
+	g, pg := r.graph("frb-s"), r.dataset("frb-s").pg
 	res := identityLoadResult(g)
 	var calls int
 	q := &workload.Query{
@@ -116,10 +129,11 @@ func TestTimedOutCountIsZero(t *testing.T) {
 			return workload.Result{Count: 5}, core.ErrTimeout
 		},
 	}
-	if m := r.batch(nil, q, pg, res); !m.TimedOut || m.Count != 0 {
+	mc := microCell{name: q.Name, query: q}
+	if m := r.measure(nil, res, pg, mc, ModeBatch); !m.TimedOut || m.Count != 0 {
 		t.Fatalf("batch timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
 	}
-	if m := r.timeQuery(q.Name, nil, q, pg.For(q, 0, res)); !m.TimedOut || m.Count != 0 {
+	if m := r.measure(nil, res, pg, mc, ModeInteractive); !m.TimedOut || m.Count != 0 {
 		t.Fatalf("query timed out after partial progress: TimedOut %v, Count %d; want true, 0", m.TimedOut, m.Count)
 	}
 }

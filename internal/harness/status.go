@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"strings"
 	"text/tabwriter"
-	"time"
 )
 
 // Status summarizes a checkpoint file without executing anything: how
@@ -108,8 +107,8 @@ func (s *Status) Render(w io.Writer) {
 	fp := s.Fingerprint
 	fmt.Fprintf(w, "run: engines=%s datasets=%s scale=%g seed=%d batch=%d timeout=%s",
 		strings.Join(fp.Engines, ","), strings.Join(fp.Datasets, ","),
-		fp.Scale, fp.Seed, fp.BatchSize, time.Duration(fp.TimeoutNS))
-	if fp.Frozen {
+		fp.Scale, fp.Seed, fp.BatchSize, fp.Timeout)
+	if fp.FrozenClock {
 		fmt.Fprint(w, " frozen-clock")
 	}
 	fmt.Fprintln(w)
