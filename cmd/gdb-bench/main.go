@@ -142,14 +142,18 @@ func main() {
 	}
 
 	// Static reports need no run, and Table 3 needs only the datasets.
+	// With no run there are no results to export.
 	switch {
 	case o.report == "table1":
+		refuseExport(o)
 		harness.ReportTable1(os.Stdout)
 		return
 	case o.report == "table2":
+		refuseExport(o)
 		harness.ReportTable2(os.Stdout)
 		return
 	case o.report == "table3" && o.importJSON == "":
+		refuseExport(o)
 		res := &harness.Results{Config: cfg, Stats: map[string]datasets.Table3Row{}}
 		for _, name := range cfg.Datasets {
 			// The analytics need only the CSR snapshot: a warm cache hit
@@ -226,4 +230,17 @@ func splitList(s string) []string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gdb-bench:", err)
 	os.Exit(1)
+}
+
+// refuseExport exits with an error naming the export flag set for a
+// report that runs no grid.
+func refuseExport(o *options) {
+	name := "-export-json"
+	if o.exportJSON == "" {
+		if o.exportCSV == "" {
+			return
+		}
+		name = "-export-csv"
+	}
+	fatal(fmt.Errorf("%s: -report %s runs no grid and has no results to export", name, o.report))
 }

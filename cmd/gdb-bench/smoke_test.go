@@ -102,6 +102,19 @@ func TestSmoke(t *testing.T) {
 			}
 		}
 	})
+	t.Run("static-report-refuses-export", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-report", "table1", "-export-json", "static.json"},
+			{"-report", "table2", "-export-csv", "static.csv"},
+			{"-report", "table3", "-export-json", "static.json"},
+		} {
+			out, err := command(dir, args...).CombinedOutput()
+			_, statErr := os.Stat(filepath.Join(dir, args[3]))
+			if err == nil || !strings.Contains(string(out), args[2]+":") || !os.IsNotExist(statErr) {
+				t.Fatalf("gdb-bench %s: %v, file %v, want an error naming %s and no file:\n%s", strings.Join(args, " "), err, statErr, args[2], out)
+			}
+		}
+	})
 	t.Run("dataset-cache", func(t *testing.T) {
 		cold := run(t, "-dataset-cache", "cache", "-v", "-export-json", "cold.json")
 		warm := run(t, "-dataset-cache", "cache", "-v", "-export-json", "warm.json")

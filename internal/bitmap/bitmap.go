@@ -15,8 +15,9 @@
 // parallel to the sorted chunk keys, so a bitmap is two slices plus
 // each container's array or word set, with no map and no pointer per
 // container. Adding or removing a chunk shifts both slices. A container
-// owns its array or words; nothing returned by a Bitmap aliases them.
-// Bytes is the modelled footprint and does not depend on this layout.
+// owns its array or words; nothing returned by a Bitmap aliases them,
+// and copies made by an Arena share allocations but no element. Bytes
+// is the modelled footprint and does not depend on this layout.
 package bitmap
 
 import (
@@ -48,24 +49,75 @@ type Bitmap struct {
 // New returns an empty bitmap.
 func New() *Bitmap { return &Bitmap{} }
 
-// Clone returns an independent copy of b. Every slice keeps its
-// capacity, so a write into the copy does the work it does in b.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{
-		keys: append(make([]uint64, 0, cap(b.keys)), b.keys...),
-		cs:   make([]container, len(b.cs), cap(b.cs)),
+// Arena carves independent copies of many bitmaps from one allocation
+// per slice kind: Reserve every bitmap to be copied, then Clone each.
+// Every slice of a copy keeps its source's capacity, so a write into
+// the copy does the work it does in the source, and the copy alone
+// writes within that capacity; a slice that outgrows it moves to an
+// allocation of its own, as any slice does. The shared allocations
+// live as long as any copy carved from them.
+type Arena struct {
+	need    [5]int // bitmaps, keys, containers, array and word elements reserved
+	bitmaps []Bitmap
+	keys    []uint64
+	cs      []container
+	arrays  []uint16
+	words   []uint64
+}
+
+// Reserve makes room for a copy of b.
+func (a *Arena) Reserve(b *Bitmap) {
+	a.need[0]++
+	a.need[1] += cap(b.keys)
+	a.need[2] += cap(b.cs)
+	for i := range b.cs {
+		a.need[3] += cap(b.cs[i].array)
+		a.need[4] += cap(b.cs[i].words)
 	}
+}
+
+// Clone returns an independent copy of b, carved from the room Reserve
+// made; beyond it, the copy allocates its own.
+func (a *Arena) Clone(b *Bitmap) *Bitmap {
+	if a.need != [5]int{} {
+		a.bitmaps = make([]Bitmap, 0, a.need[0])
+		a.keys = make([]uint64, 0, a.need[1])
+		a.cs = make([]container, 0, a.need[2])
+		a.arrays = make([]uint16, 0, a.need[3])
+		a.words = make([]uint64, 0, a.need[4])
+		a.need = [5]int{}
+	}
+	var c *Bitmap
+	if n := len(a.bitmaps); n < cap(a.bitmaps) {
+		a.bitmaps = a.bitmaps[:n+1]
+		c = &a.bitmaps[n]
+	} else {
+		c = new(Bitmap)
+	}
+	c.keys = carve(&a.keys, b.keys, cap(b.keys))
+	c.cs = carve(&a.cs, nil, cap(b.cs))[:len(b.cs)]
 	for i := range b.cs {
 		src, dst := &b.cs[i], &c.cs[i]
 		dst.n = src.n
 		if src.words != nil {
-			dst.words = append(make([]uint64, 0, cap(src.words)), src.words...)
+			dst.words = carve(&a.words, src.words, cap(src.words))
 		}
 		if src.array != nil {
-			dst.array = append(make([]uint16, 0, cap(src.array)), src.array...)
+			dst.array = carve(&a.arrays, src.array, cap(src.array))
 		}
 	}
 	return c
+}
+
+// carve returns a copy of src with capacity n, taken from the unused
+// tail of pool when it fits there and allocated otherwise.
+func carve[T any](pool *[]T, src []T, n int) []T {
+	p := *pool
+	if cap(p)-len(p) < n {
+		return append(make([]T, 0, n), src...)
+	}
+	*pool = p[:len(p)+n]
+	return append(p[len(p):len(p):len(p)+n], src...)
 }
 
 func split(x uint64) (hi uint64, lo uint16) { return x >> 16, uint16(x & 0xffff) }

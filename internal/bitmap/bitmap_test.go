@@ -263,3 +263,62 @@ func TestReadAllocs(t *testing.T) {
 		t.Fatal("reads saw nothing")
 	}
 }
+
+// TestArenaCopiesAreIndependent: copies carved from one arena next to
+// each other stay apart from each other and from their sources, through
+// writes that fill a carve's spare capacity, outgrow it, add and drop
+// chunks and turn containers dense; each copy keeps its source's
+// capacities.
+func TestArenaCopiesAreIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	srcs := make([]*Bitmap, 6)
+	for i := range srcs {
+		srcs[i] = New()
+		for range 50 + 2000*i {
+			srcs[i].Add(uint64(rng.Intn(200000)))
+		}
+	}
+	var a Arena
+	for _, b := range srcs {
+		a.Reserve(b)
+	}
+	copies := make([]*Bitmap, len(srcs))
+	before := make([][]uint64, len(srcs))
+	want := make([]map[uint64]bool, len(srcs))
+	for i, b := range srcs {
+		copies[i] = a.Clone(b)
+		if c := copies[i]; cap(c.keys) != cap(b.keys) || cap(c.cs) != cap(b.cs) {
+			t.Fatalf("copy %d capacities %d/%d, source %d/%d", i, cap(c.keys), cap(c.cs), cap(b.keys), cap(b.cs))
+		}
+		before[i] = b.Slice()
+		want[i] = map[uint64]bool{}
+		for _, x := range before[i] {
+			want[i][x] = true
+		}
+	}
+	for i, c := range copies {
+		for range 6000 {
+			x := uint64(rng.Intn(400000))
+			if rng.Intn(3) == 0 {
+				c.Remove(x)
+				delete(want[i], x)
+			} else {
+				c.Add(x)
+				want[i][x] = true
+			}
+		}
+	}
+	for i := range srcs {
+		if !slices.Equal(srcs[i].Slice(), before[i]) {
+			t.Fatalf("source %d changed by writes into the copies", i)
+		}
+		var exp []uint64
+		for x := range want[i] {
+			exp = append(exp, x)
+		}
+		slices.Sort(exp)
+		if got := copies[i].Slice(); !slices.Equal(got, exp) {
+			t.Fatalf("copy %d holds %d values, want %d", i, len(got), len(exp))
+		}
+	}
+}

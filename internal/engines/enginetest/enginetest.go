@@ -49,6 +49,7 @@ func Run(t *testing.T, newEngine func() core.Engine) {
 		{"Degree", testDegree},
 		{"MissingIDs", testMissingIDs},
 		{"BulkLoad", testBulkLoad},
+		{"BulkLoadAfterEmptied", testBulkLoadAfterEmptied},
 		{"PropertyIndex", testPropertyIndex},
 		{"SpaceUsage", testSpaceUsage},
 		{"Meta", testMeta},
@@ -586,6 +587,49 @@ func testBulkLoad(t *testing.T, newEngine func() core.Engine) {
 	want := ids(core.SliceIter([]core.ID{res.VertexIDs[1], res.VertexIDs[2]}))
 	if !sameIDs(got, want) {
 		t.Fatalf("out(v0) = %v, want %v", got, want)
+	}
+}
+
+// testBulkLoadAfterEmptied: an engine that held an object and is
+// empty again (nothing to count, identifiers already handed out) loads
+// a graph and then takes writes on it like a fresh engine.
+func testBulkLoadAfterEmptied(t *testing.T, newEngine func() core.Engine) {
+	e := newEngine()
+	defer e.Close()
+	v, err := e.AddVertex(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RemoveVertex(v); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.BulkLoad(SampleGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := res.VertexIDs[1], res.VertexIDs[3]
+	eid, err := e.AddEdge(src, dst, "late", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, d, err := e.EdgeEnds(eid); err != nil || s != src || d != dst {
+		t.Fatalf("EdgeEnds(new edge) = %v,%v,%v, want %v,%v", s, d, err, src, dst)
+	}
+	nv, err := e.AddVertex(core.Props{"idx": core.I(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AddEdge(nv, src, "late", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := e.CountVertices(); n != 7 {
+		t.Fatalf("CountVertices = %d, want 7", n)
+	}
+	if n, _ := e.CountEdges(); n != 10 {
+		t.Fatalf("CountEdges = %d, want 10", n)
+	}
+	if n, err := e.Degree(src, core.DirBoth); err != nil || n != 4 {
+		t.Fatalf("Degree(v1, both) = %d,%v, want 4", n, err)
 	}
 }
 

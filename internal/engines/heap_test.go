@@ -108,3 +108,61 @@ func TestLiveHeapPerEngine(t *testing.T) {
 		t.Errorf("all engines: %.2f MB live, ceiling %d MB", total, heapTotalCeilingMB)
 	}
 }
+
+// cloneAllocCeiling bounds the allocations of one Clone of each engine
+// loaded with frb-s@0.002 (the graph of the repository benchmark's grid
+// workload, whose micro cells run every query on a clone), at about
+// 1.15× what it measured. sparksee's Clone made 10,600 before its
+// bitmaps were carved from one arena per slice kind (at least four per
+// bitmap).
+var cloneAllocCeiling = map[string]float64{
+	"arango":    42,   // measured 36
+	"blaze":     150,  // 130
+	"neo-1.9":   28,   // 24
+	"neo-3.0":   33,   // 28
+	"orient":    787,  // 684
+	"sparksee":  92,   // 80
+	"sqlg":      2843, // 2,472
+	"titan-0.5": 19,   // 16
+	"titan-1.0": 21,   // 18
+}
+
+// TestCloneAllocs holds each engine's Clone to its allocation ceiling,
+// so a substrate copy that goes back to one allocation per element
+// fails here.
+func TestCloneAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	g, _, err := datasets.AcquireWith("frb-s", 0.002, datasets.AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names() {
+		ceiling, ok := cloneAllocCeiling[name]
+		if !ok {
+			t.Errorf("%s: no clone allocation ceiling; measure one", name)
+			continue
+		}
+		e, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.BulkLoad(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cl := e.(kit.Cloner)
+		allocs := testing.AllocsPerRun(21, func() {
+			c, err := cl.Clone()
+			if err != nil {
+				t.Fatalf("%s: clone: %v", name, err)
+			}
+			c.Close()
+		})
+		t.Logf("%-9s %6.0f allocations per clone (ceiling %.0f)", name, allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("%s: %.0f allocations per clone, ceiling %.0f", name, allocs, ceiling)
+		}
+		e.Close()
+	}
+}

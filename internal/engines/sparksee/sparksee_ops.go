@@ -259,39 +259,64 @@ func (e *Engine) Clone() (core.Engine, error) {
 	return c, nil
 }
 
-// clone returns an independent copy of the store.
+// clone returns an independent copy of the store. Its bitmaps are
+// carved from one arena.
 func (s *store) clone() store {
+	var a bitmap.Arena
+	s.eachBitmap(a.Reserve)
 	return store{
 		nextOID:         s.nextOID,
-		nodes:           s.nodes.Clone(),
-		edges:           s.edges.Clone(),
+		nodes:           a.Clone(s.nodes),
+		edges:           a.Clone(s.edges),
 		srcOf:           maps.Clone(s.srcOf),
 		dstOf:           maps.Clone(s.dstOf),
 		labelOf:         maps.Clone(s.labelOf),
-		byLabel:         cloneBitmaps(s.byLabel),
+		byLabel:         cloneBitmaps(&a, s.byLabel),
 		labels:          s.labels.Clone(),
-		out:             cloneBitmaps(s.out),
-		in:              cloneBitmaps(s.in),
-		vattrs:          cloneAttrs(s.vattrs),
-		eattrs:          cloneAttrs(s.eattrs),
+		out:             cloneBitmaps(&a, s.out),
+		in:              cloneBitmaps(&a, s.in),
+		vattrs:          cloneAttrs(&a, s.vattrs),
+		eattrs:          cloneAttrs(&a, s.eattrs),
 		DeclaredIndexes: s.DeclaredIndexes.Clone(),
 	}
 }
 
-// cloneBitmaps copies the map and every bitmap in it.
-func cloneBitmaps[K comparable](m map[K]*bitmap.Bitmap) map[K]*bitmap.Bitmap {
-	c := maps.Clone(m)
-	for k, b := range c {
-		c[k] = b.Clone()
+// eachBitmap calls fn on every bitmap of the store.
+func (s *store) eachBitmap(fn func(*bitmap.Bitmap)) {
+	fn(s.nodes)
+	fn(s.edges)
+	for _, m := range []map[uint64]*bitmap.Bitmap{s.out, s.in} {
+		for _, b := range m {
+			fn(b)
+		}
+	}
+	for _, b := range s.byLabel {
+		fn(b)
+	}
+	for _, attrs := range []map[string]*attrStore{s.vattrs, s.eattrs} {
+		for _, at := range attrs {
+			for _, b := range at.byVal {
+				fn(b)
+			}
+		}
+	}
+}
+
+// cloneBitmaps copies the map and every bitmap in it, inserting each
+// key once.
+func cloneBitmaps[K comparable](a *bitmap.Arena, m map[K]*bitmap.Bitmap) map[K]*bitmap.Bitmap {
+	c := make(map[K]*bitmap.Bitmap, len(m))
+	for k, b := range m {
+		c[k] = a.Clone(b)
 	}
 	return c
 }
 
 // cloneAttrs copies the map and every attribute store in it.
-func cloneAttrs(m map[string]*attrStore) map[string]*attrStore {
+func cloneAttrs(a *bitmap.Arena, m map[string]*attrStore) map[string]*attrStore {
 	c := maps.Clone(m)
-	for name, a := range c {
-		c[name] = &attrStore{vals: maps.Clone(a.vals), byVal: cloneBitmaps(a.byVal)}
+	for name, at := range c {
+		c[name] = &attrStore{vals: maps.Clone(at.vals), byVal: cloneBitmaps(a, at.byVal)}
 	}
 	return c
 }

@@ -16,7 +16,7 @@ import (
 // iterations of a destructive query never collide. Iteration 0 is the
 // interactive cell's, 1..BatchSize the batch cell's. Different queries
 // may share targets: every mutating query runs on its own instance in
-// the freshly loaded state.
+// the loaded state.
 const paramPoolPerQuery = 64
 
 // ParamGen derives per-query, per-iteration parameters from the dataset

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -213,8 +214,8 @@ type microCell struct {
 
 // microCells lists the micro cells of either mode in export order:
 // reads and traversals first (they share one instance), destructive
-// operations last (each on its own instance in the freshly loaded
-// state), Table 2 order within a group, and Q32 once per depth 2..5.
+// operations last (each on its own instance in the loaded state),
+// Table 2 order within a group, and Q32 once per depth 2..5.
 func microCells() []microCell {
 	var reads, writes []microCell
 	for _, q := range workload.Queries() {
@@ -244,11 +245,17 @@ func dnf(query string, err error) Measurement {
 // batch — as its own grid cell. The halves share nothing at runtime
 // but the dataset's parameter table (each loads its own engine), which
 // is what lets a resumed run restore one half and re-execute only the
-// other. The interactive half doubles as the load/space measurement;
-// the batch half's load is purely operational.
+// other. The interactive half's load doubles as the load/space
+// measurement; the batch half's load is purely operational.
 //
-// Isolation (the paper's protocol): every query starts from the freshly
-// loaded state.
+// Isolation (the paper's protocol): every query starts from the loaded
+// state. The load is an image the cell copies (kit.Cloner) and never
+// queries: the reads share one clone, closed before the mutating
+// queries start, and each mutating query runs on a clone of its own,
+// so two instances are alive at a time. An engine that cannot copy
+// itself (no Clone, or one that returns core.ErrUnsupported) runs its
+// reads on the load and each mutating query on a load of its own; the
+// exported counts are the same either way.
 func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 	ds := r.dataset(dataset)
 	cells := microCells()
@@ -287,28 +294,20 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		})
 	}
 
-	// The interactive cell exports each query's latency, so it gets the
-	// freshly loaded state as the paper's protocol does: its reads run
-	// on the timed load and every mutating query on a load of its own.
-	// A copy holds the same state, but its memory is laid out and cached
-	// unlike a load's, which moves per-query latencies differently on
-	// every engine. The batch cell, whose load is untimed, copies it
-	// instead when the engine can (kit.Cloner): the reads share one
-	// clone, closed before the mutating queries start, and each mutating
-	// query runs on a clone of its own, so the load itself is never
-	// queried. Either way two instances are alive at a time.
 	reader := image
 	defer image.Close()
-	fresh := func() (core.Engine, *core.LoadResult, error) {
+	instance := func() (core.Engine, *core.LoadResult, error) {
 		e, res, _, err := r.loadInto(engine, dataset)
 		return e, res, err
 	}
 	var readerErr error
-	if cl, ok := image.(kit.Cloner); ok && mode == ModeBatch {
-		reader, readerErr = cl.Clone()
-		fresh = func() (core.Engine, *core.LoadResult, error) {
-			c, err := cl.Clone()
-			return c, res, err
+	if cl, ok := image.(kit.Cloner); ok {
+		if clone, err := cl.Clone(); !errors.Is(err, core.ErrUnsupported) {
+			reader, readerErr = clone, err
+			instance = func() (core.Engine, *core.LoadResult, error) {
+				c, err := cl.Clone()
+				return c, res, err
+			}
 		}
 	}
 	for _, mc := range cells {
@@ -328,7 +327,7 @@ func (r *Runner) runMicro(c *cell, engine, dataset string, mode Mode) {
 		if !mc.query.Mutates {
 			continue
 		}
-		exec, execRes, err := fresh()
+		exec, execRes, err := instance()
 		if err != nil {
 			record(dnf(mc.name, err)) // the image is intact: only this query is DNF
 			continue

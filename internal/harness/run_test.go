@@ -282,15 +282,24 @@ func TestLoadFailureRecordsDNF(t *testing.T) {
 	}
 }
 
-// TestIsolationCloneMatchesReload: running the batch cells' queries on
+// refusedClone is an engine whose Clone refuses, as a durable titan's
+// does.
+type refusedClone struct{ core.Engine }
+
+func (refusedClone) Clone() (core.Engine, error) { return nil, core.ErrUnsupported }
+
+// TestIsolationCloneMatchesReload: running the micro cells' queries on
 // clones of the cell's load exports exactly what loading anew for each
-// mutating query does. The reload run registers every engine wrapped in
-// a struct that hides its Clone method; counting the engines each run
-// constructs shows that the clone run took the clone path on every
-// engine, and only in the batch cells.
+// mutating query does. The reload runs register every engine wrapped in
+// a struct that hides its Clone method or one whose Clone refuses;
+// counting the engines each run constructs shows that the clone run
+// took the clone path on every engine and in both micro cells, and
+// that a refused clone falls back to reloading instead of a DNF.
 func TestIsolationCloneMatchesReload(t *testing.T) {
 	datasets := []string{"frb-s", "mico"}
-	run := func(workers int, hide bool) ([]byte, int64) {
+	hide := func(e core.Engine) core.Engine { return struct{ core.Engine }{e} }
+	refuse := func(e core.Engine) core.Engine { return refusedClone{e} }
+	run := func(workers int, wrap func(core.Engine) core.Engine) ([]byte, int64) {
 		var built atomic.Int64
 		for _, name := range engines.Names() {
 			ctor := engines.Constructor(name)
@@ -299,8 +308,8 @@ func TestIsolationCloneMatchesReload(t *testing.T) {
 			}
 			defer engines.Register(name, func() core.Engine {
 				built.Add(1)
-				if hide {
-					return struct{ core.Engine }{ctor()}
+				if wrap != nil {
+					return wrap(ctor())
 				}
 				return ctor()
 			})()
@@ -333,19 +342,32 @@ func TestIsolationCloneMatchesReload(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		cloned, clonedLoads := run(workers, false)
-		reloaded, reloads := run(workers, true)
-		if want := int64(mutating * len(engines.Names()) * len(datasets)); reloads-clonedLoads != want {
-			t.Errorf("workers=%d: %d loads with clones, %d without: the batch cells' %d mutating queries should have cloned", workers, clonedLoads, reloads, want)
+		cloned, clonedLoads := run(workers, nil)
+		reloaded, reloads := run(workers, hide)
+		refused, refusedLoads := run(workers, refuse)
+		if want := int64(2 * mutating * len(engines.Names()) * len(datasets)); reloads-clonedLoads != want {
+			t.Errorf("workers=%d: %d loads with clones, %d without: both micro cells' %d mutating queries should have cloned", workers, clonedLoads, reloads, want)
 		}
-		if !bytes.Equal(cloned, reloaded) {
-			c, r := strings.Split(string(cloned), "\n"), strings.Split(string(reloaded), "\n")
-			for i := range min(len(c), len(r)) {
-				if c[i] != r[i] {
-					t.Fatalf("workers=%d: export diverges at line %d:\ncloned:   %s\nreloaded: %s", workers, i+1, c[i], r[i])
-				}
-			}
-			t.Fatalf("workers=%d: exports differ in length: %d vs %d bytes", workers, len(cloned), len(reloaded))
+		if refusedLoads != reloads {
+			t.Errorf("workers=%d: %d loads with refused clones, %d without Clone", workers, refusedLoads, reloads)
+		}
+		diffExports(t, workers, "cloned", cloned, reloaded)
+		diffExports(t, workers, "refused", refused, reloaded)
+	}
+}
+
+// diffExports fails the test at the first line where export got differs
+// from the reload run's.
+func diffExports(t *testing.T, workers int, name string, got, reloaded []byte) {
+	t.Helper()
+	if bytes.Equal(got, reloaded) {
+		return
+	}
+	g, r := strings.Split(string(got), "\n"), strings.Split(string(reloaded), "\n")
+	for i := range min(len(g), len(r)) {
+		if g[i] != r[i] {
+			t.Fatalf("workers=%d: export diverges at line %d:\n%-9s %s\nreloaded: %s", workers, i+1, name+":", g[i], r[i])
 		}
 	}
+	t.Fatalf("workers=%d: %s and reloaded exports differ in length: %d vs %d bytes", workers, name, len(got), len(reloaded))
 }

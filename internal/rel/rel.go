@@ -81,11 +81,12 @@ func (db *DB) CreateTable(name string, cols ...string) (*Table, error) {
 }
 
 // Clone returns an independent copy of db: every table cloned (see
-// Table.Clone), in the same creation order.
+// Table.Clone) in creation order, so the copies lie in memory in the
+// order a load creates the tables, not in map iteration order.
 func (db *DB) Clone() *DB {
-	c := &DB{tables: maps.Clone(db.tables), order: append(make([]string, 0, cap(db.order)), db.order...)}
-	for name, t := range c.tables {
-		c.tables[name] = t.Clone()
+	c := &DB{tables: make(map[string]*Table, len(db.tables)), order: append(make([]string, 0, cap(db.order)), db.order...)}
+	for _, name := range db.order {
+		c.tables[name] = db.tables[name].Clone()
 	}
 	return c
 }
