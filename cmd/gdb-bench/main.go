@@ -24,6 +24,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engines"
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // options holds every gdb-bench flag. Flags are declared through
@@ -49,6 +50,7 @@ type options struct {
 	exportCSV   string
 	importJSON  string
 	list        bool
+	profiles    *obs.Profiles
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
@@ -72,51 +74,58 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.exportCSV, "export-csv", "", "also write raw results as CSV to this file")
 	fs.StringVar(&o.importJSON, "import-json", "", "render reports from a previous -export-json run instead of executing")
 	fs.BoolVar(&o.list, "list", false, "list engines, datasets and reports")
+	o.profiles = obs.DefineProfiles(fs)
 	return o
 }
 
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if err := o.profiles.Run(func() error { return run(o) }); err != nil {
+		fmt.Fprintln(os.Stderr, "gdb-bench:", err)
+		os.Exit(1)
+	}
+}
 
+func run(o *options) error {
 	if o.list {
 		fmt.Println("engines: ", strings.Join(engines.Names(), ", "))
 		fmt.Println("datasets:", strings.Join(datasets.Names(), ", "))
 		fmt.Println("reports: ", strings.Join(harness.ReportNames(), ", "))
-		return
+		return nil
 	}
 
 	// -status inspects a checkpoint and never executes: a multi-hour
 	// run's progress is readable from any shell in milliseconds.
 	if o.status {
 		if o.checkpoint == "" {
-			fatal(errors.New("-status requires -checkpoint FILE"))
+			return errors.New("-status requires -checkpoint FILE")
 		}
 		st, err := harness.ReadStatus(o.checkpoint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		st.Render(os.Stdout)
-		return
+		return nil
 	}
 
 	// Validate every name up front: a typo in -report, -engines or
 	// -datasets must surface now, not after the grid has run for hours.
 	if !harness.ValidReport(o.report) {
-		fatal(fmt.Errorf("unknown report %q (known: %s)", o.report, strings.Join(harness.ReportNames(), ", ")))
+		return fmt.Errorf("unknown report %q (known: %s)", o.report, strings.Join(harness.ReportNames(), ", "))
 	}
 	for _, e := range splitList(o.engines) {
 		if engines.Constructor(e) == nil {
-			fatal(fmt.Errorf("unknown engine %q (known: %s)", e, strings.Join(engines.Names(), ", ")))
+			return fmt.Errorf("unknown engine %q (known: %s)", e, strings.Join(engines.Names(), ", "))
 		}
 	}
 	for _, d := range splitList(o.datasets) {
 		if datasets.ByName(d) == nil {
-			fatal(fmt.Errorf("unknown dataset %q (known: %s)", d, strings.Join(datasets.Names(), ", ")))
+			return fmt.Errorf("unknown dataset %q (known: %s)", d, strings.Join(datasets.Names(), ", "))
 		}
 	}
 	if err := datasets.CheckScale(o.scale); err != nil {
-		fatal(fmt.Errorf("-scale: %w", err))
+		return fmt.Errorf("-scale: %w", err)
 	}
 
 	cfg := harness.Config{
@@ -145,15 +154,21 @@ func main() {
 	// With no run there are no results to export.
 	switch {
 	case o.report == "table1":
-		refuseExport(o)
+		if err := refuseExport(o); err != nil {
+			return err
+		}
 		harness.ReportTable1(os.Stdout)
-		return
+		return nil
 	case o.report == "table2":
-		refuseExport(o)
+		if err := refuseExport(o); err != nil {
+			return err
+		}
 		harness.ReportTable2(os.Stdout)
-		return
+		return nil
 	case o.report == "table3" && o.importJSON == "":
-		refuseExport(o)
+		if err := refuseExport(o); err != nil {
+			return err
+		}
 		res := &harness.Results{Config: cfg, Stats: map[string]datasets.Table3Row{}}
 		for _, name := range cfg.Datasets {
 			// The analytics need only the CSR snapshot: a warm cache hit
@@ -161,48 +176,49 @@ func main() {
 			// materialization entirely.
 			c, _, err := datasets.AcquireCSR(name, cfg.Scale, datasets.AcquireOptions{CacheDir: cfg.DatasetCacheDir, Mmap: true})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			res.Stats[name] = datasets.StatsCSR(c, 1)
 		}
 		harness.ReportTable3(res, os.Stdout)
-		return
+		return nil
 	}
 
 	var res *harness.Results
 	if o.importJSON != "" {
 		f, err := os.Open(o.importJSON)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err = harness.ImportJSON(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		runner, err := harness.NewRunner(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err = runner.Run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if err := harness.Report(res, o.report, os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	if o.exportJSON != "" {
 		if err := writeFile(o.exportJSON, func(f *os.File) error { return harness.ExportJSON(res, f) }); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if o.exportCSV != "" {
 		if err := writeFile(o.exportCSV, func(f *os.File) error { return harness.ExportCSV(res, f) }); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 func writeFile(path string, fn func(*os.File) error) error {
@@ -227,20 +243,15 @@ func splitList(s string) []string {
 	return out
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gdb-bench:", err)
-	os.Exit(1)
-}
-
-// refuseExport exits with an error naming the export flag set for a
+// refuseExport returns an error naming the export flag set for a
 // report that runs no grid.
-func refuseExport(o *options) {
+func refuseExport(o *options) error {
 	name := "-export-json"
 	if o.exportJSON == "" {
 		if o.exportCSV == "" {
-			return
+			return nil
 		}
 		name = "-export-csv"
 	}
-	fatal(fmt.Errorf("%s: -report %s runs no grid and has no results to export", name, o.report))
+	return fmt.Errorf("%s: -report %s runs no grid and has no results to export", name, o.report)
 }

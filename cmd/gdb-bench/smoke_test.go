@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -112,6 +114,27 @@ func TestSmoke(t *testing.T) {
 			_, statErr := os.Stat(filepath.Join(dir, args[3]))
 			if err == nil || !strings.Contains(string(out), args[2]+":") || !os.IsNotExist(statErr) {
 				t.Fatalf("gdb-bench %s: %v, file %v, want an error naming %s and no file:\n%s", strings.Join(args, " "), err, statErr, args[2], out)
+			}
+		}
+	})
+	t.Run("profiles", func(t *testing.T) {
+		run(t, "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "-trace", "run.trace", "-export-json", "profiled.json")
+		sameExport(t, "profiled.json", fresh)
+		f, err := os.Open(filepath.Join(dir, "cpu.pprof"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("CPU profile is not gzip: %v", err)
+		}
+		if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+			t.Fatalf("CPU profile holds %d bytes (%v)", len(raw), err)
+		}
+		for _, name := range []string{"mem.pprof", "run.trace"} {
+			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+				t.Fatalf("%s not written (%v)", name, err)
 			}
 		}
 	})

@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/engines"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -50,6 +51,7 @@ type options struct {
 	lsmDir       string
 	lsmAudit     bool
 	verbose      bool
+	profiles     *obs.Profiles
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
@@ -68,13 +70,14 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.lsmDir, "lsm-dir", "", "durable mode: root the engine's LSM store at this directory (WAL + crash recovery; titan engines only)")
 	fs.BoolVar(&o.lsmAudit, "lsm-audit", false, "recover the store at -lsm-dir, print recovery counters and an integrity audit as JSON, and exit")
 	fs.BoolVar(&o.verbose, "v", false, "print progress to stderr")
+	o.profiles = obs.DefineProfiles(fs)
 	return o
 }
 
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if err := run(o); err != nil {
+	if err := o.profiles.Run(func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "gdb-serve:", err)
 		os.Exit(1)
 	}

@@ -46,17 +46,34 @@ func BenchmarkContains(b *testing.B) {
 }
 
 // BenchmarkAndLen measures the label-filter intersection of the
-// Sparksee traversal path.
+// Sparksee traversal path, for each pair of container kinds: a dense
+// chunk is a word set, a sparse one an array.
 func BenchmarkAndLen(b *testing.B) {
-	a, c := New(), New()
-	for i := uint64(0); i < 100_000; i++ {
-		a.Add(i)
+	dense, sparse, tiny := New(), New(), New()
+	for i := uint64(0); i < 2<<16; i++ {
 		if i%3 == 0 {
-			c.Add(i)
+			dense.Add(i)
+		}
+		if i%61 == 0 {
+			sparse.Add(i)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AndLen(a)
+	for _, x := range []uint64{7, 122, 40_000, 70_000} {
+		tiny.Add(x)
+	}
+	for _, c := range []struct {
+		name string
+		a, o *Bitmap
+	}{
+		{"words-words", dense, dense},
+		{"array-words", sparse, dense},
+		{"array-array", sparse, sparse},
+		{"tiny-array", tiny, sparse},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.a.AndLen(c.o)
+			}
+		})
 	}
 }

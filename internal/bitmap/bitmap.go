@@ -22,6 +22,7 @@ package bitmap
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -350,19 +351,80 @@ func (b *Bitmap) Or(o *Bitmap) *Bitmap {
 	return out
 }
 
-// AndLen returns the intersection cardinality without materializing it.
+// AndLen returns the intersection cardinality without materializing it,
+// container by container as Roaring counts: it merges the two operands'
+// chunk keys and counts each shared chunk by its pair of kinds — the
+// popcount of the AND of two word sets, a bit test per element of an
+// array against a word set, a merge of two sorted arrays, or a search
+// of the longer array for each element of a much shorter one. It
+// allocates nothing.
 func (b *Bitmap) AndLen(o *Bitmap) int {
-	small, large := b, o
-	if small.Len() > large.Len() {
-		small, large = large, small
+	n := 0
+	for i, j := 0, 0; i < len(b.keys) && j < len(o.keys); {
+		switch {
+		case b.keys[i] < o.keys[j]:
+			i++
+		case b.keys[i] > o.keys[j]:
+			j++
+		default:
+			n += b.cs[i].andLen(&o.cs[j])
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// gallopRatio is the length ratio of two arrays above which andLen
+// searches the longer one for each element of the shorter instead of
+// merging them, as Roaring does: a merge walks the longer array whole.
+const gallopRatio = 64
+
+// andLen is the cardinality of the intersection of two containers of
+// the same chunk.
+func (c *container) andLen(o *container) int {
+	if c.words == nil {
+		c, o = o, c // a word set, if either is one, comes first
 	}
 	n := 0
-	small.Iterate(func(x uint64) bool {
-		if large.Contains(x) {
-			n++
+	switch {
+	case o.words != nil:
+		ow := o.words[:len(c.words)]
+		for i, w := range c.words {
+			n += bits.OnesCount64(w & ow[i])
 		}
-		return true
-	})
+	case c.words != nil:
+		for _, lo := range o.array {
+			n += int(c.words[lo/64] >> (lo % 64) & 1)
+		}
+	default:
+		a, b := c.array, o.array
+		if len(a) > len(b) {
+			a, b = b, a
+		}
+		if len(a)*gallopRatio < len(b) {
+			for _, x := range a {
+				i, found := slices.BinarySearch(b, x)
+				if found {
+					n++
+				}
+				b = b[i:]
+			}
+			break
+		}
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch {
+			case a[i] < b[j]:
+				i++
+			case a[i] > b[j]:
+				j++
+			default:
+				n++
+				i++
+				j++
+			}
+		}
+	}
 	return n
 }
 

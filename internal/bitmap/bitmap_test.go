@@ -181,6 +181,89 @@ func TestQuickAgainstMapSet(t *testing.T) {
 	}
 }
 
+// TestAndLenAgainstElementwise checks AndLen against an element-wise
+// intersection over random pairs whose chunks are absent, sparse
+// (arrays) or dense (word sets), so every pair of container kinds —
+// arrays of like lengths and of lengths far apart — chunks present in
+// one operand only, and empty bitmaps all occur; and on one fixed
+// skewed pair that random ones rarely give.
+func TestAndLenAgainstElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := func() *Bitmap {
+		b := New()
+		width := []int{256, 4096, 1 << 16}[rng.Intn(3)]
+		for hi := uint64(0); hi < 4; hi++ {
+			switch rng.Intn(3) {
+			case 1: // array, of 1 to 256 elements, log-uniform
+				for range 1 + rng.Intn(1<<rng.Intn(9)) {
+					b.Add(hi<<16 | uint64(rng.Intn(width)))
+				}
+			case 2: // word set
+				for x := rng.Intn(8); x < 1<<16; x += 1 + rng.Intn(8) {
+					b.Add(hi<<16 | uint64(x))
+				}
+			}
+		}
+		return b
+	}
+	kind := func(b *Bitmap, hi uint64) (string, int) {
+		i, ok := b.find(hi)
+		switch {
+		case !ok:
+			return "absent", 0
+		case b.cs[i].words != nil:
+			return "words", 0
+		}
+		return "array", len(b.cs[i].array)
+	}
+	check := func(a, b *Bitmap) {
+		t.Helper()
+		want := 0
+		a.Iterate(func(x uint64) bool {
+			if b.Contains(x) {
+				want++
+			}
+			return true
+		})
+		if got, rev := a.AndLen(b), b.AndLen(a); got != want || rev != want {
+			t.Fatalf("AndLen = %d, reversed %d, element-wise %d", got, rev, want)
+		}
+	}
+	// A skewed pair in which the short array's second element is where
+	// the search for its first, which the long array lacks, lands.
+	short, long := New(), New()
+	short.Add(1)
+	short.Add(3)
+	long.Add(0)
+	for x := uint64(3); x < 200; x++ {
+		long.Add(x)
+	}
+	check(short, long)
+	seen := map[string]bool{}
+	for range 300 {
+		a, b := random(), random()
+		check(a, b)
+		for hi := uint64(0); hi < 4; hi++ {
+			ka, na := kind(a, hi)
+			kb, nb := kind(b, hi)
+			k := []string{ka, kb}
+			slices.Sort(k)
+			if ka == "array" && kb == "array" && min(na, nb)*gallopRatio < max(na, nb) {
+				k[1] += "-skewed"
+			}
+			seen[k[0]+"-"+k[1]] = true
+		}
+		if a.IsEmpty() || b.IsEmpty() {
+			seen["empty"] = true
+		}
+	}
+	for _, k := range []string{"array-array", "array-array-skewed", "array-words", "words-words", "absent-array", "absent-words", "empty"} {
+		if !seen[k] {
+			t.Errorf("no pair covered %s", k)
+		}
+	}
+}
+
 // TestMiddleChunkRemovedAndReadded drops the middle one of four chunks
 // and adds it back: the containers slice must shift with the keys, so
 // iteration stays ascending and Len and Bytes count exactly the chunks
@@ -240,10 +323,13 @@ func TestReadAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	a, b := New(), New()
+	a, b, sparse := New(), New(), New()
 	for i := uint64(0); i < 20000; i++ {
 		a.Add(i * 7)
 		b.Add(i * 5)
+		if i%50 == 0 {
+			sparse.Add(i * 3)
+		}
 	}
 	n := 0
 	for _, c := range []struct {
@@ -253,7 +339,7 @@ func TestReadAllocs(t *testing.T) {
 		{"Contains", func() { a.Contains(7000) }},
 		{"Len", func() { n += a.Len() }},
 		{"Iterate", func() { a.Iterate(func(uint64) bool { n++; return true }) }},
-		{"AndLen", func() { n += a.AndLen(b) }},
+		{"AndLen", func() { n += a.AndLen(b) + a.AndLen(sparse) + sparse.AndLen(sparse) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)

@@ -47,6 +47,7 @@ func Run(t *testing.T, newEngine func() core.Engine) {
 		{"Traversal", testTraversal},
 		{"ParallelEdgesAndLoops", testParallelEdgesAndLoops},
 		{"Degree", testDegree},
+		{"DegreeMatchesIncidentEdges", testDegreeMatchesIncidentEdges},
 		{"MissingIDs", testMissingIDs},
 		{"BulkLoad", testBulkLoad},
 		{"BulkLoadAfterEmptied", testBulkLoadAfterEmptied},
@@ -470,6 +471,60 @@ func testDegree(t *testing.T, newEngine func() core.Engine) {
 	if d, _ := e.Degree(a, core.DirBoth); d != 7 {
 		t.Fatalf("both degree = %d", d)
 	}
+}
+
+// testDegreeMatchesIncidentEdges: every vertex's Degree in each
+// direction is the number of edges IncidentEdges yields, on a graph
+// with loops, parallel edges and several labels, and again after edge
+// and vertex removals.
+func testDegreeMatchesIncidentEdges(t *testing.T, newEngine func() core.Engine) {
+	e := newEngine()
+	defer e.Close()
+	rng := rand.New(rand.NewSource(7))
+	vs := make([]core.ID, 12)
+	for i := range vs {
+		vs[i], _ = e.AddVertex(nil)
+	}
+	var es []core.ID
+	for range 60 {
+		src, dst := vs[rng.Intn(len(vs))], vs[rng.Intn(len(vs))]
+		if rng.Intn(8) == 0 {
+			dst = src
+		}
+		label := fmt.Sprintf("l%d", rng.Intn(4))
+		for range 1 + rng.Intn(2) { // a second pass adds a parallel edge
+			id, err := e.AddEdge(src, dst, label, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es = append(es, id)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		it := e.Vertices()
+		for v, ok := it(); ok; v, ok = it() {
+			for _, d := range []core.Direction{core.DirOut, core.DirIn, core.DirBoth} {
+				want := core.Drain(e.IncidentEdges(v, d))
+				if got, err := e.Degree(v, d); err != nil || got != int64(want) {
+					t.Fatalf("%s: Degree(%d, %v) = %d, %v; IncidentEdges yields %d", stage, v, d, got, err, want)
+				}
+			}
+		}
+	}
+	check("loaded")
+	for i := 0; i < len(es); i += 3 {
+		if err := e.RemoveEdge(es[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after RemoveEdge")
+	for _, v := range vs[:3] {
+		if err := e.RemoveVertex(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after RemoveVertex")
 }
 
 func testMissingIDs(t *testing.T, newEngine func() core.Engine) {

@@ -20,7 +20,6 @@ package kit
 import (
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -182,7 +181,7 @@ func (x *PropIndex) Lookup(name string, v core.Value) ([]core.ID, bool) {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, true
 }
 

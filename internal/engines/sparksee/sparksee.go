@@ -59,7 +59,7 @@ type store struct {
 	srcOf   map[uint64]uint64
 	dstOf   map[uint64]uint64
 	labelOf map[uint64]uint32
-	byLabel map[uint32]*bitmap.Bitmap
+	byLabel []*bitmap.Bitmap // indexed by label token
 	labels  kit.Tokens
 
 	out map[uint64]*bitmap.Bitmap // node -> outgoing edge set
@@ -80,7 +80,6 @@ func newStore() store {
 		srcOf:   make(map[uint64]uint64),
 		dstOf:   make(map[uint64]uint64),
 		labelOf: make(map[uint64]uint32),
-		byLabel: make(map[uint32]*bitmap.Bitmap),
 		out:     make(map[uint64]*bitmap.Bitmap),
 		in:      make(map[uint64]*bitmap.Bitmap),
 		vattrs:  make(map[string]*attrStore),
@@ -179,7 +178,7 @@ func (e *Engine) labelTok(l string) uint32 {
 	n := e.labels.Len()
 	t := e.labels.Intern(l)
 	if int(t) == n {
-		e.byLabel[t] = bitmap.New()
+		e.byLabel = append(e.byLabel, bitmap.New())
 	}
 	return t
 }
@@ -312,9 +311,7 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 	if b := e.in[e.dstOf[oid]]; b != nil {
 		b.Remove(oid)
 	}
-	if b := e.byLabel[e.labelOf[oid]]; b != nil {
-		b.Remove(oid)
-	}
+	e.byLabel[e.labelOf[oid]].Remove(oid)
 	for _, a := range e.eattrs {
 		a.remove(oid)
 	}

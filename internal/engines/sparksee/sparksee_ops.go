@@ -138,43 +138,43 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 // intermediate per label per call, so graphs with many labels and many
 // nodes exhaust the budget mid-scan (the paper's Q28–Q31 failure on all
 // Freebase samples). The retention counter is reset by Vertices()/
-// Edges(), i.e. per full-graph traversal.
+// Edges(), i.e. per full-graph traversal. A call adds what it retains
+// to the counter once, before the budget check.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
 	if !e.HasVertex(id) {
 		return 0, core.ErrNotFound
 	}
 	oid := uint64(id)
-	count := func(b *bitmap.Bitmap) int64 {
+	var deg, retained int64
+	count := func(b *bitmap.Bitmap) {
 		if b == nil {
-			return 0
+			return
 		}
-		var n int64
 		for _, lb := range e.byLabel {
-			hits := b.AndLen(lb)
-			n += int64(hits)
-			e.retained.Add(40 + int64(hits)*16)
+			hits := int64(b.AndLen(lb))
+			deg += hits
+			retained += 40 + hits*16
 		}
-		return n
 	}
-	var deg int64
 	switch d {
 	case core.DirOut:
-		deg = count(e.out[oid])
+		count(e.out[oid])
 	case core.DirIn:
-		deg = count(e.in[oid])
+		count(e.in[oid])
 	default:
 		ob, ib := e.out[oid], e.in[oid]
 		switch {
 		case ob != nil && ib != nil:
 			both := ob.Or(ib)
-			e.retained.Add(both.Bytes())
-			deg = count(both)
+			retained += both.Bytes()
+			count(both)
 		case ob != nil:
-			deg = count(ob)
+			count(ob)
 		case ib != nil:
-			deg = count(ib)
+			count(ib)
 		}
 	}
+	e.retained.Add(retained)
 	if e.retained.Load() > e.memBudget {
 		return 0, core.ErrOutOfMemory
 	}
@@ -204,7 +204,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		// load creates; tokens still assign in first-encounter order.
 		if e.labels.Len() == 0 {
 			e.labels.Reserve(len(snap.Labels))
-			e.byLabel = make(map[uint32]*bitmap.Bitmap, len(snap.Labels))
+			e.byLabel = make([]*bitmap.Bitmap, 0, len(snap.Labels))
 		}
 		var nOut, nIn int
 		for v, n := 0, g.NumVertices(); v < n; v++ {
@@ -271,7 +271,7 @@ func (s *store) clone() store {
 		srcOf:           maps.Clone(s.srcOf),
 		dstOf:           maps.Clone(s.dstOf),
 		labelOf:         maps.Clone(s.labelOf),
-		byLabel:         cloneBitmaps(&a, s.byLabel),
+		byLabel:         cloneSlice(&a, s.byLabel),
 		labels:          s.labels.Clone(),
 		out:             cloneBitmaps(&a, s.out),
 		in:              cloneBitmaps(&a, s.in),
@@ -308,6 +308,15 @@ func cloneBitmaps[K comparable](a *bitmap.Arena, m map[K]*bitmap.Bitmap) map[K]*
 	c := make(map[K]*bitmap.Bitmap, len(m))
 	for k, b := range m {
 		c[k] = a.Clone(b)
+	}
+	return c
+}
+
+// cloneSlice copies the slice and every bitmap in it.
+func cloneSlice(a *bitmap.Arena, s []*bitmap.Bitmap) []*bitmap.Bitmap {
+	c := make([]*bitmap.Bitmap, len(s), cap(s))
+	for i, b := range s {
+		c[i] = a.Clone(b)
 	}
 	return c
 }

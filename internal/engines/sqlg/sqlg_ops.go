@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/engines/kit"
 	"repro/internal/rel"
 )
 
@@ -340,43 +339,61 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 	return e.join(id, d, labels, true)
 }
 
-// join selects the rows of id's edges from each table a hop consults:
-// through the src index for out-edges, the dst index for in-edges. A
-// row's columns are id, src, dst; it yields the edge id or, with far
-// set, the other endpoint.
+// join selects the rows of id's edges from each table a hop consults
+// (see walk). A row's columns are id, src, dst; it yields the edge id
+// or, with far set, the other endpoint.
 func (e *Engine) join(id core.ID, d core.Direction, labels []string, far bool) core.Iter[core.ID] {
 	if !e.HasVertex(id) {
 		return core.EmptyIter[core.ID]()
 	}
-	key := core.I(int64(id))
 	outCol, inCol := 0, 0
 	if far {
 		outCol, inCol = colDst, colSrc
 	}
 	var out []core.ID
-	for _, t := range e.tablesFor(labels) {
-		if d == core.DirOut || d == core.DirBoth {
-			t.SelectEqAt(colSrc, key, func(r rel.Row) bool {
-				out = append(out, core.ID(r[outCol].Int()))
-				return true
-			})
+	walk(e.tablesFor(labels), id, d, func(r rel.Row, in bool) {
+		col := outCol
+		if in {
+			col = inCol
 		}
-		if d == core.DirIn || d == core.DirBoth {
-			t.SelectEqAt(colDst, key, func(r rel.Row) bool {
-				if d == core.DirBoth && r[colSrc].Compare(r[colDst]) == 0 {
-					return true // loop already collected by the src join
-				}
-				out = append(out, core.ID(r[inCol].Int()))
-				return true
-			})
-		}
-	}
+		out = append(out, core.ID(r[col].Int()))
+	})
 	return core.SliceIter(out)
 }
 
-// Degree implements core.Engine: indexed counts over every edge table.
+// Degree implements core.Engine: the joins of an unfiltered hop, with
+// every row counted where it is found.
 func (e *Engine) Degree(id core.ID, d core.Direction) (int64, error) {
-	return kit.Degree(e, id, d)
+	if !e.HasVertex(id) {
+		return 0, core.ErrNotFound
+	}
+	var n int64
+	walk(e.etabs, id, d, func(rel.Row, bool) { n++ })
+	return n, nil
+}
+
+// walk calls fn on the row of each of id's edges in tabs, one index
+// seek per table and direction: through the src index for out-edges,
+// the dst index for in-edges (in set). Under DirBoth a loop comes once,
+// from the src seek. The probe key is encoded once for all the seeks.
+func walk(tabs []*rel.Table, id core.ID, d core.Direction, fn func(r rel.Row, in bool)) {
+	var buf [16]byte
+	key := rel.AppendKey(buf[:0], core.I(int64(id)))
+	src := func(r rel.Row) bool { fn(r, false); return true }
+	dst := func(r rel.Row) bool {
+		if d != core.DirBoth || r[colSrc].Compare(r[colDst]) != 0 {
+			fn(r, true)
+		}
+		return true
+	}
+	for _, t := range tabs {
+		if d == core.DirOut || d == core.DirBoth {
+			t.SeekAt(colSrc, key, src)
+		}
+		if d == core.DirIn || d == core.DirBoth {
+			t.SeekAt(colDst, key, dst)
+		}
+	}
 }
 
 // --- index / bulk / space ---

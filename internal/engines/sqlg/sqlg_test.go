@@ -82,6 +82,39 @@ func TestUnfilteredHopTouchesEveryEdgeTable(t *testing.T) {
 	}
 }
 
+// TestDegreeSeeksEveryEdgeTable: Degree counts through the joins of an
+// unfiltered hop — one seek per edge table for DirOut and for DirIn,
+// two for DirBoth — and scans nothing.
+func TestDegreeSeeksEveryEdgeTable(t *testing.T) {
+	e := New()
+	defer e.Close()
+	a, _ := e.AddVertex(nil)
+	b, _ := e.AddVertex(nil)
+	for _, l := range []string{"l1", "l2", "l3", "l4"} {
+		e.AddEdge(a, b, l, nil)
+	}
+	e.AddEdge(b, a, "l2", nil)
+	e.AddEdge(a, a, "l3", nil)
+	for _, c := range []struct {
+		d          core.Direction
+		seeks, deg int
+	}{{core.DirOut, 1, 5}, {core.DirIn, 1, 2}, {core.DirBoth, 2, 6}} {
+		var scans, seeks []int
+		for _, tab := range e.etabs {
+			sc, sk := tab.Stats()
+			scans, seeks = append(scans, sc), append(seeks, sk)
+		}
+		if deg, err := e.Degree(a, c.d); err != nil || deg != int64(c.deg) {
+			t.Fatalf("Degree(a, %v) = %d, %v, want %d", c.d, deg, err, c.deg)
+		}
+		for i, tab := range e.etabs {
+			if sc, sk := tab.Stats(); sc != scans[i] || sk != seeks[i]+c.seeks {
+				t.Fatalf("Degree(a, %v) on table %d: %d scans, %d seeks, want 0 and %d", c.d, i, sc-scans[i], sk-seeks[i], c.seeks)
+			}
+		}
+	}
+}
+
 func TestNewPropertyNameIsAlterTable(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -148,8 +181,9 @@ func TestEdgesByLabelIsSingleTableScan(t *testing.T) {
 	}
 }
 
-// TestReadAllocs pins the existence probes: HasVertex and HasEdge test
-// the primary key without copying the row.
+// TestReadAllocs pins the existence probes, which test the primary key
+// without copying the row, and Degree, which counts rows where its seeks
+// find them.
 func TestReadAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -165,6 +199,7 @@ func TestReadAllocs(t *testing.T) {
 	}{
 		{"HasVertex", func() { e.HasVertex(a) }},
 		{"HasEdge", func() { e.HasEdge(eid) }},
+		{"Degree", func() { e.Degree(a, core.DirBoth) }},
 	} {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, n)

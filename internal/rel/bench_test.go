@@ -39,6 +39,33 @@ func BenchmarkSelectEq(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectEqAt probes 133 one-row tables, each through its src
+// index and each with a miss: the probe pattern of an unfiltered Sqlg
+// hop on a label-rich graph, where most label tables hold no edge of
+// the vertex. One op is one probe.
+func BenchmarkSelectEqAt(b *testing.B) {
+	db := NewDB()
+	tabs := make([]*Table, 133)
+	for i := range tabs {
+		t, err := db.CreateTable(fmt.Sprintf("E_%d", i), "id", "src", "dst")
+		if err != nil {
+			b.Fatal(err)
+		}
+		t.Insert(Row{core.I(int64(i)), core.I(int64(2 * i)), core.I(int64(2*i + 1))})
+		t.CreateIndex("src")
+		tabs[i] = t
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		tabs[i%len(tabs)].SelectEqAt(1, core.I(int64(2*i+1)), func(Row) bool { n++; return true })
+	}
+	if n != 0 {
+		b.Fatalf("%d hits, want only misses", n)
+	}
+}
+
 // BenchmarkIndexedJoin measures per-key index lookups over a small
 // frontier — the join behind Sqlg's fast single-label hops.
 func BenchmarkIndexedJoin(b *testing.B) {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/btree"
@@ -342,16 +341,9 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 // exist: a caller that knows a column's position (a fixed schema's
 // foreign keys) skips the lookup by name on every probe.
 func (t *Table) SelectEqAt(ci int, v core.Value, fn func(Row) bool) {
-	if idx := t.indexes[ci]; idx != nil {
-		t.seeks.Add(1)
+	if t.indexes[ci] != nil {
 		var buf [24]byte // fits every non-string value; longer ones spill
-		prefix := enc.Value(buf[:0], v)
-		idx.AscendPrefix(prefix, func(k, _ []byte) bool {
-			posBytes := k[len(prefix):]
-			pos, _ := enc.TakeUint64(posBytes)
-			r := t.rows[pos]
-			return r == nil || fn(r)
-		})
+		t.SeekAt(ci, AppendKey(buf[:0], v), fn)
 		return
 	}
 	t.scans.Add(1)
@@ -363,6 +355,22 @@ func (t *Table) SelectEqAt(ci int, v core.Value, fn func(Row) bool) {
 			return
 		}
 	}
+}
+
+// AppendKey appends the index key of value v to b: what SeekAt takes.
+func AppendKey(b []byte, v core.Value) []byte { return enc.Value(b, v) }
+
+// SeekAt is the index seek: it streams the rows whose column ci holds
+// the value key encodes (see AppendKey) through the index on ci, which
+// must exist. A caller probing many tables for one value encodes the
+// key once.
+func (t *Table) SeekAt(ci int, key []byte, fn func(Row) bool) {
+	t.seeks.Add(1)
+	t.indexes[ci].AscendPrefix(key, func(k, _ []byte) bool {
+		pos, _ := enc.TakeUint64(k[len(key):])
+		r := t.rows[pos]
+		return r == nil || fn(r)
+	})
 }
 
 // Bytes returns the table's approximate footprint including indexes.
@@ -418,6 +426,6 @@ func (t *Table) SortedIDs() []int64 {
 	for id := range t.pk {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
